@@ -119,12 +119,6 @@ class PrimeField:
         q = Fraction(q)
         return q.numerator % self.p * inv(q.denominator, self.p) % self.p
 
-    def random_nonzero(self, rng):
-        return rng.randrange(1, self.p)
-
-    def random(self, rng):
-        return rng.randrange(self.p)
-
 
 def rational_reconstruct(r, m):
     """Lift residue r mod m to a fraction with |num|, den <= sqrt(m/2).

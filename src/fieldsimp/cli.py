@@ -245,7 +245,6 @@ def run(argv):
             var_order = [v.strip() for v in args.var_order.split(",")]
         genset, warned = parse_problem_file(text, var_order, args.order)
         cfg = SimplifyConfig(
-            orders=(args.order,),
             delta=args.delta,
             eps=args.epsilon,
             minimize=args.minimize,

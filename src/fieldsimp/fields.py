@@ -6,49 +6,77 @@ p_f(y) q_f(b) - q_f(y) p_f(b) against the specialized ideal of the
 generators augmented with y_j - b_j for the non-pivot variables j.  All
 computations run over a word-sized prime field, which stands in for the
 sampling-range bounds of the underlying analysis (any fixed error budget is
-met by a large enough prime).
+met by a large enough prime): the Jacobian rows and candidate gradients are
+taken from the F_p images of numerators and denominators by the quotient
+rule, and the rank test is one reduced row echelon form over F_p.
 """
 
 from .groebner import groebner
 from .interp import FAIL
 from .oms import GeneratorSet, _x_ring, gb_ring, specialize_eoms
-from .poly import (QQ, MultiPoly, RationalFunction, Ring, gcd_q, lcm_q,
-                   try_divexact)
+from .poly import MultiPoly, RationalFunction, gcd_q, try_divexact
 
 
 class UnluckyPoint(RuntimeError):
     """Surfaced after repeated degenerate random specializations."""
 
 
-def _rank_and_pivots(matrix, p):
-    """Row echelon over F_p: returns (rank, pivot column indices)."""
+def _rref(matrix, p, ncols=None):
+    """Reduced row echelon form over F_p, pivoting on the first `ncols`
+    columns (default all) with row operations on whole rows.
+
+    Returns (rows, pivots): rows[:len(pivots)] is the echelon basis with a
+    1 at each pivot column, the remaining rows are zero on those columns.
+    """
     m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
     pivots = []
     r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] % p), None)
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] % p), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = pow(m[r][c], -1, p)
         m[r] = [x * inv % p for x in m[r]]
-        for i in range(rows):
+        for i in range(len(m)):
             if i != r and m[i][c] % p:
                 f = m[i][c]
                 m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == len(m):
             break
-    return r, pivots
+    return m, pivots
+
+
+def _in_span(rref, vector, p):
+    """True iff `vector` lies in the row space of an `_rref` result."""
+    v = [x % p for x in vector]
+    for row, c in zip(*rref):
+        f = v[c]
+        if f:
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+    return not any(v)
 
 
 def _in_rowspan(matrix, vector, p):
-    rank, _ = _rank_and_pivots(matrix, p)
-    rank2, _ = _rank_and_pivots(matrix + [vector], p)
-    return rank2 == rank
+    return _in_span(_rref(matrix, p), vector, p)
+
+
+def _gradient_modp(num, den, point):
+    """Gradient of num/den at `point` by the quotient rule, for F_p
+    polynomials num and den; None when den vanishes at the point."""
+    p = num.ring.field.p
+    dv = den.evaluate(point)
+    if dv == 0:
+        return None
+    nv = num.evaluate(point)
+    inv = pow(dv * dv, -1, p)
+    return [(num.partial_derivative(i).evaluate(point) * dv
+             - nv * den.partial_derivative(i).evaluate(point)) * inv % p
+            for i in range(num.ring.arity)]
 
 
 class MembershipContext:
@@ -61,32 +89,19 @@ class MembershipContext:
         self.x_ring = _x_ring(genset, field)
         self.gb_ring = gb_ring(genset, field, genset.ring.order)
         p = field.p
-        derivs = genset.derivatives()
+        images = [g.modp(self.x_ring) for g in genset.generators]
+        qpoly = genset.common_denominator \
+            .map_coefficients(self.x_ring, field.from_fraction)
         for _ in range(max_attempts):
             b = tuple(rng.randrange(1, p) for _ in range(genset.ring.arity))
-            rows = []
-            ok = True
-            for grads in derivs:
-                row = []
-                for d in grads:
-                    v = d.evaluate_modp(self.x_ring, b)
-                    if v is None:
-                        ok = False
-                        break
-                    row.append(v)
-                if not ok:
-                    break
-                rows.append(row)
-            if not ok:
-                continue
-            qv = genset.common_denominator \
-                .map_coefficients(self.x_ring, field.from_fraction) \
-                .evaluate(b)
-            if qv == 0:
+            rows = [_gradient_modp(num, den, b) for num, den in images]
+            if any(row is None for row in rows) or qpoly.evaluate(b) == 0:
                 continue
             self.point = b
             self.jacobian = rows
-            self.rank, pivots = _rank_and_pivots(rows, p)
+            self._echelon = _rref(rows, p)
+            pivots = self._echelon[1]
+            self.rank = len(pivots)
             self.pivots = set(pivots)
             self.nonpivots = [j for j in range(genset.ring.arity)
                               if j not in self.pivots]
@@ -108,13 +123,10 @@ class MembershipContext:
         return self._gb_cache[key]
 
     def _gradient(self, cand):
-        out = []
-        for i in range(self.genset.ring.arity):
-            v = cand.derivative(i).evaluate_modp(self.x_ring, self.point)
-            if v is None:
-                return None
-            out.append(v)
-        return out
+        fn = self.field.from_fraction
+        return _gradient_modp(cand.num.map_coefficients(self.x_ring, fn),
+                              cand.den.map_coefficients(self.x_ring, fn),
+                              self.point)
 
     def contains(self, candidate, eps=0.001):
         """True iff the candidate lies in the generated subfield (with
@@ -128,11 +140,10 @@ class MembershipContext:
         grad = self._gradient(candidate)
         if grad is None:
             raise UnluckyPoint("candidate pole at the cached point")
-        if not _in_rowspan(self.jacobian, grad, self.field.p):
+        if not _in_span(self._echelon, grad, self.field.p):
             return False
         num, den, extra = self._over_common_denominator(candidate)
         gb = self._gb(extra_denominator=extra)
-        p = self.field.p
         num_p = num.map_coefficients(self.x_ring, self.field.from_fraction)
         den_p = den.map_coefficients(self.x_ring, self.field.from_fraction)
         qb = den_p.evaluate(self.point)
@@ -312,25 +323,11 @@ def _kernel_combinations(rows, basis, p):
     k = len(rows)
     cols = len(rows[0]) if rows else 0
     aug = [rows[i] + [1 if j == i else 0 for j in range(k)] for i in range(k)]
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, k) if aug[i][c] % p), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [x * inv % p for x in aug[r]]
-        for i in range(k):
-            if i != r and aug[i][c] % p:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        r += 1
-        if r == k:
-            break
+    aug, pivots = _rref(aug, p, ncols=cols)
     kernel = []
     dim = len(basis[0]) if basis else 0
-    for i in range(r, k):
-        combo = aug[i][cols:]
+    for row in aug[len(pivots):]:
+        combo = row[cols:]
         vec = [0] * dim
         for c, bvec in zip(combo, basis):
             if not c:
@@ -339,27 +336,5 @@ def _kernel_combinations(rows, basis, p):
                 vec[j] = (vec[j] + c * x) % p
         kernel.append(vec)
     # echelonize for a deterministic representation
-    return _echelon(kernel, p)
-
-
-def _echelon(vectors, p):
-    if not vectors:
-        return []
-    m = [v[:] for v in vectors]
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] % p), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return m[:r]
+    kernel, pivots = _rref(kernel, p)
+    return kernel[:len(pivots)]

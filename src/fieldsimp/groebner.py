@@ -233,13 +233,12 @@ def _interreduce(basis, codec, p):
 class GroebnerTrace:
     """Replay schedule from a learn run."""
 
-    __slots__ = ("input_lms", "events", "final_lms", "final_supports")
+    __slots__ = ("input_lms", "events", "final_lms")
 
-    def __init__(self, input_lms, events, final_lms, final_supports):
+    def __init__(self, input_lms, events, final_lms):
         self.input_lms = input_lms          # leading monomials of the inputs
         self.events = events                # [(i, j, packed-lm-or-None)]
         self.final_lms = final_lms          # leading monomials of the reduced GB
-        self.final_supports = final_supports  # full support of each element
 
 
 class ReducedGB:
@@ -301,8 +300,7 @@ def _run_buchberger(spec_ring, generators, trace=None, record=False):
         gb = ReducedGB(ring, [ring.one()])
         if record:
             input_lms = tuple(g.leading_monomial() for g in inputs)
-            return gb, GroebnerTrace(input_lms, (), gb.leading_monomials(),
-                                     tuple(g.support() for g in gb))
+            return gb, GroebnerTrace(input_lms, (), gb.leading_monomials())
         return gb
 
     input_lms = tuple(g.leading_monomial() for g in inputs)
@@ -373,8 +371,7 @@ def _run_buchberger(spec_ring, generators, trace=None, record=False):
         return TRACE_DIVERGED
     if record:
         return gb, GroebnerTrace(input_lms, tuple(events),
-                                 gb.leading_monomials(),
-                                 tuple(g.support() for g in gb))
+                                 gb.leading_monomials())
     return gb
 
 

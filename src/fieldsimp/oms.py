@@ -17,8 +17,6 @@ from .groebner import TRACE_DIVERGED, gb_apply, gb_learn
 from .interp import FAIL, Blackbox, estimate_degrees, interpolate_rational
 from .poly import (QQ, DEGREVLEX, MultiPoly, RationalFunction, Ring, lcm_q)
 
-HIGH_DEGREE = "HIGH_DEGREE"
-
 
 class GeneratorSet:
     """Ambient x-variables plus a list of rational-function generators."""
@@ -43,19 +41,9 @@ class GeneratorSet:
             if not g.den.is_constant():
                 q = lcm_q(q, g.den)
         self.common_denominator = q
-        self._deriv_cache = {}
 
     def __len__(self):
         return len(self.generators)
-
-    def derivatives(self):
-        """Cached partial derivatives of every generator."""
-        if not self._deriv_cache:
-            self._deriv_cache["j"] = [
-                [g.derivative(i) for i in range(self.ring.arity)]
-                for g in self.generators
-            ]
-        return self._deriv_cache["j"]
 
 
 def gb_ring(genset, field, order=DEGREVLEX):
@@ -149,7 +137,6 @@ class EomsEvaluator:
             gb, trace = gb_learn(self.ring, gens)
             self.trace = trace
             self.support = tuple(g.support() for g in gb)
-            self.learn_point = point
             self.cache.clear()
             self.cache[point] = self._coeff_dict(gb)
             self.n_evals += 1

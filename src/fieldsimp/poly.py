@@ -89,10 +89,6 @@ def mon_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mon_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
 class MonomialOrder:
     """degrevlex or lex; the ring's first variable is the greatest one."""
 
@@ -118,12 +114,6 @@ class MonomialOrder:
             # ties: the right-most nonzero entry of a - b positive means a < b
             return (sum(e), tuple(-x for x in reversed(e)))
         return tuple(e)
-
-    def heap_key(self, e):
-        """Reversed key for min-heaps: heap_key(a) < heap_key(b) iff a > b."""
-        if self.kind == "degrevlex":
-            return (-sum(e), tuple(reversed(e)))
-        return tuple(-x for x in e)
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
@@ -586,21 +576,11 @@ class RationalFunction:
     def ring(self):
         return self.num.ring
 
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p, p.ring.one(), _normalized=True)
-
     def is_zero(self):
         return self.num.is_zero()
 
     def is_constant(self):
         return self.num.is_constant() and self.den.is_constant()
-
-    def is_polynomial(self):
-        return self.den.is_constant()
-
-    def degree_pair(self):
-        return (self.num.degree(), self.den.degree())
 
     # arithmetic -------------------------------------------------------
     def __add__(self, other):
@@ -672,11 +652,6 @@ class RationalFunction:
             return False
         c = QQ.div(a.leading_coefficient(), b.leading_coefficient())
         return a == b.scale(c)
-
-    def derivative(self, i):
-        n = self.num.partial_derivative(i) * self.den \
-            - self.num * self.den.partial_derivative(i)
-        return RationalFunction(n, self.den * self.den)
 
     # modular image ----------------------------------------------------
     def modp(self, fp_ring):

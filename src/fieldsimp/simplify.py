@@ -14,7 +14,7 @@ from .fields import (GeneratorSet, MembershipContext, UnluckyPoint,
                      fields_equal, minimize, polynomial_generators)
 from .interp import FAIL, EvaluationBudgetExceeded
 from .oms import EomsEvaluator, gb_coefficients, gb_ring
-from .poly import MonomialOrder, RationalFunction
+from .poly import RationalFunction
 
 NEED_MORE_PRIMES = "NEED_MORE_PRIMES"
 
@@ -25,7 +25,6 @@ class VerificationFailed(Exception):
 
 @dataclass
 class SimplifyConfig:
-    orders: tuple = ("degrevlex",)
     delta: int = 3
     eps: float = 0.01
     minimize: bool = False
@@ -148,34 +147,29 @@ def _normalize_monic_num(rf):
 
 
 class _Harvest:
-    """Coefficient harvest at one prime, reusable across degree cutoffs."""
+    """Coefficient harvest at one prime in the monomial order of the
+    generators' ring, reusable across degree cutoffs."""
 
-    def __init__(self, genset, order_kinds, prime, rng):
+    def __init__(self, genset, prime, rng):
         self.genset = genset
         self.field = PrimeField(prime)
         self.rng = rng
-        self.evaluators = {}
-        for kind in order_kinds:
-            ring = gb_ring(genset, self.field, MonomialOrder(kind))
-            self.evaluators[kind] = EomsEvaluator(genset, ring, rng)
+        ring = gb_ring(genset, self.field, genset.ring.order)
+        self.evaluator = EomsEvaluator(genset, ring, rng)
 
     def n_evals(self):
-        return sum(ev.n_evals for ev in self.evaluators.values())
+        return self.evaluator.n_evals
 
     def coefficients(self, d, eval_cap):
-        """{(order kind, element, monomial): (num, den)} mod p, or FAIL."""
-        merged = {}
-        for kind, ev in self.evaluators.items():
-            rep = gb_coefficients(self.genset, d, ev.ring, self.rng,
-                                  eval_cap=eval_cap, evaluator=ev)
-            if rep is FAIL:
-                return FAIL, False
-            for key, val in rep.entries.items():
-                if val[0] == "ok":
-                    merged[(kind,) + key] = val[1]
-                else:
-                    merged[(kind,) + key] = HIGH_DEGREE_MARK
-        return merged, any(v is HIGH_DEGREE_MARK for v in merged.values())
+        """{(element, monomial): (num, den)} mod p, or FAIL."""
+        ev = self.evaluator
+        rep = gb_coefficients(self.genset, d, ev.ring, self.rng,
+                              eval_cap=eval_cap, evaluator=ev)
+        if rep is FAIL:
+            return FAIL, False
+        merged = {key: val[1] if val[0] == "ok" else HIGH_DEGREE_MARK
+                  for key, val in rep.entries.items()}
+        return merged, rep.has_high_degree()
 
 
 HIGH_DEGREE_MARK = "HIGH_DEGREE"
@@ -232,7 +226,7 @@ def _run_once(genset, cfg, restart):
 
     harvest_prime = production_prime(base)
     report.primes.append(harvest_prime)
-    harvest = _Harvest(genset, cfg.orders, harvest_prime, rng)
+    harvest = _Harvest(genset, harvest_prime, rng)
     check_field = PrimeField(production_prime(base + 1))
     q_ring = genset.ring
 
@@ -352,7 +346,7 @@ def _crt_reconstruct(genset, cfg, merged, harvest, base, rng, report, d):
     fails."""
     prime2 = production_prime(base + 6)
     report.primes.append(prime2)
-    harvest2 = _Harvest(genset, cfg.orders, prime2, rng)
+    harvest2 = _Harvest(genset, prime2, rng)
     merged2, _ = harvest2.coefficients(d, cfg.eval_cap)
     if merged2 is FAIL:
         return NEED_MORE_PRIMES

@@ -154,9 +154,10 @@ def fixture_path(name):
 
 
 def test_run_success(capsys):
-    assert run(["--input", fixture_path("example_sym")]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert len(out) == 2
+    for extra in ([], ["--order", "lex"]):
+        assert run(["--input", fixture_path("example_sym")] + extra) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 2
 
 
 def test_run_config_error(capsys):

@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from fieldsimp.arith import rational_reconstruct
-from fieldsimp.fields import (MembershipContext, _in_rowspan, contains,
+from fieldsimp.fields import (MembershipContext, _in_rowspan, _rref, contains,
                               fields_equal, minimize, polynomial_generators)
 from fieldsimp.oms import GeneratorSet
 from fieldsimp.poly import PrimeField, QQ, RationalFunction, Ring
 
 from conftest import (CHECK_PRIMES, fields_equal_2p, genset_of, load_fixture,
                       parse_many)
+from oracle import fp_echelon, in_fp_span
 
 FIELDS = tuple(PrimeField(p) for p in CHECK_PRIMES)
 
@@ -71,6 +75,85 @@ def test_jacobian_pretest_rejects():
     # the rank pre-test alone already rules the candidate out
     assert not _in_rowspan(ctx.jacobian, grad, field.p)
     assert ctx.contains(x1) is False
+
+
+def quotient_rule_modp(f, x_ring, point):
+    """Reference gradient: the exact quotient rule over Q, reduced mod p."""
+    p = x_ring.field.p
+    den2 = (f.den * f.den).map_coefficients(x_ring, x_ring.field.from_fraction)
+    inv = pow(den2.evaluate(point), -1, p)
+    out = []
+    for i in range(f.ring.arity):
+        num = f.num.partial_derivative(i) * f.den \
+            - f.num * f.den.partial_derivative(i)
+        num = num.map_coefficients(x_ring, x_ring.field.from_fraction)
+        out.append(num.evaluate(point) * inv % p)
+    return out
+
+
+GRADIENT_CANDIDATES = {
+    "heron": ["a^2", "a/(b + c)", "(a^2 - b^2)/(a*b*c + 1)",
+              "(a+b+c)*(b+c-a)/(4*c^2 - 3*a)"],
+    "lotka_volterra": ["d/(a*b)", "(a^2*b + a*b^2)/(a*d + b*d - 7)",
+                       "(a - 2/3*d)/(b^2 + c^3)"],
+}
+
+
+def test_gradient_matches_quotient_rule_over_q():
+    for name, exprs in GRADIENT_CANDIDATES.items():
+        gs = load_fixture(name)
+        for k, field in enumerate(FIELDS):
+            ctx = MembershipContext(gs, field, random.Random(k))
+            for g, row in zip(gs.generators, ctx.jacobian):
+                assert row == quotient_rule_modp(g, ctx.x_ring, ctx.point)
+            for f in gs.generators + parse_many(gs.ring, exprs):
+                assert ctx._gradient(f) == \
+                    quotient_rule_modp(f, ctx.x_ring, ctx.point)
+
+
+def test_gradient_none_at_denominator_zero():
+    gs = load_fixture("heron")
+    ctx = MembershipContext(gs, FIELDS[0], random.Random(9))
+    a = parse_many(gs.ring, ["a"])[0]
+    pole = 1 / (a - Fraction(ctx.point[0]))
+    assert ctx._gradient(pole) is None
+
+
+@st.composite
+def fp_matrices(draw):
+    """(p, matrix, vector): independent rows, dependent and zero rows in a
+    random order, and a vector that is in the row span about half the time."""
+    p = draw(st.sampled_from((2, 5, 101, CHECK_PRIMES[0])))
+    ncols = draw(st.integers(1, 5))
+    entry = st.integers(-p, 2 * p)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    base = draw(st.lists(row, max_size=4))
+    combo = st.lists(st.integers(0, p - 1), min_size=len(base),
+                     max_size=len(base))
+
+    def combine(coeffs):
+        return [sum(c * r[j] for c, r in zip(coeffs, base))
+                for j in range(ncols)]
+
+    extra = [combine(c) for c in draw(st.lists(combo, max_size=3))]
+    matrix = draw(st.permutations(base + extra))
+    vector = combine(draw(combo)) if draw(st.booleans()) else draw(row)
+    return p, matrix, vector
+
+
+@settings(max_examples=300, deadline=None)
+@given(fp_matrices())
+@example((7, [], [0, 7]))
+@example((7, [], [0, 1]))
+def test_rref_matches_oracle(case):
+    p, matrix, vector = case
+    rows, pivots = _rref(matrix, p)
+    rank = len(pivots)
+    assert rows[:rank] == fp_echelon(matrix, p)
+    assert pivots == [next(j for j, x in enumerate(r) if x)
+                      for r in rows[:rank]]
+    assert not any(x % p for r in rows[rank:] for x in r)
+    assert _in_rowspan(matrix, vector, p) == in_fp_span(matrix, vector, p)
 
 
 def test_transcendence_rank():
@@ -180,7 +263,6 @@ def test_polynomial_generators_seir():
         return row
 
     rows = [vec(b.terms) for b in basis]
-    from oracle import in_fp_span
     for e in expected:
         emod, _ = e.modp(basis[0].ring)
         assert in_fp_span(rows, vec(emod.monic().terms), field.p)
