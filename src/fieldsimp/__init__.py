@@ -17,7 +17,5 @@ from .fields import (MembershipContext, UnluckyPoint, contains, fields_equal,
 from .simplify import (NEED_MORE_PRIMES, SimplificationReport, SimplifyConfig,
                        VerificationFailed, reconstruct_candidates,
                        simplicity_compare, simplicity_key, simplify)
-from .cli import ParseError, UnknownIdentifier, ZeroDenominator, \
-    parse_expression, parse_problem_file, run
 
 __version__ = "0.1.0"

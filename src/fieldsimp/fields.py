@@ -17,23 +17,29 @@ from .oms import GeneratorSet, _x_ring, gb_ring, specialize_eoms
 from .poly import MultiPoly, RationalFunction, gcd_q, try_divexact
 
 
+# random points a MembershipContext tries before giving up
+POINT_ATTEMPTS = 16
+# fresh contexts `contains` and `fields_equal` try on degenerate points
+UNLUCKY_RETRIES = 3
+# points beyond one per candidate monomial for `polynomial_generators`
+# (the dimension can drop by as little as one per point)
+EXTRA_POINTS = 8
+
+
 class UnluckyPoint(RuntimeError):
     """Surfaced after repeated degenerate random specializations."""
 
 
-def _rref(matrix, p, ncols=None):
-    """Reduced row echelon form over F_p, pivoting on the first `ncols`
-    columns (default all) with row operations on whole rows.
+def _rref(matrix, p):
+    """Reduced row echelon form over F_p.
 
     Returns (rows, pivots): rows[:len(pivots)] is the echelon basis with a
-    1 at each pivot column, the remaining rows are zero on those columns.
+    1 at each pivot column, the remaining rows are zero.
     """
     m = [row[:] for row in matrix]
-    if ncols is None:
-        ncols = len(m[0]) if m else 0
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(m[0]) if m else 0):
         pivot = next((i for i in range(r, len(m)) if m[i][c] % p), None)
         if pivot is None:
             continue
@@ -82,7 +88,7 @@ def _gradient_modp(num, den, point):
 class MembershipContext:
     """Cached point, pivot data, and specialized GB for repeated tests."""
 
-    def __init__(self, genset, field, rng, max_attempts=16):
+    def __init__(self, genset, field, rng):
         self.genset = genset
         self.field = field
         self.rng = rng
@@ -92,7 +98,7 @@ class MembershipContext:
         images = [g.modp(self.x_ring) for g in genset.generators]
         qpoly = genset.common_denominator \
             .map_coefficients(self.x_ring, field.from_fraction)
-        for _ in range(max_attempts):
+        for _ in range(POINT_ATTEMPTS):
             b = tuple(rng.randrange(1, p) for _ in range(genset.ring.arity))
             rows = [_gradient_modp(num, den, b) for num, den in images]
             if any(row is None for row in rows) or qpoly.evaluate(b) == 0:
@@ -184,9 +190,9 @@ def _lift_to_y(poly, ring):
     return ring.from_dict({(0,) + m: c for m, c in poly.terms})
 
 
-def contains(genset, candidate, field, rng, eps=0.001, retries=3):
+def contains(genset, candidate, field, rng, eps=0.001):
     """One-shot membership test with retry on degenerate points."""
-    for _ in range(retries):
+    for _ in range(UNLUCKY_RETRIES):
         try:
             return MembershipContext(genset, field, rng).contains(candidate, eps)
         except UnluckyPoint:
@@ -201,7 +207,7 @@ def fields_equal(gs_a, gs_b, field, rng, eps=0.001):
         raise ValueError("generator sets from different rings")
     budget = eps / (len(gs_a) + len(gs_b))
     last = None
-    for _ in range(3):
+    for _ in range(UNLUCKY_RETRIES):
         try:
             ctx_b = MembershipContext(gs_b, field, rng)
             if not all(ctx_b.contains(g, budget) for g in gs_a.generators):
@@ -242,67 +248,54 @@ def minimize(generators, ring, field, rng, eps=0.001):
     return kept
 
 
-def polynomial_generators(genset, delta, field, rng,
-                          include_constants=False, max_iterations=None):
+def polynomial_generators(genset, delta, field, rng, include_constants=False):
     """Basis of { p in F_p[x] : deg p <= delta, p(x) in the subfield }.
 
-    Iterates the kernel of v -> (normal form of v(y) with constant term
-    dropped) at fresh random points until the dimension survives one full
-    iteration unchanged.
+    At a random point b, p = sum v_i m_i lies in the subfield only if the
+    normal form of p(y) against the specialized ideal is a constant, so
+    every nonconstant monomial in the normal forms of the candidate
+    monomials m_i gives one linear condition on v.  The conditions of all
+    points so far are stacked in one reduced row echelon form, and fresh
+    points are drawn until one leaves its rank unchanged.  Returns the
+    monic elements of the reduced echelon basis of its nullspace, leading
+    monomials descending.
     """
     ringp = gb_ring(genset, field, genset.ring.order)
     x_ring = _x_ring(genset, field)
     n = genset.ring.arity
     p = field.p
-    monomials = _monomials_up_to(n, delta)
     key = x_ring.order.key
-    monomials.sort(key=key)
+    monomials = sorted(_monomials_up_to(n, delta), key=key)
     dim = len(monomials)
-    if max_iterations is None:
-        # the dimension can drop by as little as one per point
-        max_iterations = dim + 8
-    # basis of the current candidate space V, as vectors over `monomials`
-    basis = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    stable = False
-    iterations = 0
-    while not stable:
-        iterations += 1
-        if iterations > max_iterations:
-            raise UnluckyPoint("kernel iteration did not stabilize")
+    conditions, pivots = [], []
+    for _ in range(dim + EXTRA_POINTS):
         point = tuple(rng.randrange(1, p) for _ in range(n))
         gens = specialize_eoms(genset, point, ringp)
         if gens is FAIL:
             continue
         gb = groebner(ringp, gens)
-        # normal forms of the candidate monomials, constant term removed
-        nf_cols = {}
-        images = []
-        for mon in monomials:
-            nf = gb.nf_plus(ringp.from_dict({(0,) + mon: 1}))
-            images.append(dict(nf.terms))
-            for mm in nf.support():
-                nf_cols.setdefault(mm, len(nf_cols))
-        rows = []
-        for vec in basis:
-            acc = {}
-            for c, img in zip(vec, images):
-                if not c:
-                    continue
-                for mm, cc in img.items():
-                    acc[mm] = (acc.get(mm, 0) + c * cc) % p
-            rows.append([acc.get(mm, 0) for mm in nf_cols])
-        if not nf_cols:
-            kernel = basis
-        else:
-            kernel = _kernel_combinations(rows, basis, p)
-        if len(kernel) == len(basis):
-            stable = True
-        basis = kernel
-    polys = []
-    for vec in basis:
-        poly = x_ring.from_dict({m: c for m, c in zip(monomials, vec) if c})
-        if poly.is_zero():
+        rows = {}
+        for i, mon in enumerate(monomials):
+            for mm, c in gb.nf_plus(ringp.from_dict({(0,) + mon: 1})).terms:
+                rows.setdefault(mm, [0] * dim)[i] = c
+        rank = len(pivots)
+        conditions, pivots = _rref(conditions[:rank] + list(rows.values()), p)
+        if len(pivots) == rank:
+            break
+    else:
+        raise UnluckyPoint("kernel iteration did not stabilize")
+    nullspace = []
+    for f in range(dim):
+        if f in pivots:
             continue
+        vec = [0] * dim
+        vec[f] = 1
+        for row, c in zip(conditions, pivots):
+            vec[c] = -row[f] % p
+        nullspace.append(vec)
+    polys = []
+    for vec in _rref(nullspace, p)[0]:
+        poly = x_ring.from_dict({m: c for m, c in zip(monomials, vec) if c})
         if poly.is_constant() and not include_constants:
             continue
         polys.append(poly.monic())
@@ -315,26 +308,3 @@ def _monomials_up_to(n, delta):
     for _ in range(n):
         out = [m + (e,) for m in out for e in range(delta + 1 - sum(m))]
     return out
-
-
-def _kernel_combinations(rows, basis, p):
-    """Kernel of the map sending basis[i] to rows[i], expressed as
-    combinations of the basis vectors (echelonized over F_p)."""
-    k = len(rows)
-    cols = len(rows[0]) if rows else 0
-    aug = [rows[i] + [1 if j == i else 0 for j in range(k)] for i in range(k)]
-    aug, pivots = _rref(aug, p, ncols=cols)
-    kernel = []
-    dim = len(basis[0]) if basis else 0
-    for row in aug[len(pivots):]:
-        combo = row[cols:]
-        vec = [0] * dim
-        for c, bvec in zip(combo, basis):
-            if not c:
-                continue
-            for j, x in enumerate(bvec):
-                vec[j] = (vec[j] + c * x) % p
-        kernel.append(vec)
-    # echelonize for a deterministic representation
-    kernel, pivots = _rref(kernel, p)
-    return kernel[:len(pivots)]

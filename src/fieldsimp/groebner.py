@@ -8,10 +8,13 @@ replay stops matching (the caller then treats the point as FAIL).
 
 Internally monomials are packed into single integers so that integer
 comparison realizes the monomial order and integer addition realizes
-monomial multiplication; divisibility is a guard-bit test.
+monomial multiplication; divisibility is a guard-bit test.  ReducedGB is
+built from the packed basis, and MultiPoly appears only at the API boundary.
 """
 
 import heapq
+
+from .poly import MultiPoly
 
 TRACE_DIVERGED = object()
 
@@ -97,9 +100,9 @@ def _pack_terms(codec, poly):
     return {pack(m): c for m, c in poly.terms}
 
 
-def _unpack_poly(ring, codec, d):
+def _unpack_terms(ring, codec, terms):
     unpack = codec.unpack
-    return ring.from_dict({unpack(m): c for m, c in d.items()})
+    return MultiPoly(ring, tuple((unpack(m), c) for m, c in terms))
 
 
 def _reduce_full(work, lms, tails, codec, p):
@@ -170,7 +173,8 @@ def _divides(a, b, codec):
 
 
 def _gm_update(pairs, basis_lms, active, h_idx, codec):
-    """Gebauer-Moller pair update after appending element h_idx."""
+    """Gebauer-Moller pair update after appending element h_idx; pairs are
+    (lcm degree, packed lcm, i, j), so sorting them is the normal strategy."""
     lmh = basis_lms[h_idx]
     lcm_h = {i: codec.lcm(lmh, basis_lms[i]) for i in active}
     candidates = sorted(active)
@@ -186,16 +190,16 @@ def _gm_update(pairs, basis_lms, active, h_idx, codec):
                     and all(not _divides(lcm_h[j], li, codec) for j in kept))
         if keep:
             kept.append(i)
-    new_pairs = [(i, h_idx) for i in kept
+    new_pairs = [(codec.degree(lcm_h[i]), lcm_h[i], i, h_idx) for i in kept
                  if not codec.coprime(lmh, basis_lms[i])]
     out = []
-    for (i, j) in pairs:
-        lij = codec.lcm(basis_lms[i], basis_lms[j])
+    for pair in pairs:
+        _, lij, i, j = pair
         if (_divides(lmh, lij, codec)
                 and codec.lcm(basis_lms[i], lmh) != lij
                 and codec.lcm(basis_lms[j], lmh) != lij):
             continue
-        out.append((i, j))
+        out.append(pair)
     out.extend(new_pairs)
     new_active = {i for i in active if not _divides(lmh, basis_lms[i], codec)}
     new_active.add(h_idx)
@@ -242,20 +246,18 @@ class GroebnerTrace:
 
 
 class ReducedGB:
-    """Reduced Groebner basis: monic elements sorted by leading monomial."""
+    """Reduced Groebner basis: monic elements sorted by leading monomial,
+    built from packed term lists (each sorted descending)."""
 
     __slots__ = ("ring", "polys", "_codec", "_plms", "_ptails")
 
-    def __init__(self, ring, polys):
+    def __init__(self, ring, basis):
         self.ring = ring
-        key = ring.order.key
-        self.polys = sorted(polys, key=lambda g: key(g.leading_monomial()))
-        codec = _codec(ring)
-        self._codec = codec
-        packed = [sorted(_pack_terms(codec, g).items(), reverse=True)
-                  for g in self.polys]
-        self._plms = [t[0][0] for t in packed]
-        self._ptails = [t[1:] for t in packed]
+        codec = self._codec = _codec(ring)
+        basis = sorted(basis, key=lambda g: g[0][0])
+        self._plms = [g[0][0] for g in basis]
+        self._ptails = [g[1:] for g in basis]
+        self.polys = [_unpack_terms(ring, codec, g) for g in basis]
 
     def __iter__(self):
         return iter(self.polys)
@@ -270,12 +272,14 @@ class ReducedGB:
         codec = self._codec
         d = _reduce_full(_pack_terms(codec, poly), self._plms,
                          self._ptails, codec, self.ring.field.p)
-        return _unpack_poly(self.ring, codec, d)
+        return _unpack_terms(self.ring, codec, sorted(d.items(), reverse=True))
 
     def nf_plus(self, poly):
+        """Normal form without its constant term (the smallest monomial)."""
         nf = self.normal_form(poly)
-        zm = self.ring._zero_mon
-        return self.ring.from_dict({m: c for m, c in nf.terms if m != zm})
+        if nf.terms and nf.terms[-1][0] == self.ring._zero_mon:
+            return MultiPoly(self.ring, nf.terms[:-1])
+        return nf
 
 
 def _run_buchberger(spec_ring, generators, trace=None, record=False):
@@ -297,7 +301,7 @@ def _run_buchberger(spec_ring, generators, trace=None, record=False):
     if not inputs:
         raise ValueError("no nonzero generators")
     if any(g.is_constant() for g in inputs):
-        gb = ReducedGB(ring, [ring.one()])
+        gb = ReducedGB(ring, [[(codec.pack(ring._zero_mon), 1)]])
         if record:
             input_lms = tuple(g.leading_monomial() for g in inputs)
             return gb, GroebnerTrace(input_lms, (), gb.leading_monomials())
@@ -341,14 +345,9 @@ def _run_buchberger(spec_ring, generators, trace=None, record=False):
             pairs, active = _gm_update(pairs, lms, active, idx, codec)
 
         events = []
-
-        def pair_rank(ij):
-            l = codec.lcm(lms[ij[0]], lms[ij[1]])
-            return (codec.degree(l), l, ij[0], ij[1])
-
         while pairs:
-            pairs.sort(key=pair_rank)
-            i, j = pairs.pop(0)
+            pairs.sort()
+            _, _, i, j = pairs.pop(0)
             s = _spoly_dict(basis[i], basis[j], codec, p)
             tails = [g[1:] for g in basis]
             rem = _reduce_full(s, lms, tails, codec, p)
@@ -364,9 +363,7 @@ def _run_buchberger(spec_ring, generators, trace=None, record=False):
             pairs, active = _gm_update(pairs, lms, active,
                                        len(basis) - 1, codec)
 
-    final = [_unpack_poly(ring, codec, dict(g))
-             for g in _interreduce(basis, codec, p)]
-    gb = ReducedGB(ring, final)
+    gb = ReducedGB(ring, _interreduce(basis, codec, p))
     if trace is not None and gb.leading_monomials() != trace.final_lms:
         return TRACE_DIVERGED
     if record:

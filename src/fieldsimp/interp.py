@@ -15,6 +15,11 @@ from .arith import PrimeField
 
 FAIL = None
 
+# random lines tried by estimate_degrees before it reports FAIL
+DEGREE_ATTEMPTS = 8
+# shift/scale draws tried by interpolate_rational before it reports FAIL
+INTERPOLATION_ATTEMPTS = 4
+
 
 class RootNotSmooth(ArithmeticError):
     """A recovered root does not factor over the ratio primes."""
@@ -141,6 +146,17 @@ def _lagrange(xs, ys, p):
     return poly
 
 
+def _half_eea(r0, r1, bound, p):
+    """Extended Euclid on (r0, r1), stopped at the first remainder r of
+    degree <= bound (or zero).  Returns (r, t) with r = s*r0 + t*r1."""
+    t0, t1 = [], [1]
+    while r1 and _udeg(r1) > bound:
+        q, r = _udivmod(r0, r1, p)
+        r0, r1 = r1, r
+        t0, t1 = t1, _uadd(t0, _uscale(_umul(q, t1, p), p - 1, p), p)
+    return r1, t1
+
+
 def cauchy_interpolate(points, values, deg_num, deg_den, field):
     """Rational interpolation with degree bounds via the EEA.
 
@@ -157,13 +173,7 @@ def cauchy_interpolate(points, values, deg_num, deg_den, field):
     for u in points:
         m = _umul(m, [-u % p, 1], p)
     # EEA rows: r = s*m + t*g; stop at the first remainder within the bound
-    r0, t0 = m, []
-    r1, t1 = g, [1]
-    while r1 and _udeg(r1) > deg_num:
-        q, r = _udivmod(r0, r1, p)
-        r0, r1 = r1, r
-        t0, t1 = t1, _uadd(t0, _uscale(_umul(q, t1, p), p - 1, p), p)
-    num, den = r1, t1
+    num, den = _half_eea(m, g, deg_num, p)
     if not den:
         return FAIL
     d = _ugcd(num, den, p) if num else den
@@ -238,15 +248,9 @@ def _prony(evals, field, rng):
     t_bound = two_t // 2
     if all(v == 0 for v in evals):
         return []
-    # Pade approximation of sum e_i z^i mod z^(2T) via the EEA
-    r0 = [0] * two_t + [1]                      # z^(2T)
-    r1 = _utrim(list(evals))
-    t0, t1 = [], [1]
-    while r1 and _udeg(r1) >= t_bound:
-        q, r = _udivmod(r0, r1, p)
-        r0, r1 = r1, r
-        t0, t1 = t1, _uadd(t0, _uscale(_umul(q, t1, p), p - 1, p), p)
-    lam = t1                                    # Lambda~(z) = prod(1 - root*z)
+    # Pade approximation of sum e_i z^i mod z^(2T) via the EEA; the
+    # cofactor is Lambda~(z) = prod(1 - root*z)
+    _, lam = _half_eea([0] * two_t + [1], _utrim(list(evals)), t_bound - 1, p)
     if not lam or lam[0] == 0:
         return None
     lam = _uscale(lam, pow(lam[0], -1, p), p)
@@ -312,14 +316,14 @@ def ben_or_tiwari(evals, ratio, degree_bound, ring, rng):
 # degree estimation (restriction to a random line)
 
 
-def estimate_degrees(bb, cutoff, field, rng, max_attempts=8):
+def estimate_degrees(bb, cutoff, field, rng):
     """Total degrees (deg num, deg den) of the blackbox function.
 
     Returns (d_num, d_den), or "STOPPED" when their sum exceeds the cutoff,
     or FAIL on persistently unlucky evaluations.
     """
     p = field.p
-    for _ in range(max_attempts):
+    for _ in range(DEGREE_ATTEMPTS):
         base = [rng.randrange(p) for _ in range(bb.arity)]
         direction = [rng.randrange(1, p) for _ in range(bb.arity)]
 
@@ -375,7 +379,7 @@ def estimate_degrees(bb, cutoff, field, rng, max_attempts=8):
 
 
 def interpolate_rational(bb, deg_num, deg_den, ring, rng,
-                         eval_cap=10 ** 6, max_attempts=4):
+                         eval_cap=10 ** 6):
     """Recover (num, den) in `ring` from a blackbox with known total degrees.
 
     Homogenizes with an extra coordinate, shifts by a random vector, runs
@@ -402,7 +406,7 @@ def interpolate_rational(bb, deg_num, deg_den, ring, rng,
             return FAIL
         return v * pow(x0, deg_num - deg_den, p) % p
 
-    for _ in range(max_attempts):
+    for _ in range(INTERPOLATION_ATTEMPTS):
         if bb.count > eval_cap:
             return FAIL
         gamma = [rng.randrange(1, p) for _ in range(n + 1)]

@@ -17,6 +17,9 @@ from .groebner import TRACE_DIVERGED, gb_apply, gb_learn
 from .interp import FAIL, Blackbox, estimate_degrees, interpolate_rational
 from .poly import (QQ, DEGREVLEX, MultiPoly, RationalFunction, Ring, lcm_q)
 
+# consecutive diverged replays after which EomsEvaluator learns a new trace
+RELEARN_AFTER = 3
+
 
 class GeneratorSet:
     """Ambient x-variables plus a list of rational-function generators."""
@@ -111,11 +114,10 @@ class EomsEvaluator:
     at the learn point is enforced at every later point.
     """
 
-    def __init__(self, genset, ring, rng, relearn_after=3):
+    def __init__(self, genset, ring, rng):
         self.genset = genset
         self.ring = ring
         self.rng = rng
-        self.relearn_after = relearn_after
         self.n_evals = 0
         self.cache = {}
         self._consecutive_divergences = 0
@@ -160,7 +162,7 @@ class EomsEvaluator:
             gb = gb_apply(self.ring, gens, self.trace)
             if gb is TRACE_DIVERGED:
                 self._consecutive_divergences += 1
-                if self._consecutive_divergences >= self.relearn_after:
+                if self._consecutive_divergences >= RELEARN_AFTER:
                     self._learn()
                     self._consecutive_divergences = 0
             elif tuple(g.support() for g in gb) == self.support:

@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fieldsimp
 from fieldsimp.cli import (ParseError, UnknownIdentifier, ZeroDenominator,
                            parse_expression, parse_problem_file, run)
 from fieldsimp.poly import LEX, QQ, RationalFunction, Ring
@@ -158,6 +163,19 @@ def test_run_success(capsys):
         assert run(["--input", fixture_path("example_sym")] + extra) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 2
+
+
+def test_module_entry_point_runs_without_warning():
+    # `python -m fieldsimp.cli` must not find the module already imported
+    # by the package (runpy warns when it is)
+    src = str(Path(fieldsimp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fieldsimp.cli",
+         "--input", fixture_path("example_sym")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.strip().splitlines()) == 2
 
 
 def test_run_config_error(capsys):

@@ -12,7 +12,7 @@ from fieldsimp.poly import PrimeField, QQ, RationalFunction, Ring
 
 from conftest import (CHECK_PRIMES, fields_equal_2p, genset_of, load_fixture,
                       parse_many)
-from oracle import fp_echelon, in_fp_span
+from oracle import fp_echelon, in_fp_span, symbolic_membership_space
 
 FIELDS = tuple(PrimeField(p) for p in CHECK_PRIMES)
 
@@ -240,6 +240,22 @@ def test_polynomial_generators_symmetric():
     for b in basis:
         cand = lift_modp_poly(b, gs.ring, field.p)
         assert contains_2p(gs, cand) is True
+
+
+def test_polynomial_generators_match_oracle():
+    # the exact space over Q, reduced mod p, spans the same F_p space
+    cases = [load_fixture("heron"), load_fixture("lotka_volterra"),
+             load_fixture("example_sym", order="lex")]
+    for k, gs in enumerate(cases):
+        monomials, kernel = symbolic_membership_space(gs, 2)
+        for field in FIELDS:
+            p = field.p
+            basis = polynomial_generators(gs, 2, field, random.Random(k),
+                                          include_constants=True)
+            got = [[b.coefficient(m) for m in monomials] for b in basis]
+            want = [[c.numerator * pow(c.denominator, -1, p) % p for c in row]
+                    for row in kernel]
+            assert fp_echelon(got, p) == fp_echelon(want, p)
 
 
 SEIR_ORDER = ["k", "N", "beta", "eps", "gamma", "mu", "r"]

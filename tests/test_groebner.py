@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from fieldsimp.arith import PrimeField, production_prime
 from fieldsimp.groebner import (TRACE_DIVERGED, gb_apply, gb_learn, groebner,
                                 nf_plus, normal_form)
@@ -186,3 +189,41 @@ def test_apply_diverges_on_structurally_different_input():
     _, trace = gb_learn(R2, [x * x + y, x * y - R2.one()])
     assert gb_apply(R2, [x + y, y * y - R2.one()], trace) is TRACE_DIVERGED
     assert gb_apply(R2, [x], trace) is TRACE_DIVERGED
+
+
+@st.composite
+def packed_order_cases(draw):
+    """(ring, generators, probes) in 3 variables over a 62-bit prime."""
+    ring = Ring(("x", "y", "z"), FP,
+                MonomialOrder(draw(st.sampled_from(["degrevlex", "lex"]))))
+
+    def polys(max_terms, max_exp):
+        mon = st.tuples(*[st.integers(0, max_exp)] * 3)
+        terms = st.dictionaries(mon, st.integers(1, P - 1), min_size=1,
+                                max_size=max_terms)
+        return st.lists(terms.map(ring.from_dict), min_size=1, max_size=3)
+
+    return ring, draw(polys(3, 2)), draw(polys(6, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_order_cases())
+def test_packed_results_keep_ring_order(case):
+    # ReducedGB unpacks packed term lists in place: packed integer order
+    # must be the ring order, for basis elements and normal forms alike
+    ring, gens, probes = case
+    key = ring.order.key
+
+    def canonical(f):
+        return (f.terms == ring.from_dict(dict(f.terms)).terms
+                and all(0 < c < P for _, c in f.terms))
+
+    gb = groebner(ring, gens)
+    assert all(canonical(g) for g in gb)
+    lms = [key(g.leading_monomial()) for g in gb]
+    assert lms == sorted(set(lms))
+    for h in probes + gens:
+        nf = gb.normal_form(h)
+        plus = gb.nf_plus(h)
+        assert canonical(nf) and canonical(plus)
+        assert plus.terms == tuple(t for t in nf.terms if any(t[0]))
