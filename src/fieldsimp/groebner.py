@@ -149,11 +149,10 @@ def _top_reducible(m, lms, codec):
     return False
 
 
-def _spoly_dict(f, g, codec, p):
-    """S-polynomial of monic packed term lists f, g as a packed dict."""
-    lf, lg = f[0][0], g[0][0]
-    l = codec.lcm(lf, lg)
-    qf, qg = l - lf, l - lg
+def _spoly_dict(f, g, lcm, p):
+    """S-polynomial of monic packed term lists f, g, whose leading monomials
+    have the packed lcm `lcm`, as a packed dict."""
+    qf, qg = lcm - f[0][0], lcm - g[0][0]
     d = {}
     for m, c in f:
         d[m + qf] = c
@@ -241,7 +240,8 @@ class GroebnerTrace:
 
     def __init__(self, input_lms, events, final_lms):
         self.input_lms = input_lms          # leading monomials of the inputs
-        self.events = events                # [(i, j, packed-lm-or-None)]
+        self.events = events                # [(i, j, packed lcm,
+                                            #   packed-lm-or-None)]
         self.final_lms = final_lms          # leading monomials of the reduced GB
 
 
@@ -282,8 +282,10 @@ class ReducedGB:
         return nf
 
 
-def _run_buchberger(spec_ring, generators, trace=None, record=False):
-    """Shared engine.  With `trace`, replay it; with `record`, build one."""
+def _run_buchberger(spec_ring, generators, trace=None):
+    """Shared engine.  With `trace`, replay it and return the reduced GB or
+    TRACE_DIVERGED; without, return the reduced GB and the trace of the
+    run."""
     ring = spec_ring
     p = ring.field.p
     codec = _codec(ring)
@@ -300,14 +302,13 @@ def _run_buchberger(spec_ring, generators, trace=None, record=False):
         inputs.append(g)
     if not inputs:
         raise ValueError("no nonzero generators")
+    input_lms = tuple(g.leading_monomial() for g in inputs)
     if any(g.is_constant() for g in inputs):
         gb = ReducedGB(ring, [[(codec.pack(ring._zero_mon), 1)]])
-        if record:
-            input_lms = tuple(g.leading_monomial() for g in inputs)
-            return gb, GroebnerTrace(input_lms, (), gb.leading_monomials())
-        return gb
+        if trace is not None:
+            return gb
+        return gb, GroebnerTrace(input_lms, (), gb.leading_monomials())
 
-    input_lms = tuple(g.leading_monomial() for g in inputs)
     if trace is not None and trace.input_lms != input_lms:
         return TRACE_DIVERGED
 
@@ -318,17 +319,17 @@ def _run_buchberger(spec_ring, generators, trace=None, record=False):
     if trace is not None:
         # The event list already fixes the critical-pair schedule (the
         # selection strategy depends only on leading monomials, which are
-        # verified event by event), so no pair bookkeeping is needed.
-        for i, j, tlm in trace.events:
+        # verified event by event), so no pair bookkeeping is needed, and
+        # each recorded lcm is that of the pair's verified leading monomials.
+        for i, j, lcm, tlm in trace.events:
             if j >= len(basis):
                 return TRACE_DIVERGED
+            s = _spoly_dict(basis[i], basis[j], lcm, p)
             if tlm is None:
                 # recorded zero reduction: cheap sanity check, then skip
-                s = _spoly_dict(basis[i], basis[j], codec, p)
                 if s and not _top_reducible(max(s), lms, codec):
                     return TRACE_DIVERGED
                 continue
-            s = _spoly_dict(basis[i], basis[j], codec, p)
             tails = [g[1:] for g in basis]
             rem = _reduce_full(s, lms, tails, codec, p)
             if not rem:
@@ -347,39 +348,36 @@ def _run_buchberger(spec_ring, generators, trace=None, record=False):
         events = []
         while pairs:
             pairs.sort()
-            _, _, i, j = pairs.pop(0)
-            s = _spoly_dict(basis[i], basis[j], codec, p)
+            _, lcm, i, j = pairs.pop(0)
+            s = _spoly_dict(basis[i], basis[j], lcm, p)
             tails = [g[1:] for g in basis]
             rem = _reduce_full(s, lms, tails, codec, p)
             if not rem:
-                if record:
-                    events.append((i, j, None))
+                events.append((i, j, lcm, None))
                 continue
             h = _monic_terms(rem, p)
-            if record:
-                events.append((i, j, h[0][0]))
+            events.append((i, j, lcm, h[0][0]))
             basis.append(h)
             lms.append(h[0][0])
             pairs, active = _gm_update(pairs, lms, active,
                                        len(basis) - 1, codec)
 
     gb = ReducedGB(ring, _interreduce(basis, codec, p))
-    if trace is not None and gb.leading_monomials() != trace.final_lms:
-        return TRACE_DIVERGED
-    if record:
-        return gb, GroebnerTrace(input_lms, tuple(events),
-                                 gb.leading_monomials())
-    return gb
+    if trace is not None:
+        if gb.leading_monomials() != trace.final_lms:
+            return TRACE_DIVERGED
+        return gb
+    return gb, GroebnerTrace(input_lms, tuple(events), gb.leading_monomials())
 
 
 def groebner(ring, generators):
     """Reduced Groebner basis of the given generators."""
-    return _run_buchberger(ring, generators)
+    return _run_buchberger(ring, generators)[0]
 
 
 def gb_learn(ring, generators):
     """Compute the reduced GB and record a replayable trace."""
-    return _run_buchberger(ring, generators, record=True)
+    return _run_buchberger(ring, generators)
 
 
 def gb_apply(ring, generators, trace):

@@ -119,7 +119,6 @@ class EomsEvaluator:
         self.ring = ring
         self.rng = rng
         self.n_evals = 0
-        self.cache = {}
         self._consecutive_divergences = 0
         self.trace = None
         self.support = None
@@ -139,8 +138,6 @@ class EomsEvaluator:
             gb, trace = gb_learn(self.ring, gens)
             self.trace = trace
             self.support = tuple(g.support() for g in gb)
-            self.cache.clear()
-            self.cache[point] = self._coeff_dict(gb)
             self.n_evals += 1
             return
         raise RuntimeError("could not find a regular specialization point")
@@ -153,23 +150,21 @@ class EomsEvaluator:
         return d
 
     def eval(self, point):
-        if point in self.cache:
-            return self.cache[point]
         self.n_evals += 1
         gens = specialize_eoms(self.genset, point, self.ring)
-        result = FAIL
-        if gens is not FAIL:
-            gb = gb_apply(self.ring, gens, self.trace)
-            if gb is TRACE_DIVERGED:
-                self._consecutive_divergences += 1
-                if self._consecutive_divergences >= RELEARN_AFTER:
-                    self._learn()
-                    self._consecutive_divergences = 0
-            elif tuple(g.support() for g in gb) == self.support:
+        if gens is FAIL:
+            return FAIL
+        gb = gb_apply(self.ring, gens, self.trace)
+        if gb is TRACE_DIVERGED:
+            self._consecutive_divergences += 1
+            if self._consecutive_divergences >= RELEARN_AFTER:
+                self._learn()
                 self._consecutive_divergences = 0
-                result = self._coeff_dict(gb)
-        self.cache[point] = result
-        return result
+            return FAIL
+        if tuple(g.support() for g in gb) != self.support:
+            return FAIL
+        self._consecutive_divergences = 0
+        return self._coeff_dict(gb)
 
     def coefficient_keys(self):
         keys = []
@@ -188,16 +183,15 @@ class EomsEvaluator:
 
 
 class CoefficientReport:
-    """Interpolated low-degree GB coefficients plus HIGH_DEGREE markers."""
+    """Interpolated low-degree GB coefficients plus high-degree markers."""
 
-    __slots__ = ("entries", "support", "n_evals", "degree_cutoff")
+    __slots__ = ("entries", "support", "n_evals")
 
-    def __init__(self, entries, support, n_evals, degree_cutoff):
+    def __init__(self, entries, support, n_evals):
         self.entries = entries      # {(i, mon): ("ok", (num, den), degs)
-                                    #          or ("high_degree", degs)}
+                                    #          or ("high_degree", None)}
         self.support = support
         self.n_evals = n_evals
-        self.degree_cutoff = degree_cutoff
 
     def interpolated(self):
         return [val[1] for val in self.entries.values() if val[0] == "ok"]
@@ -212,7 +206,7 @@ def gb_coefficients(genset, degree_cutoff, ring, rng,
 
     Returns a CoefficientReport, or FAIL when interpolation keeps failing.
     Coefficients are returned mod p (reconstruction to Q is the caller's
-    job).  A shared evaluator may be passed in to reuse GB evaluations
+    job).  A shared evaluator may be passed in to keep its learned trace
     across cutoffs.
     """
     if evaluator is None:
@@ -234,4 +228,4 @@ def gb_coefficients(genset, degree_cutoff, ring, rng,
             return FAIL
         entries[key] = ("ok", got, (dn, dd))
     return CoefficientReport(entries, evaluator.support,
-                             evaluator.n_evals - start_evals, degree_cutoff)
+                             evaluator.n_evals - start_evals)

@@ -6,6 +6,7 @@ minimization, rational reconstruction of every survivor, and a final
 mutual-membership verification at fresh primes.
 """
 
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -20,7 +21,8 @@ NEED_MORE_PRIMES = "NEED_MORE_PRIMES"
 
 
 class VerificationFailed(Exception):
-    """The final field-equality check rejected the candidate output."""
+    """No attempt produced a verified output; the message names the reason
+    of every attempt."""
 
 
 @dataclass
@@ -109,6 +111,34 @@ def reconstruct_candidates(candidates_mod, q_ring, modulus):
     return out
 
 
+def _crt_pairs(reports):
+    """(num terms, den terms) of every interpolated coefficient of harvests
+    at distinct primes, CRT-combined key by key (the identity for one
+    harvest), or NEED_MORE_PRIMES when the harvests disagree on which keys
+    were interpolated or on a coefficient's support."""
+    harvests = [{key: val[1] for key, val in rep.entries.items()
+                 if val[0] == "ok"} for rep in reports]
+    first = harvests[0]
+    if any(h.keys() != first.keys() for h in harvests):
+        return NEED_MORE_PRIMES
+    pairs = []
+    for key, pair in first.items():
+        combined = []
+        for k, poly in enumerate(pair):
+            terms, modulus = poly.terms, poly.ring.field.p
+            for h in harvests[1:]:
+                other = h[key][k]
+                if other.support() != poly.support():
+                    return NEED_MORE_PRIMES
+                p = other.ring.field.p
+                terms = tuple((m, crt_pair(c, modulus, c2, p)[0])
+                              for (m, c), (_, c2) in zip(terms, other.terms))
+                modulus *= p
+            combined.append(terms)
+        pairs.append(tuple(combined))
+    return pairs
+
+
 def _reconstruct_rf(num_terms, den_terms, q_ring, modulus):
     def lift(terms):
         d = {}
@@ -146,35 +176,6 @@ def _normalize_monic_num(rf):
 # pipeline
 
 
-class _Harvest:
-    """Coefficient harvest at one prime in the monomial order of the
-    generators' ring, reusable across degree cutoffs."""
-
-    def __init__(self, genset, prime, rng):
-        self.genset = genset
-        self.field = PrimeField(prime)
-        self.rng = rng
-        ring = gb_ring(genset, self.field, genset.ring.order)
-        self.evaluator = EomsEvaluator(genset, ring, rng)
-
-    def n_evals(self):
-        return self.evaluator.n_evals
-
-    def coefficients(self, d, eval_cap):
-        """{(element, monomial): (num, den)} mod p, or FAIL."""
-        ev = self.evaluator
-        rep = gb_coefficients(self.genset, d, ev.ring, self.rng,
-                              eval_cap=eval_cap, evaluator=ev)
-        if rep is FAIL:
-            return FAIL, False
-        merged = {key: val[1] if val[0] == "ok" else HIGH_DEGREE_MARK
-                  for key, val in rep.entries.items()}
-        return merged, rep.has_high_degree()
-
-
-HIGH_DEGREE_MARK = "HIGH_DEGREE"
-
-
 def _dedup_pool(entries):
     """Drop pool entries proportional to an earlier one."""
     out = []
@@ -201,19 +202,13 @@ def simplify(genset, cfg=None):
     if len(nonconstant) != len(genset.generators):
         genset = GeneratorSet(genset.ring, nonconstant)
 
-    last_error = None
+    reasons = []
     for restart in range(cfg.max_restarts + 1):
         try:
             return _run_once(genset, cfg, restart)
-        except (_Restart, UnluckyPoint) as exc:
-            last_error = exc
-            continue
-    raise VerificationFailed(str(last_error) if last_error
-                             else "all restarts exhausted")
-
-
-class _Restart(Exception):
-    pass
+        except (VerificationFailed, UnluckyPoint) as exc:
+            reasons.append("attempt %d: %s" % (restart, exc))
+    raise VerificationFailed("; ".join(reasons))
 
 
 def _run_once(genset, cfg, restart):
@@ -223,69 +218,88 @@ def _run_once(genset, cfg, restart):
     report = SimplificationReport(input_generators=list(genset.generators),
                                   seed=cfg.seed)
     tau = restart + 1
-
-    harvest_prime = production_prime(base)
-    report.primes.append(harvest_prime)
-    harvest = _Harvest(genset, harvest_prime, rng)
-    check_field = PrimeField(production_prime(base + 1))
     q_ring = genset.ring
 
-    def check_budget():
-        if harvest.n_evals() > cfg.eval_cap:
+    # one evaluator per harvest prime, kept across rounds; a second prime
+    # joins the first time the coefficients do not lift at one
+    evaluators = []
+
+    def add_evaluator(index):
+        prime = production_prime(index)
+        report.primes.append(prime)
+        ring = gb_ring(genset, PrimeField(prime), q_ring.order)
+        evaluators.append(EomsEvaluator(genset, ring, rng))
+
+    def n_evals():
+        return sum(ev.n_evals for ev in evaluators)
+
+    def harvest(ev, d):
+        rep = gb_coefficients(genset, d, ev.ring, rng,
+                              eval_cap=cfg.eval_cap, evaluator=ev)
+        if n_evals() > cfg.eval_cap:
             raise EvaluationBudgetExceeded(
                 "more than %d blackbox evaluations" % cfg.eval_cap)
+        if rep is FAIL:
+            raise VerificationFailed(
+                "coefficient interpolation failed at d=%d" % d)
+        return rep
+
+    def lift(reports):
+        pairs = _crt_pairs(reports)
+        if pairs is NEED_MORE_PRIMES:
+            return pairs
+        modulus = math.prod(ev.ring.field.p for ev in evaluators)
+        return reconstruct_candidates(pairs, q_ring, modulus)
+
+    add_evaluator(base)
+    harvest_field = evaluators[0].ring.field
+    check_field = PrimeField(production_prime(base + 1))
 
     d = 1
-    candidates = None
-    incomplete = False
     while True:
-        before = harvest.n_evals()
-        merged, incomplete = harvest.coefficients(d, cfg.eval_cap)
-        check_budget()
-        if merged is FAIL:
-            raise _Restart("coefficient interpolation failed at d=%d" % d)
-        mod_pairs = [(v[0].terms, v[1].terms) for v in merged.values()
-                     if v is not HIGH_DEGREE_MARK]
-        lifted = reconstruct_candidates(mod_pairs, q_ring, harvest.field.p)
+        before = n_evals()
+        reports = [harvest(ev, d) for ev in evaluators]
+        lifted = lift(reports)
+        if lifted is NEED_MORE_PRIMES and len(evaluators) == 1:
+            add_evaluator(base + 6)
+            reports.append(harvest(evaluators[-1], d))
+            lifted = lift(reports)
         if lifted is NEED_MORE_PRIMES:
-            lifted = _crt_reconstruct(genset, cfg, merged, harvest,
-                                      base, rng, report, d)
-            if lifted is NEED_MORE_PRIMES:
-                raise _Restart("rational reconstruction needs more primes")
+            raise VerificationFailed(
+                "rational reconstruction needs more primes at d=%d" % d)
         cands = _dedup_pool([(_normalize_monic_num(rf), "gb-coefficient")
                              for rf in lifted])
         report.rounds.append({"d": d, "n_coeffs": len(cands),
-                              "n_evals": harvest.n_evals() - before})
+                              "n_evals": n_evals() - before})
         if cands:
             cand_gs = GeneratorSet(q_ring, [rf for rf, _ in cands])
             if fields_equal(genset, cand_gs, check_field, rng,
                             eps=cfg.eps / tau):
-                candidates = cands
                 break
+        if 2 * d > cfg.max_harvest_degree:
+            raise VerificationFailed(
+                "harvest reached the degree cap at d=%d" % d)
         d *= 2
-        if d > cfg.max_harvest_degree:
-            raise _Restart("harvest reached the degree cap")
 
     # polynomial augmentation (degree cap delta); the verified coefficient
     # set stands in for the originals unless the harvest was truncated
-    alg7_source = GeneratorSet(q_ring, [rf for rf, _ in candidates]) \
-        if not incomplete else genset
+    incomplete = any(rep.has_high_degree() for rep in reports)
+    alg7_source = genset if incomplete else cand_gs
     poly_basis = polynomial_generators(alg7_source, cfg.delta,
-                                       harvest.field, rng)
+                                       harvest_field, rng)
     poly_cands = []
     for poly in poly_basis:
         rf = _reconstruct_rf(poly.terms, ((q_ring._zero_mon, 1),),
-                             q_ring, harvest.field.p)
+                             q_ring, harvest_field.p)
         if rf is None:
             continue        # optional augmentation: skip on lifting failure
         poly_cands.append((_normalize_monic_num(rf), "polynomial"))
-    check_budget()
 
     pool = []
     if cfg.retain_originals:
         pool.extend((_normalize_monic_num(g), "original")
                     for g in genset.generators)
-    pool.extend(candidates)
+    pool.extend(cands)
     pool.extend(poly_cands)
     pool = _dedup_pool(pool)
     pool.sort(key=lambda item: simplicity_key(item[0]))
@@ -327,7 +341,8 @@ def _run_once(genset, cfg, restart):
             fld = PrimeField(prime)
             if not fields_equal(genset, out_gs, fld, rng,
                                 eps=cfg.eps / (2 ** tau)):
-                raise _Restart("final verification failed at prime %d" % prime)
+                raise VerificationFailed(
+                    "final verification failed at prime %d" % prime)
         report.verified = True
     return kept, report
 
@@ -339,36 +354,3 @@ def _context(genset, field, rng):
         except UnluckyPoint:
             continue
     raise UnluckyPoint("could not build a membership context")
-
-
-def _crt_reconstruct(genset, cfg, merged, harvest, base, rng, report, d):
-    """Second-prime harvest plus CRT combine when single-prime lifting
-    fails."""
-    prime2 = production_prime(base + 6)
-    report.primes.append(prime2)
-    harvest2 = _Harvest(genset, prime2, rng)
-    merged2, _ = harvest2.coefficients(d, cfg.eval_cap)
-    if merged2 is FAIL:
-        return NEED_MORE_PRIMES
-    m = harvest.field.p * prime2
-    out = []
-    for key, val in merged.items():
-        if val is HIGH_DEGREE_MARK:
-            continue
-        val2 = merged2.get(key)
-        if val2 is None or val2 is HIGH_DEGREE_MARK:
-            return NEED_MORE_PRIMES
-        pair = []
-        for poly1, poly2 in zip(val, val2):
-            if poly1.support() != poly2.support():
-                return NEED_MORE_PRIMES
-            terms = []
-            for (mon, c1), (_, c2) in zip(poly1.terms, poly2.terms):
-                r, _mod = crt_pair(c1, harvest.field.p, c2, prime2)
-                terms.append((mon, r))
-            pair.append(tuple(terms))
-        rf = _reconstruct_rf(pair[0], pair[1], genset.ring, m)
-        if rf is None:
-            return NEED_MORE_PRIMES
-        out.append(rf)
-    return out

@@ -106,18 +106,27 @@ def test_early_stop_economy():
     assert not rep4.has_high_degree()
 
 
-def test_shared_evaluator_reuses_points():
+def test_shared_evaluator_keeps_trace():
     gs = load_fixture("example_sym")
     ring = gb_ring(gs, FP)
     rng = random.Random(3)
     shared = EomsEvaluator(gs, ring, rng)
+    trace, learned = shared.trace, shared.n_evals
     rep1 = gb_coefficients(gs, 1, ring, rng, evaluator=shared)
-    evals_after_first = shared.n_evals
     rep2 = gb_coefficients(gs, 2, ring, rng, evaluator=shared)
     assert rep1 is not FAIL and rep2 is not FAIL
-    # the cutoff-2 pass replays cached points before drawing new ones
-    assert shared.n_evals - evals_after_first <= rep2.n_evals
-    assert rep2.n_evals > 0
+    # both cutoffs replay the trace learned at construction, and each pass
+    # counts its own evaluations on the shared evaluator
+    assert shared.trace is trace
+    assert rep1.n_evals > 0 and rep2.n_evals > 0
+    assert shared.n_evals == learned + rep1.n_evals + rep2.n_evals
+    # a repeated point is evaluated again: an equal dict, counted twice
+    point = tuple(rng.randrange(1, FP.p) for _ in range(gs.ring.arity))
+    before = shared.n_evals
+    first = shared.eval(point)
+    assert first is not FAIL
+    assert shared.eval(point) == first
+    assert shared.n_evals == before + 2
 
 
 def test_shape_stability():

@@ -1,15 +1,21 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from fieldsimp.arith import inv, production_prime
+from fieldsimp.cli import parse_problem_file
 from fieldsimp.fields import contains
-from fieldsimp.oms import GeneratorSet
+from fieldsimp.oms import CoefficientReport, EomsEvaluator, GeneratorSet
 from fieldsimp.poly import PrimeField, QQ, Ring
 from fieldsimp.simplify import (NEED_MORE_PRIMES, SimplifyConfig,
+                                VerificationFailed, _crt_pairs,
                                 reconstruct_candidates, simplicity_compare,
-                                simplicity_key)
+                                simplicity_key, simplify)
 
-from conftest import (CHECK_PRIMES, genset_of, parse_many, simplify_fixture)
+from conftest import (CHECK_PRIMES, genset_of, load_fixture, parse_many,
+                      simplify_fixture)
 
 
 def rf(ring, text):
@@ -84,6 +90,83 @@ def test_reconstruct_needs_more_primes():
     big = (10 ** 12) * inv(10 ** 11 + 7, p) % p
     got = reconstruct_candidates([((((1,), big),), (((0,), 1),))], ring, p)
     assert got is NEED_MORE_PRIMES
+
+
+def _harvest_report(p, value, mon=(1,)):
+    """A one-coefficient harvest at p: `value` * x^mon over 1."""
+    x_ring = Ring(("x",), PrimeField(p))
+    num = x_ring.from_dict(
+        {mon: value.numerator * inv(value.denominator, p) % p})
+    entries = {(0, (0, 1)): ("ok", (num, x_ring.one()), (sum(mon), 0))}
+    return CoefficientReport(entries, None, 0)
+
+
+def test_crt_pairs_lift_over_two_primes():
+    ring = Ring(("x",), QQ)
+    value = Fraction(10 ** 12, 10 ** 11 + 7)
+    reports = [_harvest_report(p, value) for p in CHECK_PRIMES]
+    # one prime is too small for this coefficient, their product is not
+    one = _crt_pairs(reports[:1])
+    assert reconstruct_candidates(one, ring, CHECK_PRIMES[0]) \
+        is NEED_MORE_PRIMES
+    pairs = _crt_pairs(reports)
+    got = reconstruct_candidates(pairs, ring,
+                                 CHECK_PRIMES[0] * CHECK_PRIMES[1])
+    assert got == [rf(ring, "1000000000000/100000000007 * x")]
+
+
+def test_crt_pairs_mismatch_needs_more_primes():
+    value = Fraction(10 ** 12, 10 ** 11 + 7)
+    p, q = CHECK_PRIMES
+    moved = _harvest_report(q, value, mon=(2,))
+    assert _crt_pairs([_harvest_report(p, value), moved]) \
+        is NEED_MORE_PRIMES
+    high = CoefficientReport({(0, (0, 1)): ("high_degree", None)}, None, 0)
+    assert _crt_pairs([_harvest_report(p, value), high]) is NEED_MORE_PRIMES
+
+
+def test_one_evaluator_per_harvest_prime(monkeypatch):
+    genset, _ = parse_problem_file(
+        "vars: x, y\n123456789012345678901234567890*x + y\nx*y\n")
+    built = Counter()
+    init = EomsEvaluator.__init__
+
+    def counting_init(self, genset, ring, rng):
+        built[ring.field.p] += 1
+        init(self, genset, ring, rng)
+
+    monkeypatch.setattr(EomsEvaluator, "__init__", counting_init)
+    try:
+        simplify(genset, SimplifyConfig(seed=0))
+    except VerificationFailed:
+        pass
+    assert built and max(built.values()) == 1
+
+
+def test_two_prime_lift_verifies():
+    genset, _ = parse_problem_file(
+        "vars: x, y\nx + 1000000000000/100000000007*y\nx*y\n")
+    # delta 1: polynomial augmentation still lifts at one prime
+    output, report = simplify(genset, SimplifyConfig(seed=0, delta=1))
+    assert report.verified is True
+    assert sorted(g.render() for g in output) == \
+        sorted(g.render() for g in genset.generators)
+    # the coefficient lifts only over the product of two harvest primes,
+    # listed ahead of the two check primes
+    base = next(8 * r for r in range(3)
+                if production_prime(8 * r) == report.primes[0])
+    assert report.primes[:2] == [production_prime(base),
+                                 production_prime(base + 6)]
+    assert len(report.primes) == 4
+
+
+def test_verification_failed_names_every_attempt():
+    cfg = SimplifyConfig(max_harvest_degree=1)
+    with pytest.raises(VerificationFailed) as info:
+        simplify(load_fixture("seir34"), cfg)
+    assert str(info.value).split("; ") == [
+        "attempt %d: harvest reached the degree cap at d=1" % restart
+        for restart in range(cfg.max_restarts + 1)]
 
 
 # ----------------------------------------------------------------------
