@@ -117,7 +117,11 @@ class PrimeField:
 
     def from_fraction(self, q):
         q = Fraction(q)
-        return q.numerator % self.p * inv(q.denominator, self.p) % self.p
+        den = q.denominator % self.p
+        if not den:
+            raise ZeroInverse("prime %d divides the denominator of %s"
+                              % (self.p, q))
+        return q.numerator % self.p * pow(den, -1, self.p) % self.p
 
 
 def rational_reconstruct(r, m):

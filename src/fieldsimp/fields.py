@@ -13,7 +13,8 @@ rule, and the rank test is one reduced row echelon form over F_p.
 
 from .groebner import groebner
 from .interp import FAIL
-from .oms import GeneratorSet, _x_ring, gb_ring, specialize_eoms
+from .oms import (GeneratorSet, UnluckyPoint, _x_ring, gb_ring,
+                  specialize_eoms)
 from .poly import MultiPoly, RationalFunction, gcd_q, try_divexact
 
 
@@ -24,10 +25,6 @@ UNLUCKY_RETRIES = 3
 # points beyond one per candidate monomial for `polynomial_generators`
 # (the dimension can drop by as little as one per point)
 EXTRA_POINTS = 8
-
-
-class UnluckyPoint(RuntimeError):
-    """Surfaced after repeated degenerate random specializations."""
 
 
 def _rref(matrix, p):

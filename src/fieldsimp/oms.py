@@ -8,10 +8,16 @@ ideal at a point a is
 
 with Q the lcm of the q_i and t a fresh variable ordered greatest.  The
 reduced GB of this ideal, viewed as a function of a, has coefficients that
-are rational functions of a generating the same subfield; each coefficient
-is exposed as a blackbox (one traced GB evaluation per point serves all of
-them) and interpolated when its degree sum is within the requested cutoff.
+are rational functions of a generating the same subfield.  One traced GB
+evaluation at a point yields every coefficient at once, so a harvest call
+gives all coefficient keys one shared random line and one shared
+interpolation schedule: a distinct point costs one GB evaluation whichever
+keys read it.  A key is interpolated when its degree sum is within the
+requested cutoff, and a key found at one cutoff is not interpolated again
+at a higher one.
 """
+
+import random
 
 from .groebner import TRACE_DIVERGED, gb_apply, gb_learn
 from .interp import FAIL, Blackbox, estimate_degrees, interpolate_rational
@@ -19,6 +25,10 @@ from .poly import (QQ, DEGREVLEX, MultiPoly, RationalFunction, Ring, lcm_q)
 
 # consecutive diverged replays after which EomsEvaluator learns a new trace
 RELEARN_AFTER = 3
+
+
+class UnluckyPoint(RuntimeError):
+    """Surfaced after repeated degenerate random specializations."""
 
 
 class GeneratorSet:
@@ -111,7 +121,8 @@ class EomsEvaluator:
 
     eval(a) returns {(element index, monomial): coefficient} for the
     non-leading support of the reduced GB, or FAIL; the support discovered
-    at the learn point is enforced at every later point.
+    at the learn point is enforced at every later point.  `finished` keeps
+    the "ok" report entries interpolated on that support.
     """
 
     def __init__(self, genset, ring, rng):
@@ -122,6 +133,7 @@ class EomsEvaluator:
         self._consecutive_divergences = 0
         self.trace = None
         self.support = None
+        self.finished = {}
         self._learn()
 
     def _random_point(self):
@@ -136,11 +148,14 @@ class EomsEvaluator:
             if gens is FAIL:
                 continue
             gb, trace = gb_learn(self.ring, gens)
-            self.trace = trace
-            self.support = tuple(g.support() for g in gb)
+            support = tuple(g.support() for g in gb)
+            if support != self.support:
+                self.finished = {}
+            self.trace, self.support = trace, support
             self.n_evals += 1
             return
-        raise RuntimeError("could not find a regular specialization point")
+        raise UnluckyPoint("no regular specialization point mod %d"
+                           % self.ring.field.p)
 
     def _coeff_dict(self, gb):
         d = {}
@@ -207,25 +222,51 @@ def gb_coefficients(genset, degree_cutoff, ring, rng,
     Returns a CoefficientReport, or FAIL when interpolation keeps failing.
     Coefficients are returned mod p (reconstruction to Q is the caller's
     job).  A shared evaluator may be passed in to keep its learned trace
-    across cutoffs.
+    and its finished keys across cutoffs.
     """
     if evaluator is None:
         evaluator = EomsEvaluator(genset, ring, rng)
     x_ring = _x_ring(genset, ring.field)
+    # common random numbers: every key samples the same line and the same
+    # gamma/sigma/row points, so one GB evaluation per point serves them all
+    est_seed, int_seed = rng.getrandbits(64), rng.getrandbits(64)
+    keys = evaluator.coefficient_keys()
+    finished = evaluator.finished
+    values = {}          # point -> coefficients in key order, or FAIL
+
+    def coefficients(point):
+        if point not in values:
+            d = evaluator.eval(point)
+            values[point] = (FAIL if d is FAIL
+                             else tuple(d.get(key, 0) for key in keys))
+        return values[point]
+
     entries = {}
     start_evals = evaluator.n_evals
-    for key in evaluator.coefficient_keys():
-        bb = evaluator.coefficient_blackbox(key)
-        est = estimate_degrees(bb, degree_cutoff, ring.field, rng)
+    for index, key in enumerate(keys):
+        done = finished.get(key)
+        if done is not None and sum(done[2]) <= degree_cutoff:
+            entries[key] = done
+            continue
+
+        def fn(point, index=index):
+            vals = coefficients(point)
+            return FAIL if vals is FAIL else vals[index]
+        bb = Blackbox(genset.ring.arity, fn)
+        est = estimate_degrees(bb, degree_cutoff, ring.field,
+                               random.Random(est_seed))
         if est is FAIL:
             return FAIL
         if est == "STOPPED":
             entries[key] = ("high_degree", None)
             continue
         dn, dd = est
-        got = interpolate_rational(bb, dn, dd, x_ring, rng, eval_cap=eval_cap)
+        got = interpolate_rational(bb, dn, dd, x_ring, random.Random(int_seed),
+                                   eval_cap=eval_cap)
         if got is FAIL:
             return FAIL
-        entries[key] = ("ok", got, (dn, dd))
+        # a relearn that changes the support replaces evaluator.finished,
+        # so an entry of the old support is never kept for the new one
+        entries[key] = finished[key] = ("ok", got, (dn, dd))
     return CoefficientReport(entries, evaluator.support,
                              evaluator.n_evals - start_evals)

@@ -10,7 +10,8 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .arith import PrimeField, crt_pair, production_prime, rational_reconstruct
+from .arith import (PrimeField, ZeroInverse, crt_pair, production_prime,
+                    rational_reconstruct)
 from .fields import (GeneratorSet, MembershipContext, UnluckyPoint,
                      fields_equal, minimize, polynomial_generators)
 from .interp import FAIL, EvaluationBudgetExceeded
@@ -206,7 +207,7 @@ def simplify(genset, cfg=None):
     for restart in range(cfg.max_restarts + 1):
         try:
             return _run_once(genset, cfg, restart)
-        except (VerificationFailed, UnluckyPoint) as exc:
+        except (VerificationFailed, UnluckyPoint, ZeroInverse) as exc:
             reasons.append("attempt %d: %s" % (restart, exc))
     raise VerificationFailed("; ".join(reasons))
 

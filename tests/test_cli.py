@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import fieldsimp
+from fieldsimp.arith import production_prime
 from fieldsimp.cli import (ParseError, UnknownIdentifier, ZeroDenominator,
                            parse_expression, parse_problem_file, run)
 from fieldsimp.poly import LEX, QQ, RationalFunction, Ring
@@ -176,6 +177,24 @@ def test_module_entry_point_runs_without_warning():
         env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.strip().splitlines()) == 2
+
+
+def test_bad_prime_restarts_without_traceback(tmp_path):
+    # the input's coefficient denominator is the first harvest prime of
+    # attempt 0, so attempt 1 (a fresh block of primes) must verify
+    assert production_prime(0) == 4611686018427387847
+    problem = tmp_path / "bad_prime.txt"
+    problem.write_text("vars: x, y\n"
+                       "x/(4611686018427387847*y+4611686018427387847)\n"
+                       "x*y\n")
+    src = str(Path(fieldsimp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "fieldsimp.cli", "--input", str(problem)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout.split("\n")[:2] == ["x*y", "1/(y^2 + y)"]
 
 
 def test_run_config_error(capsys):

@@ -1,7 +1,8 @@
 import random
 
+from fieldsimp import oms
 from fieldsimp.arith import production_prime
-from fieldsimp.interp import FAIL
+from fieldsimp.interp import FAIL, Blackbox
 from fieldsimp.oms import (EomsEvaluator, GeneratorSet, gb_coefficients,
                            gb_ring, specialize_eoms)
 from fieldsimp.poly import LEX, PrimeField, QQ, RationalFunction, Ring
@@ -158,3 +159,101 @@ def test_generator_set_invariants():
         assert False
     except ValueError:
         pass
+
+
+# ----------------------------------------------------------------------
+# shared-point harvest
+
+
+def test_harvest_evaluates_each_point_once(monkeypatch):
+    gs = load_fixture("seir34", var_order=SEIR_ORDER)
+    ring = gb_ring(gs, FP)
+    ev = EomsEvaluator(gs, ring, random.Random(5))
+    points = []
+    evaluate = EomsEvaluator.eval
+
+    def recording_eval(self, point):
+        points.append(point)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(EomsEvaluator, "eval", recording_eval)
+    rep = gb_coefficients(gs, 4, ring, random.Random(6), evaluator=ev)
+    assert rep is not FAIL
+    assert points and len(set(points)) == len(points)
+    assert rep.n_evals == len(points)
+
+
+def test_keys_share_points(monkeypatch):
+    gs = load_fixture("seir34", var_order=SEIR_ORDER)
+    made = []
+
+    class RecordedBlackbox(Blackbox):
+        __slots__ = ()
+
+        def __init__(self, arity, fn):
+            super().__init__(arity, fn)
+            made.append(self)
+
+    monkeypatch.setattr(oms, "Blackbox", RecordedBlackbox)
+    _, rep = lifted_coefficients(gs, 4, seed=5)
+    counts = [bb.count for bb in made]
+    assert len(counts) == len(rep.entries) > 1
+    assert rep.n_evals < sum(counts)
+    # the keys read one line and one row schedule: beyond the busiest
+    # key's points, only each other key's two check points can be new
+    assert rep.n_evals <= max(counts) + 2 * (len(counts) - 1)
+
+
+def counting_estimates(monkeypatch):
+    estimated = []
+    estimate = oms.estimate_degrees
+
+    def counting(bb, cutoff, field, rng):
+        estimated.append(cutoff)
+        return estimate(bb, cutoff, field, rng)
+
+    monkeypatch.setattr(oms, "estimate_degrees", counting)
+    return estimated
+
+
+def test_finished_keys_kept_across_cutoffs(monkeypatch):
+    gs = load_fixture("seir34", var_order=SEIR_ORDER)
+    ring = gb_ring(gs, FP)
+    rng = random.Random(11)
+    ev = EomsEvaluator(gs, ring, rng)
+    estimated = counting_estimates(monkeypatch)
+    rep1 = gb_coefficients(gs, 1, ring, rng, evaluator=ev)
+    assert rep1 is not FAIL
+    assert len(estimated) == len(rep1.entries)
+    high = [key for key, val in rep1.entries.items()
+            if val[0] == "high_degree"]
+    ok = [key for key, val in rep1.entries.items() if val[0] == "ok"]
+    assert high and ok
+    del estimated[:]
+    rep2 = gb_coefficients(gs, 2, ring, rng, evaluator=ev)
+    assert rep2 is not FAIL
+    assert estimated == [2] * len(high)
+    for key in ok:
+        assert rep2.entries[key] == rep1.entries[key]
+
+
+def test_relearn_on_new_support_drops_finished_keys(monkeypatch):
+    gs = load_fixture("example_sym")
+    ring = gb_ring(gs, FP)
+    rng = random.Random(3)
+    ev = EomsEvaluator(gs, ring, rng)
+    generic = ev.support
+    assert gb_coefficients(gs, 2, ring, rng, evaluator=ev) is not FAIL
+    assert ev.finished
+    # at x2 = -x1 the odd power sum vanishes and the GB loses a term
+    monkeypatch.setattr(ev, "_random_point", lambda: (5, FP.p - 5))
+    ev._learn()
+    assert ev.support != generic
+    assert ev.finished == {}
+    monkeypatch.undo()
+    ev._learn()
+    assert ev.support == generic
+    estimated = counting_estimates(monkeypatch)
+    rep = gb_coefficients(gs, 2, ring, rng, evaluator=ev)
+    assert rep is not FAIL
+    assert len(estimated) == len(rep.entries) == len(ev.coefficient_keys())

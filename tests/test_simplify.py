@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from fieldsimp import oms
 from fieldsimp.arith import inv, production_prime
 from fieldsimp.cli import parse_problem_file
 from fieldsimp.fields import contains
+from fieldsimp.interp import FAIL
 from fieldsimp.oms import CoefficientReport, EomsEvaluator, GeneratorSet
 from fieldsimp.poly import PrimeField, QQ, Ring
 from fieldsimp.simplify import (NEED_MORE_PRIMES, SimplifyConfig,
@@ -167,6 +169,34 @@ def test_verification_failed_names_every_attempt():
     assert str(info.value).split("; ") == [
         "attempt %d: harvest reached the degree cap at d=1" % restart
         for restart in range(cfg.max_restarts + 1)]
+
+
+def test_no_regular_point_names_every_attempt(monkeypatch):
+    monkeypatch.setattr(oms, "specialize_eoms", lambda *args: FAIL)
+    cfg = SimplifyConfig()
+    with pytest.raises(VerificationFailed) as info:
+        simplify(load_fixture("example_sym"), cfg)
+    reasons = str(info.value).split("; ")
+    assert len(reasons) == cfg.max_restarts + 1
+    for restart, reason in enumerate(reasons):
+        assert reason == "attempt %d: no regular specialization point mod %d" \
+            % (restart, production_prime(8 * restart))
+
+
+def test_bad_prime_reason_names_the_prime():
+    genset, _ = parse_problem_file(
+        "vars: x, y\nx/(4611686018427387847*y+4611686018427387847)\nx*y\n")
+    with pytest.raises(VerificationFailed) as info:
+        simplify(genset, SimplifyConfig(max_restarts=0))
+    assert str(info.value) == (
+        "attempt 0: prime %d divides the denominator of 1/%d"
+        % (production_prime(0), production_prime(0)))
+
+
+def test_power_sums_harvest_shares_points():
+    output, report = simplify(load_fixture("power_sums"), SimplifyConfig(seed=0))
+    assert report.verified is True
+    assert sum(r["n_evals"] for r in report.rounds) < 1000
 
 
 # ----------------------------------------------------------------------
