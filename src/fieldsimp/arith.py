@@ -1,7 +1,15 @@
-"""Exact arithmetic substrate: prime fields, rational reconstruction, CRT."""
+"""Exact arithmetic substrate: prime fields, rational reconstruction, CRT.
+
+FAIL is the one value every layer returns for a lost sample: a pole, a
+diverged trace replay, a root that does not factor, a coefficient that
+does not lift.  The caller drops the sample and draws again; an attempt
+that cannot go on raises instead.
+"""
 
 import math
 from fractions import Fraction
+
+FAIL = None
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -127,8 +135,8 @@ class PrimeField:
 def rational_reconstruct(r, m):
     """Lift residue r mod m to a fraction with |num|, den <= sqrt(m/2).
 
-    Returns a Fraction, or None when no fraction within the bound exists
-    (the caller treats None as "need more primes").
+    Returns a Fraction, or FAIL when no fraction within the bound exists
+    (the caller treats FAIL as "need more primes").
     """
     r %= m
     bound = math.isqrt(m // 2)
@@ -141,12 +149,12 @@ def rational_reconstruct(r, m):
         r0, r1 = r1, r0 - q * r1
         t0, t1 = t1, t0 - q * t1
     if t1 == 0 or abs(t1) > bound:
-        return None
+        return FAIL
     if math.gcd(r1, abs(t1)) != 1 or math.gcd(abs(t1), m) != 1:
-        return None
+        return FAIL
     f = Fraction(r1, t1)
     if (f.numerator - r * f.denominator) % m != 0:
-        return None
+        return FAIL
     return f
 
 

@@ -10,8 +10,7 @@ import argparse
 import json
 import sys
 
-from .interp import EvaluationBudgetExceeded
-from .oms import GeneratorSet
+from .oms import EvaluationBudgetExceeded, GeneratorSet
 from .poly import (QQ, DivisionByZero, MonomialOrder, RationalFunction, Ring)
 from .simplify import SimplifyConfig, VerificationFailed, simplify
 

@@ -9,19 +9,21 @@ sampling-range bounds of the underlying analysis (any fixed error budget is
 met by a large enough prime): the Jacobian rows and candidate gradients are
 taken from the F_p images of numerators and denominators by the quotient
 rule, and the rank test is one reduced row echelon form over F_p.
+
+A point where a candidate or the ideal has a pole is a lost sample, not a
+lost test: MembershipContext is the one place that redraws such a point,
+and it raises UnluckyPoint only when its draws run out.
 """
 
+from .arith import FAIL
 from .groebner import groebner
-from .interp import FAIL
 from .oms import (GeneratorSet, UnluckyPoint, _x_ring, gb_ring,
                   specialize_eoms)
 from .poly import MultiPoly, RationalFunction, gcd_q, try_divexact
 
 
-# random points a MembershipContext tries before giving up
+# random points a MembershipContext draws for one test before giving up
 POINT_ATTEMPTS = 16
-# fresh contexts `contains` and `fields_equal` try on degenerate points
-UNLUCKY_RETRIES = 3
 # points beyond one per candidate monomial for `polynomial_generators`
 # (the dimension can drop by as little as one per point)
 EXTRA_POINTS = 8
@@ -91,14 +93,19 @@ class MembershipContext:
         self.rng = rng
         self.x_ring = _x_ring(genset, field)
         self.gb_ring = gb_ring(genset, field, genset.ring.order)
-        p = field.p
-        images = [g.modp(self.x_ring) for g in genset.generators]
-        qpoly = genset.common_denominator \
+        self._images = [g.modp(self.x_ring) for g in genset.generators]
+        self._qpoly = genset.common_denominator \
             .map_coefficients(self.x_ring, field.from_fraction)
+        self._draw_point()
+
+    def _draw_point(self):
+        """Move to a fresh point regular for every generator."""
+        p = self.field.p
         for _ in range(POINT_ATTEMPTS):
-            b = tuple(rng.randrange(1, p) for _ in range(genset.ring.arity))
-            rows = [_gradient_modp(num, den, b) for num, den in images]
-            if any(row is None for row in rows) or qpoly.evaluate(b) == 0:
+            b = tuple(self.rng.randrange(1, p)
+                      for _ in range(self.genset.ring.arity))
+            rows = [_gradient_modp(num, den, b) for num, den in self._images]
+            if None in rows or self._qpoly.evaluate(b) == 0:
                 continue
             self.point = b
             self.jacobian = rows
@@ -106,19 +113,21 @@ class MembershipContext:
             pivots = self._echelon[1]
             self.rank = len(pivots)
             self.pivots = set(pivots)
-            self.nonpivots = [j for j in range(genset.ring.arity)
+            self.nonpivots = [j for j in range(self.genset.ring.arity)
                               if j not in self.pivots]
             self._gb_cache = {}
             return
-        raise UnluckyPoint("no regular evaluation point found")
+        raise UnluckyPoint("no regular evaluation point mod %d" % p)
 
     def _gb(self, extra_denominator=None):
+        """Specialized GB at the point, or FAIL on a pole of the extra
+        denominator."""
         key = None if extra_denominator is None else extra_denominator.terms
         if key not in self._gb_cache:
             gens = specialize_eoms(self.genset, self.point, self.gb_ring,
                                    extra_denominator=extra_denominator)
             if gens is FAIL:
-                raise UnluckyPoint("cached point hit a pole")
+                return FAIL
             for j in self.nonpivots:
                 gens.append(self.gb_ring.variable(1 + j)
                             - self.gb_ring.constant(self.point[j]))
@@ -140,21 +149,31 @@ class MembershipContext:
             raise ValueError("candidate from a different ring")
         if candidate.is_constant():
             return True
+        for _ in range(POINT_ATTEMPTS):
+            verdict = self._contains_at_point(candidate)
+            if verdict is not FAIL:
+                return verdict
+            self._draw_point()
+        raise UnluckyPoint("candidate has a pole at every point drawn mod %d"
+                           % self.field.p)
+
+    def _contains_at_point(self, candidate):
+        """Membership verdict at the current point, or FAIL on a pole."""
         grad = self._gradient(candidate)
         if grad is None:
-            raise UnluckyPoint("candidate pole at the cached point")
+            return FAIL
         if not _in_span(self._echelon, grad, self.field.p):
             return False
         num, den, extra = self._over_common_denominator(candidate)
         gb = self._gb(extra_denominator=extra)
+        if gb is FAIL:
+            return FAIL
+        # den(b) != 0: den is the candidate's denominator, nonzero at b by
+        # the gradient above, or a power of Q, nonzero at b by the draw
         num_p = num.map_coefficients(self.x_ring, self.field.from_fraction)
         den_p = den.map_coefficients(self.x_ring, self.field.from_fraction)
-        qb = den_p.evaluate(self.point)
-        pb = num_p.evaluate(self.point)
-        if qb == 0:
-            raise UnluckyPoint("candidate denominator vanished")
-        h = _lift_to_y(num_p, self.gb_ring).scale(qb) \
-            - _lift_to_y(den_p, self.gb_ring).scale(pb)
+        h = _lift_to_y(num_p, self.gb_ring).scale(den_p.evaluate(self.point)) \
+            - _lift_to_y(den_p, self.gb_ring).scale(num_p.evaluate(self.point))
         return gb.normal_form(h).is_zero()
 
     def _over_common_denominator(self, cand):
@@ -188,13 +207,8 @@ def _lift_to_y(poly, ring):
 
 
 def contains(genset, candidate, field, rng, eps=0.001):
-    """One-shot membership test with retry on degenerate points."""
-    for _ in range(UNLUCKY_RETRIES):
-        try:
-            return MembershipContext(genset, field, rng).contains(candidate, eps)
-        except UnluckyPoint:
-            continue
-    raise UnluckyPoint("membership test kept hitting degenerate points")
+    """One-shot membership test."""
+    return MembershipContext(genset, field, rng).contains(candidate, eps)
 
 
 def fields_equal(gs_a, gs_b, field, rng, eps=0.001):
@@ -203,17 +217,11 @@ def fields_equal(gs_a, gs_b, field, rng, eps=0.001):
     if gs_a.ring != gs_b.ring:
         raise ValueError("generator sets from different rings")
     budget = eps / (len(gs_a) + len(gs_b))
-    last = None
-    for _ in range(UNLUCKY_RETRIES):
-        try:
-            ctx_b = MembershipContext(gs_b, field, rng)
-            if not all(ctx_b.contains(g, budget) for g in gs_a.generators):
-                return False
-            ctx_a = MembershipContext(gs_a, field, rng)
-            return all(ctx_a.contains(g, budget) for g in gs_b.generators)
-        except UnluckyPoint as exc:
-            last = exc
-    raise last
+    ctx_b = MembershipContext(gs_b, field, rng)
+    if not all(ctx_b.contains(g, budget) for g in gs_a.generators):
+        return False
+    ctx_a = MembershipContext(gs_a, field, rng)
+    return all(ctx_a.contains(g, budget) for g in gs_b.generators)
 
 
 def minimize(generators, ring, field, rng, eps=0.001):
@@ -232,13 +240,8 @@ def minimize(generators, ring, field, rng, eps=0.001):
         others = kept[:i] + kept[i + 1:]
         if not others:
             break
-        rest = GeneratorSet(ring, others)
-        try:
-            member = MembershipContext(rest, field, rng) \
-                .contains(kept[i], eps / max(len(kept), 1))
-        except UnluckyPoint:
-            member = contains(rest, kept[i], field, rng)
-        if member:
+        if contains(GeneratorSet(ring, others), kept[i], field, rng,
+                    eps / max(len(kept), 1)):
             kept.pop(i)
         else:
             i += 1

@@ -3,8 +3,8 @@
 Buchberger with the normal selection strategy and Gebauer-Moller pair
 elimination.  A learn run records the critical-pair schedule and which
 S-polynomials reduced to zero; an apply run replays the schedule, skips the
-recorded zero reductions, and aborts with TRACE_DIVERGED as soon as the
-replay stops matching (the caller then treats the point as FAIL).
+recorded zero reductions, and returns FAIL as soon as the replay stops
+matching.
 
 Internally monomials are packed into single integers so that integer
 comparison realizes the monomial order and integer addition realizes
@@ -14,9 +14,10 @@ built from the packed basis, and MultiPoly appears only at the API boundary.
 
 import heapq
 
+from .arith import FAIL
 from .poly import MultiPoly
 
-TRACE_DIVERGED = object()
+TRACE_DIVERGED = FAIL
 
 _FIELD_BITS = 17           # bits per exponent field (1 guard + 16 value)
 _M = (1 << 16) - 1
@@ -236,13 +237,12 @@ def _interreduce(basis, codec, p):
 class GroebnerTrace:
     """Replay schedule from a learn run."""
 
-    __slots__ = ("input_lms", "events", "final_lms")
+    __slots__ = ("input_lms", "events")
 
-    def __init__(self, input_lms, events, final_lms):
+    def __init__(self, input_lms, events):
         self.input_lms = input_lms          # leading monomials of the inputs
         self.events = events                # [(i, j, packed lcm,
                                             #   packed-lm-or-None)]
-        self.final_lms = final_lms          # leading monomials of the reduced GB
 
 
 class ReducedGB:
@@ -284,8 +284,7 @@ class ReducedGB:
 
 def _run_buchberger(spec_ring, generators, trace=None):
     """Shared engine.  With `trace`, replay it and return the reduced GB or
-    TRACE_DIVERGED; without, return the reduced GB and the trace of the
-    run."""
+    FAIL; without, return the reduced GB and the trace of the run."""
     ring = spec_ring
     p = ring.field.p
     codec = _codec(ring)
@@ -307,10 +306,10 @@ def _run_buchberger(spec_ring, generators, trace=None):
         gb = ReducedGB(ring, [[(codec.pack(ring._zero_mon), 1)]])
         if trace is not None:
             return gb
-        return gb, GroebnerTrace(input_lms, (), gb.leading_monomials())
+        return gb, GroebnerTrace(input_lms, ())
 
     if trace is not None and trace.input_lms != input_lms:
-        return TRACE_DIVERGED
+        return FAIL
 
     basis = [sorted(_pack_terms(codec, g).items(), reverse=True)
              for g in inputs]
@@ -321,22 +320,23 @@ def _run_buchberger(spec_ring, generators, trace=None):
         # selection strategy depends only on leading monomials, which are
         # verified event by event), so no pair bookkeeping is needed, and
         # each recorded lcm is that of the pair's verified leading monomials.
+        # The basis grows as in the learn run, so every recorded index
+        # exists, and the reduced GB, minimalized by leading monomials
+        # alone, has the learned leading monomials.
         for i, j, lcm, tlm in trace.events:
-            if j >= len(basis):
-                return TRACE_DIVERGED
             s = _spoly_dict(basis[i], basis[j], lcm, p)
             if tlm is None:
                 # recorded zero reduction: cheap sanity check, then skip
                 if s and not _top_reducible(max(s), lms, codec):
-                    return TRACE_DIVERGED
+                    return FAIL
                 continue
             tails = [g[1:] for g in basis]
             rem = _reduce_full(s, lms, tails, codec, p)
             if not rem:
-                return TRACE_DIVERGED
+                return FAIL
             h = _monic_terms(rem, p)
             if h[0][0] != tlm:
-                return TRACE_DIVERGED
+                return FAIL
             basis.append(h)
             lms.append(h[0][0])
     else:
@@ -364,10 +364,8 @@ def _run_buchberger(spec_ring, generators, trace=None):
 
     gb = ReducedGB(ring, _interreduce(basis, codec, p))
     if trace is not None:
-        if gb.leading_monomials() != trace.final_lms:
-            return TRACE_DIVERGED
         return gb
-    return gb, GroebnerTrace(input_lms, tuple(events), gb.leading_monomials())
+    return gb, GroebnerTrace(input_lms, tuple(events))
 
 
 def groebner(ring, generators):
@@ -383,8 +381,8 @@ def gb_learn(ring, generators):
 def gb_apply(ring, generators, trace):
     """Replay a trace on a structurally identical input.
 
-    Returns the reduced GB, or TRACE_DIVERGED when the replay assumptions
-    fail (the caller discards the evaluation point).
+    Returns the reduced GB, or FAIL when the replay assumptions fail (the
+    caller discards the evaluation point).
     """
     return _run_buchberger(ring, generators, trace=trace)
 

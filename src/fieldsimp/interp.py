@@ -5,28 +5,16 @@ sparse polynomial interpolation from evaluations at powers of a prime-vector
 ratio, blackbox multivariate rational-function recovery (homogenize, shift,
 interpolate along lines, then recover each side from its top coefficients),
 and blackbox total-degree estimation along a random line.
-
-FAIL is represented by None throughout.
 """
 
 import math
 
-from .arith import PrimeField
-
-FAIL = None
+from .arith import FAIL
 
 # random lines tried by estimate_degrees before it reports FAIL
 DEGREE_ATTEMPTS = 8
 # shift/scale draws tried by interpolate_rational before it reports FAIL
 INTERPOLATION_ATTEMPTS = 4
-
-
-class RootNotSmooth(ArithmeticError):
-    """A recovered root does not factor over the ratio primes."""
-
-
-class EvaluationBudgetExceeded(RuntimeError):
-    pass
 
 
 def first_primes(n):
@@ -46,7 +34,7 @@ def admissible_ratio(n):
 
 
 class Blackbox:
-    """Evaluation oracle: point in F_p^n -> value or FAIL (None)."""
+    """Evaluation oracle: point in F_p^n -> value or FAIL."""
 
     __slots__ = ("arity", "fn", "count")
 
@@ -240,7 +228,7 @@ def _upowmod(base, e, mod, p):
 def _prony(evals, field, rng):
     """Recover {(root, coefficient)} with the sequence e_i = sum c_k root_k^i.
 
-    Returns None when the sequence is not explained by <= len(evals)/2
+    Returns FAIL when the sequence is not explained by <= len(evals)/2
     distinct nonzero roots (caller enlarges the sequence).
     """
     p = field.p
@@ -252,17 +240,15 @@ def _prony(evals, field, rng):
     # cofactor is Lambda~(z) = prod(1 - root*z)
     _, lam = _half_eea([0] * two_t + [1], _utrim(list(evals)), t_bound - 1, p)
     if not lam or lam[0] == 0:
-        return None
+        return FAIL
     lam = _uscale(lam, pow(lam[0], -1, p), p)
     t = _udeg(lam)
-    if t > t_bound:
-        return None
-    if t == 0:
-        return None
+    if t > t_bound or t == 0:
+        return FAIL
     mono = list(reversed(lam))                  # prod(z - root), monic
     roots = _uroots(mono, p, rng)
     if len(roots) != t or 0 in roots:
-        return None
+        return FAIL
     # transposed Vandermonde solve, O(t^2): c_k = (sum_i L_k[i] e_i) / L_k(m_k)
     out = []
     for m in roots:
@@ -273,13 +259,14 @@ def _prony(evals, field, rng):
             s = (s + c * evals[i]) % p
         denom = _ueval(lk, m, p)
         if denom == 0:
-            return None
+            return FAIL
         out.append((m, s * pow(denom, -1, p) % p))
     return out
 
 
 def _exponent_from_root(root, ratio, degree_bound):
-    """Factor an integer root over the ratio primes by trial division."""
+    """Exponent vector of an integer root over the ratio primes by trial
+    division, or FAIL when the root does not factor within the bound."""
     e = []
     r = root
     for q in ratio:
@@ -288,10 +275,10 @@ def _exponent_from_root(root, ratio, degree_bound):
             r //= q
             k += 1
         if k > degree_bound:
-            raise RootNotSmooth("exponent above degree bound")
+            return FAIL
         e.append(k)
     if r != 1:
-        raise RootNotSmooth("root %d not a product of ratio primes" % root)
+        return FAIL
     return tuple(e)
 
 
@@ -299,16 +286,19 @@ def ben_or_tiwari(evals, ratio, degree_bound, ring, rng):
     """Sparse interpolation from f(ratio^0), ..., f(ratio^(2T-1)).
 
     Exact when T is at least the number of terms of f; with smaller T the
-    result is wrong and the caller must verify.  Raises RootNotSmooth when
-    a recovered root does not factor over the ratio primes.
+    result is wrong and the caller must verify.  Returns FAIL when the
+    sequence has no sparse explanation at this T or a recovered root does
+    not factor over the ratio primes.
     """
-    field = ring.field
-    sol = _prony(list(evals), field, rng)
-    if sol is None:
-        raise RootNotSmooth("sequence has no sparse explanation at this T")
+    sol = _prony(list(evals), ring.field, rng)
+    if sol is FAIL:
+        return FAIL
     d = {}
     for root, coeff in sol:
-        d[_exponent_from_root(root, ratio, degree_bound)] = coeff
+        e = _exponent_from_root(root, ratio, degree_bound)
+        if e is FAIL:
+            return FAIL
+        d[e] = coeff
     return ring.from_dict(d)
 
 
@@ -378,8 +368,7 @@ def estimate_degrees(bb, cutoff, field, rng):
 # multivariate rational interpolation (homogenize + shift + lines)
 
 
-def interpolate_rational(bb, deg_num, deg_den, ring, rng,
-                         eval_cap=10 ** 6):
+def interpolate_rational(bb, deg_num, deg_den, ring, rng):
     """Recover (num, den) in `ring` from a blackbox with known total degrees.
 
     Homogenizes with an extra coordinate, shifts by a random vector, runs
@@ -407,8 +396,6 @@ def interpolate_rational(bb, deg_num, deg_den, ring, rng,
         return v * pow(x0, deg_num - deg_den, p) % p
 
     for _ in range(INTERPOLATION_ATTEMPTS):
-        if bb.count > eval_cap:
-            return FAIL
         gamma = [rng.randrange(1, p) for _ in range(n + 1)]
         sigma = [rng.randrange(1, p) for _ in range(n + 1)]
         rows = {}          # i -> (top num coeff, top den coeff), normalized
@@ -444,8 +431,6 @@ def interpolate_rational(bb, deg_num, deg_den, ring, rng,
 
         t_guess = 1
         while True:
-            if bb.count > eval_cap:
-                return FAIL
             seq_a, seq_b = [], []
             for i in range(2 * t_guess):
                 r = row(i)
@@ -456,16 +441,15 @@ def interpolate_rational(bb, deg_num, deg_den, ring, rng,
                 seq_b.append(r[1])
             if bad_attempt:
                 break
-            try:
-                hom_ring = _hom_ring(ring)
-                pn = ben_or_tiwari(seq_a, ratio, deg_num, hom_ring, rng)
-                qn = ben_or_tiwari(seq_b, ratio, deg_den, hom_ring, rng)
-            except RootNotSmooth:
-                pn = None
-            if pn is not None:
+            hom_ring = _hom_ring(ring)
+            pn = ben_or_tiwari(seq_a, ratio, deg_num, hom_ring, rng)
+            # the denominator's root finding draws from rng: skip it too
+            qn = FAIL if pn is FAIL else \
+                ben_or_tiwari(seq_b, ratio, deg_den, hom_ring, rng)
+            if qn is not FAIL:
                 cand = _descale_dehomogenize(pn, qn, gamma, deg_num, deg_den,
                                              ring)
-                if cand is not None and _verify(bb, cand, field, rng):
+                if cand is not FAIL and _verify(bb, cand, field, rng):
                     return cand
             if t_guess >= guard:
                 break
@@ -491,7 +475,7 @@ def _descale_dehomogenize(pn, qn, gamma, deg_num, deg_den, ring):
         d = {}
         for m, c in poly.terms:
             if sum(m) != deg:
-                return None          # not homogeneous: wrong sparsity guess
+                return FAIL          # not homogeneous: wrong sparsity guess
             scale = 1
             for g, e in zip(gamma, m):
                 if e:
@@ -500,7 +484,7 @@ def _descale_dehomogenize(pn, qn, gamma, deg_num, deg_den, ring):
         out.append(ring.from_dict(d))
     num, den = out
     if den.is_zero():
-        return None
+        return FAIL
     lc = den.leading_coefficient()
     ilc = pow(lc, -1, p)
     return num.scale(ilc), den.scale(ilc)

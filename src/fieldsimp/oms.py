@@ -14,13 +14,15 @@ gives all coefficient keys one shared random line and one shared
 interpolation schedule: a distinct point costs one GB evaluation whichever
 keys read it.  A key is interpolated when its degree sum is within the
 requested cutoff, and a key found at one cutoff is not interpolated again
-at a higher one.
+at a higher one.  The harvest's point memo is also where the evaluation
+budget is enforced: it raises before an evaluation would overspend it.
 """
 
 import random
 
-from .groebner import TRACE_DIVERGED, gb_apply, gb_learn
-from .interp import FAIL, Blackbox, estimate_degrees, interpolate_rational
+from .arith import FAIL
+from .groebner import gb_apply, gb_learn
+from .interp import Blackbox, estimate_degrees, interpolate_rational
 from .poly import (QQ, DEGREVLEX, MultiPoly, RationalFunction, Ring, lcm_q)
 
 # consecutive diverged replays after which EomsEvaluator learns a new trace
@@ -29,6 +31,10 @@ RELEARN_AFTER = 3
 
 class UnluckyPoint(RuntimeError):
     """Surfaced after repeated degenerate random specializations."""
+
+
+class EvaluationBudgetExceeded(RuntimeError):
+    """The next GB evaluation would spend more than the attempt's budget."""
 
 
 class GeneratorSet:
@@ -170,7 +176,7 @@ class EomsEvaluator:
         if gens is FAIL:
             return FAIL
         gb = gb_apply(self.ring, gens, self.trace)
-        if gb is TRACE_DIVERGED:
+        if gb is FAIL:
             self._consecutive_divergences += 1
             if self._consecutive_divergences >= RELEARN_AFTER:
                 self._learn()
@@ -222,7 +228,9 @@ def gb_coefficients(genset, degree_cutoff, ring, rng,
     Returns a CoefficientReport, or FAIL when interpolation keeps failing.
     Coefficients are returned mod p (reconstruction to Q is the caller's
     job).  A shared evaluator may be passed in to keep its learned trace
-    and its finished keys across cutoffs.
+    and its finished keys across cutoffs.  Raises EvaluationBudgetExceeded
+    before an evaluation would take this call past `eval_cap` GB
+    evaluations.
     """
     if evaluator is None:
         evaluator = EomsEvaluator(genset, ring, rng)
@@ -233,16 +241,21 @@ def gb_coefficients(genset, degree_cutoff, ring, rng,
     keys = evaluator.coefficient_keys()
     finished = evaluator.finished
     values = {}          # point -> coefficients in key order, or FAIL
+    start_evals = evaluator.n_evals
 
     def coefficients(point):
         if point not in values:
+            # an evaluation that diverges once more also relearns the trace
+            relearn = evaluator._consecutive_divergences + 1 >= RELEARN_AFTER
+            if evaluator.n_evals - start_evals + 1 + relearn > eval_cap:
+                raise EvaluationBudgetExceeded(
+                    "GB evaluation budget ran out at d=%d" % degree_cutoff)
             d = evaluator.eval(point)
             values[point] = (FAIL if d is FAIL
                              else tuple(d.get(key, 0) for key in keys))
         return values[point]
 
     entries = {}
-    start_evals = evaluator.n_evals
     for index, key in enumerate(keys):
         done = finished.get(key)
         if done is not None and sum(done[2]) <= degree_cutoff:
@@ -261,8 +274,7 @@ def gb_coefficients(genset, degree_cutoff, ring, rng,
             entries[key] = ("high_degree", None)
             continue
         dn, dd = est
-        got = interpolate_rational(bb, dn, dd, x_ring, random.Random(int_seed),
-                                   eval_cap=eval_cap)
+        got = interpolate_rational(bb, dn, dd, x_ring, random.Random(int_seed))
         if got is FAIL:
             return FAIL
         # a relearn that changes the support replaces evaluator.finished,

@@ -10,15 +10,15 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .arith import (PrimeField, ZeroInverse, crt_pair, production_prime,
+from .arith import (FAIL, PrimeField, ZeroInverse, crt_pair, production_prime,
                     rational_reconstruct)
 from .fields import (GeneratorSet, MembershipContext, UnluckyPoint,
                      fields_equal, minimize, polynomial_generators)
-from .interp import FAIL, EvaluationBudgetExceeded
-from .oms import EomsEvaluator, gb_coefficients, gb_ring
+from .oms import (EomsEvaluator, EvaluationBudgetExceeded, gb_coefficients,
+                  gb_ring)
 from .poly import RationalFunction
 
-NEED_MORE_PRIMES = "NEED_MORE_PRIMES"
+NEED_MORE_PRIMES = FAIL
 
 
 class VerificationFailed(Exception):
@@ -101,13 +101,13 @@ def simplicity_compare(f, g):
 
 
 def reconstruct_candidates(candidates_mod, q_ring, modulus):
-    """Lift (num, den) pairs with residue coefficients to Q, or
-    NEED_MORE_PRIMES when any coefficient exceeds the lifting bound."""
+    """Lift (num, den) pairs with residue coefficients to Q, or FAIL (more
+    primes are needed) when any coefficient exceeds the lifting bound."""
     out = []
     for num_terms, den_terms in candidates_mod:
         rf = _reconstruct_rf(num_terms, den_terms, q_ring, modulus)
-        if rf is None:
-            return NEED_MORE_PRIMES
+        if rf is FAIL:
+            return FAIL
         out.append(rf)
     return out
 
@@ -115,13 +115,13 @@ def reconstruct_candidates(candidates_mod, q_ring, modulus):
 def _crt_pairs(reports):
     """(num terms, den terms) of every interpolated coefficient of harvests
     at distinct primes, CRT-combined key by key (the identity for one
-    harvest), or NEED_MORE_PRIMES when the harvests disagree on which keys
-    were interpolated or on a coefficient's support."""
+    harvest), or FAIL (more primes are needed) when the harvests disagree
+    on which keys were interpolated or on a coefficient's support."""
     harvests = [{key: val[1] for key, val in rep.entries.items()
                  if val[0] == "ok"} for rep in reports]
     first = harvests[0]
     if any(h.keys() != first.keys() for h in harvests):
-        return NEED_MORE_PRIMES
+        return FAIL
     pairs = []
     for key, pair in first.items():
         combined = []
@@ -130,7 +130,7 @@ def _crt_pairs(reports):
             for h in harvests[1:]:
                 other = h[key][k]
                 if other.support() != poly.support():
-                    return NEED_MORE_PRIMES
+                    return FAIL
                 p = other.ring.field.p
                 terms = tuple((m, crt_pair(c, modulus, c2, p)[0])
                               for (m, c), (_, c2) in zip(terms, other.terms))
@@ -141,24 +141,18 @@ def _crt_pairs(reports):
 
 
 def _reconstruct_rf(num_terms, den_terms, q_ring, modulus):
-    def lift(terms):
+    sides = []
+    for terms in (num_terms, den_terms):
         d = {}
         for m, c in terms:
             v = rational_reconstruct(c, modulus)
-            if v is None:
-                return None
+            if v is FAIL:
+                return FAIL
             d[m] = v
-        return d
-    nd = lift(num_terms)
-    if nd is None:
-        return None
-    dd = lift(den_terms)
-    if dd is None:
-        return None
-    num = q_ring.from_dict(nd)
-    den = q_ring.from_dict(dd)
+        sides.append(q_ring.from_dict(d))
+    num, den = sides
     if den.is_zero():
-        return None
+        return FAIL
     return RationalFunction(num, den)
 
 
@@ -236,10 +230,7 @@ def _run_once(genset, cfg, restart):
 
     def harvest(ev, d):
         rep = gb_coefficients(genset, d, ev.ring, rng,
-                              eval_cap=cfg.eval_cap, evaluator=ev)
-        if n_evals() > cfg.eval_cap:
-            raise EvaluationBudgetExceeded(
-                "more than %d blackbox evaluations" % cfg.eval_cap)
+                              eval_cap=cfg.eval_cap - n_evals(), evaluator=ev)
         if rep is FAIL:
             raise VerificationFailed(
                 "coefficient interpolation failed at d=%d" % d)
@@ -247,8 +238,8 @@ def _run_once(genset, cfg, restart):
 
     def lift(reports):
         pairs = _crt_pairs(reports)
-        if pairs is NEED_MORE_PRIMES:
-            return pairs
+        if pairs is FAIL:
+            return FAIL
         modulus = math.prod(ev.ring.field.p for ev in evaluators)
         return reconstruct_candidates(pairs, q_ring, modulus)
 
@@ -261,11 +252,15 @@ def _run_once(genset, cfg, restart):
         before = n_evals()
         reports = [harvest(ev, d) for ev in evaluators]
         lifted = lift(reports)
-        if lifted is NEED_MORE_PRIMES and len(evaluators) == 1:
+        if lifted is FAIL and len(evaluators) == 1:
+            # its learn is one GB evaluation spent outside any harvest
+            if n_evals() >= cfg.eval_cap:
+                raise EvaluationBudgetExceeded(
+                    "GB evaluation budget ran out at d=%d" % d)
             add_evaluator(base + 6)
             reports.append(harvest(evaluators[-1], d))
             lifted = lift(reports)
-        if lifted is NEED_MORE_PRIMES:
+        if lifted is FAIL:
             raise VerificationFailed(
                 "rational reconstruction needs more primes at d=%d" % d)
         cands = _dedup_pool([(_normalize_monic_num(rf), "gb-coefficient")
@@ -292,7 +287,7 @@ def _run_once(genset, cfg, restart):
     for poly in poly_basis:
         rf = _reconstruct_rf(poly.terms, ((q_ring._zero_mon, 1),),
                              q_ring, harvest_field.p)
-        if rf is None:
+        if rf is FAIL:
             continue        # optional augmentation: skip on lifting failure
         poly_cands.append((_normalize_monic_num(rf), "polynomial"))
 
@@ -316,13 +311,9 @@ def _run_once(genset, cfg, restart):
             ctx = None
             continue
         if ctx is None:
-            ctx = _context(GeneratorSet(q_ring, kept), check_field, rng)
-        try:
-            member = ctx.contains(rf, budget)
-        except UnluckyPoint:
-            ctx = _context(GeneratorSet(q_ring, kept), check_field, rng)
-            member = ctx.contains(rf, budget)
-        if not member:
+            ctx = MembershipContext(GeneratorSet(q_ring, kept), check_field,
+                                    rng)
+        if not ctx.contains(rf, budget):
             kept.append(rf)
             ctx = None
 
@@ -346,12 +337,3 @@ def _run_once(genset, cfg, restart):
                     "final verification failed at prime %d" % prime)
         report.verified = True
     return kept, report
-
-
-def _context(genset, field, rng):
-    for _ in range(3):
-        try:
-            return MembershipContext(genset, field, rng)
-        except UnluckyPoint:
-            continue
-    raise UnluckyPoint("could not build a membership context")

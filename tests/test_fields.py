@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fieldsimp.arith import rational_reconstruct
+from fieldsimp import fields as fields_module
+from fieldsimp.arith import FAIL, rational_reconstruct
 from fieldsimp.fields import (MembershipContext, _in_rowspan, _rref, contains,
                               fields_equal, minimize, polynomial_generators)
-from fieldsimp.oms import GeneratorSet
+from fieldsimp.oms import GeneratorSet, UnluckyPoint
 from fieldsimp.poly import PrimeField, QQ, RationalFunction, Ring
 
 from conftest import (CHECK_PRIMES, fields_equal_2p, genset_of, load_fixture,
@@ -117,6 +119,54 @@ def test_gradient_none_at_denominator_zero():
     a = parse_many(gs.ring, ["a"])[0]
     pole = 1 / (a - Fraction(ctx.point[0]))
     assert ctx._gradient(pole) is None
+
+
+def test_candidate_pole_at_context_point_redraws():
+    gs = load_fixture("heron")
+    field = FIELDS[0]
+    ctx = MembershipContext(gs, field, random.Random(9))
+    a = parse_many(gs.ring, ["a"])[0]
+    g = gs.generators[0]
+    num, den = g.modp(ctx.x_ring)
+    for expected in (True, False):
+        point = ctx.point
+        if expected:
+            # a function of g, with a pole where g takes its value at b
+            value = num.evaluate(point) * pow(den.evaluate(point), -1,
+                                              field.p) % field.p
+            cand = 1 / (g - Fraction(value))
+        else:
+            cand = 1 / (a - Fraction(point[0]))
+        assert ctx._gradient(cand) is None
+        assert ctx.contains(cand) is expected
+        assert ctx.point != point
+        assert contains_2p(gs, cand) is expected
+
+
+def test_ideal_pole_at_context_point_redraws(monkeypatch):
+    gs = load_fixture("heron")
+    ctx = MembershipContext(gs, FIELDS[0], random.Random(9))
+    specialize = fields_module.specialize_eoms
+    points = []
+
+    def first_one_fails(genset, point, ring, **kwargs):
+        points.append(point)
+        if len(points) == 1:
+            return FAIL
+        return specialize(genset, point, ring, **kwargs)
+
+    monkeypatch.setattr(fields_module, "specialize_eoms", first_one_fails)
+    point = ctx.point
+    assert ctx.contains(gs.generators[0]) is True
+    assert points == [point, ctx.point] and ctx.point != point
+
+
+def test_candidate_pole_at_every_draw(monkeypatch):
+    gs = load_fixture("heron")
+    ctx = MembershipContext(gs, FIELDS[0], random.Random(9))
+    monkeypatch.setattr(MembershipContext, "_gradient", lambda self, c: None)
+    with pytest.raises(UnluckyPoint, match="pole at every point drawn"):
+        ctx.contains(gs.generators[0])
 
 
 @st.composite
@@ -259,6 +309,13 @@ def test_polynomial_generators_match_oracle():
 
 
 SEIR_ORDER = ["k", "N", "beta", "eps", "gamma", "mu", "r"]
+
+
+def test_polynomial_generators_without_regular_point(monkeypatch):
+    monkeypatch.setattr(fields_module, "specialize_eoms", lambda *args: FAIL)
+    with pytest.raises(UnluckyPoint, match="did not stabilize"):
+        polynomial_generators(load_fixture("heron"), 1, FIELDS[0],
+                              random.Random(0))
 
 
 def test_polynomial_generators_seir():

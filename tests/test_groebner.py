@@ -191,6 +191,25 @@ def test_apply_diverges_on_structurally_different_input():
     assert gb_apply(R2, [x], trace) is TRACE_DIVERGED
 
 
+def test_replay_diverges_at_each_event_check():
+    x, y = R2.gens()
+    one = R2.one()
+    cases = [
+        # recorded zero reduction; the replayed S-polynomial y^2 is not
+        # top-reducible
+        ([x * x, x * y + x], [x * x + y, x * y]),
+        # recorded new element; the replayed S-polynomial reduces to zero
+        ([x * x + y, x * y + one], [x * x, x * y]),
+        # recorded new element y^2 - x; the replay gives x
+        ([x * x + y, x * y + one], [x * x, x * y + one]),
+    ]
+    for learned, replayed in cases:
+        _, trace = gb_learn(R2, learned)
+        assert gb_learn(R2, replayed)[1].input_lms == trace.input_lms
+        assert gb_apply(R2, replayed, trace) is TRACE_DIVERGED
+        assert gb_apply(R2, learned, trace) is not TRACE_DIVERGED
+
+
 @st.composite
 def packed_order_cases(draw):
     """(ring, generators, probes) in 3 variables over a 62-bit prime."""

@@ -97,6 +97,17 @@ def test_ben_or_tiwari_two_terms():
     assert f == ring.from_dict({(1, 0): 1, (0, 1): 1})
 
 
+def test_ben_or_tiwari_fail():
+    ring = _ring(2)
+    rng = random.Random(0)
+    # one term whose root 5 is not a product of the ratio primes 2, 3
+    assert ben_or_tiwari([3, 15], (2, 3), 4, ring, rng) is FAIL
+    # one term x1^5, above the degree bound 4
+    assert ben_or_tiwari([1, 32], (2, 3), 4, ring, rng) is FAIL
+    # no single term c * r^i gives 0, 1
+    assert ben_or_tiwari([0, 1], (2, 3), 4, ring, rng) is FAIL
+
+
 def test_ben_or_tiwari_random_roundtrip():
     rng = random.Random(13)
     for _ in range(15):

@@ -1,10 +1,14 @@
 import random
 
+import pytest
+
 from fieldsimp import oms
 from fieldsimp.arith import production_prime
+from fieldsimp.groebner import gb_apply
 from fieldsimp.interp import FAIL, Blackbox
-from fieldsimp.oms import (EomsEvaluator, GeneratorSet, gb_coefficients,
-                           gb_ring, specialize_eoms)
+from fieldsimp.oms import (EomsEvaluator, EvaluationBudgetExceeded,
+                           GeneratorSet, gb_coefficients, gb_ring,
+                           specialize_eoms)
 from fieldsimp.poly import LEX, PrimeField, QQ, RationalFunction, Ring
 from fieldsimp.simplify import _normalize_monic_num, reconstruct_candidates
 
@@ -257,3 +261,47 @@ def test_relearn_on_new_support_drops_finished_keys(monkeypatch):
     rep = gb_coefficients(gs, 2, ring, rng, evaluator=ev)
     assert rep is not FAIL
     assert len(estimated) == len(rep.entries) == len(ev.coefficient_keys())
+
+
+# ----------------------------------------------------------------------
+# lost samples and the evaluation budget
+
+
+def test_relearn_after_repeated_divergence(monkeypatch):
+    gs = load_fixture("example_sym")
+    ev = EomsEvaluator(gs, gb_ring(gs, FP), random.Random(3))
+    learned = ev.trace
+    monkeypatch.setattr(oms, "gb_apply", lambda *args: FAIL)
+    for _ in range(oms.RELEARN_AFTER):
+        assert ev.trace is learned
+        assert ev.eval((1, 2)) is FAIL
+    assert ev.trace is not learned
+    # two learns and RELEARN_AFTER replays, one GB evaluation each
+    assert ev.n_evals == 2 + oms.RELEARN_AFTER
+    monkeypatch.undo()
+    assert ev.eval((1, 2)) is not FAIL
+
+
+def test_support_mismatch_is_fail():
+    gs = load_fixture("example_sym")
+    ring = gb_ring(gs, FP)
+    ev = EomsEvaluator(gs, ring, random.Random(3))
+    learned = ev.trace
+    # at x2 = -x1 the replay follows the trace but the GB loses a term
+    point = (5, FP.p - 5)
+    assert gb_apply(ring, specialize_eoms(gs, point, ring), learned) \
+        is not FAIL
+    assert ev.eval(point) is FAIL
+    assert ev.trace is learned and ev.n_evals == 2
+
+
+def test_budget_counts_a_pending_relearn(monkeypatch):
+    gs = load_fixture("example_sym")
+    ring = gb_ring(gs, FP)
+    ev = EomsEvaluator(gs, ring, random.Random(3))
+    monkeypatch.setattr(oms, "gb_apply", lambda *args: FAIL)
+    # after two diverged replays a third may also relearn: 2 + 2 > 3
+    with pytest.raises(EvaluationBudgetExceeded, match="at d=2$"):
+        gb_coefficients(gs, 2, ring, random.Random(4), eval_cap=3,
+                        evaluator=ev)
+    assert ev.n_evals == 1 + 2          # the learn and two replays

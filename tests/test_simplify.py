@@ -1,15 +1,17 @@
+import importlib
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from fieldsimp import oms
+from fieldsimp import fields, oms
 from fieldsimp.arith import inv, production_prime
 from fieldsimp.cli import parse_problem_file
 from fieldsimp.fields import contains
 from fieldsimp.interp import FAIL
-from fieldsimp.oms import CoefficientReport, EomsEvaluator, GeneratorSet
+from fieldsimp.oms import (CoefficientReport, EomsEvaluator,
+                           EvaluationBudgetExceeded, GeneratorSet)
 from fieldsimp.poly import PrimeField, QQ, Ring
 from fieldsimp.simplify import (NEED_MORE_PRIMES, SimplifyConfig,
                                 VerificationFailed, _crt_pairs,
@@ -181,6 +183,63 @@ def test_no_regular_point_names_every_attempt(monkeypatch):
     for restart, reason in enumerate(reasons):
         assert reason == "attempt %d: no regular specialization point mod %d" \
             % (restart, production_prime(8 * restart))
+
+
+def test_no_membership_point_names_every_attempt(monkeypatch):
+    monkeypatch.setattr(fields, "_gradient_modp", lambda *args: None)
+    cfg = SimplifyConfig()
+    with pytest.raises(VerificationFailed) as info:
+        simplify(load_fixture("example_sym"), cfg)
+    assert str(info.value).split("; ") == [
+        "attempt %d: no regular evaluation point mod %d"
+        % (restart, production_prime(8 * restart + 1))
+        for restart in range(cfg.max_restarts + 1)]
+
+
+def test_interpolation_failure_names_every_attempt(monkeypatch):
+    monkeypatch.setattr(oms, "interpolate_rational", lambda *args: FAIL)
+    cfg = SimplifyConfig()
+    with pytest.raises(VerificationFailed) as info:
+        simplify(load_fixture("example_sym"), cfg)
+    assert str(info.value).split("; ") == [
+        "attempt %d: coefficient interpolation failed at d=1" % restart
+        for restart in range(cfg.max_restarts + 1)]
+
+
+def test_eval_cap_bounds_gb_evaluations(monkeypatch):
+    spent = []         # one entry per GB evaluation: each learn and eval
+    for name in ("_learn", "eval"):
+        def counting(self, *args, method=getattr(EomsEvaluator, name)):
+            spent.append(method.__name__)
+            return method(self, *args)
+        monkeypatch.setattr(EomsEvaluator, name, counting)
+    with pytest.raises(EvaluationBudgetExceeded, match=r"at d=\d+$"):
+        simplify(load_fixture("seir34"), SimplifyConfig(eval_cap=30))
+    assert "_learn" in spent and len(spent) <= 30
+
+
+def test_eval_cap_covers_second_prime_learn(monkeypatch):
+    built = []
+    init = EomsEvaluator.__init__
+
+    def recording_init(self, genset, ring, rng):
+        built.append(self)
+        init(self, genset, ring, rng)
+
+    monkeypatch.setattr(EomsEvaluator, "__init__", recording_init)
+    # nothing lifts, so the attempt adds the second harvest prime at d=1
+    monkeypatch.setattr(importlib.import_module("fieldsimp.simplify"),
+                        "reconstruct_candidates", lambda *args: FAIL)
+    genset = load_fixture("heron")
+    with pytest.raises(VerificationFailed):
+        simplify(genset, SimplifyConfig(max_restarts=0))
+    assert len(built) == 2
+    cap = built[0].n_evals
+    # a budget the first prime's harvest spends exactly leaves no learn
+    del built[:]
+    with pytest.raises(EvaluationBudgetExceeded, match="at d=1$"):
+        simplify(genset, SimplifyConfig(max_restarts=0, eval_cap=cap))
+    assert len(built) == 1 and built[0].n_evals == cap
 
 
 def test_bad_prime_reason_names_the_prime():
