@@ -10,20 +10,21 @@ met by a large enough prime): the Jacobian rows and candidate gradients are
 taken from the F_p images of numerators and denominators by the quotient
 rule, and the rank test is one reduced row echelon form over F_p.
 
-A point where a candidate or the ideal has a pole is a lost sample, not a
-lost test: MembershipContext is the one place that redraws such a point,
-and it raises UnluckyPoint only when its draws run out.
+The specialized ideal comes from `oms`, and the polynomial search reads its
+GBs from an `oms.EomsEvaluator`.  MembershipContext, whose ideal adds
+y_j - b_j, still draws its own point and runs Buchberger there.  A point
+where a candidate or the ideal has a pole is a lost sample, not a lost
+test: MembershipContext is the one place that redraws such a point, and it
+raises UnluckyPoint only when its draws run out.
 """
 
 from .arith import FAIL
 from .groebner import groebner
-from .oms import (GeneratorSet, UnluckyPoint, _x_ring, gb_ring,
-                  specialize_eoms)
+from .oms import (POINT_ATTEMPTS, EomsEvaluator, GeneratorSet, UnluckyPoint,
+                  _x_ring, gb_ring, specialize, specialize_eoms)
 from .poly import MultiPoly, RationalFunction, gcd_q, try_divexact
 
 
-# random points a MembershipContext draws for one test before giving up
-POINT_ATTEMPTS = 16
 # points beyond one per candidate monomial for `polynomial_generators`
 # (the dimension can drop by as little as one per point)
 EXTRA_POINTS = 8
@@ -134,11 +135,15 @@ class MembershipContext:
             self._gb_cache[key] = groebner(self.gb_ring, gens)
         return self._gb_cache[key]
 
-    def _gradient(self, cand):
+    def _image(self, cand):
+        # not RationalFunction.modp: its per-candidate cache would keep an
+        # image of every candidate ever tested alive
         fn = self.field.from_fraction
-        return _gradient_modp(cand.num.map_coefficients(self.x_ring, fn),
-                              cand.den.map_coefficients(self.x_ring, fn),
-                              self.point)
+        return (cand.num.map_coefficients(self.x_ring, fn),
+                cand.den.map_coefficients(self.x_ring, fn))
+
+    def _gradient(self, cand):
+        return _gradient_modp(*self._image(cand), self.point)
 
     def contains(self, candidate, eps=0.001):
         """True iff the candidate lies in the generated subfield (with
@@ -164,46 +169,28 @@ class MembershipContext:
             return FAIL
         if not _in_span(self._echelon, grad, self.field.p):
             return False
-        num, den, extra = self._over_common_denominator(candidate)
-        gb = self._gb(extra_denominator=extra)
+        gb = self._gb(extra_denominator=self._extra_denominator(candidate))
         if gb is FAIL:
             return FAIL
-        # den(b) != 0: den is the candidate's denominator, nonzero at b by
-        # the gradient above, or a power of Q, nonzero at b by the draw
-        num_p = num.map_coefficients(self.x_ring, self.field.from_fraction)
-        den_p = den.map_coefficients(self.x_ring, self.field.from_fraction)
-        h = _lift_to_y(num_p, self.gb_ring).scale(den_p.evaluate(self.point)) \
-            - _lift_to_y(den_p, self.gb_ring).scale(num_p.evaluate(self.point))
+        # the candidate's denominator is nonzero at b by the gradient above
+        h = specialize(*self._image(candidate), self.point, self.gb_ring)
         return gb.normal_form(h).is_zero()
 
-    def _over_common_denominator(self, cand):
-        """Rewrite cand as num/den where den is a power of the common
-        denominator Q, or report the extra factor to fold into Q."""
+    def _extra_denominator(self, cand):
+        """None when every factor of cand.den divides the common
+        denominator Q (cand.den(y) is then a unit modulo the ideal, which
+        holds t Q(y) - 1), else cand.den, to be folded into Q."""
         q = self.genset.common_denominator
-        if cand.den.is_constant():
-            return cand.num, cand.den, None
-        if q.is_constant():
-            return cand.num, cand.den, cand.den
         rest = cand.den
-        e = 0
         while not rest.is_constant():
             g = gcd_q(rest, q)
             if g.is_constant():
-                return cand.num, cand.den, cand.den
+                return cand.den
             rest = try_divexact(rest, g)
-            e += 1
-        qe = q ** e
-        cof = try_divexact(qe, cand.den)
-        if cof is None:
-            return cand.num, cand.den, cand.den
-        return cand.num * cof, qe, None
+        return None
 
     def transcendence_rank(self):
         return self.rank
-
-
-def _lift_to_y(poly, ring):
-    return ring.from_dict({(0,) + m: c for m, c in poly.terms})
 
 
 def contains(genset, candidate, field, rng, eps=0.001):
@@ -256,27 +243,28 @@ def polynomial_generators(genset, delta, field, rng, include_constants=False):
     every nonconstant monomial in the normal forms of the candidate
     monomials m_i gives one linear condition on v.  The conditions of all
     points so far are stacked in one reduced row echelon form, and fresh
-    points are drawn until one leaves its rank unchanged.  Returns the
-    monic elements of the reduced echelon basis of its nullspace, leading
+    points are drawn until one leaves its rank unchanged (GBs replay one
+    EomsEvaluator trace; a lost point is skipped).  Returns the monic
+    elements of the reduced echelon basis of its nullspace, leading
     monomials descending.
     """
-    ringp = gb_ring(genset, field, genset.ring.order)
+    ev = EomsEvaluator(genset, gb_ring(genset, field, genset.ring.order), rng)
     x_ring = _x_ring(genset, field)
     n = genset.ring.arity
     p = field.p
     key = x_ring.order.key
     monomials = sorted(_monomials_up_to(n, delta), key=key)
+    lifted = [ev.ring.from_dict({(0,) + mon: 1}) for mon in monomials]
     dim = len(monomials)
     conditions, pivots = [], []
     for _ in range(dim + EXTRA_POINTS):
         point = tuple(rng.randrange(1, p) for _ in range(n))
-        gens = specialize_eoms(genset, point, ringp)
-        if gens is FAIL:
+        gb = ev.gb(point)
+        if gb is FAIL:
             continue
-        gb = groebner(ringp, gens)
         rows = {}
-        for i, mon in enumerate(monomials):
-            for mm, c in gb.nf_plus(ringp.from_dict({(0,) + mon: 1})).terms:
+        for i, mon in enumerate(lifted):
+            for mm, c in gb.nf_plus(mon).terms:
                 rows.setdefault(mm, [0] * dim)[i] = c
         rank = len(pivots)
         conditions, pivots = _rref(conditions[:rank] + list(rows.values()), p)

@@ -21,6 +21,7 @@ TRACE_DIVERGED = FAIL
 
 _FIELD_BITS = 17           # bits per exponent field (1 guard + 16 value)
 _M = (1 << 16) - 1
+MAX_EXPONENT = _M          # largest exponent a packed monomial holds
 
 
 class _Codec:
@@ -386,10 +387,3 @@ def gb_apply(ring, generators, trace):
     """
     return _run_buchberger(ring, generators, trace=trace)
 
-
-def normal_form(poly, gb):
-    return gb.normal_form(poly)
-
-
-def nf_plus(poly, gb):
-    return gb.nf_plus(poly)

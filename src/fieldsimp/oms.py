@@ -1,6 +1,10 @@
 """Ideals attached to a generating set and interpolation of the low-degree
 coefficients of their specialized reduced Groebner bases.
 
+This module owns the specialized ideal: `specialize` builds its generators,
+and EomsEvaluator's traced GBs at random points serve both the coefficient
+harvest and the polynomial-generator search in `fields`.
+
 For generators g_i = p_i/q_i of a subfield of k(x_1..x_n), the specialized
 ideal at a point a is
 
@@ -21,12 +25,14 @@ budget is enforced: it raises before an evaluation would overspend it.
 import random
 
 from .arith import FAIL
-from .groebner import gb_apply, gb_learn
+from .groebner import MAX_EXPONENT, gb_apply, gb_learn
 from .interp import Blackbox, estimate_degrees, interpolate_rational
 from .poly import (QQ, DEGREVLEX, MultiPoly, RationalFunction, Ring, lcm_q)
 
 # consecutive diverged replays after which EomsEvaluator learns a new trace
 RELEARN_AFTER = 3
+# random points drawn for one learn or one membership test before giving up
+POINT_ATTEMPTS = 16
 
 
 class UnluckyPoint(RuntimeError):
@@ -38,7 +44,11 @@ class EvaluationBudgetExceeded(RuntimeError):
 
 
 class GeneratorSet:
-    """Ambient x-variables plus a list of rational-function generators."""
+    """Ambient x-variables plus a list of rational-function generators.
+
+    Raises ValueError on an input exponent above MAX_EXPONENT; exponents
+    that grow past it inside a Groebner basis are not checked.
+    """
 
     def __init__(self, ring, generators):
         if ring.field != QQ:
@@ -54,6 +64,10 @@ class GeneratorSet:
                 gens.append(g)
         if not gens:
             raise ValueError("empty generator set")
+        top = max((e for g in gens for side in (g.num, g.den)
+                   for m in side.support() for e in m), default=0)
+        if top > MAX_EXPONENT:
+            raise ValueError("exponent %d exceeds %d" % (top, MAX_EXPONENT))
         self.generators = gens
         q = ring.one()
         for g in gens:
@@ -71,44 +85,43 @@ def gb_ring(genset, field, order=DEGREVLEX):
     return Ring(names, field, order)
 
 
+def _lift(poly, ring, t_exp=0):
+    """Embed an F_p polynomial in x into the (t, y) ring, times t^t_exp."""
+    return ring.from_dict({(t_exp,) + m: c for m, c in poly.terms})
+
+
+def specialize(num, den, point, ring):
+    """p(y) q(a) - q(y) p(a) in the (t, y) ring for the F_p images p = num
+    and q = den, or FAIL when q(a) = 0."""
+    qv = den.evaluate(point)
+    if qv == 0:
+        return FAIL
+    return (_lift(num, ring).scale(qv)
+            - _lift(den, ring).scale(num.evaluate(point)))
+
+
 def specialize_eoms(genset, point, ring, extra_denominator=None):
     """Generators of the specialized ideal at `point`, or FAIL on a pole.
 
-    The product p_i(y) q_i(a) - q_i(y) p_i(a) is assembled from the sparse
+    Each product p_i(y) q_i(a) - q_i(y) p_i(a) is assembled from the sparse
     parts directly (never through the expanded symbolic product).
     """
     field = ring.field
-
-    def lift(poly_mod):
-        # embed an x-polynomial (mod p image) into the (t, y) ring
-        d = {}
-        for m, c in poly_mod.terms:
-            d[(0,) + m] = c
-        return ring.from_dict(d)
-
     x_ring = _x_ring(genset, field)
     out = []
     for g in genset.generators:
-        num, den = g.modp(x_ring)
-        pv = num.evaluate(point)
-        qv = den.evaluate(point)
-        if qv == 0:
+        h = specialize(*g.modp(x_ring), point, ring)
+        if h is FAIL:
             return FAIL
-        h = lift(num).scale(qv) - lift(den).scale(pv)
-        if h.is_zero():
-            continue
-        out.append(h)
+        if not h.is_zero():
+            out.append(h)
     qpoly = genset.common_denominator
     if extra_denominator is not None:
         qpoly = lcm_q(qpoly, extra_denominator)
     qmod = qpoly.map_coefficients(x_ring, field.from_fraction)
     if qmod.evaluate(point) == 0:
         return FAIL
-    # sat = t * Q(y) - 1
-    sat = ring.from_dict(
-        {(m[0] + 1,) + m[1:]: c for m, c in lift(qmod).terms})
-    sat = sat - ring.one()
-    out.append(sat)
+    out.append(_lift(qmod, ring, 1) - ring.one())       # t Q(y) - 1
     return out
 
 
@@ -125,10 +138,11 @@ def _x_ring(genset, field):
 class EomsEvaluator:
     """Shared traced-GB evaluation of the specialized ideal.
 
-    eval(a) returns {(element index, monomial): coefficient} for the
-    non-leading support of the reduced GB, or FAIL; the support discovered
-    at the learn point is enforced at every later point.  `finished` keeps
-    the "ok" report entries interpolated on that support.
+    gb(a) replays the learned trace at a and returns the reduced GB, or
+    FAIL; the support discovered at the learn point is enforced at every
+    later point.  eval(a) returns {(element index, monomial): coefficient}
+    for the non-leading support of gb(a).  `finished` keeps the "ok" report
+    entries interpolated on that support.
     """
 
     def __init__(self, genset, ring, rng):
@@ -148,7 +162,7 @@ class EomsEvaluator:
                      for _ in range(self.genset.ring.arity))
 
     def _learn(self):
-        for _ in range(32):
+        for _ in range(POINT_ATTEMPTS):
             point = self._random_point()
             gens = specialize_eoms(self.genset, point, self.ring)
             if gens is FAIL:
@@ -163,14 +177,7 @@ class EomsEvaluator:
         raise UnluckyPoint("no regular specialization point mod %d"
                            % self.ring.field.p)
 
-    def _coeff_dict(self, gb):
-        d = {}
-        for i, g in enumerate(gb):
-            for m, c in g.terms[1:]:
-                d[(i, m)] = c
-        return d
-
-    def eval(self, point):
+    def gb(self, point):
         self.n_evals += 1
         gens = specialize_eoms(self.genset, point, self.ring)
         if gens is FAIL:
@@ -185,7 +192,13 @@ class EomsEvaluator:
         if tuple(g.support() for g in gb) != self.support:
             return FAIL
         self._consecutive_divergences = 0
-        return self._coeff_dict(gb)
+        return gb
+
+    def eval(self, point):
+        gb = self.gb(point)
+        if gb is FAIL:
+            return FAIL
+        return {(i, m): c for i, g in enumerate(gb) for m, c in g.terms[1:]}
 
     def coefficient_keys(self):
         keys = []

@@ -283,12 +283,15 @@ def _run_once(genset, cfg, restart):
     alg7_source = genset if incomplete else cand_gs
     poly_basis = polynomial_generators(alg7_source, cfg.delta,
                                        harvest_field, rng)
+    # a member lifted from one prime may be a wrong fraction within the
+    # bound, so each lift is kept only if it is a member at the check prime
+    members = MembershipContext(alg7_source, check_field, rng)
     poly_cands = []
     for poly in poly_basis:
         rf = _reconstruct_rf(poly.terms, ((q_ring._zero_mon, 1),),
                              q_ring, harvest_field.p)
-        if rf is FAIL:
-            continue        # optional augmentation: skip on lifting failure
+        if rf is FAIL or not members.contains(rf):
+            continue        # optional augmentation: skip a failed lift
         poly_cands.append((_normalize_monic_num(rf), "polynomial"))
 
     pool = []

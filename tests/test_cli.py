@@ -213,6 +213,24 @@ def test_run_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_exponent_too_large(tmp_path, capsys):
+    # packed Groebner monomials hold exponents up to 65535
+    big = tmp_path / "big.txt"
+    big.write_text("vars: x\nx^70000\n")
+    assert run(["--input", str(big)]) == 2
+    assert "exponent 70000 exceeds 65535" in capsys.readouterr().err
+
+
+def test_polynomial_member_beyond_one_prime(tmp_path, capsys):
+    # the member x^2 + (1048571/1048573)^2*y^2 has a coefficient too large
+    # to lift at one prime; its wrong lift must not reach the output
+    problem = tmp_path / "large_coefficients.txt"
+    problem.write_text("vars: x, y\n1048573*x + 1048571*y\nx*y\n")
+    assert run(["--input", str(problem)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "x + 1048571/1048573*y", "x*y"]
+
+
 def test_run_budget_exhausted(capsys):
     code = run(["--input", fixture_path("heron"), "--eval-cap", "1"])
     assert code == 3

@@ -6,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fieldsimp import fields as fields_module
+from fieldsimp import oms
 from fieldsimp.arith import FAIL, rational_reconstruct
 from fieldsimp.fields import (MembershipContext, _in_rowspan, _rref, contains,
                               fields_equal, minimize, polynomial_generators)
-from fieldsimp.oms import GeneratorSet, UnluckyPoint
+from fieldsimp.oms import EomsEvaluator, GeneratorSet, UnluckyPoint
 from fieldsimp.poly import PrimeField, QQ, RationalFunction, Ring
 
 from conftest import (CHECK_PRIMES, fields_equal_2p, genset_of, load_fixture,
@@ -312,10 +313,50 @@ SEIR_ORDER = ["k", "N", "beta", "eps", "gamma", "mu", "r"]
 
 
 def test_polynomial_generators_without_regular_point(monkeypatch):
-    monkeypatch.setattr(fields_module, "specialize_eoms", lambda *args: FAIL)
+    monkeypatch.setattr(oms, "specialize_eoms", lambda *args: FAIL)
+    with pytest.raises(UnluckyPoint, match="no regular specialization point"):
+        polynomial_generators(load_fixture("heron"), 1, FIELDS[0],
+                              random.Random(0))
+
+
+def test_polynomial_generators_every_replay_lost(monkeypatch):
+    # the learn succeeds, then every point is a lost sample
+    monkeypatch.setattr(EomsEvaluator, "gb", lambda self, point: FAIL)
     with pytest.raises(UnluckyPoint, match="did not stabilize"):
         polynomial_generators(load_fixture("heron"), 1, FIELDS[0],
                               random.Random(0))
+
+
+def test_polynomial_generators_replays_one_trace(monkeypatch):
+    calls = {"groebner": 0, "gb_learn": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(fields_module, "groebner",
+                        counting("groebner", fields_module.groebner))
+    monkeypatch.setattr(oms, "gb_learn", counting("gb_learn", oms.gb_learn))
+    gs = load_fixture("seir34", var_order=SEIR_ORDER)
+    assert polynomial_generators(gs, 2, FIELDS[0], random.Random(6))
+    # one Buchberger run per point would make 11 groebner calls here
+    assert calls == {"groebner": 0, "gb_learn": 1}
+
+
+def test_denominator_dividing_a_power_of_q():
+    # Q = a^2 b^2 c^2; a denominator whose factors all divide Q needs no
+    # extra saturation, one with another factor is folded into Q
+    gs = load_fixture("heron")
+    members = ["1/a^2", "b^2/a^4", "a^2/(b^2*c^2)", "1/(a^2 + 1)"]
+    others = ["1/a", "a/b^2", "1/(a + 1)"]
+    for k, field in enumerate(FIELDS):
+        ctx = MembershipContext(gs, field, random.Random(k))
+        for text, expected in ([(t, True) for t in members]
+                               + [(t, False) for t in others]):
+            assert ctx.contains(parse_many(gs.ring, [text])[0]) is expected, \
+                text
 
 
 def test_polynomial_generators_seir():

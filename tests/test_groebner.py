@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldsimp.arith import PrimeField, production_prime
-from fieldsimp.groebner import (TRACE_DIVERGED, gb_apply, gb_learn, groebner,
-                                nf_plus, normal_form)
+from fieldsimp.groebner import TRACE_DIVERGED, gb_apply, gb_learn, groebner
 from fieldsimp.oms import gb_ring, specialize_eoms
 from fieldsimp.poly import LEX, MonomialOrder, Ring
 
@@ -49,7 +48,6 @@ def test_normal_form_examples():
     assert gb.normal_form(x * x).is_zero()
     gb2 = groebner(R2, [x - y])
     assert gb2.normal_form(x + y) == y.scale(2)
-    assert normal_form(x + y, gb2) == gb2.normal_form(x + y)
 
 
 def test_normal_form_of_ideal_member_is_zero():
@@ -71,7 +69,6 @@ def test_nf_plus_examples():
     assert gb_y.nf_plus(x + R2.from_int(3)) == x
     gb3 = groebner(R2, [x * x - R2.from_int(5)])
     assert gb3.nf_plus(x * x).is_zero()
-    assert nf_plus(x * x, gb3) == gb3.nf_plus(x * x)
 
 
 def _random_poly(ring, rng, max_terms=4, max_exp=3):
