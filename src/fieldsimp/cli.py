@@ -33,6 +33,10 @@ class ZeroDenominator(ParseError):
 # ----------------------------------------------------------------------
 # tokenizer + recursive-descent parser
 
+# deepest nesting of parentheses and unary signs (a parenthesis level costs
+# five Python frames, well inside the default recursion limit)
+MAX_NESTING = 100
+
 
 def _tokenize(text, line_no=1):
     tokens = []
@@ -77,6 +81,7 @@ class _Parser:
         self.pos = 0
         self.ring = ring
         self.var_index = var_index
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -121,20 +126,27 @@ class _Parser:
                 value = value / rhs
         return value
 
+    def nested(self, tok, parse):
+        """parse() one nesting level deeper, the level opened at `tok`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("expression nested too deeply", tok[2], tok[3])
+        value = parse()
+        self.depth -= 1
+        return value
+
     def unary(self):
-        if self.peek()[0] == "-":
-            self.advance()
-            return -self.unary()
-        if self.peek()[0] == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
+        tok = self.peek()
+        if tok[0] not in ("+", "-"):
+            return self.power()
+        self.advance()
+        value = self.nested(tok, self.unary)
+        return -value if tok[0] == "-" else value
 
     def power(self):
         base = self.atom()
         if self.peek()[0] == "^":
             tok = self.advance()
-            neg = False
             if self.peek()[0] == "-":
                 raise ParseError("exponents must be nonnegative integers",
                                  tok[2], tok[3])
@@ -153,7 +165,7 @@ class _Parser:
                                         tok[2], tok[3])
             return RationalFunction(self.ring.variable(idx))
         if tok[0] == "(":
-            value = self.expr()
+            value = self.nested(tok, self.expr)
             self.expect(")")
             return value
         raise ParseError("unexpected %r" % (tok[1] or "end"), tok[2], tok[3])

@@ -10,18 +10,20 @@ met by a large enough prime): the Jacobian rows and candidate gradients are
 taken from the F_p images of numerators and denominators by the quotient
 rule, and the rank test is one reduced row echelon form over F_p.
 
-The specialized ideal comes from `oms`, and the polynomial search reads its
-GBs from an `oms.EomsEvaluator`.  MembershipContext, whose ideal adds
-y_j - b_j, still draws its own point and runs Buchberger there.  A point
-where a candidate or the ideal has a pole is a lost sample, not a lost
-test: MembershipContext is the one place that redraws such a point, and it
-raises UnluckyPoint only when its draws run out.
+The specialized ideal comes from `oms`: MembershipContext reads the F_p
+images of the generators and of Q from `GeneratorSet.modp`, and the
+polynomial search reads its GBs from an `oms.EomsEvaluator`.
+MembershipContext, whose ideal adds y_j - b_j, still draws its own point
+and runs Buchberger there.  A point where a candidate or the ideal has a
+pole is a lost sample, not a lost test: MembershipContext is the one place
+that redraws such a point, and it raises UnluckyPoint only when its draws
+run out.
 """
 
 from .arith import FAIL
 from .groebner import groebner
 from .oms import (POINT_ATTEMPTS, EomsEvaluator, GeneratorSet, UnluckyPoint,
-                  _x_ring, gb_ring, specialize, specialize_eoms)
+                  gb_ring, specialize, specialize_eoms)
 from .poly import MultiPoly, RationalFunction, gcd_q, try_divexact
 
 
@@ -67,10 +69,6 @@ def _in_span(rref, vector, p):
     return not any(v)
 
 
-def _in_rowspan(matrix, vector, p):
-    return _in_span(_rref(matrix, p), vector, p)
-
-
 def _gradient_modp(num, den, point):
     """Gradient of num/den at `point` by the quotient rule, for F_p
     polynomials num and den; None when den vanishes at the point."""
@@ -92,11 +90,8 @@ class MembershipContext:
         self.genset = genset
         self.field = field
         self.rng = rng
-        self.x_ring = _x_ring(genset, field)
+        self.x_ring, self._images, self._qpoly = genset.modp(field)
         self.gb_ring = gb_ring(genset, field, genset.ring.order)
-        self._images = [g.modp(self.x_ring) for g in genset.generators]
-        self._qpoly = genset.common_denominator \
-            .map_coefficients(self.x_ring, field.from_fraction)
         self._draw_point()
 
     def _draw_point(self):
@@ -135,15 +130,8 @@ class MembershipContext:
             self._gb_cache[key] = groebner(self.gb_ring, gens)
         return self._gb_cache[key]
 
-    def _image(self, cand):
-        # not RationalFunction.modp: its per-candidate cache would keep an
-        # image of every candidate ever tested alive
-        fn = self.field.from_fraction
-        return (cand.num.map_coefficients(self.x_ring, fn),
-                cand.den.map_coefficients(self.x_ring, fn))
-
     def _gradient(self, cand):
-        return _gradient_modp(*self._image(cand), self.point)
+        return _gradient_modp(*cand.modp(self.x_ring), self.point)
 
     def contains(self, candidate, eps=0.001):
         """True iff the candidate lies in the generated subfield (with
@@ -173,7 +161,7 @@ class MembershipContext:
         if gb is FAIL:
             return FAIL
         # the candidate's denominator is nonzero at b by the gradient above
-        h = specialize(*self._image(candidate), self.point, self.gb_ring)
+        h = specialize(*candidate.modp(self.x_ring), self.point, self.gb_ring)
         return gb.normal_form(h).is_zero()
 
     def _extra_denominator(self, cand):
@@ -242,14 +230,14 @@ def polynomial_generators(genset, delta, field, rng, include_constants=False):
     normal form of p(y) against the specialized ideal is a constant, so
     every nonconstant monomial in the normal forms of the candidate
     monomials m_i gives one linear condition on v.  The conditions of all
-    points so far are stacked in one reduced row echelon form, and fresh
-    points are drawn until one leaves its rank unchanged (GBs replay one
-    EomsEvaluator trace; a lost point is skipped).  Returns the monic
-    elements of the reduced echelon basis of its nullspace, leading
-    monomials descending.
+    points so far are stacked in one reduced row echelon form: the first
+    point is the EomsEvaluator's learn point, and fresh points are drawn
+    until one leaves the rank unchanged (their GBs replay the learned
+    trace; a lost point is skipped).  Returns the monic elements of the
+    reduced echelon basis of its nullspace, leading monomials descending.
     """
     ev = EomsEvaluator(genset, gb_ring(genset, field, genset.ring.order), rng)
-    x_ring = _x_ring(genset, field)
+    x_ring = genset.modp(field)[0]
     n = genset.ring.arity
     p = field.p
     key = x_ring.order.key
@@ -257,9 +245,10 @@ def polynomial_generators(genset, delta, field, rng, include_constants=False):
     lifted = [ev.ring.from_dict({(0,) + mon: 1}) for mon in monomials]
     dim = len(monomials)
     conditions, pivots = [], []
-    for _ in range(dim + EXTRA_POINTS):
-        point = tuple(rng.randrange(1, p) for _ in range(n))
-        gb = ev.gb(point)
+    gb = ev.learned
+    for k in range(dim + EXTRA_POINTS):
+        if k:
+            gb = ev.gb(tuple(rng.randrange(1, p) for _ in range(n)))
         if gb is FAIL:
             continue
         rows = {}

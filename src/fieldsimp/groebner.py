@@ -86,17 +86,6 @@ class _Codec:
         return all(x == 0 or y == 0 for x, y in zip(ea, eb))
 
 
-_codecs = {}
-
-
-def _codec(ring):
-    k = (len(ring.vars), ring.order.kind)
-    c = _codecs.get(k)
-    if c is None:
-        c = _codecs[k] = _Codec(*k)
-    return c
-
-
 def _pack_terms(codec, poly):
     pack = codec.pack
     return {pack(m): c for m, c in poly.terms}
@@ -248,13 +237,13 @@ class GroebnerTrace:
 
 class ReducedGB:
     """Reduced Groebner basis: monic elements sorted by leading monomial,
-    built from packed term lists (each sorted descending)."""
+    built from packed term lists (each sorted descending) and their codec."""
 
     __slots__ = ("ring", "polys", "_codec", "_plms", "_ptails")
 
-    def __init__(self, ring, basis):
+    def __init__(self, ring, basis, codec):
         self.ring = ring
-        codec = self._codec = _codec(ring)
+        self._codec = codec
         basis = sorted(basis, key=lambda g: g[0][0])
         self._plms = [g[0][0] for g in basis]
         self._ptails = [g[1:] for g in basis]
@@ -265,9 +254,6 @@ class ReducedGB:
 
     def __len__(self):
         return len(self.polys)
-
-    def leading_monomials(self):
-        return tuple(g.leading_monomial() for g in self.polys)
 
     def normal_form(self, poly):
         codec = self._codec
@@ -288,7 +274,7 @@ def _run_buchberger(spec_ring, generators, trace=None):
     FAIL; without, return the reduced GB and the trace of the run."""
     ring = spec_ring
     p = ring.field.p
-    codec = _codec(ring)
+    codec = _Codec(len(ring.vars), ring.order.kind)
 
     inputs = []
     seen = set()
@@ -304,7 +290,7 @@ def _run_buchberger(spec_ring, generators, trace=None):
         raise ValueError("no nonzero generators")
     input_lms = tuple(g.leading_monomial() for g in inputs)
     if any(g.is_constant() for g in inputs):
-        gb = ReducedGB(ring, [[(codec.pack(ring._zero_mon), 1)]])
+        gb = ReducedGB(ring, [[(codec.pack(ring._zero_mon), 1)]], codec)
         if trace is not None:
             return gb
         return gb, GroebnerTrace(input_lms, ())
@@ -363,7 +349,7 @@ def _run_buchberger(spec_ring, generators, trace=None):
             pairs, active = _gm_update(pairs, lms, active,
                                        len(basis) - 1, codec)
 
-    gb = ReducedGB(ring, _interreduce(basis, codec, p))
+    gb = ReducedGB(ring, _interreduce(basis, codec, p), codec)
     if trace is not None:
         return gb
     return gb, GroebnerTrace(input_lms, tuple(events))

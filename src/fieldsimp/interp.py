@@ -10,6 +10,7 @@ and blackbox total-degree estimation along a random line.
 import math
 
 from .arith import FAIL
+from .poly import Ring
 
 # random lines tried by estimate_degrees before it reports FAIL
 DEGREE_ATTEMPTS = 8
@@ -383,6 +384,7 @@ def interpolate_rational(bb, deg_num, deg_den, ring, rng):
     ratio = admissible_ratio(n + 1)
     num_points = deg_num + deg_den + 2
     guard = math.comb(n + deg_num + deg_den, n)
+    hom_ring = Ring(("_h",) + ring.vars, field, ring.order)
 
     def hat_eval(xi):
         # F_hat(xi) = xi_0^(deg_num - deg_den) * F(xi_1/xi_0, ..., xi_n/xi_0)
@@ -441,7 +443,6 @@ def interpolate_rational(bb, deg_num, deg_den, ring, rng):
                 seq_b.append(r[1])
             if bad_attempt:
                 break
-            hom_ring = _hom_ring(ring)
             pn = ben_or_tiwari(seq_a, ratio, deg_num, hom_ring, rng)
             # the denominator's root finding draws from rng: skip it too
             qn = FAIL if pn is FAIL else \
@@ -455,17 +456,6 @@ def interpolate_rational(bb, deg_num, deg_den, ring, rng):
                 break
             t_guess = min(2 * t_guess, guard)
     return FAIL
-
-
-_hom_rings = {}
-
-
-def _hom_ring(ring):
-    key = (ring.vars, ring.field.p, ring.order.kind)
-    if key not in _hom_rings:
-        from .poly import Ring
-        _hom_rings[key] = Ring(("_h",) + ring.vars, ring.field, ring.order)
-    return _hom_rings[key]
 
 
 def _descale_dehomogenize(pn, qn, gamma, deg_num, deg_den, ring):

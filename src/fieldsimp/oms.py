@@ -1,9 +1,10 @@
 """Ideals attached to a generating set and interpolation of the low-degree
 coefficients of their specialized reduced Groebner bases.
 
-This module owns the specialized ideal: `specialize` builds its generators,
-and EomsEvaluator's traced GBs at random points serve both the coefficient
-harvest and the polynomial-generator search in `fields`.
+This module owns the specialized ideal: `GeneratorSet.modp` owns its F_p
+images, `specialize` builds its generators, and EomsEvaluator's traced GBs
+at random points serve both the coefficient harvest and the
+polynomial-generator search in `fields`.
 
 For generators g_i = p_i/q_i of a subfield of k(x_1..x_n), the specialized
 ideal at a point a is
@@ -74,9 +75,21 @@ class GeneratorSet:
             if not g.den.is_constant():
                 q = lcm_q(q, g.den)
         self.common_denominator = q
+        self._modp = {}
 
     def __len__(self):
         return len(self.generators)
+
+    def modp(self, field):
+        """(x_ring, generator images (num, den), image of Q) over F_p,
+        computed once per prime."""
+        if field.p not in self._modp:
+            x_ring = Ring(self.ring.vars, field, self.ring.order)
+            self._modp[field.p] = (
+                x_ring, [g.modp(x_ring) for g in self.generators],
+                self.common_denominator.map_coefficients(
+                    x_ring, field.from_fraction))
+        return self._modp[field.p]
 
 
 def gb_ring(genset, field, order=DEGREVLEX):
@@ -85,54 +98,42 @@ def gb_ring(genset, field, order=DEGREVLEX):
     return Ring(names, field, order)
 
 
-def _lift(poly, ring, t_exp=0):
-    """Embed an F_p polynomial in x into the (t, y) ring, times t^t_exp."""
-    return ring.from_dict({(t_exp,) + m: c for m, c in poly.terms})
-
-
 def specialize(num, den, point, ring):
     """p(y) q(a) - q(y) p(a) in the (t, y) ring for the F_p images p = num
     and q = den, or FAIL when q(a) = 0."""
     qv = den.evaluate(point)
     if qv == 0:
         return FAIL
-    return (_lift(num, ring).scale(qv)
-            - _lift(den, ring).scale(num.evaluate(point)))
+    pv = num.evaluate(point)
+    p = ring.field.p
+    d = {(0,) + m: c * qv % p for m, c in num.terms}
+    for m, c in den.terms:
+        k = (0,) + m
+        d[k] = (d.get(k, 0) - c * pv) % p
+    return ring.from_dict(d)
 
 
 def specialize_eoms(genset, point, ring, extra_denominator=None):
-    """Generators of the specialized ideal at `point`, or FAIL on a pole.
-
-    Each product p_i(y) q_i(a) - q_i(y) p_i(a) is assembled from the sparse
-    parts directly (never through the expanded symbolic product).
-    """
+    """Generators of the specialized ideal at `point`, or FAIL on a pole;
+    `extra_denominator` (a membership candidate's) is folded into Q."""
     field = ring.field
-    x_ring = _x_ring(genset, field)
+    x_ring, images, qmod = genset.modp(field)
     out = []
-    for g in genset.generators:
-        h = specialize(*g.modp(x_ring), point, ring)
+    for num, den in images:
+        h = specialize(num, den, point, ring)
         if h is FAIL:
             return FAIL
         if not h.is_zero():
             out.append(h)
-    qpoly = genset.common_denominator
     if extra_denominator is not None:
-        qpoly = lcm_q(qpoly, extra_denominator)
-    qmod = qpoly.map_coefficients(x_ring, field.from_fraction)
+        qmod = lcm_q(genset.common_denominator, extra_denominator) \
+            .map_coefficients(x_ring, field.from_fraction)
     if qmod.evaluate(point) == 0:
         return FAIL
-    out.append(_lift(qmod, ring, 1) - ring.one())       # t Q(y) - 1
+    d = {(1,) + m: c for m, c in qmod.terms}            # t Q(y) - 1
+    d[ring._zero_mon] = field.neg(field.one)
+    out.append(ring.from_dict(d))
     return out
-
-
-_x_rings = {}
-
-
-def _x_ring(genset, field):
-    key = (genset.ring.vars, field.p, genset.ring.order.kind)
-    if key not in _x_rings:
-        _x_rings[key] = Ring(genset.ring.vars, field, genset.ring.order)
-    return _x_rings[key]
 
 
 class EomsEvaluator:
@@ -140,9 +141,10 @@ class EomsEvaluator:
 
     gb(a) replays the learned trace at a and returns the reduced GB, or
     FAIL; the support discovered at the learn point is enforced at every
-    later point.  eval(a) returns {(element index, monomial): coefficient}
-    for the non-leading support of gb(a).  `finished` keeps the "ok" report
-    entries interpolated on that support.
+    later point, and `learned` keeps the GB computed there.  eval(a)
+    returns {(element index, monomial): coefficient} for the non-leading
+    support of gb(a).  `finished` keeps the "ok" report entries
+    interpolated on that support.
     """
 
     def __init__(self, genset, ring, rng):
@@ -151,7 +153,6 @@ class EomsEvaluator:
         self.rng = rng
         self.n_evals = 0
         self._consecutive_divergences = 0
-        self.trace = None
         self.support = None
         self.finished = {}
         self._learn()
@@ -171,7 +172,7 @@ class EomsEvaluator:
             support = tuple(g.support() for g in gb)
             if support != self.support:
                 self.finished = {}
-            self.trace, self.support = trace, support
+            self.trace, self.support, self.learned = trace, support, gb
             self.n_evals += 1
             return
         raise UnluckyPoint("no regular specialization point mod %d"
@@ -247,7 +248,7 @@ def gb_coefficients(genset, degree_cutoff, ring, rng,
     """
     if evaluator is None:
         evaluator = EomsEvaluator(genset, ring, rng)
-    x_ring = _x_ring(genset, ring.field)
+    x_ring = genset.modp(ring.field)[0]
     # common random numbers: every key samples the same line and the same
     # gamma/sigma/row points, so one GB evaluation per point serves them all
     est_seed, int_seed = rng.getrandbits(64), rng.getrandbits(64)

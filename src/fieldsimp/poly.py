@@ -209,15 +209,6 @@ class MultiPoly:
     def leading_coefficient(self):
         return self.terms[0][1]
 
-    def constant_coefficient(self):
-        zm = self.ring._zero_mon
-        for m, c in reversed(self.terms):
-            if m == zm:
-                return c
-            if sum(m) > 0:
-                break
-        return self.ring.field.zero
-
     def coefficient(self, mon):
         for m, c in self.terms:
             if m == mon:
@@ -546,7 +537,7 @@ def lcm_q(f, g):
 class RationalFunction:
     """num/den over Q, coprime, denominator monic in the ring's order."""
 
-    __slots__ = ("num", "den", "_modp_cache")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=None, _normalized=False):
         if den is None:
@@ -570,7 +561,6 @@ class RationalFunction:
                     den = den.scale(c)
         self.num = num
         self.den = den
-        self._modp_cache = {}
 
     @property
     def ring(self):
@@ -655,23 +645,10 @@ class RationalFunction:
 
     # modular image ----------------------------------------------------
     def modp(self, fp_ring):
-        """Image (num, den) over F_p; cached per prime."""
-        p = fp_ring.field.p
-        cached = self._modp_cache.get(p)
-        if cached is None or cached[0].ring != fp_ring:
-            fn = fp_ring.field.from_fraction
-            cached = (self.num.map_coefficients(fp_ring, fn),
-                      self.den.map_coefficients(fp_ring, fn))
-            self._modp_cache[p] = cached
-        return cached
-
-    def evaluate_modp(self, fp_ring, point):
-        """Value in F_p, or None (FAIL) when the denominator vanishes."""
-        num, den = self.modp(fp_ring)
-        dv = den.evaluate(point)
-        if dv == 0:
-            return None
-        return num.evaluate(point) * pow(dv, -1, fp_ring.field.p) % fp_ring.field.p
+        """Image (num, den) over F_p."""
+        fn = fp_ring.field.from_fraction
+        return (self.num.map_coefficients(fp_ring, fn),
+                self.den.map_coefficients(fp_ring, fn))
 
     def render(self):
         if self.den.is_constant():

@@ -64,6 +64,19 @@ def test_parse_errors():
         rf("(x1 + x2")
 
 
+DEEP_INPUTS = ("(" * 2000 + "x" + ")" * 2000, "-" * 3000 + "x")
+
+
+@pytest.mark.parametrize("text", DEEP_INPUTS, ids=["parentheses", "minus"])
+def test_parse_deep_nesting(text):
+    ring = Ring(("x",), QQ)
+    with pytest.raises(ParseError, match="line 7, .*nested too deeply"):
+        parse_expression(text, ring, line_no=7)
+    # nesting within the limit still parses
+    assert parse_expression("-" * 50 + "(" * 50 + "x" + ")" * 50, ring) \
+        == RationalFunction(ring.variable(0))
+
+
 def test_roundtrip_fixture_corpus():
     for name in ALL_FIXTURES:
         gs = load_fixture(name)
@@ -265,3 +278,33 @@ def test_json_report_deterministic(tmp_path, capsys):
                             "verified", "primes", "seed"}
         assert doc["verified"] is True
         assert printed == doc
+
+
+@pytest.mark.parametrize("text", DEEP_INPUTS, ids=["parentheses", "minus"])
+def test_run_deep_nesting(tmp_path, text):
+    problem = tmp_path / "deep.txt"
+    problem.write_text("vars: x\n" + text + "\n")
+    src = str(Path(fieldsimp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "fieldsimp.cli", "--input", str(problem)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "line 2" in done.stderr and "nested too deeply" in done.stderr
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_FIXTURES = ("example_sym", "heron", "lotka_volterra", "sir6",
+                   "bruno2016")
+
+
+@pytest.mark.parametrize("name", GOLDEN_FIXTURES)
+def test_report_matches_golden(name, capsys):
+    # a change that moves a report on purpose regenerates its file with
+    # `fieldsimp --input tests/fixtures/<name>.txt --format json --seed 0`
+    assert run(["--input", fixture_path(name), "--format", "json",
+                "--seed", "0"]) == 0
+    golden = (GOLDEN_DIR / ("%s.seed0.json" % name)).read_text(
+        encoding="utf-8")
+    assert capsys.readouterr().out == golden

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from fieldsimp import fields as fields_module
 from fieldsimp import oms
 from fieldsimp.arith import FAIL, rational_reconstruct
-from fieldsimp.fields import (MembershipContext, _in_rowspan, _rref, contains,
+from fieldsimp.fields import (MembershipContext, _in_span, _rref, contains,
                               fields_equal, minimize, polynomial_generators)
+from fieldsimp.groebner import ReducedGB
 from fieldsimp.oms import EomsEvaluator, GeneratorSet, UnluckyPoint
 from fieldsimp.poly import PrimeField, QQ, RationalFunction, Ring
 
@@ -76,7 +77,7 @@ def test_jacobian_pretest_rejects():
     ctx = MembershipContext(gs, field, random.Random(5))
     grad = ctx._gradient(x1)
     # the rank pre-test alone already rules the candidate out
-    assert not _in_rowspan(ctx.jacobian, grad, field.p)
+    assert not _in_span(_rref(ctx.jacobian, field.p), grad, field.p)
     assert ctx.contains(x1) is False
 
 
@@ -204,7 +205,8 @@ def test_rref_matches_oracle(case):
     assert pivots == [next(j for j, x in enumerate(r) if x)
                       for r in rows[:rank]]
     assert not any(x % p for r in rows[rank:] for x in r)
-    assert _in_rowspan(matrix, vector, p) == in_fp_span(matrix, vector, p)
+    assert _in_span(_rref(matrix, p), vector, p) \
+        == in_fp_span(matrix, vector, p)
 
 
 def test_transcendence_rank():
@@ -343,6 +345,28 @@ def test_polynomial_generators_replays_one_trace(monkeypatch):
     assert polynomial_generators(gs, 2, FIELDS[0], random.Random(6))
     # one Buchberger run per point would make 11 groebner calls here
     assert calls == {"groebner": 0, "gb_learn": 1}
+
+
+def test_polynomial_generators_reads_the_learned_gb(monkeypatch):
+    reached, served = [], []
+    nf_plus, gb = ReducedGB.nf_plus, EomsEvaluator.gb
+
+    def recording_nf_plus(self, poly):
+        reached.append(self)
+        return nf_plus(self, poly)
+
+    def recording_gb(self, point):
+        got = gb(self, point)
+        if got is not FAIL:
+            served.append(got)
+        return got
+
+    monkeypatch.setattr(ReducedGB, "nf_plus", recording_nf_plus)
+    monkeypatch.setattr(EomsEvaluator, "gb", recording_gb)
+    gs = load_fixture("seir34", var_order=SEIR_ORDER)
+    assert polynomial_generators(gs, 2, FIELDS[0], random.Random(6))
+    # the GB of the learn point is read too, and each replay at most once
+    assert len({id(g) for g in reached}) == len(served) + 1
 
 
 def test_denominator_dividing_a_power_of_q():

@@ -129,7 +129,7 @@ def test_reduced_basis_invariants():
     ring = Ring(("x", "y", "z"), FP)
     gens = [_random_poly(ring, rng, max_terms=3, max_exp=2) for _ in range(3)]
     gb = groebner(ring, gens)
-    lms = gb.leading_monomials()
+    lms = [g.leading_monomial() for g in gb]
     from fieldsimp.poly import mon_divides
     for i, g in enumerate(gb.polys):
         assert g.leading_coefficient() == 1

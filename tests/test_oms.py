@@ -1,15 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldsimp import oms
 from fieldsimp.arith import production_prime
 from fieldsimp.groebner import gb_apply
 from fieldsimp.interp import FAIL, Blackbox
 from fieldsimp.oms import (EomsEvaluator, EvaluationBudgetExceeded,
-                           GeneratorSet, gb_coefficients, gb_ring,
+                           GeneratorSet, gb_coefficients, gb_ring, specialize,
                            specialize_eoms)
-from fieldsimp.poly import LEX, PrimeField, QQ, RationalFunction, Ring
+from fieldsimp.poly import (DEGREVLEX, LEX, MultiPoly, PrimeField, QQ,
+                            RationalFunction, Ring)
 from fieldsimp.simplify import _normalize_monic_num, reconstruct_candidates
 
 from conftest import CHECK_PRIMES, genset_of, load_fixture
@@ -61,6 +64,46 @@ def test_specialize_power_sums_shape():
         value = (pow(3, d, FP.p) + pow(11, d, FP.p)) % FP.p
         assert h == y1 ** d + y2 ** d - ring.from_int(value)
     assert out[3] == t - ring.one()
+
+
+@st.composite
+def specialize_cases(draw):
+    """(num, den, point, (t, y) ring): sparse F_p polynomials over one small
+    pool of monomials, so that terms of num and den share monomials, and
+    den a multiple of num in about one case out of four."""
+    field = PrimeField(draw(st.sampled_from((5, production_prime(0)))))
+    n = draw(st.integers(1, 3))
+    order = draw(st.sampled_from((DEGREVLEX, LEX)))
+    x_ring = Ring(tuple("x%d" % i for i in range(n)), field, order)
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1,
+                         max_size=5, unique=True))
+    coeff = st.integers(0, field.p - 1)
+
+    def poly():
+        mons = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+        return x_ring.from_dict({m: draw(coeff) for m in mons})
+
+    num = poly()
+    den = num.scale(draw(coeff)) if draw(st.integers(0, 3)) == 0 else poly()
+    point = tuple(draw(st.lists(coeff, min_size=n, max_size=n)))
+    return num, den, point, Ring(("t_",) + x_ring.vars, field, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(specialize_cases())
+def test_specialize_matches_two_products(case):
+    num, den, point, ring = case
+    got = specialize(num, den, point, ring)
+    qv = den.evaluate(point)
+    if qv == 0:
+        assert got is FAIL
+        return
+
+    def lift(f):
+        return ring.from_dict({(0,) + m: c for m, c in f.terms})
+
+    expected = lift(num).scale(qv) - lift(den).scale(num.evaluate(point))
+    assert got.terms == expected.terms
 
 
 def test_gb_coefficients_power_sums_lex():
@@ -185,6 +228,25 @@ def test_harvest_evaluates_each_point_once(monkeypatch):
     assert rep is not FAIL
     assert points and len(set(points)) == len(points)
     assert rep.n_evals == len(points)
+
+
+def test_harvest_maps_nothing_to_fp(monkeypatch):
+    # the F_p images of the generators and of Q belong to the GeneratorSet,
+    # made once per prime by the evaluator's learn
+    gs = load_fixture("seir34", var_order=SEIR_ORDER)
+    ring = gb_ring(gs, FP)
+    ev = EomsEvaluator(gs, ring, random.Random(5))
+    mapped = []
+    map_coefficients = MultiPoly.map_coefficients
+
+    def counted(self, ring, fn):
+        mapped.append(self)
+        return map_coefficients(self, ring, fn)
+
+    monkeypatch.setattr(MultiPoly, "map_coefficients", counted)
+    rep = gb_coefficients(gs, 4, ring, random.Random(6), evaluator=ev)
+    assert rep is not FAIL and rep.n_evals > 0
+    assert mapped == []
 
 
 def test_keys_share_points(monkeypatch):

@@ -166,13 +166,6 @@ def test_rf_normalization_unique():
         assert f1.den.leading_coefficient() == 1
 
 
-def test_rf_evaluate_modp():
-    one_over = 1 / q("x1 + 1")
-    assert one_over.evaluate_modp(RP, (0, 0, 0)) == 1
-    assert one_over.evaluate_modp(RP, (P - 1, 0, 0)) is None
-    assert (q("x1") / q("x2")).evaluate_modp(RP, (0, 5, 0)) == 0
-
-
 def test_render_canonical():
     f = qp("3*x1^2*x2 - 1/2*x3")
     assert f.render() == "3*x1^2*x2 - 1/2*x3"
@@ -182,7 +175,6 @@ def test_render_canonical():
 
 def test_constant_coefficient_and_support():
     f = qp("x1^2 + 4*x2 - 7")
-    assert f.constant_coefficient() == -7
     assert f.coefficient((0, 1, 0)) == 4
     assert f.coefficient((9, 0, 0)) == 0
     assert (1, 0, 0) not in f.support() and (2, 0, 0) in f.support()
