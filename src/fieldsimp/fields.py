@@ -8,7 +8,9 @@ computations run over a word-sized prime field, which stands in for the
 sampling-range bounds of the underlying analysis (any fixed error budget is
 met by a large enough prime): the Jacobian rows and candidate gradients are
 taken from the F_p images of numerators and denominators by the quotient
-rule, and the rank test is one reduced row echelon form over F_p.
+rule.  Both the rank test and the polynomial search keep an F_p row space
+as one reduced echelon basis that grows a row at a time (`_extend`), and
+test a vector against it by reducing it (`_reduce`).
 
 The specialized ideal comes from `oms`: MembershipContext reads the F_p
 images of the generators and of Q from `GeneratorSet.modp`, and the
@@ -19,6 +21,8 @@ pole is a lost sample, not a lost test: MembershipContext is the one place
 that redraws such a point, and it raises UnluckyPoint only when its draws
 run out.
 """
+
+import bisect
 
 from .arith import FAIL
 from .groebner import groebner
@@ -32,41 +36,31 @@ from .poly import MultiPoly, RationalFunction, gcd_q, try_divexact
 EXTRA_POINTS = 8
 
 
-def _rref(matrix, p):
-    """Reduced row echelon form over F_p.
-
-    Returns (rows, pivots): rows[:len(pivots)] is the echelon basis with a
-    1 at each pivot column, the remaining rows are zero.
-    """
-    m = [row[:] for row in matrix]
-    pivots = []
-    r = 0
-    for c in range(len(m[0]) if m else 0):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] % p), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def _in_span(rref, vector, p):
-    """True iff `vector` lies in the row space of an `_rref` result."""
-    v = [x % p for x in vector]
-    for row, c in zip(*rref):
+def _reduce(echelon, v, p):
+    """`v` reduced by a reduced echelon basis: a list of (pivot, row) pairs
+    sorted by pivot, each row 1 at its pivot and 0 at the others.  The
+    result is zero iff `v` lies in the row space."""
+    v = [x % p for x in v]
+    for c, row in echelon:
         f = v[c]
         if f:
             v = [(x - f * y) % p for x, y in zip(v, row)]
-    return not any(v)
+    return v
+
+
+def _extend(echelon, v, p):
+    """Add `v` to the row space of `echelon` in place, keeping it reduced;
+    False when `v` already lay in it."""
+    v = _reduce(echelon, v, p)
+    c = next((j for j, x in enumerate(v) if x), None)
+    if c is None:
+        return False
+    inv = pow(v[c], -1, p)
+    pair = (c, [x * inv % p for x in v])
+    echelon[:] = [(d, _reduce([pair], row, p) if row[c] else row)
+                  for d, row in echelon]
+    bisect.insort(echelon, pair)
+    return True
 
 
 def _gradient_modp(num, den, point):
@@ -105,10 +99,11 @@ class MembershipContext:
                 continue
             self.point = b
             self.jacobian = rows
-            self._echelon = _rref(rows, p)
-            pivots = self._echelon[1]
-            self.rank = len(pivots)
-            self.pivots = set(pivots)
+            self._echelon = []
+            for row in rows:
+                _extend(self._echelon, row, p)
+            self.rank = len(self._echelon)
+            self.pivots = {c for c, _ in self._echelon}
             self.nonpivots = [j for j in range(self.genset.ring.arity)
                               if j not in self.pivots]
             self._gb_cache = {}
@@ -130,9 +125,6 @@ class MembershipContext:
             self._gb_cache[key] = groebner(self.gb_ring, gens)
         return self._gb_cache[key]
 
-    def _gradient(self, cand):
-        return _gradient_modp(*cand.modp(self.x_ring), self.point)
-
     def contains(self, candidate, eps=0.001):
         """True iff the candidate lies in the generated subfield (with
         probability controlled by the prime size; eps is nominal)."""
@@ -142,26 +134,28 @@ class MembershipContext:
             raise ValueError("candidate from a different ring")
         if candidate.is_constant():
             return True
+        image = candidate.modp(self.x_ring)
         for _ in range(POINT_ATTEMPTS):
-            verdict = self._contains_at_point(candidate)
+            verdict = self._contains_at_point(candidate, image)
             if verdict is not FAIL:
                 return verdict
             self._draw_point()
         raise UnluckyPoint("candidate has a pole at every point drawn mod %d"
                            % self.field.p)
 
-    def _contains_at_point(self, candidate):
-        """Membership verdict at the current point, or FAIL on a pole."""
-        grad = self._gradient(candidate)
+    def _contains_at_point(self, candidate, image):
+        """Membership verdict at the current point for the candidate and
+        its F_p image (num, den), or FAIL on a pole."""
+        grad = _gradient_modp(*image, self.point)
         if grad is None:
             return FAIL
-        if not _in_span(self._echelon, grad, self.field.p):
+        if any(_reduce(self._echelon, grad, self.field.p)):
             return False
         gb = self._gb(extra_denominator=self._extra_denominator(candidate))
         if gb is FAIL:
             return FAIL
         # the candidate's denominator is nonzero at b by the gradient above
-        h = specialize(*candidate.modp(self.x_ring), self.point, self.gb_ring)
+        h = specialize(*image, self.point, self.gb_ring)
         return gb.normal_form(h).is_zero()
 
     def _extra_denominator(self, cand):
@@ -229,12 +223,12 @@ def polynomial_generators(genset, delta, field, rng, include_constants=False):
     At a random point b, p = sum v_i m_i lies in the subfield only if the
     normal form of p(y) against the specialized ideal is a constant, so
     every nonconstant monomial in the normal forms of the candidate
-    monomials m_i gives one linear condition on v.  The conditions of all
-    points so far are stacked in one reduced row echelon form: the first
-    point is the EomsEvaluator's learn point, and fresh points are drawn
-    until one leaves the rank unchanged (their GBs replay the learned
-    trace; a lost point is skipped).  Returns the monic elements of the
-    reduced echelon basis of its nullspace, leading monomials descending.
+    monomials m_i gives one linear condition on v.  Each point's conditions
+    extend one reduced echelon basis: the first point is the
+    EomsEvaluator's learn point, and fresh points are drawn until one adds
+    no row to it (their GBs replay the learned trace; a lost point is
+    skipped).  Returns the monic elements of the reduced echelon basis of
+    its nullspace, leading monomials descending.
     """
     ev = EomsEvaluator(genset, gb_ring(genset, field, genset.ring.order), rng)
     x_ring = genset.modp(field)[0]
@@ -244,7 +238,7 @@ def polynomial_generators(genset, delta, field, rng, include_constants=False):
     monomials = sorted(_monomials_up_to(n, delta), key=key)
     lifted = [ev.ring.from_dict({(0,) + mon: 1}) for mon in monomials]
     dim = len(monomials)
-    conditions, pivots = [], []
+    echelon = []
     gb = ev.learned
     for k in range(dim + EXTRA_POINTS):
         if k:
@@ -255,23 +249,22 @@ def polynomial_generators(genset, delta, field, rng, include_constants=False):
         for i, mon in enumerate(lifted):
             for mm, c in gb.nf_plus(mon).terms:
                 rows.setdefault(mm, [0] * dim)[i] = c
-        rank = len(pivots)
-        conditions, pivots = _rref(conditions[:rank] + list(rows.values()), p)
-        if len(pivots) == rank:
+        if not sum(_extend(echelon, row, p) for row in rows.values()):
             break
     else:
         raise UnluckyPoint("kernel iteration did not stabilize")
-    nullspace = []
+    pivots = {c for c, _ in echelon}
+    kernel = []
     for f in range(dim):
         if f in pivots:
             continue
         vec = [0] * dim
         vec[f] = 1
-        for row, c in zip(conditions, pivots):
+        for c, row in echelon:
             vec[c] = -row[f] % p
-        nullspace.append(vec)
+        _extend(kernel, vec, p)
     polys = []
-    for vec in _rref(nullspace, p)[0]:
+    for _, vec in kernel:
         poly = x_ring.from_dict({m: c for m, c in zip(monomials, vec) if c})
         if poly.is_constant() and not include_constants:
             continue

@@ -187,7 +187,7 @@ def _uroots(a, p, rng):
     """Distinct roots in F_p of a squarefree-ish univariate polynomial."""
     a = _uscale(a, pow(a[-1], -1, p), p)
     # strip the factor supported on roots only: gcd(a, x^p - x)
-    xp = _upowmod([0, 1], p, a, p)
+    xp = _upowmod(0, p, a, p)
     lin = _ugcd(a, _uadd(xp, [0, p - 1], p), p)
     roots = []
     stack = [lin]
@@ -200,7 +200,7 @@ def _uroots(a, p, rng):
             continue
         while True:
             b = rng.randrange(p)
-            h = _upowmod([b, 1], (p - 1) // 2, f, p)
+            h = _upowmod(b, (p - 1) // 2, f, p)
             g = _ugcd(f, _uadd(h, [p - 1], p), p)
             if 0 < _udeg(g) < _udeg(f):
                 stack.append(g)
@@ -211,14 +211,15 @@ def _uroots(a, p, rng):
     return roots
 
 
-def _upowmod(base, e, mod, p):
+def _upowmod(b, e, mod, p):
+    """(x + b)^e mod `mod`, left to right: one squaring per bit of e, and a
+    shift and a scaled add per set bit."""
     result = [1]
-    base = _udivmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _udivmod(_umul(result, base, p), mod, p)[1]
-        base = _udivmod(_umul(base, base, p), mod, p)[1]
-        e >>= 1
+    for bit in bin(e)[2:]:
+        result = _udivmod(_umul(result, result, p), mod, p)[1]
+        if bit == "1":
+            result = _udivmod(_uadd([0] + result, _uscale(result, b, p), p),
+                              mod, p)[1]
     return result
 
 

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from fieldsimp import fields as fields_module
 from fieldsimp import oms
 from fieldsimp.arith import FAIL, rational_reconstruct
-from fieldsimp.fields import (MembershipContext, _in_span, _rref, contains,
-                              fields_equal, minimize, polynomial_generators)
+from fieldsimp.fields import (MembershipContext, _extend, _gradient_modp,
+                              _reduce, contains, fields_equal, minimize,
+                              polynomial_generators)
 from fieldsimp.groebner import ReducedGB
 from fieldsimp.oms import EomsEvaluator, GeneratorSet, UnluckyPoint
-from fieldsimp.poly import PrimeField, QQ, RationalFunction, Ring
+from fieldsimp.poly import MultiPoly, PrimeField, QQ, RationalFunction, Ring
 
 from conftest import (CHECK_PRIMES, fields_equal_2p, genset_of, load_fixture,
                       parse_many)
@@ -75,9 +76,12 @@ def test_jacobian_pretest_rejects():
     x1 = parse_many(ring, ["x1"])[0]
     field = FIELDS[0]
     ctx = MembershipContext(gs, field, random.Random(5))
-    grad = ctx._gradient(x1)
+    grad = _gradient_modp(*x1.modp(ctx.x_ring), ctx.point)
+    echelon = []
+    for row in ctx.jacobian:
+        _extend(echelon, row, field.p)
     # the rank pre-test alone already rules the candidate out
-    assert not _in_span(_rref(ctx.jacobian, field.p), grad, field.p)
+    assert any(_reduce(echelon, grad, field.p))
     assert ctx.contains(x1) is False
 
 
@@ -111,7 +115,7 @@ def test_gradient_matches_quotient_rule_over_q():
             for g, row in zip(gs.generators, ctx.jacobian):
                 assert row == quotient_rule_modp(g, ctx.x_ring, ctx.point)
             for f in gs.generators + parse_many(gs.ring, exprs):
-                assert ctx._gradient(f) == \
+                assert _gradient_modp(*f.modp(ctx.x_ring), ctx.point) == \
                     quotient_rule_modp(f, ctx.x_ring, ctx.point)
 
 
@@ -120,7 +124,7 @@ def test_gradient_none_at_denominator_zero():
     ctx = MembershipContext(gs, FIELDS[0], random.Random(9))
     a = parse_many(gs.ring, ["a"])[0]
     pole = 1 / (a - Fraction(ctx.point[0]))
-    assert ctx._gradient(pole) is None
+    assert _gradient_modp(*pole.modp(ctx.x_ring), ctx.point) is None
 
 
 def test_candidate_pole_at_context_point_redraws():
@@ -139,7 +143,7 @@ def test_candidate_pole_at_context_point_redraws():
             cand = 1 / (g - Fraction(value))
         else:
             cand = 1 / (a - Fraction(point[0]))
-        assert ctx._gradient(cand) is None
+        assert _gradient_modp(*cand.modp(ctx.x_ring), ctx.point) is None
         assert ctx.contains(cand) is expected
         assert ctx.point != point
         assert contains_2p(gs, cand) is expected
@@ -163,10 +167,38 @@ def test_ideal_pole_at_context_point_redraws(monkeypatch):
     assert points == [point, ctx.point] and ctx.point != point
 
 
+def test_candidate_mapped_to_fp_once(monkeypatch):
+    gs = load_fixture("heron")
+    ctx = MembershipContext(gs, FIELDS[0], random.Random(9))
+    g = gs.generators[0]
+    cand = g * g
+    assert ctx.contains(cand) is True
+    calls = []
+    map_coefficients = MultiPoly.map_coefficients
+
+    def counting(self, *args):
+        calls.append(self)
+        return map_coefficients(self, *args)
+
+    monkeypatch.setattr(MultiPoly, "map_coefficients", counting)
+    assert ctx.contains(cand) is True
+    # one image (num, den) serves the Jacobian pre-test and the ideal test
+    assert len(calls) == 2
+
+
 def test_candidate_pole_at_every_draw(monkeypatch):
     gs = load_fixture("heron")
     ctx = MembershipContext(gs, FIELDS[0], random.Random(9))
-    monkeypatch.setattr(MembershipContext, "_gradient", lambda self, c: None)
+    gradient, images = fields_module._gradient_modp, ctx._images
+
+    def pole_unless_generator(num, den, point):
+        # the generators stay regular, so only the candidate loses points
+        if any(num is g_num for g_num, _ in images):
+            return gradient(num, den, point)
+        return None
+
+    monkeypatch.setattr(fields_module, "_gradient_modp",
+                        pole_unless_generator)
     with pytest.raises(UnluckyPoint, match="pole at every point drawn"):
         ctx.contains(gs.generators[0])
 
@@ -199,13 +231,13 @@ def fp_matrices(draw):
 @example((7, [], [0, 1]))
 def test_rref_matches_oracle(case):
     p, matrix, vector = case
-    rows, pivots = _rref(matrix, p)
-    rank = len(pivots)
-    assert rows[:rank] == fp_echelon(matrix, p)
-    assert pivots == [next(j for j, x in enumerate(r) if x)
-                      for r in rows[:rank]]
-    assert not any(x % p for r in rows[rank:] for x in r)
-    assert _in_span(_rref(matrix, p), vector, p) \
+    echelon = []
+    grown = [_extend(echelon, row, p) for row in matrix]
+    assert [r for _, r in echelon] == fp_echelon(matrix, p)
+    assert [c for c, _ in echelon] == [next(j for j, x in enumerate(r) if x)
+                                       for _, r in echelon]
+    assert grown.count(True) == len(echelon)
+    assert (not any(_reduce(echelon, vector, p))) \
         == in_fp_span(matrix, vector, p)
 
 

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fieldsimp import interp
 from fieldsimp.arith import PrimeField, production_prime
 from fieldsimp.interp import (FAIL, Blackbox, admissible_ratio, ben_or_tiwari,
                               cauchy_interpolate, estimate_degrees,
@@ -201,6 +204,47 @@ def test_estimate_degrees_cutoff():
     den = ring.from_dict({(0, 6): 1, (0, 1): 1, (0, 0): 1})
     bb = bb_of(num, den)
     assert estimate_degrees(bb, 4, FP, random.Random(2)) == "STOPPED"
+
+
+@st.composite
+def powmod_cases(draw):
+    """(p, b, e, mod) with `mod` monic of degree 1-12."""
+    p = draw(st.sampled_from((5, 101, P)))
+    coeff = st.integers(0, p - 1)
+    mod = draw(st.lists(coeff, min_size=1, max_size=12)) + [1]
+    return p, draw(coeff), draw(st.integers(0, 2 ** 62)), mod
+
+
+@settings(max_examples=200, deadline=None)
+@given(powmod_cases())
+def test_upowmod_matches_square_and_multiply(case):
+    p, b, e, mod = case
+
+    def mulmod(u, v):
+        return interp._udivmod(interp._umul(u, v, p), mod, p)[1]
+
+    base, want, k = mulmod([b, 1], [1]), mulmod([1], [1]), e
+    while k:
+        if k & 1:
+            want = mulmod(want, base)
+        base = mulmod(base, base)
+        k >>= 1
+    assert interp._upowmod(b, e, mod, p) == want
+
+
+def test_upowmod_squares_once_per_bit(monkeypatch):
+    calls = []
+    umul = interp._umul
+
+    def counting(a, b, p):
+        calls.append(1)
+        return umul(a, b, p)
+
+    monkeypatch.setattr(interp, "_umul", counting)
+    e = (P - 1) // 2
+    interp._upowmod(3, e, [5, 0, 7, 1, 2, 9, 1], P)
+    # square-and-multiply spends one more product per set bit
+    assert len(calls) <= e.bit_length()
 
 
 def test_roundtrip_smoke():
