@@ -1,18 +1,23 @@
 """Reduced Groebner bases over F_p with learn/apply tracing.
 
 Buchberger with the normal selection strategy and Gebauer-Moller pair
-elimination.  A learn run records the critical-pair schedule and which
-S-polynomials reduced to zero; an apply run replays the schedule, skips the
-recorded zero reductions, and returns FAIL as soon as the replay stops
-matching.
+elimination.  A learn run compiles each reduction into a slot program
+(Traverso's Groebner trace, rows fixed in advance as in F4's symbolic
+preprocessing): one integer slot per monomial the reduction touched, the
+first operand's slots, each step as (source slot, reducer, slots of the
+shifted reducer), the remainder's slots and the slots that cancelled.  An
+apply run maps each input onto its learned support and runs the programs as
+straight-line multiply-subtract on lists of ints, with no heap and no
+divisor search.  groebner() records and compiles nothing.
 
 Internally monomials are packed into single integers so that integer
 comparison realizes the monomial order and integer addition realizes
 monomial multiplication; divisibility is a guard-bit test.  ReducedGB is
-built from the packed basis, and MultiPoly appears only at the API boundary.
+built from the packed basis, and its MultiPoly view on first use.
 """
 
 import heapq
+from collections import namedtuple
 
 from .arith import FAIL
 from .poly import MultiPoly
@@ -77,14 +82,6 @@ class _Codec:
             return v >> self._deg_shift
         return sum(self.unpack(v))
 
-    def lcm(self, a, b):
-        ea, eb = self.unpack(a), self.unpack(b)
-        return self.pack(tuple(max(x, y) for x, y in zip(ea, eb)))
-
-    def coprime(self, a, b):
-        ea, eb = self.unpack(a), self.unpack(b)
-        return all(x == 0 or y == 0 for x, y in zip(ea, eb))
-
 
 def _pack_terms(codec, poly):
     pack = codec.pack
@@ -96,8 +93,9 @@ def _unpack_terms(ring, codec, terms):
     return MultiPoly(ring, tuple((unpack(m), c) for m, c in terms))
 
 
-def _reduce_full(work, lms, tails, codec, p):
-    """Fully reduce the packed term dict `work` by the basis view."""
+def _reduce_full(work, lms, tails, codec, p, steps=None):
+    """Fully reduce the packed term dict `work` by the basis view, appending
+    (monomial, reducer index, packed multiplier) per step to `steps`."""
     CONST, GUARDS = codec.CONST, codec.GUARDS
     out = {}
     heap = [-m for m in work]
@@ -114,6 +112,8 @@ def _reduce_full(work, lms, tails, codec, p):
             q = base - lm
             if q >= 0 and not (q & GUARDS):
                 q -= CONST
+                if steps is not None:
+                    steps.append((m, idx, q))
                 for tm, tc in tails[idx]:
                     mm = q + tm
                     v = (work.get(mm, 0) - c * tc) % p
@@ -164,15 +164,26 @@ def _divides(a, b, codec):
 
 def _gm_update(pairs, basis_lms, active, h_idx, codec):
     """Gebauer-Moller pair update after appending element h_idx; pairs are
-    (lcm degree, packed lcm, i, j), so sorting them is the normal strategy."""
+    (lcm degree, packed lcm, i, j), so sorting them is the normal strategy;
+    lm_i and lm_h are coprime when their lcm is their product."""
+    pack, unpack = codec.pack, codec.unpack
     lmh = basis_lms[h_idx]
-    lcm_h = {i: codec.lcm(lmh, basis_lms[i]) for i in active}
+    eh = unpack(lmh)
+    lcm_h = {}
+
+    def lcm_with_h(i):
+        if i not in lcm_h:
+            lcm_h[i] = pack(tuple(map(max, eh, unpack(basis_lms[i]))))
+        return lcm_h[i]
+
+    coprime = {i for i in active
+               if lcm_with_h(i) == lmh + basis_lms[i] - codec.CONST}
     candidates = sorted(active)
     kept = []
     while candidates:
         i = candidates.pop(0)
         li = lcm_h[i]
-        if codec.coprime(lmh, basis_lms[i]):
+        if i in coprime:
             keep = True
         else:
             keep = (all(not _divides(lcm_h[j], li, codec) or lcm_h[j] == li
@@ -181,13 +192,12 @@ def _gm_update(pairs, basis_lms, active, h_idx, codec):
         if keep:
             kept.append(i)
     new_pairs = [(codec.degree(lcm_h[i]), lcm_h[i], i, h_idx) for i in kept
-                 if not codec.coprime(lmh, basis_lms[i])]
+                 if i not in coprime]
     out = []
     for pair in pairs:
         _, lij, i, j = pair
-        if (_divides(lmh, lij, codec)
-                and codec.lcm(basis_lms[i], lmh) != lij
-                and codec.lcm(basis_lms[j], lmh) != lij):
+        if (_divides(lmh, lij, codec) and lcm_with_h(i) != lij
+                and lcm_with_h(j) != lij):
             continue
         out.append(pair)
     out.extend(new_pairs)
@@ -206,54 +216,100 @@ def _monic_terms(d, p):
     return items
 
 
-def _interreduce(basis, codec, p):
-    """Minimalize and tail-reduce a basis whose S-pairs all reduce to zero."""
-    basis = sorted(basis, key=lambda g: g[0][0])
+def _compile(first, steps, rem, basis):
+    """Slot program (size, first operand, steps, output slots, cancelled
+    slots) of one learned reduction, and the monomial of each slot.  `first`
+    is (basis index, packed shift); `steps` are _reduce_full's records with
+    basis indices; the S-polynomial's second operand is its first step."""
+    rows = [first] + [(i, q) for _, i, q in steps]
+    order = sorted({m + q for i, q in rows for m, _ in basis[i]}, reverse=True)
+    slot = {m: k for k, m in enumerate(order)}
+
+    def row(i, q):
+        return tuple(slot[m + q] for m, _ in basis[i])
+
+    steps = tuple((slot[m], i, row(i, q)) for m, i, q in steps)
+    out = tuple(sorted(slot[m] for m in rem))
+    done = set(out).union(src for src, _, _ in steps)
+    cancelled = tuple(k for k in range(len(order)) if k not in done)
+    return (len(order), (first[0], row(*first)), steps, out, cancelled), order
+
+
+def _slots(program, basis, p):
+    """Slot values, unreduced, after a program's first operand and steps;
+    a step also clears its source slot, which is not read again."""
+    size, (i, first), steps = program[:3]
+    v = [0] * size
+    for s, c in zip(first, basis[i]):
+        v[s] = c
+    for src, r, row in steps:
+        c = v[src] % p
+        if c:
+            for s, rc in zip(row, basis[r]):
+                v[s] -= c * rc
+    return v
+
+
+def _interreduce(basis, codec, p, programs=None):
+    """Minimalize and tail-reduce a basis whose S-pairs all reduce to zero;
+    append the program of each reduction to `programs` when it is given."""
+    lms = [g[0][0] for g in basis]
     minimal = []
-    for g in basis:
-        lm = g[0][0]
-        if any(_divides(h[0][0], lm, codec) for h in minimal):
-            continue
-        minimal.append(g)
+    for k in sorted(range(len(basis)), key=lms.__getitem__):
+        if not any(_divides(lms[h], lms[k], codec) for h in minimal):
+            minimal.append(k)
     reduced = []
-    for i, g in enumerate(minimal):
-        lms = [h[0][0] for j, h in enumerate(minimal) if j != i]
-        tails = [h[1:] for j, h in enumerate(minimal) if j != i]
-        d = _reduce_full(dict(g), lms, tails, codec, p)
+    for k in minimal:
+        others = [h for h in minimal if h != k]
+        steps = None if programs is None else []
+        d = _reduce_full(dict(basis[k]), [lms[h] for h in others],
+                         [basis[h][1:] for h in others], codec, p, steps)
         reduced.append(_monic_terms(d, p))
+        if programs is not None:
+            steps = [(m, others[r], q) for m, r, q in steps]
+            programs.append(_compile((k, 0), steps, d, basis)[0])
     return reduced
 
 
-class GroebnerTrace:
-    """Replay schedule from a learn run."""
-
-    __slots__ = ("input_lms", "events")
-
-    def __init__(self, input_lms, events):
-        self.input_lms = input_lms          # leading monomials of the inputs
-        self.events = events                # [(i, j, packed lcm,
-                                            #   packed-lm-or-None)]
+GroebnerTrace = namedtuple("GroebnerTrace", (
+    "input_lms",    # leading monomials of the inputs
+    "supports",     # packed supports of the inputs
+    "programs",     # slot programs: new basis elements, then the GB's
+    "checks",       # S-polynomial program (size, first, steps) and a
+                    # top-reducible flag per slot, per zero reduction
+    "outputs"))     # packed support of the reduced GB
 
 
 class ReducedGB:
     """Reduced Groebner basis: monic elements sorted by leading monomial,
-    built from packed term lists (each sorted descending) and their codec."""
+    built from packed term lists (each sorted descending) and their codec;
+    the MultiPoly view `polys` is built on first use."""
 
-    __slots__ = ("ring", "polys", "_codec", "_plms", "_ptails")
+    __slots__ = ("ring", "packed", "_codec", "_plms", "_ptails", "_polys")
 
     def __init__(self, ring, basis, codec):
         self.ring = ring
         self._codec = codec
-        basis = sorted(basis, key=lambda g: g[0][0])
-        self._plms = [g[0][0] for g in basis]
-        self._ptails = [g[1:] for g in basis]
-        self.polys = [_unpack_terms(ring, codec, g) for g in basis]
+        self.packed = sorted(basis, key=lambda g: g[0][0])
+        self._plms = [g[0][0] for g in self.packed]
+        self._ptails = [g[1:] for g in self.packed]
+        self._polys = None
+
+    @property
+    def polys(self):
+        if self._polys is None:
+            self._polys = [_unpack_terms(self.ring, self._codec, g)
+                           for g in self.packed]
+        return self._polys
 
     def __iter__(self):
         return iter(self.polys)
 
     def __len__(self):
-        return len(self.polys)
+        return len(self.packed)
+
+    def packed_support(self):
+        return tuple(tuple(m for m, _ in g) for g in self.packed)
 
     def normal_form(self, poly):
         codec = self._codec
@@ -269,13 +325,10 @@ class ReducedGB:
         return nf
 
 
-def _run_buchberger(spec_ring, generators, trace=None):
-    """Shared engine.  With `trace`, replay it and return the reduced GB or
-    FAIL; without, return the reduced GB and the trace of the run."""
-    ring = spec_ring
-    p = ring.field.p
+def _prepare(ring, generators):
+    """Codec, the monic distinct nonzero inputs, their leading monomials,
+    and the unit GB when an input is constant (else None)."""
     codec = _Codec(len(ring.vars), ring.order.kind)
-
     inputs = []
     seen = set()
     for g in generators:
@@ -288,88 +341,104 @@ def _run_buchberger(spec_ring, generators, trace=None):
         inputs.append(g)
     if not inputs:
         raise ValueError("no nonzero generators")
-    input_lms = tuple(g.leading_monomial() for g in inputs)
+    unit = None
     if any(g.is_constant() for g in inputs):
-        gb = ReducedGB(ring, [[(codec.pack(ring._zero_mon), 1)]], codec)
-        if trace is not None:
-            return gb
-        return gb, GroebnerTrace(input_lms, ())
+        unit = ReducedGB(ring, [[(codec.pack(ring._zero_mon), 1)]], codec)
+    return codec, inputs, tuple(g.leading_monomial() for g in inputs), unit
 
-    if trace is not None and trace.input_lms != input_lms:
-        return FAIL
 
+def _run_buchberger(ring, generators, learn):
+    """The reduced GB; with `learn`, also the compiled trace of the run."""
+    p = ring.field.p
+    codec, inputs, input_lms, unit = _prepare(ring, generators)
+    if unit is not None:
+        trace = GroebnerTrace(input_lms, (), (), (), unit.packed_support())
+        return (unit, trace) if learn else unit
     basis = [sorted(_pack_terms(codec, g).items(), reverse=True)
              for g in inputs]
     lms = [g[0][0] for g in basis]
+    pairs, active = [], set()
+    for idx in range(len(basis)):
+        pairs, active = _gm_update(pairs, lms, active, idx, codec)
 
-    if trace is not None:
-        # The event list already fixes the critical-pair schedule (the
-        # selection strategy depends only on leading monomials, which are
-        # verified event by event), so no pair bookkeeping is needed, and
-        # each recorded lcm is that of the pair's verified leading monomials.
-        # The basis grows as in the learn run, so every recorded index
-        # exists, and the reduced GB, minimalized by leading monomials
-        # alone, has the learned leading monomials.
-        for i, j, lcm, tlm in trace.events:
-            s = _spoly_dict(basis[i], basis[j], lcm, p)
-            if tlm is None:
-                # recorded zero reduction: cheap sanity check, then skip
-                if s and not _top_reducible(max(s), lms, codec):
-                    return FAIL
-                continue
-            tails = [g[1:] for g in basis]
-            rem = _reduce_full(s, lms, tails, codec, p)
-            if not rem:
-                return FAIL
-            h = _monic_terms(rem, p)
-            if h[0][0] != tlm:
-                return FAIL
-            basis.append(h)
-            lms.append(h[0][0])
-    else:
-        pairs = []
-        active = set()
-        for idx in range(len(basis)):
-            pairs, active = _gm_update(pairs, lms, active, idx, codec)
+    programs, checks = [], []
+    while pairs:
+        pairs.sort()
+        _, lcm, i, j = pairs.pop(0)
+        s = _spoly_dict(basis[i], basis[j], lcm, p)
+        tails = [g[1:] for g in basis]
+        steps = [(lcm, j, lcm - lms[j])] if learn else None
+        rem = _reduce_full(s, lms, tails, codec, p, steps)
+        if not rem:
+            if learn:
+                program, order = _compile((i, lcm - lms[i]), steps[:1], rem,
+                                          basis)
+                checks.append((program[:3], tuple(
+                    _top_reducible(m, lms, codec) for m in order)))
+            continue
+        if learn:
+            programs.append(_compile((i, lcm - lms[i]), steps, rem, basis)[0])
+        h = _monic_terms(rem, p)
+        basis.append(h)
+        lms.append(h[0][0])
+        pairs, active = _gm_update(pairs, lms, active, len(basis) - 1, codec)
 
-        events = []
-        while pairs:
-            pairs.sort()
-            _, lcm, i, j = pairs.pop(0)
-            s = _spoly_dict(basis[i], basis[j], lcm, p)
-            tails = [g[1:] for g in basis]
-            rem = _reduce_full(s, lms, tails, codec, p)
-            if not rem:
-                events.append((i, j, lcm, None))
-                continue
-            h = _monic_terms(rem, p)
-            events.append((i, j, lcm, h[0][0]))
-            basis.append(h)
-            lms.append(h[0][0])
-            pairs, active = _gm_update(pairs, lms, active,
-                                       len(basis) - 1, codec)
-
-    gb = ReducedGB(ring, _interreduce(basis, codec, p), codec)
-    if trace is not None:
+    gb = ReducedGB(ring, _interreduce(basis, codec, p,
+                                      programs if learn else None), codec)
+    if not learn:
         return gb
-    return gb, GroebnerTrace(input_lms, tuple(events))
+    supports = tuple(tuple(m for m, _ in g) for g in basis[:len(inputs)])
+    return gb, GroebnerTrace(input_lms, supports, tuple(programs),
+                             tuple(checks), gb.packed_support())
 
 
 def groebner(ring, generators):
     """Reduced Groebner basis of the given generators."""
-    return _run_buchberger(ring, generators)[0]
+    return _run_buchberger(ring, generators, learn=False)
 
 
 def gb_learn(ring, generators):
-    """Compute the reduced GB and record a replayable trace."""
-    return _run_buchberger(ring, generators)
+    """Compute the reduced GB and compile a replayable trace."""
+    return _run_buchberger(ring, generators, learn=True)
 
 
 def gb_apply(ring, generators, trace):
     """Replay a trace on a structurally identical input.
 
-    Returns the reduced GB, or FAIL when the replay assumptions fail (the
-    caller discards the evaluation point).
+    Returns the reduced GB, or FAIL when the replay stops matching the
+    learn: an input monomial outside its learned support, a nonzero slot
+    that cancelled at the learn, a remainder lead that vanishes, or a
+    recorded zero reduction whose S-polynomial's lead is not top-reducible
+    (the caller discards the evaluation point).  Slots accumulate c * rc
+    without a modulus and are reduced mod p only when read.
     """
-    return _run_buchberger(ring, generators, trace=trace)
-
+    p = ring.field.p
+    codec, inputs, input_lms, unit = _prepare(ring, generators)
+    if unit is not None:
+        return unit
+    if input_lms != trace.input_lms:
+        return FAIL
+    basis = []
+    for g, support in zip(inputs, trace.supports):
+        d = _pack_terms(codec, g)
+        basis.append([d.pop(m, 0) for m in support])
+        if d:
+            return FAIL
+    for program in trace.programs:
+        v = _slots(program, basis, p)
+        if any(v[s] % p for s in program[4]):
+            return FAIL
+        h = [v[s] % p for s in program[3]]
+        if not h[0]:
+            return FAIL
+        inv = pow(h[0], -1, p)
+        basis.append([c * inv % p for c in h])
+    for program, top in trace.checks:
+        for c, reducible in zip(_slots(program, basis, p), top):
+            if c % p:
+                if not reducible:
+                    return FAIL
+                break
+    final = basis[-len(trace.outputs):]
+    return ReducedGB(ring, [[(m, c) for m, c in zip(monos, h) if c]
+                            for monos, h in zip(trace.outputs, final)], codec)

@@ -211,15 +211,33 @@ def _uroots(a, p, rng):
     return roots
 
 
+def _urem_monic(a, mod, p):
+    """Remainder of the unreduced list `a` by the monic `mod`, in place from
+    the top coefficient down; each slot is reduced mod p when it is read."""
+    d = len(mod) - 1
+    low = mod[:-1]
+    for k in range(len(a) - 1, d - 1, -1):
+        c = a[k] % p
+        if c:
+            for i, y in enumerate(low, k - d):
+                a[i] -= c * y
+    del a[d:]
+    return _utrim([c % p for c in a])
+
+
 def _upowmod(b, e, mod, p):
-    """(x + b)^e mod `mod`, left to right: one squaring per bit of e, and a
-    shift and a scaled add per set bit."""
+    """(x + b)^e mod the monic `mod`, left to right: one squaring per bit of
+    e, and a shift and a scaled add per set bit."""
     result = [1]
     for bit in bin(e)[2:]:
-        result = _udivmod(_umul(result, result, p), mod, p)[1]
+        square = [0] * (2 * len(result) - 1)
+        for i, x in enumerate(result):
+            for j, y in enumerate(result, i):
+                square[j] += x * y
+        result = _urem_monic(square, mod, p)
         if bit == "1":
-            result = _udivmod(_uadd([0] + result, _uscale(result, b, p), p),
-                              mod, p)[1]
+            result = _urem_monic([c + b * d for c, d in
+                                  zip([0] + result, result + [0])], mod, p)
     return result
 
 

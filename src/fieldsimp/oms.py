@@ -173,6 +173,7 @@ class EomsEvaluator:
             if support != self.support:
                 self.finished = {}
             self.trace, self.support, self.learned = trace, support, gb
+            self._keys = self.coefficient_keys()
             self.n_evals += 1
             return
         raise UnluckyPoint("no regular specialization point mod %d"
@@ -190,7 +191,7 @@ class EomsEvaluator:
                 self._learn()
                 self._consecutive_divergences = 0
             return FAIL
-        if tuple(g.support() for g in gb) != self.support:
+        if gb.packed_support() != self.trace.outputs:
             return FAIL
         self._consecutive_divergences = 0
         return gb
@@ -199,7 +200,7 @@ class EomsEvaluator:
         gb = self.gb(point)
         if gb is FAIL:
             return FAIL
-        return {(i, m): c for i, g in enumerate(gb) for m, c in g.terms[1:]}
+        return dict(zip(self._keys, (c for g in gb.packed for _, c in g[1:])))
 
     def coefficient_keys(self):
         keys = []

@@ -296,7 +296,7 @@ def test_run_deep_nesting(tmp_path, text):
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_FIXTURES = ("example_sym", "heron", "lotka_volterra", "sir6",
-                   "bruno2016", "power_sums", "seir34", "genlv")
+                   "bruno2016", "power_sums", "seir34", "genlv", "bilirubin")
 
 
 @pytest.mark.parametrize("name", GOLDEN_FIXTURES)

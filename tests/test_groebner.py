@@ -1,14 +1,18 @@
+import importlib
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldsimp.arith import PrimeField, production_prime
+from fieldsimp.arith import FAIL, PrimeField, production_prime
 from fieldsimp.groebner import TRACE_DIVERGED, gb_apply, gb_learn, groebner
 from fieldsimp.oms import gb_ring, specialize_eoms
 from fieldsimp.poly import LEX, MonomialOrder, Ring
 
-from conftest import load_fixture
+from conftest import fields_equal_2p, load_fixture
+
+# the package exports a function of the same name, so fetch the module
+groebner_module = importlib.import_module("fieldsimp.groebner")
 
 P = production_prime(0)
 FP = PrimeField(P)
@@ -191,20 +195,119 @@ def test_apply_diverges_on_structurally_different_input():
 def test_replay_diverges_at_each_event_check():
     x, y = R2.gens()
     one = R2.one()
+    # learned and replayed inputs share their supports, so each replay
+    # passes the input check and fails at the branch its comment names
     cases = [
-        # recorded zero reduction; the replayed S-polynomial y^2 is not
-        # top-reducible
-        ([x * x, x * y + x], [x * x + y, x * y]),
-        # recorded new element; the replayed S-polynomial reduces to zero
-        ([x * x + y, x * y + one], [x * x, x * y]),
-        # recorded new element y^2 - x; the replay gives x
-        ([x * x + y, x * y + one], [x * x, x * y + one]),
+        # recorded zero reduction; the replayed S-polynomial is -y, whose
+        # lead is not top-reducible
+        ([x * y + y, x + one], [x * y + y, x + 2 * one]),
+        # recorded new element y^2; the replayed S-polynomial reduces to
+        # zero, so the remainder's lead vanishes
+        ([x * x - y * y, x - 2 * y], [x * x - y * y, x - y]),
+        # recorded new element x - y; the replay gives y, so the
+        # remainder's lead vanishes
+        ([x * y + y * y + 2 * x, y * y + y], [x * y + y * y + x, y * y + y]),
     ]
     for learned, replayed in cases:
         _, trace = gb_learn(R2, learned)
-        assert gb_learn(R2, replayed)[1].input_lms == trace.input_lms
+        assert gb_learn(R2, replayed)[1].supports == trace.supports
         assert gb_apply(R2, replayed, trace) is TRACE_DIVERGED
         assert gb_apply(R2, learned, trace) is not TRACE_DIVERGED
+
+
+def test_replay_fails_on_a_slot_cancelled_only_at_the_learn():
+    x, y = R2.gens()
+    # S(f, g) reduces to (a + b^2) y^3 + y^2 for f = x^2 + a y^2 + y and
+    # g = x y + b y^2: the y^3 slot cancels at the learn (a = -1, b = 1)
+    _, trace = gb_learn(R2, [x * x - y * y + y, x * y + y * y])
+    assert gb_apply(R2, [x * x + 2 * y * y + y, x * y + y * y], trace) \
+        is FAIL
+    # where it cancels again (a = -4, b = 2) the replay is the GB
+    again = [x * x - 4 * y * y + y, x * y + 2 * y * y]
+    assert gb_apply(R2, again, trace).polys == groebner(R2, again).polys
+
+
+def test_replay_runs_no_reduction(monkeypatch):
+    x, y = R2.gens()
+    gens = [x * x + y, x * y - R2.one()]
+    gb, trace = gb_learn(R2, gens)
+    assert len(trace.programs) > len(trace.outputs)     # S-pair programs
+    calls = []
+    reduce_full = groebner_module._reduce_full
+
+    def counting(*args):
+        calls.append(1)
+        return reduce_full(*args)
+
+    monkeypatch.setattr(groebner_module, "_reduce_full", counting)
+    assert gb_apply(R2, gens, trace).polys == gb.polys
+    assert calls == []
+
+
+def test_fields_equal_compiles_no_trace(monkeypatch):
+    runs = []
+    run = groebner_module._run_buchberger
+
+    def refuse(*args):
+        raise AssertionError("membership compiled a slot program")
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(groebner_module, "_compile", refuse)
+    monkeypatch.setattr(groebner_module, "_run_buchberger", counting)
+    gs = load_fixture("heron")
+    assert fields_equal_2p(gs, gs) is True
+    assert runs
+
+
+@st.composite
+def parametric_cases(draw):
+    """(ring, generators, rng) in 2-3 variables: each generator is a dict
+    monomial -> (c0, c1), the coefficient c0 + c1 a at the parameter a."""
+    p = draw(st.sampled_from((101, P)))
+    nvars = draw(st.integers(2, 3))
+    ring = Ring(tuple("xyz"[:nvars]), PrimeField(p),
+                MonomialOrder(draw(st.sampled_from(["degrevlex", "lex"]))))
+    mon = st.tuples(*[st.integers(0, 2)] * nvars)
+    coeff = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)) \
+        .filter(any)
+    gens = st.dictionaries(mon, coeff, min_size=1, max_size=3)
+    return (ring, draw(st.lists(gens, min_size=2, max_size=3)),
+            random.Random(draw(st.integers(0, 2 ** 32))))
+
+
+def _at(ring, gens, a):
+    p = ring.field.p
+    return [ring.from_dict({m: (c0 + c1 * a) % p for m, (c0, c1) in g.items()})
+            for g in gens]
+
+
+@settings(max_examples=100, deadline=None)
+@given(parametric_cases())
+def test_replay_is_groebner_or_fail_on_parametric_ideals(case):
+    ring, gens, rng = case
+    p = ring.field.p
+    learn_at = _at(ring, gens, rng.randrange(p))
+    if all(g.is_zero() for g in learn_at):
+        return
+    learned, trace = gb_learn(ring, learn_at)
+    lms = [g.leading_monomial() for g in learned]
+    for _ in range(4):
+        spec = _at(ring, gens, rng.randrange(p))
+        if all(g.is_zero() for g in spec):
+            continue
+        replay = gb_apply(ring, spec, trace)
+        if replay is FAIL:
+            assert p != P       # a random point of a 62-bit field is regular
+            continue
+        fresh = groebner(ring, spec)
+        # at p = 101 the learn point can be special: a recorded zero
+        # reduction that is not one here passes the cheap top-reducibility
+        # check, and the true GB then has other leading monomials
+        if p == P or [g.leading_monomial() for g in fresh] == lms:
+            assert [g.terms for g in replay] == [g.terms for g in fresh]
 
 
 @st.composite

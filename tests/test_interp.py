@@ -234,17 +234,17 @@ def test_upowmod_matches_square_and_multiply(case):
 
 def test_upowmod_squares_once_per_bit(monkeypatch):
     calls = []
-    umul = interp._umul
+    urem = interp._urem_monic
 
-    def counting(a, b, p):
+    def counting(a, mod, p):
         calls.append(1)
-        return umul(a, b, p)
+        return urem(a, mod, p)
 
-    monkeypatch.setattr(interp, "_umul", counting)
+    monkeypatch.setattr(interp, "_urem_monic", counting)
     e = (P - 1) // 2
     interp._upowmod(3, e, [5, 0, 7, 1, 2, 9, 1], P)
-    # square-and-multiply spends one more product per set bit
-    assert len(calls) <= e.bit_length()
+    # one reduction per squaring, one more per shift-and-add
+    assert len(calls) <= e.bit_length() + bin(e).count("1")
 
 
 def test_roundtrip_smoke():
