@@ -2,12 +2,14 @@
 
 Univariate rational interpolation via the extended Euclidean algorithm,
 sparse polynomial interpolation from evaluations at powers of a prime-vector
-ratio, blackbox multivariate rational-function recovery (homogenize, shift,
-interpolate along lines, then recover each side from its top coefficients),
-and blackbox total-degree estimation along a random line.
+ratio, blackbox multivariate recovery (a polynomial straight from such a
+sequence; a rational function by homogenizing, shifting, interpolating along
+lines and recovering each side from its top coefficients), and blackbox
+total-degree estimation along a random line.
 """
 
 import math
+import random
 
 from .arith import FAIL
 from .poly import Ring
@@ -183,9 +185,15 @@ def cauchy_interpolate(points, values, deg_num, deg_den, field):
 # root finding over F_p (probabilistic equal-degree splitting)
 
 
-def _uroots(a, p, rng):
-    """Distinct roots in F_p of a squarefree-ish univariate polynomial."""
+def _uroots(a, p):
+    """Distinct roots in F_p of a squarefree-ish univariate polynomial.
+
+    The splitting is Las Vegas: its draws come from a local stream, and the
+    root set does not depend on them."""
     a = _uscale(a, pow(a[-1], -1, p), p)
+    if _udeg(a) == 1:
+        return [-a[0] % p]
+    rng = random.Random(0)
     # strip the factor supported on roots only: gcd(a, x^p - x)
     xp = _upowmod(0, p, a, p)
     lin = _ugcd(a, _uadd(xp, [0, p - 1], p), p)
@@ -245,11 +253,12 @@ def _upowmod(b, e, mod, p):
 # sparse interpolation from a geometric evaluation sequence
 
 
-def _prony(evals, field, rng):
+def _prony(evals, field, roots_of):
     """Recover {(root, coefficient)} with the sequence e_i = sum c_k root_k^i.
 
     Returns FAIL when the sequence is not explained by <= len(evals)/2
-    distinct nonzero roots (caller enlarges the sequence).
+    distinct nonzero roots (caller enlarges the sequence).  `roots_of`
+    keeps the roots of each Prony polynomial found so far.
     """
     p = field.p
     two_t = len(evals)
@@ -265,8 +274,10 @@ def _prony(evals, field, rng):
     t = _udeg(lam)
     if t > t_bound or t == 0:
         return FAIL
-    mono = list(reversed(lam))                  # prod(z - root), monic
-    roots = _uroots(mono, p, rng)
+    mono = tuple(reversed(lam))                 # prod(z - root), monic
+    if mono not in roots_of:
+        roots_of[mono] = _uroots(mono, p)
+    roots = roots_of[mono]
     if len(roots) != t or 0 in roots:
         return FAIL
     # transposed Vandermonde solve, O(t^2): c_k = (sum_i L_k[i] e_i) / L_k(m_k)
@@ -302,15 +313,16 @@ def _exponent_from_root(root, ratio, degree_bound):
     return tuple(e)
 
 
-def ben_or_tiwari(evals, ratio, degree_bound, ring, rng):
+def ben_or_tiwari(evals, ratio, degree_bound, ring, roots_of=None):
     """Sparse interpolation from f(ratio^0), ..., f(ratio^(2T-1)).
 
     Exact when T is at least the number of terms of f; with smaller T the
     result is wrong and the caller must verify.  Returns FAIL when the
     sequence has no sparse explanation at this T or a recovered root does
-    not factor over the ratio primes.
+    not factor over the ratio primes.  A dict passed as `roots_of` keeps
+    each Prony polynomial's roots across calls.
     """
-    sol = _prony(list(evals), ring.field, rng)
+    sol = _prony(list(evals), ring.field, {} if roots_of is None else roots_of)
     if sol is FAIL:
         return FAIL
     d = {}
@@ -385,25 +397,34 @@ def estimate_degrees(bb, cutoff, field, rng):
 
 
 # ----------------------------------------------------------------------
-# multivariate rational interpolation (homogenize + shift + lines)
+# multivariate rational interpolation
 
 
-def interpolate_rational(bb, deg_num, deg_den, ring, rng):
+def interpolate_rational(bb, deg_num, deg_den, ring, rng, solved=None):
     """Recover (num, den) in `ring` from a blackbox with known total degrees.
 
-    Homogenizes with an extra coordinate, shifts by a random vector, runs
-    univariate rational interpolation along lines u -> gamma*omega^i*u + sigma,
-    and recovers each side's (homogeneous) form from the top u-coefficients
-    via sparse interpolation with a doubling term-count guess.  Accepts only
-    after a fresh-point consistency check; returns FAIL otherwise.
+    A polynomial (deg_den = 0) is read straight off the sequence
+    f(gamma*omega^i), omega the first n primes (Ben-Or & Tiwari).  A
+    rational function is homogenized with an extra coordinate and shifted by
+    a random vector; univariate rational interpolation along the lines
+    u -> gamma*omega^i*u + sigma gives each side's top u-coefficient.  Each
+    side is then sparse-interpolated with a doubling term-count guess, and a
+    candidate is accepted only after a fresh-point consistency check;
+    returns FAIL otherwise.  `solved` maps a sequence (values, degree bound,
+    ring) to its ben_or_tiwari result and a Prony polynomial to its roots,
+    so functions sampled at the same points solve each distinct sequence,
+    and find the roots of each distinct polynomial, once.
     """
     field = ring.field
     p = field.p
     n = bb.arity
-    ratio = admissible_ratio(n + 1)
+    solved = {} if solved is None else solved
+    degrees = (deg_num, deg_den) if deg_den else (deg_num,)
+    seq_ring = Ring(("_h",) + ring.vars, field, ring.order) if deg_den \
+        else ring
+    ratio = admissible_ratio(seq_ring.arity)
     num_points = deg_num + deg_den + 2
     guard = math.comb(n + deg_num + deg_den, n)
-    hom_ring = Ring(("_h",) + ring.vars, field, ring.order)
 
     def hat_eval(xi):
         # F_hat(xi) = xi_0^(deg_num - deg_den) * F(xi_1/xi_0, ..., xi_n/xi_0)
@@ -417,15 +438,16 @@ def interpolate_rational(bb, deg_num, deg_den, ring, rng):
         return v * pow(x0, deg_num - deg_den, p) % p
 
     for _ in range(INTERPOLATION_ATTEMPTS):
-        gamma = [rng.randrange(1, p) for _ in range(n + 1)]
-        sigma = [rng.randrange(1, p) for _ in range(n + 1)]
-        rows = {}          # i -> (top num coeff, top den coeff), normalized
-        bad_attempt = False
+        gamma = [rng.randrange(1, p) for _ in range(seq_ring.arity)]
+        if deg_den:
+            sigma = [rng.randrange(1, p) for _ in range(n + 1)]
 
         def row(i):
-            if i in rows:
-                return rows[i]
-            scale = [g * pow(w, i, p) % p for g, w in zip(gamma, ratio)]
+            # each side's value at gamma*omega^i, or FAIL
+            scale = tuple(g * pow(w, i, p) % p for g, w in zip(gamma, ratio))
+            if not deg_den:
+                v = bb(scale)
+                return FAIL if v is FAIL else (v,)
             points, values = [], []
             u = 1
             while len(points) < num_points:
@@ -447,28 +469,29 @@ def interpolate_rational(bb, deg_num, deg_den, ring, rng):
             ic0 = pow(c0, -1, p)     # normalize den(0) = B_hat(sigma) to 1
             a_top = unum[deg_num] * ic0 % p if _udeg(unum) == deg_num else 0
             b_top = uden[deg_den] * ic0 % p if _udeg(uden) == deg_den else 0
-            rows[i] = (a_top, b_top)
-            return rows[i]
+            return (a_top, b_top)
 
+        rows = []
         t_guess = 1
         while True:
-            seq_a, seq_b = [], []
-            for i in range(2 * t_guess):
+            for i in range(len(rows), 2 * t_guess):
                 r = row(i)
                 if r is FAIL:
-                    bad_attempt = True
                     break
-                seq_a.append(r[0])
-                seq_b.append(r[1])
-            if bad_attempt:
-                break
-            pn = ben_or_tiwari(seq_a, ratio, deg_num, hom_ring, rng)
-            # the denominator's root finding draws from rng: skip it too
-            qn = FAIL if pn is FAIL else \
-                ben_or_tiwari(seq_b, ratio, deg_den, hom_ring, rng)
-            if qn is not FAIL:
-                cand = _descale_dehomogenize(pn, qn, gamma, deg_num, deg_den,
-                                             ring)
+                rows.append(r)
+            if len(rows) < 2 * t_guess:
+                break                   # a lost row ends this attempt
+            polys = []
+            for seq, deg in zip(zip(*rows), degrees):
+                key = (seq, deg, seq_ring)
+                if key not in solved:
+                    solved[key] = ben_or_tiwari(seq, ratio, deg, seq_ring,
+                                                solved)
+                if solved[key] is FAIL:
+                    break
+                polys.append(solved[key])
+            if len(polys) == len(degrees):
+                cand = _descale(polys, degrees, gamma, ring)
                 if cand is not FAIL and _verify(bb, cand, field, rng):
                     return cand
             if t_guess >= guard:
@@ -477,25 +500,31 @@ def interpolate_rational(bb, deg_num, deg_den, ring, rng):
     return FAIL
 
 
-def _descale_dehomogenize(pn, qn, gamma, deg_num, deg_den, ring):
+def _descale(polys, degrees, gamma, ring):
+    """(num, den) in `ring`, den with lead coefficient 1, from the sides
+    interpolated at gamma*omega^i: a term c*m becomes c/gamma^m.  One side
+    is a polynomial (den 1) of degree at most its bound; two sides are
+    homogenized, so each term has exactly its side's degree and loses its
+    first coordinate.  FAIL on a term of the wrong degree (a wrong sparsity
+    guess) or a zero den."""
     p = ring.field.p
+    hom = len(polys) - 1
     out = []
-    for poly, deg in ((pn, deg_num), (qn, deg_den)):
+    for poly, deg in zip(polys, degrees):
         d = {}
         for m, c in poly.terms:
-            if sum(m) != deg:
-                return FAIL          # not homogeneous: wrong sparsity guess
+            if sum(m) > deg or hom and sum(m) < deg:
+                return FAIL
             scale = 1
             for g, e in zip(gamma, m):
                 if e:
                     scale = scale * pow(g, e, p) % p
-            d[m[1:]] = c * pow(scale, -1, p) % p
+            d[m[hom:]] = c * pow(scale, -1, p) % p
         out.append(ring.from_dict(d))
-    num, den = out
+    num, den = out if hom else (out[0], ring.one())
     if den.is_zero():
         return FAIL
-    lc = den.leading_coefficient()
-    ilc = pow(lc, -1, p)
+    ilc = pow(den.leading_coefficient(), -1, p)
     return num.scale(ilc), den.scale(ilc)
 
 

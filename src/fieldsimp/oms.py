@@ -17,10 +17,11 @@ are rational functions of a generating the same subfield.  One traced GB
 evaluation at a point yields every coefficient at once, so a harvest call
 gives all coefficient keys one shared random line and one shared
 interpolation schedule: a distinct point costs one GB evaluation whichever
-keys read it.  A key is interpolated when its degree sum is within the
-requested cutoff, and a key found at one cutoff is not interpolated again
-at a higher one.  The harvest's point memo is also where the evaluation
-budget is enforced: it raises before an evaluation would overspend it.
+keys read it, and a sequence that several keys share is solved once.  A
+key is interpolated when its degree sum is within the requested cutoff,
+and a key found at one cutoff is not interpolated again at a higher one.
+The harvest's point memo is also where the evaluation budget is enforced:
+it raises before an evaluation would overspend it.
 """
 
 import random
@@ -256,6 +257,7 @@ def gb_coefficients(genset, degree_cutoff, ring, rng,
     keys = evaluator.coefficient_keys()
     finished = evaluator.finished
     values = {}          # point -> coefficients in key order, or FAIL
+    solved = {}          # sequences and Prony polynomials solved so far
     start_evals = evaluator.n_evals
 
     def coefficients(point):
@@ -289,7 +291,8 @@ def gb_coefficients(genset, degree_cutoff, ring, rng,
             entries[key] = ("high_degree", None)
             continue
         dn, dd = est
-        got = interpolate_rational(bb, dn, dd, x_ring, random.Random(int_seed))
+        got = interpolate_rational(bb, dn, dd, x_ring, random.Random(int_seed),
+                                   solved)
         if got is FAIL:
             return FAIL
         # a relearn that changes the support replaces evaluator.finished,

@@ -85,10 +85,6 @@ def mon_div(b, a):
     return tuple(y - x for x, y in zip(a, b))
 
 
-def mon_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 class MonomialOrder:
     """degrevlex or lex; the ring's first variable is the greatest one."""
 
@@ -269,11 +265,6 @@ class MultiPoly:
         mul = self.ring.field.mul
         return MultiPoly(self.ring,
                          tuple((m, mul(cf, c)) for m, cf in self.terms))
-
-    def mul_monomial(self, mon, c):
-        mul = self.ring.field.mul
-        return MultiPoly(self.ring, tuple((tuple(x + y for x, y in zip(m, mon)),
-                                           mul(cf, c)) for m, cf in self.terms))
 
     def __pow__(self, n):
         if n < 0:

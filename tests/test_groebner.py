@@ -106,13 +106,16 @@ def test_spair_closure_random_instances():
 
 
 def _spoly(f, g):
-    from fieldsimp.poly import mon_div, mon_lcm
-    l = mon_lcm(f.leading_monomial(), g.leading_monomial())
-    a = f.mul_monomial(mon_div(l, f.leading_monomial()),
-                       f.ring.field.inv(f.leading_coefficient()))
-    b = g.mul_monomial(mon_div(l, g.leading_monomial()),
-                       g.ring.field.inv(g.leading_coefficient()))
-    return a - b
+    field = f.ring.field
+    lcm = tuple(map(max, f.leading_monomial(), g.leading_monomial()))
+    d = {}
+    for h, sign in ((f, field.one), (g, field.neg(field.one))):
+        shift = [x - y for x, y in zip(lcm, h.leading_monomial())]
+        c = field.mul(sign, field.inv(h.leading_coefficient()))
+        for m, cf in h.terms:
+            k = tuple(x + y for x, y in zip(m, shift))
+            d[k] = field.add(d.get(k, field.zero), field.mul(cf, c))
+    return f.ring.from_dict(d)
 
 
 def test_canonical_under_permutation():

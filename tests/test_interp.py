@@ -82,33 +82,32 @@ def test_cauchy_random_rational_roundtrip():
 
 def test_ben_or_tiwari_constant():
     ring = _ring(2)
-    f = ben_or_tiwari([7, 7], (2, 3), 4, ring, random.Random(0))
+    f = ben_or_tiwari([7, 7], (2, 3), 4, ring)
     assert f == ring.from_dict({(0, 0): 7})
 
 
 def test_ben_or_tiwari_single_term():
     ring = _ring(2)
     evals = [3 * pow(12, i, P) % P for i in range(2)]
-    f = ben_or_tiwari(evals, (2, 3), 3, ring, random.Random(0))
+    f = ben_or_tiwari(evals, (2, 3), 3, ring)
     assert f == ring.from_dict({(2, 1): 3})
 
 
 def test_ben_or_tiwari_two_terms():
     ring = _ring(2)
     evals = [(pow(2, i, P) + pow(3, i, P)) % P for i in range(4)]
-    f = ben_or_tiwari(evals, (2, 3), 4, ring, random.Random(0))
+    f = ben_or_tiwari(evals, (2, 3), 4, ring)
     assert f == ring.from_dict({(1, 0): 1, (0, 1): 1})
 
 
 def test_ben_or_tiwari_fail():
     ring = _ring(2)
-    rng = random.Random(0)
     # one term whose root 5 is not a product of the ratio primes 2, 3
-    assert ben_or_tiwari([3, 15], (2, 3), 4, ring, rng) is FAIL
+    assert ben_or_tiwari([3, 15], (2, 3), 4, ring) is FAIL
     # one term x1^5, above the degree bound 4
-    assert ben_or_tiwari([1, 32], (2, 3), 4, ring, rng) is FAIL
+    assert ben_or_tiwari([1, 32], (2, 3), 4, ring) is FAIL
     # no single term c * r^i gives 0, 1
-    assert ben_or_tiwari([0, 1], (2, 3), 4, ring, rng) is FAIL
+    assert ben_or_tiwari([0, 1], (2, 3), 4, ring) is FAIL
 
 
 def test_ben_or_tiwari_random_roundtrip():
@@ -124,7 +123,7 @@ def test_ben_or_tiwari_random_roundtrip():
         t = f.num_terms()
         evals = [f.evaluate(tuple(pow(w, i, P) for w in ratio))
                  for i in range(2 * t)]
-        got = ben_or_tiwari(evals, ratio, 4 * n, ring, rng)
+        got = ben_or_tiwari(evals, ratio, 4 * n, ring)
         assert got == f
 
 
@@ -182,6 +181,50 @@ def test_interpolate_evaluation_economy():
     s_max = 2
     baseline = 2 * s_max * (1 + 2 + 2)
     assert bb.count <= 4 * baseline
+
+
+def test_interpolate_polynomial_roundtrip():
+    rng = random.Random(31)
+    for n in range(1, 6):
+        ring = _ring(n)
+        cases = [ring.from_dict({(0,) * n: rng.randrange(1, P)})]
+        cases += [_sparse(ring, rng, 6, 4) for _ in range(4)]
+        for f in cases:
+            bb = bb_of(f, ring.one())
+            got = interpolate_rational(bb, f.degree(), 0, ring, rng)
+            assert got == (f, ring.one())
+
+
+def test_interpolate_polynomial_high_degree_reach():
+    # the sequence f(gamma * (2, 3)^i) decodes 3^32 < p; one line per row
+    # over the homogenized ratio (2, 3, 5) would not
+    ring = _ring(2)
+    f = ring.from_dict({(1, 0): 1, (0, 32): 1})
+    bb = bb_of(f, ring.one())
+    assert interpolate_rational(bb, 32, 0, ring, random.Random(4)) \
+        == (f, ring.one())
+    assert bb.count <= 100
+
+
+def test_interpolate_polynomial_lost_sequence_point():
+    # losing any one point, sequence points first, gives f or FAIL
+    ring = _ring(3)
+    f = ring.from_dict({(2, 1, 0): 5, (0, 0, 3): 7, (1, 0, 0): 1, (0,) * 3: 2})
+    good = bb_of(f, ring.one())
+    seen = []
+
+    def losing(lost):
+        def fn(point):
+            seen.append(point)
+            return FAIL if point == lost else good.fn(point)
+        return Blackbox(3, fn)
+
+    want = (f, ring.one())
+    assert interpolate_rational(losing(None), 3, 0, ring,
+                                random.Random(6)) == want
+    for lost in list(seen):
+        got = interpolate_rational(losing(lost), 3, 0, ring, random.Random(6))
+        assert got is FAIL or got == want
 
 
 def test_estimate_degrees_constant():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fieldsimp import fields, oms
+from fieldsimp import fields, interp, oms
 from fieldsimp.arith import inv, production_prime
 from fieldsimp.cli import parse_problem_file
 from fieldsimp.fields import contains
@@ -256,6 +256,32 @@ def test_power_sums_harvest_shares_points():
     output, report = simplify(load_fixture("power_sums"), SimplifyConfig(seed=0))
     assert report.verified is True
     assert sum(r["n_evals"] for r in report.rounds) < 1000
+
+
+def test_power_sums_harvest_solves_each_polynomial_once(monkeypatch):
+    # every key of power_sums is a polynomial, read off one shared sequence,
+    # and each harvest finds the roots of a Prony polynomial once
+    simplify_module = importlib.import_module("fieldsimp.simplify")
+    harvests = []
+    harvest = simplify_module.gb_coefficients
+    uroots = interp._uroots
+
+    def recording_harvest(*args, **kwargs):
+        harvests.append([])
+        return harvest(*args, **kwargs)
+
+    def recording_uroots(a, p):
+        harvests[-1].append(tuple(a))
+        return uroots(a, p)
+
+    monkeypatch.setattr(simplify_module, "gb_coefficients", recording_harvest)
+    monkeypatch.setattr(interp, "_uroots", recording_uroots)
+    output, report = simplify(load_fixture("power_sums"), SimplifyConfig(seed=0))
+    assert report.verified is True
+    assert sum(r["n_evals"] for r in report.rounds) <= 150
+    assert harvests and any(harvests)
+    for polys in harvests:
+        assert len(polys) <= len(set(polys))
 
 
 # ----------------------------------------------------------------------
