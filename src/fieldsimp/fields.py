@@ -236,7 +236,7 @@ def polynomial_generators(genset, delta, field, rng, include_constants=False):
     p = field.p
     key = x_ring.order.key
     monomials = sorted(_monomials_up_to(n, delta), key=key)
-    lifted = [ev.ring.from_dict({(0,) + mon: 1}) for mon in monomials]
+    lifted = [(0,) + mon for mon in monomials]
     dim = len(monomials)
     echelon = []
     gb = ev.learned
@@ -245,9 +245,9 @@ def polynomial_generators(genset, delta, field, rng, include_constants=False):
             gb = ev.gb(tuple(rng.randrange(1, p) for _ in range(n)))
         if gb is FAIL:
             continue
-        rows = {}
-        for i, mon in enumerate(lifted):
-            for mm, c in gb.nf_plus(mon).terms:
+        rows = {}           # one condition row per nonconstant monomial
+        for i, nf in enumerate(gb.nonconstant_normal_forms(lifted)):
+            for mm, c in nf.items():
                 rows.setdefault(mm, [0] * dim)[i] = c
         if not sum(_extend(echelon, row, p) for row in rows.values()):
             break

@@ -6,11 +6,12 @@ elimination.  A learn run compiles each reduction into a slot program
 preprocessing): one integer slot per monomial the reduction touched, the
 first operand's slots, each step as (source slot, reducer, slots of the
 shifted reducer), the remainder's slots and the slots that cancelled.  An
-apply run maps each input onto its learned support and runs the programs as
-straight-line multiply-subtract on lists of ints, with no heap and no
-divisor search.  groebner() records and compiles nothing.
+apply run maps each input's terms, as given, onto its learned support and
+runs the programs as straight-line multiply-subtract on lists of ints, with
+no heap and no divisor search.  groebner() records and compiles nothing.
 
-Internally monomials are packed into single integers so that integer
+Callers hand in and read exponent tuples.  Monomials are packed into single
+integers only inside the learn, the GB and its normal forms, so that integer
 comparison realizes the monomial order and integer addition realizes
 monomial multiplication; divisibility is a guard-bit test.  ReducedGB is
 built from the packed basis, and its MultiPoly view on first use.
@@ -272,11 +273,12 @@ def _interreduce(basis, codec, p, programs=None):
 
 
 GroebnerTrace = namedtuple("GroebnerTrace", (
-    "input_lms",    # leading monomials of the inputs
-    "supports",     # packed supports of the inputs
+    "supports",     # support of each nonzero input, exponent tuples in
+                    # term order (the first is its leading monomial)
     "programs",     # slot programs: new basis elements, then the GB's
     "checks",       # S-polynomial program (size, first, steps) and a
-                    # top-reducible flag per slot, per zero reduction
+                    # top-reducible flag per slot, per zero reduction (all
+                    # False where the S-polynomial vanished outright)
     "outputs"))     # packed support of the reduced GB
 
 
@@ -317,45 +319,39 @@ class ReducedGB:
                          self._ptails, codec, self.ring.field.p)
         return _unpack_terms(self.ring, codec, sorted(d.items(), reverse=True))
 
-    def nf_plus(self, poly):
-        """Normal form without its constant term (the smallest monomial)."""
-        nf = self.normal_form(poly)
-        if nf.terms and nf.terms[-1][0] == self.ring._zero_mon:
-            return MultiPoly(self.ring, nf.terms[:-1])
-        return nf
+    def nonconstant_normal_forms(self, monomials):
+        """The normal form of each monomial (an exponent tuple) without its
+        constant term, as a dict keyed by packed monomials (opaque to the
+        caller, equal for equal monomials)."""
+        codec = self._codec
+        out = [_reduce_full({codec.pack(m): 1}, self._plms, self._ptails,
+                            codec, self.ring.field.p) for m in monomials]
+        for d in out:
+            d.pop(codec.CONST, None)        # the packed constant monomial
+        return out
 
 
 def _prepare(ring, generators):
-    """Codec, the monic distinct nonzero inputs, their leading monomials,
-    and the unit GB when an input is constant (else None)."""
+    """Codec, the nonzero inputs (with copies equal up to a scalar, which
+    _interreduce drops), and the unit GB when an input is constant."""
     codec = _Codec(len(ring.vars), ring.order.kind)
-    inputs = []
-    seen = set()
-    for g in generators:
-        if g.is_zero():
-            continue
-        g = g.monic()
-        if g.terms in seen:
-            continue
-        seen.add(g.terms)
-        inputs.append(g)
+    inputs = [g for g in generators if not g.is_zero()]
     if not inputs:
         raise ValueError("no nonzero generators")
     unit = None
     if any(g.is_constant() for g in inputs):
-        unit = ReducedGB(ring, [[(codec.pack(ring._zero_mon), 1)]], codec)
-    return codec, inputs, tuple(g.leading_monomial() for g in inputs), unit
+        unit = ReducedGB(ring, [[(codec.CONST, 1)]], codec)
+    return codec, inputs, unit
 
 
 def _run_buchberger(ring, generators, learn):
     """The reduced GB; with `learn`, also the compiled trace of the run."""
     p = ring.field.p
-    codec, inputs, input_lms, unit = _prepare(ring, generators)
+    codec, inputs, unit = _prepare(ring, generators)
     if unit is not None:
-        trace = GroebnerTrace(input_lms, (), (), (), unit.packed_support())
+        trace = GroebnerTrace((), (), (), unit.packed_support())
         return (unit, trace) if learn else unit
-    basis = [sorted(_pack_terms(codec, g).items(), reverse=True)
-             for g in inputs]
+    basis = [_monic_terms(_pack_terms(codec, g), p) for g in inputs]
     lms = [g[0][0] for g in basis]
     pairs, active = [], set()
     for idx in range(len(basis)):
@@ -374,7 +370,8 @@ def _run_buchberger(ring, generators, learn):
                 program, order = _compile((i, lcm - lms[i]), steps[:1], rem,
                                           basis)
                 checks.append((program[:3], tuple(
-                    _top_reducible(m, lms, codec) for m in order)))
+                    len(steps) > 1 and _top_reducible(m, lms, codec)
+                    for m in order)))
             continue
         if learn:
             programs.append(_compile((i, lcm - lms[i]), steps, rem, basis)[0])
@@ -387,9 +384,9 @@ def _run_buchberger(ring, generators, learn):
                                       programs if learn else None), codec)
     if not learn:
         return gb
-    supports = tuple(tuple(m for m, _ in g) for g in basis[:len(inputs)])
-    return gb, GroebnerTrace(input_lms, supports, tuple(programs),
-                             tuple(checks), gb.packed_support())
+    supports = tuple(g.support() for g in inputs)
+    return gb, GroebnerTrace(supports, tuple(programs), tuple(checks),
+                             gb.packed_support())
 
 
 def groebner(ring, generators):
@@ -406,24 +403,29 @@ def gb_apply(ring, generators, trace):
     """Replay a trace on a structurally identical input.
 
     Returns the reduced GB, or FAIL when the replay stops matching the
-    learn: an input monomial outside its learned support, a nonzero slot
-    that cancelled at the learn, a remainder lead that vanishes, or a
-    recorded zero reduction whose S-polynomial's lead is not top-reducible
-    (the caller discards the evaluation point).  Slots accumulate c * rc
-    without a modulus and are reduced mod p only when read.
+    learn: another number of nonzero inputs, an input term off its learned
+    support or a vanished learned lead, a nonzero slot that cancelled at
+    the learn, a remainder lead that vanishes, or a recorded zero reduction
+    whose S-polynomial is nonzero here and vanished outright at the learn
+    or has a lead that is not top-reducible (the caller discards the point).
+    Slots accumulate c * rc without a modulus and are reduced mod p only
+    when read.
     """
     p = ring.field.p
-    codec, inputs, input_lms, unit = _prepare(ring, generators)
+    codec, inputs, unit = _prepare(ring, generators)
     if unit is not None:
         return unit
-    if input_lms != trace.input_lms:
+    if len(inputs) != len(trace.supports):
         return FAIL
     basis = []
     for g, support in zip(inputs, trace.supports):
-        d = _pack_terms(codec, g)
-        basis.append([d.pop(m, 0) for m in support])
-        if d:
+        row = dict.fromkeys(support, 0)
+        row.update(g.terms)
+        # a term off the support, or a vanished learned leading coefficient
+        if len(row) != len(support) or not row[support[0]]:
             return FAIL
+        inv = pow(row[support[0]], -1, p)
+        basis.append([c * inv % p for c in row.values()])
     for program in trace.programs:
         v = _slots(program, basis, p)
         if any(v[s] % p for s in program[4]):

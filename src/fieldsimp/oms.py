@@ -143,9 +143,10 @@ class EomsEvaluator:
     gb(a) replays the learned trace at a and returns the reduced GB, or
     FAIL; the support discovered at the learn point is enforced at every
     later point, and `learned` keeps the GB computed there.  eval(a)
-    returns {(element index, monomial): coefficient} for the non-leading
-    support of gb(a).  `finished` keeps the "ok" report entries
-    interpolated on that support.
+    returns the tuple of the non-leading coefficients of gb(a), in the
+    order of coefficient_keys(): (element index, monomial) per coefficient,
+    computed when the support changes.  `finished` keeps the "ok" report
+    entries interpolated on that support.
     """
 
     def __init__(self, genset, ring, rng):
@@ -173,8 +174,9 @@ class EomsEvaluator:
             support = tuple(g.support() for g in gb)
             if support != self.support:
                 self.finished = {}
+                self._keys = tuple((i, m) for i, supp in enumerate(support)
+                                   for m in supp[1:])
             self.trace, self.support, self.learned = trace, support, gb
-            self._keys = self.coefficient_keys()
             self.n_evals += 1
             return
         raise UnluckyPoint("no regular specialization point mod %d"
@@ -201,21 +203,15 @@ class EomsEvaluator:
         gb = self.gb(point)
         if gb is FAIL:
             return FAIL
-        return dict(zip(self._keys, (c for g in gb.packed for _, c in g[1:])))
+        return tuple(c for g in gb.packed for _, c in g[1:])
 
     def coefficient_keys(self):
-        keys = []
-        for i, supp in enumerate(self.support):
-            for m in supp[1:]:
-                keys.append((i, m))
-        return keys
+        return self._keys
 
     def coefficient_blackbox(self, key):
         def fn(point):
-            d = self.eval(point)
-            if d is FAIL:
-                return FAIL
-            return d.get(key, 0)
+            vals = self.eval(point)
+            return FAIL if vals is FAIL else vals[self._keys.index(key)]
         return Blackbox(self.genset.ring.arity, fn)
 
 
@@ -267,9 +263,9 @@ def gb_coefficients(genset, degree_cutoff, ring, rng,
             if evaluator.n_evals - start_evals + 1 + relearn > eval_cap:
                 raise EvaluationBudgetExceeded(
                     "GB evaluation budget ran out at d=%d" % degree_cutoff)
-            d = evaluator.eval(point)
-            values[point] = (FAIL if d is FAIL
-                             else tuple(d.get(key, 0) for key in keys))
+            values[point] = evaluator.eval(point)
+            if evaluator.coefficient_keys() is not keys:
+                values[point] = FAIL    # a relearn changed the support
         return values[point]
 
     entries = {}

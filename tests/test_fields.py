@@ -381,11 +381,11 @@ def test_polynomial_generators_replays_one_trace(monkeypatch):
 
 def test_polynomial_generators_reads_the_learned_gb(monkeypatch):
     reached, served = [], []
-    nf_plus, gb = ReducedGB.nf_plus, EomsEvaluator.gb
+    nfs, gb = ReducedGB.nonconstant_normal_forms, EomsEvaluator.gb
 
-    def recording_nf_plus(self, poly):
+    def recording_nfs(self, monomials):
         reached.append(self)
-        return nf_plus(self, poly)
+        return nfs(self, monomials)
 
     def recording_gb(self, point):
         got = gb(self, point)
@@ -393,12 +393,21 @@ def test_polynomial_generators_reads_the_learned_gb(monkeypatch):
             served.append(got)
         return got
 
-    monkeypatch.setattr(ReducedGB, "nf_plus", recording_nf_plus)
+    monkeypatch.setattr(ReducedGB, "nonconstant_normal_forms", recording_nfs)
     monkeypatch.setattr(EomsEvaluator, "gb", recording_gb)
     gs = load_fixture("seir34", var_order=SEIR_ORDER)
     assert polynomial_generators(gs, 2, FIELDS[0], random.Random(6))
-    # the GB of the learn point is read too, and each replay at most once
-    assert len({id(g) for g in reached}) == len(served) + 1
+    # the GB of the learn point is read too, and each replay once
+    assert len(reached) == len({id(g) for g in reached}) == len(served) + 1
+
+
+def test_polynomial_generators_reads_packed_normal_forms(monkeypatch):
+    def refuse(self, poly):
+        raise AssertionError("the search unpacked a normal form")
+
+    monkeypatch.setattr(ReducedGB, "normal_form", refuse)
+    gs = load_fixture("seir34", var_order=SEIR_ORDER)
+    assert polynomial_generators(gs, 2, FIELDS[0], random.Random(6))
 
 
 def test_denominator_dividing_a_power_of_q():

@@ -66,13 +66,21 @@ def test_normal_form_of_ideal_member_is_zero():
         assert gb.normal_form(combo).is_zero()
 
 
-def test_nf_plus_examples():
-    x, y = R2.gens()
-    gb_y = groebner(R2, [y])
-    assert gb_y.nf_plus(R2.one()).is_zero()
-    assert gb_y.nf_plus(x + R2.from_int(3)) == x
-    gb3 = groebner(R2, [x * x - R2.from_int(5)])
-    assert gb3.nf_plus(x * x).is_zero()
+def _nonconstant_terms(gb, monomial):
+    """The nonconstant normal form of one monomial, unpacked into a dict."""
+    nf, = gb.nonconstant_normal_forms([monomial])
+    return {gb._codec.unpack(m): c for m, c in nf.items()}
+
+
+def test_nonconstant_normal_forms_examples():
+    gb_y = groebner(R2, [R2.variable(1)])
+    assert _nonconstant_terms(gb_y, (0, 0)) == {}
+    assert _nonconstant_terms(gb_y, (1, 0)) == {(1, 0): 1}
+    gb3 = groebner(R2, [R2.variable(0) ** 2 - R2.from_int(5)])
+    assert _nonconstant_terms(gb3, (2, 0)) == {}
+    # equal monomials get equal keys, different ones different keys
+    nfs = gb_y.nonconstant_normal_forms([(1, 0), (1, 0), (2, 0)])
+    assert nfs[0].keys() == nfs[1].keys() and nfs[0].keys() != nfs[2].keys()
 
 
 def _random_poly(ring, rng, max_terms=4, max_exp=3):
@@ -190,9 +198,46 @@ def test_apply_equals_untraced_on_specializations():
 
 def test_apply_diverges_on_structurally_different_input():
     x, y = R2.gens()
-    _, trace = gb_learn(R2, [x * x + y, x * y - R2.one()])
-    assert gb_apply(R2, [x + y, y * y - R2.one()], trace) is TRACE_DIVERGED
-    assert gb_apply(R2, [x], trace) is TRACE_DIVERGED
+    one = R2.one()
+    _, trace = gb_learn(R2, [x * x + y, x * y - one])
+    assert trace.supports == (((2, 0), (0, 1)), ((1, 1), (0, 0)))
+    assert gb_apply(R2, [x * x + 2 * y, x * y - 3 * one], trace) \
+        is not TRACE_DIVERGED
+    for replayed in (
+            # another number of nonzero inputs
+            [x],
+            [x * x + y, x * y - one, y * y],
+            # a term off the learned support, as the leading monomial or
+            # below it
+            [x + y, y * y - one],
+            [x * x + x + y, x * y - one],
+            # the coefficient at the learned leading monomial vanishes
+            [2 * y, x * y - one]):
+        assert gb_apply(R2, replayed, trace) is TRACE_DIVERGED
+
+
+def test_replay_keeps_inputs_equal_up_to_a_scalar():
+    x, y = R2.gens()
+
+    def gens(a):
+        f = x * x + R2.from_int(a) * y
+        return [f, f.scale(3), x * y - R2.one()]
+
+    gb, trace = gb_learn(R2, gens(1))
+    assert len(trace.supports) == 3
+    assert gb.polys == groebner(R2, gens(1)[1:]).polys
+    for a in (2, 5):
+        replay = gb_apply(R2, gens(a), trace)
+        assert replay is not FAIL
+        assert replay.polys == groebner(R2, gens(a)).polys
+    # copies learned equal must stay equal: f - f' = x y lies in the ideal,
+    # which is then the unit ideal, although x y is top-reducible
+    f = x * x + x * y
+    _, trace = gb_learn(R2, [f, f, x * y - R2.one()])
+    assert groebner(R2, [f, x * x + 2 * x * y, x * y - R2.one()]).polys \
+        == [R2.one()]
+    assert gb_apply(R2, [f, x * x + 2 * x * y, x * y - R2.one()], trace) \
+        is FAIL
 
 
 def test_replay_diverges_at_each_event_check():
@@ -345,7 +390,9 @@ def test_packed_results_keep_ring_order(case):
     lms = [key(g.leading_monomial()) for g in gb]
     assert lms == sorted(set(lms))
     for h in probes + gens:
-        nf = gb.normal_form(h)
-        plus = gb.nf_plus(h)
-        assert canonical(nf) and canonical(plus)
-        assert plus.terms == tuple(t for t in nf.terms if any(t[0]))
+        assert canonical(gb.normal_form(h))
+        for m in h.support():
+            nf = gb.normal_form(ring.from_dict({m: 1}))
+            plus = _nonconstant_terms(gb, m)
+            assert canonical(nf) and all(0 < c < P for c in plus.values())
+            assert plus == {t: c for t, c in nf.terms if any(t)}

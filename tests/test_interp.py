@@ -227,6 +227,26 @@ def test_interpolate_polynomial_lost_sequence_point():
         assert got is FAIL or got == want
 
 
+def test_interpolate_verifies_each_candidate(monkeypatch):
+    # a wrong polynomial within the degree bound for the first sequence is
+    # rejected at fresh points, and the doubling guess goes on to f
+    ring = _ring(2)
+    f = ring.from_dict({(1, 1): 3, (0, 0): 5})
+    real, lengths = interp.ben_or_tiwari, []
+
+    def wrong_first(evals, ratio, degree_bound, seq_ring, roots_of=None):
+        lengths.append(len(evals))
+        if len(lengths) == 1:
+            return seq_ring.from_dict({(1, 0): 1})
+        return real(evals, ratio, degree_bound, seq_ring, roots_of)
+
+    monkeypatch.setattr(interp, "ben_or_tiwari", wrong_first)
+    got = interpolate_rational(bb_of(f, ring.one()), 2, 0, ring,
+                               random.Random(7))
+    assert got == (f, ring.one())
+    assert lengths[:2] == [2, 4]
+
+
 def test_estimate_degrees_constant():
     ring = _ring(2)
     bb = bb_of(ring.from_dict({(0, 0): 9}), ring.one())

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -16,6 +17,9 @@ from fieldsimp.poly import (DEGREVLEX, LEX, MultiPoly, PrimeField, QQ,
 from fieldsimp.simplify import _normalize_monic_num, reconstruct_candidates
 
 from conftest import CHECK_PRIMES, genset_of, load_fixture
+
+# the package exports a function of the same name, so fetch the module
+groebner_module = importlib.import_module("fieldsimp.groebner")
 
 FP = PrimeField(CHECK_PRIMES[0])
 
@@ -168,7 +172,7 @@ def test_shared_evaluator_keeps_trace():
     assert shared.trace is trace
     assert rep1.n_evals > 0 and rep2.n_evals > 0
     assert shared.n_evals == learned + rep1.n_evals + rep2.n_evals
-    # a repeated point is evaluated again: an equal dict, counted twice
+    # a repeated point is evaluated again: an equal tuple, counted twice
     point = tuple(rng.randrange(1, FP.p) for _ in range(gs.ring.arity))
     before = shared.n_evals
     first = shared.eval(point)
@@ -181,7 +185,7 @@ def test_shape_stability():
     gs = load_fixture("heron")
     ring = gb_ring(gs, FP)
     ev = EomsEvaluator(gs, ring, random.Random(9))
-    keys = set(ev.coefficient_keys())
+    keys = ev.coefficient_keys()
     rng = random.Random(10)
     successes = 0
     for _ in range(10):
@@ -190,8 +194,28 @@ def test_shape_stability():
         if got is FAIL:
             continue
         successes += 1
-        assert set(got.keys()) == keys
+        assert len(got) == len(keys)
+        assert ev.coefficient_keys() is keys
     assert successes >= 8
+
+
+def test_eval_packs_no_monomial_after_the_learn(monkeypatch):
+    gs = load_fixture("heron")
+    ev = EomsEvaluator(gs, gb_ring(gs, FP), random.Random(9))
+    packs = []
+    pack = groebner_module._Codec.pack
+
+    def counting(self, e):
+        packs.append(e)
+        return pack(self, e)
+
+    monkeypatch.setattr(groebner_module._Codec, "pack", counting)
+    rng = random.Random(10)
+    served = 0
+    for _ in range(5):
+        point = tuple(rng.randrange(1, FP.p) for _ in range(gs.ring.arity))
+        served += ev.eval(point) is not FAIL
+    assert served and packs == []
 
 
 def test_generator_set_invariants():
@@ -323,6 +347,27 @@ def test_relearn_on_new_support_drops_finished_keys(monkeypatch):
     rep = gb_coefficients(gs, 2, ring, rng, evaluator=ev)
     assert rep is not FAIL
     assert len(estimated) == len(rep.entries) == len(ev.coefficient_keys())
+
+
+def test_relearn_on_new_support_mid_harvest_loses_its_points(monkeypatch):
+    gs = load_fixture("example_sym")
+    ring = gb_ring(gs, FP)
+    ev = EomsEvaluator(gs, ring, random.Random(3))
+    generic = ev.coefficient_keys()
+    replay = ev.eval
+
+    def relearn_then_replay(point):
+        # at x2 = -x1 the odd power sum vanishes and the GB loses a term
+        if ev.coefficient_keys() is generic:
+            monkeypatch.setattr(ev, "_random_point", lambda: (5, FP.p - 5))
+            ev._learn()
+        return replay(point)
+
+    monkeypatch.setattr(ev, "eval", relearn_then_replay)
+    # the coefficient tuples of the new support no longer match the keys
+    assert gb_coefficients(gs, 2, ring, random.Random(4), evaluator=ev) \
+        is FAIL
+    assert ev.coefficient_keys() is not generic
 
 
 # ----------------------------------------------------------------------
