@@ -6,11 +6,13 @@ p_f(y) q_f(b) - q_f(y) p_f(b) against the specialized ideal of the
 generators augmented with y_j - b_j for the non-pivot variables j.  All
 computations run over a word-sized prime field, which stands in for the
 sampling-range bounds of the underlying analysis (any fixed error budget is
-met by a large enough prime): the Jacobian rows and candidate gradients are
-taken from the F_p images of numerators and denominators by the quotient
-rule.  Both the rank test and the polynomial search keep an F_p row space
-as one reduced echelon basis that grows a row at a time (`_extend`), and
-test a vector against it by reducing it (`_reduce`).
+met by a large enough prime): the Jacobian rows and candidate gradients
+come by the quotient rule from one pass over the terms of the F_p images of
+numerators and denominators, which reads each value and gradient together
+(points are drawn with every coordinate nonzero).  Both the rank test and
+the polynomial search keep an F_p row space as one reduced echelon basis
+that grows a row at a time (`_extend`), and test a vector against it by
+reducing it (`_reduce`).
 
 The specialized ideal comes from `oms`: MembershipContext reads the F_p
 images of the generators and of Q from `GeneratorSet.modp`, and the
@@ -65,16 +67,33 @@ def _extend(echelon, v, p):
 
 def _gradient_modp(num, den, point):
     """Gradient of num/den at `point` by the quotient rule, for F_p
-    polynomials num and den; None when den vanishes at the point."""
+    polynomials num and den; None when den vanishes at the point.  Every
+    coordinate of the point must be nonzero."""
     p = num.ring.field.p
-    dv = den.evaluate(point)
+    inverses = [pow(x, -1, p) for x in point]
+    dv, dgrad = _value_and_gradient(den, point, inverses, p)
     if dv == 0:
         return None
-    nv = num.evaluate(point)
+    nv, ngrad = _value_and_gradient(num, point, inverses, p)
     inv = pow(dv * dv, -1, p)
-    return [(num.partial_derivative(i).evaluate(point) * dv
-             - nv * den.partial_derivative(i).evaluate(point)) * inv % p
-            for i in range(num.ring.arity)]
+    return [(a * dv - nv * b) * inv % p for a, b in zip(ngrad, dgrad)]
+
+
+def _value_and_gradient(poly, point, inverses, p):
+    """Value and gradient of an F_p polynomial at `point`, in one pass over
+    its terms: a term c x^m adds m_i c x^m / x_i to entry i."""
+    value = 0
+    grad = [0] * len(point)
+    for m, c in poly.terms:
+        v = c
+        for x, e in zip(point, m):
+            if e:
+                v = v * pow(x, e, p) % p
+        value += v
+        for i, e in enumerate(m):
+            if e:
+                grad[i] += e * v * inverses[i]
+    return value % p, [g % p for g in grad]
 
 
 class MembershipContext:
@@ -198,12 +217,6 @@ def minimize(generators, ring, field, rng, eps=0.001):
     eps/len(generators)."""
     kept = [g if isinstance(g, RationalFunction) else RationalFunction(g)
             for g in generators]
-    # drop duplicates first
-    out = []
-    for g in kept:
-        if not any(g == h for h in out):
-            out.append(g)
-    kept = out
     i = 0
     while i < len(kept):
         others = kept[:i] + kept[i + 1:]
@@ -217,8 +230,9 @@ def minimize(generators, ring, field, rng, eps=0.001):
     return kept
 
 
-def polynomial_generators(genset, delta, field, rng, include_constants=False):
-    """Basis of { p in F_p[x] : deg p <= delta, p(x) in the subfield }.
+def polynomial_generators(genset, delta, field, rng):
+    """Basis of { p in F_p[x] : deg p <= delta, p(x) in the subfield },
+    constants left out.
 
     At a random point b, p = sum v_i m_i lies in the subfield only if the
     normal form of p(y) against the specialized ideal is a constant, so
@@ -266,9 +280,8 @@ def polynomial_generators(genset, delta, field, rng, include_constants=False):
     polys = []
     for _, vec in kernel:
         poly = x_ring.from_dict({m: c for m, c in zip(monomials, vec) if c})
-        if poly.is_constant() and not include_constants:
-            continue
-        polys.append(poly.monic())
+        if not poly.is_constant():
+            polys.append(poly.monic())
     polys.sort(key=lambda q: key(q.leading_monomial()), reverse=True)
     return polys
 

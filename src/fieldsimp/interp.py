@@ -8,6 +8,7 @@ lines and recovering each side from its top coefficients), and blackbox
 total-degree estimation along a random line.
 """
 
+import itertools
 import math
 import random
 
@@ -20,20 +21,16 @@ DEGREE_ATTEMPTS = 8
 INTERPOLATION_ATTEMPTS = 4
 
 
-def first_primes(n):
+def admissible_ratio(n):
+    """Evaluation base: the first n primes (exponents recoverable by
+    trial division)."""
     out = []
     k = 2
     while len(out) < n:
         if all(k % q for q in out):
             out.append(k)
         k += 1
-    return out
-
-
-def admissible_ratio(n):
-    """Evaluation base: the first n primes (exponents recoverable by
-    trial division)."""
-    return tuple(first_primes(n))
+    return tuple(out)
 
 
 class Blackbox:
@@ -348,51 +345,29 @@ def estimate_degrees(bb, cutoff, field, rng):
     for _ in range(DEGREE_ATTEMPTS):
         base = [rng.randrange(p) for _ in range(bb.arity)]
         direction = [rng.randrange(1, p) for _ in range(bb.arity)]
-
-        def line(u):
-            return tuple((a + u * b) % p for a, b in zip(base, direction))
-
         u0 = rng.randrange(p)
-        v0 = bb(line(u0))
-        if v0 is FAIL:
-            continue
-        cache = {}
-
-        def sample(u):
-            if u not in cache:
-                cache[u] = bb(line(u))
-            return cache[u]
-
-        failed = False
-        for t in range(cutoff + 1):
-            points, values = [], []
-            u = 1
-            while len(points) < 2 * t + 2:
-                if u != u0:
-                    v = sample(u)
-                    if v is FAIL:
-                        failed = True
-                        break
-                    points.append(u)
-                    values.append(v)
-                u += 1
-            if failed:
+        # (u, value) along the line: the check at u0 first, then the fit
+        # samples at u = 1, 2, ...; a lost sample drops the line
+        samples = []
+        for u in itertools.chain((u0,), (u for u in itertools.count(1)
+                                         if u != u0)):
+            v = bb(tuple((a + u * b) % p for a, b in zip(base, direction)))
+            if v is FAIL:
                 break
-            got = cauchy_interpolate(points, values, t, t, field)
-            if got is FAIL:
+            samples.append((u, v))
+            t, odd = divmod(len(samples) - 3, 2)
+            if t < 0 or odd:
                 continue
-            num, den = got
-            if _ueval(den, u0, p) == 0:
-                continue
-            if _ueval(num, u0, p) != _ueval(den, u0, p) * v0 % p:
-                continue
-            dn = _udeg(num) if num else 0
-            dd = _udeg(den)
-            if dn + dd > cutoff:
+            got = cauchy_interpolate(*zip(*samples[1:]), t, t, field)
+            if got is not FAIL:
+                num, den = got
+                dv = _ueval(den, u0, p)
+                if dv and _ueval(num, u0, p) == dv * samples[0][1] % p:
+                    dn = _udeg(num) if num else 0
+                    dd = _udeg(den)
+                    return "STOPPED" if dn + dd > cutoff else (dn, dd)
+            if t == cutoff:
                 return "STOPPED"
-            return (dn, dd)
-        if not failed:
-            return "STOPPED"
     return FAIL
 
 
@@ -528,12 +503,14 @@ def _descale(polys, degrees, gamma, ring):
     return num.scale(ilc), den.scale(ilc)
 
 
-def _verify(bb, cand, field, rng, trials=2):
+def _verify(bb, cand, field, rng):
+    """True when the candidate matches the blackbox at two random points
+    (lost samples are skipped, 16 draws at most)."""
     num, den = cand
     p = field.p
     checked = 0
     attempts = 0
-    while checked < trials and attempts < 16:
+    while checked < 2 and attempts < 16:
         attempts += 1
         point = tuple(rng.randrange(p) for _ in range(bb.arity))
         v = bb(point)
@@ -543,4 +520,4 @@ def _verify(bb, cand, field, rng, trials=2):
         if num.evaluate(point) != v * dv % p:
             return False
         checked += 1
-    return checked == trials
+    return checked == 2

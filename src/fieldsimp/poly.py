@@ -293,26 +293,7 @@ class MultiPoly:
             return self
         return self.scale(self.ring.field.inv(lc))
 
-    # calculus / evaluation -------------------------------------------
-    def partial_derivative(self, i):
-        f = self.ring.field
-        d = {}
-        for m, c in self.terms:
-            if m[i] == 0:
-                continue
-            e = list(m)
-            k = e[i]
-            e[i] = k - 1
-            me = tuple(e)
-            cc = f.mul(c, f.from_int(k))
-            if me in d:
-                cc = f.add(d[me], cc)
-            if cc != f.zero:
-                d[me] = cc
-            else:
-                d.pop(me, None)
-        return self.ring.from_dict(d)
-
+    # evaluation ------------------------------------------------------
     def evaluate(self, point):
         if len(point) != len(self.ring.vars):
             raise ValueError("point arity mismatch")

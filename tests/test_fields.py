@@ -85,6 +85,17 @@ def test_jacobian_pretest_rejects():
     assert ctx.contains(x1) is False
 
 
+def _derivative(f, i):
+    """d f / d x_i, term by term over f's field."""
+    field = f.ring.field
+    d = {}
+    for m, c in f.terms:
+        if m[i]:
+            k = m[:i] + (m[i] - 1,) + m[i + 1:]
+            d[k] = field.mul(c, field.from_int(m[i]))
+    return f.ring.from_dict(d)
+
+
 def quotient_rule_modp(f, x_ring, point):
     """Reference gradient: the exact quotient rule over Q, reduced mod p."""
     p = x_ring.field.p
@@ -92,11 +103,44 @@ def quotient_rule_modp(f, x_ring, point):
     inv = pow(den2.evaluate(point), -1, p)
     out = []
     for i in range(f.ring.arity):
-        num = f.num.partial_derivative(i) * f.den \
-            - f.num * f.den.partial_derivative(i)
+        num = _derivative(f.num, i) * f.den - f.num * _derivative(f.den, i)
         num = num.map_coefficients(x_ring, x_ring.field.from_fraction)
         out.append(num.evaluate(point) * inv % p)
     return out
+
+
+@st.composite
+def sparse_fp_quotients(draw):
+    """(num, den, point): random sparse F_p polynomials in up to 15
+    variables with exponents up to 65535, and a point with every
+    coordinate in [1, p)."""
+    p = draw(st.sampled_from((101, FIELDS[0].p)))
+    n = draw(st.integers(1, 15))
+    ring = Ring(tuple("x%d" % (i + 1) for i in range(n)), PrimeField(p))
+    coeff = st.integers(1, p - 1)
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, 65535))
+    mons = st.tuples(*[exponent] * n)
+    num, den = (ring.from_dict(draw(st.dictionaries(mons, coeff,
+                                                    min_size=lo, max_size=6)))
+                for lo in (0, 1))
+    point = tuple(draw(st.lists(st.integers(1, p - 1), min_size=n,
+                                max_size=n)))
+    return num, den, point
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_fp_quotients())
+def test_gradient_matches_quotient_rule_over_fp(case):
+    num, den, point = case
+    p = num.ring.field.p
+    dv = den.evaluate(point)
+    if dv == 0:
+        assert _gradient_modp(num, den, point) is None
+        return
+    inv = pow(dv * dv, -1, p)
+    want = [((_derivative(num, i) * den - num * _derivative(den, i))
+             .evaluate(point)) * inv % p for i in range(num.ring.arity)]
+    assert _gradient_modp(num, den, point) == want
 
 
 GRADIENT_CANDIDATES = {
@@ -308,19 +352,15 @@ def test_minimize_singleton():
 def test_polynomial_generators_single_variable():
     gs = genset_of(Ring(("x1", "x2"), QQ), ["x1"])
     field = FIELDS[0]
-    basis = polynomial_generators(gs, 1, field, random.Random(3),
-                                  include_constants=True)
-    assert len(basis) == 2
-    supports = sorted(b.support() for b in basis)
-    assert supports == [((0, 0),), ((1, 0),)]
+    basis = polynomial_generators(gs, 1, field, random.Random(3))
+    assert [b.support() for b in basis] == [((1, 0),)]
 
 
 def test_polynomial_generators_symmetric():
     gs = load_fixture("example_sym")
     field = FIELDS[0]
-    basis = polynomial_generators(gs, 2, field, random.Random(4),
-                                  include_constants=True)
-    assert len(basis) == 4
+    basis = polynomial_generators(gs, 2, field, random.Random(4))
+    assert len(basis) == 3
     # every basis element lifts to a Q polynomial inside the field
     for b in basis:
         cand = lift_modp_poly(b, gs.ring, field.p)
@@ -335,8 +375,9 @@ def test_polynomial_generators_match_oracle():
         monomials, kernel = symbolic_membership_space(gs, 2)
         for field in FIELDS:
             p = field.p
-            basis = polynomial_generators(gs, 2, field, random.Random(k),
-                                          include_constants=True)
+            basis = polynomial_generators(gs, 2, field, random.Random(k))
+            # the oracle's space holds the constants too
+            basis.append(basis[0].ring.one())
             got = [[b.coefficient(m) for m in monomials] for b in basis]
             want = [[c.numerator * pow(c.denominator, -1, p) % p for c in row]
                     for row in kernel]

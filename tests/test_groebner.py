@@ -1,6 +1,7 @@
 import importlib
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -273,6 +274,20 @@ def test_replay_fails_on_a_slot_cancelled_only_at_the_learn():
     # where it cancels again (a = -4, b = 2) the replay is the GB
     again = [x * x - 4 * y * y + y, x * y + 2 * y * y]
     assert gb_apply(R2, again, trace).polys == groebner(R2, again).polys
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: verified learn")
+@pytest.mark.parametrize("p", [P, 101], ids=["production", "p101"])
+def test_replay_is_never_a_wrong_basis(p):
+    # the learn on [x^2 - x, x^2 - 1] reaches the unit ideal; replayed on
+    # [3x^2 + x, 2x^2 + 3], whose basis is also [1], the trace runs to
+    # [x - 9/2] instead of diverging
+    ring = Ring(("x",), PrimeField(p))
+    x, one = ring.variable(0), ring.one()
+    _, trace = gb_learn(ring, [x * x - x, x * x - one])
+    gens = [3 * x * x + x, 2 * x * x + 3 * one]
+    replay = gb_apply(ring, gens, trace)
+    assert replay is FAIL or replay.polys == groebner(ring, gens).polys
 
 
 def test_replay_runs_no_reduction(monkeypatch):

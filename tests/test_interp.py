@@ -267,6 +267,32 @@ def test_estimate_degrees_cutoff():
     den = ring.from_dict({(0, 6): 1, (0, 1): 1, (0, 0): 1})
     bb = bb_of(num, den)
     assert estimate_degrees(bb, 4, FP, random.Random(2)) == "STOPPED"
+    # u0, then the 2 * 4 + 2 samples of the last fit, on one line
+    assert bb.count == 11
+
+
+def test_estimate_degrees_lost_sample_moves_to_next_line():
+    # a FAIL at u = 3 of the first line drops that line; the degrees are
+    # read off the second, which is sampled at u0 and then u = 1, 2, ...
+    # until 2t + 2 samples fit degrees (t, t)
+    f101 = PrimeField(101)
+    ring = Ring(("x1", "x2"), f101)
+    num = ring.from_dict({(2, 0): 1, (0, 1): 3})
+    den = ring.from_dict({(1, 0): 1, (0, 1): 1, (0, 0): 5})
+    calls = []
+
+    def fn(point):
+        calls.append(point)
+        if len(calls) == 4:
+            return FAIL
+        return num.evaluate(point) * pow(den.evaluate(point), -1, 101) % 101
+
+    got = estimate_degrees(Blackbox(2, fn), 10, f101, random.Random(3))
+    assert got == (2, 1)
+    first = [(88, 66), (100, 92), (69, 8), (38, 25)]        # u0, 1, 2, 3
+    second = [(18, 54), (57, 34), (37, 8), (17, 83), (98, 57), (78, 31),
+              (58, 5)]                                   # u0, 1, ..., 6
+    assert calls == first + second
 
 
 @st.composite

@@ -104,12 +104,6 @@ def test_evaluate_examples():
     assert f.evaluate((P - 1, 0, 0)) == 1
 
 
-def test_partial_derivative_examples():
-    assert qp("x1^2*x2").partial_derivative(0) == qp("2*x1*x2")
-    assert qp("x1^2").partial_derivative(1).is_zero()
-    assert qp("x1^3 + x1").partial_derivative(0) == qp("3*x1^2 + 1")
-
-
 def test_gcd_examples():
     assert gcd_q(qp("x1^2 - x2^2"), qp("x1 - x2")) == qp("x1 - x2")
     assert gcd_q(qp("x1^3 + x2"), RQ.one()) == RQ.one()
