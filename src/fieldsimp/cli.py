@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 
+from .groebner import MAX_EXPONENT
 from .oms import EvaluationBudgetExceeded, GeneratorSet
 from .poly import (QQ, DivisionByZero, MonomialOrder, RationalFunction, Ring)
 from .simplify import SimplifyConfig, VerificationFailed, simplify
@@ -150,8 +151,12 @@ class _Parser:
             if self.peek()[0] == "-":
                 raise ParseError("exponents must be nonnegative integers",
                                  tok[2], tok[3])
-            e = self.expect("int")
-            return base ** int(e[1])
+            e = int(self.expect("int")[1])
+            top = e * base.max_exponent()
+            if top > MAX_EXPONENT:      # refused before it is expanded
+                raise ParseError("exponent %d exceeds %d"
+                                 % (top, MAX_EXPONENT), tok[2], tok[3])
+            return base ** e
         return base
 
     def atom(self):

@@ -9,6 +9,8 @@ shifted reducer), the remainder's slots and the slots that cancelled.  An
 apply run maps each input's terms, as given, onto its learned support and
 runs the programs as straight-line multiply-subtract on lists of ints, with
 no heap and no divisor search.  groebner() records and compiles nothing.
+A fresh trace runs its zero reductions in full; gb_verify checks it by one
+such replay at a second point, then cuts them to quick checks.
 
 Callers hand in and read exponent tuples.  Monomials are packed into single
 integers only inside the learn, the GB and its normal forms, so that integer
@@ -54,13 +56,12 @@ class _Codec:
             self._shifts = [_FIELD_BITS * i for i in range(n)]
             self._deg_shift = _FIELD_BITS * n
             self.CONST = sum(_M << s for s in self._shifts)
-            nfields = n + 1
         else:
             self._shifts = [_FIELD_BITS * (n - 1 - i) for i in range(n)]
             self._deg_shift = None
             self.CONST = 0
-            nfields = n
-        self.GUARDS = sum((1 << 16) << (_FIELD_BITS * i) for i in range(nfields))
+        # q >= 0 covers the top field (in degrevlex, the degree: unbounded)
+        self.GUARDS = sum((1 << 16) << s for s in self._shifts)
 
     def pack(self, e):
         if self.kind == "degrevlex":
@@ -129,16 +130,6 @@ def _reduce_full(work, lms, tails, codec, p, steps=None):
         else:
             out[m] = c
     return out
-
-
-def _top_reducible(m, lms, codec):
-    base = m + codec.CONST
-    GUARDS = codec.GUARDS
-    for lm in lms:
-        q = base - lm
-        if q >= 0 and not (q & GUARDS):
-            return True
-    return False
 
 
 def _spoly_dict(f, g, lcm, p):
@@ -219,9 +210,9 @@ def _monic_terms(d, p):
 
 def _compile(first, steps, rem, basis):
     """Slot program (size, first operand, steps, output slots, cancelled
-    slots) of one learned reduction, and the monomial of each slot.  `first`
-    is (basis index, packed shift); `steps` are _reduce_full's records with
-    basis indices; the S-polynomial's second operand is its first step."""
+    slots) of one learned reduction, slots in descending monomial order.
+    `first` is (basis index, packed shift); `steps` are _reduce_full's records
+    with basis indices; the S-polynomial's second operand is its first step."""
     rows = [first] + [(i, q) for _, i, q in steps]
     order = sorted({m + q for i, q in rows for m, _ in basis[i]}, reverse=True)
     slot = {m: k for k, m in enumerate(order)}
@@ -233,7 +224,7 @@ def _compile(first, steps, rem, basis):
     out = tuple(sorted(slot[m] for m in rem))
     done = set(out).union(src for src, _, _ in steps)
     cancelled = tuple(k for k in range(len(order)) if k not in done)
-    return (len(order), (first[0], row(*first)), steps, out, cancelled), order
+    return len(order), (first[0], row(*first)), steps, out, cancelled
 
 
 def _slots(program, basis, p):
@@ -268,17 +259,17 @@ def _interreduce(basis, codec, p, programs=None):
         reduced.append(_monic_terms(d, p))
         if programs is not None:
             steps = [(m, others[r], q) for m, r, q in steps]
-            programs.append(_compile((k, 0), steps, d, basis)[0])
+            programs.append(_compile((k, 0), steps, d, basis))
     return reduced
 
 
 GroebnerTrace = namedtuple("GroebnerTrace", (
     "supports",     # support of each nonzero input, exponent tuples in
                     # term order (the first is its leading monomial)
-    "programs",     # slot programs: new basis elements, then the GB's
-    "checks",       # S-polynomial program (size, first, steps) and a
-                    # top-reducible flag per slot, per zero reduction (all
-                    # False where the S-polynomial vanished outright)
+    "programs",     # slot programs: new basis elements and (when fresh)
+                    # zero reductions, with no output slots; then the GB's
+    "checks",       # gb_verify's per zero reduction: S-polynomial program
+                    # (size, first, steps), slots the learn went on to reduce
     "outputs"))     # packed support of the reduced GB
 
 
@@ -357,7 +348,7 @@ def _run_buchberger(ring, generators, learn):
     for idx in range(len(basis)):
         pairs, active = _gm_update(pairs, lms, active, idx, codec)
 
-    programs, checks = [], []
+    programs = []
     while pairs:
         pairs.sort()
         _, lcm, i, j = pairs.pop(0)
@@ -365,16 +356,10 @@ def _run_buchberger(ring, generators, learn):
         tails = [g[1:] for g in basis]
         steps = [(lcm, j, lcm - lms[j])] if learn else None
         rem = _reduce_full(s, lms, tails, codec, p, steps)
-        if not rem:
-            if learn:
-                program, order = _compile((i, lcm - lms[i]), steps[:1], rem,
-                                          basis)
-                checks.append((program[:3], tuple(
-                    len(steps) > 1 and _top_reducible(m, lms, codec)
-                    for m in order)))
-            continue
         if learn:
-            programs.append(_compile((i, lcm - lms[i]), steps, rem, basis)[0])
+            programs.append(_compile((i, lcm - lms[i]), steps, rem, basis))
+        if not rem:
+            continue
         h = _monic_terms(rem, p)
         basis.append(h)
         lms.append(h[0][0])
@@ -385,7 +370,7 @@ def _run_buchberger(ring, generators, learn):
     if not learn:
         return gb
     supports = tuple(g.support() for g in inputs)
-    return gb, GroebnerTrace(supports, tuple(programs), tuple(checks),
+    return gb, GroebnerTrace(supports, tuple(programs), (),
                              gb.packed_support())
 
 
@@ -405,11 +390,11 @@ def gb_apply(ring, generators, trace):
     Returns the reduced GB, or FAIL when the replay stops matching the
     learn: another number of nonzero inputs, an input term off its learned
     support or a vanished learned lead, a nonzero slot that cancelled at
-    the learn, a remainder lead that vanishes, or a recorded zero reduction
-    whose S-polynomial is nonzero here and vanished outright at the learn
-    or has a lead that is not top-reducible (the caller discards the point).
-    Slots accumulate c * rc without a modulus and are reduced mod p only
-    when read.
+    the learn (any slot a fresh trace's zero reduction leaves), a remainder
+    lead that vanishes, or a quick check whose first nonzero slot the learn
+    did not go on to reduce (the caller discards the point).  So a fresh
+    trace replays to exactly FAIL or groebner()'s basis.  Slots accumulate
+    c * rc without a modulus and are reduced mod p only when read.
     """
     p = ring.field.p
     codec, inputs, unit = _prepare(ring, generators)
@@ -430,17 +415,31 @@ def gb_apply(ring, generators, trace):
         v = _slots(program, basis, p)
         if any(v[s] % p for s in program[4]):
             return FAIL
+        if not program[3]:          # a zero reduction
+            continue
         h = [v[s] % p for s in program[3]]
         if not h[0]:
             return FAIL
         inv = pow(h[0], -1, p)
         basis.append([c * inv % p for c in h])
-    for program, top in trace.checks:
-        for c, reducible in zip(_slots(program, basis, p), top):
-            if c % p:
-                if not reducible:
-                    return FAIL
-                break
+    for program, reduced in trace.checks:
+        v = _slots(program, basis, p)
+        if next((k not in reduced for k, c in enumerate(v) if c % p), False):
+            return FAIL
     final = basis[-len(trace.outputs):]
     return ReducedGB(ring, [[(m, c) for m, c in zip(monos, h) if c]
                             for monos, h in zip(trace.outputs, final)], codec)
+
+
+def gb_verify(ring, generators, trace):
+    """Check a fresh trace by its full replay on `generators`, taken at a
+    second, independent point: FAIL unless that gives the learned support.
+    Otherwise the trace cut for later replays: each zero reduction runs only
+    its S-polynomial step, as a quick check."""
+    replay = gb_apply(ring, generators, trace)
+    if replay is FAIL or replay.packed_support() != trace.outputs:
+        return FAIL
+    checks = tuple(((n, first, steps[:1]), {src for src, _, _ in steps[1:]})
+                   for n, first, steps, out, _ in trace.programs if not out)
+    return trace._replace(programs=tuple(pr for pr in trace.programs if pr[3]),
+                          checks=checks)

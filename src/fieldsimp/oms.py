@@ -13,26 +13,25 @@ ideal at a point a is
 
 with Q the lcm of the q_i and t a fresh variable ordered greatest.  The
 reduced GB of this ideal, viewed as a function of a, has coefficients that
-are rational functions of a generating the same subfield.  One traced GB
-evaluation at a point yields every coefficient at once, so a harvest call
-gives all coefficient keys one shared random line and one shared
-interpolation schedule: a distinct point costs one GB evaluation whichever
-keys read it, and a sequence that several keys share is solved once.  A
-key is interpolated when its degree sum is within the requested cutoff,
-and a key found at one cutoff is not interpolated again at a higher one.
-The harvest's point memo is also where the evaluation budget is enforced:
-it raises before an evaluation would overspend it.
+are rational functions of a generating the same subfield.  An evaluator
+learns one trace and checks it once at an independent point before any
+replay.  One traced GB evaluation at a point yields every coefficient at
+once, so a harvest call gives all coefficient keys one shared random line
+and one shared interpolation schedule: a distinct point costs one GB
+evaluation whichever keys read it, and a sequence that several keys share
+is solved once.  A key is interpolated when its degree sum is within the
+requested cutoff, and a key found at one cutoff is not interpolated again
+at a higher one.  The harvest's point memo is also where the evaluation
+budget is enforced: it raises before an evaluation would overspend it.
 """
 
 import random
 
 from .arith import FAIL
-from .groebner import MAX_EXPONENT, gb_apply, gb_learn
+from .groebner import MAX_EXPONENT, gb_apply, gb_learn, gb_verify
 from .interp import Blackbox, estimate_degrees, interpolate_rational
 from .poly import (QQ, DEGREVLEX, MultiPoly, RationalFunction, Ring, lcm_q)
 
-# consecutive diverged replays after which EomsEvaluator learns a new trace
-RELEARN_AFTER = 3
 # random points drawn for one learn or one membership test before giving up
 POINT_ATTEMPTS = 16
 
@@ -66,8 +65,7 @@ class GeneratorSet:
                 gens.append(g)
         if not gens:
             raise ValueError("empty generator set")
-        top = max((e for g in gens for side in (g.num, g.den)
-                   for m in side.support() for e in m), default=0)
+        top = max(g.max_exponent() for g in gens)
         if top > MAX_EXPONENT:
             raise ValueError("exponent %d exceeds %d" % (top, MAX_EXPONENT))
         self.generators = gens
@@ -140,44 +138,46 @@ def specialize_eoms(genset, point, ring, extra_denominator=None):
 class EomsEvaluator:
     """Shared traced-GB evaluation of the specialized ideal.
 
-    gb(a) replays the learned trace at a and returns the reduced GB, or
-    FAIL; the support discovered at the learn point is enforced at every
-    later point, and `learned` keeps the GB computed there.  eval(a)
-    returns the tuple of the non-leading coefficients of gb(a), in the
-    order of coefficient_keys(): (element index, monomial) per coefficient,
-    computed when the support changes.  `finished` keeps the "ok" report
-    entries interpolated on that support.
+    The constructor learns one trace, checked by gb_verify; a learn and its
+    check count as one GB evaluation.  gb(a) replays it at a and returns the
+    reduced GB, or FAIL; the support found at the learn point is enforced
+    at every later point, and `learned` keeps the GB computed there.
+    eval(a) returns the tuple of the non-leading coefficients of gb(a), in
+    the order of coefficient_keys(): (element index, monomial) per
+    coefficient.  `finished` keeps the "ok" report entries interpolated.
     """
 
     def __init__(self, genset, ring, rng):
         self.genset = genset
         self.ring = ring
-        self.rng = rng
         self.n_evals = 0
-        self._consecutive_divergences = 0
-        self.support = None
         self.finished = {}
-        self._learn()
+        self._learn(rng)
 
-    def _random_point(self):
+    def _random_point(self, rng):
         p = self.ring.field.p
-        return tuple(self.rng.randrange(1, p)
-                     for _ in range(self.genset.ring.arity))
+        return tuple(rng.randrange(1, p) for _ in self.genset.ring.vars)
 
-    def _learn(self):
+    def _learn(self, rng):
+        # the check point comes from a stream seeded by the learn point, so
+        # rng advances as by the learn alone; a pole or a failed check
+        # redraws both
         for _ in range(POINT_ATTEMPTS):
-            point = self._random_point()
+            point = self._random_point(rng)
             gens = specialize_eoms(self.genset, point, self.ring)
-            if gens is FAIL:
+            check = self._random_point(random.Random(str(point)))
+            check = specialize_eoms(self.genset, check, self.ring)
+            if gens is FAIL or check is FAIL:
                 continue
-            gb, trace = gb_learn(self.ring, gens)
-            support = tuple(g.support() for g in gb)
-            if support != self.support:
-                self.finished = {}
-                self._keys = tuple((i, m) for i, supp in enumerate(support)
-                                   for m in supp[1:])
-            self.trace, self.support, self.learned = trace, support, gb
             self.n_evals += 1
+            gb, trace = gb_learn(self.ring, gens)
+            trace = gb_verify(self.ring, check, trace)
+            if trace is FAIL:
+                continue
+            self.trace, self.learned = trace, gb
+            self.support = tuple(g.support() for g in gb)
+            self._keys = tuple((i, m) for i, supp in enumerate(self.support)
+                               for m in supp[1:])
             return
         raise UnluckyPoint("no regular specialization point mod %d"
                            % self.ring.field.p)
@@ -188,15 +188,8 @@ class EomsEvaluator:
         if gens is FAIL:
             return FAIL
         gb = gb_apply(self.ring, gens, self.trace)
-        if gb is FAIL:
-            self._consecutive_divergences += 1
-            if self._consecutive_divergences >= RELEARN_AFTER:
-                self._learn()
-                self._consecutive_divergences = 0
+        if gb is FAIL or gb.packed_support() != self.trace.outputs:
             return FAIL
-        if gb.packed_support() != self.trace.outputs:
-            return FAIL
-        self._consecutive_divergences = 0
         return gb
 
     def eval(self, point):
@@ -258,14 +251,10 @@ def gb_coefficients(genset, degree_cutoff, ring, rng,
 
     def coefficients(point):
         if point not in values:
-            # an evaluation that diverges once more also relearns the trace
-            relearn = evaluator._consecutive_divergences + 1 >= RELEARN_AFTER
-            if evaluator.n_evals - start_evals + 1 + relearn > eval_cap:
+            if evaluator.n_evals - start_evals >= eval_cap:
                 raise EvaluationBudgetExceeded(
                     "GB evaluation budget ran out at d=%d" % degree_cutoff)
             values[point] = evaluator.eval(point)
-            if evaluator.coefficient_keys() is not keys:
-                values[point] = FAIL    # a relearn changed the support
         return values[point]
 
     entries = {}
@@ -291,8 +280,6 @@ def gb_coefficients(genset, degree_cutoff, ring, rng,
                                    solved)
         if got is FAIL:
             return FAIL
-        # a relearn that changes the support replaces evaluator.finished,
-        # so an entry of the old support is never kept for the new one
         entries[key] = finished[key] = ("ok", got, (dn, dd))
     return CoefficientReport(entries, evaluator.support,
                              evaluator.n_evals - start_evals)

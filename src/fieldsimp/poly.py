@@ -544,6 +544,10 @@ class RationalFunction:
     def is_constant(self):
         return self.num.is_constant() and self.den.is_constant()
 
+    def max_exponent(self):
+        return max((e for side in (self.num, self.den)
+                    for m in side.support() for e in m), default=0)
+
     # arithmetic -------------------------------------------------------
     def __add__(self, other):
         other = self._coerce(other)

@@ -229,9 +229,12 @@ def test_run_parse_error(tmp_path, capsys):
 def test_run_exponent_too_large(tmp_path, capsys):
     # packed Groebner monomials hold exponents up to 65535
     big = tmp_path / "big.txt"
-    big.write_text("vars: x\nx^70000\n")
-    assert run(["--input", str(big)]) == 2
-    assert "exponent 70000 exceeds 65535" in capsys.readouterr().err
+    for expr, top in (("x^70000", 70000), ("(x+1)^70000", 70000),
+                      ("((x+1)^300)^300", 90000)):
+        # a power is refused before it is expanded
+        big.write_text("vars: x\n%s\n" % expr)
+        assert run(["--input", str(big)]) == 2
+        assert "exponent %d exceeds 65535" % top in capsys.readouterr().err
 
 
 def test_polynomial_member_beyond_one_prime(tmp_path, capsys):

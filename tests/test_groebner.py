@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldsimp.arith import FAIL, PrimeField, production_prime
-from fieldsimp.groebner import TRACE_DIVERGED, gb_apply, gb_learn, groebner
+from fieldsimp.groebner import (TRACE_DIVERGED, gb_apply, gb_learn, gb_verify,
+                                groebner)
 from fieldsimp.oms import gb_ring, specialize_eoms
 from fieldsimp.poly import LEX, MonomialOrder, Ring
 
@@ -45,6 +46,15 @@ def test_lex_two_generator_example():
     gb = groebner(ring, [g1, g2])
     expected = {x * y - y, x * x - ring.one()}
     assert set(gb.polys) == expected
+
+
+def test_divisibility_past_a_degree_difference_of_2_16():
+    # degrevlex packs the total degree on top; x divides x^40000 y^40000
+    # although their degrees differ by more than 2^16
+    x, y = R2.gens()
+    big = R2.from_dict({(40000, 40000): 1})
+    assert groebner(R2, [big + x, x]).polys == [x]
+    assert groebner(R2, [big - R2.one(), x]).polys == [R2.one()]
 
 
 def test_normal_form_examples():
@@ -232,7 +242,7 @@ def test_replay_keeps_inputs_equal_up_to_a_scalar():
         assert replay is not FAIL
         assert replay.polys == groebner(R2, gens(a)).polys
     # copies learned equal must stay equal: f - f' = x y lies in the ideal,
-    # which is then the unit ideal, although x y is top-reducible
+    # which is then the unit ideal, and the learn never reduced x y
     f = x * x + x * y
     _, trace = gb_learn(R2, [f, f, x * y - R2.one()])
     assert groebner(R2, [f, x * x + 2 * x * y, x * y - R2.one()]).polys \
@@ -244,24 +254,72 @@ def test_replay_keeps_inputs_equal_up_to_a_scalar():
 def test_replay_diverges_at_each_event_check():
     x, y = R2.gens()
     one = R2.one()
-    # learned and replayed inputs share their supports, so each replay
-    # passes the input check and fails at the branch its comment names
+    # learned, checked and replayed inputs share their supports, so each
+    # replay passes the input check and fails at the branch its comment
+    # names, on the fresh trace and on gb_verify's
     cases = [
-        # recorded zero reduction; the replayed S-polynomial is -y, whose
-        # lead is not top-reducible
-        ([x * y + y, x + one], [x * y + y, x + 2 * one]),
+        # recorded zero reduction; the replayed S-polynomial is -y, which
+        # the learn never reduced (its S-polynomial vanished outright)
+        ([x * y + y, x + one], [x * y + 2 * y, x + 2 * one],
+         [x * y + y, x + 2 * one]),
         # recorded new element y^2; the replayed S-polynomial reduces to
         # zero, so the remainder's lead vanishes
-        ([x * x - y * y, x - 2 * y], [x * x - y * y, x - y]),
+        ([x * x - y * y, x - 2 * y], [x * x - y * y, x - 3 * y],
+         [x * x - y * y, x - y]),
         # recorded new element x - y; the replay gives y, so the
         # remainder's lead vanishes
-        ([x * y + y * y + 2 * x, y * y + y], [x * y + y * y + x, y * y + y]),
+        ([x * y + y * y + 2 * x, y * y + y],
+         [x * y + y * y + 3 * x, y * y + y], [x * y + y * y + x, y * y + y]),
     ]
-    for learned, replayed in cases:
-        _, trace = gb_learn(R2, learned)
-        assert gb_learn(R2, replayed)[1].supports == trace.supports
-        assert gb_apply(R2, replayed, trace) is TRACE_DIVERGED
-        assert gb_apply(R2, learned, trace) is not TRACE_DIVERGED
+    for learned, checked, replayed in cases:
+        _, fresh = gb_learn(R2, learned)
+        assert gb_learn(R2, replayed)[1].supports == fresh.supports
+        for trace in (fresh, gb_verify(R2, checked, fresh)):
+            assert gb_apply(R2, replayed, trace) is TRACE_DIVERGED
+            assert gb_apply(R2, learned, trace) is not TRACE_DIVERGED
+
+
+def test_quick_check_passes_only_on_a_slot_the_learn_reduced():
+    x, y = R2.gens()
+    one = R2.one()
+
+    def gens(a, b, c, d):
+        return [x * x + a * x + R2.from_int(b),
+                x * x + x + c * y + R2.from_int(d), y + one]
+
+    # S(f1, f2) = (a - 1) x - c y + b - d: at the learn (a = 1) its x slot
+    # cancels, and the rest reduces to zero by y + 1
+    _, fresh = gb_learn(R2, gens(1, 1, 1, 2))
+    trace = gb_verify(R2, gens(1, 3, 2, 5), fresh)
+    assert trace is not FAIL and len(trace.checks) == 1
+    assert len(trace.programs) < len(fresh.programs)
+    # the first nonzero slot is y, which the learn reduced: the GB
+    good = gens(1, 1, 5, 6)
+    assert gb_apply(R2, good, trace).polys == groebner(R2, good).polys
+    # the first nonzero slot is x, which cancelled at the learn: the ideal
+    # is the unit ideal, and only the quick check sees it
+    bad = gens(3, 1, 1, 2)
+    assert groebner(R2, bad).polys == [R2.one()]
+    assert gb_apply(R2, bad, trace._replace(checks=())) is not FAIL
+    assert gb_apply(R2, bad, trace) is FAIL
+    assert gb_apply(R2, bad, fresh) is FAIL
+
+
+def test_verify_fails_where_the_learned_support_does_not_hold():
+    x, y = R2.gens()
+    one = R2.one()
+    # the learn at [x^2 - x, x^2 - 1] ends at [x - 1], while a generic
+    # point of [a x^2 + b x, c x^2 + d] generates the unit ideal
+    _, fresh = gb_learn(R2, [x * x - x, x * x - one])
+    assert gb_verify(R2, [3 * x * x + x, 2 * x * x + 3 * one], fresh) is FAIL
+    # at [x^2 + y, x y - 1] the full replay of [x^2 + 2x + y, x y + 3y - 1]
+    # is the GB, but learned output terms vanish
+    _, fresh = gb_learn(R2, [x * x + 2 * x + y, x * y + 3 * y - one])
+    special = [x * x + y, x * y - one]
+    assert gb_apply(R2, special, fresh).polys == groebner(R2, special).polys
+    assert gb_verify(R2, special, fresh) is FAIL
+    assert gb_verify(R2, [x * x + 5 * x + y, x * y + 7 * y - one], fresh) \
+        is not FAIL
 
 
 def test_replay_fails_on_a_slot_cancelled_only_at_the_learn():
@@ -276,7 +334,6 @@ def test_replay_fails_on_a_slot_cancelled_only_at_the_learn():
     assert gb_apply(R2, again, trace).polys == groebner(R2, again).polys
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: verified learn")
 @pytest.mark.parametrize("p", [P, 101], ids=["production", "p101"])
 def test_replay_is_never_a_wrong_basis(p):
     # the learn on [x^2 - x, x^2 - 1] reaches the unit ideal; replayed on
@@ -355,8 +412,7 @@ def test_replay_is_groebner_or_fail_on_parametric_ideals(case):
     learn_at = _at(ring, gens, rng.randrange(p))
     if all(g.is_zero() for g in learn_at):
         return
-    learned, trace = gb_learn(ring, learn_at)
-    lms = [g.leading_monomial() for g in learned]
+    _, trace = gb_learn(ring, learn_at)
     for _ in range(4):
         spec = _at(ring, gens, rng.randrange(p))
         if all(g.is_zero() for g in spec):
@@ -365,12 +421,10 @@ def test_replay_is_groebner_or_fail_on_parametric_ideals(case):
         if replay is FAIL:
             assert p != P       # a random point of a 62-bit field is regular
             continue
-        fresh = groebner(ring, spec)
-        # at p = 101 the learn point can be special: a recorded zero
-        # reduction that is not one here passes the cheap top-reducibility
-        # check, and the true GB then has other leading monomials
-        if p == P or [g.leading_monomial() for g in fresh] == lms:
-            assert [g.terms for g in replay] == [g.terms for g in fresh]
+        # a fresh trace runs its zero reductions in full, so even a learn
+        # at a special point replays to FAIL or the GB
+        assert [g.terms for g in replay] \
+            == [g.terms for g in groebner(ring, spec)]
 
 
 @st.composite

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fieldsimp import oms
 from fieldsimp.arith import production_prime
-from fieldsimp.groebner import gb_apply
+from fieldsimp.groebner import gb_apply, gb_learn, groebner
 from fieldsimp.interp import FAIL, Blackbox
 from fieldsimp.oms import (EomsEvaluator, EvaluationBudgetExceeded,
                            GeneratorSet, gb_coefficients, gb_ring, specialize,
@@ -327,64 +327,54 @@ def test_finished_keys_kept_across_cutoffs(monkeypatch):
         assert rep2.entries[key] == rep1.entries[key]
 
 
-def test_relearn_on_new_support_drops_finished_keys(monkeypatch):
+def test_learn_at_a_special_point_is_rejected_by_its_check(monkeypatch):
     gs = load_fixture("example_sym")
     ring = gb_ring(gs, FP)
-    rng = random.Random(3)
-    ev = EomsEvaluator(gs, ring, rng)
-    generic = ev.support
-    assert gb_coefficients(gs, 2, ring, rng, evaluator=ev) is not FAIL
-    assert ev.finished
+    generic = EomsEvaluator(gs, ring, random.Random(3)).support
     # at x2 = -x1 the odd power sum vanishes and the GB loses a term
-    monkeypatch.setattr(ev, "_random_point", lambda: (5, FP.p - 5))
-    ev._learn()
-    assert ev.support != generic
-    assert ev.finished == {}
-    monkeypatch.undo()
-    ev._learn()
-    assert ev.support == generic
-    estimated = counting_estimates(monkeypatch)
-    rep = gb_coefficients(gs, 2, ring, rng, evaluator=ev)
-    assert rep is not FAIL
-    assert len(estimated) == len(rep.entries) == len(ev.coefficient_keys())
+    special = (5, FP.p - 5)
+    learned = gb_learn(ring, specialize_eoms(gs, special, ring))[0]
+    assert tuple(g.support() for g in learned) != generic
+    drawn = []
+    draw = EomsEvaluator._random_point
 
+    def special_first(self, rng):
+        drawn.append(special if not drawn else draw(self, rng))
+        return drawn[-1]
 
-def test_relearn_on_new_support_mid_harvest_loses_its_points(monkeypatch):
-    gs = load_fixture("example_sym")
-    ring = gb_ring(gs, FP)
+    monkeypatch.setattr(EomsEvaluator, "_random_point", special_first)
     ev = EomsEvaluator(gs, ring, random.Random(3))
-    generic = ev.coefficient_keys()
-    replay = ev.eval
-
-    def relearn_then_replay(point):
-        # at x2 = -x1 the odd power sum vanishes and the GB loses a term
-        if ev.coefficient_keys() is generic:
-            monkeypatch.setattr(ev, "_random_point", lambda: (5, FP.p - 5))
-            ev._learn()
-        return replay(point)
-
-    monkeypatch.setattr(ev, "eval", relearn_then_replay)
-    # the coefficient tuples of the new support no longer match the keys
+    # learn at the special point, its check, then a learn and check anew
+    assert len(drawn) == 4 and drawn[0] == special
+    assert ev.support == generic and ev.n_evals == 2
     assert gb_coefficients(gs, 2, ring, random.Random(4), evaluator=ev) \
-        is FAIL
-    assert ev.coefficient_keys() is not generic
+        is not FAIL
+
+
+def test_learn_draws_one_point_from_the_callers_rng():
+    gs = load_fixture("example_sym")
+    rng = random.Random(3)
+    ev = EomsEvaluator(gs, gb_ring(gs, FP), rng)
+    expected = random.Random(3)
+    point = tuple(expected.randrange(1, FP.p) for _ in range(gs.ring.arity))
+    assert rng.getstate() == expected.getstate()
+    assert ev.learned.polys \
+        == groebner(ev.ring, specialize_eoms(gs, point, ev.ring)).polys
 
 
 # ----------------------------------------------------------------------
 # lost samples and the evaluation budget
 
 
-def test_relearn_after_repeated_divergence(monkeypatch):
+def test_diverged_replays_keep_the_trace(monkeypatch):
     gs = load_fixture("example_sym")
     ev = EomsEvaluator(gs, gb_ring(gs, FP), random.Random(3))
     learned = ev.trace
     monkeypatch.setattr(oms, "gb_apply", lambda *args: FAIL)
-    for _ in range(oms.RELEARN_AFTER):
-        assert ev.trace is learned
+    for _ in range(3):
         assert ev.eval((1, 2)) is FAIL
-    assert ev.trace is not learned
-    # two learns and RELEARN_AFTER replays, one GB evaluation each
-    assert ev.n_evals == 2 + oms.RELEARN_AFTER
+    # the learn and three replays, one GB evaluation each
+    assert ev.trace is learned and ev.n_evals == 1 + 3
     monkeypatch.undo()
     assert ev.eval((1, 2)) is not FAIL
 
@@ -402,13 +392,13 @@ def test_support_mismatch_is_fail():
     assert ev.trace is learned and ev.n_evals == 2
 
 
-def test_budget_counts_a_pending_relearn(monkeypatch):
+def test_budget_stops_before_the_evaluation_past_the_cap(monkeypatch):
     gs = load_fixture("example_sym")
     ring = gb_ring(gs, FP)
     ev = EomsEvaluator(gs, ring, random.Random(3))
     monkeypatch.setattr(oms, "gb_apply", lambda *args: FAIL)
-    # after two diverged replays a third may also relearn: 2 + 2 > 3
+    # three diverged replays spend the cap; a fourth would overspend it
     with pytest.raises(EvaluationBudgetExceeded, match="at d=2$"):
         gb_coefficients(gs, 2, ring, random.Random(4), eval_cap=3,
                         evaluator=ev)
-    assert ev.n_evals == 1 + 2          # the learn and two replays
+    assert ev.n_evals == 1 + 3          # the learn and three replays
