@@ -133,7 +133,9 @@ class PrimeField:
 
 
 def rational_reconstruct(r, m):
-    """Lift residue r mod m to a fraction with |num|, den <= sqrt(m/2).
+    """Lift residue r mod m to a fraction with |num|, den <= sqrt(m/2) and
+    |num| * den * 2^20 <= m, a margin that a wrong fraction rarely clears
+    (after Monagan's maximal quotient rational reconstruction).
 
     Returns a Fraction, or FAIL when no fraction within the bound exists
     (the caller treats FAIL as "need more primes").
@@ -153,7 +155,8 @@ def rational_reconstruct(r, m):
     if math.gcd(r1, abs(t1)) != 1 or math.gcd(abs(t1), m) != 1:
         return FAIL
     f = Fraction(r1, t1)
-    if (f.numerator - r * f.denominator) % m != 0:
+    if (f.numerator - r * f.denominator) % m != 0 \
+            or abs(f.numerator) * f.denominator << 20 > m:
         return FAIL
     return f
 

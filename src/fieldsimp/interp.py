@@ -216,34 +216,44 @@ def _uroots(a, p):
     return roots
 
 
-def _urem_monic(a, mod, p):
-    """Remainder of the unreduced list `a` by the monic `mod`, in place from
-    the top coefficient down; each slot is reduced mod p when it is read."""
-    d = len(mod) - 1
-    low = mod[:-1]
-    for k in range(len(a) - 1, d - 1, -1):
-        c = a[k] % p
-        if c:
-            for i, y in enumerate(low, k - d):
-                a[i] -= c * y
-    del a[d:]
-    return _utrim([c % p for c in a])
+def _ufold(r, folds, k, p):
+    """The packed r (k bits per coefficient) mod p and mod the monic of
+    degree t whose packed x^(t+j) is folds[j]: fold each coefficient of
+    degree t + j, taken mod p, times folds[j] onto the low t, then take
+    those mod p."""
+    t = len(folds)
+    mask = (1 << k) - 1
+    low, r = r & (1 << k * t) - 1, r >> k * t
+    for fold in folds:
+        if not r:
+            break
+        low += (r & mask) % p * fold
+        r >>= k
+    out = 0
+    for shift in range(k * (t - 1), -1, -k):
+        out = out << k | (low >> shift & mask) % p
+    return out
 
 
 def _upowmod(b, e, mod, p):
-    """(x + b)^e mod the monic `mod`, left to right: one squaring per bit of
-    e, and a shift and a scaled add per set bit."""
-    result = [1]
+    """(x + b)^e mod the monic `mod` of degree t >= 1, for 0 <= b < p, left
+    to right: one squaring per bit of e, and a shift and a scaled add per
+    set bit, each reduced by one _ufold.  A residue is packed into one int
+    (Kronecker substitution), so a squaring is one big-int product; a
+    folded square's slots sum fewer than 2t products of residues."""
+    t = len(mod) - 1
+    k = 2 * p.bit_length() + t.bit_length() + 2
+    folds = []                  # x^(t+j) mod `mod`, packed, j = 0..t-1
+    row = [-c % p for c in mod[:-1]]
+    for _ in range(t):
+        folds.append(sum(c << k * i for i, c in enumerate(row)))
+        row = [(c - row[-1] * m) % p for c, m in zip([0] + row[:-1], mod)]
+    result = 1
     for bit in bin(e)[2:]:
-        square = [0] * (2 * len(result) - 1)
-        for i, x in enumerate(result):
-            for j, y in enumerate(result, i):
-                square[j] += x * y
-        result = _urem_monic(square, mod, p)
+        result = _ufold(result * result, folds, k, p)
         if bit == "1":
-            result = _urem_monic([c + b * d for c, d in
-                                  zip([0] + result, result + [0])], mod, p)
-    return result
+            result = _ufold((result << k) + b * result, folds, k, p)
+    return _utrim([result >> k * i & (1 << k) - 1 for i in range(t)])
 
 
 # ----------------------------------------------------------------------

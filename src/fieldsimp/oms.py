@@ -16,13 +16,13 @@ reduced GB of this ideal, viewed as a function of a, has coefficients that
 are rational functions of a generating the same subfield.  An evaluator
 learns one trace and checks it once at an independent point before any
 replay.  One traced GB evaluation at a point yields every coefficient at
-once, so a harvest call gives all coefficient keys one shared random line
-and one shared interpolation schedule: a distinct point costs one GB
-evaluation whichever keys read it, and a sequence that several keys share
-is solved once.  A key is interpolated when its degree sum is within the
-requested cutoff, and a key found at one cutoff is not interpolated again
-at a higher one.  The harvest's point memo is also where the evaluation
-budget is enforced: it raises before an evaluation would overspend it.
+once, so an evaluator gives all coefficient keys, at every cutoff, one
+shared random line and interpolation schedule: a distinct point costs one
+GB evaluation whichever keys and rounds read it, and a sequence is solved
+once.  A key is interpolated when its degree sum is within the requested
+cutoff, and a key found at one cutoff is not interpolated again at a
+higher one.  The evaluator's point memo is also where a harvest call
+enforces the evaluation budget: it raises before an overspend.
 """
 
 import random
@@ -144,13 +144,19 @@ class EomsEvaluator:
     at every later point, and `learned` keeps the GB computed there.
     eval(a) returns the tuple of the non-leading coefficients of gb(a), in
     the order of coefficient_keys(): (element index, monomial) per
-    coefficient.  `finished` keeps the "ok" report entries interpolated.
+    coefficient.  The trace and support never change, so the harvest keeps
+    its sample table here for the evaluator's life: `seeds` (taken at the
+    first gb_coefficients call), `values` (point -> eval(point)), `solved`
+    (sequences and Prony roots) and `finished` (the "ok" report entries).
     """
 
     def __init__(self, genset, ring, rng):
         self.genset = genset
         self.ring = ring
         self.n_evals = 0
+        self.seeds = None
+        self.values = {}
+        self.solved = {}
         self.finished = {}
         self._learn(rng)
 
@@ -211,12 +217,11 @@ class EomsEvaluator:
 class CoefficientReport:
     """Interpolated low-degree GB coefficients plus high-degree markers."""
 
-    __slots__ = ("entries", "support", "n_evals")
+    __slots__ = ("entries", "n_evals")
 
-    def __init__(self, entries, support, n_evals):
+    def __init__(self, entries, n_evals):
         self.entries = entries      # {(i, mon): ("ok", (num, den), degs)
                                     #          or ("high_degree", None)}
-        self.support = support
         self.n_evals = n_evals
 
     def interpolated(self):
@@ -233,20 +238,21 @@ def gb_coefficients(genset, degree_cutoff, ring, rng,
     Returns a CoefficientReport, or FAIL when interpolation keeps failing.
     Coefficients are returned mod p (reconstruction to Q is the caller's
     job).  A shared evaluator may be passed in to keep its learned trace
-    and its finished keys across cutoffs.  Raises EvaluationBudgetExceeded
-    before an evaluation would take this call past `eval_cap` GB
-    evaluations.
+    and its sample table: every cutoff reads the line, schedule and points
+    of the first call, though each call draws two 64-bit seeds from `rng`.
+    Raises EvaluationBudgetExceeded before an evaluation would take this
+    call past `eval_cap` GB evaluations.
     """
     if evaluator is None:
         evaluator = EomsEvaluator(genset, ring, rng)
     x_ring = genset.modp(ring.field)[0]
-    # common random numbers: every key samples the same line and the same
-    # gamma/sigma/row points, so one GB evaluation per point serves them all
-    est_seed, int_seed = rng.getrandbits(64), rng.getrandbits(64)
+    # common random numbers: every key of every call samples the same line
+    # and gamma/sigma/row points, so one GB evaluation per point serves all
+    seeds = rng.getrandbits(64), rng.getrandbits(64)
+    evaluator.seeds = evaluator.seeds or seeds
+    est_seed, int_seed = evaluator.seeds
     keys = evaluator.coefficient_keys()
-    finished = evaluator.finished
-    values = {}          # point -> coefficients in key order, or FAIL
-    solved = {}          # sequences and Prony polynomials solved so far
+    finished, values = evaluator.finished, evaluator.values
     start_evals = evaluator.n_evals
 
     def coefficients(point):
@@ -277,9 +283,8 @@ def gb_coefficients(genset, degree_cutoff, ring, rng,
             continue
         dn, dd = est
         got = interpolate_rational(bb, dn, dd, x_ring, random.Random(int_seed),
-                                   solved)
+                                   evaluator.solved)
         if got is FAIL:
             return FAIL
         entries[key] = finished[key] = ("ok", got, (dn, dd))
-    return CoefficientReport(entries, evaluator.support,
-                             evaluator.n_evals - start_evals)
+    return CoefficientReport(entries, evaluator.n_evals - start_evals)

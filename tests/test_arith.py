@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fieldsimp.arith import (NonCoprimeModuli, PrimeField, ZeroInverse,
+from fieldsimp.arith import (FAIL, NonCoprimeModuli, PrimeField, ZeroInverse,
                              crt_pair, inv, is_probable_prime, prev_prime,
                              production_prime, rational_reconstruct)
 
@@ -72,8 +72,9 @@ def test_prime_field_ops():
 
 
 def test_rational_reconstruct_roundtrip():
+    # every fraction within the margin |num| * den * 2^20 <= p lifts back
     p = production_prime(0)
-    bound = math.isqrt(p // 2)
+    bound = math.isqrt(p >> 20)
     rng = random.Random(3)
     for _ in range(200):
         a = rng.randrange(-bound + 1, bound)
@@ -81,6 +82,21 @@ def test_rational_reconstruct_roundtrip():
         f = Fraction(a, b)
         r = f.numerator * inv(f.denominator, p) % p
         assert rational_reconstruct(r, p) == f
+
+
+def test_rational_reconstruct_refuses_a_fraction_past_the_margin():
+    # within the sqrt(p/2) bound, 10^12/(10^11 + 7) at one 62-bit prime
+    # has a smaller wrong preimage; the margin returns FAIL for it
+    p = production_prime(0)
+    f = Fraction(10 ** 12, 10 ** 11 + 7)
+    r = f.numerator * inv(f.denominator, p) % p
+    wrong = Fraction(1337233736, 982273601)
+    assert wrong.numerator * inv(wrong.denominator, p) % p == r
+    assert rational_reconstruct(r, p) is FAIL
+    # over two primes it lifts to the true fraction
+    q = production_prime(6)
+    r2, m = crt_pair(r, p, f.numerator * inv(f.denominator, q) % q, q)
+    assert rational_reconstruct(r2, m) == f
 
 
 def test_rational_reconstruct_zero():

@@ -297,43 +297,48 @@ def test_estimate_degrees_lost_sample_moves_to_next_line():
 
 @st.composite
 def powmod_cases(draw):
-    """(p, b, e, mod) with `mod` monic of degree 1-12."""
+    """(p, b, e, mod) with `mod` monic of degree 1-24."""
     p = draw(st.sampled_from((5, 101, P)))
     coeff = st.integers(0, p - 1)
-    mod = draw(st.lists(coeff, min_size=1, max_size=12)) + [1]
+    mod = draw(st.lists(coeff, min_size=1, max_size=24)) + [1]
     return p, draw(coeff), draw(st.integers(0, 2 ** 62)), mod
+
+
+def square_and_multiply(b, e, mod, p):
+    """(x + b)^e mod `mod` by list arithmetic, right to left."""
+    def mulmod(u, v):
+        return interp._udivmod(interp._umul(u, v, p), mod, p)[1]
+
+    base, want = mulmod([b, 1], [1]), mulmod([1], [1])
+    while e:
+        if e & 1:
+            want = mulmod(want, base)
+        base = mulmod(base, base)
+        e >>= 1
+    return want
 
 
 @settings(max_examples=200, deadline=None)
 @given(powmod_cases())
 def test_upowmod_matches_square_and_multiply(case):
     p, b, e, mod = case
-
-    def mulmod(u, v):
-        return interp._udivmod(interp._umul(u, v, p), mod, p)[1]
-
-    base, want, k = mulmod([b, 1], [1]), mulmod([1], [1]), e
-    while k:
-        if k & 1:
-            want = mulmod(want, base)
-        base = mulmod(base, base)
-        k >>= 1
-    assert interp._upowmod(b, e, mod, p) == want
+    assert interp._upowmod(b, e, mod, p) == square_and_multiply(b, e, mod, p)
 
 
 def test_upowmod_squares_once_per_bit(monkeypatch):
     calls = []
-    urem = interp._urem_monic
+    fold = interp._ufold
 
-    def counting(a, mod, p):
-        calls.append(1)
-        return urem(a, mod, p)
+    def counting(r, folds, k, p):
+        calls.append(r)
+        return fold(r, folds, k, p)
 
-    monkeypatch.setattr(interp, "_urem_monic", counting)
+    monkeypatch.setattr(interp, "_ufold", counting)
     e = (P - 1) // 2
-    interp._upowmod(3, e, [5, 0, 7, 1, 2, 9, 1], P)
+    mod = [5, 0, 7, 1, 2, 9, 1]
+    assert interp._upowmod(3, e, mod, P) == square_and_multiply(3, e, mod, P)
     # one reduction per squaring, one more per shift-and-add
-    assert len(calls) <= e.bit_length() + bin(e).count("1")
+    assert len(calls) == e.bit_length() + bin(e).count("1")
 
 
 def test_roundtrip_smoke():

@@ -237,6 +237,9 @@ def test_generator_set_invariants():
 
 
 def test_harvest_evaluates_each_point_once(monkeypatch):
+    # over two cutoffs on one evaluator: the second reads the first's
+    # points, so no point is evaluated twice, and together they evaluate
+    # what one call at the higher cutoff does
     gs = load_fixture("seir34", var_order=SEIR_ORDER)
     ring = gb_ring(gs, FP)
     ev = EomsEvaluator(gs, ring, random.Random(5))
@@ -248,10 +251,25 @@ def test_harvest_evaluates_each_point_once(monkeypatch):
         return evaluate(self, point)
 
     monkeypatch.setattr(EomsEvaluator, "eval", recording_eval)
-    rep = gb_coefficients(gs, 4, ring, random.Random(6), evaluator=ev)
-    assert rep is not FAIL
+    rng, expected = random.Random(6), random.Random(6)
+    total = 0
+    for cutoff in (2, 4):
+        rep = gb_coefficients(gs, cutoff, ring, rng, evaluator=ev)
+        assert rep is not FAIL and rep.n_evals > 0
+        total += rep.n_evals
+        # the caller's stream moves by the two seeds alone
+        expected.getrandbits(64), expected.getrandbits(64)
+        assert rng.getstate() == expected.getstate()
+    assert not rep.has_high_degree()
     assert points and len(set(points)) == len(points)
-    assert rep.n_evals == len(points)
+    assert total == len(points)
+    # and they are the points of one harvest straight at cutoff 4
+    two_rounds = set(points)
+    del points[:]
+    ev = EomsEvaluator(gs, ring, random.Random(5))
+    assert gb_coefficients(gs, 4, ring, random.Random(6), evaluator=ev) \
+        is not FAIL
+    assert set(points) == two_rounds
 
 
 def test_harvest_maps_nothing_to_fp(monkeypatch):

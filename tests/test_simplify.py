@@ -102,7 +102,7 @@ def _harvest_report(p, value, mon=(1,)):
     num = x_ring.from_dict(
         {mon: value.numerator * inv(value.denominator, p) % p})
     entries = {(0, (0, 1)): ("ok", (num, x_ring.one()), (sum(mon), 0))}
-    return CoefficientReport(entries, None, 0)
+    return CoefficientReport(entries, 0)
 
 
 def test_crt_pairs_lift_over_two_primes():
@@ -125,7 +125,7 @@ def test_crt_pairs_mismatch_needs_more_primes():
     moved = _harvest_report(q, value, mon=(2,))
     assert _crt_pairs([_harvest_report(p, value), moved]) \
         is NEED_MORE_PRIMES
-    high = CoefficientReport({(0, (0, 1)): ("high_degree", None)}, None, 0)
+    high = CoefficientReport({(0, (0, 1)): ("high_degree", None)}, 0)
     assert _crt_pairs([_harvest_report(p, value), high]) is NEED_MORE_PRIMES
 
 
@@ -156,12 +156,10 @@ def test_two_prime_lift_verifies():
     assert sorted(g.render() for g in output) == \
         sorted(g.render() for g in genset.generators)
     # the coefficient lifts only over the product of two harvest primes,
-    # listed ahead of the two check primes
-    base = next(8 * r for r in range(3)
-                if production_prime(8 * r) == report.primes[0])
-    assert report.primes[:2] == [production_prime(base),
-                                 production_prime(base + 6)]
-    assert len(report.primes) == 4
+    # listed ahead of the two final-check primes; the one-prime lift fails
+    # the reconstruction margin instead of returning a wrong fraction, so
+    # the first attempt verifies
+    assert report.primes == [production_prime(i) for i in (0, 6, 2, 3)]
 
 
 def test_verification_failed_names_every_attempt():
@@ -258,30 +256,47 @@ def test_power_sums_harvest_shares_points():
     assert sum(r["n_evals"] for r in report.rounds) < 1000
 
 
-def test_power_sums_harvest_solves_each_polynomial_once(monkeypatch):
-    # every key of power_sums is a polynomial, read off one shared sequence,
-    # and each harvest finds the roots of a Prony polynomial once
+def uroots_per_attempt(monkeypatch, name):
+    """The report of simplify() at seed 0 and, per attempt, the Prony
+    polynomials whose roots were found."""
     simplify_module = importlib.import_module("fieldsimp.simplify")
-    harvests = []
-    harvest = simplify_module.gb_coefficients
+    attempts = []
+    run_once = simplify_module._run_once
     uroots = interp._uroots
 
-    def recording_harvest(*args, **kwargs):
-        harvests.append([])
-        return harvest(*args, **kwargs)
+    def recording_run_once(*args):
+        attempts.append([])
+        return run_once(*args)
 
     def recording_uroots(a, p):
-        harvests[-1].append(tuple(a))
+        attempts[-1].append(tuple(a))
         return uroots(a, p)
 
-    monkeypatch.setattr(simplify_module, "gb_coefficients", recording_harvest)
+    monkeypatch.setattr(simplify_module, "_run_once", recording_run_once)
     monkeypatch.setattr(interp, "_uroots", recording_uroots)
-    output, report = simplify(load_fixture("power_sums"), SimplifyConfig(seed=0))
+    output, report = simplify(load_fixture(name), SimplifyConfig(seed=0))
     assert report.verified is True
-    assert sum(r["n_evals"] for r in report.rounds) <= 150
-    assert harvests and any(harvests)
-    for polys in harvests:
-        assert len(polys) <= len(set(polys))
+    assert attempts and all(attempts)
+    return report, attempts
+
+
+def test_power_sums_harvest_solves_each_polynomial_once(monkeypatch):
+    # every key of power_sums is a polynomial, read off one shared sequence,
+    # and an attempt finds the roots of a Prony polynomial once over all
+    # of its rounds
+    report, attempts = uroots_per_attempt(monkeypatch, "power_sums")
+    assert sum(r["n_evals"] for r in report.rounds) <= 47
+    for polys in attempts:
+        assert len(polys) == len(set(polys))
+
+
+def test_rational_keys_solve_each_polynomial_once_per_attempt(monkeypatch):
+    # seir34 has rational keys; a round reads the rows of the rounds
+    # before it, so no Prony polynomial is solved again
+    report, attempts = uroots_per_attempt(monkeypatch, "seir34")
+    assert len(report.rounds) > 1
+    for polys in attempts:
+        assert len(polys) == len(set(polys))
 
 
 # ----------------------------------------------------------------------
