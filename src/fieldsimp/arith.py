@@ -132,10 +132,10 @@ class PrimeField:
         return q.numerator % self.p * pow(den, -1, self.p) % self.p
 
 
-def rational_reconstruct(r, m):
+def rational_reconstruct(r, m, margin_bits=0):
     """Lift residue r mod m to a fraction with |num|, den <= sqrt(m/2) and
-    |num| * den * 2^20 <= m, a margin that a wrong fraction rarely clears
-    (after Monagan's maximal quotient rational reconstruction).
+    |num| * den * 2^margin_bits <= m; a wrong fraction rarely clears a
+    margin of a few bits (after Monagan's maximal quotient reconstruction).
 
     Returns a Fraction, or FAIL when no fraction within the bound exists
     (the caller treats FAIL as "need more primes").
@@ -156,7 +156,7 @@ def rational_reconstruct(r, m):
         return FAIL
     f = Fraction(r1, t1)
     if (f.numerator - r * f.denominator) % m != 0 \
-            or abs(f.numerator) * f.denominator << 20 > m:
+            or abs(f.numerator) * f.denominator << margin_bits > m:
         return FAIL
     return f
 

@@ -100,12 +100,12 @@ def simplicity_compare(f, g):
 # rational reconstruction of modular candidates
 
 
-def reconstruct_candidates(candidates_mod, q_ring, modulus):
+def reconstruct_candidates(candidates_mod, q_ring, modulus, margin_bits=0):
     """Lift (num, den) pairs with residue coefficients to Q, or FAIL (more
     primes are needed) when any coefficient exceeds the lifting bound."""
     out = []
-    for num_terms, den_terms in candidates_mod:
-        rf = _reconstruct_rf(num_terms, den_terms, q_ring, modulus)
+    for num, den in candidates_mod:
+        rf = _reconstruct_rf(num, den, q_ring, modulus, margin_bits)
         if rf is FAIL:
             return FAIL
         out.append(rf)
@@ -140,12 +140,12 @@ def _crt_pairs(reports):
     return pairs
 
 
-def _reconstruct_rf(num_terms, den_terms, q_ring, modulus):
+def _reconstruct_rf(num_terms, den_terms, q_ring, modulus, margin_bits=0):
     sides = []
     for terms in (num_terms, den_terms):
         d = {}
         for m, c in terms:
-            v = rational_reconstruct(c, modulus)
+            v = rational_reconstruct(c, modulus, margin_bits)
             if v is FAIL:
                 return FAIL
             d[m] = v
@@ -240,8 +240,10 @@ def _run_once(genset, cfg, restart):
         pairs = _crt_pairs(reports)
         if pairs is FAIL:
             return FAIL
+        # a 20-bit margin while a second prime can still join
         modulus = math.prod(ev.ring.field.p for ev in evaluators)
-        return reconstruct_candidates(pairs, q_ring, modulus)
+        margin_bits = 20 if len(evaluators) == 1 else 0
+        return reconstruct_candidates(pairs, q_ring, modulus, margin_bits)
 
     add_evaluator(base)
     harvest_field = evaluators[0].ring.field

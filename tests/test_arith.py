@@ -72,9 +72,8 @@ def test_prime_field_ops():
 
 
 def test_rational_reconstruct_roundtrip():
-    # every fraction within the margin |num| * den * 2^20 <= p lifts back
     p = production_prime(0)
-    bound = math.isqrt(p >> 20)
+    bound = math.isqrt(p // 2)
     rng = random.Random(3)
     for _ in range(200):
         a = rng.randrange(-bound + 1, bound)
@@ -86,13 +85,17 @@ def test_rational_reconstruct_roundtrip():
 
 def test_rational_reconstruct_refuses_a_fraction_past_the_margin():
     # within the sqrt(p/2) bound, 10^12/(10^11 + 7) at one 62-bit prime
-    # has a smaller wrong preimage; the margin returns FAIL for it
+    # has a smaller wrong preimage; a 20-bit margin returns FAIL for it
     p = production_prime(0)
     f = Fraction(10 ** 12, 10 ** 11 + 7)
     r = f.numerator * inv(f.denominator, p) % p
     wrong = Fraction(1337233736, 982273601)
-    assert wrong.numerator * inv(wrong.denominator, p) % p == r
-    assert rational_reconstruct(r, p) is FAIL
+    assert rational_reconstruct(r, p) == wrong
+    assert rational_reconstruct(r, p, 20) is FAIL
+    # a fraction that clears the margin still lifts
+    small = Fraction(-(2 ** 20) + 3, 2 ** 21 + 1)
+    r_small = small.numerator * inv(small.denominator, p) % p
+    assert rational_reconstruct(r_small, p, 20) == small
     # over two primes it lifts to the true fraction
     q = production_prime(6)
     r2, m = crt_pair(r, p, f.numerator * inv(f.denominator, q) % q, q)

@@ -162,6 +162,28 @@ def test_two_prime_lift_verifies():
     assert report.primes == [production_prime(i) for i in (0, 6, 2, 3)]
 
 
+def test_sixteen_digit_coefficient_lifts_over_two_primes():
+    # |num| * den is about 2^106: past the one-prime margin, but within
+    # the sqrt(m/2) bound of the two-prime lift
+    genset, _ = parse_problem_file(
+        "vars: x, y\nx + 10000000000000000/10000000000000001*y\nx*y\n")
+    output, report = simplify(genset, SimplifyConfig(seed=0, delta=1))
+    assert report.verified is True
+    assert sorted(g.render() for g in output) == \
+        sorted(g.render() for g in genset.generators)
+    assert report.primes == [production_prime(i) for i in (0, 6, 2, 3)]
+
+
+def test_polynomial_member_lifts_within_the_bound():
+    # x^2 + (5791/5801)^2*y^2 has a 25-bit numerator and denominator; a
+    # polynomial member lifts at one prime up to sqrt(p/2) and is kept
+    # once the membership check confirms it
+    genset, _ = parse_problem_file("vars: x, y\nx + 5791/5801*y\nx*y\n")
+    _output, report = simplify(genset, SimplifyConfig(seed=0, delta=2))
+    assert report.verified is True
+    assert ("x^2 + 33535681/33651601*y^2", "polynomial") in report.pool
+
+
 def test_verification_failed_names_every_attempt():
     cfg = SimplifyConfig(max_harvest_degree=1)
     with pytest.raises(VerificationFailed) as info:
