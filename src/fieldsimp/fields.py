@@ -10,9 +10,9 @@ met by a large enough prime): the Jacobian rows and candidate gradients
 come by the quotient rule from one pass over the terms of the F_p images of
 numerators and denominators, which reads each value and gradient together
 (points are drawn with every coordinate nonzero).  Both the rank test and
-the polynomial search keep an F_p row space as one reduced echelon basis
-that grows a row at a time (`_extend`), and test a vector against it by
-reducing it (`_reduce`).
+the polynomial search keep an F_p row space as one semi-echelon basis that
+grows a row at a time (`_extend`) and test a vector against it by reducing
+it (`_reduce`); the search back-substitutes once where it reads it.
 
 The specialized ideal comes from `oms`: MembershipContext reads the F_p
 images of the generators and of Q from `GeneratorSet.modp`, and the
@@ -39,30 +39,37 @@ EXTRA_POINTS = 8
 
 
 def _reduce(echelon, v, p):
-    """`v` reduced by a reduced echelon basis: a list of (pivot, row) pairs
-    sorted by pivot, each row 1 at its pivot and 0 at the others.  The
-    result is zero iff `v` lies in the row space."""
-    v = [x % p for x in v]
+    """`v` reduced by a semi-echelon basis: (pivot, row) pairs sorted by
+    pivot, each row stored from its pivot, where it is 1.  An entry is taken
+    mod p only when read as a pivot.  The result is zero iff `v` lies in the
+    row space."""
+    v = list(v)
     for c, row in echelon:
-        f = v[c]
+        f = v[c] % p
         if f:
-            v = [(x - f * y) % p for x, y in zip(v, row)]
-    return v
+            v[c:] = [x - f * y for x, y in zip(v[c:], row)]
+    return [x % p for x in v]
 
 
 def _extend(echelon, v, p):
-    """Add `v` to the row space of `echelon` in place, keeping it reduced;
-    False when `v` already lay in it."""
+    """Add `v` to the row space of the semi-echelon `echelon` in place;
+    False when `v` already lay in it.  No stored row is rewritten."""
     v = _reduce(echelon, v, p)
     c = next((j for j, x in enumerate(v) if x), None)
     if c is None:
         return False
     inv = pow(v[c], -1, p)
-    pair = (c, [x * inv % p for x in v])
-    echelon[:] = [(d, _reduce([pair], row, p) if row[c] else row)
-                  for d, row in echelon]
-    bisect.insort(echelon, pair)
+    bisect.insort(echelon, (c, [x * inv % p for x in v[c:]]))
     return True
+
+
+def _back_substitute(echelon, p):
+    """The reduced echelon basis of a semi-echelon basis's row space, as
+    (pivot, row) pairs of full rows, each row 0 at the other pivots."""
+    done = []
+    for c, row in reversed(echelon):
+        done.insert(0, (c, _reduce([(d - c, r) for d, r in done], row, p)))
+    return [(c, [0] * c + row) for c, row in done]
 
 
 def _gradient_modp(num, den, point):
@@ -237,12 +244,14 @@ def polynomial_generators(genset, delta, field, rng):
     At a random point b, p = sum v_i m_i lies in the subfield only if the
     normal form of p(y) against the specialized ideal is a constant, so
     every nonconstant monomial in the normal forms of the candidate
-    monomials m_i gives one linear condition on v.  Each point's conditions
-    extend one reduced echelon basis: the first point is the
-    EomsEvaluator's learn point, and fresh points are drawn until one adds
-    no row to it (their GBs replay the learned trace; a lost point is
-    skipped).  Returns the monic elements of the reduced echelon basis of
-    its nullspace, leading monomials descending.
+    monomials m_i gives one linear condition on v.  The normal forms are
+    compiled once, at the EomsEvaluator's learned GB, into slot programs;
+    each point replays them on its GB (a replay of the learned trace) to
+    read its conditions.  The conditions extend one semi-echelon basis:
+    the first point is the learn point, and fresh points are drawn until
+    one adds no row to it (a lost point, a failed GB replay or a nonzero
+    cancelled slot, is skipped).  Returns the monic elements of the
+    reduced echelon basis of its nullspace, leading monomials descending.
     """
     ev = EomsEvaluator(genset, gb_ring(genset, field, genset.ring.order), rng)
     x_ring = genset.modp(field)[0]
@@ -250,35 +259,33 @@ def polynomial_generators(genset, delta, field, rng):
     p = field.p
     key = x_ring.order.key
     monomials = sorted(_monomials_up_to(n, delta), key=key)
-    lifted = [(0,) + mon for mon in monomials]
+    forms = ev.learned.compile_normal_forms([(0,) + mon for mon in monomials])
     dim = len(monomials)
     echelon = []
     gb = ev.learned
     for k in range(dim + EXTRA_POINTS):
         if k:
             gb = ev.gb(tuple(rng.randrange(1, p) for _ in range(n)))
-        if gb is FAIL:
+        rows = FAIL if gb is FAIL else gb.condition_rows(forms)
+        if rows is FAIL:
             continue
-        rows = {}           # one condition row per nonconstant monomial
-        for i, nf in enumerate(gb.nonconstant_normal_forms(lifted)):
-            for mm, c in nf.items():
-                rows.setdefault(mm, [0] * dim)[i] = c
-        if not sum(_extend(echelon, row, p) for row in rows.values()):
+        if not sum(_extend(echelon, row, p) for row in rows):
             break
     else:
         raise UnluckyPoint("kernel iteration did not stabilize")
-    pivots = {c for c, _ in echelon}
+    reduced = _back_substitute(echelon, p)
+    pivots = {c for c, _ in reduced}
     kernel = []
     for f in range(dim):
         if f in pivots:
             continue
         vec = [0] * dim
         vec[f] = 1
-        for c, row in echelon:
+        for c, row in reduced:
             vec[c] = -row[f] % p
         _extend(kernel, vec, p)
     polys = []
-    for _, vec in kernel:
+    for _, vec in _back_substitute(kernel, p):
         poly = x_ring.from_dict({m: c for m, c in zip(monomials, vec) if c})
         if not poly.is_constant():
             polys.append(poly.monic())

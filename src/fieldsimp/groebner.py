@@ -10,7 +10,9 @@ apply run maps each input's terms, as given, onto its learned support and
 runs the programs as straight-line multiply-subtract on lists of ints, with
 no heap and no divisor search.  groebner() records and compiles nothing.
 A fresh trace runs its zero reductions in full; gb_verify checks it by one
-such replay at a second point, then cuts them to quick checks.
+such replay at a second point, then cuts them to quick checks.  The normal
+forms of given monomials compile the same way at one GB and replay on any
+GB of its support (the polynomial search in `fields`).
 
 Callers hand in and read exponent tuples.  Monomials are packed into single
 integers only inside the learn, the GB and its normal forms, so that integer
@@ -310,16 +312,51 @@ class ReducedGB:
                          self._ptails, codec, self.ring.field.p)
         return _unpack_terms(self.ring, codec, sorted(d.items(), reverse=True))
 
-    def nonconstant_normal_forms(self, monomials):
-        """The normal form of each monomial (an exponent tuple) without its
-        constant term, as a dict keyed by packed monomials (opaque to the
-        caller, equal for equal monomials)."""
-        codec = self._codec
-        out = [_reduce_full({codec.pack(m): 1}, self._plms, self._ptails,
-                            codec, self.ring.field.p) for m in monomials]
-        for d in out:
-            d.pop(codec.CONST, None)        # the packed constant monomial
-        return out
+    def compile_normal_forms(self, monomials):
+        """The normal forms of `monomials` (exponent tuples) at this GB,
+        compiled for `condition_rows`: the condition rows, one per
+        nonconstant monomial of the normal forms, with the fixed entries 1
+        of the monomials already in normal form, and per other monomial
+        (index, slot program, (output slot, row) pairs).  A program's first
+        operand is the constant one-term pseudo-row shifted by its monomial."""
+        codec, p = self._codec, self.ring.field.p
+        basis = self.packed + [[(codec.CONST, 1)]]
+        rows, fixed, programs = {}, [], []
+        for i, m in enumerate(monomials):
+            pm, steps = codec.pack(m), []
+            rem = _reduce_full({pm: 1}, self._plms, self._ptails, codec, p,
+                               steps)
+            if not steps:
+                if pm != codec.CONST:
+                    fixed.append((rows.setdefault(pm, len(rows)), i))
+                continue
+            program = _compile((len(self.packed), pm - codec.CONST), steps,
+                               rem, basis)
+            tags = tuple((s, rows.setdefault(mm, len(rows))) for s, mm
+                         in zip(program[3], sorted(rem, reverse=True))
+                         if mm != codec.CONST)
+            programs.append((i, program, tags))
+        template = [[0] * len(monomials) for _ in rows]
+        for r, i in fixed:
+            template[r][i] = 1
+        return template, programs
+
+    def condition_rows(self, forms):
+        """Normal forms compiled at a GB of this GB's support, replayed on
+        it: row r holds the coefficient of its monomial in each monomial's
+        normal form.  FAIL when a slot that cancelled at the compile is
+        nonzero."""
+        template, programs = forms
+        p = self.ring.field.p
+        basis = [[c for _, c in g] for g in self.packed] + [[1]]
+        rows = [list(row) for row in template]
+        for i, program, tags in programs:
+            v = _slots(program, basis, p)
+            if any(v[s] % p for s in program[4]):
+                return FAIL
+            for s, r in tags:
+                rows[r][i] = v[s] % p
+        return rows
 
 
 def _prepare(ring, generators):

@@ -190,6 +190,8 @@ def _uroots(a, p):
     a = _uscale(a, pow(a[-1], -1, p), p)
     if _udeg(a) == 1:
         return [-a[0] % p]
+    if p == 2:      # the splitting exponent (p - 1)//2 would be 0
+        return [x for x in (0, 1) if not _ueval(a, x, p)]
     rng = random.Random(0)
     # strip the factor supported on roots only: gcd(a, x^p - x)
     xp = _upowmod(0, p, a, p)

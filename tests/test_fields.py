@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -8,16 +9,19 @@ from hypothesis import strategies as st
 from fieldsimp import fields as fields_module
 from fieldsimp import oms
 from fieldsimp.arith import FAIL, rational_reconstruct
-from fieldsimp.fields import (MembershipContext, _extend, _gradient_modp,
-                              _reduce, contains, fields_equal, minimize,
-                              polynomial_generators)
+from fieldsimp.fields import (MembershipContext, _back_substitute, _extend,
+                              _gradient_modp, _reduce, contains, fields_equal,
+                              minimize, polynomial_generators)
 from fieldsimp.groebner import ReducedGB
 from fieldsimp.oms import EomsEvaluator, GeneratorSet, UnluckyPoint
 from fieldsimp.poly import MultiPoly, PrimeField, QQ, RationalFunction, Ring
 
-from conftest import (CHECK_PRIMES, fields_equal_2p, genset_of, load_fixture,
-                      parse_many)
+from conftest import (ALL_FIXTURES, CHECK_PRIMES, fields_equal_2p, genset_of,
+                      load_fixture, parse_many)
 from oracle import fp_echelon, in_fp_span, symbolic_membership_space
+
+# the package exports a function of the same name, so fetch the module
+groebner_module = importlib.import_module("fieldsimp.groebner")
 
 FIELDS = tuple(PrimeField(p) for p in CHECK_PRIMES)
 
@@ -277,9 +281,10 @@ def test_rref_matches_oracle(case):
     p, matrix, vector = case
     echelon = []
     grown = [_extend(echelon, row, p) for row in matrix]
-    assert [r for _, r in echelon] == fp_echelon(matrix, p)
+    reduced = _back_substitute(echelon, p)
+    assert [r for _, r in reduced] == fp_echelon(matrix, p)
     assert [c for c, _ in echelon] == [next(j for j, x in enumerate(r) if x)
-                                       for _, r in echelon]
+                                       for _, r in reduced]
     assert grown.count(True) == len(echelon)
     assert (not any(_reduce(echelon, vector, p))) \
         == in_fp_span(matrix, vector, p)
@@ -420,13 +425,25 @@ def test_polynomial_generators_replays_one_trace(monkeypatch):
     assert calls == {"groebner": 0, "gb_learn": 1}
 
 
-def test_polynomial_generators_reads_the_learned_gb(monkeypatch):
-    reached, served = [], []
-    nfs, gb = ReducedGB.nonconstant_normal_forms, EomsEvaluator.gb
+def test_polynomial_generators_replays_compiled_normal_forms(monkeypatch):
+    evaluators, compiled, read, served, reduced = [], [], [], [], []
+    init, gb = EomsEvaluator.__init__, EomsEvaluator.gb
+    compile_nfs, rows = (ReducedGB.compile_normal_forms,
+                         ReducedGB.condition_rows)
+    reduce_full = groebner_module._reduce_full
 
-    def recording_nfs(self, monomials):
-        reached.append(self)
-        return nfs(self, monomials)
+    def recording_init(self, *args):
+        init(self, *args)
+        evaluators.append(self)
+
+    def recording_compile(self, monomials):
+        forms = compile_nfs(self, monomials)
+        compiled.append((self, len(reduced)))
+        return forms
+
+    def recording_rows(self, forms):
+        read.append(self)
+        return rows(self, forms)
 
     def recording_gb(self, point):
         got = gb(self, point)
@@ -434,12 +451,96 @@ def test_polynomial_generators_reads_the_learned_gb(monkeypatch):
             served.append(got)
         return got
 
-    monkeypatch.setattr(ReducedGB, "nonconstant_normal_forms", recording_nfs)
+    def counting(*args):
+        reduced.append(1)
+        return reduce_full(*args)
+
+    monkeypatch.setattr(EomsEvaluator, "__init__", recording_init)
     monkeypatch.setattr(EomsEvaluator, "gb", recording_gb)
+    monkeypatch.setattr(ReducedGB, "compile_normal_forms", recording_compile)
+    monkeypatch.setattr(ReducedGB, "condition_rows", recording_rows)
+    monkeypatch.setattr(groebner_module, "_reduce_full", counting)
     gs = load_fixture("seir34", var_order=SEIR_ORDER)
     assert polynomial_generators(gs, 2, FIELDS[0], random.Random(6))
-    # the GB of the learn point is read too, and each replay once
-    assert len(reached) == len({id(g) for g in reached}) == len(served) + 1
+    # compiled once, at the learn; each GB read once, the learned one too;
+    # no reduction after the compile
+    ev, = evaluators
+    assert [g for g, _ in compiled] == [ev.learned]
+    assert read == [ev.learned] + served
+    assert len({id(g) for g in read}) == len(read)
+    assert compiled[0][1] == len(reduced)
+
+
+def test_polynomial_generators_skips_a_nonzero_cancelled_slot(monkeypatch):
+    # the first replay finds a slot nonzero that cancelled at the compile;
+    # that point is a lost sample
+    gs = load_fixture("lotka_volterra")
+    field = FIELDS[0]
+    want = polynomial_generators(gs, 2, field, random.Random(1))
+    slots, rows = groebner_module._slots, ReducedGB.condition_rows
+    replaying, forced, results = [], [], []
+
+    def perturbed(program, basis, p):
+        v = slots(program, basis, p)
+        if replaying and program[4] and not forced:
+            v[program[4][0]] += 1
+            forced.append(program)
+        return v
+
+    def recording_rows(self, forms):
+        replaying[:] = [True] if len(results) == 1 else []
+        results.append(rows(self, forms))
+        replaying.clear()
+        return results[-1]
+
+    monkeypatch.setattr(groebner_module, "_slots", perturbed)
+    monkeypatch.setattr(ReducedGB, "condition_rows", recording_rows)
+    got = polynomial_generators(gs, 2, field, random.Random(1))
+    assert forced and results[1] is FAIL
+    assert [b.terms for b in got] == [b.terms for b in want]
+    monomials, kernel = symbolic_membership_space(gs, 2)
+    p = field.p
+    rows_got = [[b.coefficient(m) for m in monomials]
+                for b in got + [got[0].ring.one()]]
+    rows_want = [[c.numerator * pow(c.denominator, -1, p) % p for c in row]
+                 for row in kernel]
+    assert fp_echelon(rows_got, p) == fp_echelon(rows_want, p)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_polynomial_generators_match_reference_normal_forms(monkeypatch,
+                                                            seed):
+    # the compiled replay against condition rows read off normal_form
+    candidates = []
+    compile_nfs = ReducedGB.compile_normal_forms
+
+    def recording_compile(self, monomials):
+        candidates.append(monomials)
+        return compile_nfs(self, monomials)
+
+    def reference_rows(self, forms):
+        rows = {}
+        for i, m in enumerate(candidates[-1]):
+            nf = self.normal_form(self.ring.from_dict({m: 1}))
+            for mm, c in nf.terms:
+                if any(mm):
+                    rows.setdefault(mm, [0] * len(candidates[-1]))[i] = c
+        return list(rows.values())
+
+    field = FIELDS[0]
+    for name in ALL_FIXTURES:
+        if name == "bilirubin":
+            continue
+        gs = load_fixture(name)
+        rng = random.Random(seed)
+        basis = polynomial_generators(gs, 3, field, rng)
+        with monkeypatch.context() as patch:
+            patch.setattr(ReducedGB, "compile_normal_forms", recording_compile)
+            patch.setattr(ReducedGB, "condition_rows", reference_rows)
+            ref_rng = random.Random(seed)
+            reference = polynomial_generators(gs, 3, field, ref_rng)
+        assert [b.terms for b in basis] == [b.terms for b in reference], name
+        assert rng.getstate() == ref_rng.getstate(), name
 
 
 def test_polynomial_generators_reads_packed_normal_forms(monkeypatch):

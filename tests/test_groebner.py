@@ -77,21 +77,35 @@ def test_normal_form_of_ideal_member_is_zero():
         assert gb.normal_form(combo).is_zero()
 
 
-def _nonconstant_terms(gb, monomial):
-    """The nonconstant normal form of one monomial, unpacked into a dict."""
-    nf, = gb.nonconstant_normal_forms([monomial])
-    return {gb._codec.unpack(m): c for m, c in nf.items()}
+def _condition_rows(gb, monomials, at=None):
+    """The normal forms of `monomials` compiled at `gb`, replayed at `at`
+    (by default `gb` itself)."""
+    return (at or gb).condition_rows(gb.compile_normal_forms(monomials))
 
 
-def test_nonconstant_normal_forms_examples():
+def test_compiled_normal_forms_examples():
     gb_y = groebner(R2, [R2.variable(1)])
-    assert _nonconstant_terms(gb_y, (0, 0)) == {}
-    assert _nonconstant_terms(gb_y, (1, 0)) == {(1, 0): 1}
+    assert _condition_rows(gb_y, [(0, 0)]) == []
+    assert _condition_rows(gb_y, [(1, 0)]) == [[1]]
     gb3 = groebner(R2, [R2.variable(0) ** 2 - R2.from_int(5)])
-    assert _nonconstant_terms(gb3, (2, 0)) == {}
-    # equal monomials get equal keys, different ones different keys
-    nfs = gb_y.nonconstant_normal_forms([(1, 0), (1, 0), (2, 0)])
-    assert nfs[0].keys() == nfs[1].keys() and nfs[0].keys() != nfs[2].keys()
+    assert _condition_rows(gb3, [(2, 0)]) == []
+    # equal monomials share a condition row, different ones do not
+    assert _condition_rows(gb_y, [(1, 0), (1, 0), (2, 0)]) \
+        == [[1, 1, 0], [0, 0, 1]]
+
+
+def test_compiled_normal_forms_replay():
+    # x^3 = (a^2 + b) x + a b modulo x^2 - a x - b: its x term cancels at
+    # a = 2, b = -4 and not at a = 2, b = -3, on the same support
+    ring = Ring(("x",), FP)
+    x, one = ring.variable(0), ring.one()
+    special = groebner(ring, [x * x - 2 * x + 4 * one])
+    regular = groebner(ring, [x * x - 2 * x + 3 * one])
+    monomials = [(3,), (2,), (1,), (0,)]
+    assert _condition_rows(special, monomials, at=regular) is FAIL
+    for gb in (special, regular):
+        want = [gb.normal_form(x ** e).coefficient((1,)) for (e,) in monomials]
+        assert _condition_rows(regular, monomials, at=gb) == [want]
 
 
 def _random_poly(ring, rng, max_terms=4, max_exp=3):
@@ -462,6 +476,6 @@ def test_packed_results_keep_ring_order(case):
         assert canonical(gb.normal_form(h))
         for m in h.support():
             nf = gb.normal_form(ring.from_dict({m: 1}))
-            plus = _nonconstant_terms(gb, m)
-            assert canonical(nf) and all(0 < c < P for c in plus.values())
-            assert plus == {t: c for t, c in nf.terms if any(t)}
+            rows = _condition_rows(gb, [m])
+            assert canonical(nf) and all(0 < c < P for c, in rows)
+            assert rows == [[c] for t, c in nf.terms if any(t)]

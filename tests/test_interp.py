@@ -341,6 +341,14 @@ def test_upowmod_squares_once_per_bit(monkeypatch):
     assert len(calls) == e.bit_length() + bin(e).count("1")
 
 
+def test_uroots_at_two():
+    # (p - 1)//2 is 0 at p = 2, so the roots are read at 0 and 1
+    assert interp._uroots([0, 1, 1], 2) == [0, 1]
+    assert interp._uroots([0, 1], 2) == [0]
+    assert interp._uroots([1, 1], 2) == [1]
+    assert interp._uroots([1, 1, 1], 2) == []
+
+
 def test_roundtrip_smoke():
     # small version of the acceptance round-trip suite
     rng = random.Random(21)
