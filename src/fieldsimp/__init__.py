@@ -5,7 +5,8 @@ from .arith import (FAIL, NonCoprimeModuli, PrimeField, ZeroInverse, crt_pair,
 from .poly import (DEGREVLEX, LEX, QQ, DivisionByZero, MonomialOrder,
                    MultiPoly, RationalFunction, Ring, RingMismatch, gcd_q,
                    lcm_q)
-from .groebner import GroebnerTrace, ReducedGB, gb_apply, gb_learn, groebner
+from .groebner import (ExponentOverflow, GroebnerTrace, ReducedGB, gb_apply,
+                       gb_learn, groebner)
 from .interp import (Blackbox, admissible_ratio, ben_or_tiwari,
                      cauchy_interpolate, estimate_degrees, interpolate_rational)
 from .oms import (GeneratorSet, CoefficientReport, EvaluationBudgetExceeded,

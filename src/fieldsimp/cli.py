@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .groebner import MAX_EXPONENT
+from .groebner import MAX_EXPONENT, ExponentOverflow
 from .oms import EvaluationBudgetExceeded, GeneratorSet
 from .poly import (QQ, DivisionByZero, MonomialOrder, RationalFunction, Ring)
 from .simplify import SimplifyConfig, VerificationFailed, simplify
@@ -284,6 +284,9 @@ def run(argv):
     except EvaluationBudgetExceeded as exc:
         print("evaluation budget exhausted: %s" % exc, file=sys.stderr)
         return 3
+    except ExponentOverflow as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     doc = report.to_json_dict()
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

@@ -112,6 +112,7 @@ class MembershipContext:
         self.rng = rng
         self.x_ring, self._images, self._qpoly = genset.modp(field)
         self.gb_ring = gb_ring(genset, field, genset.ring.order)
+        self._folded = {}
         self._draw_point()
 
     def _draw_point(self):
@@ -187,15 +188,19 @@ class MembershipContext:
     def _extra_denominator(self, cand):
         """None when every factor of cand.den divides the common
         denominator Q (cand.den(y) is then a unit modulo the ideal, which
-        holds t Q(y) - 1), else cand.den, to be folded into Q."""
-        q = self.genset.common_denominator
-        rest = cand.den
-        while not rest.is_constant():
-            g = gcd_q(rest, q)
-            if g.is_constant():
-                return cand.den
-            rest = try_divexact(rest, g)
-        return None
+        holds t Q(y) - 1), else cand.den, to be folded into Q; decided once
+        per denominator."""
+        key = cand.den.terms
+        if key not in self._folded:
+            q = self.genset.common_denominator
+            rest = cand.den
+            while not rest.is_constant():
+                g = gcd_q(rest, q)
+                if g.is_constant():
+                    break
+                rest = try_divexact(rest, g)
+            self._folded[key] = None if rest.is_constant() else cand.den
+        return self._folded[key]
 
     def transcendence_rank(self):
         return self.rank

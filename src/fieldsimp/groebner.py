@@ -14,11 +14,16 @@ such replay at a second point, then cuts them to quick checks.  The normal
 forms of given monomials compile the same way at one GB and replay on any
 GB of its support (the polynomial search in `fields`).
 
+The reduction kernel, like the replay, leaves coefficients unreduced until
+they are read; a Buchberger run, or a compile of normal forms, shares one
+memo of each monomial's first divisor, valid while the divisors only grow.
+
 Callers hand in and read exponent tuples.  Monomials are packed into single
 integers only inside the learn, the GB and its normal forms, so that integer
 comparison realizes the monomial order and integer addition realizes
-monomial multiplication; divisibility is a guard-bit test.  ReducedGB is
-built from the packed basis, and its MultiPoly view on first use.
+monomial multiplication; divisibility is a guard-bit test, and a new
+monomial with a guard bit set raises ExponentOverflow.  ReducedGB is built
+from the packed basis, and its MultiPoly view on first use.
 """
 
 import heapq
@@ -97,44 +102,63 @@ def _unpack_terms(ring, codec, terms):
     return MultiPoly(ring, tuple((unpack(m), c) for m, c in terms))
 
 
-def _reduce_full(work, lms, tails, codec, p, steps=None):
+class ExponentOverflow(ValueError):
+    """A Groebner computation reached an exponent above MAX_EXPONENT."""
+
+
+_OVERFLOW = ("a Groebner basis exponent exceeds %d, the largest a packed "
+             "monomial holds" % MAX_EXPONENT)
+
+
+def _reduce_full(work, lms, tails, codec, p, steps=None, memo=None):
     """Fully reduce the packed term dict `work` by the basis view, appending
-    (monomial, reducer index, packed multiplier) per step to `steps`."""
+    (monomial, reducer index, packed multiplier) per step to `steps`.
+
+    The values in `work` stay unreduced until a monomial is popped, and a
+    monomial is in `work` exactly while it is queued (every shifted tail
+    monomial is below the popped one).  `memo` maps a monomial to the index
+    of its first divisor in `lms`, or to ~k when none of lms[:k] divides
+    it; it stays valid only while `lms` grows by appending."""
     CONST, GUARDS = codec.CONST, codec.GUARDS
+    memo = {} if memo is None else memo
     out = {}
     heap = [-m for m in work]
     heapq.heapify(heap)
-    queued = set(work)
     while heap:
         m = -heapq.heappop(heap)
-        queued.discard(m)
-        c = work.pop(m, 0)
+        c = work.pop(m) % p
         if c == 0:
             continue
-        base = m + CONST
-        for idx, lm in enumerate(lms):
-            q = base - lm
-            if q >= 0 and not (q & GUARDS):
-                q -= CONST
-                if steps is not None:
-                    steps.append((m, idx, q))
-                for tm, tc in tails[idx]:
-                    mm = q + tm
-                    v = (work.get(mm, 0) - c * tc) % p
-                    if v:
-                        work[mm] = v
-                        if mm not in queued:
-                            queued.add(mm)
-                            heapq.heappush(heap, -mm)
-                    else:
-                        work.pop(mm, None)
-                break
-        else:
-            out[m] = c
+        idx = memo.get(m, -1)
+        if idx < 0:
+            base = m + CONST
+            for idx in range(~idx, len(lms)):
+                q = base - lms[idx]
+                if q >= 0 and not (q & GUARDS):
+                    break
+            else:
+                idx = ~len(lms)
+            memo[m] = idx
+            if idx < 0:
+                out[m] = c
+                continue
+        q = m - lms[idx]
+        if steps is not None:
+            steps.append((m, idx, q))
+        for tm, tc in tails[idx]:
+            mm = q + tm
+            v = work.get(mm)
+            if v is None:
+                if mm & GUARDS:
+                    raise ExponentOverflow(_OVERFLOW)
+                work[mm] = -c * tc
+                heapq.heappush(heap, -mm)
+            else:
+                work[mm] = v - c * tc
     return out
 
 
-def _spoly_dict(f, g, lcm, p):
+def _spoly_dict(f, g, lcm, codec, p):
     """S-polynomial of monic packed term lists f, g, whose leading monomials
     have the packed lcm `lcm`, as a packed dict."""
     qf, qg = lcm - f[0][0], lcm - g[0][0]
@@ -148,6 +172,8 @@ def _spoly_dict(f, g, lcm, p):
             d[mm] = v
         else:
             d.pop(mm, None)
+    if any(m & codec.GUARDS for m in d):
+        raise ExponentOverflow(_OVERFLOW)
     return d
 
 
@@ -156,18 +182,19 @@ def _divides(a, b, codec):
     return q >= 0 and not (q & codec.GUARDS)
 
 
-def _gm_update(pairs, basis_lms, active, h_idx, codec):
-    """Gebauer-Moller pair update after appending element h_idx; pairs are
-    (lcm degree, packed lcm, i, j), so sorting them is the normal strategy;
-    lm_i and lm_h are coprime when their lcm is their product."""
-    pack, unpack = codec.pack, codec.unpack
+def _gm_update(pairs, basis_lms, exps, active, h_idx, codec):
+    """Gebauer-Moller pair update after appending element h_idx; `exps`
+    holds the leading monomials' exponent tuples.  Pairs are (lcm degree,
+    packed lcm, i, j), so sorting them is the normal strategy; lm_i and
+    lm_h are coprime when their lcm is their product."""
+    pack = codec.pack
     lmh = basis_lms[h_idx]
-    eh = unpack(lmh)
+    eh = exps[h_idx]
     lcm_h = {}
 
     def lcm_with_h(i):
         if i not in lcm_h:
-            lcm_h[i] = pack(tuple(map(max, eh, unpack(basis_lms[i]))))
+            lcm_h[i] = pack(tuple(map(max, eh, exps[i])))
         return lcm_h[i]
 
     coprime = {i for i in active
@@ -321,11 +348,11 @@ class ReducedGB:
         operand is the constant one-term pseudo-row shifted by its monomial."""
         codec, p = self._codec, self.ring.field.p
         basis = self.packed + [[(codec.CONST, 1)]]
-        rows, fixed, programs = {}, [], []
+        rows, fixed, programs, memo = {}, [], [], {}
         for i, m in enumerate(monomials):
             pm, steps = codec.pack(m), []
             rem = _reduce_full({pm: 1}, self._plms, self._ptails, codec, p,
-                               steps)
+                               steps, memo)
             if not steps:
                 if pm != codec.CONST:
                     fixed.append((rows.setdefault(pm, len(rows)), i))
@@ -381,18 +408,19 @@ def _run_buchberger(ring, generators, learn):
         return (unit, trace) if learn else unit
     basis = [_monic_terms(_pack_terms(codec, g), p) for g in inputs]
     lms = [g[0][0] for g in basis]
+    exps = [codec.unpack(lm) for lm in lms]
+    tails = [g[1:] for g in basis]
     pairs, active = [], set()
     for idx in range(len(basis)):
-        pairs, active = _gm_update(pairs, lms, active, idx, codec)
+        pairs, active = _gm_update(pairs, lms, exps, active, idx, codec)
 
-    programs = []
+    programs, memo = [], {}
     while pairs:
         pairs.sort()
         _, lcm, i, j = pairs.pop(0)
-        s = _spoly_dict(basis[i], basis[j], lcm, p)
-        tails = [g[1:] for g in basis]
+        s = _spoly_dict(basis[i], basis[j], lcm, codec, p)
         steps = [(lcm, j, lcm - lms[j])] if learn else None
-        rem = _reduce_full(s, lms, tails, codec, p, steps)
+        rem = _reduce_full(s, lms, tails, codec, p, steps, memo)
         if learn:
             programs.append(_compile((i, lcm - lms[i]), steps, rem, basis))
         if not rem:
@@ -400,7 +428,10 @@ def _run_buchberger(ring, generators, learn):
         h = _monic_terms(rem, p)
         basis.append(h)
         lms.append(h[0][0])
-        pairs, active = _gm_update(pairs, lms, active, len(basis) - 1, codec)
+        exps.append(codec.unpack(h[0][0]))
+        tails.append(h[1:])
+        pairs, active = _gm_update(pairs, lms, exps, active, len(basis) - 1,
+                                   codec)
 
     gb = ReducedGB(ring, _interreduce(basis, codec, p,
                                       programs if learn else None), codec)

@@ -237,6 +237,15 @@ def test_run_exponent_too_large(tmp_path, capsys):
         assert "exponent %d exceeds 65535" % top in capsys.readouterr().err
 
 
+def test_run_groebner_exponent_overflow(tmp_path, capsys):
+    # under lex a Groebner basis of this problem needs y^65536, which no
+    # packed monomial holds: a typed error, not a wrong basis
+    problem = tmp_path / "overflow.txt"
+    problem.write_text("vars: x, y\nx + y^65535\nx*y\n")
+    assert run(["--input", str(problem), "--order", "lex"]) == 2
+    assert "exceeds 65535" in capsys.readouterr().err
+
+
 def test_polynomial_member_beyond_one_prime(tmp_path, capsys):
     # the member x^2 + (1048571/1048573)^2*y^2 has a coefficient too large
     # to lift at one prime; its wrong lift must not reach the output

@@ -566,6 +566,24 @@ def test_denominator_dividing_a_power_of_q():
                 text
 
 
+def test_each_denominator_folded_once_per_context(monkeypatch):
+    # Q = a^2 b^2 c^2: a^4 takes two gcds with Q, a^2 + 1 one
+    gs = load_fixture("heron")
+    ctx = MembershipContext(gs, FIELDS[0], random.Random(3))
+    calls = []
+    gcd_q = fields_module.gcd_q
+
+    def counting(a, b):
+        calls.append(a)
+        return gcd_q(a, b)
+
+    monkeypatch.setattr(fields_module, "gcd_q", counting)
+    candidates = parse_many(gs.ring, ["b^2/a^4", "1/(a^2 + 1)", "c^2/a^4"])
+    for _ in range(3):
+        assert all(ctx.contains(c) for c in candidates)
+    assert len(calls) == 3
+
+
 def test_polynomial_generators_seir():
     gs = load_fixture("seir34", var_order=SEIR_ORDER)
     field = FIELDS[0]

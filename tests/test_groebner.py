@@ -1,3 +1,4 @@
+import heapq
 import importlib
 import random
 
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldsimp.arith import FAIL, PrimeField, production_prime
-from fieldsimp.groebner import (TRACE_DIVERGED, gb_apply, gb_learn, gb_verify,
-                                groebner)
+from fieldsimp.groebner import (TRACE_DIVERGED, ExponentOverflow, gb_apply,
+                                gb_learn, gb_verify, groebner)
 from fieldsimp.oms import gb_ring, specialize_eoms
 from fieldsimp.poly import LEX, MonomialOrder, Ring
 
@@ -55,6 +56,24 @@ def test_divisibility_past_a_degree_difference_of_2_16():
     big = R2.from_dict({(40000, 40000): 1})
     assert groebner(R2, [big + x, x]).polys == [x]
     assert groebner(R2, [big - R2.one(), x]).polys == [R2.one()]
+
+
+def test_exponent_overflow_raises():
+    # under lex the basis of <x + y^65535, x y> holds y^65536, past the
+    # 16-bit exponent field: the S-polynomial y^65536 overflows (unchecked,
+    # it reads as a wrong basis [y^65535, x]); in the third ideal the
+    # reduction of the S-polynomial x y^65535 - 1 does
+    ring = Ring(("x", "y"), FP, LEX)
+    x, y = ring.gens()
+    for gens in ([x + y ** 65535, x * y], [x + y ** 65535, x * y + ring.one()],
+                 [x + y ** 65535, x * x + ring.one()]):
+        for run in (groebner, gb_learn):
+            with pytest.raises(ExponentOverflow, match="65535"):
+                run(ring, gens)
+    with pytest.raises(ExponentOverflow):
+        groebner(ring, [x + y ** 65535]).normal_form(x * y)
+    gb = groebner(ring, [x + y ** 65534, x * y + ring.one()])
+    assert gb.polys == [y ** 65535 - ring.one(), x + y ** 65534]
 
 
 def test_normal_form_examples():
@@ -479,3 +498,109 @@ def test_packed_results_keep_ring_order(case):
             rows = _condition_rows(gb, [m])
             assert canonical(nf) and all(0 < c < P for c, in rows)
             assert rows == [[c] for t, c in nf.terms if any(t)]
+
+
+def _reference_reduce_full(work, lms, tails, codec, p, steps=None):
+    """The reduction kernel as it was before its values were left unreduced
+    and its divisor searches memoized: the reference for its results."""
+    CONST, GUARDS = codec.CONST, codec.GUARDS
+    out = {}
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    queued = set(work)
+    while heap:
+        m = -heapq.heappop(heap)
+        queued.discard(m)
+        c = work.pop(m, 0)
+        if c == 0:
+            continue
+        base = m + CONST
+        for idx, lm in enumerate(lms):
+            q = base - lm
+            if q >= 0 and not (q & GUARDS):
+                q -= CONST
+                if steps is not None:
+                    steps.append((m, idx, q))
+                for tm, tc in tails[idx]:
+                    mm = q + tm
+                    v = (work.get(mm, 0) - c * tc) % p
+                    if v:
+                        work[mm] = v
+                        if mm not in queued:
+                            queued.add(mm)
+                            heapq.heappush(heap, -mm)
+                    else:
+                        work.pop(mm, None)
+                break
+        else:
+            out[m] = c
+    return out
+
+
+@st.composite
+def kernel_cases(draw):
+    """(codec, p, basis, probes): monic packed term lists, in no particular
+    relation to each other, and packed term dicts to reduce by them."""
+    p = draw(st.sampled_from((101, P)))
+    n = draw(st.integers(2, 3))
+    codec = groebner_module._Codec(
+        n, draw(st.sampled_from(["degrevlex", "lex"])))
+
+    def dicts(max_exp, low, max_size):
+        mon = st.tuples(*[st.integers(0, max_exp)] * n).map(codec.pack)
+        return st.dictionaries(mon, st.integers(low, p - 1), min_size=1,
+                               max_size=max_size)
+
+    basis = draw(st.lists(dicts(3, 1, 4), min_size=1, max_size=5))
+    basis = [groebner_module._monic_terms(d, p) for d in basis]
+    return codec, p, basis, draw(st.lists(dicts(5, 0, 6), min_size=1,
+                                          max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_reduce_full_matches_the_reference_kernel(case):
+    # the basis grows one element at a time, as in a Buchberger run, and
+    # one memo serves every reduction
+    codec, p, basis, probes = case
+    lms, tails, memo = [], [], {}
+    for g in basis:
+        lms.append(g[0][0])
+        tails.append(g[1:])
+        for d in probes:
+            want_steps, got_steps = [], []
+            want = _reference_reduce_full(dict(d), lms, tails, codec, p,
+                                          want_steps)
+            got = groebner_module._reduce_full(dict(d), lms, tails, codec, p,
+                                               got_steps, memo)
+            assert list(got.items()) == list(want.items())
+            assert got_steps == want_steps
+
+
+class _CountingList(list):
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return list.__getitem__(self, i)
+
+
+def test_reduce_full_memo_skips_the_divisor_search():
+    ring = Ring(("x", "y", "z"), FP)
+    x, y, z = ring.gens()
+    gb = groebner(ring, [x * x + y * z, y * y - x * z + ring.one(),
+                         z ** 3 - x])
+    codec = gb._codec
+    lms, memo = _CountingList(gb._plms), {}
+    probe = {codec.pack(m): c for m, c in ((x + y + z) ** 5).terms}
+    runs = []
+    for _ in range(2):
+        lms.reads, steps = 0, []
+        rem = groebner_module._reduce_full(dict(probe), lms, gb._ptails,
+                                           codec, P, steps, memo)
+        runs.append((rem, steps, lms.reads))
+    (rem, steps, first), (rem2, steps2, second) = runs
+    assert (rem, steps) == (rem2, steps2) and steps
+    # the second run reads a leading monomial only for each step's
+    # multiplier: every divisor comes from the memo
+    assert first > len(steps) and second == len(steps)
