@@ -235,7 +235,6 @@ def _build_arg_parser():
                     help="comma-separated variable ranking (greatest first)")
     ap.add_argument("--delta", type=int, default=3,
                     help="degree cap for the polynomial-generator search")
-    ap.add_argument("--epsilon", type=float, default=0.01)
     ap.add_argument("--minimize", action="store_true")
     ap.add_argument("--no-retain-originals", action="store_true")
     ap.add_argument("--no-final-check", action="store_true")
@@ -262,7 +261,6 @@ def run(argv):
         genset, warned = parse_problem_file(text, var_order, args.order)
         cfg = SimplifyConfig(
             delta=args.delta,
-            eps=args.epsilon,
             minimize=args.minimize,
             retain_originals=not args.no_retain_originals,
             final_check=not args.no_final_check,
@@ -289,9 +287,13 @@ def run(argv):
         return 2
     doc = report.to_json_dict()
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
     if args.format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:

@@ -152,9 +152,9 @@ class MembershipContext:
             self._gb_cache[key] = groebner(self.gb_ring, gens)
         return self._gb_cache[key]
 
-    def contains(self, candidate, eps=0.001):
+    def contains(self, candidate):
         """True iff the candidate lies in the generated subfield (with
-        probability controlled by the prime size; eps is nominal)."""
+        probability controlled by the prime size)."""
         if isinstance(candidate, MultiPoly):
             candidate = RationalFunction(candidate)
         if candidate.ring != self.genset.ring:
@@ -206,27 +206,25 @@ class MembershipContext:
         return self.rank
 
 
-def contains(genset, candidate, field, rng, eps=0.001):
+def contains(genset, candidate, field, rng):
     """One-shot membership test."""
-    return MembershipContext(genset, field, rng).contains(candidate, eps)
+    return MembershipContext(genset, field, rng).contains(candidate)
 
 
-def fields_equal(gs_a, gs_b, field, rng, eps=0.001):
-    """Mutual containment of the two generating sets (budget eps split
-    across the individual checks)."""
+def fields_equal(gs_a, gs_b, field, rng, eps=None):
+    """Mutual containment of the two generating sets (`eps` is unused; it
+    stays because perfbench/workloads.py passes it)."""
     if gs_a.ring != gs_b.ring:
         raise ValueError("generator sets from different rings")
-    budget = eps / (len(gs_a) + len(gs_b))
     ctx_b = MembershipContext(gs_b, field, rng)
-    if not all(ctx_b.contains(g, budget) for g in gs_a.generators):
+    if not all(ctx_b.contains(g) for g in gs_a.generators):
         return False
     ctx_a = MembershipContext(gs_a, field, rng)
-    return all(ctx_a.contains(g, budget) for g in gs_b.generators)
+    return all(ctx_a.contains(g) for g in gs_b.generators)
 
 
-def minimize(generators, ring, field, rng, eps=0.001):
-    """Inclusion-minimal sublist generating the same field; per-step budget
-    eps/len(generators)."""
+def minimize(generators, ring, field, rng):
+    """Inclusion-minimal sublist generating the same field."""
     kept = [g if isinstance(g, RationalFunction) else RationalFunction(g)
             for g in generators]
     i = 0
@@ -234,8 +232,7 @@ def minimize(generators, ring, field, rng, eps=0.001):
         others = kept[:i] + kept[i + 1:]
         if not others:
             break
-        if contains(GeneratorSet(ring, others), kept[i], field, rng,
-                    eps / max(len(kept), 1)):
+        if contains(GeneratorSet(ring, others), kept[i], field, rng):
             kept.pop(i)
         else:
             i += 1

@@ -185,8 +185,8 @@ def _divides(a, b, codec):
 def _gm_update(pairs, basis_lms, exps, active, h_idx, codec):
     """Gebauer-Moller pair update after appending element h_idx; `exps`
     holds the leading monomials' exponent tuples.  Pairs are (lcm degree,
-    packed lcm, i, j), so sorting them is the normal strategy; lm_i and
-    lm_h are coprime when their lcm is their product."""
+    packed lcm, i, j), returned sorted in the normal strategy's order; lm_i
+    and lm_h are coprime when their lcm is their product."""
     pack = codec.pack
     lmh = basis_lms[h_idx]
     eh = exps[h_idx]
@@ -222,6 +222,7 @@ def _gm_update(pairs, basis_lms, exps, active, h_idx, codec):
             continue
         out.append(pair)
     out.extend(new_pairs)
+    out.sort()
     new_active = {i for i in active if not _divides(lmh, basis_lms[i], codec)}
     new_active.add(h_idx)
     return out, new_active
@@ -416,7 +417,6 @@ def _run_buchberger(ring, generators, learn):
 
     programs, memo = [], {}
     while pairs:
-        pairs.sort()
         _, lcm, i, j = pairs.pop(0)
         s = _spoly_dict(basis[i], basis[j], lcm, codec, p)
         steps = [(lcm, j, lcm - lms[j])] if learn else None

@@ -48,7 +48,7 @@ class GeneratorSet:
     """Ambient x-variables plus a list of rational-function generators.
 
     Raises ValueError on an input exponent above MAX_EXPONENT; exponents
-    that grow past it inside a Groebner basis are not checked.
+    that grow past it inside a Groebner basis raise ExponentOverflow.
     """
 
     def __init__(self, ring, generators):

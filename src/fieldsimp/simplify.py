@@ -29,7 +29,6 @@ class VerificationFailed(Exception):
 @dataclass
 class SimplifyConfig:
     delta: int = 3
-    eps: float = 0.01
     minimize: bool = False
     retain_originals: bool = True
     final_check: bool = True
@@ -40,8 +39,6 @@ class SimplifyConfig:
     max_restarts: int = 2
 
     def validate(self):
-        if not (0 < self.eps < 1):
-            raise ValueError("eps must lie strictly between 0 and 1")
         if self.delta < 1:
             raise ValueError("delta must be at least 1")
         if self.eval_cap < 1:
@@ -212,7 +209,6 @@ def _run_once(genset, cfg, restart):
     rng = random.Random(cfg.seed * 1000003 + restart)
     report = SimplificationReport(input_generators=list(genset.generators),
                                   seed=cfg.seed)
-    tau = restart + 1
     q_ring = genset.ring
 
     # one evaluator per harvest prime, kept across rounds; a second prime
@@ -271,8 +267,7 @@ def _run_once(genset, cfg, restart):
                               "n_evals": n_evals() - before})
         if cands:
             cand_gs = GeneratorSet(q_ring, [rf for rf, _ in cands])
-            if fields_equal(genset, cand_gs, check_field, rng,
-                            eps=cfg.eps / tau):
+            if fields_equal(genset, cand_gs, check_field, rng):
                 break
         if 2 * d > cfg.max_harvest_degree:
             raise VerificationFailed(
@@ -309,7 +304,6 @@ def _run_once(genset, cfg, restart):
     # greedy prefix filter
     kept = []
     ctx = None
-    budget = cfg.eps / max(len(pool), 1)
     for rf, _tag in pool:
         if not kept:
             kept.append(rf)
@@ -318,13 +312,12 @@ def _run_once(genset, cfg, restart):
         if ctx is None:
             ctx = MembershipContext(GeneratorSet(q_ring, kept), check_field,
                                     rng)
-        if not ctx.contains(rf, budget):
+        if not ctx.contains(rf):
             kept.append(rf)
             ctx = None
 
     if cfg.minimize and len(kept) > 1:
-        kept = minimize(list(reversed(kept)), q_ring, check_field, rng,
-                        eps=cfg.eps)
+        kept = minimize(list(reversed(kept)), q_ring, check_field, rng)
         kept.sort(key=simplicity_key)
         report.minimized = True
 
@@ -336,8 +329,7 @@ def _run_once(genset, cfg, restart):
             prime = production_prime(base + 2 + i)
             report.primes.append(prime)
             fld = PrimeField(prime)
-            if not fields_equal(genset, out_gs, fld, rng,
-                                eps=cfg.eps / (2 ** tau)):
+            if not fields_equal(genset, out_gs, fld, rng):
                 raise VerificationFailed(
                     "final verification failed at prime %d" % prime)
         report.verified = True

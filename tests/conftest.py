@@ -38,13 +38,13 @@ def genset_of(ring, exprs):
     return GeneratorSet(ring, parse_many(ring, exprs))
 
 
-def fields_equal_2p(gs_a, gs_b, seed=1234, eps=1e-3):
+def fields_equal_2p(gs_a, gs_b, seed=1234):
     """Field equality checked independently at two reserved 62-bit primes;
     the two verdicts must agree."""
     verdicts = []
     for k, p in enumerate(CHECK_PRIMES):
         rng = random.Random(seed * 1000003 + k)
-        verdicts.append(fields_equal(gs_a, gs_b, PrimeField(p), rng, eps=eps))
+        verdicts.append(fields_equal(gs_a, gs_b, PrimeField(p), rng))
     assert verdicts[0] == verdicts[1], "primes disagree on field equality"
     return verdicts[0]
 

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +12,8 @@ import pytest
 import fieldsimp
 from fieldsimp.arith import production_prime
 from fieldsimp.cli import (ParseError, UnknownIdentifier, ZeroDenominator,
-                           parse_expression, parse_problem_file, run)
+                           _build_arg_parser, parse_expression,
+                           parse_problem_file, run)
 from fieldsimp.poly import LEX, QQ, RationalFunction, Ring
 
 from conftest import ALL_FIXTURES, FIXTURE_DIR, load_fixture, parse_many
@@ -210,9 +212,29 @@ def test_bad_prime_restarts_without_traceback(tmp_path):
     assert done.stdout.split("\n")[:2] == ["x*y", "1/(y^2 + y)"]
 
 
-def test_run_config_error(capsys):
-    assert run(["--input", fixture_path("example_sym"), "--delta", "0"]) == 2
+@pytest.mark.parametrize("extra", [["--delta", "0"], ["--epsilon", "0.01"]],
+                         ids=["delta", "epsilon"])
+def test_run_config_error(extra, capsys):
+    assert run(["--input", fixture_path("example_sym")] + extra) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_report_unwritable(tmp_path, capsys):
+    report = tmp_path / "missing" / "r.json"
+    assert run(["--input", fixture_path("example_sym"),
+                "--report", str(report)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_readme_options_match_parser():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    documented = set(re.findall(r"^\| `(--[\w-]+)", readme.read_text(),
+                                re.MULTILINE))
+    parsed = {opt for action in _build_arg_parser()._actions
+              for opt in action.option_strings
+              if opt.startswith("--") and opt != "--help"}
+    assert documented == parsed
 
 
 def test_run_missing_file(capsys):

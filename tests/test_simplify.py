@@ -326,8 +326,7 @@ def test_rational_keys_solve_each_polynomial_once_per_attempt(monkeypatch):
 
 
 def test_config_validation():
-    for bad in (SimplifyConfig(eps=0), SimplifyConfig(eps=1.5),
-                SimplifyConfig(delta=0), SimplifyConfig(eval_cap=0)):
+    for bad in (SimplifyConfig(delta=0), SimplifyConfig(eval_cap=0)):
         try:
             bad.validate()
             assert False
