@@ -8,6 +8,7 @@ greatest) unless --var-order overrides it.
 
 import argparse
 import json
+import math
 import sys
 
 from .groebner import MAX_EXPONENT, ExponentOverflow
@@ -76,6 +77,11 @@ def _tokenize(text, line_no=1):
     return tokens
 
 
+def _height(coefficients):
+    """The largest numerator or denominator of the coefficients."""
+    return max(max(abs(c.numerator), c.denominator) for c in coefficients)
+
+
 class _Parser:
     def __init__(self, tokens, ring, var_index):
         self.tokens = tokens
@@ -83,6 +89,8 @@ class _Parser:
         self.ring = ring
         self.var_index = var_index
         self.depth = 0
+        # a longer coefficient cannot be rendered; 0 where there is no limit
+        self.max_digits = getattr(sys, "get_int_max_str_digits", int)()
 
     def peek(self):
         return self.tokens[self.pos]
@@ -100,10 +108,18 @@ class _Parser:
         return tok
 
     def parse(self):
+        first = self.peek()
         value = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError("unexpected %r" % tok[1], tok[2], tok[3])
+        height = _height(c for poly in (value.num, value.den)
+                         for _, c in poly.terms)
+        # 8^limit < 10^limit, so a shorter height needs no exact test
+        if self.max_digits and height.bit_length() > 3 * self.max_digits \
+                and height >= 10 ** self.max_digits:
+            raise ParseError("coefficient longer than %d digits"
+                             % self.max_digits, first[2], first[3])
         return value
 
     def expr(self):
@@ -151,18 +167,31 @@ class _Parser:
             if self.peek()[0] == "-":
                 raise ParseError("exponents must be nonnegative integers",
                                  tok[2], tok[3])
-            e = int(self.expect("int")[1])
+            e = self.integer(self.expect("int"))
             top = e * base.max_exponent()
             if top > MAX_EXPONENT:      # refused before it is expanded
                 raise ParseError("exponent %d exceeds %d"
                                  % (top, MAX_EXPONENT), tok[2], tok[3])
+            # the first and last terms of base^e are base's to the e-th
+            ends = [poly.terms[k][1] for poly in (base.num, base.den)
+                    if poly.terms for k in (0, -1)]
+            if self.max_digits and \
+                    e * math.log10(_height(ends)) >= self.max_digits:
+                raise ParseError("power longer than %d digits"
+                                 % self.max_digits, tok[2], tok[3])
             return base ** e
         return base
+
+    def integer(self, tok):
+        if self.max_digits and len(tok[1]) > self.max_digits:
+            raise ParseError("integer literal longer than %d digits"
+                             % self.max_digits, tok[2], tok[3])
+        return int(tok[1])
 
     def atom(self):
         tok = self.advance()
         if tok[0] == "int":
-            return RationalFunction(self.ring.from_int(int(tok[1])))
+            return RationalFunction(self.ring.from_int(self.integer(tok)))
         if tok[0] == "ident":
             idx = self.var_index.get(tok[1])
             if idx is None:

@@ -18,7 +18,8 @@ from .oms import (EomsEvaluator, EvaluationBudgetExceeded, gb_coefficients,
                   gb_ring)
 from .poly import RationalFunction
 
-NEED_MORE_PRIMES = FAIL
+# the harvest doubles its degree cutoff up to this
+MAX_HARVEST_DEGREE = 64
 
 
 class VerificationFailed(Exception):
@@ -35,7 +36,6 @@ class SimplifyConfig:
     seed: int = 0
     eval_cap: int = 10 ** 6
     paranoid: bool = False
-    max_harvest_degree: int = 64
     max_restarts: int = 2
 
     def validate(self):
@@ -85,12 +85,6 @@ def simplicity_key(f):
             int(b.degree()),
             sup_a, sup_b,
             f.render())
-
-
-def simplicity_compare(f, g):
-    """-1 / 0 / 1 with -1 meaning f is simpler."""
-    kf, kg = simplicity_key(f), simplicity_key(g)
-    return -1 if kf < kg else (1 if kf > kg else 0)
 
 
 # ----------------------------------------------------------------------
@@ -169,15 +163,14 @@ def _normalize_monic_num(rf):
 
 
 def _dedup_pool(entries):
-    """Drop pool entries proportional to an earlier one."""
-    out = []
+    """Normalize each (rf, tag) entry to a monic numerator and drop the
+    constants; entries equal up to a constant factor normalize to equal
+    ones, of which the first is kept with its tag."""
+    pool = {}
     for rf, tag in entries:
-        if rf.is_constant():
-            continue
-        if any(rf.proportional(prev) for prev, _ in out):
-            continue
-        out.append((rf, tag))
-    return out
+        if not rf.is_constant():
+            pool.setdefault(_normalize_monic_num(rf), tag)
+    return list(pool.items())
 
 
 def simplify(genset, cfg=None):
@@ -261,40 +254,35 @@ def _run_once(genset, cfg, restart):
         if lifted is FAIL:
             raise VerificationFailed(
                 "rational reconstruction needs more primes at d=%d" % d)
-        cands = _dedup_pool([(_normalize_monic_num(rf), "gb-coefficient")
-                             for rf in lifted])
+        cands = _dedup_pool([(rf, "gb-coefficient") for rf in lifted])
         report.rounds.append({"d": d, "n_coeffs": len(cands),
                               "n_evals": n_evals() - before})
         if cands:
             cand_gs = GeneratorSet(q_ring, [rf for rf, _ in cands])
             if fields_equal(genset, cand_gs, check_field, rng):
                 break
-        if 2 * d > cfg.max_harvest_degree:
+        if 2 * d > MAX_HARVEST_DEGREE:
             raise VerificationFailed(
                 "harvest reached the degree cap at d=%d" % d)
         d *= 2
 
-    # polynomial augmentation (degree cap delta); the verified coefficient
-    # set stands in for the originals unless the harvest was truncated
-    incomplete = any(rep.has_high_degree() for rep in reports)
-    alg7_source = genset if incomplete else cand_gs
-    poly_basis = polynomial_generators(alg7_source, cfg.delta,
-                                       harvest_field, rng)
+    # polynomial augmentation (degree cap delta) on the verified
+    # coefficient set, which generates the same field as the originals
+    poly_basis = polynomial_generators(cand_gs, cfg.delta, harvest_field, rng)
     # a member lifted from one prime may be a wrong fraction within the
     # bound, so each lift is kept only if it is a member at the check prime
-    members = MembershipContext(alg7_source, check_field, rng)
+    members = MembershipContext(cand_gs, check_field, rng)
     poly_cands = []
     for poly in poly_basis:
         rf = _reconstruct_rf(poly.terms, ((q_ring._zero_mon, 1),),
                              q_ring, harvest_field.p)
         if rf is FAIL or not members.contains(rf):
             continue        # optional augmentation: skip a failed lift
-        poly_cands.append((_normalize_monic_num(rf), "polynomial"))
+        poly_cands.append((rf, "polynomial"))
 
     pool = []
     if cfg.retain_originals:
-        pool.extend((_normalize_monic_num(g), "original")
-                    for g in genset.generators)
+        pool.extend((g, "original") for g in genset.generators)
     pool.extend(cands)
     pool.extend(poly_cands)
     pool = _dedup_pool(pool)
@@ -305,14 +293,10 @@ def _run_once(genset, cfg, restart):
     kept = []
     ctx = None
     for rf, _tag in pool:
-        if not kept:
-            kept.append(rf)
-            ctx = None
-            continue
-        if ctx is None:
+        if kept and ctx is None:
             ctx = MembershipContext(GeneratorSet(q_ring, kept), check_field,
                                     rng)
-        if not ctx.contains(rf):
+        if not kept or not ctx.contains(rf):
             kept.append(rf)
             ctx = None
 

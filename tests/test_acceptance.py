@@ -1,7 +1,7 @@
 """End-to-end acceptance checks on the fixture corpus.
 
-Every field-equality assertion runs at two independent 62-bit primes with
-a 1e-3 error budget per prime (see conftest.fields_equal_2p).
+Every field-equality assertion runs at two independent 62-bit primes (see
+conftest.fields_equal_2p).
 """
 
 import json

@@ -79,6 +79,31 @@ def test_parse_deep_nesting(text):
         == RationalFunction(ring.variable(0))
 
 
+@pytest.fixture
+def digit_limit():
+    """Python's default int-to-str limit, set for the test."""
+    if not getattr(sys, "get_int_max_str_digits", int)():
+        pytest.skip("this Python has no int-to-str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_parse_power_past_digit_limit(digit_limit):
+    ring = Ring(("x",), QQ)
+    # 10^4300 has 4301 digits; a power whose first or last term is too
+    # long is refused at its `^`, before it is expanded
+    assert parse_expression("10^4299", ring) == \
+        RationalFunction(ring.from_int(10 ** 4299))
+    assert parse_expression("x + 2^14000", ring).num.terms[1][1] == 2 ** 14000
+    for text, col in (("10^4300", 3), ("(1/3)^9100", 6),
+                      ("(x + 10^1000)^5", 14)):
+        with pytest.raises(ParseError, match="line 4, col %d: power longer "
+                           "than 4300 digits" % col):
+            parse_expression(text, ring, line_no=4)
+
+
 def test_roundtrip_fixture_corpus():
     for name in ALL_FIXTURES:
         gs = load_fixture(name)
@@ -259,6 +284,23 @@ def test_run_exponent_too_large(tmp_path, capsys):
         assert "exponent %d exceeds 65535" % top in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr,message", [
+    ("y + (10^1000)^5", "col 14: power longer than"),
+    ("y + 2^30000000", "col 6: power longer than"),
+    ("y + " + "7" * 4401, "col 5: integer literal longer than"),
+    ("y + 2^10000*2^10000", "col 1: coefficient longer than"),
+], ids=["power_of_power", "power", "literal", "product"])
+def test_run_coefficient_past_digit_limit(tmp_path, capsys, digit_limit,
+                                          expr, message):
+    # a coefficient Python cannot convert to text is a parse error, not a
+    # traceback from the run that renders it
+    problem = tmp_path / "digits.txt"
+    problem.write_text("vars: x, y\nx\n%s\n" % expr)
+    assert run(["--input", str(problem)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3, %s 4300 digits" % message)
+
+
 def test_run_groebner_exponent_overflow(tmp_path, capsys):
     # under lex a Groebner basis of this problem needs y^65536, which no
     # packed monomial holds: a typed error, not a wrong basis
@@ -312,6 +354,31 @@ def test_json_report_deterministic(tmp_path, capsys):
                             "verified", "primes", "seed"}
         assert doc["verified"] is True
         assert printed == doc
+
+
+def heron_json(capsys, *flags):
+    assert run(["--input", fixture_path("heron"), "--seed", "0",
+                "--format", "json", *flags]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_run_check_primes(capsys):
+    # two final-check primes after the harvest prime, four with --paranoid,
+    # none with --no-final-check
+    for flags, n_primes, verified in (((), 3, True), (("--paranoid",), 5, True),
+                                      (("--no-final-check",), 1, False)):
+        doc = heron_json(capsys, *flags)
+        assert len(doc["primes"]) == n_primes
+        assert doc["verified"] is verified
+        assert doc["output"] == ["c^2", "b^2", "a^2"]
+
+
+def test_run_no_retain_originals(capsys):
+    assert "original" in {e["provenance"] for e in heron_json(capsys)["pool"]}
+    doc = heron_json(capsys, "--no-retain-originals")
+    assert "original" not in {e["provenance"] for e in doc["pool"]}
+    assert doc["output"] == ["c^2", "b^2", "a^2"]
+    assert doc["verified"] is True
 
 
 @pytest.mark.parametrize("text", DEEP_INPUTS, ids=["parentheses", "minus"])

@@ -1,4 +1,3 @@
-import importlib
 import random
 from fractions import Fraction
 
@@ -7,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fieldsimp import fields as fields_module
+from fieldsimp import groebner as groebner_module
 from fieldsimp import oms
 from fieldsimp.arith import FAIL, rational_reconstruct
 from fieldsimp.fields import (MembershipContext, _back_substitute, _extend,
@@ -19,9 +19,6 @@ from fieldsimp.poly import MultiPoly, PrimeField, QQ, RationalFunction, Ring
 from conftest import (ALL_FIXTURES, CHECK_PRIMES, fields_equal_2p, genset_of,
                       load_fixture, parse_many)
 from oracle import fp_echelon, in_fp_span, symbolic_membership_space
-
-# the package exports a function of the same name, so fetch the module
-groebner_module = importlib.import_module("fieldsimp.groebner")
 
 FIELDS = tuple(PrimeField(p) for p in CHECK_PRIMES)
 

@@ -1,11 +1,11 @@
 import heapq
-import importlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fieldsimp import groebner as groebner_module
 from fieldsimp.arith import FAIL, PrimeField, production_prime
 from fieldsimp.groebner import (TRACE_DIVERGED, ExponentOverflow, gb_apply,
                                 gb_learn, gb_verify, groebner)
@@ -13,9 +13,6 @@ from fieldsimp.oms import gb_ring, specialize_eoms
 from fieldsimp.poly import LEX, MonomialOrder, Ring
 
 from conftest import fields_equal_2p, load_fixture
-
-# the package exports a function of the same name, so fetch the module
-groebner_module = importlib.import_module("fieldsimp.groebner")
 
 P = production_prime(0)
 FP = PrimeField(P)

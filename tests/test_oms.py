@@ -1,10 +1,10 @@
-import importlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fieldsimp import groebner as groebner_module
 from fieldsimp import oms
 from fieldsimp.arith import production_prime
 from fieldsimp.groebner import gb_apply, gb_learn, groebner
@@ -17,9 +17,6 @@ from fieldsimp.poly import (DEGREVLEX, LEX, MultiPoly, PrimeField, QQ,
 from fieldsimp.simplify import _normalize_monic_num, reconstruct_candidates
 
 from conftest import CHECK_PRIMES, genset_of, load_fixture
-
-# the package exports a function of the same name, so fetch the module
-groebner_module = importlib.import_module("fieldsimp.groebner")
 
 FP = PrimeField(CHECK_PRIMES[0])
 

@@ -1,4 +1,3 @@
-import importlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fieldsimp import fields, interp, oms
+from fieldsimp import simplify as simplify_module
 from fieldsimp.arith import inv, production_prime
 from fieldsimp.cli import parse_problem_file
 from fieldsimp.fields import contains
@@ -13,10 +13,10 @@ from fieldsimp.interp import FAIL
 from fieldsimp.oms import (CoefficientReport, EomsEvaluator,
                            EvaluationBudgetExceeded, GeneratorSet)
 from fieldsimp.poly import PrimeField, QQ, Ring
-from fieldsimp.simplify import (NEED_MORE_PRIMES, SimplifyConfig,
-                                VerificationFailed, _crt_pairs,
-                                reconstruct_candidates, simplicity_compare,
-                                simplicity_key, simplify)
+from fieldsimp.simplify import (SimplifyConfig, VerificationFailed,
+                                _crt_pairs, _dedup_pool,
+                                reconstruct_candidates, simplicity_key,
+                                simplify)
 
 from conftest import (CHECK_PRIMES, genset_of, load_fixture, parse_many,
                       simplify_fixture)
@@ -32,20 +32,20 @@ def rf(ring, text):
 
 def test_simplicity_degree_wins():
     ring = Ring(("x1", "x2"), QQ)
-    assert simplicity_compare(rf(ring, "x1"), rf(ring, "x1^2")) == -1
-    assert simplicity_compare(rf(ring, "x1^2"), rf(ring, "x1")) == 1
+    assert simplicity_key(rf(ring, "x1")) < simplicity_key(rf(ring, "x1^2"))
+    assert simplicity_key(rf(ring, "x1^2")) > simplicity_key(rf(ring, "x1"))
 
 
 def test_simplicity_fourth_criterion():
     ring = Ring(("x1", "x2"), QQ)
     f, g = rf(ring, "x1 + x2"), rf(ring, "x1*x2")
     # x1 + x2 wins (the separating monomial x1*x2 sits in the second)
-    assert simplicity_compare(f, g) == -1
+    assert simplicity_key(f) < simplicity_key(g)
     # same-degree tie decided by the largest separating monomial
     a, b = rf(ring, "x1^2 + x2^2"), rf(ring, "x1^2 + x1*x2")
     ka, kb = simplicity_key(a), simplicity_key(b)
     assert ka[:3] == kb[:3]
-    assert simplicity_compare(a, b) == -1
+    assert ka < kb
 
 
 def test_simplicity_reciprocal_rule():
@@ -54,14 +54,14 @@ def test_simplicity_reciprocal_rule():
     kf, kg = simplicity_key(f), simplicity_key(g)
     assert kf[:5] == kg[:5]
     # only the text tiebreak separates them, so comparison is deterministic
-    assert simplicity_compare(f, g) == (-1 if kf < kg else 1)
-    assert simplicity_compare(f, f) == 0
+    assert kf != kg
+    assert simplicity_key(rf(ring, "1/x1")) == kf
 
 
 def test_simplicity_term_count():
     ring = Ring(("x1", "x2"), QQ)
-    assert simplicity_compare(rf(ring, "x1^2"),
-                              rf(ring, "x1^2 + x1 + 1")) == -1
+    assert simplicity_key(rf(ring, "x1^2")) < \
+        simplicity_key(rf(ring, "x1^2 + x1 + 1"))
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +93,7 @@ def test_reconstruct_needs_more_primes():
     # residue of a fraction far beyond the sqrt(p/2) lifting bound
     big = (10 ** 12) * inv(10 ** 11 + 7, p) % p
     got = reconstruct_candidates([((((1,), big),), (((0,), 1),))], ring, p)
-    assert got is NEED_MORE_PRIMES
+    assert got is FAIL
 
 
 def _harvest_report(p, value, mon=(1,)):
@@ -112,7 +112,7 @@ def test_crt_pairs_lift_over_two_primes():
     # one prime is too small for this coefficient, their product is not
     one = _crt_pairs(reports[:1])
     assert reconstruct_candidates(one, ring, CHECK_PRIMES[0]) \
-        is NEED_MORE_PRIMES
+        is FAIL
     pairs = _crt_pairs(reports)
     got = reconstruct_candidates(pairs, ring,
                                  CHECK_PRIMES[0] * CHECK_PRIMES[1])
@@ -124,9 +124,9 @@ def test_crt_pairs_mismatch_needs_more_primes():
     p, q = CHECK_PRIMES
     moved = _harvest_report(q, value, mon=(2,))
     assert _crt_pairs([_harvest_report(p, value), moved]) \
-        is NEED_MORE_PRIMES
+        is FAIL
     high = CoefficientReport({(0, (0, 1)): ("high_degree", None)}, 0)
-    assert _crt_pairs([_harvest_report(p, value), high]) is NEED_MORE_PRIMES
+    assert _crt_pairs([_harvest_report(p, value), high]) is FAIL
 
 
 def test_one_evaluator_per_harvest_prime(monkeypatch):
@@ -184,8 +184,9 @@ def test_polynomial_member_lifts_within_the_bound():
     assert ("x^2 + 33535681/33651601*y^2", "polynomial") in report.pool
 
 
-def test_verification_failed_names_every_attempt():
-    cfg = SimplifyConfig(max_harvest_degree=1)
+def test_verification_failed_names_every_attempt(monkeypatch):
+    monkeypatch.setattr(simplify_module, "MAX_HARVEST_DEGREE", 1)
+    cfg = SimplifyConfig()
     with pytest.raises(VerificationFailed) as info:
         simplify(load_fixture("seir34"), cfg)
     assert str(info.value).split("; ") == [
@@ -248,8 +249,8 @@ def test_eval_cap_covers_second_prime_learn(monkeypatch):
 
     monkeypatch.setattr(EomsEvaluator, "__init__", recording_init)
     # nothing lifts, so the attempt adds the second harvest prime at d=1
-    monkeypatch.setattr(importlib.import_module("fieldsimp.simplify"),
-                        "reconstruct_candidates", lambda *args: FAIL)
+    monkeypatch.setattr(simplify_module, "reconstruct_candidates",
+                        lambda *args: FAIL)
     genset = load_fixture("heron")
     with pytest.raises(VerificationFailed):
         simplify(genset, SimplifyConfig(max_restarts=0))
@@ -260,6 +261,45 @@ def test_eval_cap_covers_second_prime_learn(monkeypatch):
     with pytest.raises(EvaluationBudgetExceeded, match="at d=1$"):
         simplify(genset, SimplifyConfig(max_restarts=0, eval_cap=cap))
     assert len(built) == 1 and built[0].n_evals == cap
+
+
+def test_polynomial_search_reads_verified_coefficients(monkeypatch):
+    # heron's harvest stops with keys still above the cutoff; the search
+    # and its member check still read the coefficient set that passed the
+    # stop test, not the input set
+    sources = []
+    search = simplify_module.polynomial_generators
+    context = simplify_module.MembershipContext
+
+    def recording_search(genset, *args):
+        sources.append(genset)
+        return search(genset, *args)
+
+    def recording_context(genset, *args):
+        sources.append(genset)
+        return context(genset, *args)
+
+    monkeypatch.setattr(simplify_module, "polynomial_generators",
+                        recording_search)
+    monkeypatch.setattr(simplify_module, "MembershipContext",
+                        recording_context)
+    genset = load_fixture("heron")
+    _output, report = simplify(genset, SimplifyConfig(seed=0))
+    assert report.verified is True
+    coefficients = [e for e, tag in report.pool if tag == "gb-coefficient"]
+    assert coefficients == ["c^2", "b^2", "a^2"]
+    searched, checked = sources[:2]
+    assert searched is checked
+    assert [g.render() for g in searched.generators] == coefficients
+
+
+def test_dedup_pool_normalizes_and_keeps_first_tag():
+    ring = Ring(("x", "y"), QQ)
+    entries = [(rf(ring, text), tag) for text, tag in (
+        ("2*x + 2*y", "first"), ("3", "constant"), ("x + y", "second"),
+        ("-x/3 - y/3", "third"), ("4*x/y", "ratio"), ("x/y", "ratio again"))]
+    assert _dedup_pool(entries) == [(rf(ring, "x + y"), "first"),
+                                    (rf(ring, "x/y"), "ratio")]
 
 
 def test_bad_prime_reason_names_the_prime():
@@ -281,7 +321,6 @@ def test_power_sums_harvest_shares_points():
 def uroots_per_attempt(monkeypatch, name):
     """The report of simplify() at seed 0 and, per attempt, the Prony
     polynomials whose roots were found."""
-    simplify_module = importlib.import_module("fieldsimp.simplify")
     attempts = []
     run_once = simplify_module._run_once
     uroots = interp._uroots
@@ -390,7 +429,6 @@ def test_report_provenance_tags():
 def test_constant_generators_dropped():
     ring = Ring(("x1",), QQ)
     gs = genset_of(ring, ["5", "x1"])
-    from fieldsimp.simplify import simplify
     output, report = simplify(gs, SimplifyConfig(seed=0))
     assert output == [rf(ring, "x1")]
     assert report.verified is True
