@@ -124,7 +124,7 @@ class PrimeField:
         return n % self.p
 
     def from_fraction(self, q):
-        q = Fraction(q)
+        """q mod p for an int or a Fraction."""
         den = q.denominator % self.p
         if not den:
             raise ZeroInverse("prime %d divides the denominator of %s"

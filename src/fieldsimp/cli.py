@@ -82,6 +82,15 @@ def _height(coefficients):
     return max(max(abs(c.numerator), c.denominator) for c in coefficients)
 
 
+def _cleared_norm(poly):
+    """max(d, |d poly|_1) for d the lcm of the coefficient denominators:
+    every numerator and denominator of a coefficient of poly^e is at most
+    its e-th power."""
+    d = math.lcm(*(c.denominator for _, c in poly.terms))
+    return max(d, sum(abs(c.numerator) * (d // c.denominator)
+                      for _, c in poly.terms))
+
+
 class _Parser:
     def __init__(self, tokens, ring, var_index):
         self.tokens = tokens
@@ -172,11 +181,10 @@ class _Parser:
             if top > MAX_EXPONENT:      # refused before it is expanded
                 raise ParseError("exponent %d exceeds %d"
                                  % (top, MAX_EXPONENT), tok[2], tok[3])
-            # the first and last terms of base^e are base's to the e-th
-            ends = [poly.terms[k][1] for poly in (base.num, base.den)
-                    if poly.terms for k in (0, -1)]
-            if self.max_digits and \
-                    e * math.log10(_height(ends)) >= self.max_digits:
+            # no numerator or denominator of a coefficient of base^e, its
+            # denominator made monic, exceeds (norm(num) norm(den))^e
+            norm = _cleared_norm(base.num) * _cleared_norm(base.den)
+            if self.max_digits and e * math.log10(norm) >= self.max_digits:
                 raise ParseError("power longer than %d digits"
                                  % self.max_digits, tok[2], tok[3])
             return base ** e

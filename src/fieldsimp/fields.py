@@ -18,10 +18,12 @@ The specialized ideal comes from `oms`: MembershipContext reads the F_p
 images of the generators and of Q from `GeneratorSet.modp`, and the
 polynomial search reads its GBs from an `oms.EomsEvaluator`.
 MembershipContext, whose ideal adds y_j - b_j, still draws its own point
-and runs Buchberger there.  A point where a candidate or the ideal has a
-pole is a lost sample, not a lost test: MembershipContext is the one place
-that redraws such a point, and it raises UnluckyPoint only when its draws
-run out.
+and runs Buchberger there, once per point: a candidate's denominator is
+never folded into Q, because at a random point that cannot change a
+correct verdict (the argument is in MembershipContext's docstring).  A
+point where a candidate has a pole is a lost sample, not a lost test:
+MembershipContext is the one place that redraws such a point, and it
+raises UnluckyPoint only when its draws run out.
 """
 
 import bisect
@@ -30,7 +32,7 @@ from .arith import FAIL
 from .groebner import groebner
 from .oms import (POINT_ATTEMPTS, EomsEvaluator, GeneratorSet, UnluckyPoint,
                   gb_ring, specialize, specialize_eoms)
-from .poly import MultiPoly, RationalFunction, gcd_q, try_divexact
+from .poly import MultiPoly, RationalFunction
 
 
 # points beyond one per candidate monomial for `polynomial_generators`
@@ -104,7 +106,25 @@ def _value_and_gradient(poly, point, inverses, p):
 
 
 class MembershipContext:
-    """Cached point, pivot data, and specialized GB for repeated tests."""
+    """Cached point, pivot data, and specialized GB for repeated tests.
+
+    The point b is drawn regular for every generator and for Q.  The
+    specialized ideal I at b (generators, t Q(y) - 1 and y_j - b_j for the
+    non-pivot j) has one GB, computed at the first candidate that passes
+    the Jacobian pre-test and kept until the next draw.  Every candidate
+    p/q, whatever its denominator, is tested by the normal form of
+    h = p(y) q(b) - q(y) p(b) against that GB.
+
+    Folding q into Q (saturating I by q as well) would only remove points
+    from V(I), so it could only turn a False verdict into True.  For a
+    non-member such a flip is wrong.  For a member f = A(g)/B(g) it is not
+    needed once B(g(b)) != 0, which fails at a random b with probability at
+    most deg/p (Schwartz-Zippel).  Then at every y in V(I) the generators
+    are regular (Q(y) != 0) and take their values at b, so A(g)/B(g) is
+    regular at y; f is in lowest terms over a UFD, so q(y) != 0 and
+    f(y) = f(b), and h vanishes on V(I).  The radicality of I that the test
+    already assumes then puts h in I.
+    """
 
     def __init__(self, genset, field, rng):
         self.genset = genset
@@ -112,11 +132,10 @@ class MembershipContext:
         self.rng = rng
         self.x_ring, self._images, self._qpoly = genset.modp(field)
         self.gb_ring = gb_ring(genset, field, genset.ring.order)
-        self._folded = {}
         self._draw_point()
 
     def _draw_point(self):
-        """Move to a fresh point regular for every generator."""
+        """Move to a fresh point regular for every generator and for Q."""
         p = self.field.p
         for _ in range(POINT_ATTEMPTS):
             b = tuple(self.rng.randrange(1, p)
@@ -133,24 +152,9 @@ class MembershipContext:
             self.pivots = {c for c, _ in self._echelon}
             self.nonpivots = [j for j in range(self.genset.ring.arity)
                               if j not in self.pivots]
-            self._gb_cache = {}
+            self._gb = None
             return
         raise UnluckyPoint("no regular evaluation point mod %d" % p)
-
-    def _gb(self, extra_denominator=None):
-        """Specialized GB at the point, or FAIL on a pole of the extra
-        denominator."""
-        key = None if extra_denominator is None else extra_denominator.terms
-        if key not in self._gb_cache:
-            gens = specialize_eoms(self.genset, self.point, self.gb_ring,
-                                   extra_denominator=extra_denominator)
-            if gens is FAIL:
-                return FAIL
-            for j in self.nonpivots:
-                gens.append(self.gb_ring.variable(1 + j)
-                            - self.gb_ring.constant(self.point[j]))
-            self._gb_cache[key] = groebner(self.gb_ring, gens)
-        return self._gb_cache[key]
 
     def contains(self, candidate):
         """True iff the candidate lies in the generated subfield (with
@@ -163,44 +167,30 @@ class MembershipContext:
             return True
         image = candidate.modp(self.x_ring)
         for _ in range(POINT_ATTEMPTS):
-            verdict = self._contains_at_point(candidate, image)
+            verdict = self._contains_at_point(image)
             if verdict is not FAIL:
                 return verdict
             self._draw_point()
         raise UnluckyPoint("candidate has a pole at every point drawn mod %d"
                            % self.field.p)
 
-    def _contains_at_point(self, candidate, image):
-        """Membership verdict at the current point for the candidate and
-        its F_p image (num, den), or FAIL on a pole."""
+    def _contains_at_point(self, image):
+        """Membership verdict at the current point for a candidate's F_p
+        image (num, den), or FAIL on a pole of the candidate."""
         grad = _gradient_modp(*image, self.point)
         if grad is None:
             return FAIL
         if any(_reduce(self._echelon, grad, self.field.p)):
             return False
-        gb = self._gb(extra_denominator=self._extra_denominator(candidate))
-        if gb is FAIL:
-            return FAIL
+        if self._gb is None:
+            gens = specialize_eoms(self.genset, self.point, self.gb_ring)
+            for j in self.nonpivots:
+                gens.append(self.gb_ring.variable(1 + j)
+                            - self.gb_ring.constant(self.point[j]))
+            self._gb = groebner(self.gb_ring, gens)
         # the candidate's denominator is nonzero at b by the gradient above
         h = specialize(*image, self.point, self.gb_ring)
-        return gb.normal_form(h).is_zero()
-
-    def _extra_denominator(self, cand):
-        """None when every factor of cand.den divides the common
-        denominator Q (cand.den(y) is then a unit modulo the ideal, which
-        holds t Q(y) - 1), else cand.den, to be folded into Q; decided once
-        per denominator."""
-        key = cand.den.terms
-        if key not in self._folded:
-            q = self.genset.common_denominator
-            rest = cand.den
-            while not rest.is_constant():
-                g = gcd_q(rest, q)
-                if g.is_constant():
-                    break
-                rest = try_divexact(rest, g)
-            self._folded[key] = None if rest.is_constant() else cand.den
-        return self._folded[key]
+        return self._gb.normal_form(h).is_zero()
 
     def transcendence_rank(self):
         return self.rank

@@ -112,11 +112,11 @@ def specialize(num, den, point, ring):
     return ring.from_dict(d)
 
 
-def specialize_eoms(genset, point, ring, extra_denominator=None):
-    """Generators of the specialized ideal at `point`, or FAIL on a pole;
-    `extra_denominator` (a membership candidate's) is folded into Q."""
+def specialize_eoms(genset, point, ring):
+    """Generators of the specialized ideal at `point`, or FAIL on a pole of
+    a generator or of Q."""
     field = ring.field
-    x_ring, images, qmod = genset.modp(field)
+    _, images, qmod = genset.modp(field)
     out = []
     for num, den in images:
         h = specialize(num, den, point, ring)
@@ -124,9 +124,6 @@ def specialize_eoms(genset, point, ring, extra_denominator=None):
             return FAIL
         if not h.is_zero():
             out.append(h)
-    if extra_denominator is not None:
-        qmod = lcm_q(genset.common_denominator, extra_denominator) \
-            .map_coefficients(x_ring, field.from_fraction)
     if qmod.evaluate(point) == 0:
         return FAIL
     d = {(1,) + m: c for m, c in qmod.terms}            # t Q(y) - 1

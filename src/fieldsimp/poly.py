@@ -318,14 +318,16 @@ class MultiPoly:
         return total
 
     def map_coefficients(self, ring, fn):
-        """Rebuild in another ring (same vars), mapping coefficients by fn."""
-        d = {}
+        """Rebuild in `ring`, mapping coefficients by fn.  `ring` must have
+        the same variables and monomial order (every caller maps Q into
+        F_p), so the terms keep their order."""
         zero = ring.field.zero
+        terms = []
         for m, c in self.terms:
             v = fn(c)
             if v != zero:
-                d[m] = v
-        return ring.from_dict(d)
+                terms.append((m, v))
+        return MultiPoly(ring, tuple(terms))
 
     # rendering -------------------------------------------------------
     def render(self):

@@ -92,8 +92,8 @@ def digit_limit():
 
 def test_parse_power_past_digit_limit(digit_limit):
     ring = Ring(("x",), QQ)
-    # 10^4300 has 4301 digits; a power whose first or last term is too
-    # long is refused at its `^`, before it is expanded
+    # 10^4300 has 4301 digits; a power whose coefficients may be too long
+    # is refused at its `^`, before it is expanded
     assert parse_expression("10^4299", ring) == \
         RationalFunction(ring.from_int(10 ** 4299))
     assert parse_expression("x + 2^14000", ring).num.terms[1][1] == 2 ** 14000
@@ -289,7 +289,8 @@ def test_run_exponent_too_large(tmp_path, capsys):
     ("y + 2^30000000", "col 6: power longer than"),
     ("y + " + "7" * 4401, "col 5: integer literal longer than"),
     ("y + 2^10000*2^10000", "col 1: coefficient longer than"),
-], ids=["power_of_power", "power", "literal", "product"])
+    ("y + (x + 1)^20000", "col 12: power longer than"),
+], ids=["power_of_power", "power", "literal", "product", "middle_terms"])
 def test_run_coefficient_past_digit_limit(tmp_path, capsys, digit_limit,
                                           expr, message):
     # a coefficient Python cannot convert to text is a parse error, not a

@@ -8,16 +8,20 @@ from hypothesis import strategies as st
 from fieldsimp import fields as fields_module
 from fieldsimp import groebner as groebner_module
 from fieldsimp import oms
+from fieldsimp import poly as poly_module
 from fieldsimp.arith import FAIL, rational_reconstruct
 from fieldsimp.fields import (MembershipContext, _back_substitute, _extend,
                               _gradient_modp, _reduce, contains, fields_equal,
                               minimize, polynomial_generators)
 from fieldsimp.groebner import ReducedGB
-from fieldsimp.oms import EomsEvaluator, GeneratorSet, UnluckyPoint
-from fieldsimp.poly import MultiPoly, PrimeField, QQ, RationalFunction, Ring
+from fieldsimp.oms import (EomsEvaluator, GeneratorSet, UnluckyPoint,
+                           specialize)
+from fieldsimp.poly import (MultiPoly, PrimeField, QQ, RationalFunction, Ring,
+                            lcm_q)
 
-from conftest import (ALL_FIXTURES, CHECK_PRIMES, fields_equal_2p, genset_of,
-                      load_fixture, parse_many)
+from conftest import (ALL_FIXTURES, CHECK_PRIMES, apply_map, fields_equal_2p,
+                      fixture_automorphisms, genset_of, load_fixture,
+                      parse_many)
 from oracle import fp_echelon, in_fp_span, symbolic_membership_space
 
 FIELDS = tuple(PrimeField(p) for p in CHECK_PRIMES)
@@ -194,22 +198,22 @@ def test_candidate_pole_at_context_point_redraws():
         assert contains_2p(gs, cand) is expected
 
 
-def test_ideal_pole_at_context_point_redraws(monkeypatch):
-    gs = load_fixture("heron")
-    ctx = MembershipContext(gs, FIELDS[0], random.Random(9))
-    specialize = fields_module.specialize_eoms
-    points = []
+def test_ideal_pole_at_context_point_redraws():
+    # the first point drawn is a pole of x/(x + y), so of Q; the context
+    # moves past it before any query, so the ideal never has a pole at its
+    # point
+    gs = genset_of(Ring(("x", "y"), QQ), ["x/(x + y)", "y"])
+    field = FIELDS[0]
+    draws = iter([1, field.p - 1, 2, 3])
 
-    def first_one_fails(genset, point, ring, **kwargs):
-        points.append(point)
-        if len(points) == 1:
-            return FAIL
-        return specialize(genset, point, ring, **kwargs)
+    class Scripted(random.Random):
+        def randrange(self, *args):
+            return next(draws)
 
-    monkeypatch.setattr(fields_module, "specialize_eoms", first_one_fails)
-    point = ctx.point
+    ctx = MembershipContext(gs, field, Scripted())
+    assert ctx.point == (2, 3)
+    assert oms.specialize_eoms(gs, ctx.point, ctx.gb_ring) is not FAIL
     assert ctx.contains(gs.generators[0]) is True
-    assert points == [point, ctx.point] and ctx.point != point
 
 
 def test_candidate_mapped_to_fp_once(monkeypatch):
@@ -550,8 +554,7 @@ def test_polynomial_generators_reads_packed_normal_forms(monkeypatch):
 
 
 def test_denominator_dividing_a_power_of_q():
-    # Q = a^2 b^2 c^2; a denominator whose factors all divide Q needs no
-    # extra saturation, one with another factor is folded into Q
+    # Q = a^2 b^2 c^2; denominators inside and outside Q share one GB
     gs = load_fixture("heron")
     members = ["1/a^2", "b^2/a^4", "a^2/(b^2*c^2)", "1/(a^2 + 1)"]
     others = ["1/a", "a/b^2", "1/(a + 1)"]
@@ -563,22 +566,99 @@ def test_denominator_dividing_a_power_of_q():
                 text
 
 
-def test_each_denominator_folded_once_per_context(monkeypatch):
-    # Q = a^2 b^2 c^2: a^4 takes two gcds with Q, a^2 + 1 one
+def test_one_groebner_run_per_point(monkeypatch):
+    # five denominators outside Q = a^2 b^2 c^2, asked three times each
     gs = load_fixture("heron")
     ctx = MembershipContext(gs, FIELDS[0], random.Random(3))
-    calls = []
-    gcd_q = fields_module.gcd_q
+    candidates = parse_many(gs.ring, [
+        "b^2/(a^2 + 1)", "1/(b^2 + 2)", "c^2/(a^2 + b^2)", "a^2/(c^2 - 5)",
+        "(a^2 + b^2)/(a^2*b^2 + 7)"])
+    runs, gcds = [], []
+    groebner, gcd_q = fields_module.groebner, poly_module.gcd_q
 
-    def counting(a, b):
-        calls.append(a)
-        return gcd_q(a, b)
+    def counting_groebner(ring, gens):
+        runs.append(ctx.point)
+        return groebner(ring, gens)
 
-    monkeypatch.setattr(fields_module, "gcd_q", counting)
-    candidates = parse_many(gs.ring, ["b^2/a^4", "1/(a^2 + 1)", "c^2/a^4"])
+    def counting_gcd(f, g):
+        gcds.append(f)
+        return gcd_q(f, g)
+
+    monkeypatch.setattr(fields_module, "groebner", counting_groebner)
+    monkeypatch.setattr(poly_module, "gcd_q", counting_gcd)
+    point = ctx.point
     for _ in range(3):
         assert all(ctx.contains(c) for c in candidates)
-    assert len(calls) == 3
+    assert runs == [point] and ctx.point == point
+    assert gcds == []
+    # a fresh point gets one fresh run
+    ctx._draw_point()
+    assert ctx.contains(candidates[0]) is True
+    assert runs == [point, ctx.point] and ctx.point != point
+
+
+def _denominators_outside_q(name, gs, rng):
+    """Members g_i/(g_j + c) and g_i g_k/(g_j - c) over the three
+    generators of least degree (exact gcds of larger ones take seconds),
+    and non-members over x_k + c that an automorphism of the field moves."""
+    gens = sorted(gs.generators,
+                  key=lambda g: g.num.degree() + g.den.degree())[:3]
+    ring = gs.ring
+    members = []
+    for _ in range(2):
+        gi, gj, gk = (rng.choice(gens) for _ in range(3))
+        c = Fraction(rng.randint(1, 10 ** 6))
+        members += [gi / (gj + c), gi * gk / (gj - c)]
+    sigmas = fixture_automorphisms(name, ring)
+    others = []
+    while len(others) < 3:
+        num = ring.zero()
+        for _ in range(rng.randint(1, 3)):
+            mon = [0] * ring.arity
+            for _ in range(rng.randint(1, 3)):
+                mon[rng.randrange(ring.arity)] += 1
+            num = num + ring.from_dict({tuple(mon): Fraction(
+                rng.randint(1, 5))})
+        den = ring.variable(rng.randrange(ring.arity)) \
+            + ring.constant(Fraction(rng.randint(1, 10 ** 6)))
+        f = RationalFunction(num, den)
+        if any(apply_map(s, f) != f for s in sigmas):
+            others.append(f)
+    return [(f, True) for f in members] + [(f, False) for f in others]
+
+
+def _folded_verdict(ctx, cand):
+    """The membership verdict at ctx.point with cand's denominator folded
+    into Q: the Jacobian pre-test, then the normal form against the ideal
+    with t lcm(Q, den)(y) - 1 in place of t Q(y) - 1."""
+    ring, b, field = ctx.gb_ring, ctx.point, ctx.field
+    image = cand.modp(ctx.x_ring)
+    grad = _gradient_modp(*image, b)
+    assert grad is not None
+    if any(_reduce(ctx._echelon, grad, field.p)):
+        return False
+    gens = [specialize(num, den, b, ring) for num, den in ctx._images]
+    q = lcm_q(ctx.genset.common_denominator, cand.den) \
+        .map_coefficients(ctx.x_ring, field.from_fraction)
+    gens.append(ring.from_dict({(1,) + m: c for m, c in q.terms})
+                - ring.one())
+    gens += [ring.variable(1 + j) - ring.constant(b[j])
+             for j in ctx.nonpivots]
+    gb = groebner_module.groebner(ring, [g for g in gens if not g.is_zero()])
+    return gb.normal_form(specialize(*image, b, ring)).is_zero()
+
+
+@pytest.mark.parametrize("name", [n for n in ALL_FIXTURES
+                                  if n != "bilirubin"])
+def test_fold_changes_no_verdict(name):
+    gs = load_fixture(name)
+    for k, field in enumerate(FIELDS):
+        ctx = MembershipContext(gs, field, random.Random(k))
+        for cand, expected in _denominators_outside_q(name, gs,
+                                                      random.Random(k)):
+            assert not cand.den.is_constant()
+            assert ctx.contains(cand) is expected, (name, cand)
+            assert _folded_verdict(ctx, cand) is expected, (name, cand)
 
 
 def test_polynomial_generators_seir():

@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and every
+name a module imports is read there."""
 
 import ast
 import pathlib
@@ -22,3 +23,17 @@ def test_imports_are_stdlib_only():
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, \
                     (path.name, name)
+
+
+def test_every_import_is_used():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update((alias.asname or alias.name).split(".")[0]
+                                for alias in node.names)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        assert imported <= read, (path.name, sorted(imported - read))
