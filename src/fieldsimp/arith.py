@@ -132,10 +132,10 @@ class PrimeField:
         return q.numerator % self.p * pow(den, -1, self.p) % self.p
 
 
-def rational_reconstruct(r, m, margin_bits=0):
-    """Lift residue r mod m to a fraction with |num|, den <= sqrt(m/2) and
-    |num| * den * 2^margin_bits <= m; a wrong fraction rarely clears a
-    margin of a few bits (after Monagan's maximal quotient reconstruction).
+def rational_reconstruct(r, m):
+    """Lift residue r mod m to a fraction with |num|, den <= sqrt(m/2).
+    When the true fraction lies past that bound, a wrong one within it may
+    be returned, so the caller checks the lift.
 
     Returns a Fraction, or FAIL when no fraction within the bound exists
     (the caller treats FAIL as "need more primes").
@@ -155,8 +155,7 @@ def rational_reconstruct(r, m, margin_bits=0):
     if math.gcd(r1, abs(t1)) != 1 or math.gcd(abs(t1), m) != 1:
         return FAIL
     f = Fraction(r1, t1)
-    if (f.numerator - r * f.denominator) % m != 0 \
-            or abs(f.numerator) * f.denominator << margin_bits > m:
+    if (f.numerator - r * f.denominator) % m != 0:
         return FAIL
     return f
 

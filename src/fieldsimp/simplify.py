@@ -1,9 +1,9 @@
 """Main simplification pipeline.
 
-Degree-doubling harvest of specialized-GB coefficients, low-degree
+Degree-doubling harvest of specialized-GB coefficients, lifted to Q over
+as many primes as makes each a member of the input field, low-degree
 polynomial augmentation, simplicity-sorted greedy filtering, optional
-minimization, rational reconstruction of every survivor, and a final
-mutual-membership verification at fresh primes.
+minimization, and a final mutual-membership verification at fresh primes.
 """
 
 import math
@@ -20,6 +20,10 @@ from .poly import RationalFunction
 
 # the harvest doubles its degree cutoff up to this
 MAX_HARVEST_DEGREE = 64
+
+# an attempt's harvest primes, as production_prime indices past its block
+# start 8*restart, clear of its check (+1) and final-check (+2..5) indices
+HARVEST_OFFSETS = (0, 6, 7, 64, 65, 66, 67, 68)
 
 
 class VerificationFailed(Exception):
@@ -91,12 +95,12 @@ def simplicity_key(f):
 # rational reconstruction of modular candidates
 
 
-def reconstruct_candidates(candidates_mod, q_ring, modulus, margin_bits=0):
+def reconstruct_candidates(candidates_mod, q_ring, modulus):
     """Lift (num, den) pairs with residue coefficients to Q, or FAIL (more
     primes are needed) when any coefficient exceeds the lifting bound."""
     out = []
     for num, den in candidates_mod:
-        rf = _reconstruct_rf(num, den, q_ring, modulus, margin_bits)
+        rf = _reconstruct_rf(num, den, q_ring, modulus)
         if rf is FAIL:
             return FAIL
         out.append(rf)
@@ -131,12 +135,12 @@ def _crt_pairs(reports):
     return pairs
 
 
-def _reconstruct_rf(num_terms, den_terms, q_ring, modulus, margin_bits=0):
+def _reconstruct_rf(num_terms, den_terms, q_ring, modulus):
     sides = []
     for terms in (num_terms, den_terms):
         d = {}
         for m, c in terms:
-            v = rational_reconstruct(c, modulus, margin_bits)
+            v = rational_reconstruct(c, modulus)
             if v is FAIL:
                 return FAIL
             d[m] = v
@@ -204,12 +208,11 @@ def _run_once(genset, cfg, restart):
                                   seed=cfg.seed)
     q_ring = genset.ring
 
-    # one evaluator per harvest prime, kept across rounds; a second prime
-    # joins the first time the coefficients do not lift at one
+    # one evaluator per harvest prime, kept across rounds
     evaluators = []
 
-    def add_evaluator(index):
-        prime = production_prime(index)
+    def add_evaluator():
+        prime = production_prime(base + HARVEST_OFFSETS[len(evaluators)])
         report.primes.append(prime)
         ring = gb_ring(genset, PrimeField(prime), q_ring.order)
         evaluators.append(EomsEvaluator(genset, ring, rng))
@@ -225,41 +228,40 @@ def _run_once(genset, cfg, restart):
                 "coefficient interpolation failed at d=%d" % d)
         return rep
 
-    def lift(reports):
-        pairs = _crt_pairs(reports)
-        if pairs is FAIL:
-            return FAIL
-        # a 20-bit margin while a second prime can still join
-        modulus = math.prod(ev.ring.field.p for ev in evaluators)
-        margin_bits = 20 if len(evaluators) == 1 else 0
-        return reconstruct_candidates(pairs, q_ring, modulus, margin_bits)
-
-    add_evaluator(base)
-    harvest_field = evaluators[0].ring.field
+    add_evaluator()
     check_field = PrimeField(production_prime(base + 1))
+    # the attempt's one context on the input checks every lifted pool entry
+    members = MembershipContext(genset, check_field, rng)
 
-    d = 1
+    d, before = 1, n_evals()
     while True:
-        before = n_evals()
-        reports = [harvest(ev, d) for ev in evaluators]
-        lifted = lift(reports)
-        if lifted is FAIL and len(evaluators) == 1:
-            # its learn is one GB evaluation spent outside any harvest
+        pairs = _crt_pairs([harvest(ev, d) for ev in evaluators])
+        modulus = math.prod(ev.ring.field.p for ev in evaluators)
+        lifted = FAIL if pairs is FAIL else \
+            reconstruct_candidates(pairs, q_ring, modulus)
+        if lifted is not FAIL:
+            cands = _dedup_pool([(rf, "gb-coefficient") for rf in lifted])
+        if lifted is FAIL or not all(members.contains(rf) for rf, _ in cands):
+            # a lift may be wrong: the next prime joins and the round is
+            # harvested again (the earlier primes re-read their memo)
+            if len(evaluators) == len(HARVEST_OFFSETS):
+                raise VerificationFailed(
+                    "coefficients need more than %d harvest primes at d=%d"
+                    % (len(HARVEST_OFFSETS), d))
+            # its learn is a GB evaluation spent outside any harvest
             if n_evals() >= cfg.eval_cap:
                 raise EvaluationBudgetExceeded(
                     "GB evaluation budget ran out at d=%d" % d)
-            add_evaluator(base + 6)
-            reports.append(harvest(evaluators[-1], d))
-            lifted = lift(reports)
-        if lifted is FAIL:
-            raise VerificationFailed(
-                "rational reconstruction needs more primes at d=%d" % d)
-        cands = _dedup_pool([(rf, "gb-coefficient") for rf in lifted])
+            add_evaluator()
+            continue
         report.rounds.append({"d": d, "n_coeffs": len(cands),
                               "n_evals": n_evals() - before})
+        before = n_evals()
         if cands:
+            # the member check put Q(cand_gs) in Q(genset); test the converse
             cand_gs = GeneratorSet(q_ring, [rf for rf, _ in cands])
-            if fields_equal(genset, cand_gs, check_field, rng):
+            ctx = MembershipContext(cand_gs, check_field, rng)
+            if all(ctx.contains(g) for g in genset.generators):
                 break
         if 2 * d > MAX_HARVEST_DEGREE:
             raise VerificationFailed(
@@ -267,11 +269,10 @@ def _run_once(genset, cfg, restart):
         d *= 2
 
     # polynomial augmentation (degree cap delta) on the verified
-    # coefficient set, which generates the same field as the originals
+    # coefficient set, which generates the same field as the originals; a
+    # member lifted from one prime may be wrong, so it too is checked
+    harvest_field = evaluators[0].ring.field
     poly_basis = polynomial_generators(cand_gs, cfg.delta, harvest_field, rng)
-    # a member lifted from one prime may be a wrong fraction within the
-    # bound, so each lift is kept only if it is a member at the check prime
-    members = MembershipContext(cand_gs, check_field, rng)
     poly_cands = []
     for poly in poly_basis:
         rf = _reconstruct_rf(poly.terms, ((q_ring._zero_mon, 1),),

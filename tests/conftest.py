@@ -15,8 +15,9 @@ from fieldsimp.simplify import SimplifyConfig, simplify
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
-# primes reserved for test-side verification (the pipeline itself draws
-# from the start of the production sequence)
+# primes reserved for test-side verification (the pipeline draws from the
+# start of the production sequence: attempt r takes 8*r plus its harvest
+# offsets, and 8*r + 1..5 for its checks)
 CHECK_PRIMES = (production_prime(20), production_prime(21))
 
 

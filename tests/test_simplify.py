@@ -129,22 +129,70 @@ def test_crt_pairs_mismatch_needs_more_primes():
     assert _crt_pairs([_harvest_report(p, value), high]) is FAIL
 
 
+THIRTY_DIGITS = "vars: x, y\n123456789012345678901234567890*x + y\nx*y\n"
+
+
 def test_one_evaluator_per_harvest_prime(monkeypatch):
-    genset, _ = parse_problem_file(
-        "vars: x, y\n123456789012345678901234567890*x + y\nx*y\n")
+    # the harvest builds its evaluators on the input set; the polynomial
+    # search builds its own on the coefficient set, so it is not counted
+    genset, _ = parse_problem_file(THIRTY_DIGITS)
     built = Counter()
     init = EomsEvaluator.__init__
 
-    def counting_init(self, genset, ring, rng):
-        built[ring.field.p] += 1
-        init(self, genset, ring, rng)
+    def counting_init(self, source, ring, rng):
+        if source is genset:
+            built[ring.field.p] += 1
+        init(self, source, ring, rng)
 
     monkeypatch.setattr(EomsEvaluator, "__init__", counting_init)
-    try:
-        simplify(genset, SimplifyConfig(seed=0))
-    except VerificationFailed:
-        pass
-    assert built and max(built.values()) == 1
+    _output, report = simplify(genset, SimplifyConfig(seed=0))
+    assert list(built) == report.primes[:4]
+    assert set(built.values()) == {1}
+
+
+def test_thirty_digit_coefficient_verifies_at_attempt_0():
+    # each one-prime-short lift of the coefficient is a wrong fraction
+    # within the bound; the member check refuses it and a harvest prime
+    # joins, until the lift over four primes is a member
+    genset, _ = parse_problem_file(THIRTY_DIGITS)
+    output, report = simplify(genset, SimplifyConfig(seed=0))
+    assert report.verified is True
+    assert [g.render() for g in output] == [
+        "x + 1/123456789012345678901234567890*y", "x*y"]
+    assert report.primes == [production_prime(i)
+                             for i in (0, 6, 7, 64, 2, 3)]
+
+
+def test_prime_cap_names_every_attempt(monkeypatch):
+    monkeypatch.setattr(simplify_module, "HARVEST_OFFSETS", (0, 6))
+    genset, _ = parse_problem_file(THIRTY_DIGITS)
+    cfg = SimplifyConfig()
+    with pytest.raises(VerificationFailed) as info:
+        simplify(genset, cfg)
+    assert str(info.value).split("; ") == [
+        "attempt %d: coefficients need more than 2 harvest primes at d=1"
+        % restart for restart in range(cfg.max_restarts + 1)]
+
+
+def test_harvest_primes_clear_of_check_primes(monkeypatch):
+    # the check and final-check indices are read off paranoid runs, which
+    # lift heron at their first harvest prime; 24 and 25 are perfbench's
+    # reference indices
+    drawn = []
+    monkeypatch.setattr(simplify_module, "production_prime",
+                        lambda i: drawn.append(i) or production_prime(i))
+    genset = load_fixture("heron")
+    cfg = SimplifyConfig(paranoid=True)
+    checks, harvest = {24, 25}, set()
+    for restart in range(cfg.max_restarts + 1):
+        del drawn[:]
+        _output, report = simplify_module._run_once(genset, cfg, restart)
+        assert report.verified is True and drawn[0] == 8 * restart
+        checks.update(drawn[1:])
+        harvest.update(8 * restart + k
+                       for k in simplify_module.HARVEST_OFFSETS)
+    assert len(checks) == 2 + 5 * (cfg.max_restarts + 1)
+    assert not harvest & checks
 
 
 def test_two_prime_lift_verifies():
@@ -156,15 +204,16 @@ def test_two_prime_lift_verifies():
     assert sorted(g.render() for g in output) == \
         sorted(g.render() for g in genset.generators)
     # the coefficient lifts only over the product of two harvest primes,
-    # listed ahead of the two final-check primes; the one-prime lift fails
-    # the reconstruction margin instead of returning a wrong fraction, so
-    # the first attempt verifies
+    # listed ahead of the two final-check primes; the one-prime lift is a
+    # wrong fraction that fails the member check, so a second prime joins
+    # and the first attempt verifies
     assert report.primes == [production_prime(i) for i in (0, 6, 2, 3)]
 
 
 def test_sixteen_digit_coefficient_lifts_over_two_primes():
-    # |num| * den is about 2^106: past the one-prime margin, but within
-    # the sqrt(m/2) bound of the two-prime lift
+    # |num| * den is about 2^106: its one-prime lift is a wrong fraction
+    # that fails the member check, and it lifts within the sqrt(m/2) bound
+    # of the two-prime lift
     genset, _ = parse_problem_file(
         "vars: x, y\nx + 10000000000000000/10000000000000001*y\nx*y\n")
     output, report = simplify(genset, SimplifyConfig(seed=0, delta=1))
@@ -248,13 +297,13 @@ def test_eval_cap_covers_second_prime_learn(monkeypatch):
         init(self, genset, ring, rng)
 
     monkeypatch.setattr(EomsEvaluator, "__init__", recording_init)
-    # nothing lifts, so the attempt adds the second harvest prime at d=1
+    # nothing lifts, so the attempt adds every harvest prime at d=1
     monkeypatch.setattr(simplify_module, "reconstruct_candidates",
                         lambda *args: FAIL)
     genset = load_fixture("heron")
     with pytest.raises(VerificationFailed):
         simplify(genset, SimplifyConfig(max_restarts=0))
-    assert len(built) == 2
+    assert len(built) == len(simplify_module.HARVEST_OFFSETS)
     cap = built[0].n_evals
     # a budget the first prime's harvest spends exactly leaves no learn
     del built[:]
@@ -265,31 +314,23 @@ def test_eval_cap_covers_second_prime_learn(monkeypatch):
 
 def test_polynomial_search_reads_verified_coefficients(monkeypatch):
     # heron's harvest stops with keys still above the cutoff; the search
-    # and its member check still read the coefficient set that passed the
-    # stop test, not the input set
+    # still reads the coefficient set that passed the stop test, not the
+    # input set
     sources = []
     search = simplify_module.polynomial_generators
-    context = simplify_module.MembershipContext
 
     def recording_search(genset, *args):
         sources.append(genset)
         return search(genset, *args)
 
-    def recording_context(genset, *args):
-        sources.append(genset)
-        return context(genset, *args)
-
     monkeypatch.setattr(simplify_module, "polynomial_generators",
                         recording_search)
-    monkeypatch.setattr(simplify_module, "MembershipContext",
-                        recording_context)
     genset = load_fixture("heron")
     _output, report = simplify(genset, SimplifyConfig(seed=0))
     assert report.verified is True
     coefficients = [e for e, tag in report.pool if tag == "gb-coefficient"]
     assert coefficients == ["c^2", "b^2", "a^2"]
-    searched, checked = sources[:2]
-    assert searched is checked
+    [searched] = sources
     assert [g.render() for g in searched.generators] == coefficients
 
 
