@@ -16,7 +16,8 @@ it (`_reduce`); the search back-substitutes once where it reads it.
 
 The specialized ideal comes from `oms`: MembershipContext reads the F_p
 images of the generators and of Q from `GeneratorSet.modp`, and the
-polynomial search reads its GBs from an `oms.EomsEvaluator`.
+polynomial search replays the trace of an `oms.EomsEvaluator` (the
+pipeline passes the first evaluator of its harvest).
 MembershipContext, whose ideal adds y_j - b_j, still draws its own point
 and runs Buchberger there, once per point: a candidate's denominator is
 never folded into Q, because at a random point that cannot change a
@@ -220,16 +221,15 @@ def minimize(generators, ring, field, rng):
     i = 0
     while i < len(kept):
         others = kept[:i] + kept[i + 1:]
-        if not others:
-            break
-        if contains(GeneratorSet(ring, others), kept[i], field, rng):
+        if others and contains(GeneratorSet(ring, others), kept[i], field,
+                               rng):
             kept.pop(i)
         else:
             i += 1
     return kept
 
 
-def polynomial_generators(genset, delta, field, rng):
+def polynomial_generators(genset, delta, field, rng, evaluator=None):
     """Basis of { p in F_p[x] : deg p <= delta, p(x) in the subfield },
     constants left out.
 
@@ -244,8 +244,11 @@ def polynomial_generators(genset, delta, field, rng):
     one adds no row to it (a lost point, a failed GB replay or a nonzero
     cancelled slot, is skipped).  Returns the monic elements of the
     reduced echelon basis of its nullspace, leading monomials descending.
+    An evaluator of `genset` at `field` may be passed in to replay its
+    trace instead of learning one; each replay counts in its n_evals.
     """
-    ev = EomsEvaluator(genset, gb_ring(genset, field, genset.ring.order), rng)
+    ev = evaluator or EomsEvaluator(
+        genset, gb_ring(genset, field, genset.ring.order), rng)
     x_ring = genset.modp(field)[0]
     n = genset.ring.arity
     p = field.p

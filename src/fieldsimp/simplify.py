@@ -1,11 +1,13 @@
 """Main simplification pipeline.
 
-Degree-doubling harvest of specialized-GB coefficients, lifted to Q over
-as many primes as makes each a member of the input field, low-degree
-polynomial augmentation, simplicity-sorted greedy filtering, optional
-minimization, and a final mutual-membership verification at fresh primes.
+Low-degree polynomial members of the input field, then a degree-doubling
+harvest of specialized-GB coefficients, each lifted to Q over as many
+primes as makes it a member, read by a simplicity-sorted greedy filter one
+degree-sum band per round until its output generates the input field;
+optional minimization, and a final mutual-membership check at fresh primes.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field as dc_field
@@ -98,13 +100,9 @@ def simplicity_key(f):
 def reconstruct_candidates(candidates_mod, q_ring, modulus):
     """Lift (num, den) pairs with residue coefficients to Q, or FAIL (more
     primes are needed) when any coefficient exceeds the lifting bound."""
-    out = []
-    for num, den in candidates_mod:
-        rf = _reconstruct_rf(num, den, q_ring, modulus)
-        if rf is FAIL:
-            return FAIL
-        out.append(rf)
-    return out
+    out = [_reconstruct_rf(num, den, q_ring, modulus)
+           for num, den in candidates_mod]
+    return FAIL if any(rf is FAIL for rf in out) else out
 
 
 def _crt_pairs(reports):
@@ -230,8 +228,36 @@ def _run_once(genset, cfg, restart):
 
     add_evaluator()
     check_field = PrimeField(production_prime(base + 1))
-    # the attempt's one context on the input checks every lifted pool entry
-    members = MembershipContext(genset, check_field, rng)
+    # the attempt's one context on the input checks every lifted pool
+    # entry, each distinct entry once
+    is_member = functools.cache(
+        MembershipContext(genset, check_field, rng).contains)
+
+    # polynomial augmentation (degree cap delta) on the input, replaying
+    # the first harvest evaluator's trace; a member lifted from one prime
+    # may be wrong, so it too is checked
+    harvest_field = evaluators[0].ring.field
+    polys = []
+    for poly in polynomial_generators(genset, cfg.delta, harvest_field, rng,
+                                      evaluators[0]):
+        rf = _reconstruct_rf(poly.terms, ((q_ring._zero_mon, 1),),
+                             q_ring, harvest_field.p)
+        if rf is not FAIL and is_member(rf):   # else skip a failed lift
+            polys.append((rf, "polynomial"))
+    originals = _dedup_pool([(g, "original") for g in genset.generators])
+
+    # the greedy filter reads one degree-sum band per round: simplicity_key
+    # sorts by degree sum first, and a round finds only coefficients of
+    # degree sum above the last cutoff, so the bands read the sorted pool
+    sort_key = functools.cache(simplicity_key)
+    kept, ctx = [], None
+
+    def in_kept(rf):
+        nonlocal ctx        # a context on kept, built again as kept grows
+        if kept and (ctx is None or len(ctx.genset) < len(kept)):
+            ctx = MembershipContext(GeneratorSet(q_ring, kept), check_field,
+                                    rng)
+        return bool(kept) and ctx.contains(rf)
 
     d, before = 1, n_evals()
     while True:
@@ -241,7 +267,7 @@ def _run_once(genset, cfg, restart):
             reconstruct_candidates(pairs, q_ring, modulus)
         if lifted is not FAIL:
             cands = _dedup_pool([(rf, "gb-coefficient") for rf in lifted])
-        if lifted is FAIL or not all(members.contains(rf) for rf, _ in cands):
+        if lifted is FAIL or not all(is_member(rf) for rf, _ in cands):
             # a lift may be wrong: the next prime joins and the round is
             # harvested again (the earlier primes re-read their memo)
             if len(evaluators) == len(HARVEST_OFFSETS):
@@ -257,49 +283,22 @@ def _run_once(genset, cfg, restart):
         report.rounds.append({"d": d, "n_coeffs": len(cands),
                               "n_evals": n_evals() - before})
         before = n_evals()
-        if cands:
-            # the member check put Q(cand_gs) in Q(genset); test the converse
-            cand_gs = GeneratorSet(q_ring, [rf for rf, _ in cands])
-            ctx = MembershipContext(cand_gs, check_field, rng)
-            if all(ctx.contains(g) for g in genset.generators):
-                break
+        pool = _dedup_pool((originals if cfg.retain_originals else [])
+                           + cands + polys)
+        pool.sort(key=lambda item: sort_key(item[0]))
+        for rf, _tag in pool:
+            if d // 2 < sort_key(rf)[0] <= d and not in_kept(rf):
+                kept.append(rf)
+        # every entry read is a member, so once Q(kept) holds every
+        # original not read yet it is the input field: stop
+        if all(in_kept(g) for g, _ in originals
+               if not cfg.retain_originals or sort_key(g)[0] > d):
+            break
         if 2 * d > MAX_HARVEST_DEGREE:
             raise VerificationFailed(
                 "harvest reached the degree cap at d=%d" % d)
         d *= 2
-
-    # polynomial augmentation (degree cap delta) on the verified
-    # coefficient set, which generates the same field as the originals; a
-    # member lifted from one prime may be wrong, so it too is checked
-    harvest_field = evaluators[0].ring.field
-    poly_basis = polynomial_generators(cand_gs, cfg.delta, harvest_field, rng)
-    poly_cands = []
-    for poly in poly_basis:
-        rf = _reconstruct_rf(poly.terms, ((q_ring._zero_mon, 1),),
-                             q_ring, harvest_field.p)
-        if rf is FAIL or not members.contains(rf):
-            continue        # optional augmentation: skip a failed lift
-        poly_cands.append((rf, "polynomial"))
-
-    pool = []
-    if cfg.retain_originals:
-        pool.extend((g, "original") for g in genset.generators)
-    pool.extend(cands)
-    pool.extend(poly_cands)
-    pool = _dedup_pool(pool)
-    pool.sort(key=lambda item: simplicity_key(item[0]))
     report.pool = [(rf.render(), tag) for rf, tag in pool]
-
-    # greedy prefix filter
-    kept = []
-    ctx = None
-    for rf, _tag in pool:
-        if kept and ctx is None:
-            ctx = MembershipContext(GeneratorSet(q_ring, kept), check_field,
-                                    rng)
-        if not kept or not ctx.contains(rf):
-            kept.append(rf)
-            ctx = None
 
     if cfg.minimize and len(kept) > 1:
         kept = minimize(list(reversed(kept)), q_ring, check_field, rng)
@@ -309,12 +308,10 @@ def _run_once(genset, cfg, restart):
     report.output = kept
     if cfg.final_check:
         out_gs = GeneratorSet(q_ring, kept)
-        n_check = 4 if cfg.paranoid else 2
-        for i in range(n_check):
+        for i in range(4 if cfg.paranoid else 2):
             prime = production_prime(base + 2 + i)
             report.primes.append(prime)
-            fld = PrimeField(prime)
-            if not fields_equal(genset, out_gs, fld, rng):
+            if not fields_equal(genset, out_gs, PrimeField(prime), rng):
                 raise VerificationFailed(
                     "final verification failed at prime %d" % prime)
         report.verified = True

@@ -18,8 +18,8 @@ from fieldsimp.simplify import (SimplifyConfig, VerificationFailed,
                                 reconstruct_candidates, simplicity_key,
                                 simplify)
 
-from conftest import (CHECK_PRIMES, genset_of, load_fixture, parse_many,
-                      simplify_fixture)
+from conftest import (CHECK_PRIME_INDICES, CHECK_PRIMES, genset_of,
+                      load_fixture, parse_many, simplify_fixture)
 
 
 def rf(ring, text):
@@ -133,15 +133,15 @@ THIRTY_DIGITS = "vars: x, y\n123456789012345678901234567890*x + y\nx*y\n"
 
 
 def test_one_evaluator_per_harvest_prime(monkeypatch):
-    # the harvest builds its evaluators on the input set; the polynomial
-    # search builds its own on the coefficient set, so it is not counted
+    # the polynomial search replays the first harvest evaluator, so every
+    # evaluator an attempt builds belongs to a harvest prime
     genset, _ = parse_problem_file(THIRTY_DIGITS)
     built = Counter()
     init = EomsEvaluator.__init__
 
     def counting_init(self, source, ring, rng):
-        if source is genset:
-            built[ring.field.p] += 1
+        assert source is genset
+        built[ring.field.p] += 1
         init(self, source, ring, rng)
 
     monkeypatch.setattr(EomsEvaluator, "__init__", counting_init)
@@ -177,7 +177,7 @@ def test_prime_cap_names_every_attempt(monkeypatch):
 def test_harvest_primes_clear_of_check_primes(monkeypatch):
     # the check and final-check indices are read off paranoid runs, which
     # lift heron at their first harvest prime; 24 and 25 are perfbench's
-    # reference indices
+    # reference indices, and the tests' own check primes are clear of all
     drawn = []
     monkeypatch.setattr(simplify_module, "production_prime",
                         lambda i: drawn.append(i) or production_prime(i))
@@ -193,6 +193,7 @@ def test_harvest_primes_clear_of_check_primes(monkeypatch):
                        for k in simplify_module.HARVEST_OFFSETS)
     assert len(checks) == 2 + 5 * (cfg.max_restarts + 1)
     assert not harvest & checks
+    assert not set(CHECK_PRIME_INDICES) & (harvest | checks)
 
 
 def test_two_prime_lift_verifies():
@@ -312,26 +313,96 @@ def test_eval_cap_covers_second_prime_learn(monkeypatch):
     assert len(built) == 1 and built[0].n_evals == cap
 
 
-def test_polynomial_search_reads_verified_coefficients(monkeypatch):
-    # heron's harvest stops with keys still above the cutoff; the search
-    # still reads the coefficient set that passed the stop test, not the
-    # input set
-    sources = []
+def test_polynomial_search_replays_first_harvest_evaluator(monkeypatch):
+    # the search runs on the input before the harvest and replays the
+    # trace of the first harvest prime's evaluator instead of learning one
+    built, searched = [], []
+    init = EomsEvaluator.__init__
     search = simplify_module.polynomial_generators
 
-    def recording_search(genset, *args):
-        sources.append(genset)
-        return search(genset, *args)
+    def recording_init(self, *args):
+        built.append(self)
+        init(self, *args)
 
+    def recording_search(genset, delta, field, rng, evaluator):
+        searched.append((genset, evaluator, evaluator.values.copy()))
+        return search(genset, delta, field, rng, evaluator)
+
+    monkeypatch.setattr(EomsEvaluator, "__init__", recording_init)
     monkeypatch.setattr(simplify_module, "polynomial_generators",
                         recording_search)
     genset = load_fixture("heron")
     _output, report = simplify(genset, SimplifyConfig(seed=0))
     assert report.verified is True
-    coefficients = [e for e, tag in report.pool if tag == "gb-coefficient"]
-    assert coefficients == ["c^2", "b^2", "a^2"]
-    [searched] = sources
-    assert [g.render() for g in searched.generators] == coefficients
+    [(source, evaluator, harvested)] = searched
+    assert source is genset and evaluator is built[0] and harvested == {}
+    assert len(built) == 1
+
+
+def test_members_checked_once_per_attempt(monkeypatch):
+    # a coefficient found in one round is in every later round's report,
+    # and a polynomial member may equal a coefficient: each distinct entry
+    # is checked against the input field once, at the attempt's check prime
+    genset = load_fixture("seir34")
+    checked = []
+    contains = fields.MembershipContext.contains
+
+    def recording_contains(self, candidate):
+        if self.genset is genset and self.field.p == production_prime(1):
+            checked.append(candidate)
+        return contains(self, candidate)
+
+    monkeypatch.setattr(fields.MembershipContext, "contains",
+                        recording_contains)
+    _output, report = simplify(genset, SimplifyConfig(seed=0))
+    assert [r["d"] for r in report.rounds] == [1, 2, 4]
+    assert checked and len(checked) == len(set(checked))
+    pool = {expr for expr, tag in report.pool if tag != "original"}
+    assert {c.render() for c in checked} >= pool
+
+
+def test_search_replays_count_against_eval_cap(monkeypatch):
+    spent = []
+    search = simplify_module.polynomial_generators
+
+    def recording_search(genset, delta, field, rng, evaluator):
+        basis = search(genset, delta, field, rng, evaluator)
+        spent.append((evaluator, evaluator.n_evals))
+        return basis
+
+    monkeypatch.setattr(simplify_module, "polynomial_generators",
+                        recording_search)
+    genset = load_fixture("seir34")
+    _output, report = simplify(genset, SimplifyConfig(seed=0))
+    # the learn and the search's replays count in the evaluator, and in no
+    # round's n_evals
+    [(evaluator, searched)] = spent
+    assert searched > 1
+    assert sum(r["n_evals"] for r in report.rounds) \
+        == evaluator.n_evals - searched
+    # a budget the learn and the search spend exactly leaves no harvest
+    # evaluation
+    del spent[:]
+    with pytest.raises(EvaluationBudgetExceeded, match="at d=1$"):
+        simplify(genset, SimplifyConfig(max_restarts=0, eval_cap=searched))
+    [(evaluator, capped)] = spent
+    assert capped == evaluator.n_evals == searched
+    assert evaluator.values == {}
+
+
+def test_bilirubin_without_originals_stops_at_d4():
+    # the coefficients of degree sum at most 4 and the polynomial members
+    # already generate the field, so the harvest stops before d=8
+    genset = load_fixture("bilirubin")
+    output, report = simplify(genset, SimplifyConfig(
+        seed=0, retain_originals=False))
+    assert report.verified is True
+    assert [r["d"] for r in report.rounds] == [1, 2, 4]
+    assert "original" not in {tag for _, tag in report.pool}
+    assert [g.render() for g in output] == [
+        "k01", "k21 + k31 + k41", "k12 + k13 + k14",
+        "k21*k31 + k21*k41 + k31*k41", "k12*k21 + k13*k31 + k14*k41",
+        "k12*k13 + k12*k14 + k13*k14", "k21*k31*k41", "k12*k13*k14"]
 
 
 def test_dedup_pool_normalizes_and_keeps_first_tag():
