@@ -413,11 +413,10 @@ def test_run_deep_nesting(tmp_path, text):
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_FIXTURES = ("example_sym", "heron", "lotka_volterra", "sir6",
                    "bruno2016", "power_sums", "seir34", "genlv", "bilirubin")
-# bilirubin takes seconds per run, so it is pinned at seed 0 only; the
-# seed-0 runs keep the bare fixture name as their id
+# the seed-0 runs keep the bare fixture name as their id
 GOLDEN_RUNS = [pytest.param(name, 0, id=name) for name in GOLDEN_FIXTURES] + [
     pytest.param(name, seed, id="%s-seed%d" % (name, seed))
-    for seed in (1, 2) for name in GOLDEN_FIXTURES if name != "bilirubin"]
+    for seed in (1, 2) for name in GOLDEN_FIXTURES]
 
 
 @pytest.mark.parametrize("name,seed", GOLDEN_RUNS)
