@@ -1,9 +1,11 @@
 """Randomized subfield membership and the operations built on it.
 
 Membership of a candidate f in k(g_1..g_m) is decided at a random point b:
-a Jacobian row-span pre-test first, then a normal-form test of
-p_f(y) q_f(b) - q_f(y) p_f(b) against the specialized ideal of the
-generators augmented with y_j - b_j for the non-pivot variables j.  All
+a Jacobian row-span pre-test first, then a test of l(NF(h)) = 0 for
+h = p_f(y) q_f(b) - q_f(y) p_f(b), where NF is the normal form against the
+specialized ideal of the generators augmented with y_j - b_j for the
+non-pivot variables j and l a random linear form on its quotient, drawn
+per point (a non-member passes with probability 1/p per query).  All
 computations run over a word-sized prime field, which stands in for the
 sampling-range bounds of the underlying analysis (any fixed error budget is
 met by a large enough prime): the Jacobian rows and candidate gradients
@@ -28,11 +30,13 @@ raises UnluckyPoint only when its draws run out.
 """
 
 import bisect
+import random
 
 from .arith import FAIL
 from .groebner import groebner
-from .oms import (POINT_ATTEMPTS, EomsEvaluator, GeneratorSet, UnluckyPoint,
-                  gb_ring, specialize, specialize_eoms)
+from .oms import (POINT_ATTEMPTS, EomsEvaluator, EvaluationBudgetExceeded,
+                  GeneratorSet, UnluckyPoint, gb_ring, specialize,
+                  specialize_eoms)
 from .poly import MultiPoly, RationalFunction
 
 
@@ -113,8 +117,12 @@ class MembershipContext:
     specialized ideal I at b (generators, t Q(y) - 1 and y_j - b_j for the
     non-pivot j) has one GB, computed at the first candidate that passes
     the Jacobian pre-test and kept until the next draw.  Every candidate
-    p/q, whatever its denominator, is tested by the normal form of
-    h = p(y) q(b) - q(y) p(b) against that GB.
+    p/q, whatever its denominator, is tested by l(NF(h)) = 0 for
+    h = p(y) q(b) - q(y) p(b), NF its normal form against that GB and l a
+    linear form on k[y]/I with weights from a stream seeded by b
+    (ReducedGB.normal_form).  A member always gives 0; a non-member has
+    NF(h) != 0 and gives 0 with probability 1/p, on top of the point's own
+    error.
 
     Folding q into Q (saturating I by q as well) would only remove points
     from V(I), so it could only turn a False verdict into True.  For a
@@ -145,6 +153,7 @@ class MembershipContext:
             if None in rows or self._qpoly.evaluate(b) == 0:
                 continue
             self.point = b
+            self._weights = random.Random(str(b))
             self.jacobian = rows
             self._echelon = []
             for row in rows:
@@ -191,7 +200,7 @@ class MembershipContext:
             self._gb = groebner(self.gb_ring, gens)
         # the candidate's denominator is nonzero at b by the gradient above
         h = specialize(*image, self.point, self.gb_ring)
-        return self._gb.normal_form(h).is_zero()
+        return self._gb.normal_form(h, self._weights) == 0
 
     def transcendence_rank(self):
         return self.rank
@@ -229,7 +238,8 @@ def minimize(generators, ring, field, rng):
     return kept
 
 
-def polynomial_generators(genset, delta, field, rng, evaluator=None):
+def polynomial_generators(genset, delta, field, rng, evaluator=None,
+                          eval_cap=10 ** 6):
     """Basis of { p in F_p[x] : deg p <= delta, p(x) in the subfield },
     constants left out.
 
@@ -246,6 +256,8 @@ def polynomial_generators(genset, delta, field, rng, evaluator=None):
     reduced echelon basis of its nullspace, leading monomials descending.
     An evaluator of `genset` at `field` may be passed in to replay its
     trace instead of learning one; each replay counts in its n_evals.
+    Raises EvaluationBudgetExceeded before a replay would take this call
+    past `eval_cap` GB evaluations.
     """
     ev = evaluator or EomsEvaluator(
         genset, gb_ring(genset, field, genset.ring.order), rng)
@@ -257,9 +269,12 @@ def polynomial_generators(genset, delta, field, rng, evaluator=None):
     forms = ev.learned.compile_normal_forms([(0,) + mon for mon in monomials])
     dim = len(monomials)
     echelon = []
-    gb = ev.learned
+    gb, start = ev.learned, ev.n_evals
     for k in range(dim + EXTRA_POINTS):
         if k:
+            if ev.n_evals - start >= eval_cap:
+                raise EvaluationBudgetExceeded(
+                    "GB evaluation budget ran out in the polynomial search")
             gb = ev.gb(tuple(rng.randrange(1, p) for _ in range(n)))
         rows = FAIL if gb is FAIL else gb.condition_rows(forms)
         if rows is FAIL:

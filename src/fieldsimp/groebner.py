@@ -131,14 +131,7 @@ def _reduce_full(work, lms, tails, codec, p, steps=None, memo=None):
             continue
         idx = memo.get(m, -1)
         if idx < 0:
-            base = m + CONST
-            for idx in range(~idx, len(lms)):
-                q = base - lms[idx]
-                if q >= 0 and not (q & GUARDS):
-                    break
-            else:
-                idx = ~len(lms)
-            memo[m] = idx
+            idx = memo[m] = _first_divisor(m, ~idx, lms, CONST, GUARDS)
             if idx < 0:
                 out[m] = c
                 continue
@@ -156,6 +149,17 @@ def _reduce_full(work, lms, tails, codec, p, steps=None, memo=None):
             else:
                 work[mm] = v - c * tc
     return out
+
+
+def _first_divisor(m, start, lms, CONST, GUARDS):
+    """Index of the first of lms[start:] dividing the packed monomial `m`,
+    or ~len(lms) when none does."""
+    base = m + CONST
+    for idx in range(start, len(lms)):
+        q = base - lms[idx]
+        if q >= 0 and not (q & GUARDS):
+            return idx
+    return ~len(lms)
 
 
 def _spoly_dict(f, g, lcm, codec, p):
@@ -308,7 +312,8 @@ class ReducedGB:
     built from packed term lists (each sorted descending) and their codec;
     the MultiPoly view `polys` is built on first use."""
 
-    __slots__ = ("ring", "packed", "_codec", "_plms", "_ptails", "_polys")
+    __slots__ = ("ring", "packed", "_codec", "_plms", "_ptails", "_polys",
+                 "_phi")
 
     def __init__(self, ring, basis, codec):
         self.ring = ring
@@ -317,6 +322,7 @@ class ReducedGB:
         self._plms = [g[0][0] for g in self.packed]
         self._ptails = [g[1:] for g in self.packed]
         self._polys = None
+        self._phi = {}
 
     @property
     def polys(self):
@@ -334,11 +340,46 @@ class ReducedGB:
     def packed_support(self):
         return tuple(tuple(m for m, _ in g) for g in self.packed)
 
-    def normal_form(self, poly):
-        codec = self._codec
-        d = _reduce_full(_pack_terms(codec, poly), self._plms,
-                         self._ptails, codec, self.ring.field.p)
-        return _unpack_terms(self.ring, codec, sorted(d.items(), reverse=True))
+    def normal_form(self, poly, weights=None):
+        """The normal form of `poly`; given `weights`, a random.Random,
+        instead phi(poly) = l(NF(poly)) in F_p for a random linear form l on
+        the quotient, memoized on this GB per monomial: a standard monomial
+        takes a weight drawn from `weights` at its first use, a reducible
+        m = u lm(g) the value -sum c_t phi(u t) over the tail terms c_t t of
+        g, as m = -u tail(g) mod the ideal.  So phi(poly) is 0 for a member
+        and, for a non-member, with probability 1/p.  Every call on one GB
+        must pass the same stream."""
+        codec, p = self._codec, self.ring.field.p
+        terms = _pack_terms(codec, poly)
+        if weights is None:
+            d = _reduce_full(terms, self._plms, self._ptails, codec, p)
+            return _unpack_terms(self.ring, codec,
+                                 sorted(d.items(), reverse=True))
+        CONST, GUARDS = codec.CONST, codec.GUARDS
+        lms, tails, phi, memo = self._plms, self._ptails, self._phi, {}
+        stack = [m for m in terms if m not in phi]
+        while stack:
+            m = stack[-1]
+            if m in phi:
+                stack.pop()
+                continue
+            idx = memo.get(m)
+            if idx is None:
+                idx = memo[m] = _first_divisor(m, 0, lms, CONST, GUARDS)
+            if idx < 0:
+                phi[m] = weights.randrange(p)
+                stack.pop()
+                continue
+            q = m - lms[idx]
+            todo = [q + tm for tm, _ in tails[idx] if q + tm not in phi]
+            if todo:
+                if any(mm & GUARDS for mm in todo):
+                    raise ExponentOverflow(_OVERFLOW)
+                stack += todo
+            else:
+                phi[m] = -sum(tc * phi[q + tm] for tm, tc in tails[idx]) % p
+                stack.pop()
+        return sum(c * phi[m] for m, c in terms.items()) % p
 
     def compile_normal_forms(self, monomials):
         """The normal forms of `monomials` (exponent tuples) at this GB,

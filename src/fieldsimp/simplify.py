@@ -239,7 +239,8 @@ def _run_once(genset, cfg, restart):
     harvest_field = evaluators[0].ring.field
     polys = []
     for poly in polynomial_generators(genset, cfg.delta, harvest_field, rng,
-                                      evaluators[0]):
+                                      evaluators[0],
+                                      eval_cap=cfg.eval_cap - n_evals()):
         rf = _reconstruct_rf(poly.terms, ((q_ring._zero_mon, 1),),
                              q_ring, harvest_field.p)
         if rf is not FAIL and is_member(rf):   # else skip a failed lift

@@ -661,6 +661,77 @@ def test_fold_changes_no_verdict(name):
             assert _folded_verdict(ctx, cand) is expected, (name, cand)
 
 
+def _verdict_candidates(name, ctx, rng):
+    """(h, member) for queries at the context's GB: h of in-field
+    candidates, products and sums of two generators (member True), and of
+    generators moved by an automorphism of the field, then random
+    polynomials in (t, y) (member None: h is in the ideal or not)."""
+    images, ring, p = ctx._images, ctx.gb_ring, ctx.field.p
+    members = []
+    for _ in range(4):
+        (n1, d1), (n2, d2) = rng.choice(images), rng.choice(images)
+        members += [(n1 * n2, d1 * d2), (n1 * d2 + n2 * d1, d1 * d2)]
+    moved = [apply_map(sigma, g).modp(ctx.x_ring)
+             for sigma in fixture_automorphisms(name, ctx.genset.ring)
+             for g in ctx.genset.generators if apply_map(sigma, g) != g]
+    out = [(specialize(num, den, ctx.point, ring), member)
+           for batch, member in ((members, True), (moved, None))
+           for num, den in batch]
+    for _ in range(8):
+        out.append((ring.from_dict({
+            tuple(rng.randint(0, 2) for _ in range(ring.arity)):
+            rng.randrange(1, p) for _ in range(3)}), None))
+    return [(h, member) for h, member in out if h is not FAIL]
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_functional_verdict_matches_normal_form(name):
+    # l(NF(h)) is 0 exactly where NF(h) is, at the context's GB: members
+    # give 0, and every query with a nonzero normal form gives nonzero
+    gs = load_fixture(name)
+    nonzero = 0
+    for k, field in enumerate(FIELDS):
+        ctx = MembershipContext(gs, field, random.Random(k))
+        assert ctx.contains(gs.generators[0]) is True    # builds its GB
+        for h, member in _verdict_candidates(name, ctx, random.Random(k)):
+            exact = ctx._gb.normal_form(h).is_zero()
+            assert (ctx._gb.normal_form(h, ctx._weights) == 0) is exact
+            assert member in (None, exact)
+            nonzero += not exact
+    assert nonzero >= 8
+
+
+def test_functional_draws_are_deterministic():
+    # the weights come from a stream seeded by the point and are drawn in
+    # an order set by the terms and the basis alone, not by hashing
+    gs = load_fixture("power_sums")
+    ctx = MembershipContext(gs, FIELDS[0], random.Random(5))
+    assert ctx.contains(gs.generators[0]) is True
+    values = [ctx._gb.normal_form(h, ctx._weights) for h, _
+              in _verdict_candidates("power_sums", ctx, random.Random(5))]
+    assert values == [0] * 8 + [
+        850675199821803735, 2142810763334966132, 1585928583177899458,
+        3794053387125484737, 1796062863851481349, 3816230886136672921,
+        386168193321531888, 1991424037047404919]
+
+
+def test_contains_reads_the_normal_form_span(monkeypatch):
+    # the verdict goes through ReducedGB.normal_form, whose span the
+    # membership benchmark requires
+    calls = []
+    normal_form = ReducedGB.normal_form
+
+    def recording(self, poly, weights=None):
+        calls.append(weights)
+        return normal_form(self, poly, weights)
+
+    monkeypatch.setattr(ReducedGB, "normal_form", recording)
+    gs = load_fixture("heron")
+    ctx = MembershipContext(gs, FIELDS[0], random.Random(1))
+    assert ctx.contains(parse_many(gs.ring, ["a^2 + b^2"])[0]) is True
+    assert calls == [ctx._weights]
+
+
 def test_polynomial_generators_seir():
     gs = load_fixture("seir34", var_order=SEIR_ORDER)
     field = FIELDS[0]

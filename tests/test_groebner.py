@@ -73,6 +73,20 @@ def test_exponent_overflow_raises():
     assert gb.polys == [y ** 65535 - ring.one(), x + y ** 65534]
 
 
+def test_functional_exponent_overflow_raises():
+    # the functional's walk reaches the shifted monomials the normal form
+    # does: y^65536 from x y, and x y^65535 on the way from x^2
+    ring = Ring(("x", "y"), FP, LEX)
+    x, y = ring.gens()
+    gb = groebner(ring, [x + y ** 65535])
+    for h in (x * y, x * x):
+        with pytest.raises(ExponentOverflow, match="65535"):
+            gb.normal_form(h)
+        with pytest.raises(ExponentOverflow, match="65535"):
+            gb.normal_form(h, random.Random(0))
+    assert gb.normal_form(x + y ** 65535, random.Random(0)) == 0
+
+
 def test_normal_form_examples():
     x, y = R2.gens()
     gb = groebner(R2, [x])

@@ -278,15 +278,17 @@ def test_interpolation_failure_names_every_attempt(monkeypatch):
 
 
 def test_eval_cap_bounds_gb_evaluations(monkeypatch):
-    spent = []         # one entry per GB evaluation: each learn and eval
-    for name in ("_learn", "eval"):
+    # one entry per GB evaluation: each learn and each replay, the search's
+    # included; the search spends 34, so 40 runs out in the harvest
+    spent = []
+    for name in ("_learn", "gb"):
         def counting(self, *args, method=getattr(EomsEvaluator, name)):
             spent.append(method.__name__)
             return method(self, *args)
         monkeypatch.setattr(EomsEvaluator, name, counting)
     with pytest.raises(EvaluationBudgetExceeded, match=r"at d=\d+$"):
-        simplify(load_fixture("seir34"), SimplifyConfig(eval_cap=30))
-    assert "_learn" in spent and len(spent) <= 30
+        simplify(load_fixture("seir34"), SimplifyConfig(eval_cap=40))
+    assert "_learn" in spent and len(spent) <= 40
 
 
 def test_eval_cap_covers_second_prime_learn(monkeypatch):
@@ -324,9 +326,9 @@ def test_polynomial_search_replays_first_harvest_evaluator(monkeypatch):
         built.append(self)
         init(self, *args)
 
-    def recording_search(genset, delta, field, rng, evaluator):
+    def recording_search(genset, delta, field, rng, evaluator, **kwargs):
         searched.append((genset, evaluator, evaluator.values.copy()))
-        return search(genset, delta, field, rng, evaluator)
+        return search(genset, delta, field, rng, evaluator, **kwargs)
 
     monkeypatch.setattr(EomsEvaluator, "__init__", recording_init)
     monkeypatch.setattr(simplify_module, "polynomial_generators",
@@ -365,8 +367,8 @@ def test_search_replays_count_against_eval_cap(monkeypatch):
     spent = []
     search = simplify_module.polynomial_generators
 
-    def recording_search(genset, delta, field, rng, evaluator):
-        basis = search(genset, delta, field, rng, evaluator)
+    def recording_search(genset, delta, field, rng, evaluator, **kwargs):
+        basis = search(genset, delta, field, rng, evaluator, **kwargs)
         spent.append((evaluator, evaluator.n_evals))
         return basis
 
@@ -388,6 +390,25 @@ def test_search_replays_count_against_eval_cap(monkeypatch):
     [(evaluator, capped)] = spent
     assert capped == evaluator.n_evals == searched
     assert evaluator.values == {}
+
+
+def test_search_stops_at_eval_cap(monkeypatch):
+    # seir34's search replays 33 times after the learn; with a budget of 5
+    # it stops before the replay that would spend a sixth evaluation
+    evaluators = []
+    search = simplify_module.polynomial_generators
+
+    def recording_search(genset, delta, field, rng, evaluator, **kwargs):
+        evaluators.append(evaluator)
+        return search(genset, delta, field, rng, evaluator, **kwargs)
+
+    monkeypatch.setattr(simplify_module, "polynomial_generators",
+                        recording_search)
+    with pytest.raises(EvaluationBudgetExceeded, match="polynomial search"):
+        simplify(load_fixture("seir34"),
+                 SimplifyConfig(max_restarts=0, eval_cap=5))
+    [evaluator] = evaluators
+    assert evaluator.n_evals == 5
 
 
 def test_bilirubin_without_originals_stops_at_d4():
