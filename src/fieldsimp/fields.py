@@ -11,10 +11,12 @@ sampling-range bounds of the underlying analysis (any fixed error budget is
 met by a large enough prime): the Jacobian rows and candidate gradients
 come by the quotient rule from one pass over the terms of the F_p images of
 numerators and denominators, which reads each value and gradient together
-(points are drawn with every coordinate nonzero).  Both the rank test and
-the polynomial search keep an F_p row space as one semi-echelon basis that
-grows a row at a time (`_extend`) and test a vector against it by reducing
-it (`_reduce`); the search back-substitutes once where it reads it.
+from per-point power tables (points are drawn with every coordinate
+nonzero); a query reuses its values to build h as packed terms.  Both the
+rank test and the polynomial search keep an F_p row space as one
+semi-echelon basis that grows a row at a time (`_extend`) and test a
+vector against it by reducing it (`_reduce`); the search back-substitutes
+once where it reads it.
 
 The specialized ideal comes from `oms`: MembershipContext reads the F_p
 images of the generators and of Q from `GeneratorSet.modp`, and the
@@ -35,8 +37,7 @@ import random
 from .arith import FAIL
 from .groebner import groebner
 from .oms import (POINT_ATTEMPTS, EomsEvaluator, EvaluationBudgetExceeded,
-                  GeneratorSet, UnluckyPoint, gb_ring, specialize,
-                  specialize_eoms)
+                  GeneratorSet, UnluckyPoint, gb_ring, specialize_eoms)
 from .poly import MultiPoly, RationalFunction
 
 
@@ -79,30 +80,40 @@ def _back_substitute(echelon, p):
     return [(c, [0] * c + row) for c, row in done]
 
 
-def _gradient_modp(num, den, point):
-    """Gradient of num/den at `point` by the quotient rule, for F_p
-    polynomials num and den; None when den vanishes at the point.  Every
-    coordinate of the point must be nonzero."""
+def _point_tables(point, p):
+    """The inverses of a point's coordinates, all nonzero, and per
+    coordinate a table of its powers x^e, each computed at its first use."""
+    return [pow(x, -1, p) for x in point], [{1: x} for x in point]
+
+
+def _gradient_modp(num, den, tables):
+    """(gradient of num/den by the quotient rule, num value, den value) at
+    the point of `tables` (`_point_tables`), for F_p polynomials num and
+    den; None when den vanishes at the point."""
     p = num.ring.field.p
-    inverses = [pow(x, -1, p) for x in point]
-    dv, dgrad = _value_and_gradient(den, point, inverses, p)
+    dv, dgrad = _value_and_gradient(den, tables, p)
     if dv == 0:
         return None
-    nv, ngrad = _value_and_gradient(num, point, inverses, p)
+    nv, ngrad = _value_and_gradient(num, tables, p)
     inv = pow(dv * dv, -1, p)
-    return [(a * dv - nv * b) * inv % p for a, b in zip(ngrad, dgrad)]
+    return [(a * dv - nv * b) * inv % p for a, b in zip(ngrad, dgrad)], nv, dv
 
 
-def _value_and_gradient(poly, point, inverses, p):
-    """Value and gradient of an F_p polynomial at `point`, in one pass over
+def _value_and_gradient(poly, tables, p):
+    """Value and gradient of an F_p polynomial at a point, in one pass over
     its terms: a term c x^m adds m_i c x^m / x_i to entry i."""
+    inverses, powers = tables
     value = 0
-    grad = [0] * len(point)
+    grad = [0] * len(inverses)
     for m, c in poly.terms:
         v = c
-        for x, e in zip(point, m):
+        for row, e in zip(powers, m):
             if e:
-                v = v * pow(x, e, p) % p
+                try:
+                    v = v * row[e] % p
+                except KeyError:
+                    row[e] = pow(row[1], e, p)
+                    v = v * row[e] % p
         value += v
         for i, e in enumerate(m):
             if e:
@@ -113,16 +124,18 @@ def _value_and_gradient(poly, point, inverses, p):
 class MembershipContext:
     """Cached point, pivot data, and specialized GB for repeated tests.
 
-    The point b is drawn regular for every generator and for Q.  The
+    The point b is drawn regular for every generator and for Q, with the
+    tables (`_point_tables`) that the Jacobian rows and queries read.  The
     specialized ideal I at b (generators, t Q(y) - 1 and y_j - b_j for the
     non-pivot j) has one GB, computed at the first candidate that passes
     the Jacobian pre-test and kept until the next draw.  Every candidate
     p/q, whatever its denominator, is tested by l(NF(h)) = 0 for
     h = p(y) q(b) - q(y) p(b), NF its normal form against that GB and l a
     linear form on k[y]/I with weights from a stream seeded by b
-    (ReducedGB.normal_form).  A member always gives 0; a non-member has
-    NF(h) != 0 and gives 0 with probability 1/p, on top of the point's own
-    error.
+    (ReducedGB.normal_form), in one pass over the candidate's F_p image
+    that also gives p(b) and q(b); each monomial of h is packed once per
+    context.  A member always gives 0; a non-member has NF(h) != 0 and
+    gives 0 with probability 1/p, on top of the point's own error.
 
     Folding q into Q (saturating I by q as well) would only remove points
     from V(I), so it could only turn a False verdict into True.  For a
@@ -141,6 +154,7 @@ class MembershipContext:
         self.rng = rng
         self.x_ring, self._images, self._qpoly = genset.modp(field)
         self.gb_ring = gb_ring(genset, field, genset.ring.order)
+        self._packed = {}
         self._draw_point()
 
     def _draw_point(self):
@@ -149,14 +163,15 @@ class MembershipContext:
         for _ in range(POINT_ATTEMPTS):
             b = tuple(self.rng.randrange(1, p)
                       for _ in range(self.genset.ring.arity))
-            rows = [_gradient_modp(num, den, b) for num, den in self._images]
+            at = _point_tables(b, p)
+            rows = [_gradient_modp(num, den, at) for num, den in self._images]
             if None in rows or self._qpoly.evaluate(b) == 0:
                 continue
-            self.point = b
+            self.point, self._tables = b, at
             self._weights = random.Random(str(b))
-            self.jacobian = rows
+            self.jacobian = [row for row, _, _ in rows]
             self._echelon = []
-            for row in rows:
+            for row in self.jacobian:
                 _extend(self._echelon, row, p)
             self.rank = len(self._echelon)
             self.pivots = {c for c, _ in self._echelon}
@@ -187,10 +202,12 @@ class MembershipContext:
     def _contains_at_point(self, image):
         """Membership verdict at the current point for a candidate's F_p
         image (num, den), or FAIL on a pole of the candidate."""
-        grad = _gradient_modp(*image, self.point)
-        if grad is None:
+        got = _gradient_modp(*image, self._tables)
+        if got is None:
             return FAIL
-        if any(_reduce(self._echelon, grad, self.field.p)):
+        grad, nv, dv = got
+        p = self.field.p
+        if any(_reduce(self._echelon, grad, p)):
             return False
         if self._gb is None:
             gens = specialize_eoms(self.genset, self.point, self.gb_ring)
@@ -198,8 +215,13 @@ class MembershipContext:
                 gens.append(self.gb_ring.variable(1 + j)
                             - self.gb_ring.constant(self.point[j]))
             self._gb = groebner(self.gb_ring, gens)
-        # the candidate's denominator is nonzero at b by the gradient above
-        h = specialize(*image, self.point, self.gb_ring)
+        packed, h = self._packed, {}        # h = p(y) q(b) - q(y) p(b)
+        for poly, scale in zip(image, (dv, -nv)):
+            for m, c in poly.terms:
+                k = packed.get(m)
+                if k is None:
+                    k = packed[m] = self._gb.pack((0,) + m)
+                h[k] = (h.get(k, 0) + c * scale) % p
         return self._gb.normal_form(h, self._weights) == 0
 
     def transcendence_rank(self):

@@ -340,24 +340,33 @@ class ReducedGB:
     def packed_support(self):
         return tuple(tuple(m for m, _ in g) for g in self.packed)
 
+    def pack(self, e):
+        """`e` packed for `normal_form`; ExponentOverflow past MAX_EXPONENT."""
+        if max(e) > MAX_EXPONENT:
+            raise ExponentOverflow(_OVERFLOW)
+        return self._codec.pack(e)
+
     def normal_form(self, poly, weights=None):
-        """The normal form of `poly`; given `weights`, a random.Random,
+        """The normal form of `poly`, a MultiPoly or a dict of terms packed by
+        `pack` (coefficients in [0, p)); given `weights`, a random.Random,
         instead phi(poly) = l(NF(poly)) in F_p for a random linear form l on
         the quotient, memoized on this GB per monomial: a standard monomial
         takes a weight drawn from `weights` at its first use, a reducible
         m = u lm(g) the value -sum c_t phi(u t) over the tail terms c_t t of
         g, as m = -u tail(g) mod the ideal.  So phi(poly) is 0 for a member
         and, for a non-member, with probability 1/p.  Every call on one GB
-        must pass the same stream."""
+        must pass the same stream; new monomials are walked from the least,
+        in any order of the terms."""
         codec, p = self._codec, self.ring.field.p
-        terms = _pack_terms(codec, poly)
+        terms = poly if isinstance(poly, dict) else _pack_terms(codec, poly)
         if weights is None:
-            d = _reduce_full(terms, self._plms, self._ptails, codec, p)
+            d = _reduce_full(dict(terms), self._plms, self._ptails, codec, p)
             return _unpack_terms(self.ring, codec,
                                  sorted(d.items(), reverse=True))
         CONST, GUARDS = codec.CONST, codec.GUARDS
         lms, tails, phi, memo = self._plms, self._ptails, self._phi, {}
-        stack = [m for m in terms if m not in phi]
+        stack = sorted((m for m, c in terms.items() if c and m not in phi),
+                       reverse=True)
         while stack:
             m = stack[-1]
             if m in phi:
@@ -379,7 +388,7 @@ class ReducedGB:
             else:
                 phi[m] = -sum(tc * phi[q + tm] for tm, tc in tails[idx]) % p
                 stack.pop()
-        return sum(c * phi[m] for m, c in terms.items()) % p
+        return sum(c * phi[m] for m, c in terms.items() if c) % p
 
     def compile_normal_forms(self, monomials):
         """The normal forms of `monomials` (exponent tuples) at this GB,

@@ -11,9 +11,9 @@ from fieldsimp import oms
 from fieldsimp import poly as poly_module
 from fieldsimp.arith import FAIL, rational_reconstruct
 from fieldsimp.fields import (MembershipContext, _back_substitute, _extend,
-                              _gradient_modp, _reduce, contains, fields_equal,
-                              minimize, polynomial_generators)
-from fieldsimp.groebner import ReducedGB
+                              _gradient_modp, _point_tables, _reduce, contains,
+                              fields_equal, minimize, polynomial_generators)
+from fieldsimp.groebner import ExponentOverflow, ReducedGB
 from fieldsimp.oms import (EomsEvaluator, GeneratorSet, UnluckyPoint,
                            specialize)
 from fieldsimp.poly import (MultiPoly, PrimeField, QQ, RationalFunction, Ring,
@@ -81,7 +81,7 @@ def test_jacobian_pretest_rejects():
     x1 = parse_many(ring, ["x1"])[0]
     field = FIELDS[0]
     ctx = MembershipContext(gs, field, random.Random(5))
-    grad = _gradient_modp(*x1.modp(ctx.x_ring), ctx.point)
+    grad = gradient_at(*x1.modp(ctx.x_ring), ctx.point)
     echelon = []
     for row in ctx.jacobian:
         _extend(echelon, row, field.p)
@@ -116,36 +116,48 @@ def quotient_rule_modp(f, x_ring, point):
 
 @st.composite
 def sparse_fp_quotients(draw):
-    """(num, den, point): random sparse F_p polynomials in up to 15
-    variables with exponents up to 65535, and a point with every
-    coordinate in [1, p)."""
-    p = draw(st.sampled_from((101, FIELDS[0].p)))
+    """(quotients, point): two quotients (num, den) of random sparse F_p
+    polynomials in up to 15 variables with exponents up to 65535, and a
+    point with every coordinate in [1, p)."""
+    p = draw(st.sampled_from((2, 5, 101, FIELDS[0].p)))
     n = draw(st.integers(1, 15))
     ring = Ring(tuple("x%d" % (i + 1) for i in range(n)), PrimeField(p))
     coeff = st.integers(1, p - 1)
     exponent = st.one_of(st.integers(0, 3), st.integers(0, 65535))
     mons = st.tuples(*[exponent] * n)
-    num, den = (ring.from_dict(draw(st.dictionaries(mons, coeff,
-                                                    min_size=lo, max_size=6)))
-                for lo in (0, 1))
+    quotients = [tuple(ring.from_dict(draw(st.dictionaries(
+        mons, coeff, min_size=lo, max_size=6))) for lo in (0, 1))
+        for _ in range(2)]
     point = tuple(draw(st.lists(st.integers(1, p - 1), min_size=n,
                                 max_size=n)))
-    return num, den, point
+    return quotients, point
 
 
 @settings(max_examples=200, deadline=None)
 @given(sparse_fp_quotients())
 def test_gradient_matches_quotient_rule_over_fp(case):
-    num, den, point = case
-    p = num.ring.field.p
-    dv = den.evaluate(point)
-    if dv == 0:
-        assert _gradient_modp(num, den, point) is None
-        return
-    inv = pow(dv * dv, -1, p)
-    want = [((_derivative(num, i) * den - num * _derivative(den, i))
-             .evaluate(point)) * inv % p for i in range(num.ring.arity)]
-    assert _gradient_modp(num, den, point) == want
+    # one point's tables serve every query: the first quotient fills them,
+    # the second reads them and adds the exponents they lack, and the
+    # first again reads only filled entries
+    (first, second), point = case
+    p = first[0].ring.field.p
+    at = _point_tables(point, p)
+    for num, den in (first, second, first):
+        dv = den.evaluate(point)
+        if dv == 0:
+            assert _gradient_modp(num, den, at) is None
+            continue
+        inv = pow(dv * dv, -1, p)
+        want = [((_derivative(num, i) * den - num * _derivative(den, i))
+                 .evaluate(point)) * inv % p for i in range(num.ring.arity)]
+        assert _gradient_modp(num, den, at) == (want, num.evaluate(point),
+                                                dv)
+
+
+def gradient_at(num, den, point):
+    """The gradient `_gradient_modp` gives at a bare point, or None."""
+    got = _gradient_modp(num, den, _point_tables(point, num.ring.field.p))
+    return None if got is None else got[0]
 
 
 GRADIENT_CANDIDATES = {
@@ -164,7 +176,7 @@ def test_gradient_matches_quotient_rule_over_q():
             for g, row in zip(gs.generators, ctx.jacobian):
                 assert row == quotient_rule_modp(g, ctx.x_ring, ctx.point)
             for f in gs.generators + parse_many(gs.ring, exprs):
-                assert _gradient_modp(*f.modp(ctx.x_ring), ctx.point) == \
+                assert gradient_at(*f.modp(ctx.x_ring), ctx.point) == \
                     quotient_rule_modp(f, ctx.x_ring, ctx.point)
 
 
@@ -173,7 +185,7 @@ def test_gradient_none_at_denominator_zero():
     ctx = MembershipContext(gs, FIELDS[0], random.Random(9))
     a = parse_many(gs.ring, ["a"])[0]
     pole = 1 / (a - Fraction(ctx.point[0]))
-    assert _gradient_modp(*pole.modp(ctx.x_ring), ctx.point) is None
+    assert gradient_at(*pole.modp(ctx.x_ring), ctx.point) is None
 
 
 def test_candidate_pole_at_context_point_redraws():
@@ -192,7 +204,7 @@ def test_candidate_pole_at_context_point_redraws():
             cand = 1 / (g - Fraction(value))
         else:
             cand = 1 / (a - Fraction(point[0]))
-        assert _gradient_modp(*cand.modp(ctx.x_ring), ctx.point) is None
+        assert gradient_at(*cand.modp(ctx.x_ring), ctx.point) is None
         assert ctx.contains(cand) is expected
         assert ctx.point != point
         assert contains_2p(gs, cand) is expected
@@ -566,6 +578,18 @@ def test_denominator_dividing_a_power_of_q():
                 text
 
 
+def test_candidate_exponent_overflow_raises():
+    # x^80000 is in Q(x^2, y) but past what a packed monomial holds: it
+    # must raise, not wrap into another monomial and read False
+    ring = Ring(("x", "y"), QQ)
+    gs = genset_of(ring, ["x^2", "y"])
+    x = parse_many(ring, ["x^40000"])[0]
+    ctx = MembershipContext(gs, FIELDS[0], random.Random(0))
+    with pytest.raises(ExponentOverflow, match="65535"):
+        ctx.contains(x * x)
+    assert ctx.contains(x) is True
+
+
 def test_one_groebner_run_per_point(monkeypatch):
     # five denominators outside Q = a^2 b^2 c^2, asked three times each
     gs = load_fixture("heron")
@@ -633,7 +657,7 @@ def _folded_verdict(ctx, cand):
     with t lcm(Q, den)(y) - 1 in place of t Q(y) - 1."""
     ring, b, field = ctx.gb_ring, ctx.point, ctx.field
     image = cand.modp(ctx.x_ring)
-    grad = _gradient_modp(*image, b)
+    grad = gradient_at(*image, b)
     assert grad is not None
     if any(_reduce(ctx._echelon, grad, field.p)):
         return False
@@ -713,6 +737,56 @@ def test_functional_draws_are_deterministic():
         850675199821803735, 2142810763334966132, 1585928583177899458,
         3794053387125484737, 1796062863851481349, 3816230886136672921,
         386168193321531888, 1991424037047404919]
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_functional_query_matches_specialized_normal_form(name, monkeypatch):
+    # the query packs h from the candidate's F_p image; phi of that h
+    # equals phi of oms.specialize's h on a twin context of the same seed,
+    # query for query from an empty memo, so the weights are drawn in the
+    # same order
+    gs = load_fixture(name)
+    values = []
+    normal_form = ReducedGB.normal_form
+
+    def recording(self, poly, weights=None):
+        values.append(normal_form(self, poly, weights))
+        return values[-1]
+
+    gens = sorted(gs.generators,
+                  key=lambda g: g.num.degree() + g.den.degree())[:3]
+    # 1/(g + c), asked first, packs h's terms out of order: num's 1 before
+    # den's g, while 1 is not yet in the memo
+    members = [1 / (g + Fraction(k + 2)) for k, g in enumerate(gens)]
+    members += [gi * gj for gi in gens[:2] for gj in gens[1:]]
+    moved = [apply_map(sigma, g)
+             for sigma in fixture_automorphisms(name, gs.ring)
+             for g in gs.generators if apply_map(sigma, g) != g]
+    candidates = ([(f, True) for f in members]
+                  + [(f, False) for f in moved]
+                  + _denominators_outside_q(name, gs, random.Random(0)))
+    assert any(not f.den.is_constant() for f, _ in candidates)
+    queried = 0
+    for k, field in enumerate(FIELDS):
+        ctx, twin = (MembershipContext(gs, field, random.Random(k))
+                     for _ in range(2))
+        with monkeypatch.context() as patch:    # the twin's GB, no weights
+            patch.setattr(ReducedGB, "normal_form", lambda *args: 0)
+            assert twin.contains(gs.generators[0]) is True
+        for cand, member in candidates:
+            values.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(ReducedGB, "normal_form", recording)
+                verdict = ctx.contains(cand)
+            assert verdict is member, (name, cand)
+            assert ctx.point == twin.point
+            if not values:       # the Jacobian pre-test ruled it out
+                assert verdict is False
+                continue
+            h = specialize(*cand.modp(twin.x_ring), twin.point, twin.gb_ring)
+            assert values == [twin._gb.normal_form(h, twin._weights)]
+            queried += 1
+    assert queried >= 2 * len(members)
 
 
 def test_contains_reads_the_normal_form_span(monkeypatch):

@@ -87,6 +87,27 @@ def test_functional_exponent_overflow_raises():
     assert gb.normal_form(x + y ** 65535, random.Random(0)) == 0
 
 
+def test_functional_reads_packed_terms_in_any_order():
+    # a dict of packed terms, shuffled and with zero coefficients, reads as
+    # the MultiPoly it packs: the same normal form, and the same phi on a
+    # twin basis, weight for weight
+    x, y = R2.gens()
+    gb, twin = (groebner(R2, [x * x + y, x * y - R2.one()]) for _ in range(2))
+    weights, twin_weights = random.Random(0), random.Random(0)
+    rng = random.Random(3)
+    for _ in range(8):
+        h = _random_poly(R2, rng)
+        terms = [(gb.pack(m), c) for m, c in h.terms]
+        terms += [(gb.pack((e, 9)), 0) for e in range(3)]
+        rng.shuffle(terms)
+        packed = dict(terms)
+        assert gb.normal_form(packed) == twin.normal_form(h)
+        assert gb.normal_form(packed, weights) == \
+            twin.normal_form(h, twin_weights)
+        assert packed == dict(terms)
+    assert gb._phi == twin._phi
+
+
 def test_normal_form_examples():
     x, y = R2.gens()
     gb = groebner(R2, [x])
