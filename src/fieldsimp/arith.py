@@ -125,6 +125,8 @@ class PrimeField:
 
     def from_fraction(self, q):
         """q mod p for an int or a Fraction."""
+        if q.denominator == 1:
+            return q.numerator % self.p
         den = q.denominator % self.p
         if not den:
             raise ZeroInverse("prime %d divides the denominator of %s"

@@ -39,6 +39,10 @@ class ZeroDenominator(ParseError):
 # five Python frames, well inside the default recursion limit)
 MAX_NESTING = 100
 
+# an int token takes ASCII digits only (str.isdigit also accepts
+# superscripts and other scripts' digits)
+DIGITS = "0123456789"
+
 
 def _tokenize(text, line_no=1):
     tokens = []
@@ -51,9 +55,9 @@ def _tokenize(text, line_no=1):
             continue
         if ch == "#":
             break
-        if ch.isdigit():
+        if ch in DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in DIGITS:
                 j += 1
             tokens.append(("int", text[i:j], line_no, col))
             col += j - i

@@ -1,34 +1,31 @@
 """Randomized subfield membership and the operations built on it.
 
-Membership of a candidate f in k(g_1..g_m) is decided at a random point b:
-a Jacobian row-span pre-test first, then a test of l(NF(h)) = 0 for
-h = p_f(y) q_f(b) - q_f(y) p_f(b), where NF is the normal form against the
-specialized ideal of the generators augmented with y_j - b_j for the
-non-pivot variables j and l a random linear form on its quotient, drawn
+Membership of a candidate f = p/q in k(g_1..g_m) is decided at a random
+point b by the criterion of Mueller-Quade and Steinwandt ("Basic algorithms
+for rational function fields", J. Symbolic Comput. 1999): f lies in the
+subfield iff h = p(y) q(b) - q(y) p(b) lies in the specialized ideal I_b of
+the generators at a generic b.  The test reads l(NF(h)) = 0, for NF the
+normal form against I_b and l a random linear form on its quotient, drawn
 per point (a non-member passes with probability 1/p per query).  All
 computations run over a word-sized prime field, which stands in for the
 sampling-range bounds of the underlying analysis (any fixed error budget is
-met by a large enough prime): the Jacobian rows and candidate gradients
-come by the quotient rule from one pass over the terms of the F_p images of
-numerators and denominators, which reads each value and gradient together
-from per-point power tables (points are drawn with every coordinate
-nonzero); a query reuses its values to build h as packed terms.  Both the
-rank test and the polynomial search keep an F_p row space as one
-semi-echelon basis that grows a row at a time (`_extend`) and test a
-vector against it by reducing it (`_reduce`); the search back-substitutes
-once where it reads it.
+met by a large enough prime).  A query reads p(b) and q(b) in one pass over
+the terms of the candidate's F_p image, from per-point power tables (points
+are drawn with every coordinate nonzero), and builds h from them as packed
+terms.  The polynomial search keeps an F_p row space as one semi-echelon
+basis that grows a row at a time (`_extend`), tests a vector against it by
+reducing it (`_reduce`) and back-substitutes once where it reads it.
 
-The specialized ideal comes from `oms`: MembershipContext reads the F_p
-images of the generators and of Q from `GeneratorSet.modp`, and the
-polynomial search replays the trace of an `oms.EomsEvaluator` (the
-pipeline passes the first evaluator of its harvest).
-MembershipContext, whose ideal adds y_j - b_j, still draws its own point
-and runs Buchberger there, once per point: a candidate's denominator is
-never folded into Q, because at a random point that cannot change a
-correct verdict (the argument is in MembershipContext's docstring).  A
-point where a candidate has a pole is a lost sample, not a lost test:
-MembershipContext is the one place that redraws such a point, and it
-raises UnluckyPoint only when its draws run out.
+The specialized ideal comes from `oms`, and the harvest, the polynomial
+search and membership all read the one ideal `specialize_eoms` builds.  The
+search replays the trace of an `oms.EomsEvaluator` (the pipeline passes the
+first evaluator of its harvest).  MembershipContext draws its own point and
+runs Buchberger there, once per point: a candidate's denominator is never
+folded into Q, because at a random point that cannot change a correct
+verdict (the argument is in MembershipContext's docstring).  A point where
+a candidate has a pole is a lost sample, not a lost test: MembershipContext
+is the one place that redraws such a point, and it raises UnluckyPoint only
+when its draws run out.
 """
 
 import bisect
@@ -80,79 +77,61 @@ def _back_substitute(echelon, p):
     return [(c, [0] * c + row) for c, row in done]
 
 
-def _point_tables(point, p):
-    """The inverses of a point's coordinates, all nonzero, and per
-    coordinate a table of its powers x^e, each computed at its first use."""
-    return [pow(x, -1, p) for x in point], [{1: x} for x in point]
-
-
-def _gradient_modp(num, den, tables):
-    """(gradient of num/den by the quotient rule, num value, den value) at
-    the point of `tables` (`_point_tables`), for F_p polynomials num and
-    den; None when den vanishes at the point."""
-    p = num.ring.field.p
-    dv, dgrad = _value_and_gradient(den, tables, p)
-    if dv == 0:
-        return None
-    nv, ngrad = _value_and_gradient(num, tables, p)
-    inv = pow(dv * dv, -1, p)
-    return [(a * dv - nv * b) * inv % p for a, b in zip(ngrad, dgrad)], nv, dv
-
-
-def _value_and_gradient(poly, tables, p):
-    """Value and gradient of an F_p polynomial at a point, in one pass over
-    its terms: a term c x^m adds m_i c x^m / x_i to entry i."""
-    inverses, powers = tables
-    value = 0
-    grad = [0] * len(inverses)
-    for m, c in poly.terms:
-        v = c
-        for row, e in zip(powers, m):
-            if e:
-                try:
-                    v = v * row[e] % p
-                except KeyError:
-                    row[e] = pow(row[1], e, p)
-                    v = v * row[e] % p
-        value += v
-        for i, e in enumerate(m):
-            if e:
-                grad[i] += e * v * inverses[i]
-    return value % p, [g % p for g in grad]
+def _values_modp(image, powers, p):
+    """[p(b), q(b)] for the F_p image (p, q) of a candidate, in one pass over
+    its terms, or None when q(b) = 0; `powers` holds per coordinate of b a
+    table of its powers x^e, each computed at its first use."""
+    values = []
+    for poly in image:
+        value = 0
+        for m, c in poly.terms:
+            for row, e in zip(powers, m):
+                if e:
+                    try:
+                        c = c * row[e] % p
+                    except KeyError:
+                        row[e] = pow(row[1], e, p)
+                        c = c * row[e] % p
+            value += c
+        values.append(value % p)
+    return values if values[1] else None
 
 
 class MembershipContext:
-    """Cached point, pivot data, and specialized GB for repeated tests.
+    """Cached point, power tables and specialized GB for repeated tests.
 
-    The point b is drawn regular for every generator and for Q, with the
-    tables (`_point_tables`) that the Jacobian rows and queries read.  The
-    specialized ideal I at b (generators, t Q(y) - 1 and y_j - b_j for the
-    non-pivot j) has one GB, computed at the first candidate that passes
-    the Jacobian pre-test and kept until the next draw.  Every candidate
-    p/q, whatever its denominator, is tested by l(NF(h)) = 0 for
-    h = p(y) q(b) - q(y) p(b), NF its normal form against that GB and l a
-    linear form on k[y]/I with weights from a stream seeded by b
-    (ReducedGB.normal_form), in one pass over the candidate's F_p image
-    that also gives p(b) and q(b); each monomial of h is packed once per
-    context.  A member always gives 0; a non-member has NF(h) != 0 and
-    gives 0 with probability 1/p, on top of the point's own error.
+    The point b is drawn regular for every generator and for Q, that is
+    where `specialize_eoms` succeeds.  Its output is kept, and its reduced
+    GB, the harvest's ideal I_b with nothing appended, is computed at the
+    first query and kept until the next draw.  Every candidate p/q, whatever
+    its denominator, is tested by l(NF(h)) = 0 for h = p(y) q(b) - q(y) p(b),
+    NF its normal form against that GB and l a linear form on k[t, y]/I_b
+    with weights from a stream seeded by b (ReducedGB.normal_form); p(b)
+    and q(b) come from one pass over the candidate's F_p image, and each
+    monomial of h is packed once per context.  At a generic b, h lies in
+    I_b exactly for a member (Mueller-Quade and Steinwandt).  A member
+    always gives 0; a non-member has NF(h) != 0 and gives 0 with
+    probability 1/p, on top of the point's own error.
 
-    Folding q into Q (saturating I by q as well) would only remove points
-    from V(I), so it could only turn a False verdict into True.  For a
+    Folding q into Q (saturating I_b by q as well) would only remove points
+    from V(I_b), so it could only turn a False verdict into True.  For a
     non-member such a flip is wrong.  For a member f = A(g)/B(g) it is not
     needed once B(g(b)) != 0, which fails at a random b with probability at
-    most deg/p (Schwartz-Zippel).  Then at every y in V(I) the generators
+    most deg/p (Schwartz-Zippel).  Then at every y in V(I_b) the generators
     are regular (Q(y) != 0) and take their values at b, so A(g)/B(g) is
     regular at y; f is in lowest terms over a UFD, so q(y) != 0 and
-    f(y) = f(b), and h vanishes on V(I).  The radicality of I that the test
-    already assumes then puts h in I.
+    f(y) = f(b), and h vanishes on V(I_b).  The radicality of I_b that the
+    test already assumes then puts h in I_b.
+
+    V(I_b) is the fibre of g through b, with t fixed by Q, so the
+    transcendence degree of the subfield is n - dim I_b.
     """
 
     def __init__(self, genset, field, rng):
         self.genset = genset
         self.field = field
         self.rng = rng
-        self.x_ring, self._images, self._qpoly = genset.modp(field)
+        self.x_ring = genset.modp(field)[0]
         self.gb_ring = gb_ring(genset, field, genset.ring.order)
         self._packed = {}
         self._draw_point()
@@ -163,23 +142,20 @@ class MembershipContext:
         for _ in range(POINT_ATTEMPTS):
             b = tuple(self.rng.randrange(1, p)
                       for _ in range(self.genset.ring.arity))
-            at = _point_tables(b, p)
-            rows = [_gradient_modp(num, den, at) for num, den in self._images]
-            if None in rows or self._qpoly.evaluate(b) == 0:
+            gens = specialize_eoms(self.genset, b, self.gb_ring)
+            if gens is FAIL:
                 continue
-            self.point, self._tables = b, at
+            self.point, self._gens, self._gb = b, gens, None
+            self._powers = [{1: x} for x in b]
             self._weights = random.Random(str(b))
-            self.jacobian = [row for row, _, _ in rows]
-            self._echelon = []
-            for row in self.jacobian:
-                _extend(self._echelon, row, p)
-            self.rank = len(self._echelon)
-            self.pivots = {c for c, _ in self._echelon}
-            self.nonpivots = [j for j in range(self.genset.ring.arity)
-                              if j not in self.pivots]
-            self._gb = None
             return
         raise UnluckyPoint("no regular evaluation point mod %d" % p)
+
+    def _basis(self):
+        """The reduced GB of I_b, computed at its first use."""
+        if self._gb is None:
+            self._gb = groebner(self.gb_ring, self._gens)
+        return self._gb
 
     def contains(self, candidate):
         """True iff the candidate lies in the generated subfield (with
@@ -202,30 +178,22 @@ class MembershipContext:
     def _contains_at_point(self, image):
         """Membership verdict at the current point for a candidate's F_p
         image (num, den), or FAIL on a pole of the candidate."""
-        got = _gradient_modp(*image, self._tables)
-        if got is None:
-            return FAIL
-        grad, nv, dv = got
         p = self.field.p
-        if any(_reduce(self._echelon, grad, p)):
-            return False
-        if self._gb is None:
-            gens = specialize_eoms(self.genset, self.point, self.gb_ring)
-            for j in self.nonpivots:
-                gens.append(self.gb_ring.variable(1 + j)
-                            - self.gb_ring.constant(self.point[j]))
-            self._gb = groebner(self.gb_ring, gens)
+        values = _values_modp(image, self._powers, p)
+        if values is None:
+            return FAIL
+        gb = self._basis()
         packed, h = self._packed, {}        # h = p(y) q(b) - q(y) p(b)
-        for poly, scale in zip(image, (dv, -nv)):
+        for poly, scale in zip(image, (values[1], -values[0])):
             for m, c in poly.terms:
                 k = packed.get(m)
                 if k is None:
-                    k = packed[m] = self._gb.pack((0,) + m)
+                    k = packed[m] = gb.pack((0,) + m)
                 h[k] = (h.get(k, 0) + c * scale) % p
-        return self._gb.normal_form(h, self._weights) == 0
+        return gb.normal_form(h, self._weights) == 0
 
     def transcendence_rank(self):
-        return self.rank
+        return self.genset.ring.arity - self._basis().dimension()
 
 
 def contains(genset, candidate, field, rng):

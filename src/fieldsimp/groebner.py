@@ -340,6 +340,20 @@ class ReducedGB:
     def packed_support(self):
         return tuple(tuple(m for m, _ in g) for g in self.packed)
 
+    def dimension(self):
+        """The ideal's dimension: the largest number of variables that
+        together contain no leading monomial's support (-1 for the unit
+        ideal).  Some variable of the smallest support is left out."""
+        supports = {frozenset(i for i, e in enumerate(self._codec.unpack(m))
+                              if e) for m in self._plms}
+
+        def free(supports, n):
+            if not supports:
+                return n
+            return max((free({s for s in supports if i not in s}, n - 1)
+                        for i in min(supports, key=len)), default=-1)
+        return free(supports, len(self.ring.vars))
+
     def pack(self, e):
         """`e` packed for `normal_form`; ExponentOverflow past MAX_EXPONENT."""
         if max(e) > MAX_EXPONENT:

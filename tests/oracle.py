@@ -3,14 +3,15 @@
 The reference Groebner engine is sympy's Buchberger run over the fraction
 field Q(x), entirely independent of the package under test.  On top of it:
 symbolic reduced-basis coefficients of the ideal attached to a generating
-set, and an exact Q-linear solver for the low-degree polynomial membership
-space.
+set, the exact rank of its Jacobian, and an exact Q-linear solver for the
+low-degree polynomial membership space.
 """
 
 from fractions import Fraction
 
 import sympy
 from sympy import QQ as SQQ
+from sympy.polys.matrices import DomainMatrix
 
 from fieldsimp.poly import RationalFunction
 
@@ -98,6 +99,16 @@ def symbolic_gb_coefficients(genset, order):
         for m in mons[1:]:
             entries[(i, m)] = _frac_coeff_to_rf(terms[m], genset.ring)
     return entries, support
+
+
+def jacobian_rank(genset):
+    """Rank of the generators' Jacobian over Q(x), computed exactly by
+    sympy's DomainMatrix over the fraction field of its entries."""
+    xs, _ = _sym_vars(genset)
+    exprs = [_poly_to_expr(g.num, xs) / _poly_to_expr(g.den, xs)
+             for g in genset.generators]
+    jac = sympy.Matrix(exprs).jacobian(xs)
+    return DomainMatrix.from_Matrix(jac).to_field().rank()
 
 
 # ----------------------------------------------------------------------

@@ -71,6 +71,16 @@ def test_prime_field_ops():
         PrimeField(100)
 
 
+def test_from_fraction():
+    f = PrimeField(101)
+    assert [f.from_fraction(q) for q in (7, -1, 202, Fraction(-5))] \
+        == [7, 100, 0, 96]
+    assert f.from_fraction(Fraction(-2, 3)) * 3 % 101 == 99
+    for q in (Fraction(1, 101), Fraction(7, 303)):
+        with pytest.raises(ZeroInverse):
+            f.from_fraction(q)
+
+
 def test_rational_reconstruct_roundtrip():
     p = production_prime(0)
     bound = math.isqrt(p // 2)

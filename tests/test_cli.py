@@ -273,6 +273,17 @@ def test_run_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr", ["x + \u00b2", "x + \u0663*y"],
+                         ids=["superscript_two", "arabic_indic_three"])
+def test_run_non_ascii_digit_is_a_parse_error(tmp_path, capsys, expr):
+    # str.isdigit accepts both characters; an int token takes ASCII 0-9
+    problem = tmp_path / "digits.txt"
+    problem.write_text("vars: x, y\n%s\n" % expr, encoding="utf-8")
+    assert run(["--input", str(problem)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: line 2, col 5: unexpected character")
+
+
 def test_run_exponent_too_large(tmp_path, capsys):
     # packed Groebner monomials hold exponents up to 65535
     big = tmp_path / "big.txt"

@@ -11,8 +11,8 @@ from fieldsimp import oms
 from fieldsimp import poly as poly_module
 from fieldsimp.arith import FAIL, rational_reconstruct
 from fieldsimp.fields import (MembershipContext, _back_substitute, _extend,
-                              _gradient_modp, _point_tables, _reduce, contains,
-                              fields_equal, minimize, polynomial_generators)
+                              _reduce, _values_modp, contains, fields_equal,
+                              minimize, polynomial_generators)
 from fieldsimp.groebner import ExponentOverflow, ReducedGB
 from fieldsimp.oms import (EomsEvaluator, GeneratorSet, UnluckyPoint,
                            specialize)
@@ -22,7 +22,8 @@ from fieldsimp.poly import (MultiPoly, PrimeField, QQ, RationalFunction, Ring,
 from conftest import (ALL_FIXTURES, CHECK_PRIMES, apply_map, fields_equal_2p,
                       fixture_automorphisms, genset_of, load_fixture,
                       parse_many)
-from oracle import fp_echelon, in_fp_span, symbolic_membership_space
+from oracle import (fp_echelon, in_fp_span, jacobian_rank, monomials_up_to,
+                    symbolic_membership_space)
 
 FIELDS = tuple(PrimeField(p) for p in CHECK_PRIMES)
 
@@ -75,43 +76,32 @@ def test_constant_candidate():
     assert contains_2p(gs, five) is True
 
 
-def test_jacobian_pretest_rejects():
+def test_variable_outside_a_smaller_field():
     ring = Ring(("x1", "x2"), QQ)
     gs = genset_of(ring, ["x2"])
     x1 = parse_many(ring, ["x1"])[0]
-    field = FIELDS[0]
-    ctx = MembershipContext(gs, field, random.Random(5))
-    grad = gradient_at(*x1.modp(ctx.x_ring), ctx.point)
-    echelon = []
-    for row in ctx.jacobian:
-        _extend(echelon, row, field.p)
-    # the rank pre-test alone already rules the candidate out
-    assert any(_reduce(echelon, grad, field.p))
-    assert ctx.contains(x1) is False
+    for field in FIELDS:
+        assert MembershipContext(gs, field,
+                                 random.Random(5)).contains(x1) is False
+    assert contains_2p(gs, x1) is False
 
 
-def _derivative(f, i):
-    """d f / d x_i, term by term over f's field."""
-    field = f.ring.field
-    d = {}
-    for m, c in f.terms:
-        if m[i]:
-            k = m[:i] + (m[i] - 1,) + m[i + 1:]
-            d[k] = field.mul(c, field.from_int(m[i]))
-    return f.ring.from_dict(d)
-
-
-def quotient_rule_modp(f, x_ring, point):
-    """Reference gradient: the exact quotient rule over Q, reduced mod p."""
-    p = x_ring.field.p
-    den2 = (f.den * f.den).map_coefficients(x_ring, x_ring.field.from_fraction)
-    inv = pow(den2.evaluate(point), -1, p)
-    out = []
-    for i in range(f.ring.arity):
-        num = _derivative(f.num, i) * f.den - f.num * _derivative(f.den, i)
-        num = num.map_coefficients(x_ring, x_ring.field.from_fraction)
-        out.append(num.evaluate(point) * inv % p)
-    return out
+@pytest.mark.parametrize("gens,candidate", [
+    (["x^2", "y"], "x"),
+    (["x^2 + y^2", "x*y"], "x + y"),
+], ids=["x_over_x2_y", "sum_over_square_sum_product"])
+def test_algebraic_non_member_rejected(gens, candidate):
+    # the subfield has full transcendence degree, so only the ideal test
+    # can rule the candidate out
+    ring = Ring(("x", "y"), QQ)
+    gs = genset_of(ring, gens)
+    f = parse_many(ring, [candidate])[0]
+    for k, field in enumerate(FIELDS):
+        ctx = MembershipContext(gs, field, random.Random(k))
+        assert ctx.transcendence_rank() == 2
+        assert ctx.contains(f) is False
+        assert ctx.contains(f * f) is True
+    assert contains_2p(gs, f) is False
 
 
 @st.composite
@@ -135,57 +125,31 @@ def sparse_fp_quotients(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(sparse_fp_quotients())
-def test_gradient_matches_quotient_rule_over_fp(case):
+def test_values_match_evaluate_over_fp(case):
     # one point's tables serve every query: the first quotient fills them,
     # the second reads them and adds the exponents they lack, and the
     # first again reads only filled entries
     (first, second), point = case
     p = first[0].ring.field.p
-    at = _point_tables(point, p)
+    powers = [{1: x} for x in point]
     for num, den in (first, second, first):
         dv = den.evaluate(point)
-        if dv == 0:
-            assert _gradient_modp(num, den, at) is None
-            continue
-        inv = pow(dv * dv, -1, p)
-        want = [((_derivative(num, i) * den - num * _derivative(den, i))
-                 .evaluate(point)) * inv % p for i in range(num.ring.arity)]
-        assert _gradient_modp(num, den, at) == (want, num.evaluate(point),
-                                                dv)
+        want = [num.evaluate(point), dv] if dv else None
+        assert _values_modp((num, den), powers, p) == want
 
 
-def gradient_at(num, den, point):
-    """The gradient `_gradient_modp` gives at a bare point, or None."""
-    got = _gradient_modp(num, den, _point_tables(point, num.ring.field.p))
-    return None if got is None else got[0]
+def values_at(image, point):
+    """What `_values_modp` gives for an F_p image at a bare point."""
+    return _values_modp(image, [{1: x} for x in point],
+                        image[0].ring.field.p)
 
 
-GRADIENT_CANDIDATES = {
-    "heron": ["a^2", "a/(b + c)", "(a^2 - b^2)/(a*b*c + 1)",
-              "(a+b+c)*(b+c-a)/(4*c^2 - 3*a)"],
-    "lotka_volterra": ["d/(a*b)", "(a^2*b + a*b^2)/(a*d + b*d - 7)",
-                       "(a - 2/3*d)/(b^2 + c^3)"],
-}
-
-
-def test_gradient_matches_quotient_rule_over_q():
-    for name, exprs in GRADIENT_CANDIDATES.items():
-        gs = load_fixture(name)
-        for k, field in enumerate(FIELDS):
-            ctx = MembershipContext(gs, field, random.Random(k))
-            for g, row in zip(gs.generators, ctx.jacobian):
-                assert row == quotient_rule_modp(g, ctx.x_ring, ctx.point)
-            for f in gs.generators + parse_many(gs.ring, exprs):
-                assert gradient_at(*f.modp(ctx.x_ring), ctx.point) == \
-                    quotient_rule_modp(f, ctx.x_ring, ctx.point)
-
-
-def test_gradient_none_at_denominator_zero():
+def test_values_none_at_denominator_zero():
     gs = load_fixture("heron")
     ctx = MembershipContext(gs, FIELDS[0], random.Random(9))
     a = parse_many(gs.ring, ["a"])[0]
     pole = 1 / (a - Fraction(ctx.point[0]))
-    assert gradient_at(*pole.modp(ctx.x_ring), ctx.point) is None
+    assert values_at(pole.modp(ctx.x_ring), ctx.point) is None
 
 
 def test_candidate_pole_at_context_point_redraws():
@@ -204,7 +168,7 @@ def test_candidate_pole_at_context_point_redraws():
             cand = 1 / (g - Fraction(value))
         else:
             cand = 1 / (a - Fraction(point[0]))
-        assert gradient_at(*cand.modp(ctx.x_ring), ctx.point) is None
+        assert values_at(cand.modp(ctx.x_ring), ctx.point) is None
         assert ctx.contains(cand) is expected
         assert ctx.point != point
         assert contains_2p(gs, cand) is expected
@@ -243,23 +207,16 @@ def test_candidate_mapped_to_fp_once(monkeypatch):
 
     monkeypatch.setattr(MultiPoly, "map_coefficients", counting)
     assert ctx.contains(cand) is True
-    # one image (num, den) serves the Jacobian pre-test and the ideal test
+    # one image (num, den) gives p(b), q(b) and the terms of h
     assert len(calls) == 2
 
 
 def test_candidate_pole_at_every_draw(monkeypatch):
     gs = load_fixture("heron")
     ctx = MembershipContext(gs, FIELDS[0], random.Random(9))
-    gradient, images = fields_module._gradient_modp, ctx._images
-
-    def pole_unless_generator(num, den, point):
-        # the generators stay regular, so only the candidate loses points
-        if any(num is g_num for g_num, _ in images):
-            return gradient(num, den, point)
-        return None
-
-    monkeypatch.setattr(fields_module, "_gradient_modp",
-                        pole_unless_generator)
+    # the generators are specialized without the value pass, so they stay
+    # regular and only the candidate loses points
+    monkeypatch.setattr(fields_module, "_values_modp", lambda *args: None)
     with pytest.raises(UnluckyPoint, match="pole at every point drawn"):
         ctx.contains(gs.generators[0])
 
@@ -311,6 +268,57 @@ def test_transcendence_rank():
                                  random.Random(k)).transcendence_rank() == 3
         assert MembershipContext(sym, field,
                                  random.Random(k)).transcendence_rank() == 2
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_transcendence_rank_matches_jacobian_rank(name):
+    gs = load_fixture(name)
+    want = jacobian_rank(gs)
+    for k, field in enumerate(FIELDS):
+        ctx = MembershipContext(gs, field, random.Random(k))
+        assert ctx.transcendence_rank() == want
+
+
+@st.composite
+def rank_cases(draw):
+    """Generator sets in up to three variables: up to n random polynomials
+    of degree at most 2 (so r < n or r = n), and in half the cases one more
+    generator that is a rational function of the others."""
+    n = draw(st.integers(1, 3))
+    ring = Ring(tuple("x%d" % (i + 1) for i in range(n)), QQ)
+    mons = [m for m in monomials_up_to(n, 2) if sum(m)]
+    coeff = st.integers(-3, 3).filter(bool).map(Fraction)
+    poly = st.dictionaries(st.sampled_from(mons), coeff, min_size=1,
+                           max_size=3).map(ring.from_dict)
+    gens = [RationalFunction(g) for g in draw(st.lists(poly, min_size=1,
+                                                       max_size=n))]
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        c = Fraction(draw(st.integers(1, 5)))
+        gens.append((a * b + c) / (a - c))
+    return GeneratorSet(ring, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_cases())
+def test_transcendence_rank_matches_jacobian_rank_random(gs):
+    want = jacobian_rank(gs)
+    for k, field in enumerate(FIELDS):
+        ctx = MembershipContext(gs, field, random.Random(k))
+        assert ctx.transcendence_rank() == want
+
+
+@pytest.mark.parametrize("name", ["bruno2016", "genlv", "lotka_volterra",
+                                  "seir34", "sir6"])
+def test_context_gb_is_the_specialized_ideal(name):
+    # where r < n the context reads the harvest's ideal, nothing appended
+    gs = load_fixture(name)
+    for k, field in enumerate(FIELDS):
+        ctx = MembershipContext(gs, field, random.Random(k))
+        assert ctx.transcendence_rank() < gs.ring.arity
+        want = groebner_module.groebner(
+            ctx.gb_ring, oms.specialize_eoms(gs, ctx.point, ctx.gb_ring))
+        assert ctx._gb.packed == want.packed
 
 
 def test_fields_equal_reflexive():
@@ -653,21 +661,17 @@ def _denominators_outside_q(name, gs, rng):
 
 def _folded_verdict(ctx, cand):
     """The membership verdict at ctx.point with cand's denominator folded
-    into Q: the Jacobian pre-test, then the normal form against the ideal
-    with t lcm(Q, den)(y) - 1 in place of t Q(y) - 1."""
+    into Q: the normal form against the ideal with t lcm(Q, den)(y) - 1 in
+    place of t Q(y) - 1."""
     ring, b, field = ctx.gb_ring, ctx.point, ctx.field
     image = cand.modp(ctx.x_ring)
-    grad = gradient_at(*image, b)
-    assert grad is not None
-    if any(_reduce(ctx._echelon, grad, field.p)):
-        return False
-    gens = [specialize(num, den, b, ring) for num, den in ctx._images]
+    assert values_at(image, b) is not None
+    gens = [specialize(num, den, b, ring)
+            for num, den in ctx.genset.modp(field)[1]]
     q = lcm_q(ctx.genset.common_denominator, cand.den) \
         .map_coefficients(ctx.x_ring, field.from_fraction)
     gens.append(ring.from_dict({(1,) + m: c for m, c in q.terms})
                 - ring.one())
-    gens += [ring.variable(1 + j) - ring.constant(b[j])
-             for j in ctx.nonpivots]
     gb = groebner_module.groebner(ring, [g for g in gens if not g.is_zero()])
     return gb.normal_form(specialize(*image, b, ring)).is_zero()
 
@@ -690,7 +694,7 @@ def _verdict_candidates(name, ctx, rng):
     candidates, products and sums of two generators (member True), and of
     generators moved by an automorphism of the field, then random
     polynomials in (t, y) (member None: h is in the ideal or not)."""
-    images, ring, p = ctx._images, ctx.gb_ring, ctx.field.p
+    images, ring, p = ctx.genset.modp(ctx.field)[1], ctx.gb_ring, ctx.field.p
     members = []
     for _ in range(4):
         (n1, d1), (n2, d2) = rng.choice(images), rng.choice(images)
@@ -766,7 +770,6 @@ def test_functional_query_matches_specialized_normal_form(name, monkeypatch):
                   + [(f, False) for f in moved]
                   + _denominators_outside_q(name, gs, random.Random(0)))
     assert any(not f.den.is_constant() for f, _ in candidates)
-    queried = 0
     for k, field in enumerate(FIELDS):
         ctx, twin = (MembershipContext(gs, field, random.Random(k))
                      for _ in range(2))
@@ -780,13 +783,8 @@ def test_functional_query_matches_specialized_normal_form(name, monkeypatch):
                 verdict = ctx.contains(cand)
             assert verdict is member, (name, cand)
             assert ctx.point == twin.point
-            if not values:       # the Jacobian pre-test ruled it out
-                assert verdict is False
-                continue
             h = specialize(*cand.modp(twin.x_ring), twin.point, twin.gb_ring)
             assert values == [twin._gb.normal_form(h, twin._weights)]
-            queried += 1
-    assert queried >= 2 * len(members)
 
 
 def test_contains_reads_the_normal_form_span(monkeypatch):

@@ -257,7 +257,7 @@ def test_no_regular_point_names_every_attempt(monkeypatch):
 
 
 def test_no_membership_point_names_every_attempt(monkeypatch):
-    monkeypatch.setattr(fields, "_gradient_modp", lambda *args: None)
+    monkeypatch.setattr(fields, "specialize_eoms", lambda *args: FAIL)
     cfg = SimplifyConfig()
     with pytest.raises(VerificationFailed) as info:
         simplify(load_fixture("example_sym"), cfg)
