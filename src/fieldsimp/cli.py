@@ -9,6 +9,7 @@ greatest) unless --var-order overrides it.
 import argparse
 import json
 import math
+import re
 import sys
 
 from .groebner import MAX_EXPONENT, ExponentOverflow
@@ -39,46 +40,28 @@ class ZeroDenominator(ParseError):
 # five Python frames, well inside the default recursion limit)
 MAX_NESTING = 100
 
-# an int token takes ASCII digits only (str.isdigit also accepts
-# superscripts and other scripts' digits)
-DIGITS = "0123456789"
+# a token is an ASCII integer, an identifier (the one rule for variable
+# names, in the header and --var-order too), an operator, or the end of the
+# line or a comment; str.isdigit and str.isalnum would also accept
+# superscripts and other scripts' digits and letters
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+TOKEN = re.compile(r"[ \t]*(?:(?P<int>[0-9]+)|(?P<ident>%s)|(?P<op>[-+*/^()])"
+                   r"|(?P<end>#.*|\Z)|(?P<bad>.))" % IDENTIFIER.pattern,
+                   re.DOTALL)
 
 
 def _tokenize(text, line_no=1):
-    tokens = []
-    i, col = 0, 1
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            break
-        if ch in DIGITS:
-            j = i
-            while j < len(text) and text[j] in DIGITS:
-                j += 1
-            tokens.append(("int", text[i:j], line_no, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], line_no, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch, line_no, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError("unexpected character %r" % ch, line_no, col)
-    tokens.append(("end", "", line_no, col))
-    return tokens
+    tokens, i = [], 0
+    while True:
+        match = TOKEN.match(text, i)
+        kind, i = match.lastgroup, match.end()
+        value, col = match.group(kind), match.start(kind) + 1
+        if kind == "bad":
+            raise ParseError("unexpected character %r" % value, line_no, col)
+        if kind == "end":
+            tokens.append(("end", "", line_no, col))
+            return tokens
+        tokens.append((value if kind == "op" else kind, value, line_no, col))
 
 
 def _height(coefficients):
@@ -223,6 +206,22 @@ def parse_expression(text, ring, line_no=1):
     return _Parser(_tokenize(text, line_no), ring, var_index).parse()
 
 
+def _split_names(text, what, line_no=None, col=1):
+    """The names of a comma-separated list, empty items dropped; a name
+    that is not an identifier is a ParseError at its line and column, where
+    `col` is the column of text[0] (line_no None: a list with no line)."""
+    names = []
+    for item in text.split(","):
+        name = item.strip()
+        if name:
+            if not IDENTIFIER.fullmatch(name):
+                raise ParseError("%s %r is not an identifier" % (what, name),
+                                 line_no, col + item.index(name))
+            names.append(name)
+        col += len(item) + 1
+    return names
+
+
 def parse_problem_file(text, var_order=None, order_kind="degrevlex"):
     """Parse a problem file into a GeneratorSet."""
     lines = text.splitlines()
@@ -235,8 +234,9 @@ def parse_problem_file(text, var_order=None, order_kind="degrevlex"):
         if header is None:
             if not line.startswith("vars:"):
                 raise ParseError("first line must be `vars: ...`", idx, 1)
-            header = [v.strip() for v in line[len("vars:"):].split(",")]
-            header = [v for v in header if v]
+            start = raw.index("vars:") + len("vars:")
+            header = _split_names(line[len("vars:"):], "variable name", idx,
+                                 start + 1)
             if not header:
                 raise ParseError("empty variable list", idx, 1)
             continue
@@ -274,15 +274,12 @@ def _build_arg_parser():
                     choices=["degrevlex", "lex"])
     ap.add_argument("--var-order",
                     help="comma-separated variable ranking (greatest first)")
-    ap.add_argument("--delta", type=int, default=3,
+    ap.add_argument("--delta", type=int, default=SimplifyConfig.delta,
                     help="degree cap for the polynomial-generator search")
     ap.add_argument("--minimize", action="store_true")
     ap.add_argument("--no-retain-originals", action="store_true")
-    ap.add_argument("--no-final-check", action="store_true")
-    ap.add_argument("--paranoid", action="store_true",
-                    help="verify at additional primes")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--eval-cap", type=int, default=10 ** 6)
+    ap.add_argument("--seed", type=int, default=SimplifyConfig.seed)
+    ap.add_argument("--eval-cap", type=int, default=SimplifyConfig.eval_cap)
     ap.add_argument("--format", default="text", choices=["text", "json"])
     ap.add_argument("--report", help="write the JSON report to this file")
     return ap
@@ -298,14 +295,12 @@ def run(argv):
             text = fh.read()
         var_order = None
         if args.var_order:
-            var_order = [v.strip() for v in args.var_order.split(",")]
+            var_order = _split_names(args.var_order, "--var-order name")
         genset, warned = parse_problem_file(text, var_order, args.order)
         cfg = SimplifyConfig(
             delta=args.delta,
             minimize=args.minimize,
             retain_originals=not args.no_retain_originals,
-            final_check=not args.no_final_check,
-            paranoid=args.paranoid,
             seed=args.seed,
             eval_cap=args.eval_cap,
         )

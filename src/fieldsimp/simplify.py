@@ -4,7 +4,8 @@ Low-degree polynomial members of the input field, then a degree-doubling
 harvest of specialized-GB coefficients, each lifted to Q over as many
 primes as makes it a member, read by a simplicity-sorted greedy filter one
 degree-sum band per round until its output generates the input field;
-optional minimization, and a final mutual-membership check at fresh primes.
+optional minimization, and a final mutual-membership check at two fresh
+primes.
 """
 
 import functools
@@ -24,7 +25,7 @@ from .poly import RationalFunction
 MAX_HARVEST_DEGREE = 64
 
 # an attempt's harvest primes, as production_prime indices past its block
-# start 8*restart, clear of its check (+1) and final-check (+2..5) indices
+# start 8*restart, clear of its check (+1) and final-check (+2, +3) indices
 HARVEST_OFFSETS = (0, 6, 7, 64, 65, 66, 67, 68)
 
 
@@ -38,10 +39,8 @@ class SimplifyConfig:
     delta: int = 3
     minimize: bool = False
     retain_originals: bool = True
-    final_check: bool = True
     seed: int = 0
     eval_cap: int = 10 ** 6
-    paranoid: bool = False
     max_restarts: int = 2
 
     def validate(self):
@@ -49,6 +48,8 @@ class SimplifyConfig:
             raise ValueError("delta must be at least 1")
         if self.eval_cap < 1:
             raise ValueError("eval-cap must be positive")
+        if self.max_restarts < 0:
+            raise ValueError("max_restarts must be nonnegative")
 
 
 @dataclass
@@ -307,13 +308,11 @@ def _run_once(genset, cfg, restart):
         report.minimized = True
 
     report.output = kept
-    if cfg.final_check:
-        out_gs = GeneratorSet(q_ring, kept)
-        for i in range(4 if cfg.paranoid else 2):
-            prime = production_prime(base + 2 + i)
-            report.primes.append(prime)
-            if not fields_equal(genset, out_gs, PrimeField(prime), rng):
-                raise VerificationFailed(
-                    "final verification failed at prime %d" % prime)
-        report.verified = True
+    out_gs = GeneratorSet(q_ring, kept)
+    for prime in (production_prime(base + 2), production_prime(base + 3)):
+        report.primes.append(prime)
+        if not fields_equal(genset, out_gs, PrimeField(prime), rng):
+            raise VerificationFailed(
+                "final verification failed at prime %d" % prime)
+    report.verified = True
     return kept, report

@@ -17,7 +17,7 @@ FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 # primes reserved for test-side verification (the pipeline draws from the
 # start of the production sequence: attempt r takes 8*r plus its harvest
-# offsets, and 8*r + 1..5 for its checks, so 18..21 in attempt 2)
+# offsets, and 8*r + 1..3 for its checks, so 17..19 in attempt 2)
 CHECK_PRIME_INDICES = (26, 27)
 CHECK_PRIMES = tuple(production_prime(i) for i in CHECK_PRIME_INDICES)
 

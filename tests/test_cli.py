@@ -284,6 +284,41 @@ def test_run_non_ascii_digit_is_a_parse_error(tmp_path, capsys, expr):
         "error: line 2, col 5: unexpected character")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("vars: x, y\u00b2\nx + y\u00b2\n",
+     "line 1, col 10: variable name 'y\u00b2'"),
+    ("vars: x y, z\nx + z\n", "line 1, col 7: variable name 'x y'"),
+    ("vars: 1a, b\nb\n", "line 1, col 7: variable name '1a'"),
+    ("  vars: a,b,\u00e9\na\n", "line 1, col 13: variable name '\u00e9'"),
+], ids=["superscript", "missing_comma", "leading_digit", "non_ascii_letter"])
+def test_run_header_name_not_an_identifier(tmp_path, capsys, text, message):
+    # header names follow the expression tokens' rule: an ASCII letter or
+    # _, then ASCII letters, digits and _
+    problem = tmp_path / "names.txt"
+    problem.write_text(text, encoding="utf-8")
+    assert run(["--input", str(problem)]) == 2
+    assert capsys.readouterr().err == \
+        "error: %s is not an identifier\n" % message
+
+
+def test_identifier_tokens_are_ascii():
+    # str.isalnum accepts the superscript, so `y²` used to be one name
+    with pytest.raises(ParseError) as exc:
+        parse_expression("x + y\u00b2", Ring(("x", "y\u00b2"), QQ))
+    assert str(exc.value) == "line 1, col 6: unexpected character '\u00b2'"
+
+
+def test_run_var_order_splits_like_the_header(tmp_path, capsys):
+    problem = tmp_path / "ab.txt"
+    problem.write_text("vars: a, b,\na + b^2\na*b\n")
+    # a trailing comma is dropped from --var-order as from the header
+    assert run(["--input", str(problem), "--var-order", "b, a,"]) == 0
+    assert capsys.readouterr().out == "b*a\nb^2 + a\n"
+    assert run(["--input", str(problem), "--var-order", "b, 1a"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --var-order name '1a' is not an identifier\n"
+
+
 def test_run_exponent_too_large(tmp_path, capsys):
     # packed Groebner monomials hold exponents up to 65535
     big = tmp_path / "big.txt"
@@ -389,14 +424,15 @@ def heron_json(capsys, *flags):
 
 
 def test_run_check_primes(capsys):
-    # two final-check primes after the harvest prime, four with --paranoid,
-    # none with --no-final-check
-    for flags, n_primes, verified in (((), 3, True), (("--paranoid",), 5, True),
-                                      (("--no-final-check",), 1, False)):
-        doc = heron_json(capsys, *flags)
-        assert len(doc["primes"]) == n_primes
-        assert doc["verified"] is verified
-        assert doc["output"] == ["c^2", "b^2", "a^2"]
+    # two final-check primes after the harvest prime, and no flag changes
+    # how many
+    doc = heron_json(capsys)
+    assert len(doc["primes"]) == 3
+    assert doc["verified"] is True
+    assert doc["output"] == ["c^2", "b^2", "a^2"]
+    for flag in ("--no-final-check", "--paranoid"):
+        assert run(["--input", fixture_path("heron"), flag]) == 2
+        assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
 
 
 def test_run_no_retain_originals(capsys):

@@ -175,14 +175,14 @@ def test_prime_cap_names_every_attempt(monkeypatch):
 
 
 def test_harvest_primes_clear_of_check_primes(monkeypatch):
-    # the check and final-check indices are read off paranoid runs, which
-    # lift heron at their first harvest prime; 24 and 25 are perfbench's
-    # reference indices, and the tests' own check primes are clear of all
+    # the check and final-check indices are read off runs that lift heron
+    # at their first harvest prime; 24 and 25 are perfbench's reference
+    # indices, and the tests' own check primes are clear of all
     drawn = []
     monkeypatch.setattr(simplify_module, "production_prime",
                         lambda i: drawn.append(i) or production_prime(i))
     genset = load_fixture("heron")
-    cfg = SimplifyConfig(paranoid=True)
+    cfg = SimplifyConfig()
     checks, harvest = {24, 25}, set()
     for restart in range(cfg.max_restarts + 1):
         del drawn[:]
@@ -191,7 +191,7 @@ def test_harvest_primes_clear_of_check_primes(monkeypatch):
         checks.update(drawn[1:])
         harvest.update(8 * restart + k
                        for k in simplify_module.HARVEST_OFFSETS)
-    assert len(checks) == 2 + 5 * (cfg.max_restarts + 1)
+    assert len(checks) == 2 + 3 * (cfg.max_restarts + 1)
     assert not harvest & checks
     assert not set(CHECK_PRIME_INDICES) & (harvest | checks)
 
@@ -498,7 +498,8 @@ def test_rational_keys_solve_each_polynomial_once_per_attempt(monkeypatch):
 
 
 def test_config_validation():
-    for bad in (SimplifyConfig(delta=0), SimplifyConfig(eval_cap=0)):
+    for bad in (SimplifyConfig(delta=0), SimplifyConfig(eval_cap=0),
+                SimplifyConfig(max_restarts=-1)):
         try:
             bad.validate()
             assert False
