@@ -208,14 +208,16 @@ def parse_expression(text, ring, line_no=1):
 
 def _split_names(text, what, line_no=None, col=1):
     """The names of a comma-separated list, empty items dropped; a name
-    that is not an identifier is a ParseError at its line and column, where
-    `col` is the column of text[0] (line_no None: a list with no line)."""
+    that is no identifier, or a repeat, is a ParseError at its line and
+    column, `col` that of text[0] (line_no None: a list with no line)."""
     names = []
     for item in text.split(","):
         name = item.strip()
         if name:
-            if not IDENTIFIER.fullmatch(name):
-                raise ParseError("%s %r is not an identifier" % (what, name),
+            if not IDENTIFIER.fullmatch(name) or name in names:
+                reason = "is repeated" if name in names \
+                    else "is not an identifier"
+                raise ParseError("%s %r %s" % (what, name, reason),
                                  line_no, col + item.index(name))
             names.append(name)
         col += len(item) + 1

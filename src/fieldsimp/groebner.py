@@ -519,19 +519,21 @@ def gb_learn(ring, generators):
 def gb_apply(ring, generators, trace):
     """Replay a trace on a structurally identical input.
 
-    Returns the reduced GB, or FAIL when the replay stops matching the
-    learn: another number of nonzero inputs, an input term off its learned
-    support or a vanished learned lead, a nonzero slot that cancelled at
-    the learn (any slot a fresh trace's zero reduction leaves), a remainder
-    lead that vanishes, or a quick check whose first nonzero slot the learn
-    did not go on to reduce (the caller discards the point).  So a fresh
-    trace replays to exactly FAIL or groebner()'s basis.  Slots accumulate
-    c * rc without a modulus and are reduced mod p only when read.
+    Returns the reduced GB, of support exactly `trace.outputs`, or FAIL when
+    the replay stops matching the learn: a constant input where the learn
+    did not reach the unit ideal, another number of nonzero inputs, an input
+    term off its learned support or a vanished learned lead, a nonzero slot
+    that cancelled at the learn (any slot a fresh trace's zero reduction
+    leaves), a vanished remainder lead or output term, or a quick check
+    whose first nonzero slot the learn did not go on to reduce (the caller
+    discards the point).  So a fresh trace replays to exactly FAIL or
+    groebner()'s basis.  Slots accumulate c * rc without a modulus and are
+    reduced mod p only when read.
     """
     p = ring.field.p
     codec, inputs, unit = _prepare(ring, generators)
     if unit is not None:
-        return unit
+        return unit if unit.packed_support() == trace.outputs else FAIL
     if len(inputs) != len(trace.supports):
         return FAIL
     basis = []
@@ -559,7 +561,9 @@ def gb_apply(ring, generators, trace):
         if next((k not in reduced for k, c in enumerate(v) if c % p), False):
             return FAIL
     final = basis[-len(trace.outputs):]
-    return ReducedGB(ring, [[(m, c) for m, c in zip(monos, h) if c]
+    if any(0 in h for h in final):
+        return FAIL
+    return ReducedGB(ring, [list(zip(monos, h))
                             for monos, h in zip(trace.outputs, final)], codec)
 
 
@@ -568,8 +572,7 @@ def gb_verify(ring, generators, trace):
     second, independent point: FAIL unless that gives the learned support.
     Otherwise the trace cut for later replays: each zero reduction runs only
     its S-polynomial step, as a quick check."""
-    replay = gb_apply(ring, generators, trace)
-    if replay is FAIL or replay.packed_support() != trace.outputs:
+    if gb_apply(ring, generators, trace) is FAIL:
         return FAIL
     checks = tuple(((n, first, steps[:1]), {src for src, _, _ in steps[1:]})
                    for n, first, steps, out, _ in trace.programs if not out)

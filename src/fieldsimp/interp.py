@@ -407,7 +407,8 @@ def interpolate_rational(bb, deg_num, deg_den, ring, rng, solved=None):
     n = bb.arity
     solved = {} if solved is None else solved
     degrees = (deg_num, deg_den) if deg_den else (deg_num,)
-    seq_ring = Ring(("_h",) + ring.vars, field, ring.order) if deg_den \
+    # "h'" is no identifier, so no parsed variable name takes it
+    seq_ring = Ring(("h'",) + ring.vars, field, ring.order) if deg_den \
         else ring
     ratio = admissible_ratio(seq_ring.arity)
     num_points = deg_num + deg_den + 2

@@ -1,10 +1,10 @@
 """Ideals attached to a generating set and interpolation of the low-degree
 coefficients of their specialized reduced Groebner bases.
 
-This module owns the specialized ideal: `GeneratorSet.modp` owns its F_p
-images, `specialize` builds its generators, and EomsEvaluator's traced GBs
-at random points serve both the coefficient harvest and the
-polynomial-generator search in `fields`.
+This module owns the specialized ideal: `GeneratorSet.shape` owns its F_p
+form less the point, `specialize_eoms` builds its generators on it, and
+EomsEvaluator's traced GBs at random points serve both the coefficient
+harvest and the polynomial-generator search in `fields`.
 
 For generators g_i = p_i/q_i of a subfield of k(x_1..x_n), the specialized
 ideal at a point a is
@@ -75,6 +75,7 @@ class GeneratorSet:
                 q = lcm_q(q, g.den)
         self.common_denominator = q
         self._modp = {}
+        self._shapes = {}
 
     def __len__(self):
         return len(self.generators)
@@ -90,6 +91,23 @@ class GeneratorSet:
                     x_ring, field.from_fraction))
         return self._modp[field.p]
 
+    def shape(self, ring):
+        """Per generator its F_p image (num, den) and their joint support as
+        (0, m) monomials in descending `ring` order, each with its num and
+        den coefficients; then Q's image and t Q(y) - 1.  Once per gb ring."""
+        if ring not in self._shapes:
+            _, images, qmod = self.modp(ring.field)
+            shapes = []
+            for num, den in images:
+                a, b = dict(num.terms), dict(den.terms)
+                mons = sorted(a.keys() | b.keys(), reverse=True,
+                              key=lambda m: ring.order.key((0,) + m))
+                shapes.append((num, den, [((0,) + m, a.get(m, 0), b.get(m, 0))
+                                          for m in mons]))
+            tq = ring.from_dict({(1,) + m: c for m, c in qmod.terms})
+            self._shapes[ring] = shapes, qmod, tq - ring.one()
+        return self._shapes[ring]
+
 
 def gb_ring(genset, field, order=DEGREVLEX):
     """F_p[t, y_1..y_n] with t greatest."""
@@ -97,39 +115,25 @@ def gb_ring(genset, field, order=DEGREVLEX):
     return Ring(names, field, order)
 
 
-def specialize(num, den, point, ring):
-    """p(y) q(a) - q(y) p(a) in the (t, y) ring for the F_p images p = num
-    and q = den, or FAIL when q(a) = 0."""
-    qv = den.evaluate(point)
-    if qv == 0:
-        return FAIL
-    pv = num.evaluate(point)
-    p = ring.field.p
-    d = {(0,) + m: c * qv % p for m, c in num.terms}
-    for m, c in den.terms:
-        k = (0,) + m
-        d[k] = (d.get(k, 0) - c * pv) % p
-    return ring.from_dict(d)
-
-
 def specialize_eoms(genset, point, ring):
-    """Generators of the specialized ideal at `point`, or FAIL on a pole of
-    a generator or of Q."""
-    field = ring.field
-    _, images, qmod = genset.modp(field)
+    """Generators of the specialized ideal at `point`: A q_i(a) - B p_i(a)
+    over each generator's shape terms (m, A, B), zero terms and generators
+    dropped, then t Q(y) - 1; or FAIL on a pole of a generator or of Q."""
+    shapes, qmod, tq = genset.shape(ring)
+    p = ring.field.p
     out = []
-    for num, den in images:
-        h = specialize(num, den, point, ring)
-        if h is FAIL:
+    for num, den, shape in shapes:
+        qv = den.evaluate(point)
+        if qv == 0:
             return FAIL
-        if not h.is_zero():
-            out.append(h)
+        pv = num.evaluate(point)
+        terms = tuple((m, c) for m, a, b in shape
+                      if (c := (a * qv - b * pv) % p))
+        if terms:
+            out.append(MultiPoly(ring, terms))
     if qmod.evaluate(point) == 0:
         return FAIL
-    d = {(1,) + m: c for m, c in qmod.terms}            # t Q(y) - 1
-    d[ring._zero_mon] = field.neg(field.one)
-    out.append(ring.from_dict(d))
-    return out
+    return out + [tq]
 
 
 class EomsEvaluator:
@@ -137,8 +141,8 @@ class EomsEvaluator:
 
     The constructor learns one trace, checked by gb_verify; a learn and its
     check count as one GB evaluation.  gb(a) replays it at a and returns the
-    reduced GB, or FAIL; the support found at the learn point is enforced
-    at every later point, and `learned` keeps the GB computed there.
+    reduced GB, or FAIL; gb_apply enforces the support found at the learn
+    point at every later point, and `learned` keeps the GB computed there.
     eval(a) returns the tuple of the non-leading coefficients of gb(a), in
     the order of coefficient_keys(): (element index, monomial) per
     coefficient.  The trace and support never change, so the harvest keeps
@@ -188,12 +192,7 @@ class EomsEvaluator:
     def gb(self, point):
         self.n_evals += 1
         gens = specialize_eoms(self.genset, point, self.ring)
-        if gens is FAIL:
-            return FAIL
-        gb = gb_apply(self.ring, gens, self.trace)
-        if gb is FAIL or gb.packed_support() != self.trace.outputs:
-            return FAIL
-        return gb
+        return FAIL if gens is FAIL else gb_apply(self.ring, gens, self.trace)
 
     def eval(self, point):
         gb = self.gb(point)

@@ -4,7 +4,8 @@ The reference Groebner engine is sympy's Buchberger run over the fraction
 field Q(x), entirely independent of the package under test.  On top of it:
 symbolic reduced-basis coefficients of the ideal attached to a generating
 set, the exact rank of its Jacobian, and an exact Q-linear solver for the
-low-degree polynomial membership space.
+low-degree polynomial membership space, and the generator of a specialized
+ideal built term by term.
 """
 
 from fractions import Fraction
@@ -13,6 +14,7 @@ import sympy
 from sympy import QQ as SQQ
 from sympy.polys.matrices import DomainMatrix
 
+from fieldsimp.arith import FAIL
 from fieldsimp.poly import RationalFunction
 
 
@@ -50,6 +52,21 @@ def _frac_coeff_to_rf(coeff, x_ring):
                                                      int(c.denominator))
         return x_ring.from_dict(d)
     return RationalFunction(lift(coeff.numer), lift(coeff.denom))
+
+
+def specialize(num, den, point, ring):
+    """p(y) q(a) - q(y) p(a) in the (t, y) ring for the F_p images p = num
+    and q = den, or FAIL when q(a) = 0."""
+    qv = den.evaluate(point)
+    if qv == 0:
+        return FAIL
+    pv = num.evaluate(point)
+    p = ring.field.p
+    d = {(0,) + m: c * qv % p for m, c in num.terms}
+    for m, c in den.terms:
+        k = (0,) + m
+        d[k] = (d.get(k, 0) - c * pv) % p
+    return ring.from_dict(d)
 
 
 def symbolic_groebner(genset, order):

@@ -301,6 +301,30 @@ def test_run_header_name_not_an_identifier(tmp_path, capsys, text, message):
         "error: %s is not an identifier\n" % message
 
 
+def test_run_header_name_repeated(tmp_path, capsys):
+    # a repeated name is reported where it stands, as a bad name is
+    problem = tmp_path / "names.txt"
+    problem.write_text("vars: x, y,  x\nx + y\n", encoding="utf-8")
+    assert run(["--input", str(problem)]) == 2
+    assert capsys.readouterr().err == \
+        "error: line 1, col 14: variable name 'x' is repeated\n"
+    problem.write_text("vars: x, y\nx + y\n", encoding="utf-8")
+    assert run(["--input", str(problem), "--var-order", "x, x"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --var-order name 'x' is repeated\n"
+
+
+def test_run_variable_named_like_the_homogenizing_one(tmp_path, capsys):
+    # rational interpolation adds a variable to the ring; an identifier
+    # header name cannot take its name
+    problem = tmp_path / "h.txt"
+    problem.write_text("vars: _h, x\n_h/x\nx^2\n", encoding="utf-8")
+    assert run(["--input", str(problem), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verified"] is True
+    assert doc["output"] == ["1/x^2", "_h*x"]
+
+
 def test_identifier_tokens_are_ascii():
     # str.isalnum accepts the superscript, so `y²` used to be one name
     with pytest.raises(ParseError) as exc:

@@ -14,8 +14,7 @@ from fieldsimp.fields import (MembershipContext, _back_substitute, _extend,
                               _reduce, _values_modp, contains, fields_equal,
                               minimize, polynomial_generators)
 from fieldsimp.groebner import ExponentOverflow, ReducedGB
-from fieldsimp.oms import (EomsEvaluator, GeneratorSet, UnluckyPoint,
-                           specialize)
+from fieldsimp.oms import EomsEvaluator, GeneratorSet, UnluckyPoint
 from fieldsimp.poly import (MultiPoly, PrimeField, QQ, RationalFunction, Ring,
                             lcm_q)
 
@@ -23,7 +22,7 @@ from conftest import (ALL_FIXTURES, CHECK_PRIMES, apply_map, fields_equal_2p,
                       fixture_automorphisms, genset_of, load_fixture,
                       parse_many)
 from oracle import (fp_echelon, in_fp_span, jacobian_rank, monomials_up_to,
-                    symbolic_membership_space)
+                    specialize, symbolic_membership_space)
 
 FIELDS = tuple(PrimeField(p) for p in CHECK_PRIMES)
 
@@ -746,9 +745,9 @@ def test_functional_draws_are_deterministic():
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_functional_query_matches_specialized_normal_form(name, monkeypatch):
     # the query packs h from the candidate's F_p image; phi of that h
-    # equals phi of oms.specialize's h on a twin context of the same seed,
-    # query for query from an empty memo, so the weights are drawn in the
-    # same order
+    # equals phi of oracle.specialize's h on a twin context of the same
+    # seed, query for query from an empty memo, so the weights are drawn in
+    # the same order
     gs = load_fixture(name)
     values = []
     normal_form = ReducedGB.normal_form

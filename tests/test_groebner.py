@@ -378,13 +378,25 @@ def test_verify_fails_where_the_learned_support_does_not_hold():
     _, fresh = gb_learn(R2, [x * x - x, x * x - one])
     assert gb_verify(R2, [3 * x * x + x, 2 * x * x + 3 * one], fresh) is FAIL
     # at [x^2 + y, x y - 1] the full replay of [x^2 + 2x + y, x y + 3y - 1]
-    # is the GB, but learned output terms vanish
+    # follows the trace, but learned output terms vanish
     _, fresh = gb_learn(R2, [x * x + 2 * x + y, x * y + 3 * y - one])
     special = [x * x + y, x * y - one]
-    assert gb_apply(R2, special, fresh).polys == groebner(R2, special).polys
+    assert gb_apply(R2, special, fresh) is FAIL
     assert gb_verify(R2, special, fresh) is FAIL
     assert gb_verify(R2, [x * x + 5 * x + y, x * y + 7 * y - one], fresh) \
         is not FAIL
+
+
+def test_replay_of_a_constant_input_is_the_learned_unit_ideal_or_fail():
+    x, y = R2.gens()
+    one = R2.one()
+    # a learn that does not reach the unit ideal: a constant input is FAIL
+    _, trace = gb_learn(R2, [x * x + y, x * y - one])
+    assert gb_apply(R2, [x * x + y, 3 * one], trace) is FAIL
+    # learns that reach it, with or without a constant input
+    for gens in ([x * x + y, 2 * one], [x, x * y - one]):
+        _, trace = gb_learn(R2, gens)
+        assert gb_apply(R2, [x * y, 5 * one], trace).polys == [one]
 
 
 def test_replay_fails_on_a_slot_cancelled_only_at_the_learn():

@@ -1,16 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fieldsimp import groebner as groebner_module
 from fieldsimp import oms
-from fieldsimp.arith import production_prime
+from fieldsimp.arith import ZeroInverse, production_prime
 from fieldsimp.groebner import gb_apply, gb_learn, groebner
 from fieldsimp.interp import FAIL, Blackbox
 from fieldsimp.oms import (EomsEvaluator, EvaluationBudgetExceeded,
-                           GeneratorSet, gb_coefficients, gb_ring, specialize,
+                           GeneratorSet, gb_coefficients, gb_ring,
                            specialize_eoms)
 from fieldsimp.poly import (DEGREVLEX, LEX, MultiPoly, PrimeField, QQ,
                             RationalFunction, Ring)
@@ -69,42 +70,91 @@ def test_specialize_power_sums_shape():
 
 @st.composite
 def specialize_cases(draw):
-    """(num, den, point, (t, y) ring): sparse F_p polynomials over one small
-    pool of monomials, so that terms of num and den share monomials, and
-    den a multiple of num in about one case out of four."""
-    field = PrimeField(draw(st.sampled_from((5, production_prime(0)))))
+    """(generator set over Q, point, gb ring): 1-3 variables, 1-3
+    generators p/q with coefficients in -3..3, q univariate (so that
+    normalizing stays cheap) and p over a small pool of monomials that
+    holds q's, so that terms of p and q share monomials, or p a multiple
+    of q in about one case out of four; the gb ring at p = 5 (poles are
+    common) or a 62-bit prime, in either order, which need not be the
+    generator set's."""
     n = draw(st.integers(1, 3))
-    order = draw(st.sampled_from((DEGREVLEX, LEX)))
-    x_ring = Ring(tuple("x%d" % i for i in range(n)), field, order)
-    pool = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1,
-                         max_size=5, unique=True))
-    coeff = st.integers(0, field.p - 1)
+    x_ring = Ring(tuple("x%d" % i for i in range(n)), QQ,
+                  draw(st.sampled_from((DEGREVLEX, LEX))))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1,
+                         max_size=4, unique=True))
+    coeff = st.integers(-3, 3).filter(bool).map(Fraction)
 
-    def poly():
-        mons = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+    def poly(mons):
+        mons = draw(st.lists(st.sampled_from(mons), min_size=1, max_size=4,
+                             unique=True))
         return x_ring.from_dict({m: draw(coeff) for m in mons})
 
-    num = poly()
-    den = num.scale(draw(coeff)) if draw(st.integers(0, 3)) == 0 else poly()
-    point = tuple(draw(st.lists(coeff, min_size=n, max_size=n)))
-    return num, den, point, Ring(("t_",) + x_ring.vars, field, order)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        v = draw(st.integers(0, n - 1))
+        powers = [tuple(e if i == v else 0 for i in range(n))
+                  for e in range(3)]
+        den = poly(powers)
+        num = den.scale(draw(coeff)) if draw(st.integers(0, 3)) == 0 \
+            else poly(pool + powers)
+        gens.append(RationalFunction(num, den))
+    genset = GeneratorSet(x_ring, gens)
+    field = PrimeField(draw(st.sampled_from((5, production_prime(0)))))
+    coordinate = st.integers(0, 4) | st.integers(0, field.p - 1)
+    point = tuple(draw(st.lists(coordinate, min_size=n, max_size=n)))
+    ring = gb_ring(genset, field, draw(st.sampled_from((DEGREVLEX, LEX))))
+    return genset, point, ring
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(specialize_cases())
 def test_specialize_matches_two_products(case):
-    num, den, point, ring = case
-    got = specialize(num, den, point, ring)
-    qv = den.evaluate(point)
-    if qv == 0:
+    # per generator lift(p) q(a) - lift(q) p(a), then t Q(y) - 1: the
+    # specialized ideal term for term, or FAIL exactly at a pole
+    genset, point, ring = case
+    field = ring.field
+    x_ring = Ring(genset.ring.vars, field, genset.ring.order)
+    try:
+        images = [g.modp(x_ring) for g in genset.generators]
+    except ZeroInverse:     # p divides a coefficient's denominator
+        assume(False)
+    q = genset.common_denominator.map_coefficients(x_ring,
+                                                   field.from_fraction)
+
+    def lift(f, t=0):
+        return ring.from_dict({(t,) + m: c for m, c in f.terms})
+
+    got = specialize_eoms(genset, point, ring)
+    if any(den.evaluate(point) == 0 for _, den in images) \
+            or q.evaluate(point) == 0:
         assert got is FAIL
         return
+    expected = [lift(num).scale(den.evaluate(point))
+                - lift(den).scale(num.evaluate(point)) for num, den in images]
+    expected = [h for h in expected if not h.is_zero()]
+    expected.append(lift(q, 1) - ring.one())
+    assert [h.terms for h in got] == [h.terms for h in expected]
 
-    def lift(f):
-        return ring.from_dict({(0,) + m: c for m, c in f.terms})
 
-    expected = lift(num).scale(qv) - lift(den).scale(num.evaluate(point))
-    assert got.terms == expected.terms
+def test_specialize_reads_its_shape_without_sorting(monkeypatch):
+    # the shape is built once per (generator set, gb ring); later points
+    # only evaluate and scale it
+    gs = load_fixture("power_sums")
+    ring = gb_ring(gs, FP)
+    rng = random.Random(5)
+    assert specialize_eoms(gs, (2,) * gs.ring.arity, ring) is not FAIL
+    calls = []
+    from_dict = Ring.from_dict
+
+    def counting(self, d):
+        calls.append(self)
+        return from_dict(self, d)
+
+    monkeypatch.setattr(Ring, "from_dict", counting)
+    for _ in range(5):
+        point = tuple(rng.randrange(1, FP.p) for _ in gs.ring.vars)
+        assert specialize_eoms(gs, point, ring) is not FAIL
+    assert calls == []
 
 
 def test_gb_coefficients_power_sums_lex():
@@ -401,8 +451,7 @@ def test_support_mismatch_is_fail():
     learned = ev.trace
     # at x2 = -x1 the replay follows the trace but the GB loses a term
     point = (5, FP.p - 5)
-    assert gb_apply(ring, specialize_eoms(gs, point, ring), learned) \
-        is not FAIL
+    assert gb_apply(ring, specialize_eoms(gs, point, ring), learned) is FAIL
     assert ev.eval(point) is FAIL
     assert ev.trace is learned and ev.n_evals == 2
 

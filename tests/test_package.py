@@ -1,10 +1,11 @@
 """The package imports nothing outside the standard library, every name a
-module imports is read there, and every benchmark span has a function to
-wrap."""
+module imports is read there, every function and class it defines is named
+somewhere else, and every benchmark span has a function to wrap."""
 
 import ast
 import importlib.util
 import pathlib
+import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -42,6 +43,32 @@ def test_every_import_is_used():
                 if isinstance(node, ast.Name)
                 and isinstance(node.ctx, ast.Load)}
         assert imported <= read, (path.name, sorted(imported - read))
+
+
+def test_every_definition_is_named_elsewhere():
+    # a helper left behind by a simplification is named only where it is
+    # defined; a read, an attribute, or a dotted-name string (the tracer's
+    # spans) anywhere in the package, its tests or the benchmark is a use
+    defined = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not re.fullmatch(r"__\w+__", node.name):
+                defined.add((path.name, node.name))
+    named = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.Constant) \
+                        and isinstance(node.value, str) \
+                        and re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+                    named.update(node.value.split("."))
+    assert defined
+    assert sorted(d for d in defined if d[1] not in named) == []
 
 
 def test_every_benchmark_span_resolves():
