@@ -20,12 +20,12 @@ The specialized ideal comes from `oms`, and the harvest, the polynomial
 search and membership all read the one ideal `specialize_eoms` builds.  The
 search replays the trace of an `oms.EomsEvaluator` (the pipeline passes the
 first evaluator of its harvest).  MembershipContext draws its own point and
-runs Buchberger there, once per point: a candidate's denominator is never
-folded into Q, because at a random point that cannot change a correct
-verdict (the argument is in MembershipContext's docstring).  A point where
-a candidate has a pole is a lost sample, not a lost test: MembershipContext
-is the one place that redraws such a point, and it raises UnluckyPoint only
-when its draws run out.
+runs Buchberger there in degrevlex, once per point: a candidate's
+denominator is never folded into Q, because at a random point that cannot
+change a correct verdict (the argument is in MembershipContext's
+docstring).  A point where a candidate has a pole is a lost sample, not a
+lost test: MembershipContext is the one place that redraws such a point,
+and it raises UnluckyPoint only when its draws run out.
 """
 
 import bisect
@@ -113,6 +113,10 @@ class MembershipContext:
     always gives 0; a non-member has NF(h) != 0 and gives 0 with
     probability 1/p, on top of the point's own error.
 
+    The GB is taken in degrevlex whatever the generators' order: neither
+    membership in I_b nor its dimension depends on the monomial order, and
+    a lex Buchberger run can take far longer than a degrevlex one.
+
     Folding q into Q (saturating I_b by q as well) would only remove points
     from V(I_b), so it could only turn a False verdict into True.  For a
     non-member such a flip is wrong.  For a member f = A(g)/B(g) it is not
@@ -132,7 +136,7 @@ class MembershipContext:
         self.field = field
         self.rng = rng
         self.x_ring = genset.modp(field)[0]
-        self.gb_ring = gb_ring(genset, field, genset.ring.order)
+        self.gb_ring = gb_ring(genset, field)
         self._packed = {}
         self._draw_point()
 
@@ -164,8 +168,6 @@ class MembershipContext:
             candidate = RationalFunction(candidate)
         if candidate.ring != self.genset.ring:
             raise ValueError("candidate from a different ring")
-        if candidate.is_constant():
-            return True
         image = candidate.modp(self.x_ring)
         for _ in range(POINT_ATTEMPTS):
             verdict = self._contains_at_point(image)

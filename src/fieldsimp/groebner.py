@@ -6,13 +6,14 @@ elimination.  A learn run compiles each reduction into a slot program
 preprocessing): one integer slot per monomial the reduction touched, the
 first operand's slots, each step as (source slot, reducer, slots of the
 shifted reducer), the remainder's slots and the slots that cancelled.  An
-apply run maps each input's terms, as given, onto its learned support and
-runs the programs as straight-line multiply-subtract on lists of ints, with
-no heap and no divisor search.  groebner() records and compiles nothing.
-A fresh trace runs its zero reductions in full; gb_verify checks it by one
-such replay at a second point, then cuts them to quick checks.  The normal
-forms of given monomials compile the same way at one GB and replay on any
-GB of its support (the polynomial search in `fields`).
+apply run takes each input's coefficients in term order once its support is
+the learned one, and runs the programs as straight-line multiply-subtract
+on lists of ints, with no heap and no divisor search.  groebner() records
+and compiles nothing.  A fresh trace runs its zero reductions in full;
+gb_verify checks it by one such replay at a second point, then cuts them to
+quick checks.  The normal forms of given monomials compile the same way at
+one GB and replay on any GB of its support (the polynomial search in
+`fields`).
 
 The reduction kernel, like the replay, leaves coefficients unreduced until
 they are read; a Buchberger run, or a compile of normal forms, shares one
@@ -452,25 +453,19 @@ class ReducedGB:
 
 
 def _prepare(ring, generators):
-    """Codec, the nonzero inputs (with copies equal up to a scalar, which
-    _interreduce drops), and the unit GB when an input is constant."""
+    """Codec and the nonzero inputs (constants and copies equal up to a
+    scalar included: Buchberger and _interreduce handle them)."""
     codec = _Codec(len(ring.vars), ring.order.kind)
     inputs = [g for g in generators if not g.is_zero()]
     if not inputs:
         raise ValueError("no nonzero generators")
-    unit = None
-    if any(g.is_constant() for g in inputs):
-        unit = ReducedGB(ring, [[(codec.CONST, 1)]], codec)
-    return codec, inputs, unit
+    return codec, inputs
 
 
 def _run_buchberger(ring, generators, learn):
     """The reduced GB; with `learn`, also the compiled trace of the run."""
     p = ring.field.p
-    codec, inputs, unit = _prepare(ring, generators)
-    if unit is not None:
-        trace = GroebnerTrace((), (), (), unit.packed_support())
-        return (unit, trace) if learn else unit
+    codec, inputs = _prepare(ring, generators)
     basis = [_monic_terms(_pack_terms(codec, g), p) for g in inputs]
     lms = [g[0][0] for g in basis]
     exps = [codec.unpack(lm) for lm in lms]
@@ -520,31 +515,25 @@ def gb_apply(ring, generators, trace):
     """Replay a trace on a structurally identical input.
 
     Returns the reduced GB, of support exactly `trace.outputs`, or FAIL when
-    the replay stops matching the learn: a constant input where the learn
-    did not reach the unit ideal, another number of nonzero inputs, an input
-    term off its learned support or a vanished learned lead, a nonzero slot
-    that cancelled at the learn (any slot a fresh trace's zero reduction
-    leaves), a vanished remainder lead or output term, or a quick check
-    whose first nonzero slot the learn did not go on to reduce (the caller
-    discards the point).  So a fresh trace replays to exactly FAIL or
-    groebner()'s basis.  Slots accumulate c * rc without a modulus and are
-    reduced mod p only when read.
+    the replay stops matching the learn: another number of nonzero inputs,
+    an input whose support is not its learned support (a term added or a
+    learned term vanished), a nonzero slot that cancelled at the learn (any
+    slot a fresh trace's zero reduction leaves), a vanished remainder lead
+    or output term, or a quick check whose first nonzero slot the learn did
+    not go on to reduce (the caller discards the point).  So a fresh trace
+    replays to exactly FAIL or groebner()'s basis.  Slots accumulate
+    c * rc without a modulus and are reduced mod p only when read.
     """
     p = ring.field.p
-    codec, inputs, unit = _prepare(ring, generators)
-    if unit is not None:
-        return unit if unit.packed_support() == trace.outputs else FAIL
+    codec, inputs = _prepare(ring, generators)
     if len(inputs) != len(trace.supports):
         return FAIL
     basis = []
     for g, support in zip(inputs, trace.supports):
-        row = dict.fromkeys(support, 0)
-        row.update(g.terms)
-        # a term off the support, or a vanished learned leading coefficient
-        if len(row) != len(support) or not row[support[0]]:
+        if g.support() != support:
             return FAIL
-        inv = pow(row[support[0]], -1, p)
-        basis.append([c * inv % p for c in row.values()])
+        inv = pow(g.leading_coefficient(), -1, p)
+        basis.append([c * inv % p for _, c in g.terms])
     for program in trace.programs:
         v = _slots(program, basis, p)
         if any(v[s] % p for s in program[4]):

@@ -583,11 +583,17 @@ class RationalFunction:
         return self._coerce(other) / self
 
     def __pow__(self, n):
-        if n < 0:
-            if self.is_zero():
-                raise DivisionByZero("0 to a negative power")
-            return RationalFunction(self.den ** (-n), self.num ** (-n))
-        return RationalFunction(self.num ** n, self.den ** n)
+        """Powers of a coprime pair are coprime, and a power of a monic
+        denominator is monic, so no gcd is taken; a negative power swaps
+        the pair and scales both by the new denominator's 1/lc."""
+        if n >= 0:
+            return RationalFunction(self.num ** n, self.den ** n,
+                                    _normalized=True)
+        if self.is_zero():
+            raise DivisionByZero("0 to a negative power")
+        num, den = self.den ** -n, self.num ** -n
+        c = QQ.inv(den.leading_coefficient())
+        return RationalFunction(num.scale(c), den.scale(c), _normalized=True)
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):

@@ -15,8 +15,8 @@ from fieldsimp.fields import (MembershipContext, _back_substitute, _extend,
                               minimize, polynomial_generators)
 from fieldsimp.groebner import ExponentOverflow, ReducedGB
 from fieldsimp.oms import EomsEvaluator, GeneratorSet, UnluckyPoint
-from fieldsimp.poly import (MultiPoly, PrimeField, QQ, RationalFunction, Ring,
-                            lcm_q)
+from fieldsimp.poly import (DEGREVLEX, MultiPoly, PrimeField, QQ,
+                            RationalFunction, Ring, lcm_q)
 
 from conftest import (ALL_FIXTURES, CHECK_PRIMES, apply_map, fields_equal_2p,
                       fixture_automorphisms, genset_of, load_fixture,
@@ -318,6 +318,25 @@ def test_context_gb_is_the_specialized_ideal(name):
         want = groebner_module.groebner(
             ctx.gb_ring, oms.specialize_eoms(gs, ctx.point, ctx.gb_ring))
         assert ctx._gb.packed == want.packed
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_membership_is_in_degrevlex_whatever_the_input_order(name):
+    # neither membership in I_b nor its dimension depends on the order, and
+    # a lex Buchberger run on power_sums' ideal does not end in minutes
+    seen = []
+    for order in ("degrevlex", "lex"):
+        gs = load_fixture(name, order=order)
+        members = list(gs.generators) + [gs.generators[0] ** 2]
+        moved = [apply_map(sigma, g)
+                 for sigma in fixture_automorphisms(name, gs.ring)
+                 for g in gs.generators if apply_map(sigma, g) != g]
+        ctx = MembershipContext(gs, FIELDS[0], random.Random(5))
+        assert ctx.gb_ring.order == DEGREVLEX
+        verdicts = [ctx.contains(f) for f in members + moved]
+        assert verdicts == [True] * len(members) + [False] * len(moved)
+        seen.append((ctx.point, ctx.transcendence_rank()))
+    assert seen[0] == seen[1]
 
 
 def test_fields_equal_reflexive():

@@ -393,10 +393,25 @@ def test_replay_of_a_constant_input_is_the_learned_unit_ideal_or_fail():
     # a learn that does not reach the unit ideal: a constant input is FAIL
     _, trace = gb_learn(R2, [x * x + y, x * y - one])
     assert gb_apply(R2, [x * x + y, 3 * one], trace) is FAIL
-    # learns that reach it, with or without a constant input
-    for gens in ([x * x + y, 2 * one], [x, x * y - one]):
-        _, trace = gb_learn(R2, gens)
-        assert gb_apply(R2, [x * y, 5 * one], trace).polys == [one]
+    # learns that reach it, with or without a constant input, replay like
+    # any other trace: to [1] on their learned supports, FAIL off them
+    for gens, same in (([x * x + y, 2 * one], [3 * x * x + 5 * y, 7 * one]),
+                       ([x, x * y - one], [2 * x, 3 * x * y - 5 * one])):
+        gb, trace = gb_learn(R2, gens)
+        assert gb.polys == [one]
+        assert gb_apply(R2, same, trace).polys == [one]
+        assert gb_apply(R2, [x * y, 5 * one], trace) is FAIL
+
+
+def test_replay_fails_on_a_vanished_tail_coefficient():
+    x, y = R2.gens()
+    one = R2.one()
+    # the learn's GB is [x - 1, y + 2]; at x^2 + y the learned term 1 has
+    # vanished, while no output term would: the input is off its support
+    _, trace = gb_learn(R2, [x * x + y + one, x - one])
+    assert gb_apply(R2, [x * x + y, x - one], trace) is FAIL
+    again = [x * x + y + 3 * one, x - one]
+    assert gb_apply(R2, again, trace).polys == groebner(R2, again).polys
 
 
 def test_replay_fails_on_a_slot_cancelled_only_at_the_learn():
@@ -413,9 +428,9 @@ def test_replay_fails_on_a_slot_cancelled_only_at_the_learn():
 
 @pytest.mark.parametrize("p", [P, 101], ids=["production", "p101"])
 def test_replay_is_never_a_wrong_basis(p):
-    # the learn on [x^2 - x, x^2 - 1] reaches the unit ideal; replayed on
-    # [3x^2 + x, 2x^2 + 3], whose basis is also [1], the trace runs to
-    # [x - 9/2] instead of diverging
+    # the learn on [x^2 - x, x^2 - 1] ends at [x - 1], short of the unit
+    # ideal; replayed on [3x^2 + x, 2x^2 + 3], whose basis is [1], the
+    # trace must diverge, not run to a basis [x - c]
     ring = Ring(("x",), PrimeField(p))
     x, one = ring.variable(0), ring.one()
     _, trace = gb_learn(ring, [x * x - x, x * x - one])

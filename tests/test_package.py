@@ -1,12 +1,14 @@
 """The package imports nothing outside the standard library, every name a
 module imports is read there, every function and class it defines is named
-somewhere else, and every benchmark span has a function to wrap."""
+somewhere else (a module-level one within the package), and every benchmark
+span has a function to wrap."""
 
 import ast
 import importlib.util
 import pathlib
 import re
 import sys
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "fieldsimp"
@@ -45,30 +47,51 @@ def test_every_import_is_used():
         assert imported <= read, (path.name, sorted(imported - read))
 
 
+def _name_counts(tree):
+    """How often each name is read, taken as an attribute, or is part of a
+    dotted-name string (the tracer's spans) in `tree`."""
+    counts = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+            counts.update(node.value.split("."))
+    return counts
+
+
 def test_every_definition_is_named_elsewhere():
     # a helper left behind by a simplification is named only where it is
-    # defined; a read, an attribute, or a dotted-name string (the tracer's
-    # spans) anywhere in the package, its tests or the benchmark is a use
-    defined = set()
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and not re.fullmatch(r"__\w+__", node.name):
-                defined.add((path.name, node.name))
-    named = set()
-    for top in ("src", "tests", "perfbench"):
+    # defined.  A module-level function or class is used only when the
+    # package names it outside its own body, so a test helper of the same
+    # name does not keep it; a method may be named anywhere in the
+    # package, its tests or the benchmark
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    in_src = sum((_name_counts(tree) for tree in trees.values()), Counter())
+    anywhere = set(in_src)
+    for top in ("tests", "perfbench"):
         for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
-                    named.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    named.add(node.attr)
-                elif isinstance(node, ast.Constant) \
-                        and isinstance(node.value, str) \
-                        and re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
-                    named.update(node.value.split("."))
-    assert defined
-    assert sorted(d for d in defined if d[1] not in named) == []
+            anywhere.update(_name_counts(
+                ast.parse(path.read_text(encoding="utf-8"))))
+    unused, module_level = [], 0
+    for name, tree in trees.items():
+        top_level = set(tree.body)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or re.fullmatch(r"__\w+__", node.name):
+                continue
+            if node in top_level:
+                module_level += 1
+                used = in_src[node.name] > _name_counts(node)[node.name]
+            else:
+                used = node.name in anywhere
+            if not used:
+                unused.append((name, node.name))
+    assert module_level
+    assert unused == []
 
 
 def test_every_benchmark_span_resolves():

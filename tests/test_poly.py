@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fieldsimp import poly as poly_module
 from fieldsimp.arith import PrimeField, production_prime
 from fieldsimp.cli import parse_expression
 from fieldsimp.poly import (DEGREVLEX, LEX, NEG_INF, QQ, DivisionByZero,
@@ -181,3 +182,36 @@ def test_pow_and_monic():
     assert f.monic() == qp("x1 + 1")
     with pytest.raises(ValueError):
         f ** -1
+
+
+def test_rf_pow_takes_no_gcd(monkeypatch):
+    f = q("(x1 + 2*x2 + 3*x3 + 1)/(x1*x2 - x3 + 2)")
+    want = {n: f ** n for n in (-3, 4)}
+    calls = []
+    gcd = poly_module.gcd_q
+    monkeypatch.setattr(poly_module, "gcd_q",
+                        lambda a, b: calls.append(1) or gcd(a, b))
+    assert {n: f ** n for n in want} == want
+    assert calls == []
+    assert (f ** -3).den.leading_coefficient() == 1
+
+
+rq_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)),
+    st.integers(-3, 3).map(Fraction), max_size=3).map(RQ.from_dict)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rq_polys, rq_polys, st.integers(-3, 4))
+def test_rf_pow_matches_repeated_multiplication(a, b, n):
+    assume(not b.is_zero())
+    f = RationalFunction(a, b)
+    if n < 0 and f.is_zero():
+        with pytest.raises(DivisionByZero):
+            f ** n
+        return
+    base, want = (f if n >= 0 else 1 / f), RationalFunction(RQ.one())
+    for _ in range(abs(n)):
+        want = want * base
+    power = f ** n
+    assert (power.num, power.den) == (want.num, want.den)

@@ -522,6 +522,15 @@ def test_power_sums_retains_original_power_sums():
     assert rendered == sorted(g.render() for g in expected)
 
 
+def test_power_sums_lex_minimize_verifies():
+    # minimize's membership tests take their GB in degrevlex; in lex this
+    # run spends minutes in one Buchberger run
+    genset = load_fixture("power_sums", order="lex")
+    output, report = simplify(genset, SimplifyConfig(minimize=True, seed=0))
+    assert report.verified is True and report.minimized is True
+    assert 0 < len(output) <= len(genset.generators)
+
+
 def test_output_not_worse_than_input():
     genset, runs = simplify_fixture("power_sums")
     output, _, _ = runs[0]
