@@ -6,6 +6,8 @@ in the ring's monomial order; the zero polynomial has an empty term list and
 total degree -inf.
 """
 
+import heapq
+import math
 from fractions import Fraction
 
 from .arith import PrimeField, ZeroInverse
@@ -366,37 +368,67 @@ class MultiPoly:
 
 # ----------------------------------------------------------------------
 # exact division and GCD over Q
+#
+# gcd_q runs the heuristic GCD of Char, Geddes and Gonnet (EUROSAM 1984)
+# on integer polynomials, {monomial: int} dicts; exact divisions accept its
+# result and give the cofactors.  It gives up after six values of xi, or
+# before an image would pass HEU_MAX_BITS bits (sparse inputs of very high
+# degree), and the primitive pseudo-remainder sequence _gcd_prs takes over.
+
+HEU_MAX_BITS = 65536
+
+
+def _divexact(f, g):
+    """f/g for integer polynomials, or None when g does not divide f.
+    Terms go lex-least first, the order a heap pops them in; a quotient
+    term past deg_i f - deg_i g in some variable i proves None."""
+    glm = min(g)
+    glc = g[glm]
+    tail = [(m, c) for m, c in g.items() if m != glm]
+    room = [max(a) - max(b) for a, b in zip(zip(*f), zip(*g))]
+    work = dict(f)
+    heap = sorted(work)
+    quot = {}
+    while heap:
+        m = heapq.heappop(heap)
+        if m not in work:
+            continue
+        qm = mon_div(m, glm)
+        qc, rem = divmod(work.pop(m), glc)
+        if rem or not (mon_divides(glm, m) and mon_divides(qm, room)):
+            return None
+        quot[qm] = qc
+        for tm, tc in tail:
+            mm = mon_mul(qm, tm)
+            if mm not in work:
+                heapq.heappush(heap, mm)
+            v = work.get(mm, 0) - qc * tc
+            if v:
+                work[mm] = v
+            else:
+                del work[mm]
+    return quot
+
+
+def _z_parts(f):
+    """(F, c) with f = c F over Q and F a primitive integer polynomial."""
+    den = math.lcm(*(c.denominator for _, c in f.terms))
+    ints = {m: c.numerator * (den // c.denominator) for m, c in f.terms}
+    g = math.gcd(*ints.values())
+    return {m: v // g for m, v in ints.items()}, Fraction(g, den)
 
 
 def try_divexact(f, g):
-    """Return f/g when g divides f exactly, else None."""
+    """Return f/g when g divides f exactly over Q, else None: by Gauss's
+    lemma, when g's integer primitive part divides f's over Z."""
     if g.is_zero():
         raise DivisionByZero("division by zero polynomial")
     if f.is_zero():
         return f
-    ring = f.ring
-    fld = ring.field
-    key = ring.order.key
-    work = dict(f.terms)
-    quot = {}
-    glm, glc = g.terms[0]
-    gtail = g.terms[1:]
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        if not mon_divides(glm, m):
-            return None
-        qm = mon_div(m, glm)
-        qc = fld.div(c, glc)
-        quot[qm] = qc
-        for tm, tc in gtail:
-            mm = mon_mul(qm, tm)
-            v = fld.sub(work.get(mm, fld.zero), fld.mul(qc, tc))
-            if v == fld.zero:
-                work.pop(mm, None)
-            else:
-                work[mm] = v
-    return ring.from_dict(quot)
+    (zf, cf), (zg, cg) = _z_parts(f), _z_parts(g)
+    quot = _divexact(zf, zg)
+    return None if quot is None else \
+        f.ring.from_dict({m: cf / cg * v for m, v in quot.items()})
 
 
 def _coeffs_wrt(f, k):
@@ -424,7 +456,7 @@ def _from_coeffs_wrt(ring, coeffs, k):
 def _gcd_many(polys):
     g = None
     for p in polys:
-        g = p if g is None else gcd_q(g, p)
+        g = p if g is None else _gcd_prs(g, p)
         if g.is_constant() and not g.is_zero():
             return g.ring.one()
     return g
@@ -466,14 +498,9 @@ def _prem(a, b, k):
     return _from_coeffs_wrt(ring, r, k)
 
 
-def gcd_q(f, g):
-    """GCD over Q via primitive pseudo-remainder sequences, leading coeff 1."""
-    if f.ring != g.ring:
-        raise RingMismatch("gcd of polynomials from different rings")
-    if f.is_zero():
-        return g.monic() if not g.is_zero() else g
-    if g.is_zero():
-        return f.monic()
+def _gcd_prs(f, g):
+    """Monic gcd of nonzero f and g by primitive pseudo-remainder
+    sequences; their coefficients swell on mid-size inputs."""
     if f.is_constant() or g.is_constant():
         return f.ring.one()
     used = [i for i in range(f.ring.arity)
@@ -481,7 +508,7 @@ def gcd_q(f, g):
     k = used[0]
     fc, fp = _content_pp(f, k)
     gc, gp = _content_pp(g, k)
-    c = gcd_q(fc, gc)
+    c = _gcd_prs(fc, gc)
     a, b = fp, gp
     if max(_coeffs_wrt(a, k)) < max(_coeffs_wrt(b, k)):
         a, b = b, a
@@ -498,10 +525,136 @@ def gcd_q(f, g):
     return (c * pb).monic()
 
 
+def _z_eval(f, k, xi):
+    """f at x_k = xi, zero terms dropped."""
+    out = {}
+    for m, c in f.items():
+        rest = m[:k] + (0,) + m[k + 1:]
+        out[rest] = out.get(rest, 0) + c * xi ** m[k]
+    return {m: c for m, c in out.items() if c}
+
+
+def _z_interp(h, k, xi):
+    """The polynomial in x_k whose value at xi is h (free of x_k), each
+    integer coefficient a symmetric residue mod xi."""
+    out = {}
+    e = 0
+    while h:
+        rest = {}
+        for m, c in h.items():
+            r = c % xi
+            if r > xi // 2:
+                r -= xi
+            if r:
+                out[m[:k] + (e,) + m[k + 1:]] = r
+            if c != r:
+                rest[m] = (c - r) // xi
+        h = rest
+        e += 1
+    return out
+
+
+def _root_bounds(f, k):
+    """(r, r_lead), Cauchy bounds on the roots in x_k shared by all of f's
+    coefficients over Z[other variables] (0 if one is free of x_k), and on
+    those of its lex-leading coefficient.  They make the heuristic exact:
+    let h divide f and g, c h(xi) = gcd(f(xi), g(xi)) with |c| <= xi/2,
+    and gcd(f, g) = h q, so q(xi) divides c.  xi >= r_lead frees q of the
+    other variables (its leading coefficient in them divides f's), and
+    then xi >= 2 r gives |q(xi)| > xi/2 unless q is constant."""
+    coeffs = {}
+    for m, c in f.items():
+        coeffs.setdefault(m[:k] + (0,) + m[k + 1:], []).append((m[k], abs(c)))
+
+    def bound(terms):
+        e, lc = max(terms)
+        return max(c for _, c in terms) // lc + 2 if e else 0
+    return min(map(bound, coeffs.values())), bound(coeffs[max(coeffs)])
+
+
+def _heu_lift(f, g, images, k, xi):
+    """(h, f/h, g/h) from the images' (gcd, cofactor, cofactor) at x_k = xi:
+    h is the rebuilt gcd's primitive part, else the quotient of f, then of
+    g, by its rebuilt cofactor, if it divides both; None otherwise."""
+    h = _z_interp(images[0], k, xi)
+    hc = math.gcd(*h.values())
+    h = {m: v // hc for m, v in h.items()}
+    cf = _divexact(f, h)
+    if cf is not None and (cg := _divexact(g, h)) is not None:
+        return h, cf, cg
+    for a, b, i in ((f, g, 1), (g, f, 2)):
+        co = _z_interp(images[i], k, xi)
+        h = _divexact(a, co)
+        if h is not None and (other := _divexact(b, h)) is not None:
+            return (h, co, other) if i == 1 else (h, other, co)
+    return None
+
+
+def _heu_gcd(f, g):
+    """(h, f/h, g/h) over Z for nonzero integer polynomials, or None when
+    the heuristic gives up.  After the shared integer content is taken out,
+    the last variable x_k in use is set to an integer xi (sympy's estimate
+    from the coefficient sizes, raised to the bounds of _root_bounds), the
+    images' gcd is found recursively, down to an integer gcd, and the
+    result is rebuilt by xi-adic expansion."""
+    c = math.gcd(*f.values(), *g.values())
+    f = {m: v // c for m, v in f.items()}
+    g = {m: v // c for m, v in g.items()}
+    zero = (0,) * len(next(iter(f)))
+    if zero in f and len(f) == 1 or zero in g and len(g) == 1:
+        return {zero: c}, f, g
+    k = max(i for m in (*f, *g) for i, e in enumerate(m) if e)
+    deg = max(m[k] for m in (*f, *g))
+    (rf, lf), (rg, lg) = _root_bounds(f, k), _root_bounds(g, k)
+    b = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    xi = max(min(b, 99 * math.isqrt(b)), 2 * min(rf, rg), min(lf, lg))
+    for _ in range(6):
+        if deg * xi.bit_length() > HEU_MAX_BITS:
+            return None
+        ff, gg = _z_eval(f, k, xi), _z_eval(g, k, xi)
+        if ff and gg:
+            images = _heu_gcd(ff, gg)
+            if images is None:
+                return None
+            found = _heu_lift(f, g, images, k, xi)
+            if found:
+                return {m: v * c for m, v in found[0].items()}, *found[1:]
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def gcd_q(f, g):
+    """(h, f/h, g/h) for nonzero f and g, h = gcd(f, g) over Q monic in
+    the ring's order: from the heuristic on their integer primitive parts,
+    or when it gives up, h from the pseudo-remainder sequence and the
+    cofactors from two divisions."""
+    if f.ring != g.ring:
+        raise RingMismatch("gcd of polynomials from different rings")
+    ring = f.ring
+    if f.is_zero() or g.is_zero():
+        raise DivisionByZero("gcd with zero polynomial")
+    if f.is_constant() or g.is_constant():
+        return ring.one(), f, g
+    (zf, cf), (zg, cg) = _z_parts(f), _z_parts(g)
+    found = _heu_gcd(zf, zg)
+    if found is None:
+        h = _gcd_prs(f, g)
+        return h, try_divexact(f, h), try_divexact(g, h)
+    h, zf, zg = found
+    if len(h) == 1 and not any(next(iter(h))):
+        return ring.one(), f, g
+    lc = h[max(h, key=ring.order.key)]
+    cf, cg = cf * lc, cg * lc
+    return (ring.from_dict({m: Fraction(v, lc) for m, v in h.items()}),
+            ring.from_dict({m: cf * v for m, v in zf.items()}),
+            ring.from_dict({m: cg * v for m, v in zg.items()}))
+
+
 def lcm_q(f, g):
+    """Monic lcm of nonzero f and g: f times the cofactor g/gcd(f, g)."""
     if f.is_zero() or g.is_zero():
         raise DivisionByZero("lcm with zero polynomial")
-    return try_divexact(f * g, gcd_q(f, g)).monic()
+    return (f * gcd_q(f, g)[2]).monic()
 
 
 # ----------------------------------------------------------------------
@@ -524,10 +677,7 @@ class RationalFunction:
             if num.is_zero():
                 den = num.ring.one()
             else:
-                g = gcd_q(num, den)
-                if not g.is_constant():
-                    num = try_divexact(num, g)
-                    den = try_divexact(den, g)
+                _, num, den = gcd_q(num, den)
                 lc = den.leading_coefficient()
                 if lc != QQ.one:
                     c = QQ.inv(lc)

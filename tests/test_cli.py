@@ -124,21 +124,14 @@ def _random_rf(ring, rng):
     num = poly()
     if num.is_zero():
         num = ring.one()
-    # keep denominators monomial or univariate so normalization stays cheap
     style = rng.random()
-    if style < 0.4:
+    if style < 0.3:
         den = ring.one()
-    elif style < 0.7:
+    elif style < 0.5:
         mon = tuple(rng.randint(0, 2) for _ in range(n))
         den = ring.from_dict({mon: Fraction(rng.randint(1, 9))})
     else:
-        v = rng.randrange(n)
-        d = {}
-        for _ in range(rng.randint(1, 3)):
-            mon = [0] * n
-            mon[v] = rng.randint(0, 3)
-            d[tuple(mon)] = Fraction(rng.randint(-9, 9) or 1)
-        den = ring.from_dict(d)
+        den = poly()
         if den.is_zero():
             den = ring.one()
     return RationalFunction(num, den)

@@ -71,12 +71,11 @@ def test_specialize_power_sums_shape():
 @st.composite
 def specialize_cases(draw):
     """(generator set over Q, point, gb ring): 1-3 variables, 1-3
-    generators p/q with coefficients in -3..3, q univariate (so that
-    normalizing stays cheap) and p over a small pool of monomials that
-    holds q's, so that terms of p and q share monomials, or p a multiple
-    of q in about one case out of four; the gb ring at p = 5 (poles are
-    common) or a 62-bit prime, in either order, which need not be the
-    generator set's."""
+    generators p/q with coefficients in -3..3, p and q over one small pool
+    of monomials and the powers of one variable, so that terms of p and q
+    share monomials, or p a multiple of q in about one case out of four;
+    the gb ring at p = 5 (poles are common) or a 62-bit prime, in either
+    order, which need not be the generator set's."""
     n = draw(st.integers(1, 3))
     x_ring = Ring(tuple("x%d" % i for i in range(n)), QQ,
                   draw(st.sampled_from((DEGREVLEX, LEX))))
@@ -94,7 +93,7 @@ def specialize_cases(draw):
         v = draw(st.integers(0, n - 1))
         powers = [tuple(e if i == v else 0 for i in range(n))
                   for e in range(3)]
-        den = poly(powers)
+        den = poly(pool + powers)
         num = den.scale(draw(coeff)) if draw(st.integers(0, 3)) == 0 \
             else poly(pool + powers)
         gens.append(RationalFunction(num, den))

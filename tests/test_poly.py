@@ -1,7 +1,9 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -106,9 +108,9 @@ def test_evaluate_examples():
 
 
 def test_gcd_examples():
-    assert gcd_q(qp("x1^2 - x2^2"), qp("x1 - x2")) == qp("x1 - x2")
-    assert gcd_q(qp("x1^3 + x2"), RQ.one()) == RQ.one()
-    assert gcd_q(qp("x1*x2"), qp("x2*x3")) == qp("x2")
+    assert gcd_q(qp("x1^2 - x2^2"), qp("x1 - x2"))[0] == qp("x1 - x2")
+    assert gcd_q(qp("x1^3 + x2"), RQ.one())[0] == RQ.one()
+    assert gcd_q(qp("x1*x2"), qp("x2*x3"))[0] == qp("x2")
 
 
 def test_gcd_properties():
@@ -119,11 +121,11 @@ def test_gcd_properties():
         g = _random_poly(RQ, rng, max_terms=2, max_exp=2)
         if a.is_zero() or b.is_zero():
             continue
-        d = gcd_q(a, b)
+        d = gcd_q(a, b)[0]
         assert try_divexact(a, d) is not None
         assert try_divexact(b, d) is not None
         if not g.is_zero():
-            dg = gcd_q(a * g, b * g)
+            dg = gcd_q(a * g, b * g)[0]
             expected = (d * g).monic()
             assert dg == expected
 
@@ -133,6 +135,84 @@ def test_lcm_divisible_by_both():
     l = lcm_q(a, b)
     assert try_divexact(l, a) is not None
     assert try_divexact(l, b) is not None
+
+
+@st.composite
+def planted_gcds(draw, arity=4, exponent=3, terms=4):
+    """(a g, b g) in 1..arity variables under either order, a, b and g with
+    up to `terms` terms, exponents up to `exponent` and rational
+    coefficients."""
+    n = draw(st.integers(1, arity))
+    ring = Ring(tuple("x%d" % i for i in range(n)), QQ,
+                draw(st.sampled_from((DEGREVLEX, LEX))))
+    coeff = st.builds(Fraction, st.integers(-20, 20).filter(bool),
+                      st.integers(1, 6))
+    poly = st.dictionaries(st.tuples(*[st.integers(0, exponent)] * n),
+                           coeff, min_size=1, max_size=terms)
+    a, b, g = (ring.from_dict(draw(poly)) for _ in range(3))
+    return a * g, b * g
+
+
+def _sympy_poly(f, xs):
+    return sympy.Poly.from_dict(
+        {m: sympy.Rational(c.numerator, c.denominator) for m, c in f.terms},
+        *xs, domain="QQ")
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_gcds())
+def test_gcd_matches_sympy_with_cofactors(case):
+    f, g = case
+    h, cf, cg = gcd_q(f, g)
+    assert h.leading_coefficient() == 1
+    assert h * cf == f and h * cg == g
+    xs = sympy.symbols(f.ring.vars)
+    quot, rem = sympy.div(_sympy_poly(h, xs),
+                          sympy.gcd(_sympy_poly(f, xs), _sympy_poly(g, xs)))
+    assert rem.is_zero and quot.is_ground
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_gcds(arity=3, exponent=2, terms=3))
+def test_gcd_sequence_fallback_gives_the_same_triple(case):
+    # draws small enough for the pseudo-remainder sequence, which the
+    # heuristic falls back on when it gives up (on four variables and
+    # exponents up to 3, the sequence can take minutes)
+    f, g = case
+    want = gcd_q(f, g)
+    prs, calls = poly_module._gcd_prs, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_module, "_heu_gcd", lambda zf, zg: None)
+        mp.setattr(poly_module, "_gcd_prs",
+                   lambda a, b: calls.append(1) or prs(a, b))
+        assert gcd_q(f, g) == want
+    assert calls or f.is_constant() or g.is_constant()
+
+
+@pytest.mark.parametrize("expr", ["(x^60000*y - 3)/(x^40000*y^2 - 9)",
+                                  "(x^60000 - 1)/(x^40000 - 1)"])
+def test_sparse_high_degree_gcd_takes_the_size_guard(expr, monkeypatch):
+    # an integer image of x^60000 would pass HEU_MAX_BITS, so the heuristic
+    # gives up at once and the sequence takes these sparse inputs
+    prs, calls = poly_module._gcd_prs, []
+    monkeypatch.setattr(poly_module, "_gcd_prs",
+                        lambda a, b: calls.append(1) or prs(a, b))
+    start = time.perf_counter()
+    f = parse_expression(expr, Ring(("x", "y"), QQ))
+    assert time.perf_counter() - start < 0.1
+    assert calls and not f.den.is_constant()
+
+
+def test_mid_size_gcd_parses():
+    # the pseudo-remainder sequence took more than a minute on this one
+    ring = Ring(("x", "y", "z"), QQ)
+    start = time.perf_counter()
+    f = parse_expression("((x+y+z+1)^4*(x-2*y+3*z+5)^4)"
+                         "/((x+y+z+1)*(x*y+7*z-3)^4)", ring)
+    assert time.perf_counter() - start < 2
+    assert f.den == parse_expression("(x*y+7*z-3)^4", ring).num
+    assert f.num == parse_expression("(x+y+z+1)^3*(x-2*y+3*z+5)^4",
+                                     ring).num
 
 
 def test_rf_arithmetic_examples():

@@ -18,8 +18,8 @@ from fieldsimp.simplify import (SimplifyConfig, VerificationFailed,
                                 reconstruct_candidates, simplicity_key,
                                 simplify)
 
-from conftest import (CHECK_PRIME_INDICES, CHECK_PRIMES, genset_of,
-                      load_fixture, parse_many, simplify_fixture)
+from conftest import (CHECK_PRIME_INDICES, CHECK_PRIMES, fields_equal_2p,
+                      genset_of, load_fixture, parse_many, simplify_fixture)
 
 
 def rf(ring, text):
@@ -130,6 +130,15 @@ def test_crt_pairs_mismatch_needs_more_primes():
 
 
 THIRTY_DIGITS = "vars: x, y\n123456789012345678901234567890*x + y\nx*y\n"
+
+
+def test_obscured_four_variable_set_verifies():
+    # quotients of a^2 + b*c, 3*a*d - b^2 + 1 and c^2 + a*d whose exact
+    # gcds swell under a pseudo-remainder sequence
+    genset = load_fixture("obscured4")
+    output, report = simplify(genset, SimplifyConfig(seed=0))
+    assert report.verified is True
+    assert fields_equal_2p(GeneratorSet(genset.ring, output), genset)
 
 
 def test_one_evaluator_per_harvest_prime(monkeypatch):
