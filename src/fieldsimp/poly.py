@@ -227,11 +227,7 @@ class MultiPoly:
         zero = self.ring.field.zero
         add = self.ring.field.add
         for m, c in other.terms:
-            s = add(d.get(m, zero), c)
-            if s == zero:
-                d.pop(m, None)
-            else:
-                d[m] = s
+            d[m] = add(d.get(m, zero), c)
         return self.ring.from_dict(d)
 
     def __neg__(self):
@@ -252,11 +248,7 @@ class MultiPoly:
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 m = tuple(x + y for x, y in zip(m1, m2))
-                s = add(d.get(m, zero), mul(c1, c2))
-                if s == zero:
-                    d.pop(m, None)
-                else:
-                    d[m] = s
+                d[m] = add(d.get(m, zero), mul(c1, c2))
         return self.ring.from_dict(d)
 
     __rmul__ = __mul__
@@ -662,13 +654,19 @@ def lcm_q(f, g):
 
 
 class RationalFunction:
-    """num/den over Q, coprime, denominator monic in the ring's order."""
+    """num/den over Q, coprime, denominator monic in the ring's order.
+
+    The constructor takes the gcd of num and den, except for a polynomial
+    over 1.  Arithmetic keeps the invariant by Henrici's algorithms (JACM
+    1956; Knuth, TAOCP vol. 2, 4.5.1): it only takes gcds across the
+    operands' factors, never of a product, and none when a denominator
+    is 1."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None, _normalized=False):
         if den is None:
-            den = num.ring.one()
+            den, _normalized = num.ring.one(), True
         if num.ring != den.ring:
             raise RingMismatch("numerator and denominator rings differ")
         if den.is_zero():
@@ -677,12 +675,7 @@ class RationalFunction:
             if num.is_zero():
                 den = num.ring.one()
             else:
-                _, num, den = gcd_q(num, den)
-                lc = den.leading_coefficient()
-                if lc != QQ.one:
-                    c = QQ.inv(lc)
-                    num = num.scale(c)
-                    den = den.scale(c)
+                num, den = _monic_den(*gcd_q(num, den)[1:])
         self.num = num
         self.den = den
 
@@ -702,9 +695,20 @@ class RationalFunction:
 
     # arithmetic -------------------------------------------------------
     def __add__(self, other):
+        """a/b + c/d: with (g, b', d') = gcd(b, d) and t = a d' + c b',
+        gcd(t, b' d) = gcd(t, g), so only g's factors can cancel."""
         other = self._coerce(other)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b.is_constant() and d.is_constant():
+            return RationalFunction(a + c)
+        g, b1, d1 = gcd_q(b, d)
+        t = a * d1 + c * b1
+        if t.is_zero():
+            return RationalFunction(t)
+        if g.is_constant():
+            return RationalFunction(t, b1 * d, _normalized=True)
+        _, t, g1 = gcd_q(t, g)
+        return RationalFunction(t, b1 * g1 * d1, _normalized=True)
 
     __radd__ = __add__
 
@@ -719,7 +723,10 @@ class RationalFunction:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        if self.is_zero() or other.is_zero():
+            return RationalFunction(self.ring.zero())
+        num, den = _cross(self.num, self.den, other.num, other.den)
+        return RationalFunction(num, den, _normalized=True)
 
     __rmul__ = __mul__
 
@@ -727,7 +734,10 @@ class RationalFunction:
         other = self._coerce(other)
         if other.is_zero():
             raise DivisionByZero("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        if self.is_zero():
+            return self
+        num, den = _cross(self.num, self.den, other.den, other.num)
+        return RationalFunction(*_monic_den(num, den), _normalized=True)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -741,9 +751,8 @@ class RationalFunction:
                                     _normalized=True)
         if self.is_zero():
             raise DivisionByZero("0 to a negative power")
-        num, den = self.den ** -n, self.num ** -n
-        c = QQ.inv(den.leading_coefficient())
-        return RationalFunction(num.scale(c), den.scale(c), _normalized=True)
+        return RationalFunction(*_monic_den(self.den ** -n, self.num ** -n),
+                                _normalized=True)
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
@@ -765,18 +774,6 @@ class RationalFunction:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def proportional(self, other):
-        """True when self = c * other for a nonzero constant c."""
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        if self.den != other.den:
-            return False
-        a, b = self.num, other.num
-        if a.support() != b.support():
-            return False
-        c = QQ.div(a.leading_coefficient(), b.leading_coefficient())
-        return a == b.scale(c)
-
     # modular image ----------------------------------------------------
     def modp(self, fp_ring):
         """Image (num, den) over F_p."""
@@ -797,6 +794,26 @@ class RationalFunction:
 
     def __repr__(self):
         return "<RationalFunction %s>" % self.render()
+
+
+def _monic_den(num, den):
+    """(num, den) scaled by den's 1/lc."""
+    lc = den.leading_coefficient()
+    if lc == QQ.one:
+        return num, den
+    c = QQ.inv(lc)
+    return num.scale(c), den.scale(c)
+
+
+def _cross(a, b, c, d):
+    """(a c, b d) / gcd for coprime pairs a/b and c/d with a and c
+    nonzero: only gcd(a, d) and gcd(c, b) can cancel, and neither when
+    its denominator side is constant."""
+    if not d.is_constant():
+        _, a, d = gcd_q(a, d)
+    if not b.is_constant():
+        _, c, b = gcd_q(c, b)
+    return a * c, b * d
 
 
 def _is_bare_factor(s):

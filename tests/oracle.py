@@ -5,7 +5,8 @@ field Q(x), entirely independent of the package under test.  On top of it:
 symbolic reduced-basis coefficients of the ideal attached to a generating
 set, the exact rank of its Jacobian, and an exact Q-linear solver for the
 low-degree polynomial membership space, and the generator of a specialized
-ideal built term by term.
+ideal built term by term; and a test of proportionality for comparing
+lifted coefficients up to scaling.
 """
 
 from fractions import Fraction
@@ -276,3 +277,14 @@ def in_fp_span(vectors, candidate, p):
     base = fp_echelon(vectors, p)
     joined = fp_echelon(base + [candidate], p)
     return len(joined) == len(base)
+
+
+def proportional(f, g):
+    """True when the rational functions f and g have f = c g for a nonzero
+    constant c."""
+    if f.is_zero() or g.is_zero():
+        return f.is_zero() and g.is_zero()
+    if f.den != g.den or f.num.support() != g.num.support():
+        return False
+    c = f.num.leading_coefficient() / g.num.leading_coefficient()
+    return f.num == g.num.scale(c)

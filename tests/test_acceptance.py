@@ -25,7 +25,7 @@ from fieldsimp.simplify import (_normalize_monic_num, reconstruct_candidates,
 from conftest import (ALL_FIXTURES, CHECK_PRIMES, apply_map,
                       fields_equal_2p, fixture_automorphisms, genset_of,
                       load_fixture, parse_many, simplify_fixture)
-from oracle import (OracleTooHard, fp_echelon, in_fp_span,
+from oracle import (OracleTooHard, fp_echelon, in_fp_span, proportional,
                     symbolic_gb_coefficients, symbolic_membership_space)
 
 FIELDS = tuple(PrimeField(p) for p in CHECK_PRIMES)
@@ -50,7 +50,7 @@ def lifted_coefficients(genset, cutoff, field, seed, evaluator=None):
         if rf.num.is_constant():
             continue
         rf = _normalize_monic_num(rf)
-        if not any(rf.proportional(other) for other in out):
+        if not any(proportional(rf, other) for other in out):
             out.append(rf)
     return out, report
 
@@ -100,7 +100,7 @@ def test_criterion_3_seir_staged_trace():
 
     def spans(candidates, targets):
         for t in targets:
-            if not any(c.proportional(t) for c in candidates):
+            if not any(proportional(c, t) for c in candidates):
                 return False
         return True
 

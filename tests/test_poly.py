@@ -295,3 +295,67 @@ def test_rf_pow_matches_repeated_multiplication(a, b, n):
         want = want * base
     power = f ** n
     assert (power.num, power.den) == (want.num, want.den)
+
+
+@st.composite
+def rf_pairs(draw):
+    """(f, g) in 1..3 variables under either order: a factor planted across
+    the operands' numerators and denominators, denominators of 1, zero
+    numerators, g = h - f for a sum h whose denominator cancels, g = f or -f
+    for zero results, and rational coefficients of either sign, so a
+    divisor's leading coefficient is rarely 1."""
+    n = draw(st.integers(1, 3))
+    ring = Ring(tuple("x%d" % i for i in range(n)), QQ,
+                draw(st.sampled_from((DEGREVLEX, LEX))))
+    coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                      st.integers(1, 4))
+    poly = st.dictionaries(st.tuples(*[st.integers(0, 2)] * n), coeff,
+                           min_size=1, max_size=3).map(ring.from_dict)
+    unit = st.just(ring.one())
+    factor = draw(poly | unit)
+    fn, fd, gn, gd = (draw(poly | unit) for _ in range(4))
+    fn = draw(st.sampled_from((fn, ring.zero())))
+    planted = draw(st.sampled_from(("fn gd", "fd gd", "fd gn", "")))
+    fn, fd, gn, gd = (p * factor if name in planted else p
+                      for p, name in zip((fn, fd, gn, gd),
+                                         ("fn", "fd", "gn", "gd")))
+    f, h = RationalFunction(fn, fd), RationalFunction(gn, gd)
+    return f, draw(st.sampled_from((h, h - f, f, -f)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rf_pairs())
+def test_rf_arithmetic_matches_the_constructor(pair):
+    f, g = pair
+    cases = [(f + g, f.num * g.den + g.num * f.den, f.den * g.den),
+             (f - g, f.num * g.den - g.num * f.den, f.den * g.den),
+             (f * g, f.num * g.num, f.den * g.den)]
+    if g.is_zero():
+        with pytest.raises(DivisionByZero):
+            f / g
+    else:
+        cases.append((f / g, f.num * g.den, f.den * g.num))
+    for got, num, den in cases:
+        want = RationalFunction(num, den)
+        assert (got.num.terms, got.den.terms) == \
+            (want.num.terms, want.den.terms)
+
+
+def test_rf_arithmetic_takes_gcds_of_factors_only(monkeypatch):
+    f = q("(x1 + 2*x2)/(x1*x2 - x3 + 2)")
+    g = q("(3*x3 - x1)/(x2^2 + x3)")
+    p, r = q("x1^2 + x2"), q("1/2*x3 - 1")
+    seen = []
+    gcd = poly_module.gcd_q
+    monkeypatch.setattr(poly_module, "gcd_q",
+                        lambda a, b: seen.append((a, b)) or gcd(a, b))
+    assert p + r - 3 == p * r / 3 + 5 - p * r / 3 + p + r - 8
+    assert seen == []
+    f * g
+    assert seen == [(f.num, g.den), (g.num, f.den)]
+    del seen[:]
+    f / g
+    assert seen == [(f.num, g.num), (g.den, f.den)]
+    del seen[:]
+    f + g
+    assert seen == [(f.den, g.den)]
