@@ -102,21 +102,6 @@ class PrimeField:
     zero = 0
     one = 1
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        return inv(a, self.p)
-
     def div(self, a, b):
         return a * inv(b, self.p) % self.p
 

@@ -1,16 +1,17 @@
 """Sparse multivariate polynomials and rational functions.
 
 Coefficient fields are Q (fractions.Fraction) and F_p (ints mod p, see
-arith.PrimeField).  Terms are kept in a flat list sorted strictly descending
-in the ring's monomial order; the zero polynomial has an empty term list and
-total degree -inf.
+arith.PrimeField).  Coefficients combine with Python's operators; over F_p
+each result coefficient is reduced once mod ring.p.  Terms are kept in a
+flat list sorted strictly descending in the ring's monomial order; the zero
+polynomial has an empty term list and total degree -inf.
 """
 
 import heapq
 import math
 from fractions import Fraction
 
-from .arith import PrimeField, ZeroInverse
+from .arith import PrimeField
 
 NEG_INF = float("-inf")
 
@@ -37,28 +38,6 @@ class RationalField:
 
     def __repr__(self):
         return "QQ"
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroInverse("1/0 in Q")
-        return 1 / a
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroInverse("1/0 in Q")
-        return a / b
 
     def from_int(self, n):
         return Fraction(n)
@@ -119,9 +98,10 @@ LEX = MonomialOrder("lex")
 
 
 class Ring:
-    """Ring descriptor: variable names (greatest first), field, order."""
+    """Ring descriptor: variable names (greatest first), field, order;
+    p is the field's modulus over F_p and None over Q."""
 
-    __slots__ = ("vars", "field", "order", "_zero_mon")
+    __slots__ = ("vars", "field", "order", "p", "_zero_mon")
 
     def __init__(self, variables, field, order=DEGREVLEX):
         self.vars = tuple(variables)
@@ -129,6 +109,7 @@ class Ring:
             raise ValueError("duplicate variable names")
         self.field = field
         self.order = order
+        self.p = field.p if isinstance(field, PrimeField) else None
         self._zero_mon = (0,) * len(self.vars)
 
     @property
@@ -224,15 +205,12 @@ class MultiPoly:
     def __add__(self, other):
         self._check(other)
         d = dict(self.terms)
-        zero = self.ring.field.zero
-        add = self.ring.field.add
         for m, c in other.terms:
-            d[m] = add(d.get(m, zero), c)
-        return self.ring.from_dict(d)
+            d[m] = d.get(m, 0) + c
+        return _from_sums(self.ring, d)
 
     def __neg__(self):
-        neg = self.ring.field.neg
-        return MultiPoly(self.ring, tuple((m, neg(c)) for m, c in self.terms))
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -241,36 +219,38 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return self.scale(self.ring.field.from_fraction(other))
         self._check(other)
-        f = self.ring.field
-        zero = f.zero
-        mul, add = f.mul, f.add
         d = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 m = tuple(x + y for x, y in zip(m1, m2))
-                d[m] = add(d.get(m, zero), mul(c1, c2))
-        return self.ring.from_dict(d)
+                d[m] = d.get(m, 0) + c1 * c2
+        return _from_sums(self.ring, d)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        if c == self.ring.field.zero:
+        p = self.ring.p
+        if p is not None:
+            c %= p
+        if not c:
             return self.ring.zero()
-        mul = self.ring.field.mul
+        if p is None:
+            return MultiPoly(self.ring,
+                             tuple((m, cf * c) for m, cf in self.terms))
         return MultiPoly(self.ring,
-                         tuple((m, mul(cf, c)) for m, cf in self.terms))
+                         tuple((m, cf * c % p) for m, cf in self.terms))
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative exponent on a polynomial")
-        result = self.ring.one()
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return self.ring.one() if result is None else result
 
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and other.ring == self.ring
@@ -282,34 +262,23 @@ class MultiPoly:
     def monic(self):
         if not self.terms:
             return self
-        lc = self.terms[0][1]
-        if lc == self.ring.field.one:
+        lc, p = self.terms[0][1], self.ring.p
+        if lc == 1:
             return self
-        return self.scale(self.ring.field.inv(lc))
+        return self.scale(1 / lc if p is None else pow(lc, -1, p))
 
     # evaluation ------------------------------------------------------
     def evaluate(self, point):
         if len(point) != len(self.ring.vars):
             raise ValueError("point arity mismatch")
-        f = self.ring.field
-        if isinstance(f, PrimeField):
-            p = f.p
-            total = 0
-            for m, c in self.terms:
-                v = c
-                for x, e in zip(point, m):
-                    if e:
-                        v = v * pow(x, e, p) % p
-                total += v
-            return total % p
-        total = f.zero
+        p = self.ring.p
+        total = 0
         for m, c in self.terms:
-            v = c
             for x, e in zip(point, m):
                 if e:
-                    v = f.mul(v, x ** e)
-            total = f.add(total, v)
-        return total
+                    c *= pow(x, e, p)
+            total += c
+        return total if p is None else total % p
 
     def map_coefficients(self, ring, fn):
         """Rebuild in `ring`, mapping coefficients by fn.  `ring` must have
@@ -356,6 +325,14 @@ class MultiPoly:
 
     def __repr__(self):
         return "<MultiPoly %s>" % self.render()
+
+
+def _from_sums(ring, d):
+    """ring.from_dict(d) with d's sums and products reduced mod ring.p."""
+    p = ring.p
+    if p is not None:
+        d = {m: c % p for m, c in d.items()}
+    return ring.from_dict(d)
 
 
 # ----------------------------------------------------------------------
@@ -799,9 +776,9 @@ class RationalFunction:
 def _monic_den(num, den):
     """(num, den) scaled by den's 1/lc."""
     lc = den.leading_coefficient()
-    if lc == QQ.one:
+    if lc == 1:
         return num, den
-    c = QQ.inv(lc)
+    c = 1 / lc
     return num.scale(c), den.scale(c)
 
 

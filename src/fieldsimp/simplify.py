@@ -3,9 +3,9 @@
 Low-degree polynomial members of the input field, then a degree-doubling
 harvest of specialized-GB coefficients, each lifted to Q over as many
 primes as makes it a member, read by a simplicity-sorted greedy filter one
-degree-sum band per round until its output generates the input field;
-optional minimization, and a final mutual-membership check at two fresh
-primes.
+degree-sum band per round (the rest of the pool at the cap) until its
+output generates the input field; optional minimization, and a final
+mutual-membership check at two fresh primes.
 """
 
 import functools
@@ -288,15 +288,18 @@ def _run_once(genset, cfg, restart):
         pool = _dedup_pool((originals if cfg.retain_originals else [])
                            + cands + polys)
         pool.sort(key=lambda item: sort_key(item[0]))
+        # the round at the cap reads the rest of the pool
+        at_cap = 2 * d > MAX_HARVEST_DEGREE
+        top = math.inf if at_cap else d
         for rf, _tag in pool:
-            if d // 2 < sort_key(rf)[0] <= d and not in_kept(rf):
+            if d // 2 < sort_key(rf)[0] <= top and not in_kept(rf):
                 kept.append(rf)
         # every entry read is a member, so once Q(kept) holds every
         # original not read yet it is the input field: stop
         if all(in_kept(g) for g, _ in originals
-               if not cfg.retain_originals or sort_key(g)[0] > d):
+               if not cfg.retain_originals or sort_key(g)[0] > top):
             break
-        if 2 * d > MAX_HARVEST_DEGREE:
+        if at_cap:
             raise VerificationFailed(
                 "harvest reached the degree cap at d=%d" % d)
         d *= 2

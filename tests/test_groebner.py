@@ -190,15 +190,15 @@ def test_spair_closure_random_instances():
 
 
 def _spoly(f, g):
-    field = f.ring.field
+    p = f.ring.field.p
     lcm = tuple(map(max, f.leading_monomial(), g.leading_monomial()))
     d = {}
-    for h, sign in ((f, field.one), (g, field.neg(field.one))):
+    for h, sign in ((f, 1), (g, -1)):
         shift = [x - y for x, y in zip(lcm, h.leading_monomial())]
-        c = field.mul(sign, field.inv(h.leading_coefficient()))
+        c = sign * pow(h.leading_coefficient(), -1, p)
         for m, cf in h.terms:
             k = tuple(x + y for x, y in zip(m, shift))
-            d[k] = field.add(d.get(k, field.zero), field.mul(cf, c))
+            d[k] = (d.get(k, 0) + cf * c) % p
     return f.ring.from_dict(d)
 
 

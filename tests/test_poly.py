@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -75,6 +76,15 @@ def test_ring_axioms(ring):
         assert (a * b) * c == a * (b * c)
         assert a + ring.zero() == a
         assert a * ring.one() == a
+        assert (a - a).is_zero() and -(-a) == a and (a - b) + b == a
+        for f in (a + b, a - b, -a, a * b, a ** 3, a.scale(-1),
+                  a.scale(P + 3)):
+            for _, cf in f.terms:
+                assert 0 < cf < P if ring is RP else type(cf) is Fraction
+        pt = tuple(rng.randint(-9, 9) for _ in ring.vars)
+        ref = sum(cf * math.prod(x ** e for x, e in zip(pt, m))
+                  for m, cf in a.terms)
+        assert a.evaluate(pt) == (ref % P if ring is RP else ref)
 
 
 def test_add_sub_examples():

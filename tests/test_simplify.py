@@ -243,9 +243,21 @@ def test_polynomial_member_lifts_within_the_bound():
     assert ("x^2 + 33535681/33651601*y^2", "polynomial") in report.pool
 
 
+def test_cap_round_reads_the_rest_of_the_pool():
+    # the field has no generator of degree sum <= 64: the round at the cap
+    # keeps the retained original, and the output verifies
+    genset, _ = parse_problem_file("vars: x, y\nx^65535*y\n")
+    output, report = simplify(genset, SimplifyConfig(seed=0))
+    assert report.verified is True
+    assert [g.render() for g in output] == ["x^65535*y"]
+    assert report.rounds[-1]["d"] == simplify_module.MAX_HARVEST_DEGREE
+
+
 def test_verification_failed_names_every_attempt(monkeypatch):
+    # with no originals in the pool and only linear polynomial members,
+    # the round at the cap cannot reach the input field
     monkeypatch.setattr(simplify_module, "MAX_HARVEST_DEGREE", 1)
-    cfg = SimplifyConfig()
+    cfg = SimplifyConfig(retain_originals=False, delta=1)
     with pytest.raises(VerificationFailed) as info:
         simplify(load_fixture("seir34"), cfg)
     assert str(info.value).split("; ") == [
