@@ -117,6 +117,8 @@ class Ring:
         return len(self.vars)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (isinstance(other, Ring) and other.vars == self.vars
                 and other.field == self.field and other.order == self.order)
 
@@ -338,11 +340,13 @@ def _from_sums(ring, d):
 # ----------------------------------------------------------------------
 # exact division and GCD over Q
 #
-# gcd_q runs the heuristic GCD of Char, Geddes and Gonnet (EUROSAM 1984)
-# on integer polynomials, {monomial: int} dicts; exact divisions accept its
-# result and give the cofactors.  It gives up after six values of xi, or
-# before an image would pass HEU_MAX_BITS bits (sparse inputs of very high
-# degree), and the primitive pseudo-remainder sequence _gcd_prs takes over.
+# gcd_q answers a one-term operand in closed form, as sympy's _gcd_monom
+# does.  Otherwise it runs the heuristic GCD of Char, Geddes and Gonnet
+# (EUROSAM 1984) on integer polynomials, {monomial: int} dicts; exact
+# divisions accept its result and give the cofactors.  It gives up after
+# six values of xi, or before an image would pass HEU_MAX_BITS bits (sparse
+# inputs of very high degree), and the primitive pseudo-remainder sequence
+# _gcd_prs takes over.
 
 HEU_MAX_BITS = 65536
 
@@ -594,16 +598,25 @@ def _heu_gcd(f, g):
 
 def gcd_q(f, g):
     """(h, f/h, g/h) for nonzero f and g, h = gcd(f, g) over Q monic in
-    the ring's order: from the heuristic on their integer primitive parts,
-    or when it gives up, h from the pseudo-remainder sequence and the
-    cofactors from two divisions."""
+    the ring's order.  When f or g has one term, h is x^b, b the least
+    exponent of each variable over both (sympy's _gcd_monom), and the
+    cofactors keep their coefficients and term order, since both orders
+    are multiplicative.  Otherwise h comes from the heuristic on their
+    integer primitive parts, or when it gives up, from the
+    pseudo-remainder sequence with the cofactors from two divisions."""
     if f.ring != g.ring:
         raise RingMismatch("gcd of polynomials from different rings")
     ring = f.ring
     if f.is_zero() or g.is_zero():
         raise DivisionByZero("gcd with zero polynomial")
-    if f.is_constant() or g.is_constant():
-        return ring.one(), f, g
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        b = tuple(map(min, *(m for m, _ in f.terms + g.terms)))
+        if not any(b):
+            return ring.one(), f, g
+        zf, zg = (tuple((mon_div(m, b), c) for m, c in p.terms)
+                  for p in (f, g))
+        return (MultiPoly(ring, ((b, ring.field.one),)),
+                MultiPoly(ring, zf), MultiPoly(ring, zg))
     (zf, cf), (zg, cg) = _z_parts(f), _z_parts(g)
     found = _heu_gcd(zf, zg)
     if found is None:

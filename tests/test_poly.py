@@ -148,19 +148,24 @@ def test_lcm_divisible_by_both():
 
 
 @st.composite
-def planted_gcds(draw, arity=4, exponent=3, terms=4):
+def planted_gcds(draw, arity=4, exponent=3, terms=4, monomial=False):
     """(a g, b g) in 1..arity variables under either order, a, b and g with
     up to `terms` terms, exponents up to `exponent` and rational
-    coefficients."""
+    coefficients; with `monomial`, a and g have one term, so one operand
+    is c x^m against a polynomial times a monomial, in either position."""
     n = draw(st.integers(1, arity))
     ring = Ring(tuple("x%d" % i for i in range(n)), QQ,
                 draw(st.sampled_from((DEGREVLEX, LEX))))
     coeff = st.builds(Fraction, st.integers(-20, 20).filter(bool),
                       st.integers(1, 6))
-    poly = st.dictionaries(st.tuples(*[st.integers(0, exponent)] * n),
-                           coeff, min_size=1, max_size=terms)
-    a, b, g = (ring.from_dict(draw(poly)) for _ in range(3))
-    return a * g, b * g
+    mons = st.tuples(*[st.integers(0, exponent)] * n)
+    poly = st.dictionaries(mons, coeff, min_size=1, max_size=terms)
+    term = st.dictionaries(mons, coeff, min_size=1, max_size=1)
+    a = ring.from_dict(draw(term if monomial else poly))
+    b = ring.from_dict(draw(poly))
+    g = ring.from_dict(draw(term if monomial else poly))
+    pair = a * g, b * g
+    return pair[::-1] if monomial and draw(st.booleans()) else pair
 
 
 def _sympy_poly(f, xs):
@@ -173,13 +178,36 @@ def _sympy_poly(f, xs):
 @given(planted_gcds())
 def test_gcd_matches_sympy_with_cofactors(case):
     f, g = case
-    h, cf, cg = gcd_q(f, g)
+    _check_gcd_triple(f, g, gcd_q(f, g))
+
+
+def _check_gcd_triple(f, g, triple):
+    h, cf, cg = triple
     assert h.leading_coefficient() == 1
     assert h * cf == f and h * cg == g
     xs = sympy.symbols(f.ring.vars)
     quot, rem = sympy.div(_sympy_poly(h, xs),
                           sympy.gcd(_sympy_poly(f, xs), _sympy_poly(g, xs)))
     assert rem.is_zero and quot.is_ground
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_gcds(monomial=True))
+def test_gcd_with_a_monomial_is_closed_form(case):
+    # h = x^b with b the least exponents; neither the heuristic nor the
+    # sequence runs, and the cofactors' terms stay in the ring's order
+    f, g = case
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_heu_gcd", "_gcd_prs"):
+            mp.setattr(poly_module, name,
+                       lambda a, b, name=name: calls.append(name))
+        triple = gcd_q(f, g)
+    assert not calls
+    h, cf, cg = triple
+    assert h.num_terms() == 1
+    assert all(c == c.ring.from_dict(dict(c.terms)) for c in (cf, cg))
+    _check_gcd_triple(f, g, triple)
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,7 +224,7 @@ def test_gcd_sequence_fallback_gives_the_same_triple(case):
         mp.setattr(poly_module, "_gcd_prs",
                    lambda a, b: calls.append(1) or prs(a, b))
         assert gcd_q(f, g) == want
-    assert calls or f.is_constant() or g.is_constant()
+    assert calls or f.num_terms() == 1 or g.num_terms() == 1
 
 
 @pytest.mark.parametrize("expr", ["(x^60000*y - 3)/(x^40000*y^2 - 9)",
@@ -211,6 +239,22 @@ def test_sparse_high_degree_gcd_takes_the_size_guard(expr, monkeypatch):
     f = parse_expression(expr, Ring(("x", "y"), QQ))
     assert time.perf_counter() - start < 0.1
     assert calls and not f.den.is_constant()
+
+
+@pytest.mark.parametrize("expr, want", [("x^60000*y/x^50000", "x^10000*y"),
+                                        ("x^40000*y^3/(x^30000*y)",
+                                         "x^10000*y^2")])
+def test_high_degree_monomial_gcd_takes_no_sequence(expr, want, monkeypatch):
+    # an integer image of x^60000 would pass HEU_MAX_BITS, but a one-term
+    # operand is answered in closed form before the heuristic could give up
+    prs, calls = poly_module._gcd_prs, []
+    monkeypatch.setattr(poly_module, "_gcd_prs",
+                        lambda a, b: calls.append(1) or prs(a, b))
+    ring = Ring(("x", "y"), QQ)
+    start = time.perf_counter()
+    f = parse_expression(expr, ring)
+    assert time.perf_counter() - start < 0.1
+    assert not calls and f == parse_expression(want, ring)
 
 
 def test_mid_size_gcd_parses():
