@@ -12,9 +12,9 @@ sampling-range bounds of the underlying analysis (any fixed error budget is
 met by a large enough prime).  A query reads p(b) and q(b) in one pass over
 the terms of the candidate's F_p image, from per-point power tables (points
 are drawn with every coordinate nonzero), and builds h from them as packed
-terms.  The polynomial search keeps an F_p row space as one semi-echelon
-basis that grows a row at a time (`_extend`), tests a vector against it by
-reducing it (`_reduce`) and back-substitutes once where it reads it.
+terms.  The polynomial search keeps the sparse rows of its conditions as
+one semi-echelon basis that grows a row at a time (`_extend`), tests a row
+against it by reducing it (`_reduce`) and back-substitutes once at the end.
 
 The specialized ideal comes from `oms`, and the harvest, the polynomial
 search and membership all read the one ideal `specialize_eoms` builds.  The
@@ -44,37 +44,38 @@ EXTRA_POINTS = 8
 
 
 def _reduce(echelon, v, p):
-    """`v` reduced by a semi-echelon basis: (pivot, row) pairs sorted by
-    pivot, each row stored from its pivot, where it is 1.  An entry is taken
-    mod p only when read as a pivot.  The result is zero iff `v` lies in the
+    """The sparse row `v` ({column: value}) reduced by a semi-echelon basis:
+    (pivot, row) pairs sorted by pivot, each row holding its entries right
+    of its pivot, where it is 1.  The result is empty iff `v` lies in the
     row space."""
-    v = list(v)
+    v = dict(v)
     for c, row in echelon:
-        f = v[c] % p
+        f = v.pop(c, 0) % p
         if f:
-            v[c:] = [x - f * y for x, y in zip(v[c:], row)]
-    return [x % p for x in v]
+            for j, y in row.items():
+                v[j] = v.get(j, 0) - f * y
+    return {j: x % p for j, x in v.items() if x % p}
 
 
 def _extend(echelon, v, p):
-    """Add `v` to the row space of the semi-echelon `echelon` in place;
-    False when `v` already lay in it.  No stored row is rewritten."""
+    """Add the sparse row `v` to the row space of the semi-echelon basis
+    `echelon` in place; False when `v` already lay in it."""
     v = _reduce(echelon, v, p)
-    c = next((j for j, x in enumerate(v) if x), None)
-    if c is None:
+    if not v:
         return False
-    inv = pow(v[c], -1, p)
-    bisect.insort(echelon, (c, [x * inv % p for x in v[c:]]))
+    c = min(v)
+    inv = pow(v.pop(c), -1, p)
+    bisect.insort(echelon, (c, {j: x * inv % p for j, x in v.items()}))
     return True
 
 
 def _back_substitute(echelon, p):
-    """The reduced echelon basis of a semi-echelon basis's row space, as
-    (pivot, row) pairs of full rows, each row 0 at the other pivots."""
+    """The reduced echelon basis of a semi-echelon basis's row space, in the
+    same form, each row 0 at the other pivots."""
     done = []
     for c, row in reversed(echelon):
-        done.insert(0, (c, _reduce([(d - c, r) for d, r in done], row, p)))
-    return [(c, [0] * c + row) for c, row in done]
+        done.insert(0, (c, _reduce(done, row, p)))
+    return done
 
 
 def _values_modp(image, powers, p):
@@ -239,13 +240,13 @@ def polynomial_generators(genset, delta, field, rng, evaluator=None,
     normal form of p(y) against the specialized ideal is a constant, so
     every nonconstant monomial in the normal forms of the candidate
     monomials m_i gives one linear condition on v.  The normal forms are
-    compiled once, at the EomsEvaluator's learned GB, into slot programs;
-    each point replays them on its GB (a replay of the learned trace) to
-    read its conditions.  The conditions extend one semi-echelon basis:
-    the first point is the learn point, and fresh points are drawn until
-    one adds no row to it (a lost point, a failed GB replay or a nonzero
-    cancelled slot, is skipped).  Returns the monic elements of the
-    reduced echelon basis of its nullspace, leading monomials descending.
+    planned once, as one table, from the supports of the EomsEvaluator's
+    learned GB; each point fills it on its GB (a replay of the learned
+    trace) and reads its conditions as sparse rows.  They extend one
+    semi-echelon basis: the first point is the learn point, and fresh
+    points are drawn until one adds no row (a failed replay is skipped).
+    Returns the monic elements of the reduced echelon basis of its
+    nullspace, leading monomials descending.
     An evaluator of `genset` at `field` may be passed in to replay its
     trace instead of learning one; each replay counts in its n_evals.
     Raises EvaluationBudgetExceeded before a replay would take this call
@@ -254,43 +255,35 @@ def polynomial_generators(genset, delta, field, rng, evaluator=None,
     ev = evaluator or EomsEvaluator(
         genset, gb_ring(genset, field, genset.ring.order), rng)
     x_ring = genset.modp(field)[0]
-    n = genset.ring.arity
-    p = field.p
+    n, p = genset.ring.arity, field.p
     key = x_ring.order.key
     monomials = sorted(_monomials_up_to(n, delta), key=key)
-    forms = ev.learned.compile_normal_forms([(0,) + mon for mon in monomials])
-    dim = len(monomials)
-    echelon = []
-    gb, start = ev.learned, ev.n_evals
-    for k in range(dim + EXTRA_POINTS):
+    plan = ev.learned.compile_normal_forms([(0,) + mon for mon in monomials])
+    echelon, gb, start = [], ev.learned, ev.n_evals
+    for k in range(len(monomials) + EXTRA_POINTS):
         if k:
             if ev.n_evals - start >= eval_cap:
                 raise EvaluationBudgetExceeded(
                     "GB evaluation budget ran out in the polynomial search")
             gb = ev.gb(tuple(rng.randrange(1, p) for _ in range(n)))
-        rows = FAIL if gb is FAIL else gb.condition_rows(forms)
-        if rows is FAIL:
-            continue
+            if gb is FAIL:
+                continue
+        rows = gb.condition_rows(plan)
         if not sum(_extend(echelon, row, p) for row in rows):
             break
     else:
         raise UnluckyPoint("kernel iteration did not stabilize")
     reduced = _back_substitute(echelon, p)
-    pivots = {c for c, _ in reduced}
-    kernel = []
-    for f in range(dim):
-        if f in pivots:
-            continue
-        vec = [0] * dim
+    kernel = []       # column 0, the constant, is in no row: it is left out
+    for f in set(range(1, len(monomials))).difference(c for c, _ in reduced):
+        vec = {c: -row[f] for c, row in reduced if f in row}
         vec[f] = 1
-        for c, row in reduced:
-            vec[c] = -row[f] % p
         _extend(kernel, vec, p)
     polys = []
-    for _, vec in _back_substitute(kernel, p):
-        poly = x_ring.from_dict({m: c for m, c in zip(monomials, vec) if c})
-        if not poly.is_constant():
-            polys.append(poly.monic())
+    for c, row in _back_substitute(kernel, p):
+        row[c] = 1
+        polys.append(x_ring.from_dict({monomials[j]: v
+                                       for j, v in row.items()}).monic())
     polys.sort(key=lambda q: key(q.leading_monomial()), reverse=True)
     return polys
 

@@ -11,13 +11,12 @@ the learned one, and runs the programs as straight-line multiply-subtract
 on lists of ints, with no heap and no divisor search.  groebner() records
 and compiles nothing.  A fresh trace runs its zero reductions in full;
 gb_verify checks it by one such replay at a second point, then cuts them to
-quick checks.  The normal forms of given monomials compile the same way at
-one GB and replay on any GB of its support (the polynomial search in
-`fields`).
+quick checks.  A table of normal forms of given monomials, planned from one
+GB's supports, fills on any GB of that support (the polynomial search).
 
 The reduction kernel, like the replay, leaves coefficients unreduced until
-they are read; a Buchberger run, or a compile of normal forms, shares one
-memo of each monomial's first divisor, valid while the divisors only grow.
+they are read; a Buchberger run shares one memo of each monomial's first
+divisor, valid while the divisors only grow.
 
 Callers hand in and read exponent tuples.  Monomials are packed into single
 integers only inside the learn, the GB and its normal forms, so that integer
@@ -406,50 +405,58 @@ class ReducedGB:
         return sum(c * phi[m] for m, c in terms.items() if c) % p
 
     def compile_normal_forms(self, monomials):
-        """The normal forms of `monomials` (exponent tuples) at this GB,
-        compiled for `condition_rows`: the condition rows, one per
-        nonconstant monomial of the normal forms, with the fixed entries 1
-        of the monomials already in normal form, and per other monomial
-        (index, slot program, (output slot, row) pairs).  A program's first
-        operand is the constant one-term pseudo-row shifted by its monomial."""
-        codec, p = self._codec, self.ring.field.p
-        basis = self.packed + [[(codec.CONST, 1)]]
-        rows, fixed, programs, memo = {}, [], [], {}
-        for i, m in enumerate(monomials):
-            pm, steps = codec.pack(m), []
-            rem = _reduce_full({pm: 1}, self._plms, self._ptails, codec, p,
-                               steps, memo)
-            if not steps:
-                if pm != codec.CONST:
-                    fixed.append((rows.setdefault(pm, len(rows)), i))
+        """The normal-form table of `monomials` (exponent tuples), planned
+        from this GB's supports alone: (rows, steps, positions).  Positions
+        0 .. rows-1 are the nonconstant standard monomials reached, in
+        ascending order, and position rows the constant; the reducible
+        m = q lm(g) follow, ascending, each a step (index of g, positions of
+        the q t for g's tail monomials t).  `positions` places `monomials`."""
+        codec, lms, tails = self._codec, self._plms, self._ptails
+        CONST, GUARDS = codec.CONST, codec.GUARDS
+        packed = [codec.pack(m) for m in monomials]
+        divisor, stack = {}, list(packed)
+        while stack:
+            m = stack.pop()
+            if m in divisor:
                 continue
-            program = _compile((len(self.packed), pm - codec.CONST), steps,
-                               rem, basis)
-            tags = tuple((s, rows.setdefault(mm, len(rows))) for s, mm
-                         in zip(program[3], sorted(rem, reverse=True))
-                         if mm != codec.CONST)
-            programs.append((i, program, tags))
-        template = [[0] * len(monomials) for _ in rows]
-        for r, i in fixed:
-            template[r][i] = 1
-        return template, programs
+            idx = divisor[m] = _first_divisor(m, 0, lms, CONST, GUARDS)
+            if idx >= 0:
+                todo = [m - lms[idx] + tm for tm, _ in tails[idx]]
+                if any(mm & GUARDS for mm in todo):
+                    raise ExponentOverflow(_OVERFLOW)
+                stack += todo
+        order = sorted(divisor)
+        standard = [m for m in order if divisor[m] < 0 and m != CONST]
+        position = {m: r for r, m in enumerate(standard + [CONST])}
+        rows, steps = len(standard), []
+        for m in order:
+            idx = divisor[m]
+            if idx >= 0:
+                q = m - lms[idx]
+                position[m] = rows + 1 + len(steps)
+                steps.append((idx, [position[q + tm] for tm, _ in tails[idx]]))
+        return rows, steps, [position[m] for m in packed]
 
-    def condition_rows(self, forms):
-        """Normal forms compiled at a GB of this GB's support, replayed on
-        it: row r holds the coefficient of its monomial in each monomial's
-        normal form.  FAIL when a slot that cancelled at the compile is
-        nonzero."""
-        template, programs = forms
-        p = self.ring.field.p
-        basis = [[c for _, c in g] for g in self.packed] + [[1]]
-        rows = [list(row) for row in template]
-        for i, program, tags in programs:
-            v = _slots(program, basis, p)
-            if any(v[s] % p for s in program[4]):
-                return FAIL
-            for s, r in tags:
-                rows[r][i] = v[s] % p
-        return rows
+    def condition_rows(self, plan):
+        """A table planned at a GB of this support, filled from the least
+        monomial up, NF(q lm(g)) = -sum c_t NF(q t) over g's tail terms, and
+        read as sparse rows {index of a monomial: coefficient}, one per
+        nonconstant standard monomial that some normal form holds.  A GB from
+        `gb_apply` has the learned support, so the table holds as planned."""
+        rows, steps, positions = plan
+        p, tails = self.ring.field.p, self._ptails
+        table = [{r: 1} for r in range(rows)] + [{}]
+        for idx, shifted in steps:
+            nf = {}
+            for (_, c), k in zip(tails[idx], shifted):
+                for r, v in table[k].items():
+                    nf[r] = nf.get(r, 0) - c * v
+            table.append({r: v % p for r, v in nf.items() if v % p})
+        out = [{} for _ in range(rows)]
+        for i, k in enumerate(positions):
+            for r, v in table[k].items():
+                out[r][i] = v
+        return [row for row in out if row]
 
 
 def _prepare(ring, generators):

@@ -247,15 +247,28 @@ def fp_matrices(draw):
 @example((7, [], [0, 7]))
 @example((7, [], [0, 1]))
 def test_rref_matches_oracle(case):
+    # sparse rows {column: value} in; rows stored right of their pivot
     p, matrix, vector = case
+
+    def sparse(row):
+        return {j: x for j, x in enumerate(row) if x}
+
+    def dense(c, row):
+        full = [0] * len(vector)
+        full[c] = 1
+        for j, x in row.items():
+            full[j] = x
+        return full
+
     echelon = []
-    grown = [_extend(echelon, row, p) for row in matrix]
+    grown = [_extend(echelon, sparse(row), p) for row in matrix]
     reduced = _back_substitute(echelon, p)
-    assert [r for _, r in reduced] == fp_echelon(matrix, p)
-    assert [c for c, _ in echelon] == [next(j for j, x in enumerate(r) if x)
-                                       for _, r in reduced]
+    assert [dense(c, r) for c, r in reduced] == fp_echelon(matrix, p)
+    assert [c for c, _ in echelon] == [c for c, _ in reduced]
+    assert all(min(r, default=c + 1) > c and all(0 < x < p for x in r.values())
+               for c, r in echelon + reduced)
     assert grown.count(True) == len(echelon)
-    assert (not any(_reduce(echelon, vector, p))) \
+    assert (not _reduce(echelon, sparse(vector), p)) \
         == in_fp_span(matrix, vector, p)
 
 
@@ -501,8 +514,8 @@ def test_polynomial_generators_replays_compiled_normal_forms(monkeypatch):
     monkeypatch.setattr(groebner_module, "_reduce_full", counting)
     gs = load_fixture("seir34", var_order=SEIR_ORDER)
     assert polynomial_generators(gs, 2, FIELDS[0], random.Random(6))
-    # compiled once, at the learn; each GB read once, the learned one too;
-    # no reduction after the compile
+    # planned once, at the learn; each GB read once, the learned one too;
+    # no reduction after the plan
     ev, = evaluators
     assert [g for g, _ in compiled] == [ev.learned]
     assert read == [ev.learned] + served
@@ -510,32 +523,28 @@ def test_polynomial_generators_replays_compiled_normal_forms(monkeypatch):
     assert compiled[0][1] == len(reduced)
 
 
-def test_polynomial_generators_skips_a_nonzero_cancelled_slot(monkeypatch):
-    # the first replay finds a slot nonzero that cancelled at the compile;
-    # that point is a lost sample
+def test_polynomial_generators_skips_only_a_failed_replay(monkeypatch):
+    # the second replay is forced to fail: that point alone is skipped,
+    # every other point's GB is read, and the search ends on the same basis
     gs = load_fixture("lotka_volterra")
     field = FIELDS[0]
     want = polynomial_generators(gs, 2, field, random.Random(1))
-    slots, rows = groebner_module._slots, ReducedGB.condition_rows
-    replaying, forced, results = [], [], []
+    gb, rows = EomsEvaluator.gb, ReducedGB.condition_rows
+    served, read = [], []
 
-    def perturbed(program, basis, p):
-        v = slots(program, basis, p)
-        if replaying and program[4] and not forced:
-            v[program[4][0]] += 1
-            forced.append(program)
-        return v
+    def failing_second(self, point):
+        served.append(FAIL if len(served) == 1 else gb(self, point))
+        return served[-1]
 
-    def recording_rows(self, forms):
-        replaying[:] = [True] if len(results) == 1 else []
-        results.append(rows(self, forms))
-        replaying.clear()
-        return results[-1]
+    def recording_rows(self, plan):
+        read.append(self)
+        return rows(self, plan)
 
-    monkeypatch.setattr(groebner_module, "_slots", perturbed)
+    monkeypatch.setattr(EomsEvaluator, "gb", failing_second)
     monkeypatch.setattr(ReducedGB, "condition_rows", recording_rows)
     got = polynomial_generators(gs, 2, field, random.Random(1))
-    assert forced and results[1] is FAIL
+    assert len(served) > 2 and served.count(FAIL) == 1 and served[1] is FAIL
+    assert read[1:] == [g for g in served if g is not FAIL]
     assert [b.terms for b in got] == [b.terms for b in want]
     monomials, kernel = symbolic_membership_space(gs, 2)
     p = field.p
@@ -549,7 +558,7 @@ def test_polynomial_generators_skips_a_nonzero_cancelled_slot(monkeypatch):
 @pytest.mark.parametrize("seed", range(3))
 def test_polynomial_generators_match_reference_normal_forms(monkeypatch,
                                                             seed):
-    # the compiled replay against condition rows read off normal_form
+    # the normal-form table against condition rows read off normal_form
     candidates = []
     compile_nfs = ReducedGB.compile_normal_forms
 
@@ -557,13 +566,13 @@ def test_polynomial_generators_match_reference_normal_forms(monkeypatch,
         candidates.append(monomials)
         return compile_nfs(self, monomials)
 
-    def reference_rows(self, forms):
+    def reference_rows(self, plan):
         rows = {}
         for i, m in enumerate(candidates[-1]):
             nf = self.normal_form(self.ring.from_dict({m: 1}))
             for mm, c in nf.terms:
                 if any(mm):
-                    rows.setdefault(mm, [0] * len(candidates[-1]))[i] = c
+                    rows.setdefault(mm, {})[i] = c
         return list(rows.values())
 
     field = FIELDS[0]
@@ -580,6 +589,33 @@ def test_polynomial_generators_match_reference_normal_forms(monkeypatch,
             reference = polynomial_generators(gs, 3, field, ref_rng)
         assert [b.terms for b in basis] == [b.terms for b in reference], name
         assert rng.getstate() == ref_rng.getstate(), name
+
+
+@pytest.mark.parametrize("name, replays, rank", [("seir34", 33, 91),
+                                                  ("genlv", 30, 49)])
+def test_polynomial_generators_point_count(monkeypatch, name, replays, rank):
+    # the search's points (the learn point, then one GB replay each) and
+    # its final rank at seed 0, delta 3: a change to the number of points
+    # shows here, not only in wall time
+    replayed, echelons = [], []
+    gb, back_substitute = EomsEvaluator.gb, fields_module._back_substitute
+
+    def counting(self, point):
+        replayed.append(point)
+        return gb(self, point)
+
+    def recording(echelon, p):
+        echelons.append(len(echelon))
+        return back_substitute(echelon, p)
+
+    monkeypatch.setattr(EomsEvaluator, "gb", counting)
+    monkeypatch.setattr(fields_module, "_back_substitute", recording)
+    gs = load_fixture(name)
+    basis = polynomial_generators(gs, 3, FIELDS[0], random.Random(0))
+    dim = len(monomials_up_to(gs.ring.arity, 3))
+    assert len(replayed) == replays
+    # the kernel leaves out the constant
+    assert echelons == [rank, dim - rank - 1] and len(basis) == dim - rank - 1
 
 
 def test_polynomial_generators_reads_packed_normal_forms(monkeypatch):

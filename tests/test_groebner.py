@@ -129,34 +129,49 @@ def test_normal_form_of_ideal_member_is_zero():
 
 
 def _condition_rows(gb, monomials, at=None):
-    """The normal forms of `monomials` compiled at `gb`, replayed at `at`
-    (by default `gb` itself)."""
+    """The normal forms of `monomials` planned at `gb`, read at `at` (by
+    default `gb` itself)."""
     return (at or gb).condition_rows(gb.compile_normal_forms(monomials))
+
+
+def _reference_rows(gb, monomials):
+    """The condition rows read off `normal_form`: per nonconstant monomial
+    of the normal forms, ascending, {index of a monomial: coefficient}."""
+    rows = {}
+    for i, m in enumerate(monomials):
+        for t, c in gb.normal_form(gb.ring.from_dict({m: 1})).terms:
+            if any(t):
+                rows.setdefault(t, {})[i] = c
+    return [rows[t] for t in sorted(rows, key=gb.ring.order.key)]
 
 
 def test_compiled_normal_forms_examples():
     gb_y = groebner(R2, [R2.variable(1)])
     assert _condition_rows(gb_y, [(0, 0)]) == []
-    assert _condition_rows(gb_y, [(1, 0)]) == [[1]]
+    assert _condition_rows(gb_y, [(1, 0)]) == [{0: 1}]
     gb3 = groebner(R2, [R2.variable(0) ** 2 - R2.from_int(5)])
     assert _condition_rows(gb3, [(2, 0)]) == []
+    assert _condition_rows(gb3, [(3, 0)]) == [{0: 5}]
     # equal monomials share a condition row, different ones do not
     assert _condition_rows(gb_y, [(1, 0), (1, 0), (2, 0)]) \
-        == [[1, 1, 0], [0, 0, 1]]
+        == [{0: 1, 1: 1}, {2: 1}]
 
 
 def test_compiled_normal_forms_replay():
     # x^3 = (a^2 + b) x + a b modulo x^2 - a x - b: its x term cancels at
-    # a = 2, b = -4 and not at a = 2, b = -3, on the same support
+    # a = 2, b = -4 and not at a = 2, b = -3, on the same support; a plan
+    # made at either reads the normal forms at both
     ring = Ring(("x",), FP)
     x, one = ring.variable(0), ring.one()
     special = groebner(ring, [x * x - 2 * x + 4 * one])
     regular = groebner(ring, [x * x - 2 * x + 3 * one])
     monomials = [(3,), (2,), (1,), (0,)]
-    assert _condition_rows(special, monomials, at=regular) is FAIL
-    for gb in (special, regular):
-        want = [gb.normal_form(x ** e).coefficient((1,)) for (e,) in monomials]
-        assert _condition_rows(regular, monomials, at=gb) == [want]
+    assert _reference_rows(special, monomials) == [{1: 2, 2: 1}]
+    assert _reference_rows(regular, monomials) == [{0: 1, 1: 2, 2: 1}]
+    for planned_at in (special, regular):
+        for gb in (special, regular):
+            assert _condition_rows(planned_at, monomials, at=gb) \
+                == _reference_rows(gb, monomials)
 
 
 def _random_poly(ring, rng, max_terms=4, max_exp=3):
@@ -475,10 +490,10 @@ def test_fields_equal_compiles_no_trace(monkeypatch):
 
 
 @st.composite
-def parametric_cases(draw):
+def parametric_cases(draw, primes=(101, P)):
     """(ring, generators, rng) in 2-3 variables: each generator is a dict
     monomial -> (c0, c1), the coefficient c0 + c1 a at the parameter a."""
-    p = draw(st.sampled_from((101, P)))
+    p = draw(st.sampled_from(primes))
     nvars = draw(st.integers(2, 3))
     ring = Ring(tuple("xyz"[:nvars]), PrimeField(p),
                 MonomialOrder(draw(st.sampled_from(["degrevlex", "lex"]))))
@@ -519,6 +534,26 @@ def test_replay_is_groebner_or_fail_on_parametric_ideals(case):
             == [g.terms for g in groebner(ring, spec)]
 
 
+@settings(max_examples=100, deadline=None)
+@given(parametric_cases(primes=(P,)))
+def test_normal_form_table_matches_normal_form(case):
+    # a plan made at one GB, read at it and at the replay of its trace at
+    # another point, against the rows read off normal_form at each
+    ring, gens, rng = case
+    learn_at = _at(ring, gens, rng.randrange(P))
+    if all(g.is_zero() for g in learn_at):
+        return
+    gb, trace = gb_learn(ring, learn_at)
+    monomials = [tuple(rng.randint(0, 3) for _ in ring.vars)
+                 for _ in range(rng.randint(1, 6))]
+    plan = gb.compile_normal_forms(monomials)
+    assert gb.condition_rows(plan) == _reference_rows(gb, monomials)
+    other = gb_apply(ring, _at(ring, gens, rng.randrange(P)), trace)
+    if other is not FAIL:
+        assert other.packed_support() == gb.packed_support()
+        assert other.condition_rows(plan) == _reference_rows(other, monomials)
+
+
 @st.composite
 def packed_order_cases(draw):
     """(ring, generators, probes) in 3 variables over a 62-bit prime."""
@@ -555,8 +590,9 @@ def test_packed_results_keep_ring_order(case):
         for m in h.support():
             nf = gb.normal_form(ring.from_dict({m: 1}))
             rows = _condition_rows(gb, [m])
-            assert canonical(nf) and all(0 < c < P for c, in rows)
-            assert rows == [[c] for t, c in nf.terms if any(t)]
+            assert canonical(nf) and all(0 < c < P for row in rows
+                                         for c in row.values())
+            assert rows == _reference_rows(gb, [m])
 
 
 def _reference_reduce_full(work, lms, tails, codec, p, steps=None):
