@@ -9,12 +9,13 @@ normal form against I_b and l a random linear form on its quotient, drawn
 per point (a non-member passes with probability 1/p per query).  All
 computations run over a word-sized prime field, which stands in for the
 sampling-range bounds of the underlying analysis (any fixed error budget is
-met by a large enough prime).  A query reads p(b) and q(b) in one pass over
-the terms of the candidate's F_p image, from per-point power tables (points
-are drawn with every coordinate nonzero), and builds h from them as packed
-terms.  The polynomial search keeps the sparse rows of its conditions as
-one semi-echelon basis that grows a row at a time (`_extend`), tests a row
-against it by reducing it (`_reduce`) and back-substitutes once at the end.
+met by a large enough prime).  A query reads p(b) and q(b) off the
+candidate's F_p image with `poly.values_at`, the point evaluator
+`specialize_eoms` uses too, through the power tables of the context's
+point, and builds h from them as packed terms.  The polynomial search
+keeps the sparse rows of its conditions as one semi-echelon basis that
+grows a row at a time (`_extend`), tests a row against it by reducing it
+(`_reduce`) and back-substitutes once at the end.
 
 The specialized ideal comes from `oms`, and the harvest, the polynomial
 search and membership all read the one ideal `specialize_eoms` builds.  The
@@ -35,7 +36,7 @@ from .arith import FAIL
 from .groebner import groebner
 from .oms import (POINT_ATTEMPTS, EomsEvaluator, EvaluationBudgetExceeded,
                   GeneratorSet, UnluckyPoint, gb_ring, specialize_eoms)
-from .poly import MultiPoly, RationalFunction
+from .poly import MultiPoly, RationalFunction, Ring, values_at
 
 
 # points beyond one per candidate monomial for `polynomial_generators`
@@ -78,26 +79,6 @@ def _back_substitute(echelon, p):
     return done
 
 
-def _values_modp(image, powers, p):
-    """[p(b), q(b)] for the F_p image (p, q) of a candidate, in one pass over
-    its terms, or None when q(b) = 0; `powers` holds per coordinate of b a
-    table of its powers x^e, each computed at its first use."""
-    values = []
-    for poly in image:
-        value = 0
-        for m, c in poly.terms:
-            for row, e in zip(powers, m):
-                if e:
-                    try:
-                        c = c * row[e] % p
-                    except KeyError:
-                        row[e] = pow(row[1], e, p)
-                        c = c * row[e] % p
-            value += c
-        values.append(value % p)
-    return values if values[1] else None
-
-
 class MembershipContext:
     """Cached point, power tables and specialized GB for repeated tests.
 
@@ -108,8 +89,9 @@ class MembershipContext:
     its denominator, is tested by l(NF(h)) = 0 for h = p(y) q(b) - q(y) p(b),
     NF its normal form against that GB and l a linear form on k[t, y]/I_b
     with weights from a stream seeded by b (ReducedGB.normal_form); p(b)
-    and q(b) come from one pass over the candidate's F_p image, and each
-    monomial of h is packed once per context.  At a generic b, h lies in
+    and q(b) come from `values_at` on the candidate's F_p image and the
+    point's power tables, kept until the next draw, and each monomial of h
+    is packed once per context.  At a generic b, h lies in
     I_b exactly for a member (Mueller-Quade and Steinwandt).  A member
     always gives 0; a non-member has NF(h) != 0 and gives 0 with
     probability 1/p, on top of the point's own error.
@@ -136,7 +118,7 @@ class MembershipContext:
         self.genset = genset
         self.field = field
         self.rng = rng
-        self.x_ring = genset.modp(field)[0]
+        self.x_ring = Ring(genset.ring.vars, field, genset.ring.order)
         self.gb_ring = gb_ring(genset, field)
         self._packed = {}
         self._draw_point()
@@ -182,12 +164,12 @@ class MembershipContext:
         """Membership verdict at the current point for a candidate's F_p
         image (num, den), or FAIL on a pole of the candidate."""
         p = self.field.p
-        values = _values_modp(image, self._powers, p)
-        if values is None:
+        pv, qv = values_at(image, self._powers, p)
+        if qv == 0:
             return FAIL
         gb = self._basis()
         packed, h = self._packed, {}        # h = p(y) q(b) - q(y) p(b)
-        for poly, scale in zip(image, (values[1], -values[0])):
+        for poly, scale in zip(image, (qv, -pv)):
             for m, c in poly.terms:
                 k = packed.get(m)
                 if k is None:
@@ -254,7 +236,7 @@ def polynomial_generators(genset, delta, field, rng, evaluator=None,
     """
     ev = evaluator or EomsEvaluator(
         genset, gb_ring(genset, field, genset.ring.order), rng)
-    x_ring = genset.modp(field)[0]
+    x_ring = Ring(genset.ring.vars, field, genset.ring.order)
     n, p = genset.ring.arity, field.p
     key = x_ring.order.key
     monomials = sorted(_monomials_up_to(n, delta), key=key)

@@ -2,7 +2,9 @@
 coefficients of their specialized reduced Groebner bases.
 
 This module owns the specialized ideal: `GeneratorSet.shape` owns its F_p
-form less the point, `specialize_eoms` builds its generators on it, and
+form less the point, the set's one F_p image per gb ring, and
+`specialize_eoms` builds its generators on it, reading every value at the
+point with `poly.values_at` through one set of power tables.
 EomsEvaluator's traced GBs at random points serve both the coefficient
 harvest and the polynomial-generator search in `fields`.
 
@@ -30,7 +32,8 @@ import random
 from .arith import FAIL
 from .groebner import MAX_EXPONENT, gb_apply, gb_learn, gb_verify
 from .interp import Blackbox, estimate_degrees, interpolate_rational
-from .poly import (QQ, DEGREVLEX, MultiPoly, RationalFunction, Ring, lcm_q)
+from .poly import (QQ, DEGREVLEX, MultiPoly, RationalFunction, Ring, lcm_q,
+                   values_at)
 
 # random points drawn for one learn or one membership test before giving up
 POINT_ATTEMPTS = 16
@@ -74,38 +77,32 @@ class GeneratorSet:
             if not g.den.is_constant():
                 q = lcm_q(q, g.den)
         self.common_denominator = q
-        self._modp = {}
         self._shapes = {}
 
     def __len__(self):
         return len(self.generators)
 
-    def modp(self, field):
-        """(x_ring, generator images (num, den), image of Q) over F_p,
-        computed once per prime."""
-        if field.p not in self._modp:
-            x_ring = Ring(self.ring.vars, field, self.ring.order)
-            self._modp[field.p] = (
-                x_ring, [g.modp(x_ring) for g in self.generators],
-                self.common_denominator.map_coefficients(
-                    x_ring, field.from_fraction))
-        return self._modp[field.p]
-
     def shape(self, ring):
-        """Per generator its F_p image (num, den) and their joint support as
-        (0, m) monomials in descending `ring` order, each with its num and
-        den coefficients; then Q's image and t Q(y) - 1.  Once per gb ring."""
+        """The specialized ideal less the point, once per gb ring: the F_p
+        images of the generators' numerators and denominators in turn, then
+        of Q; per generator the joint support of its num and den as (0, m)
+        monomials in descending `ring` order, each with its num and den
+        coefficients; and t Q(y) - 1."""
         if ring not in self._shapes:
-            _, images, qmod = self.modp(ring.field)
+            x_ring = Ring(self.ring.vars, ring.field, self.ring.order)
+            images = [side for g in self.generators
+                      for side in g.modp(x_ring)]
+            images.append(self.common_denominator.map_coefficients(
+                x_ring, ring.field.from_fraction))
             shapes = []
-            for num, den in images:
+            for num, den in zip(images[:-1:2], images[1::2]):
                 a, b = dict(num.terms), dict(den.terms)
                 mons = sorted(a.keys() | b.keys(), reverse=True,
                               key=lambda m: ring.order.key((0,) + m))
-                shapes.append((num, den, [((0,) + m, a.get(m, 0), b.get(m, 0))
-                                          for m in mons]))
-            tq = ring.from_dict({(1,) + m: c for m, c in qmod.terms})
-            self._shapes[ring] = shapes, qmod, tq - ring.one()
+                shapes.append([((0,) + m, a.get(m, 0), b.get(m, 0))
+                               for m in mons])
+            tq = ring.from_dict({(1,) + m: c for m, c in images[-1].terms})
+            self._shapes[ring] = images, shapes, tq - ring.one()
         return self._shapes[ring]
 
 
@@ -118,20 +115,21 @@ def gb_ring(genset, field, order=DEGREVLEX):
 def specialize_eoms(genset, point, ring):
     """Generators of the specialized ideal at `point`: A q_i(a) - B p_i(a)
     over each generator's shape terms (m, A, B), zero terms and generators
-    dropped, then t Q(y) - 1; or FAIL on a pole of a generator or of Q."""
-    shapes, qmod, tq = genset.shape(ring)
+    dropped, then t Q(y) - 1; or FAIL on a pole of a generator or of Q.
+    Every p_i(a), q_i(a) and Q(a) is read through one set of power tables
+    of the point."""
+    images, shapes, tq = genset.shape(ring)
     p = ring.field.p
+    *values, qv = values_at(images, [{1: x} for x in point], p)
     out = []
-    for num, den, shape in shapes:
-        qv = den.evaluate(point)
-        if qv == 0:
+    for pv, dv, shape in zip(values[::2], values[1::2], shapes):
+        if dv == 0:
             return FAIL
-        pv = num.evaluate(point)
         terms = tuple((m, c) for m, a, b in shape
-                      if (c := (a * qv - b * pv) % p))
+                      if (c := (a * dv - b * pv) % p))
         if terms:
             out.append(MultiPoly(ring, terms))
-    if qmod.evaluate(point) == 0:
+    if qv == 0:
         return FAIL
     return out + [tq]
 
@@ -241,7 +239,7 @@ def gb_coefficients(genset, degree_cutoff, ring, rng,
     """
     if evaluator is None:
         evaluator = EomsEvaluator(genset, ring, rng)
-    x_ring = genset.modp(ring.field)[0]
+    x_ring = Ring(genset.ring.vars, ring.field, genset.ring.order)
     # common random numbers: every key of every call samples the same line
     # and gamma/sigma/row points, so one GB evaluation per point serves all
     seeds = rng.getrandbits(64), rng.getrandbits(64)

@@ -273,14 +273,7 @@ class MultiPoly:
     def evaluate(self, point):
         if len(point) != len(self.ring.vars):
             raise ValueError("point arity mismatch")
-        p = self.ring.p
-        total = 0
-        for m, c in self.terms:
-            for x, e in zip(point, m):
-                if e:
-                    c *= pow(x, e, p)
-            total += c
-        return total if p is None else total % p
+        return values_at((self,), [{1: x} for x in point], self.ring.p)[0]
 
     def map_coefficients(self, ring, fn):
         """Rebuild in `ring`, mapping coefficients by fn.  `ring` must have
@@ -335,6 +328,26 @@ def _from_sums(ring, d):
     if p is not None:
         d = {m: c % p for m, c in d.items()}
     return ring.from_dict(d)
+
+
+def values_at(polys, powers, p):
+    """The values of `polys` at one point, read through `powers`: per
+    coordinate x a table {e: x^e} that starts as {1: x} and gets each
+    entry at its first use, so one point's tables serve many polynomials.
+    Over F_p the values are reduced mod p; over Q (p None) they are exact."""
+    values = []
+    for poly in polys:
+        total = 0
+        for m, c in poly.terms:
+            for table, e in zip(powers, m):
+                if e:
+                    x = table.get(e)
+                    if x is None:
+                        x = table[e] = pow(table[1], e, p)
+                    c *= x
+            total += c
+        values.append(total if p is None else total % p)
+    return values
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,9 @@ MAX_HARVEST_DEGREE = 64
 # start 8*restart, clear of its check (+1) and final-check (+2, +3) indices
 HARVEST_OFFSETS = (0, 6, 7, 64, 65, 66, 67, 68)
 
+# attempts after the first, each in a fresh block of primes and rng stream
+MAX_RESTARTS = 2
+
 
 class VerificationFailed(Exception):
     """No attempt produced a verified output; the message names the reason
@@ -41,15 +44,17 @@ class SimplifyConfig:
     retain_originals: bool = True
     seed: int = 0
     eval_cap: int = 10 ** 6
-    max_restarts: int = 2
+
+    @property
+    def max_restarts(self):
+        # read-only: perfbench/run.py reads it off a default config
+        return MAX_RESTARTS
 
     def validate(self):
         if self.delta < 1:
             raise ValueError("delta must be at least 1")
         if self.eval_cap < 1:
             raise ValueError("eval-cap must be positive")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be nonnegative")
 
 
 @dataclass
@@ -152,13 +157,12 @@ def _reconstruct_rf(num_terms, den_terms, q_ring, modulus):
 
 def _normalize_monic_num(rf):
     """Canonical pool representative up to constant scaling: monic
-    numerator, denominator untouched (it is monic already)."""
-    if rf.is_zero():
-        return rf
-    lc = rf.num.leading_coefficient()
-    if lc == 1:
-        return rf
-    return RationalFunction(rf.num.scale(1 / lc), rf.den, _normalized=True)
+    numerator, denominator untouched (it is monic already); an entry
+    already monic comes back as itself, so the pool's caches hit on
+    identity."""
+    num = rf.num.monic()
+    return rf if num is rf.num else \
+        RationalFunction(num, rf.den, _normalized=True)
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +195,7 @@ def simplify(genset, cfg=None):
         genset = GeneratorSet(genset.ring, nonconstant)
 
     reasons = []
-    for restart in range(cfg.max_restarts + 1):
+    for restart in range(MAX_RESTARTS + 1):
         try:
             return _run_once(genset, cfg, restart)
         except (VerificationFailed, UnluckyPoint, ZeroInverse) as exc:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,12 +13,12 @@ from fieldsimp import oms
 from fieldsimp import poly as poly_module
 from fieldsimp.arith import FAIL, rational_reconstruct
 from fieldsimp.fields import (MembershipContext, _back_substitute, _extend,
-                              _reduce, _values_modp, contains, fields_equal,
-                              minimize, polynomial_generators)
+                              _reduce, contains, fields_equal, minimize,
+                              polynomial_generators)
 from fieldsimp.groebner import ExponentOverflow, ReducedGB
 from fieldsimp.oms import EomsEvaluator, GeneratorSet, UnluckyPoint
 from fieldsimp.poly import (DEGREVLEX, MultiPoly, PrimeField, QQ,
-                            RationalFunction, Ring, lcm_q)
+                            RationalFunction, Ring, lcm_q, values_at)
 
 from conftest import (ALL_FIXTURES, CHECK_PRIMES, apply_map, fields_equal_2p,
                       fixture_automorphisms, genset_of, load_fixture,
@@ -122,6 +124,14 @@ def sparse_fp_quotients(draw):
     return quotients, point
 
 
+def _reference_value(poly, point):
+    """poly at point term by term, with no power shared between terms."""
+    p = poly.ring.p
+    value = sum(c * math.prod(pow(x, e, p) for x, e in zip(point, m))
+                for m, c in poly.terms)
+    return value if p is None else value % p
+
+
 @settings(max_examples=200, deadline=None)
 @given(sparse_fp_quotients())
 def test_values_match_evaluate_over_fp(case):
@@ -132,23 +142,57 @@ def test_values_match_evaluate_over_fp(case):
     p = first[0].ring.field.p
     powers = [{1: x} for x in point]
     for num, den in (first, second, first):
-        dv = den.evaluate(point)
-        want = [num.evaluate(point), dv] if dv else None
-        assert _values_modp((num, den), powers, p) == want
+        want = [_reference_value(num, point), _reference_value(den, point)]
+        assert values_at((num, den), powers, p) == want
+        assert [num.evaluate(point), den.evaluate(point)] == want
+    for x, table in zip(point, powers):
+        assert table == {e: pow(x, e, p) for e in table}
 
 
-def values_at(image, point):
-    """What `_values_modp` gives for an F_p image at a bare point."""
-    return _values_modp(image, [{1: x} for x in point],
-                        image[0].ring.field.p)
+@st.composite
+def sparse_q_polys(draw):
+    """(polys, point): three random sparse polynomials over Q in up to 6
+    variables with exponents up to 9, and a rational point (zero and
+    negative coordinates included)."""
+    n = draw(st.integers(1, 6))
+    ring = Ring(tuple("x%d" % (i + 1) for i in range(n)), QQ)
+    small = st.integers(-20, 20)
+    fraction = st.builds(Fraction, small, st.integers(1, 20))
+    mons = st.tuples(*[st.integers(0, 9)] * n)
+    polys = [ring.from_dict(draw(st.dictionaries(mons, fraction,
+                                                 max_size=6)))
+             for _ in range(3)]
+    point = tuple(draw(st.lists(fraction | small, min_size=n, max_size=n)))
+    return polys, point
 
 
-def test_values_none_at_denominator_zero():
+@settings(max_examples=200, deadline=None)
+@given(sparse_q_polys())
+def test_values_exact_over_q(case):
+    # over Q (p None) the values are exact, and shared tables give what
+    # fresh ones and a term-by-term evaluation give
+    polys, point = case
+    powers = [{1: x} for x in point]
+    want = [_reference_value(f, point) for f in polys]
+    assert values_at(polys, powers, None) == want
+    assert values_at(polys[::-1], powers, None) == want[::-1]
+    assert [f.evaluate(point) for f in polys] == want
+    for x, table in zip(point, powers):
+        assert table == {e: x ** e for e in table}
+
+
+def _den_value(image, point):
+    """q(b) for an F_p image (p, q) at a bare point b."""
+    return values_at(image, [{1: x} for x in point],
+                     image[0].ring.field.p)[1]
+
+
+def test_den_value_zero_at_pole():
     gs = load_fixture("heron")
     ctx = MembershipContext(gs, FIELDS[0], random.Random(9))
     a = parse_many(gs.ring, ["a"])[0]
     pole = 1 / (a - Fraction(ctx.point[0]))
-    assert values_at(pole.modp(ctx.x_ring), ctx.point) is None
+    assert _den_value(pole.modp(ctx.x_ring), ctx.point) == 0
 
 
 def test_candidate_pole_at_context_point_redraws():
@@ -167,7 +211,7 @@ def test_candidate_pole_at_context_point_redraws():
             cand = 1 / (g - Fraction(value))
         else:
             cand = 1 / (a - Fraction(point[0]))
-        assert values_at(cand.modp(ctx.x_ring), ctx.point) is None
+        assert _den_value(cand.modp(ctx.x_ring), ctx.point) == 0
         assert ctx.contains(cand) is expected
         assert ctx.point != point
         assert contains_2p(gs, cand) is expected
@@ -210,14 +254,27 @@ def test_candidate_mapped_to_fp_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_candidate_pole_at_every_draw(monkeypatch):
+def test_candidate_pole_at_every_draw():
+    # every point drawn has a = 5: the generators stay regular there and
+    # specialize, and only the candidate 1/(a - 5) loses each point
     gs = load_fixture("heron")
-    ctx = MembershipContext(gs, FIELDS[0], random.Random(9))
-    # the generators are specialized without the value pass, so they stay
-    # regular and only the candidate loses points
-    monkeypatch.setattr(fields_module, "_values_modp", lambda *args: None)
+    draws = itertools.count(6)
+    drawn = []
+
+    class Scripted(random.Random):
+        def randrange(self, *args):
+            if len(drawn) % 3 == 0:
+                drawn.append(5)
+            else:
+                drawn.append(next(draws))
+            return drawn[-1]
+
+    ctx = MembershipContext(gs, FIELDS[0], Scripted())
+    a = parse_many(gs.ring, ["a"])[0]
     with pytest.raises(UnluckyPoint, match="pole at every point drawn"):
-        ctx.contains(gs.generators[0])
+        ctx.contains(1 / (a - 5))
+    assert len(drawn) == 3 * (oms.POINT_ATTEMPTS + 1)
+    assert oms.specialize_eoms(gs, ctx.point, ctx.gb_ring) is not FAIL
 
 
 @st.composite
@@ -717,9 +774,9 @@ def _folded_verdict(ctx, cand):
     place of t Q(y) - 1."""
     ring, b, field = ctx.gb_ring, ctx.point, ctx.field
     image = cand.modp(ctx.x_ring)
-    assert values_at(image, b) is not None
-    gens = [specialize(num, den, b, ring)
-            for num, den in ctx.genset.modp(field)[1]]
+    assert _den_value(image, b) != 0
+    gens = [specialize(*g.modp(ctx.x_ring), b, ring)
+            for g in ctx.genset.generators]
     q = lcm_q(ctx.genset.common_denominator, cand.den) \
         .map_coefficients(ctx.x_ring, field.from_fraction)
     gens.append(ring.from_dict({(1,) + m: c for m, c in q.terms})
@@ -746,7 +803,8 @@ def _verdict_candidates(name, ctx, rng):
     candidates, products and sums of two generators (member True), and of
     generators moved by an automorphism of the field, then random
     polynomials in (t, y) (member None: h is in the ideal or not)."""
-    images, ring, p = ctx.genset.modp(ctx.field)[1], ctx.gb_ring, ctx.field.p
+    images = [g.modp(ctx.x_ring) for g in ctx.genset.generators]
+    ring, p = ctx.gb_ring, ctx.field.p
     members = []
     for _ in range(4):
         (n1, d1), (n2, d2) = rng.choice(images), rng.choice(images)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fieldsimp import groebner as groebner_module
 from fieldsimp import oms
+from fieldsimp import poly as poly_module
 from fieldsimp.arith import ZeroInverse, production_prime
 from fieldsimp.groebner import gb_apply, gb_learn, groebner
 from fieldsimp.interp import FAIL, Blackbox
@@ -18,7 +19,7 @@ from fieldsimp.poly import (DEGREVLEX, LEX, MultiPoly, PrimeField, QQ,
 from fieldsimp.simplify import _normalize_monic_num, reconstruct_candidates
 
 from conftest import CHECK_PRIMES, genset_of, load_fixture
-from oracle import proportional
+from oracle import proportional, specialize
 
 FP = PrimeField(CHECK_PRIMES[0])
 
@@ -155,6 +156,40 @@ def test_specialize_reads_its_shape_without_sorting(monkeypatch):
         point = tuple(rng.randrange(1, FP.p) for _ in gs.ring.vars)
         assert specialize_eoms(gs, point, ring) is not FAIL
     assert calls == []
+
+
+def test_specialize_computes_each_power_once(monkeypatch):
+    # one call reads every generator's num and den, and Q, through one set
+    # of power tables of the point: each x_i^e with e > 1 in their support
+    # is one pow, and x_i itself none
+    gs = genset_of(Ring(("x", "y", "z"), QQ),
+                   ["(x^3 + y^2*z)/(x^2 + z^3)", "x^2*y^3/(y + 2*z^2)",
+                    "z^3 + x*y"])
+    ring = gb_ring(gs, FP)
+    specialize_eoms(gs, (2, 3, 5), ring)         # the shape, built once
+    point = (7, 11, 13)
+    calls, builtin_pow = [], pow
+
+    def counting(x, e, p=None):
+        calls.append((x, e))
+        return builtin_pow(x, e, p)
+
+    monkeypatch.setattr(poly_module, "pow", counting, raising=False)
+    got = specialize_eoms(gs, point, ring)
+    assert got is not FAIL
+    polys = [side for g in gs.generators for side in (g.num, g.den)]
+    polys.append(gs.common_denominator)
+    assert sorted(calls) == sorted({(x, e) for f in polys
+                                    for m in f.support()
+                                    for x, e in zip(point, m) if e > 1})
+    monkeypatch.undo()
+    x_ring = Ring(gs.ring.vars, FP, gs.ring.order)
+    expected = [specialize(*g.modp(x_ring), point, ring)
+                for g in gs.generators]
+    q = gs.common_denominator.map_coefficients(x_ring, FP.from_fraction)
+    expected.append(ring.from_dict({(1,) + m: c for m, c in q.terms})
+                    - ring.one())
+    assert got == expected
 
 
 def test_gb_coefficients_power_sums_lex():

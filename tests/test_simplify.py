@@ -180,7 +180,7 @@ def test_prime_cap_names_every_attempt(monkeypatch):
         simplify(genset, cfg)
     assert str(info.value).split("; ") == [
         "attempt %d: coefficients need more than 2 harvest primes at d=1"
-        % restart for restart in range(cfg.max_restarts + 1)]
+        % restart for restart in range(simplify_module.MAX_RESTARTS + 1)]
 
 
 def test_harvest_primes_clear_of_check_primes(monkeypatch):
@@ -193,14 +193,14 @@ def test_harvest_primes_clear_of_check_primes(monkeypatch):
     genset = load_fixture("heron")
     cfg = SimplifyConfig()
     checks, harvest = {24, 25}, set()
-    for restart in range(cfg.max_restarts + 1):
+    for restart in range(simplify_module.MAX_RESTARTS + 1):
         del drawn[:]
         _output, report = simplify_module._run_once(genset, cfg, restart)
         assert report.verified is True and drawn[0] == 8 * restart
         checks.update(drawn[1:])
         harvest.update(8 * restart + k
                        for k in simplify_module.HARVEST_OFFSETS)
-    assert len(checks) == 2 + 3 * (cfg.max_restarts + 1)
+    assert len(checks) == 2 + 3 * (simplify_module.MAX_RESTARTS + 1)
     assert not harvest & checks
     assert not set(CHECK_PRIME_INDICES) & (harvest | checks)
 
@@ -262,7 +262,7 @@ def test_verification_failed_names_every_attempt(monkeypatch):
         simplify(load_fixture("seir34"), cfg)
     assert str(info.value).split("; ") == [
         "attempt %d: harvest reached the degree cap at d=1" % restart
-        for restart in range(cfg.max_restarts + 1)]
+        for restart in range(simplify_module.MAX_RESTARTS + 1)]
 
 
 def test_no_regular_point_names_every_attempt(monkeypatch):
@@ -271,7 +271,7 @@ def test_no_regular_point_names_every_attempt(monkeypatch):
     with pytest.raises(VerificationFailed) as info:
         simplify(load_fixture("example_sym"), cfg)
     reasons = str(info.value).split("; ")
-    assert len(reasons) == cfg.max_restarts + 1
+    assert len(reasons) == simplify_module.MAX_RESTARTS + 1
     for restart, reason in enumerate(reasons):
         assert reason == "attempt %d: no regular specialization point mod %d" \
             % (restart, production_prime(8 * restart))
@@ -285,7 +285,7 @@ def test_no_membership_point_names_every_attempt(monkeypatch):
     assert str(info.value).split("; ") == [
         "attempt %d: no regular evaluation point mod %d"
         % (restart, production_prime(8 * restart + 1))
-        for restart in range(cfg.max_restarts + 1)]
+        for restart in range(simplify_module.MAX_RESTARTS + 1)]
 
 
 def test_interpolation_failure_names_every_attempt(monkeypatch):
@@ -295,7 +295,7 @@ def test_interpolation_failure_names_every_attempt(monkeypatch):
         simplify(load_fixture("example_sym"), cfg)
     assert str(info.value).split("; ") == [
         "attempt %d: coefficient interpolation failed at d=1" % restart
-        for restart in range(cfg.max_restarts + 1)]
+        for restart in range(simplify_module.MAX_RESTARTS + 1)]
 
 
 def test_eval_cap_bounds_gb_evaluations(monkeypatch):
@@ -324,15 +324,16 @@ def test_eval_cap_covers_second_prime_learn(monkeypatch):
     # nothing lifts, so the attempt adds every harvest prime at d=1
     monkeypatch.setattr(simplify_module, "reconstruct_candidates",
                         lambda *args: FAIL)
+    monkeypatch.setattr(simplify_module, "MAX_RESTARTS", 0)
     genset = load_fixture("heron")
     with pytest.raises(VerificationFailed):
-        simplify(genset, SimplifyConfig(max_restarts=0))
+        simplify(genset, SimplifyConfig())
     assert len(built) == len(simplify_module.HARVEST_OFFSETS)
     cap = built[0].n_evals
     # a budget the first prime's harvest spends exactly leaves no learn
     del built[:]
     with pytest.raises(EvaluationBudgetExceeded, match="at d=1$"):
-        simplify(genset, SimplifyConfig(max_restarts=0, eval_cap=cap))
+        simplify(genset, SimplifyConfig(eval_cap=cap))
     assert len(built) == 1 and built[0].n_evals == cap
 
 
@@ -406,8 +407,9 @@ def test_search_replays_count_against_eval_cap(monkeypatch):
     # a budget the learn and the search spend exactly leaves no harvest
     # evaluation
     del spent[:]
+    monkeypatch.setattr(simplify_module, "MAX_RESTARTS", 0)
     with pytest.raises(EvaluationBudgetExceeded, match="at d=1$"):
-        simplify(genset, SimplifyConfig(max_restarts=0, eval_cap=searched))
+        simplify(genset, SimplifyConfig(eval_cap=searched))
     [(evaluator, capped)] = spent
     assert capped == evaluator.n_evals == searched
     assert evaluator.values == {}
@@ -425,9 +427,9 @@ def test_search_stops_at_eval_cap(monkeypatch):
 
     monkeypatch.setattr(simplify_module, "polynomial_generators",
                         recording_search)
+    monkeypatch.setattr(simplify_module, "MAX_RESTARTS", 0)
     with pytest.raises(EvaluationBudgetExceeded, match="polynomial search"):
-        simplify(load_fixture("seir34"),
-                 SimplifyConfig(max_restarts=0, eval_cap=5))
+        simplify(load_fixture("seir34"), SimplifyConfig(eval_cap=5))
     [evaluator] = evaluators
     assert evaluator.n_evals == 5
 
@@ -456,11 +458,12 @@ def test_dedup_pool_normalizes_and_keeps_first_tag():
                                     (rf(ring, "x/y"), "ratio")]
 
 
-def test_bad_prime_reason_names_the_prime():
+def test_bad_prime_reason_names_the_prime(monkeypatch):
+    monkeypatch.setattr(simplify_module, "MAX_RESTARTS", 0)
     genset, _ = parse_problem_file(
         "vars: x, y\nx/(4611686018427387847*y+4611686018427387847)\nx*y\n")
     with pytest.raises(VerificationFailed) as info:
-        simplify(genset, SimplifyConfig(max_restarts=0))
+        simplify(genset, SimplifyConfig())
     assert str(info.value) == (
         "attempt 0: prime %d divides the denominator of 1/%d"
         % (production_prime(0), production_prime(0)))
@@ -519,8 +522,7 @@ def test_rational_keys_solve_each_polynomial_once_per_attempt(monkeypatch):
 
 
 def test_config_validation():
-    for bad in (SimplifyConfig(delta=0), SimplifyConfig(eval_cap=0),
-                SimplifyConfig(max_restarts=-1)):
+    for bad in (SimplifyConfig(delta=0), SimplifyConfig(eval_cap=0)):
         try:
             bad.validate()
             assert False
