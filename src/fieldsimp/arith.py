@@ -124,13 +124,14 @@ def rational_reconstruct(r, m):
     When the true fraction lies past that bound, a wrong one within it may
     be returned, so the caller checks the lift.
 
-    Returns a Fraction, or FAIL when no fraction within the bound exists
-    (the caller treats FAIL as "need more primes").
+    Returns an int when the lift is integral, a Fraction otherwise, or
+    FAIL when no fraction within the bound exists (the caller treats FAIL
+    as "need more primes").
     """
     r %= m
     bound = math.isqrt(m // 2)
     if r == 0:
-        return Fraction(0)
+        return 0
     r0, t0 = m, 0
     r1, t1 = r, 1
     while r1 > bound:
@@ -144,7 +145,7 @@ def rational_reconstruct(r, m):
     f = Fraction(r1, t1)
     if (f.numerator - r * f.denominator) % m != 0:
         return FAIL
-    return f
+    return f.numerator if f.denominator == 1 else f
 
 
 def crt_pair(r1, m1, r2, m2):

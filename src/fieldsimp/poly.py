@@ -1,15 +1,19 @@
 """Sparse multivariate polynomials and rational functions.
 
-Coefficient fields are Q (fractions.Fraction) and F_p (ints mod p, see
-arith.PrimeField).  Coefficients combine with Python's operators; over F_p
-each result coefficient is reduced once mod ring.p.  Terms are kept in a
-flat list sorted strictly descending in the ring's monomial order; the zero
-polynomial has an empty term list and total degree -inf.
+Coefficient fields are Q and F_p (ints mod p, see arith.PrimeField).  A
+Q coefficient enters as an int when it is integral and as a
+fractions.Fraction otherwise; arithmetic may still give an integral
+Fraction, which equals and hashes like its int.  Coefficients combine with
+Python's operators, which never give a float: a Q inverse is Fraction(1, c).
+Over F_p each result coefficient is reduced once mod ring.p.  Terms are
+kept in a flat list sorted strictly descending in the ring's monomial
+order; the zero polynomial has an empty term list and total degree -inf.
 """
 
 import heapq
 import math
 from fractions import Fraction
+from operator import add, neg
 
 from .arith import PrimeField
 
@@ -25,10 +29,11 @@ class DivisionByZero(ZeroDivisionError):
 
 
 class RationalField:
-    """The field Q; elements are fractions.Fraction."""
+    """The field Q; elements are int, or Fraction when not integral;
+    never float."""
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -40,10 +45,11 @@ class RationalField:
         return "QQ"
 
     def from_int(self, n):
-        return Fraction(n)
+        return int(n)
 
     def from_fraction(self, q):
-        return Fraction(q)
+        q = Fraction(q)
+        return q.numerator if q.denominator == 1 else q
 
 
 QQ = RationalField()
@@ -89,7 +95,7 @@ class MonomialOrder:
         """Sort key: key(a) < key(b) iff a < b in the order."""
         if self.kind == "degrevlex":
             # ties: the right-most nonzero entry of a - b positive means a < b
-            return (sum(e), tuple(-x for x in reversed(e)))
+            return (sum(e), tuple(map(neg, reversed(e))))
         return tuple(e)
 
 
@@ -221,10 +227,20 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return self.scale(self.ring.field.from_fraction(other))
         self._check(other)
+        if len(self.terms) == 1:
+            self, other = other, self
+        if len(other.terms) == 1:
+            # both orders are multiplicative and a product of nonzero
+            # field elements is nonzero: the terms stay sorted and nonzero
+            ((m2, c2),), p = other.terms, self.ring.p
+            return MultiPoly(self.ring, tuple(
+                (tuple(map(add, m1, m2)),
+                 c1 * c2 if p is None else c1 * c2 % p)
+                for m1, c1 in self.terms))
         d = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                m = tuple(x + y for x, y in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 d[m] = d.get(m, 0) + c1 * c2
         return _from_sums(self.ring, d)
 
@@ -267,7 +283,7 @@ class MultiPoly:
         lc, p = self.terms[0][1], self.ring.p
         if lc == 1:
             return self
-        return self.scale(1 / lc if p is None else pow(lc, -1, p))
+        return self.scale(Fraction(1, lc) if p is None else pow(lc, -1, p))
 
     # evaluation ------------------------------------------------------
     def evaluate(self, point):
@@ -413,8 +429,10 @@ def try_divexact(f, g):
         return f
     (zf, cf), (zg, cg) = _z_parts(f), _z_parts(g)
     quot = _divexact(zf, zg)
-    return None if quot is None else \
-        f.ring.from_dict({m: cf / cg * v for m, v in quot.items()})
+    if quot is None:
+        return None
+    c = Fraction(cf, cg)
+    return f.ring.from_dict({m: c * v for m, v in quot.items()})
 
 
 def _coeffs_wrt(f, k):
@@ -804,7 +822,7 @@ def _monic_den(num, den):
     lc = den.leading_coefficient()
     if lc == 1:
         return num, den
-    c = 1 / lc
+    c = Fraction(1, lc)
     return num.scale(c), den.scale(c)
 
 

@@ -106,6 +106,14 @@ def test_rational_reconstruct_zero():
     assert rational_reconstruct(0, 101) == Fraction(0)
 
 
+def test_rational_reconstruct_gives_an_int_for_an_integral_lift():
+    p = production_prime(0)
+    for n in (0, 1, -1, 7, -123456, 2 ** 30):
+        v = rational_reconstruct(n % p, p)
+        assert type(v) is int and v == n
+    assert type(rational_reconstruct(inv(3, p), p)) is Fraction
+
+
 def test_crt_then_reconstruct_two_primes():
     # a fraction too large for one prime but fine for the product
     m1, m2 = production_prime(0), production_prime(1)

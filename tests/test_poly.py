@@ -15,6 +15,8 @@ from fieldsimp.poly import (DEGREVLEX, LEX, NEG_INF, QQ, DivisionByZero,
                             MonomialOrder, MultiPoly, RationalFunction, Ring,
                             RingMismatch, gcd_q, lcm_q, try_divexact)
 
+from conftest import load_fixture
+
 P = production_prime(0)
 FP = PrimeField(P)
 
@@ -60,6 +62,8 @@ def _random_poly(ring, rng, max_terms=4, max_exp=3):
         m = tuple(rng.randint(0, max_exp) for _ in ring.vars)
         if isinstance(ring.field, PrimeField):
             d[m] = rng.randrange(ring.field.p)
+        elif rng.random() < 0.5:
+            d[m] = rng.randint(-5, 5)
         else:
             d[m] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
     return ring.from_dict(d)
@@ -80,7 +84,8 @@ def test_ring_axioms(ring):
         for f in (a + b, a - b, -a, a * b, a ** 3, a.scale(-1),
                   a.scale(P + 3)):
             for _, cf in f.terms:
-                assert 0 < cf < P if ring is RP else type(cf) is Fraction
+                assert 0 < cf < P if ring is RP else \
+                    type(cf) in (int, Fraction)
         pt = tuple(rng.randint(-9, 9) for _ in ring.vars)
         ref = sum(cf * math.prod(x ** e for x, e in zip(pt, m))
                   for m, cf in a.terms)
@@ -316,6 +321,64 @@ def test_pow_and_monic():
     assert f.monic() == qp("x1 + 1")
     with pytest.raises(ValueError):
         f ** -1
+
+
+def test_q_inverses_are_fractions_never_floats():
+    f = qp("3*x1 + 1")
+    assert f.monic().terms == (((1, 0, 0), 1), ((0, 0, 0), Fraction(1, 3)))
+    num, den = poly_module._monic_den(qp("x2 + 2"), f)
+    assert num.terms == (((0, 1, 0), Fraction(1, 3)),
+                         ((0, 0, 0), Fraction(2, 3)))
+    assert den == f.monic()
+    ratio = q("2*x2 + 1") / q("3*x1 + 6")
+    assert ratio.num.terms == (((0, 1, 0), Fraction(2, 3)),
+                               ((0, 0, 0), Fraction(1, 3)))
+    assert ratio.den.terms == (((1, 0, 0), 1), ((0, 0, 0), 2))
+    for p in (f.monic(), num, den, ratio.num, ratio.den):
+        assert all(type(c) in (int, Fraction) for _, c in p.terms)
+
+
+@pytest.mark.parametrize("name", [
+    "bilirubin", "bruno2016", "example_sym", "genlv", "lotka_volterra",
+    "power_sums", "seir34", "sir6"])
+def test_integral_fixture_coefficients_are_ints(name):
+    # heron and obscured4 divide by non-monic denominators, so some of their
+    # coefficients are not integers; these eight fixtures have none
+    genset = load_fixture(name)
+    assert {type(c) for g in genset.generators for side in (g.num, g.den)
+            for _, c in side.terms} == {int}
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX])
+@pytest.mark.parametrize("field", [QQ, FP])
+def test_one_term_product_matches_the_dict_path(field, order, monkeypatch):
+    ring = Ring(("x1", "x2", "x3"), field, order)
+    rng = random.Random(5)
+    pairs = []
+    for _ in range(40):
+        a = _random_poly(ring, rng, max_terms=6)
+        b = ring.zero()
+        while b.num_terms() != 1:
+            b = _random_poly(ring, rng, max_terms=1)
+        if field is QQ and rng.random() < 0.3:
+            b = ring.constant(rng.choice((1, -2, Fraction(3, 4))))
+        pairs.append((a, b))
+
+    def dict_product(a, b):
+        d = {}
+        for m1, c1 in a.terms:
+            for m2, c2 in b.terms:
+                m = tuple(x + y for x, y in zip(m1, m2))
+                d[m] = d.get(m, 0) + c1 * c2
+        return poly_module._from_sums(ring, d)
+    want = [dict_product(a, b) for a, b in pairs]
+    calls = []
+    from_dict = Ring.from_dict
+    monkeypatch.setattr(Ring, "from_dict",
+                        lambda self, d: calls.append(1) or from_dict(self, d))
+    for (a, b), w in zip(pairs, want):
+        assert (a * b).terms == (b * a).terms == w.terms
+    assert calls == []
 
 
 def test_rf_pow_takes_no_gcd(monkeypatch):
