@@ -126,7 +126,8 @@ def rational_reconstruct(r, m):
 
     Returns an int when the lift is integral, a Fraction otherwise, or
     FAIL when no fraction within the bound exists (the caller treats FAIL
-    as "need more primes").
+    as "need more primes").  Every EEA row keeps r_i = t_i r (mod m), so
+    r1/t1 with gcd(r1, t1) = 1 is right mod m (Wang, Guy & Davenport 1982).
     """
     r %= m
     bound = math.isqrt(m // 2)
@@ -143,8 +144,6 @@ def rational_reconstruct(r, m):
     if math.gcd(r1, abs(t1)) != 1 or math.gcd(abs(t1), m) != 1:
         return FAIL
     f = Fraction(r1, t1)
-    if (f.numerator - r * f.denominator) % m != 0:
-        return FAIL
     return f.numerator if f.denominator == 1 else f
 
 

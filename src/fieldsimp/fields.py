@@ -83,17 +83,17 @@ class MembershipContext:
     """Cached point, power tables and specialized GB for repeated tests.
 
     The point b is drawn regular for every generator and for Q, that is
-    where `specialize_eoms` succeeds.  Its output is kept, and its reduced
-    GB, the harvest's ideal I_b with nothing appended, is computed at the
-    first query and kept until the next draw.  Every candidate p/q, whatever
-    its denominator, is tested by l(NF(h)) = 0 for h = p(y) q(b) - q(y) p(b),
-    NF its normal form against that GB and l a linear form on k[t, y]/I_b
-    with weights from a stream seeded by b (ReducedGB.normal_form); p(b)
-    and q(b) come from `values_at` on the candidate's F_p image and the
-    point's power tables, kept until the next draw, and each monomial of h
-    is packed once per context.  At a generic b, h lies in
-    I_b exactly for a member (Mueller-Quade and Steinwandt).  A member
-    always gives 0; a non-member has NF(h) != 0 and gives 0 with
+    where `specialize_eoms` succeeds.  The reduced GB of its output, the
+    harvest's ideal I_b with nothing appended, is computed with the draw
+    (every context is queried) and kept until the next.  Every candidate
+    p/q, whatever its denominator, is tested by l(NF(h)) = 0 for
+    h = p(y) q(b) - q(y) p(b), NF its normal form against that GB and l a
+    linear form on k[t, y]/I_b with weights from a stream seeded by b
+    (ReducedGB.normal_form); p(b) and q(b) come from `values_at` on the
+    candidate's F_p image and the point's power tables, kept until the next
+    draw, and each monomial of h is packed once per context.  At a generic
+    b, h lies in I_b exactly for a member (Mueller-Quade and Steinwandt).  A
+    member always gives 0; a non-member has NF(h) != 0 and gives 0 with
     probability 1/p, on top of the point's own error.
 
     The GB is taken in degrevlex whatever the generators' order: neither
@@ -132,17 +132,11 @@ class MembershipContext:
             gens = specialize_eoms(self.genset, b, self.gb_ring)
             if gens is FAIL:
                 continue
-            self.point, self._gens, self._gb = b, gens, None
+            self.point, self._gb = b, groebner(self.gb_ring, gens)
             self._powers = [{1: x} for x in b]
             self._weights = random.Random(str(b))
             return
         raise UnluckyPoint("no regular evaluation point mod %d" % p)
-
-    def _basis(self):
-        """The reduced GB of I_b, computed at its first use."""
-        if self._gb is None:
-            self._gb = groebner(self.gb_ring, self._gens)
-        return self._gb
 
     def contains(self, candidate):
         """True iff the candidate lies in the generated subfield (with
@@ -167,23 +161,17 @@ class MembershipContext:
         pv, qv = values_at(image, self._powers, p)
         if qv == 0:
             return FAIL
-        gb = self._basis()
         packed, h = self._packed, {}        # h = p(y) q(b) - q(y) p(b)
         for poly, scale in zip(image, (qv, -pv)):
             for m, c in poly.terms:
                 k = packed.get(m)
                 if k is None:
-                    k = packed[m] = gb.pack((0,) + m)
+                    k = packed[m] = self._gb.pack((0,) + m)
                 h[k] = (h.get(k, 0) + c * scale) % p
-        return gb.normal_form(h, self._weights) == 0
+        return self._gb.normal_form(h, self._weights) == 0
 
     def transcendence_rank(self):
-        return self.genset.ring.arity - self._basis().dimension()
-
-
-def contains(genset, candidate, field, rng):
-    """One-shot membership test."""
-    return MembershipContext(genset, field, rng).contains(candidate)
+        return self.genset.ring.arity - self._gb.dimension()
 
 
 def fields_equal(gs_a, gs_b, field, rng, eps=None):
@@ -205,8 +193,8 @@ def minimize(generators, ring, field, rng):
     i = 0
     while i < len(kept):
         others = kept[:i] + kept[i + 1:]
-        if others and contains(GeneratorSet(ring, others), kept[i], field,
-                               rng):
+        if others and MembershipContext(GeneratorSet(ring, others), field,
+                                        rng).contains(kept[i]):
             kept.pop(i)
         else:
             i += 1

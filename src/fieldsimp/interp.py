@@ -149,7 +149,10 @@ def cauchy_interpolate(points, values, deg_num, deg_den, field):
     """Rational interpolation with degree bounds via the EEA.
 
     Returns (num, den) as ascending coefficient lists with den monic, or
-    FAIL when no coprime pair within the bounds matches every sample.
+    FAIL when no coprime pair within the bounds matches every sample: the
+    EEA row r = s*m + t*g has t != 0, deg r <= deg_num, r(u_i) = t(u_i) v_i
+    and gcd(r, t) | m (s, t coprime), so it answers exactly when t is within
+    deg_den and nonzero at every sample (von zur Gathen & Gerhard, ch. 5).
     """
     p = field.p
     if len(points) < deg_num + deg_den + 2:
@@ -162,18 +165,8 @@ def cauchy_interpolate(points, values, deg_num, deg_den, field):
         m = _umul(m, [-u % p, 1], p)
     # EEA rows: r = s*m + t*g; stop at the first remainder within the bound
     num, den = _half_eea(m, g, deg_num, p)
-    if not den:
+    if _udeg(den) > deg_den or any(_ueval(den, u, p) == 0 for u in points):
         return FAIL
-    d = _ugcd(num, den, p) if num else den
-    if _udeg(d) > 0:
-        num, _ = _udivmod(num, d, p)
-        den, _ = _udivmod(den, d, p)
-    if _udeg(den) > deg_den or (num and _udeg(num) > deg_num):
-        return FAIL
-    for u, v in zip(points, values):
-        bv = _ueval(den, u, p)
-        if bv == 0 or _ueval(num, u, p) != bv * v % p:
-            return FAIL
     c = pow(den[-1], -1, p)
     return _uscale(num, c, p), _uscale(den, c, p)
 
@@ -185,8 +178,8 @@ def cauchy_interpolate(points, values, deg_num, deg_den, field):
 def _uroots(a, p):
     """Distinct roots in F_p of a squarefree-ish univariate polynomial.
 
-    The splitting is Las Vegas: its draws come from a local stream, and the
-    root set does not depend on them."""
+    Las Vegas splitting on a local stream; the root set does not depend on
+    its draws.  Every split factor is monic: a gcd or a quotient of monics."""
     a = _uscale(a, pow(a[-1], -1, p), p)
     if _udeg(a) == 1:
         return [-a[0] % p]
@@ -203,7 +196,7 @@ def _uroots(a, p):
         if _udeg(f) <= 0:
             continue
         if _udeg(f) == 1:
-            roots.append(-f[0] * pow(f[1], -1, p) % p)
+            roots.append(-f[0] % p)
             continue
         while True:
             b = rng.randrange(p)
@@ -267,7 +260,9 @@ def _prony(evals, field, roots_of):
 
     Returns FAIL when the sequence is not explained by <= len(evals)/2
     distinct nonzero roots (caller enlarges the sequence).  `roots_of`
-    keeps the roots of each Prony polynomial found so far.
+    keeps the roots of each Prony polynomial found so far.  For even
+    len(evals) = 2T the EEA cofactor lam is nonzero of degree <= T, 0 is no
+    root (lam's lead is nonzero) and t distinct roots give L_k(m_k) != 0.
     """
     p = field.p
     two_t = len(evals)
@@ -277,17 +272,17 @@ def _prony(evals, field, roots_of):
     # Pade approximation of sum e_i z^i mod z^(2T) via the EEA; the
     # cofactor is Lambda~(z) = prod(1 - root*z)
     _, lam = _half_eea([0] * two_t + [1], _utrim(list(evals)), t_bound - 1, p)
-    if not lam or lam[0] == 0:
+    if lam[0] == 0:
         return FAIL
     lam = _uscale(lam, pow(lam[0], -1, p), p)
     t = _udeg(lam)
-    if t > t_bound or t == 0:
+    if t == 0:
         return FAIL
     mono = tuple(reversed(lam))                 # prod(z - root), monic
     if mono not in roots_of:
         roots_of[mono] = _uroots(mono, p)
     roots = roots_of[mono]
-    if len(roots) != t or 0 in roots:
+    if len(roots) != t:
         return FAIL
     # transposed Vandermonde solve, O(t^2): c_k = (sum_i L_k[i] e_i) / L_k(m_k)
     out = []
@@ -298,8 +293,6 @@ def _prony(evals, field, roots_of):
         for i, c in enumerate(lk):
             s = (s + c * evals[i]) % p
         denom = _ueval(lk, m, p)
-        if denom == 0:
-            return FAIL
         out.append((m, s * pow(denom, -1, p) % p))
     return out
 

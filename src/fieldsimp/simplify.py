@@ -140,6 +140,8 @@ def _crt_pairs(reports):
 
 
 def _reconstruct_rf(num_terms, den_terms, q_ring, modulus):
+    """Lift (num, den) residue terms to Q, or FAIL; den is never zero, as one
+    of its coefficients lifts to 1 (interpolated dens are monic, or 1)."""
     sides = []
     for terms in (num_terms, den_terms):
         d = {}
@@ -150,8 +152,6 @@ def _reconstruct_rf(num_terms, den_terms, q_ring, modulus):
             d[m] = v
         sides.append(q_ring.from_dict(d))
     num, den = sides
-    if den.is_zero():
-        return FAIL
     return RationalFunction(num, den)
 
 

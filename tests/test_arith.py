@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldsimp.arith import (FAIL, NonCoprimeModuli, PrimeField, ZeroInverse,
                              crt_pair, inv, is_probable_prime, prev_prime,
@@ -112,6 +114,36 @@ def test_rational_reconstruct_gives_an_int_for_an_integral_lift():
         v = rational_reconstruct(n % p, p)
         assert type(v) is int and v == n
     assert type(rational_reconstruct(inv(3, p), p)) is Fraction
+
+
+@st.composite
+def reconstruct_cases(draw):
+    """(r, m) with m a product of one to four factors, so mostly composite:
+    a random residue, or the residue of a fraction within the bound."""
+    m = math.prod(draw(st.lists(st.integers(2, 10 ** 5), min_size=1,
+                                max_size=4)))
+    bound = math.isqrt(m // 2)
+    if draw(st.booleans()):
+        return draw(st.integers(-2 * m, 2 * m)), m
+    num = draw(st.integers(-bound, bound))
+    den = draw(st.integers(1, max(bound, 1)))
+    if math.gcd(den, m) != 1:
+        return num, m
+    return num * pow(den, -1, m) % m, m
+
+
+@settings(max_examples=400, deadline=None)
+@given(reconstruct_cases())
+def test_rational_reconstruct_lift_is_congruent_and_within_bound(case):
+    r, m = case
+    got = rational_reconstruct(r, m)
+    if got is FAIL:
+        return
+    f = Fraction(got)
+    bound = math.isqrt(m // 2)
+    assert abs(f.numerator) <= bound and f.denominator <= bound
+    assert math.gcd(f.denominator, m) == 1
+    assert (f.numerator - r * f.denominator) % m == 0
 
 
 def test_crt_then_reconstruct_two_primes():

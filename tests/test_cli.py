@@ -266,6 +266,21 @@ def test_run_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("vars: x, y\nx y\n", "line 2, col 3: unexpected 'y'"),
+    ("vars: x, y\nx^-2\n",
+     "line 2, col 2: exponents must be nonnegative integers"),
+    ("vars:\nx\n", "line 1, col 1: empty variable list"),
+    ("# a comment\n# and another\n", "missing `vars:` header"),
+], ids=["juxtaposed_names", "negative_exponent", "empty_header",
+        "comments_only"])
+def test_run_parse_error_message(tmp_path, capsys, text, message):
+    problem = tmp_path / "bad.txt"
+    problem.write_text(text)
+    assert run(["--input", str(problem)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 @pytest.mark.parametrize("expr", ["x + \u00b2", "x + \u0663*y"],
                          ids=["superscript_two", "arabic_indic_three"])
 def test_run_non_ascii_digit_is_a_parse_error(tmp_path, capsys, expr):

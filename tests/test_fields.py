@@ -13,7 +13,7 @@ from fieldsimp import oms
 from fieldsimp import poly as poly_module
 from fieldsimp.arith import FAIL, rational_reconstruct
 from fieldsimp.fields import (MembershipContext, _back_substitute, _extend,
-                              _reduce, contains, fields_equal, minimize,
+                              _reduce, fields_equal, minimize,
                               polynomial_generators)
 from fieldsimp.groebner import ExponentOverflow, ReducedGB
 from fieldsimp.oms import EomsEvaluator, GeneratorSet, UnluckyPoint
@@ -33,7 +33,8 @@ def contains_2p(genset, candidate, seed=77):
     verdicts = []
     for k, field in enumerate(FIELDS):
         rng = random.Random(seed * 1000003 + k)
-        verdicts.append(contains(genset, candidate, field, rng))
+        verdicts.append(MembershipContext(genset, field,
+                                          rng).contains(candidate))
     assert verdicts[0] == verdicts[1]
     return verdicts[0]
 
@@ -697,6 +698,14 @@ def test_denominator_dividing_a_power_of_q():
                 text
 
 
+def test_candidate_from_another_ring_is_rejected():
+    gs = load_fixture("heron")
+    ctx = MembershipContext(gs, FIELDS[0], random.Random(0))
+    other = Ring(("a", "b"), QQ)
+    with pytest.raises(ValueError, match="candidate from a different ring"):
+        ctx.contains(other.gens()[0])
+
+
 def test_candidate_exponent_overflow_raises():
     # x^80000 is in Q(x^2, y) but past what a packed monomial holds: it
     # must raise, not wrap into another monomial and read False
@@ -712,7 +721,6 @@ def test_candidate_exponent_overflow_raises():
 def test_one_groebner_run_per_point(monkeypatch):
     # five denominators outside Q = a^2 b^2 c^2, asked three times each
     gs = load_fixture("heron")
-    ctx = MembershipContext(gs, FIELDS[0], random.Random(3))
     candidates = parse_many(gs.ring, [
         "b^2/(a^2 + 1)", "1/(b^2 + 2)", "c^2/(a^2 + b^2)", "a^2/(c^2 - 5)",
         "(a^2 + b^2)/(a^2*b^2 + 7)"])
@@ -720,7 +728,7 @@ def test_one_groebner_run_per_point(monkeypatch):
     groebner, gcd_q = fields_module.groebner, poly_module.gcd_q
 
     def counting_groebner(ring, gens):
-        runs.append(ctx.point)
+        runs.append(gens)
         return groebner(ring, gens)
 
     def counting_gcd(f, g):
@@ -729,15 +737,19 @@ def test_one_groebner_run_per_point(monkeypatch):
 
     monkeypatch.setattr(fields_module, "groebner", counting_groebner)
     monkeypatch.setattr(poly_module, "gcd_q", counting_gcd)
+    # the run is made where the point is drawn, so the patch comes first
+    ctx = MembershipContext(gs, FIELDS[0], random.Random(3))
     point = ctx.point
     for _ in range(3):
         assert all(ctx.contains(c) for c in candidates)
-    assert runs == [point] and ctx.point == point
+    assert runs == [oms.specialize_eoms(gs, point, ctx.gb_ring)]
+    assert ctx.point == point
     assert gcds == []
     # a fresh point gets one fresh run
     ctx._draw_point()
     assert ctx.contains(candidates[0]) is True
-    assert runs == [point, ctx.point] and ctx.point != point
+    assert runs[1:] == [oms.specialize_eoms(gs, ctx.point, ctx.gb_ring)]
+    assert ctx.point != point
 
 
 def _denominators_outside_q(name, gs, rng):

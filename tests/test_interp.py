@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 import pytest
@@ -78,6 +80,109 @@ def test_cauchy_random_rational_roundtrip():
             fv = sum(c * pow(u, i, P) for i, c in enumerate(num)) % P \
                 * pow(sum(c * pow(u, i, P) for i, c in enumerate(den)), -1, P)
             assert nv == dv * fv % P
+
+
+@functools.cache
+def _upolys(p, deg, monic):
+    """Every polynomial over F_p of degree <= deg, or every monic one, as an
+    ascending coefficient tuple without leading zeros."""
+    if monic:
+        return [c + (1,) for k in range(deg + 1)
+                for c in itertools.product(range(p), repeat=k)]
+    out = []
+    for c in itertools.product(range(p), repeat=deg + 1):
+        c = list(c)
+        while c and c[-1] == 0:
+            c.pop()
+        out.append(tuple(c))
+    return out
+
+
+
+def _uvalue(c, x, p):
+    return sum(a * pow(x, i, p) for i, a in enumerate(c)) % p
+
+
+@st.composite
+def cauchy_cases(draw):
+    """(p, points, values, deg_num, deg_den) at a small prime: random values,
+    or those of a random rational function, often with a pole at a sample
+    point (a random value there), so that non-coprime EEA pairs occur."""
+    p = draw(st.sampled_from((5, 7, 11)))
+    deg_num = draw(st.integers(0, 2))
+    deg_den = draw(st.integers(0, 3 - deg_num))
+    n = draw(st.integers(deg_num + deg_den + 2, p))
+    points = draw(st.permutations(range(p)))[:n]
+    coeff = st.integers(0, p - 1)
+    if draw(st.booleans()):
+        return p, points, draw(st.lists(coeff, min_size=n, max_size=n)), \
+            deg_num, deg_den
+    num = draw(st.lists(coeff, max_size=deg_num + 2))
+    den = draw(st.lists(coeff, max_size=deg_den)) + [1]
+    if draw(st.booleans()):
+        den = interp._umul(den, [-draw(st.sampled_from(points)) % p, 1], p)
+    values = []
+    for u in points:
+        dv = _uvalue(den, u, p)
+        values.append(draw(coeff) if dv == 0
+                      else _uvalue(num, u, p) * pow(dv, -1, p) % p)
+    return p, points, values, deg_num, deg_den
+
+
+@settings(max_examples=150, deadline=None)
+@given(cauchy_cases())
+def test_cauchy_fails_exactly_when_no_pair_fits(case):
+    # brute force: every (num, den) within the bounds, den monic and nonzero
+    # at every sample, with num(u) = den(u) v at every sample
+    p, points, values, deg_num, deg_den = case
+    fits = [(num, den) for den in _upolys(p, deg_den, True)
+            if all(_uvalue(den, u, p) for u in points)
+            for num in _upolys(p, deg_num, False)
+            if all(_uvalue(num, u, p) == _uvalue(den, u, p) * v % p
+                   for u, v in zip(points, values))]
+    got = cauchy_interpolate(points, values, deg_num, deg_den, PrimeField(p))
+    if not fits:
+        assert got is FAIL
+    else:
+        # the pair in lowest terms: the one fit of least den degree
+        least = min(len(den) for _, den in fits)
+        assert [(tuple(got[0]), tuple(got[1]))] == \
+            [fit for fit in fits if len(fit[1]) == least]
+
+
+@st.composite
+def prony_cases(draw):
+    """(p, evals, terms) at a small prime: a random sequence of even length
+    2T (terms None), or the sum of at most T terms c*root^i with distinct
+    nonzero roots and nonzero c (terms their sorted (root, c) pairs)."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13, 101)))
+    t = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        evals = draw(st.lists(st.integers(0, p - 1), min_size=2 * t,
+                              max_size=2 * t))
+        return p, evals, None
+    terms = draw(st.dictionaries(st.integers(1, p - 1), st.integers(1, p - 1),
+                                 max_size=t))
+    evals = [sum(c * pow(r, i, p) for r, c in terms.items()) % p
+             for i in range(2 * t)]
+    return p, evals, sorted(terms.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(prony_cases())
+def test_prony_never_raises_and_solves_its_prefix(case):
+    p, evals, terms = case
+    got = interp._prony(list(evals), PrimeField(p), {})
+    if terms is not None:
+        assert got == terms
+    if got is not FAIL:
+        roots = [r for r, _ in got]
+        assert len(set(roots)) == len(roots) <= len(evals) // 2
+        assert 0 not in roots
+        # the transposed Vandermonde solve explains e_0..e_(t-1); a longer
+        # prefix need not be explained (ben_or_tiwari's callers verify)
+        for i in range(len(got)):
+            assert sum(c * pow(r, i, p) for r, c in got) % p == evals[i]
 
 
 def test_ben_or_tiwari_constant():

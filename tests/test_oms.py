@@ -314,6 +314,20 @@ def test_generator_set_invariants():
         pass
 
 
+def test_generator_set_rejects_bad_generators():
+    ring = Ring(("x1", "x2"), QQ)
+    x1, _ = ring.gens()
+    fp_ring = Ring(("x1", "x2"), PrimeField(101))
+    with pytest.raises(ValueError, match="generator sets live over Q"):
+        GeneratorSet(fp_ring, [fp_ring.gens()[0]])
+    other = Ring(("y1", "y2"), QQ)
+    with pytest.raises(ValueError, match="generator from a different ring"):
+        GeneratorSet(ring, [x1, other.gens()[0]])
+    # from_dict skips the parser's own exponent check
+    with pytest.raises(ValueError, match="exponent 65536 exceeds 65535"):
+        GeneratorSet(ring, [x1, ring.from_dict({(65536, 1): 1})])
+
+
 # ----------------------------------------------------------------------
 # shared-point harvest
 
