@@ -15,7 +15,7 @@ candidate's F_p image with `poly.values_at`, the point evaluator
 point, and builds h from them as packed terms.  The polynomial search
 keeps the sparse rows of its conditions as one semi-echelon basis that
 grows a row at a time (`_extend`), tests a row against it by reducing it
-(`_reduce`) and back-substitutes once at the end.
+(`_reduce`) and back-substitutes once, reading the kernel off the result.
 
 The specialized ideal comes from `oms`, and the harvest, the polynomial
 search and membership all read the one ideal `specialize_eoms` builds.  The
@@ -215,8 +215,9 @@ def polynomial_generators(genset, delta, field, rng, evaluator=None,
     trace) and reads its conditions as sparse rows.  They extend one
     semi-echelon basis: the first point is the learn point, and fresh
     points are drawn until one adds no row (a failed replay is skipped).
-    Returns the monic elements of the reduced echelon basis of its
-    nullspace, leading monomials descending.
+    Its columns ascend, so each free column f > 0 of its reduced form gives
+    v_f = m_f - sum row_c[f] m_c, monic in m_f, 0 at the other free columns:
+    the nullspace's reduced echelon basis, leading monomials descending.
     An evaluator of `genset` at `field` may be passed in to replay its
     trace instead of learning one; each replay counts in its n_evals.
     Raises EvaluationBudgetExceeded before a replay would take this call
@@ -226,8 +227,7 @@ def polynomial_generators(genset, delta, field, rng, evaluator=None,
         genset, gb_ring(genset, field, genset.ring.order), rng)
     x_ring = Ring(genset.ring.vars, field, genset.ring.order)
     n, p = genset.ring.arity, field.p
-    key = x_ring.order.key
-    monomials = sorted(_monomials_up_to(n, delta), key=key)
+    monomials = sorted(_monomials_up_to(n, delta), key=x_ring.order.key)
     plan = ev.learned.compile_normal_forms([(0,) + mon for mon in monomials])
     echelon, gb, start = [], ev.learned, ev.n_evals
     for k in range(len(monomials) + EXTRA_POINTS):
@@ -244,17 +244,13 @@ def polynomial_generators(genset, delta, field, rng, evaluator=None,
     else:
         raise UnluckyPoint("kernel iteration did not stabilize")
     reduced = _back_substitute(echelon, p)
-    kernel = []       # column 0, the constant, is in no row: it is left out
-    for f in set(range(1, len(monomials))).difference(c for c, _ in reduced):
-        vec = {c: -row[f] for c, row in reduced if f in row}
-        vec[f] = 1
-        _extend(kernel, vec, p)
-    polys = []
-    for c, row in _back_substitute(kernel, p):
-        row[c] = 1
-        polys.append(x_ring.from_dict({monomials[j]: v
-                                       for j, v in row.items()}).monic())
-    polys.sort(key=lambda q: key(q.leading_monomial()), reverse=True)
+    pivots = {c for c, _ in reduced}
+    polys = []        # column 0, the constant, is in no row: it is left out
+    for f in range(len(monomials) - 1, 0, -1):
+        if f not in pivots:
+            vec = {monomials[c]: -row[f] % p for c, row in reduced if f in row}
+            vec[monomials[f]] = 1
+            polys.append(x_ring.from_dict(vec))
     return polys
 
 

@@ -308,9 +308,10 @@ GroebnerTrace = namedtuple("GroebnerTrace", (
 
 
 class ReducedGB:
-    """Reduced Groebner basis: monic elements sorted by leading monomial,
-    built from packed term lists (each sorted descending) and their codec;
-    the MultiPoly view `polys` is built on first use."""
+    """Reduced Groebner basis: monic packed term lists (each sorted
+    descending) and their codec, ascending by leading monomial as handed
+    over (`_interreduce` builds them in that order and `gb_apply` replays
+    it); the MultiPoly view `polys` is built on first use."""
 
     __slots__ = ("ring", "packed", "_codec", "_plms", "_ptails", "_polys",
                  "_phi")
@@ -318,7 +319,7 @@ class ReducedGB:
     def __init__(self, ring, basis, codec):
         self.ring = ring
         self._codec = codec
-        self.packed = sorted(basis, key=lambda g: g[0][0])
+        self.packed = basis
         self._plms = [g[0][0] for g in self.packed]
         self._ptails = [g[1:] for g in self.packed]
         self._polys = None

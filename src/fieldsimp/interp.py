@@ -263,6 +263,8 @@ def _prony(evals, field, roots_of):
     keeps the roots of each Prony polynomial found so far.  For even
     len(evals) = 2T the EEA cofactor lam is nonzero of degree <= T, 0 is no
     root (lam's lead is nonzero) and t distinct roots give L_k(m_k) != 0.
+    As lam E = r mod z^(2T), the roots reproduce all 2T values iff deg r < t
+    (r/lam in partial fractions); r != 0, so this rejects t = 0 too.
     """
     p = field.p
     two_t = len(evals)
@@ -271,12 +273,12 @@ def _prony(evals, field, roots_of):
         return []
     # Pade approximation of sum e_i z^i mod z^(2T) via the EEA; the
     # cofactor is Lambda~(z) = prod(1 - root*z)
-    _, lam = _half_eea([0] * two_t + [1], _utrim(list(evals)), t_bound - 1, p)
+    r, lam = _half_eea([0] * two_t + [1], _utrim(list(evals)), t_bound - 1, p)
     if lam[0] == 0:
         return FAIL
     lam = _uscale(lam, pow(lam[0], -1, p), p)
     t = _udeg(lam)
-    if t == 0:
+    if _udeg(r) >= t:
         return FAIL
     mono = tuple(reversed(lam))                 # prod(z - root), monic
     if mono not in roots_of:

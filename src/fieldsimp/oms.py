@@ -117,20 +117,20 @@ def specialize_eoms(genset, point, ring):
     over each generator's shape terms (m, A, B), zero terms and generators
     dropped, then t Q(y) - 1; or FAIL on a pole of a generator or of Q.
     Every p_i(a), q_i(a) and Q(a) is read through one set of power tables
-    of the point."""
+    of the point.  Only Q is tested for a pole: monic q_i divides the monic
+    lcm Q over Z_(p), as `shape` would raise ZeroInverse on a coefficient
+    with p in its denominator, so q_i(a) = 0 gives Q(a) = 0 mod p."""
     images, shapes, tq = genset.shape(ring)
     p = ring.field.p
     *values, qv = values_at(images, [{1: x} for x in point], p)
+    if qv == 0:
+        return FAIL
     out = []
     for pv, dv, shape in zip(values[::2], values[1::2], shapes):
-        if dv == 0:
-            return FAIL
         terms = tuple((m, c) for m, a, b in shape
                       if (c := (a * dv - b * pv) % p))
         if terms:
             out.append(MultiPoly(ring, terms))
-    if qv == 0:
-        return FAIL
     return out + [tq]
 
 

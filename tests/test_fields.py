@@ -482,21 +482,55 @@ def test_polynomial_generators_symmetric():
         assert contains_2p(gs, cand) is True
 
 
+def _assert_reduced_basis_of_oracle_space(gs, basis, p, oracle=True):
+    # monic, leading monomials distinct and descending, each element 0 at
+    # the others' leading monomials, and with the constants the oracle's
+    # space over Q (delta 2) reduced mod p
+    key = gs.ring.order.key
+    leads = [b.leading_monomial() for b in basis]
+    assert all(b.leading_coefficient() == 1 for b in basis)
+    assert leads == sorted(set(leads), key=key, reverse=True)
+    for b in basis:
+        assert all(b.coefficient(m) == 0 for m in leads
+                   if m != b.leading_monomial())
+    if oracle:
+        monomials, kernel = symbolic_membership_space(gs, 2)
+        got = [[b.coefficient(m) for m in monomials]
+               for b in basis + [basis[0].ring.one()]]
+        want = [[c.numerator * pow(c.denominator, -1, p) % p for c in row]
+                for row in kernel]
+        assert fp_echelon(got, p) == fp_echelon(want, p)
+
+
+def test_polynomial_generators_reduced_in_leading_monomials():
+    # the kernel reduced in its trailing monomials would give three
+    # elements that all lead with x^2 here
+    gs = genset_of(Ring(("x", "y"), QQ), ["x^2 + x", "y + x"])
+    for field in FIELDS:
+        for seed in range(3):
+            basis = polynomial_generators(gs, 2, field, random.Random(seed))
+            _assert_reduced_basis_of_oracle_space(gs, basis, field.p)
+
+
 def test_polynomial_generators_match_oracle():
     # the exact space over Q, reduced mod p, spans the same F_p space
     cases = [load_fixture("heron"), load_fixture("lotka_volterra"),
              load_fixture("example_sym", order="lex")]
     for k, gs in enumerate(cases):
-        monomials, kernel = symbolic_membership_space(gs, 2)
         for field in FIELDS:
-            p = field.p
             basis = polynomial_generators(gs, 2, field, random.Random(k))
-            # the oracle's space holds the constants too
-            basis.append(basis[0].ring.one())
-            got = [[b.coefficient(m) for m in monomials] for b in basis]
-            want = [[c.numerator * pow(c.denominator, -1, p) % p for c in row]
-                    for row in kernel]
-            assert fp_echelon(got, p) == fp_echelon(want, p)
+            _assert_reduced_basis_of_oracle_space(gs, basis, field.p)
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_polynomial_generators_reduced_basis_on_fixtures(name):
+    # the symbolic oracle does not finish on bilirubin within minutes, so
+    # its basis is checked for the echelon shape alone
+    gs = load_fixture(name)
+    field = FIELDS[0]
+    basis = polynomial_generators(gs, 2, field, random.Random(0))
+    _assert_reduced_basis_of_oracle_space(gs, basis, field.p,
+                                          oracle=name != "bilirubin")
 
 
 SEIR_ORDER = ["k", "N", "beta", "eps", "gamma", "mu", "r"]
@@ -654,7 +688,8 @@ def test_polynomial_generators_match_reference_normal_forms(monkeypatch,
 def test_polynomial_generators_point_count(monkeypatch, name, replays, rank):
     # the search's points (the learn point, then one GB replay each) and
     # its final rank at seed 0, delta 3: a change to the number of points
-    # shows here, not only in wall time
+    # shows here, not only in wall time; the kernel is read off the one
+    # reduced echelon, so there is one back-substitution
     replayed, echelons = [], []
     gb, back_substitute = EomsEvaluator.gb, fields_module._back_substitute
 
@@ -673,7 +708,7 @@ def test_polynomial_generators_point_count(monkeypatch, name, replays, rank):
     dim = len(monomials_up_to(gs.ring.arity, 3))
     assert len(replayed) == replays
     # the kernel leaves out the constant
-    assert echelons == [rank, dim - rank - 1] and len(basis) == dim - rank - 1
+    assert echelons == [rank] and len(basis) == dim - rank - 1
 
 
 def test_polynomial_generators_reads_packed_normal_forms(monkeypatch):

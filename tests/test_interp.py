@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fieldsimp import interp
@@ -170,6 +170,8 @@ def prony_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(prony_cases())
+@example((3, [2, 0, 2, 1, 2, 1], None))
+@example((2, [0, 1, 1, 1], None))
 def test_prony_never_raises_and_solves_its_prefix(case):
     p, evals, terms = case
     got = interp._prony(list(evals), PrimeField(p), {})
@@ -179,9 +181,9 @@ def test_prony_never_raises_and_solves_its_prefix(case):
         roots = [r for r, _ in got]
         assert len(set(roots)) == len(roots) <= len(evals) // 2
         assert 0 not in roots
-        # the transposed Vandermonde solve explains e_0..e_(t-1); a longer
-        # prefix need not be explained (ben_or_tiwari's callers verify)
-        for i in range(len(got)):
+        # a decomposition reproduces every one of the 2T values, not only
+        # the t that the transposed Vandermonde solve fits
+        for i in range(len(evals)):
             assert sum(c * pow(r, i, p) for r, c in got) % p == evals[i]
 
 
