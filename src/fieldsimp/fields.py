@@ -13,9 +13,9 @@ met by a large enough prime).  A query reads p(b) and q(b) off the
 candidate's F_p image with `poly.values_at`, the point evaluator
 `specialize_eoms` uses too, through the power tables of the context's
 point, and builds h from them as packed terms.  The polynomial search
-keeps the sparse rows of its conditions as one semi-echelon basis that
-grows a row at a time (`_extend`), tests a row against it by reducing it
-(`_reduce`) and back-substitutes once, reading the kernel off the result.
+reduces its condition rows against one semi-echelon basis (`_reduce`,
+`_extend`), retires a row that reduces to zero (Schwartz-Zippel: it stays
+zero but with probability deg/p) and reads the kernel off its reduced form.
 
 The specialized ideal comes from `oms`, and the harvest, the polynomial
 search and membership all read the one ideal `specialize_eoms` builds.  The
@@ -212,10 +212,16 @@ def polynomial_generators(genset, delta, field, rng, evaluator=None,
     monomials m_i gives one linear condition on v.  The normal forms are
     planned once, as one table, from the supports of the EomsEvaluator's
     learned GB; each point fills it on its GB (a replay of the learned
-    trace) and reads its conditions as sparse rows.  They extend one
-    semi-echelon basis: the first point is the learn point, and fresh
-    points are drawn until one adds no row (a failed replay is skipped).
-    Its columns ascend, so each free column f > 0 of its reduced form gives
+    trace) and reads its live conditions as sparse rows (row r: the
+    coefficients of its monomial in the NF_b(m_i)).  From the learn point
+    on (a failed replay is skipped), each live row is reduced once against
+    E, the semi-echelon basis of earlier points' rows, drawn independently
+    of b.  A zero residue, a rational function of b, is zero at every b and
+    against any larger E but with probability deg/p (Schwartz-Zippel): the
+    row retires; no live row left ends the search.  Survivors extend the
+    point's own rows, ascending, then join E.  A wrong retirement only
+    enlarges the result, and `simplify._run_once` checks each member.
+    E's columns ascend, so each free column f > 0 of its reduced form gives
     v_f = m_f - sum row_c[f] m_c, monic in m_f, 0 at the other free columns:
     the nullspace's reduced echelon basis, leading monomials descending.
     An evaluator of `genset` at `field` may be passed in to replay its
@@ -229,7 +235,7 @@ def polynomial_generators(genset, delta, field, rng, evaluator=None,
     n, p = genset.ring.arity, field.p
     monomials = sorted(_monomials_up_to(n, delta), key=x_ring.order.key)
     plan = ev.learned.compile_normal_forms([(0,) + mon for mon in monomials])
-    echelon, gb, start = [], ev.learned, ev.n_evals
+    echelon, live, gb, start = [], range(plan[0]), ev.learned, ev.n_evals
     for k in range(len(monomials) + EXTRA_POINTS):
         if k:
             if ev.n_evals - start >= eval_cap:
@@ -238,9 +244,15 @@ def polynomial_generators(genset, delta, field, rng, evaluator=None,
             gb = ev.gb(tuple(rng.randrange(1, p) for _ in range(n)))
             if gb is FAIL:
                 continue
-        rows = gb.condition_rows(plan)
-        if not sum(_extend(echelon, row, p) for row in rows):
+        added, kept = [], []
+        for r, row in gb.condition_rows(plan, live).items():
+            row = _reduce(echelon, row, p)
+            if row:
+                kept.append(r)
+                _extend(added, row, p)
+        if not kept:
             break
+        echelon, live = sorted(echelon + added), kept
     else:
         raise UnluckyPoint("kernel iteration did not stabilize")
     reduced = _back_substitute(echelon, p)

@@ -407,11 +407,11 @@ class ReducedGB:
 
     def compile_normal_forms(self, monomials):
         """The normal-form table of `monomials` (exponent tuples), planned
-        from this GB's supports alone: (rows, steps, positions).  Positions
-        0 .. rows-1 are the nonconstant standard monomials reached, in
-        ascending order, and position rows the constant; the reducible
-        m = q lm(g) follow, ascending, each a step (index of g, positions of
-        the q t for g's tail monomials t).  `positions` places `monomials`."""
+        from this GB's supports alone: (rows, steps, their positions).
+        Positions 0 .. rows-1 are the nonconstant standard monomials reached,
+        ascending, and rows the constant; the reducible m = q lm(g) follow,
+        ascending, each a step (index of g, positions of the q t for g's tail
+        monomials t, bitmask of the rows its normal form can reach)."""
         codec, lms, tails = self._codec, self._plms, self._ptails
         CONST, GUARDS = codec.CONST, codec.GUARDS
         packed = [codec.pack(m) for m in monomials]
@@ -429,35 +429,43 @@ class ReducedGB:
         order = sorted(divisor)
         standard = [m for m in order if divisor[m] < 0 and m != CONST]
         position = {m: r for r, m in enumerate(standard + [CONST])}
-        rows, steps = len(standard), []
+        steps, reach = [], [1 << r for r in range(len(standard))] + [0]
         for m in order:
             idx = divisor[m]
             if idx >= 0:
                 q = m - lms[idx]
-                position[m] = rows + 1 + len(steps)
-                steps.append((idx, [position[q + tm] for tm, _ in tails[idx]]))
-        return rows, steps, [position[m] for m in packed]
+                position[m] = len(reach)
+                shifted = [position[q + tm] for tm, _ in tails[idx]]
+                reach.append(0)
+                for k in shifted:
+                    reach[-1] |= reach[k]
+                steps.append((idx, shifted, reach[-1]))
+        return len(standard), steps, [position[m] for m in packed]
 
-    def condition_rows(self, plan):
+    def condition_rows(self, plan, live):
         """A table planned at a GB of this support, filled from the least
-        monomial up, NF(q lm(g)) = -sum c_t NF(q t) over g's tail terms, and
-        read as sparse rows {index of a monomial: coefficient}, one per
-        nonconstant standard monomial that some normal form holds.  A GB from
-        `gb_apply` has the learned support, so the table holds as planned."""
+        monomial up, NF(q lm(g)) = -sum c_t NF(q t) over g's tail terms, on
+        the distinct rows in `live` alone (a retired row stays 0 but with
+        probability deg/p, Schwartz-Zippel), skipping steps that reach none,
+        read as {row: {monomial index: coefficient}} for its nonzero rows in
+        order.  A `gb_apply` GB has the learned support: the plan holds."""
         rows, steps, positions = plan
         p, tails = self.ring.field.p, self._ptails
-        table = [{r: 1} for r in range(rows)] + [{}]
-        for idx, shifted in steps:
+        mask = sum(1 << r for r in live)
+        table = [{r: 1} if mask >> r & 1 else {} for r in range(rows)] + [{}]
+        for idx, shifted, reach in steps:
             nf = {}
-            for (_, c), k in zip(tails[idx], shifted):
-                for r, v in table[k].items():
-                    nf[r] = nf.get(r, 0) - c * v
-            table.append({r: v % p for r, v in nf.items() if v % p})
-        out = [{} for _ in range(rows)]
+            if reach & mask:
+                for (_, c), k in zip(tails[idx], shifted):
+                    for r, v in table[k].items():
+                        nf[r] = (nf.get(r, 0) - c * v) % p
+            table.append(nf)
+        out = {r: {} for r in live}
         for i, k in enumerate(positions):
             for r, v in table[k].items():
-                out[r][i] = v
-        return [row for row in out if row]
+                if v:
+                    out[r][i] = v
+        return {r: row for r, row in out.items() if row}
 
 
 def _prepare(ring, generators):

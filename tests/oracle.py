@@ -5,8 +5,9 @@ field Q(x), entirely independent of the package under test.  On top of it:
 symbolic reduced-basis coefficients of the ideal attached to a generating
 set, the exact rank of its Jacobian, and an exact Q-linear solver for the
 low-degree polynomial membership space, and the generator of a specialized
-ideal built term by term; and a test of proportionality for comparing
-lifted coefficients up to scaling.
+ideal built term by term; the polynomial search that reads every condition
+row at every point; and a test of proportionality for comparing lifted
+coefficients up to scaling.
 """
 
 from fractions import Fraction
@@ -16,7 +17,9 @@ from sympy import QQ as SQQ
 from sympy.polys.matrices import DomainMatrix
 
 from fieldsimp.arith import FAIL
-from fieldsimp.poly import RationalFunction
+from fieldsimp.fields import EXTRA_POINTS
+from fieldsimp.oms import UnluckyPoint
+from fieldsimp.poly import RationalFunction, Ring
 
 
 class OracleTooHard(Exception):
@@ -248,6 +251,64 @@ def _q_echelon(vectors):
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         r += 1
     return m[:r]
+
+
+def every_row_search(genset, delta, field, rng, evaluator):
+    """`fields.polynomial_generators` as it reads every condition row at
+    every point: the same points, drawn from `rng` and replayed by
+    `evaluator`, the rows read off `ReducedGB.normal_form` (one per
+    nonconstant monomial of the normal forms), each added to a dense
+    reduced echelon over F_p until a point adds no rank.  Returns the
+    kernel's reduced echelon basis, constants left out, leading monomials
+    descending."""
+    x_ring = Ring(genset.ring.vars, field, genset.ring.order)
+    n, p = genset.ring.arity, field.p
+    monomials = sorted(monomials_up_to(n, delta), key=x_ring.order.key)
+    echelon, gb = {}, evaluator.learned     # pivot column -> row
+    for k in range(len(monomials) + EXTRA_POINTS):
+        if k:
+            gb = evaluator.gb(tuple(rng.randrange(1, p) for _ in range(n)))
+            if gb is FAIL:
+                continue
+        rows = {}
+        for i, m in enumerate(monomials):
+            nf = gb.normal_form(gb.ring.from_dict({(0,) + m: 1}))
+            for t, c in nf.terms:
+                if any(t):
+                    rows.setdefault(t, [0] * len(monomials))[i] = c
+        rank = len(echelon)
+        for row in rows.values():
+            _add_to_rref(echelon, row, p)
+        if len(echelon) == rank:
+            break
+    else:
+        raise UnluckyPoint("kernel iteration did not stabilize")
+    basis = []
+    for f in range(len(monomials) - 1, 0, -1):
+        if f not in echelon:
+            vec = {monomials[c]: -row[f] % p for c, row in echelon.items()
+                   if row[f]}
+            vec[monomials[f]] = 1
+            basis.append(x_ring.from_dict(vec))
+    return basis
+
+
+def _add_to_rref(echelon, row, p):
+    """Add a dense row to a reduced echelon {pivot: row} over F_p."""
+    for c, other in echelon.items():
+        if row[c]:
+            f = row[c]
+            row = [(x - f * y) % p for x, y in zip(row, other)]
+    c = next((c for c, x in enumerate(row) if x), None)
+    if c is None:
+        return
+    inv = pow(row[c], -1, p)
+    row = [x * inv % p for x in row]
+    for d, other in echelon.items():
+        if other[c]:
+            f = other[c]
+            echelon[d] = [(x - f * y) % p for x, y in zip(other, row)]
+    echelon[c] = row
 
 
 def fp_echelon(vectors, p):

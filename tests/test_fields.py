@@ -11,7 +11,8 @@ from fieldsimp import fields as fields_module
 from fieldsimp import groebner as groebner_module
 from fieldsimp import oms
 from fieldsimp import poly as poly_module
-from fieldsimp.arith import FAIL, rational_reconstruct
+from fieldsimp import simplify as simplify_module
+from fieldsimp.arith import FAIL, production_prime, rational_reconstruct
 from fieldsimp.fields import (MembershipContext, _back_substitute, _extend,
                               _reduce, fields_equal, minimize,
                               polynomial_generators)
@@ -19,12 +20,13 @@ from fieldsimp.groebner import ExponentOverflow, ReducedGB
 from fieldsimp.oms import EomsEvaluator, GeneratorSet, UnluckyPoint
 from fieldsimp.poly import (DEGREVLEX, MultiPoly, PrimeField, QQ,
                             RationalFunction, Ring, lcm_q, values_at)
+from fieldsimp.simplify import SimplifyConfig, simplify
 
 from conftest import (ALL_FIXTURES, CHECK_PRIMES, apply_map, fields_equal_2p,
                       fixture_automorphisms, genset_of, load_fixture,
                       parse_many)
-from oracle import (fp_echelon, in_fp_span, jacobian_rank, monomials_up_to,
-                    specialize, symbolic_membership_space)
+from oracle import (every_row_search, fp_echelon, in_fp_span, jacobian_rank,
+                    monomials_up_to, specialize, symbolic_membership_space)
 
 FIELDS = tuple(PrimeField(p) for p in CHECK_PRIMES)
 
@@ -585,9 +587,9 @@ def test_polynomial_generators_replays_compiled_normal_forms(monkeypatch):
         compiled.append((self, len(reduced)))
         return forms
 
-    def recording_rows(self, forms):
+    def recording_rows(self, forms, live):
         read.append(self)
-        return rows(self, forms)
+        return rows(self, forms, live)
 
     def recording_gb(self, point):
         got = gb(self, point)
@@ -628,9 +630,9 @@ def test_polynomial_generators_skips_only_a_failed_replay(monkeypatch):
         served.append(FAIL if len(served) == 1 else gb(self, point))
         return served[-1]
 
-    def recording_rows(self, plan):
+    def recording_rows(self, plan, live):
         read.append(self)
-        return rows(self, plan)
+        return rows(self, plan, live)
 
     monkeypatch.setattr(EomsEvaluator, "gb", failing_second)
     monkeypatch.setattr(ReducedGB, "condition_rows", recording_rows)
@@ -650,22 +652,29 @@ def test_polynomial_generators_skips_only_a_failed_replay(monkeypatch):
 @pytest.mark.parametrize("seed", range(3))
 def test_polynomial_generators_match_reference_normal_forms(monkeypatch,
                                                             seed):
-    # the normal-form table against condition rows read off normal_form
-    candidates = []
+    # the normal-form table against condition rows read off normal_form,
+    # for the live rows alone; a row is numbered by its monomial's place
+    # among the nonconstant monomials of the normal forms at the learn
+    candidates, numbering = [], []
     compile_nfs = ReducedGB.compile_normal_forms
 
     def recording_compile(self, monomials):
         candidates.append(monomials)
+        numbering.clear()
         return compile_nfs(self, monomials)
 
-    def reference_rows(self, plan):
+    def reference_rows(self, plan, live):
         rows = {}
         for i, m in enumerate(candidates[-1]):
             nf = self.normal_form(self.ring.from_dict({m: 1}))
             for mm, c in nf.terms:
                 if any(mm):
                     rows.setdefault(mm, {})[i] = c
-        return list(rows.values())
+        if not numbering:
+            numbering.extend(sorted(rows, key=self.ring.order.key))
+        assert set(rows) <= set(numbering)
+        return {r: rows[numbering[r]] for r in live
+                if r < len(numbering) and numbering[r] in rows}
 
     field = FIELDS[0]
     for name in ALL_FIXTURES:
@@ -683,15 +692,42 @@ def test_polynomial_generators_match_reference_normal_forms(monkeypatch,
         assert rng.getstate() == ref_rng.getstate(), name
 
 
+@pytest.mark.parametrize("name", ALL_FIXTURES + ("obscured4",))
+def test_polynomial_generators_match_every_row_oracle(name):
+    # retiring rows changes no basis, rng stream or replay count against
+    # the search that reads every row of every point off normal_form; both
+    # replay one evaluator per order and prime, from the same rng state
+    deltas = (2,) if name == "bilirubin" else (2, 3)
+    for order in ("degrevlex", "lex"):
+        gs = load_fixture(name, order=order)
+        for k, field in enumerate(FIELDS):
+            rng = random.Random(k)
+            ev = EomsEvaluator(gs, oms.gb_ring(gs, field, gs.ring.order), rng)
+            state = rng.getstate()
+            for delta in deltas:
+                runs = []
+                for search in (polynomial_generators, every_row_search):
+                    rng.setstate(state)
+                    start = ev.n_evals
+                    basis = search(gs, delta, field, rng, ev)
+                    runs.append(([b.terms for b in basis], rng.getstate(),
+                                 ev.n_evals - start))
+                assert runs[0] == runs[1], (order, k, delta)
+
+
 @pytest.mark.parametrize("name, replays, rank", [("seir34", 33, 91),
                                                   ("genlv", 30, 49)])
 def test_polynomial_generators_point_count(monkeypatch, name, replays, rank):
-    # the search's points (the learn point, then one GB replay each) and
-    # its final rank at seed 0, delta 3: a change to the number of points
-    # shows here, not only in wall time; the kernel is read off the one
-    # reduced echelon, so there is one back-substitution
-    replayed, echelons = [], []
+    # the search's points (the learn point, then one GB replay each), its
+    # final rank and its work at seed 0, delta 3: a change to the number of
+    # points or of rows reduced shows here, not only in wall time.  Every
+    # condition row read is reduced once against the echelon, and a row
+    # that reduced to zero is never read again (every row at every point
+    # would be 374 and 93); the kernel is read off the one reduced echelon,
+    # so there is one back-substitution
+    replayed, echelons, read, reductions = [], [], [], []
     gb, back_substitute = EomsEvaluator.gb, fields_module._back_substitute
+    rows, reduce_row = ReducedGB.condition_rows, fields_module._reduce
 
     def counting(self, point):
         replayed.append(point)
@@ -701,14 +737,64 @@ def test_polynomial_generators_point_count(monkeypatch, name, replays, rank):
         echelons.append(len(echelon))
         return back_substitute(echelon, p)
 
+    def recording_rows(self, plan, live):
+        out = rows(self, plan, live)
+        read.extend(out.values())
+        return out
+
+    def counting_reduce(echelon, v, p):
+        reductions.extend(k for k, row in enumerate(read) if row is v)
+        return reduce_row(echelon, v, p)
+
     monkeypatch.setattr(EomsEvaluator, "gb", counting)
     monkeypatch.setattr(fields_module, "_back_substitute", recording)
+    monkeypatch.setattr(ReducedGB, "condition_rows", recording_rows)
+    monkeypatch.setattr(fields_module, "_reduce", counting_reduce)
     gs = load_fixture(name)
     basis = polynomial_generators(gs, 3, FIELDS[0], random.Random(0))
     dim = len(monomials_up_to(gs.ring.arity, 3))
     assert len(replayed) == replays
     # the kernel leaves out the constant
     assert echelons == [rank] and len(basis) == dim - rank - 1
+    assert sorted(reductions) == list(range(len(read)))
+    assert len(read) == {"seir34": 102, "genlv": 52}[name]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_polynomial_generators_wrong_retirement_cannot_reach_the_output(
+        monkeypatch, seed):
+    # every row retires at the second point, so the search stops with the
+    # first point's conditions alone and returns non-members too; the
+    # membership check before the pool keeps them out of the output
+    gs = load_fixture("seir34")
+    rows, bases, plans = ReducedGB.condition_rows, [], []
+    search = simplify_module.polynomial_generators
+
+    def retiring_rows(self, plan, live):
+        # one plan per search, kept alive here; its second read is empty
+        plans.append(plan)
+        if sum(q is plan for q in plans) == 2:
+            return {}
+        return rows(self, plan, live)
+
+    def recording_search(*args, **kwargs):
+        bases.append(search(*args, **kwargs))
+        return bases[-1]
+
+    want = polynomial_generators(gs, 3, FIELDS[0], random.Random(seed))
+    monkeypatch.setattr(ReducedGB, "condition_rows", retiring_rows)
+    monkeypatch.setattr(simplify_module, "polynomial_generators",
+                        recording_search)
+    wrong = polynomial_generators(gs, 3, FIELDS[0], random.Random(seed))
+    assert len(wrong) > len(want)
+    output, report = simplify(gs, SimplifyConfig(seed=seed))
+    assert report.verified and bases and all(len(b) > len(want) for b in bases)
+    field = PrimeField(production_prime(24))
+    ctx = MembershipContext(gs, field, random.Random(seed))
+    polys = [expr for expr, tag in report.pool if tag == "polynomial"]
+    assert polys
+    assert all(ctx.contains(rf) for rf in parse_many(gs.ring, polys))
+    assert fields_equal_2p(gs, GeneratorSet(gs.ring, output))
 
 
 def test_polynomial_generators_reads_packed_normal_forms(monkeypatch):

@@ -130,8 +130,9 @@ def test_normal_form_of_ideal_member_is_zero():
 
 def _condition_rows(gb, monomials, at=None):
     """The normal forms of `monomials` planned at `gb`, read at `at` (by
-    default `gb` itself)."""
-    return (at or gb).condition_rows(gb.compile_normal_forms(monomials))
+    default `gb` itself), every row live, in row order."""
+    plan = gb.compile_normal_forms(monomials)
+    return list((at or gb).condition_rows(plan, range(plan[0])).values())
 
 
 def _reference_rows(gb, monomials):
@@ -547,11 +548,41 @@ def test_normal_form_table_matches_normal_form(case):
     monomials = [tuple(rng.randint(0, 3) for _ in ring.vars)
                  for _ in range(rng.randint(1, 6))]
     plan = gb.compile_normal_forms(monomials)
-    assert gb.condition_rows(plan) == _reference_rows(gb, monomials)
+    assert _condition_rows(gb, monomials) == _reference_rows(gb, monomials)
     other = gb_apply(ring, _at(ring, gens, rng.randrange(P)), trace)
     if other is not FAIL:
         assert other.packed_support() == gb.packed_support()
-        assert other.condition_rows(plan) == _reference_rows(other, monomials)
+        assert list(other.condition_rows(plan, range(plan[0])).values()) \
+            == _reference_rows(other, monomials)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parametric_cases(primes=(P,)))
+def test_condition_rows_read_live_rows_alone(case):
+    # a random subset of the rows, in random order, read at the learned GB
+    # and at a replay: the reference rows of those rows alone, in that
+    # order; the rows are numbered by the full read, whose rows in order
+    # are the reference rows
+    ring, gens, rng = case
+    learn_at = _at(ring, gens, rng.randrange(P))
+    if all(g.is_zero() for g in learn_at):
+        return
+    gb, trace = gb_learn(ring, learn_at)
+    monomials = [tuple(rng.randint(0, 3) for _ in ring.vars)
+                 for _ in range(rng.randint(1, 6))]
+    plan = gb.compile_normal_forms(monomials)
+    rows = plan[0]
+    for at in (gb, gb_apply(ring, _at(ring, gens, rng.randrange(P)), trace)):
+        if at is FAIL:
+            continue
+        reference = _reference_rows(at, monomials)
+        full = at.condition_rows(plan, range(rows))
+        assert list(full.values()) == reference
+        reference = dict(zip(full, reference))
+        live = rng.sample(range(rows), rng.randint(0, rows))
+        assert list(at.condition_rows(plan, live).items()) \
+            == [(r, reference[r]) for r in live if r in reference]
+        assert at.condition_rows(plan, []) == {}
 
 
 @st.composite
