@@ -19,10 +19,10 @@ they are read; a Buchberger run shares one memo of each monomial's first
 divisor, valid while the divisors only grow.
 
 Callers hand in and read exponent tuples.  Monomials are packed into single
-integers only inside the learn, the GB and its normal forms, so that integer
-comparison realizes the monomial order and integer addition realizes
-monomial multiplication; divisibility is a guard-bit test, and a new
-monomial with a guard bit set raises ExponentOverflow.  ReducedGB is built
+integers by one checked packer, only inside the learn, the GB and its normal
+forms, so that integer comparison realizes the monomial order and integer
+addition realizes monomial multiplication; divisibility is a guard-bit test,
+and a monomial past MAX_EXPONENT raises ExponentOverflow.  ReducedGB is built
 from the packed basis, and its MultiPoly view on first use.
 """
 
@@ -39,10 +39,19 @@ _M = (1 << 16) - 1
 MAX_EXPONENT = _M          # largest exponent a packed monomial holds
 
 
-class _Codec:
-    """Packs exponent tuples into order-comparable integers.
+class ExponentOverflow(ValueError):
+    """A Groebner computation reached an exponent above MAX_EXPONENT."""
 
-    One 17-bit field per variable (exponents must stay below 2^16).
+
+_OVERFLOW = ("a Groebner basis exponent exceeds %d, the largest a packed "
+             "monomial holds" % MAX_EXPONENT)
+
+
+class _Codec:
+    """The one way into the packed form: exponent tuples to order-comparable
+    integers, raising ExponentOverflow past MAX_EXPONENT.
+
+    One 17-bit field per variable (a guard bit over 16 value bits).
     degrevlex layout, most significant first:
         [total degree | M - e_n | ... | M - e_1]
     lex layout:
@@ -71,6 +80,8 @@ class _Codec:
         self.GUARDS = sum((1 << 16) << s for s in self._shifts)
 
     def pack(self, e):
+        if max(e) > MAX_EXPONENT:
+            raise ExponentOverflow(_OVERFLOW)
         if self.kind == "degrevlex":
             v = sum(e) << self._deg_shift
             for x, s in zip(e, self._shifts):
@@ -100,14 +111,6 @@ def _pack_terms(codec, poly):
 def _unpack_terms(ring, codec, terms):
     unpack = codec.unpack
     return MultiPoly(ring, tuple((unpack(m), c) for m, c in terms))
-
-
-class ExponentOverflow(ValueError):
-    """A Groebner computation reached an exponent above MAX_EXPONENT."""
-
-
-_OVERFLOW = ("a Groebner basis exponent exceeds %d, the largest a packed "
-             "monomial holds" % MAX_EXPONENT)
 
 
 def _reduce_full(work, lms, tails, codec, p, steps=None, memo=None):
@@ -356,10 +359,36 @@ class ReducedGB:
         return free(supports, len(self.ring.vars))
 
     def pack(self, e):
-        """`e` packed for `normal_form`; ExponentOverflow past MAX_EXPONENT."""
-        if max(e) > MAX_EXPONENT:
-            raise ExponentOverflow(_OVERFLOW)
+        """`e` packed for `normal_form` by the codec's one checked packer."""
         return self._codec.pack(e)
+
+    def _walk(self, terms, known):
+        """{m: index of m's first divisor, or < 0} for each m of nonzero
+        coefficient in the packed `terms` and each q t reached from a
+        reducible m = q lm(g) via g's tail monomials t, less those in `known`;
+        depth first from the least, in post-order (each m after its q t)."""
+        lms, tails, GUARDS = self._plms, self._ptails, self._codec.GUARDS
+        CONST, out, memo = self._codec.CONST, {}, {}
+        stack = sorted((m for m, c in terms.items() if c and m not in known),
+                       reverse=True)
+        while stack:
+            m = stack.pop()
+            if m in out:
+                continue
+            idx = memo.get(m)
+            if idx is None:     # at m's second visit every q t < m is out
+                idx = memo[m] = _first_divisor(m, 0, lms, CONST, GUARDS)
+                if idx >= 0:
+                    q = m - lms[idx]
+                    todo = [mm for tm, _ in tails[idx]
+                            if (mm := q + tm) not in known and mm not in out]
+                    if todo:
+                        if any(mm & GUARDS for mm in todo):
+                            raise ExponentOverflow(_OVERFLOW)
+                        stack += [m, *todo]
+                        continue
+            out[m] = idx
+        return out
 
     def normal_form(self, poly, weights=None):
         """The normal form of `poly`, a MultiPoly or a dict of terms packed by
@@ -370,62 +399,33 @@ class ReducedGB:
         m = u lm(g) the value -sum c_t phi(u t) over the tail terms c_t t of
         g, as m = -u tail(g) mod the ideal.  So phi(poly) is 0 for a member
         and, for a non-member, with probability 1/p.  Every call on one GB
-        must pass the same stream; new monomials are walked from the least,
-        in any order of the terms."""
+        must pass the same stream; the new monomials are filled in the
+        post-order of `_walk`, in any order of the terms."""
         codec, p = self._codec, self.ring.field.p
         terms = poly if isinstance(poly, dict) else _pack_terms(codec, poly)
         if weights is None:
             d = _reduce_full(dict(terms), self._plms, self._ptails, codec, p)
             return _unpack_terms(self.ring, codec,
                                  sorted(d.items(), reverse=True))
-        CONST, GUARDS = codec.CONST, codec.GUARDS
-        lms, tails, phi, memo = self._plms, self._ptails, self._phi, {}
-        stack = sorted((m for m, c in terms.items() if c and m not in phi),
-                       reverse=True)
-        while stack:
-            m = stack[-1]
-            if m in phi:
-                stack.pop()
-                continue
-            idx = memo.get(m)
-            if idx is None:
-                idx = memo[m] = _first_divisor(m, 0, lms, CONST, GUARDS)
+        lms, tails, phi = self._plms, self._ptails, self._phi
+        for m, idx in self._walk(terms, phi).items():
             if idx < 0:
                 phi[m] = weights.randrange(p)
-                stack.pop()
-                continue
-            q = m - lms[idx]
-            todo = [q + tm for tm, _ in tails[idx] if q + tm not in phi]
-            if todo:
-                if any(mm & GUARDS for mm in todo):
-                    raise ExponentOverflow(_OVERFLOW)
-                stack += todo
             else:
+                q = m - lms[idx]
                 phi[m] = -sum(tc * phi[q + tm] for tm, tc in tails[idx]) % p
-                stack.pop()
         return sum(c * phi[m] for m, c in terms.items() if c) % p
 
     def compile_normal_forms(self, monomials):
         """The normal-form table of `monomials` (exponent tuples), planned
-        from this GB's supports alone: (rows, steps, their positions).
+        from this GB's supports alone by `_walk`: (rows, steps, positions).
         Positions 0 .. rows-1 are the nonconstant standard monomials reached,
         ascending, and rows the constant; the reducible m = q lm(g) follow,
         ascending, each a step (index of g, positions of the q t for g's tail
         monomials t, bitmask of the rows its normal form can reach)."""
-        codec, lms, tails = self._codec, self._plms, self._ptails
-        CONST, GUARDS = codec.CONST, codec.GUARDS
-        packed = [codec.pack(m) for m in monomials]
-        divisor, stack = {}, list(packed)
-        while stack:
-            m = stack.pop()
-            if m in divisor:
-                continue
-            idx = divisor[m] = _first_divisor(m, 0, lms, CONST, GUARDS)
-            if idx >= 0:
-                todo = [m - lms[idx] + tm for tm, _ in tails[idx]]
-                if any(mm & GUARDS for mm in todo):
-                    raise ExponentOverflow(_OVERFLOW)
-                stack += todo
+        lms, tails, CONST = self._plms, self._ptails, self._codec.CONST
+        packed = [self._codec.pack(m) for m in monomials]
+        divisor = self._walk(dict.fromkeys(packed, 1), {})
         order = sorted(divisor)
         standard = [m for m in order if divisor[m] < 0 and m != CONST]
         position = {m: r for r, m in enumerate(standard + [CONST])}

@@ -144,34 +144,33 @@ class EomsEvaluator:
     eval(a) returns the tuple of the non-leading coefficients of gb(a), in
     the order of coefficient_keys(): (element index, monomial) per
     coefficient.  The trace and support never change, so the harvest keeps
-    its sample table here for the evaluator's life: `seeds` (taken at the
-    first gb_coefficients call), `values` (point -> eval(point)), `solved`
-    (sequences and Prony roots) and `finished` (the "ok" report entries).
+    its sample table here for the evaluator's life: `seeds` (two 64-bit
+    seeds drawn from `rng` after the learn), `values` (point ->
+    eval(point)), `solved` (sequences and Prony roots) and `finished` (the
+    "ok" report entries).
     """
 
     def __init__(self, genset, ring, rng):
         self.genset = genset
         self.ring = ring
         self.n_evals = 0
-        self.seeds = None
         self.values = {}
         self.solved = {}
         self.finished = {}
         self._learn(rng)
+        self.seeds = rng.getrandbits(64), rng.getrandbits(64)
 
     def _random_point(self, rng):
         p = self.ring.field.p
         return tuple(rng.randrange(1, p) for _ in self.genset.ring.vars)
 
     def _learn(self, rng):
-        # the check point comes from a stream seeded by the learn point, so
-        # rng advances as by the learn alone; a pole or a failed check
-        # redraws both
+        # a pole or a failed check redraws both points
         for _ in range(POINT_ATTEMPTS):
-            point = self._random_point(rng)
-            gens = specialize_eoms(self.genset, point, self.ring)
-            check = self._random_point(random.Random(str(point)))
-            check = specialize_eoms(self.genset, check, self.ring)
+            gens = specialize_eoms(self.genset, self._random_point(rng),
+                                   self.ring)
+            check = specialize_eoms(self.genset, self._random_point(rng),
+                                    self.ring)
             if gens is FAIL or check is FAIL:
                 continue
             self.n_evals += 1
@@ -233,7 +232,7 @@ def gb_coefficients(genset, degree_cutoff, ring, rng,
     Coefficients are returned mod p (reconstruction to Q is the caller's
     job).  A shared evaluator may be passed in to keep its learned trace
     and its sample table: every cutoff reads the line, schedule and points
-    of the first call, though each call draws two 64-bit seeds from `rng`.
+    of its seeds, and `rng` is read only to make an evaluator.
     Raises EvaluationBudgetExceeded before an evaluation would take this
     call past `eval_cap` GB evaluations.
     """
@@ -242,8 +241,6 @@ def gb_coefficients(genset, degree_cutoff, ring, rng,
     x_ring = Ring(genset.ring.vars, ring.field, genset.ring.order)
     # common random numbers: every key of every call samples the same line
     # and gamma/sigma/row points, so one GB evaluation per point serves all
-    seeds = rng.getrandbits(64), rng.getrandbits(64)
-    evaluator.seeds = evaluator.seeds or seeds
     est_seed, int_seed = evaluator.seeds
     keys = evaluator.coefficient_keys()
     finished, values = evaluator.finished, evaluator.values

@@ -389,6 +389,23 @@ def test_run_groebner_exponent_overflow(tmp_path, capsys):
     assert "exceeds 65535" in capsys.readouterr().err
 
 
+def test_search_degree_past_the_packed_exponent(tmp_path):
+    # --delta 70000 asks the search for candidate monomials up to x^70000,
+    # which no packed monomial holds: a typed error at once (unchecked, the
+    # wrapped monomials would run the search for minutes)
+    problem = tmp_path / "x2.txt"
+    problem.write_text("vars: x\nx^2\n")
+    src = str(Path(fieldsimp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "fieldsimp.cli", "--input", str(problem),
+         "--delta", "70000"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr == ("error: a Groebner basis exponent exceeds 65535, "
+                           "the largest a packed monomial holds\n")
+
+
 def test_polynomial_member_beyond_one_prime(tmp_path, capsys):
     # the member x^2 + (1048571/1048573)^2*y^2 has a coefficient too large
     # to lift at one prime; its wrong lift must not reach the output

@@ -87,6 +87,26 @@ def test_functional_exponent_overflow_raises():
     assert gb.normal_form(x + y ** 65535, random.Random(0)) == 0
 
 
+@pytest.mark.parametrize("order", [R2.order, LEX], ids=["degrevlex", "lex"])
+@pytest.mark.parametrize("top", [65536, 70000])
+def test_every_entry_point_packs_through_the_checked_codec(order, top):
+    # an input exponent past 65535 raises at the packing; unchecked, it
+    # would wrap into a wrong basis (x^70000 reads as x^4464 y in degrevlex)
+    ring = Ring(("x", "y"), FP, order)
+    x, y = ring.gens()
+    big = x ** top
+    gb = groebner(ring, [x * x - y])
+    for run in (lambda: groebner(ring, [big]),
+                lambda: gb_learn(ring, [big - y]),
+                lambda: gb.normal_form(big),
+                lambda: gb.normal_form(big + y, random.Random(0)),
+                lambda: gb.compile_normal_forms([(1, 0), (top, 0)])):
+        with pytest.raises(ExponentOverflow, match="65535"):
+            run()
+    # and 65535 itself still packs
+    assert gb.normal_form(x ** 65535) == x * y ** 32767
+
+
 def test_functional_reads_packed_terms_in_any_order():
     # a dict of packed terms, shuffled and with zero coefficients, reads as
     # the MultiPoly it packs: the same normal form, and the same phi on a

@@ -353,8 +353,8 @@ def test_harvest_evaluates_each_point_once(monkeypatch):
         rep = gb_coefficients(gs, cutoff, ring, rng, evaluator=ev)
         assert rep is not FAIL and rep.n_evals > 0
         total += rep.n_evals
-        # the caller's stream moves by the two seeds alone
-        expected.getrandbits(64), expected.getrandbits(64)
+        # the evaluator drew its seeds when it was made: given one, a call
+        # reads nothing from the caller's stream
         assert rng.getstate() == expected.getstate()
     assert not rep.has_high_degree()
     assert points and len(set(points)) == len(points)
@@ -465,12 +465,15 @@ def test_learn_at_a_special_point_is_rejected_by_its_check(monkeypatch):
         is not FAIL
 
 
-def test_learn_draws_one_point_from_the_callers_rng():
+def test_learn_draws_its_points_and_seeds_from_the_callers_rng():
+    # the learn point, its check point, then the harvest's two seeds
     gs = load_fixture("example_sym")
     rng = random.Random(3)
     ev = EomsEvaluator(gs, gb_ring(gs, FP), rng)
     expected = random.Random(3)
-    point = tuple(expected.randrange(1, FP.p) for _ in range(gs.ring.arity))
+    point, _check = (tuple(expected.randrange(1, FP.p)
+                           for _ in range(gs.ring.arity)) for _ in range(2))
+    assert ev.seeds == (expected.getrandbits(64), expected.getrandbits(64))
     assert rng.getstate() == expected.getstate()
     assert ev.learned.polys \
         == groebner(ev.ring, specialize_eoms(gs, point, ev.ring)).polys
