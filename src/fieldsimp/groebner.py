@@ -1,6 +1,7 @@
 """Reduced Groebner bases over F_p with learn/apply tracing.
 
-Buchberger with the normal selection strategy and Gebauer-Moller pair
+Buchberger with the sugar strategy (Giovini, Mora, Niesi, Robbiano and
+Traverso 1991), pairs taken by (sugar, packed lcm), and Gebauer-Moller pair
 elimination.  A learn run compiles each reduction into a slot program
 (Traverso's Groebner trace, rows fixed in advance as in F4's symbolic
 preprocessing): one integer slot per monomial the reduction touched, the
@@ -189,11 +190,13 @@ def _divides(a, b, codec):
     return q >= 0 and not (q & codec.GUARDS)
 
 
-def _gm_update(pairs, basis_lms, exps, active, h_idx, codec):
+def _gm_update(pairs, basis_lms, exps, ecart, active, h_idx, codec):
     """Gebauer-Moller pair update after appending element h_idx; `exps`
-    holds the leading monomials' exponent tuples.  Pairs are (lcm degree,
-    packed lcm, i, j), returned sorted in the normal strategy's order; lm_i
-    and lm_h are coprime when their lcm is their product."""
+    holds the leading monomials' exponent tuples and `ecart` each element's
+    sugar less its leading monomial's degree.  Pairs are (sugar, packed lcm,
+    i, j), with sugar max(s_i + deg lcm - deg lm_i, same for j), returned
+    sorted in the sugar strategy's order; lm_i and lm_h are coprime when
+    their lcm is their product."""
     pack = codec.pack
     lmh = basis_lms[h_idx]
     eh = exps[h_idx]
@@ -219,8 +222,8 @@ def _gm_update(pairs, basis_lms, exps, active, h_idx, codec):
                     and all(not _divides(lcm_h[j], li, codec) for j in kept))
         if keep:
             kept.append(i)
-    new_pairs = [(codec.degree(lcm_h[i]), lcm_h[i], i, h_idx) for i in kept
-                 if i not in coprime]
+    new_pairs = [(codec.degree(lcm_h[i]) + max(ecart[i], ecart[h_idx]),
+                  lcm_h[i], i, h_idx) for i in kept if i not in coprime]
     out = []
     for pair in pairs:
         _, lij, i, j = pair
@@ -485,14 +488,16 @@ def _run_buchberger(ring, generators, learn):
     basis = [_monic_terms(_pack_terms(codec, g), p) for g in inputs]
     lms = [g[0][0] for g in basis]
     exps = [codec.unpack(lm) for lm in lms]
+    ecart = [g.degree() - sum(e) for g, e in zip(inputs, exps)]
     tails = [g[1:] for g in basis]
     pairs, active = [], set()
     for idx in range(len(basis)):
-        pairs, active = _gm_update(pairs, lms, exps, active, idx, codec)
+        pairs, active = _gm_update(pairs, lms, exps, ecart, active, idx,
+                                   codec)
 
     programs, memo = [], {}
     while pairs:
-        _, lcm, i, j = pairs.pop(0)
+        sugar, lcm, i, j = pairs.pop(0)
         s = _spoly_dict(basis[i], basis[j], lcm, codec, p)
         steps = [(lcm, j, lcm - lms[j])] if learn else None
         rem = _reduce_full(s, lms, tails, codec, p, steps, memo)
@@ -504,9 +509,10 @@ def _run_buchberger(ring, generators, learn):
         basis.append(h)
         lms.append(h[0][0])
         exps.append(codec.unpack(h[0][0]))
+        ecart.append(sugar - sum(exps[-1]))
         tails.append(h[1:])
-        pairs, active = _gm_update(pairs, lms, exps, active, len(basis) - 1,
-                                   codec)
+        pairs, active = _gm_update(pairs, lms, exps, ecart, active,
+                                   len(basis) - 1, codec)
 
     gb = ReducedGB(ring, _interreduce(basis, codec, p,
                                       programs if learn else None), codec)

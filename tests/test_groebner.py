@@ -2,6 +2,7 @@ import heapq
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,7 @@ from fieldsimp import groebner as groebner_module
 from fieldsimp.arith import FAIL, PrimeField, production_prime
 from fieldsimp.groebner import (TRACE_DIVERGED, ExponentOverflow, gb_apply,
                                 gb_learn, gb_verify, groebner)
-from fieldsimp.oms import gb_ring, specialize_eoms
+from fieldsimp.oms import EomsEvaluator, gb_ring, specialize_eoms
 from fieldsimp.poly import LEX, MonomialOrder, Ring
 
 from conftest import fields_equal_2p, load_fixture
@@ -265,6 +266,61 @@ def test_reduced_basis_invariants():
         for j, l in enumerate(lms):
             if j != i:
                 assert not mon_divides(l, g.leading_monomial())
+
+
+@st.composite
+def sympy_cases(draw):
+    """(ring, generators as dicts) in 1-3 variables over F_P, some with a
+    constant input and some with a copy of an input up to a scalar."""
+    nvars = draw(st.integers(1, 3))
+    ring = Ring(tuple("xyz"[:nvars]), FP,
+                MonomialOrder(draw(st.sampled_from(["degrevlex", "lex"]))))
+    mon = st.tuples(*[st.integers(0, 2)] * nvars)
+    gens = draw(st.lists(st.dictionaries(mon, st.integers(1, P - 1),
+                                         min_size=1, max_size=3),
+                         min_size=1, max_size=3))
+    if draw(st.booleans()):
+        scalar = draw(st.integers(2, P - 1))
+        gens.append({m: c * scalar % P for m, c in draw(
+            st.sampled_from(gens)).items()})
+    if draw(st.integers(0, 5)) == 0:
+        gens.append({(0,) * nvars: draw(st.integers(1, P - 1))})
+    return ring, draw(st.permutations(gens))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sympy_cases())
+def test_groebner_matches_sympy(case):
+    # the reduced basis is unique, so no pair order may change it
+    ring, gens = case
+    symbols = sympy.symbols(ring.vars)
+    exprs = [sum(c * sympy.prod(s ** e for s, e in zip(symbols, m))
+                 for m, c in g.items()) for g in gens]
+    want = set()
+    for g in sympy.groebner(exprs, *symbols, modulus=P, order={
+            "degrevlex": "grevlex", "lex": "lex"}[ring.order.kind]).polys:
+        d = {m: int(c) % P for m, c in g.terms()}
+        inv = pow(d[max(d, key=ring.order.key)], -1, P)
+        want.add(frozenset((m, c * inv % P) for m, c in d.items()))
+    got = groebner(ring, [ring.from_dict(g) for g in gens])
+    assert {frozenset(g.terms) for g in got} == want
+
+
+@pytest.mark.parametrize("name,order,bound", [
+    ("bilirubin", "degrevlex", 1600), ("bilirubin", "lex", 1700),
+    ("obscured4", "lex", 400_000)])
+def test_sugar_strategy_keeps_replays_small(name, order, bound):
+    # under the normal strategy these traces replay in 10,689, 3,615 and
+    # 1,864,863 multiply-subtracts, and under sugar in 1,439, 1,518 and
+    # 342,920 (the learn at Random(0), production_prime(0))
+    genset = load_fixture(name, order=order)
+    ring = gb_ring(genset, FP, MonomialOrder(order))
+    trace = EomsEvaluator(genset, ring, random.Random(0)).trace
+    # a replay of the verified trace runs every step of its programs and
+    # the first step of each quick check
+    programs = [program[2] for program in trace.programs]
+    programs += [steps for (_, _, steps), _ in trace.checks]
+    assert sum(len(row) for steps in programs for _, _, row in steps) <= bound
 
 
 def test_learn_apply_identity():
