@@ -306,7 +306,7 @@ def run(argv):
             seed=args.seed,
             eval_cap=args.eval_cap,
         )
-        cfg.validate()
+        cfg.validate(genset.ring.arity)
     except (OSError, ParseError, ValueError, DivisionByZero) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

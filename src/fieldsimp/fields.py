@@ -34,8 +34,8 @@ import random
 
 from .arith import FAIL
 from .groebner import groebner
-from .oms import (POINT_ATTEMPTS, EomsEvaluator, EvaluationBudgetExceeded,
-                  GeneratorSet, UnluckyPoint, gb_ring, specialize_eoms)
+from .oms import (POINT_ATTEMPTS, EomsEvaluator, GeneratorSet, UnluckyPoint,
+                  gb_ring, specialize_eoms)
 from .poly import MultiPoly, RationalFunction, Ring, values_at
 
 
@@ -201,8 +201,7 @@ def minimize(generators, ring, field, rng):
     return kept
 
 
-def polynomial_generators(genset, delta, field, rng, evaluator=None,
-                          eval_cap=10 ** 6):
+def polynomial_generators(genset, delta, field, rng, evaluator=None):
     """Basis of { p in F_p[x] : deg p <= delta, p(x) in the subfield },
     constants left out.
 
@@ -225,9 +224,8 @@ def polynomial_generators(genset, delta, field, rng, evaluator=None,
     v_f = m_f - sum row_c[f] m_c, monic in m_f, 0 at the other free columns:
     the nullspace's reduced echelon basis, leading monomials descending.
     An evaluator of `genset` at `field` may be passed in to replay its
-    trace instead of learning one; each replay counts in its n_evals.
-    Raises EvaluationBudgetExceeded before a replay would take this call
-    past `eval_cap` GB evaluations.
+    trace instead of learning one; each replay is charged to its `spend`,
+    which may raise, and counts in its n_evals.
     """
     ev = evaluator or EomsEvaluator(
         genset, gb_ring(genset, field, genset.ring.order), rng)
@@ -235,12 +233,9 @@ def polynomial_generators(genset, delta, field, rng, evaluator=None,
     n, p = genset.ring.arity, field.p
     monomials = sorted(_monomials_up_to(n, delta), key=x_ring.order.key)
     plan = ev.learned.compile_normal_forms([(0,) + mon for mon in monomials])
-    echelon, live, gb, start = [], range(plan[0]), ev.learned, ev.n_evals
+    echelon, live, gb = [], range(plan[0]), ev.learned
     for k in range(len(monomials) + EXTRA_POINTS):
         if k:
-            if ev.n_evals - start >= eval_cap:
-                raise EvaluationBudgetExceeded(
-                    "GB evaluation budget ran out in the polynomial search")
             gb = ev.gb(tuple(rng.randrange(1, p) for _ in range(n)))
             if gb is FAIL:
                 continue

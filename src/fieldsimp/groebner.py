@@ -557,6 +557,9 @@ def gb_apply(ring, generators, trace):
         inv = pow(g.leading_coefficient(), -1, p)
         basis.append([c * inv % p for _, c in g.terms])
     for program in trace.programs:
+        if not program[2]:          # an element interreduction left as it is
+            basis.append(basis[program[1][0]])
+            continue
         v = _slots(program, basis, p)
         if any(v[s] % p for s in program[4]):
             return FAIL

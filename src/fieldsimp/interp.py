@@ -88,8 +88,8 @@ def _umul(a, b, p):
 
 
 def _udivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
+    """(a // b, a % b); b != 0, as _ugcd and _half_eea divide only by a
+    nonzero b, and _uroots and _prony by a factor of degree >= 1."""
     a = list(a)
     q = [0] * max(len(a) - len(b) + 1, 0)
     inv_lb = pow(b[-1], -1, p)
@@ -262,7 +262,8 @@ def _prony(evals, field, roots_of):
     distinct nonzero roots (caller enlarges the sequence).  `roots_of`
     keeps the roots of each Prony polynomial found so far.  For even
     len(evals) = 2T the EEA cofactor lam is nonzero of degree <= T, 0 is no
-    root (lam's lead is nonzero) and t distinct roots give L_k(m_k) != 0.
+    root (lam's lead is nonzero) and t distinct roots give L_k(m_k) != 0;
+    each root m of mono, from _uroots, makes mono / (z - m) exact.
     As lam E = r mod z^(2T), the roots reproduce all 2T values iff deg r < t
     (r/lam in partial fractions); r != 0, so this rejects t = 0 too.
     """
@@ -289,8 +290,7 @@ def _prony(evals, field, roots_of):
     # transposed Vandermonde solve, O(t^2): c_k = (sum_i L_k[i] e_i) / L_k(m_k)
     out = []
     for m in roots:
-        lk, rem = _udivmod(mono, [-m % p, 1], p)
-        assert not rem
+        lk, _ = _udivmod(mono, [-m % p, 1], p)
         s = 0
         for i, c in enumerate(lk):
             s = (s + c * evals[i]) % p

@@ -23,8 +23,8 @@ shared random line and interpolation schedule: a distinct point costs one
 GB evaluation whichever keys and rounds read it, and a sequence is solved
 once.  A key is interpolated when its degree sum is within the requested
 cutoff, and a key found at one cutoff is not interpolated again at a
-higher one.  The evaluator's point memo is also where a harvest call
-enforces the evaluation budget: it raises before an overspend.
+higher one.  Each GB evaluation, a learn attempt or a replay, is charged
+first to the evaluator's `spend`, the one place a budget refuses it.
 """
 
 import random
@@ -141,18 +141,20 @@ class EomsEvaluator:
     check count as one GB evaluation.  gb(a) replays it at a and returns the
     reduced GB, or FAIL; gb_apply enforces the support found at the learn
     point at every later point, and `learned` keeps the GB computed there.
-    eval(a) returns the tuple of the non-leading coefficients of gb(a), in
-    the order of coefficient_keys(): (element index, monomial) per
-    coefficient.  The trace and support never change, so the harvest keeps
-    its sample table here for the evaluator's life: `seeds` (two 64-bit
-    seeds drawn from `rng` after the learn), `values` (point ->
-    eval(point)), `solved` (sequences and Prony roots) and `finished` (the
-    "ok" report entries).
+    Each learn attempt and replay calls `spend()`, which may raise to
+    refuse it, then counts in n_evals.  eval(a) returns the tuple of the
+    non-leading coefficients of gb(a), in the order of coefficient_keys():
+    (element index, monomial) per coefficient.  The trace and support never
+    change, so the harvest keeps its sample table here for the evaluator's
+    life: `seeds` (two 64-bit seeds drawn from `rng` after the learn),
+    `values` (point -> eval(point)), `solved` (sequences and Prony roots)
+    and `finished` (the "ok" report entries).
     """
 
-    def __init__(self, genset, ring, rng):
+    def __init__(self, genset, ring, rng, spend=lambda: None):
         self.genset = genset
         self.ring = ring
+        self.spend = spend
         self.n_evals = 0
         self.values = {}
         self.solved = {}
@@ -173,6 +175,7 @@ class EomsEvaluator:
                                     self.ring)
             if gens is FAIL or check is FAIL:
                 continue
+            self.spend()
             self.n_evals += 1
             gb, trace = gb_learn(self.ring, gens)
             trace = gb_verify(self.ring, check, trace)
@@ -182,28 +185,33 @@ class EomsEvaluator:
             self.support = tuple(g.support() for g in gb)
             self._keys = tuple((i, m) for i, supp in enumerate(self.support)
                                for m in supp[1:])
+            self._index = {key: k for k, key in enumerate(self._keys)}
             return
         raise UnluckyPoint("no regular specialization point mod %d"
                            % self.ring.field.p)
 
     def gb(self, point):
+        self.spend()
         self.n_evals += 1
         gens = specialize_eoms(self.genset, point, self.ring)
         return FAIL if gens is FAIL else gb_apply(self.ring, gens, self.trace)
 
     def eval(self, point):
         gb = self.gb(point)
-        if gb is FAIL:
-            return FAIL
-        return tuple(c for g in gb.packed for _, c in g[1:])
+        return FAIL if gb is FAIL else tuple(c for g in gb.packed
+                                             for _, c in g[1:])
 
     def coefficient_keys(self):
         return self._keys
 
     def coefficient_blackbox(self, key):
+        """One key's harvest blackbox, reading eval(point) via `values`."""
+        k, values = self._index[key], self.values
+
         def fn(point):
-            vals = self.eval(point)
-            return FAIL if vals is FAIL else vals[self._keys.index(key)]
+            if point not in values:
+                values[point] = self.eval(point)
+            return FAIL if values[point] is FAIL else values[point][k]
         return Blackbox(self.genset.ring.arity, fn)
 
 
@@ -224,47 +232,30 @@ class CoefficientReport:
         return any(val[0] == "high_degree" for val in self.entries.values())
 
 
-def gb_coefficients(genset, degree_cutoff, ring, rng,
-                    eval_cap=10 ** 6, evaluator=None):
+def gb_coefficients(genset, degree_cutoff, ring, rng, evaluator=None):
     """Interpolate every reduced-GB coefficient with degree sum <= cutoff.
 
     Returns a CoefficientReport, or FAIL when interpolation keeps failing.
     Coefficients are returned mod p (reconstruction to Q is the caller's
     job).  A shared evaluator may be passed in to keep its learned trace
     and its sample table: every cutoff reads the line, schedule and points
-    of its seeds, and `rng` is read only to make an evaluator.
-    Raises EvaluationBudgetExceeded before an evaluation would take this
-    call past `eval_cap` GB evaluations.
+    of its seeds, and `rng` is read only to make an evaluator.  Each key
+    reads the evaluator's coefficient_blackbox, and each GB evaluation is
+    charged to its `spend`, which may raise.
     """
-    if evaluator is None:
-        evaluator = EomsEvaluator(genset, ring, rng)
+    evaluator = evaluator or EomsEvaluator(genset, ring, rng)
     x_ring = Ring(genset.ring.vars, ring.field, genset.ring.order)
     # common random numbers: every key of every call samples the same line
     # and gamma/sigma/row points, so one GB evaluation per point serves all
     est_seed, int_seed = evaluator.seeds
-    keys = evaluator.coefficient_keys()
-    finished, values = evaluator.finished, evaluator.values
-    start_evals = evaluator.n_evals
-
-    def coefficients(point):
-        if point not in values:
-            if evaluator.n_evals - start_evals >= eval_cap:
-                raise EvaluationBudgetExceeded(
-                    "GB evaluation budget ran out at d=%d" % degree_cutoff)
-            values[point] = evaluator.eval(point)
-        return values[point]
-
+    finished, start_evals = evaluator.finished, evaluator.n_evals
     entries = {}
-    for index, key in enumerate(keys):
+    for key in evaluator.coefficient_keys():
         done = finished.get(key)
         if done is not None and sum(done[2]) <= degree_cutoff:
             entries[key] = done
             continue
-
-        def fn(point, index=index):
-            vals = coefficients(point)
-            return FAIL if vals is FAIL else vals[index]
-        bb = Blackbox(genset.ring.arity, fn)
+        bb = evaluator.coefficient_blackbox(key)
         est = estimate_degrees(bb, degree_cutoff, ring.field,
                                random.Random(est_seed))
         if est is FAIL:

@@ -31,6 +31,9 @@ HARVEST_OFFSETS = (0, 6, 7, 64, 65, 66, 67, 68)
 # attempts after the first, each in a fresh block of primes and rng stream
 MAX_RESTARTS = 2
 
+# the polynomial search's C(n + delta, n) candidates; work grows as their cube
+MAX_SEARCH_MONOMIALS = 2000
+
 
 class VerificationFailed(Exception):
     """No attempt produced a verified output; the message names the reason
@@ -50,11 +53,16 @@ class SimplifyConfig:
         # read-only: perfbench/run.py reads it off a default config
         return MAX_RESTARTS
 
-    def validate(self):
+    def validate(self, arity=0):
         if self.delta < 1:
             raise ValueError("delta must be at least 1")
         if self.eval_cap < 1:
             raise ValueError("eval-cap must be positive")
+        count = math.comb(arity + self.delta, arity)    # search candidates
+        if count > MAX_SEARCH_MONOMIALS:
+            raise ValueError(
+                "delta %d gives %d candidate monomials, over the bound %d"
+                % (self.delta, count, MAX_SEARCH_MONOMIALS))
 
 
 @dataclass
@@ -187,7 +195,7 @@ def simplify(genset, cfg=None):
     """
     if cfg is None:
         cfg = SimplifyConfig()
-    cfg.validate()
+    cfg.validate(genset.ring.arity)
     nonconstant = [g for g in genset.generators if not g.is_constant()]
     if not nonconstant:
         raise ValueError("all generators are constant")
@@ -211,6 +219,16 @@ def _run_once(genset, cfg, restart):
                                   seed=cfg.seed)
     q_ring = genset.ring
 
+    # the attempt's GB evaluations, learn attempts included, and its budget
+    spent, stage = 0, "in the first learn"
+
+    def spend():
+        nonlocal spent
+        if spent >= cfg.eval_cap:
+            raise EvaluationBudgetExceeded(
+                "GB evaluation budget ran out " + stage)
+        spent += 1
+
     # one evaluator per harvest prime, kept across rounds
     evaluators = []
 
@@ -218,14 +236,10 @@ def _run_once(genset, cfg, restart):
         prime = production_prime(base + HARVEST_OFFSETS[len(evaluators)])
         report.primes.append(prime)
         ring = gb_ring(genset, PrimeField(prime), q_ring.order)
-        evaluators.append(EomsEvaluator(genset, ring, rng))
-
-    def n_evals():
-        return sum(ev.n_evals for ev in evaluators)
+        evaluators.append(EomsEvaluator(genset, ring, rng, spend))
 
     def harvest(ev, d):
-        rep = gb_coefficients(genset, d, ev.ring, rng,
-                              eval_cap=cfg.eval_cap - n_evals(), evaluator=ev)
+        rep = gb_coefficients(genset, d, ev.ring, rng, evaluator=ev)
         if rep is FAIL:
             raise VerificationFailed(
                 "coefficient interpolation failed at d=%d" % d)
@@ -242,10 +256,9 @@ def _run_once(genset, cfg, restart):
     # the first harvest evaluator's trace; a member lifted from one prime
     # may be wrong, so it too is checked
     harvest_field = evaluators[0].ring.field
-    polys = []
+    polys, stage = [], "in the polynomial search"
     for poly in polynomial_generators(genset, cfg.delta, harvest_field, rng,
-                                      evaluators[0],
-                                      eval_cap=cfg.eval_cap - n_evals()):
+                                      evaluators[0]):
         rf = _reconstruct_rf(poly.terms, ((q_ring._zero_mon, 1),),
                              q_ring, harvest_field.p)
         if rf is not FAIL and is_member(rf):   # else skip a failed lift
@@ -265,8 +278,9 @@ def _run_once(genset, cfg, restart):
                                     rng)
         return bool(kept) and ctx.contains(rf)
 
-    d, before = 1, n_evals()
+    d, before = 1, spent
     while True:
+        stage = "at d=%d" % d
         pairs = _crt_pairs([harvest(ev, d) for ev in evaluators])
         modulus = math.prod(ev.ring.field.p for ev in evaluators)
         lifted = FAIL if pairs is FAIL else \
@@ -280,15 +294,11 @@ def _run_once(genset, cfg, restart):
                 raise VerificationFailed(
                     "coefficients need more than %d harvest primes at d=%d"
                     % (len(HARVEST_OFFSETS), d))
-            # its learn is a GB evaluation spent outside any harvest
-            if n_evals() >= cfg.eval_cap:
-                raise EvaluationBudgetExceeded(
-                    "GB evaluation budget ran out at d=%d" % d)
             add_evaluator()
             continue
         report.rounds.append({"d": d, "n_coeffs": len(cands),
-                              "n_evals": n_evals() - before})
-        before = n_evals()
+                              "n_evals": spent - before})
+        before = spent
         pool = _dedup_pool((originals if cfg.retain_originals else [])
                            + cands + polys)
         pool.sort(key=lambda item: sort_key(item[0]))

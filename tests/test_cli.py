@@ -4,17 +4,21 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fieldsimp
-from fieldsimp.arith import production_prime
+from fieldsimp.arith import PrimeField, production_prime
 from fieldsimp.cli import (ParseError, UnknownIdentifier, ZeroDenominator,
                            _build_arg_parser, parse_expression,
                            parse_problem_file, run)
+from fieldsimp.fields import polynomial_generators
+from fieldsimp.groebner import ExponentOverflow
 from fieldsimp.poly import LEX, QQ, RationalFunction, Ring
+from fieldsimp.simplify import MAX_SEARCH_MONOMIALS
 
 from conftest import ALL_FIXTURES, FIXTURE_DIR, load_fixture, parse_many
 
@@ -392,7 +396,9 @@ def test_run_groebner_exponent_overflow(tmp_path, capsys):
 def test_search_degree_past_the_packed_exponent(tmp_path):
     # --delta 70000 asks the search for candidate monomials up to x^70000,
     # which no packed monomial holds: a typed error at once (unchecked, the
-    # wrapped monomials would run the search for minutes)
+    # wrapped monomials would run the search for minutes).  The CLI's
+    # search-size bound refuses it first; the search itself, called
+    # directly, raises on the packed exponent
     problem = tmp_path / "x2.txt"
     problem.write_text("vars: x\nx^2\n")
     src = str(Path(fieldsimp.__file__).resolve().parent.parent)
@@ -402,8 +408,33 @@ def test_search_degree_past_the_packed_exponent(tmp_path):
          "--delta", "70000"],
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
-    assert done.stderr == ("error: a Groebner basis exponent exceeds 65535, "
-                           "the largest a packed monomial holds\n")
+    assert done.stderr == ("error: delta 70000 gives 70001 candidate "
+                           "monomials, over the bound 2000\n")
+    genset, _ = parse_problem_file(problem.read_text())
+    with pytest.raises(ExponentOverflow,
+                       match="^a Groebner basis exponent exceeds 65535, "
+                             "the largest a packed monomial holds$"):
+        polynomial_generators(genset, 70000, PrimeField(production_prime(0)),
+                              random.Random(0))
+
+
+@pytest.mark.parametrize("name, text, delta, count", [
+    ("seir34", None, 100, 26075972546), ("x2", "vars: x\nx^2\n", 2000, 2001)])
+def test_search_size_bound_exits_2_at_once(tmp_path, capsys, name, text,
+                                           delta, count):
+    # C(n + delta, n) candidate monomials over MAX_SEARCH_MONOMIALS: the run
+    # stops before any GB work (seir34 would build 2.6e10 candidates, and
+    # x^2 at delta 2000 ran past 60 s in the search's echelon)
+    path = fixture_path(name)
+    if text is not None:
+        path = tmp_path / (name + ".txt")
+        path.write_text(text)
+    start = time.perf_counter()
+    assert run(["--input", str(path), "--delta", str(delta)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: delta %d gives %d candidate monomials, over the bound %d\n"
+        % (delta, count, MAX_SEARCH_MONOMIALS))
 
 
 def test_polynomial_member_beyond_one_prime(tmp_path, capsys):
@@ -433,6 +464,9 @@ def test_run_thirty_digit_coefficient(tmp_path, capsys, flags):
 def test_run_budget_exhausted(capsys):
     code = run(["--input", fixture_path("heron"), "--eval-cap", "1"])
     assert code == 3
+    assert capsys.readouterr().err == ("evaluation budget exhausted: GB "
+                                       "evaluation budget ran out in the "
+                                       "polynomial search\n")
 
 
 def test_run_verification_failed(monkeypatch, capsys):

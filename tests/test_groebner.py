@@ -323,6 +323,30 @@ def test_sugar_strategy_keeps_replays_small(name, order, bound):
     assert sum(len(row) for steps in programs for _, _, row in steps) <= bound
 
 
+@pytest.mark.parametrize("name", ["sir6", "lotka_volterra", "bruno2016"])
+def test_replay_fills_slots_only_for_programs_with_steps(name, monkeypatch):
+    # most minimal elements come out of interreduction unchanged; their
+    # programs have no steps, and a replay appends the element as it is
+    genset = load_fixture(name)
+    ring = gb_ring(genset, FP)
+    trace = EomsEvaluator(genset, ring, random.Random(0)).trace
+    copies = sum(not program[2] for program in trace.programs)
+    assert copies
+    calls = []
+    slots = groebner_module._slots
+
+    def counting(program, basis, p):
+        calls.append(program)
+        return slots(program, basis, p)
+
+    monkeypatch.setattr(groebner_module, "_slots", counting)
+    rng = random.Random(1)
+    gens = specialize_eoms(genset, tuple(rng.randrange(1, P) for _ in
+                                         range(genset.ring.arity)), ring)
+    assert gb_apply(ring, gens, trace).polys == groebner(ring, gens).polys
+    assert len(calls) == len(trace.programs) - copies + len(trace.checks)
+
+
 def test_learn_apply_identity():
     x, y = R2.gens()
     gens = [x * x + y, x * y - R2.one()]

@@ -511,10 +511,17 @@ def test_support_mismatch_is_fail():
 def test_budget_stops_before_the_evaluation_past_the_cap(monkeypatch):
     gs = load_fixture("example_sym")
     ring = gb_ring(gs, FP)
-    ev = EomsEvaluator(gs, ring, random.Random(3))
+    spent = []
+
+    def spend():
+        if len(spent) == 4:
+            raise EvaluationBudgetExceeded("budget ran out at d=2")
+        spent.append(1)
+
+    ev = EomsEvaluator(gs, ring, random.Random(3), spend)
     monkeypatch.setattr(oms, "gb_apply", lambda *args: FAIL)
-    # three diverged replays spend the cap; a fourth would overspend it
+    # the learn and three diverged replays spend the budget of 4; the
+    # evaluator asks for a fifth before it runs it
     with pytest.raises(EvaluationBudgetExceeded, match="at d=2$"):
-        gb_coefficients(gs, 2, ring, random.Random(4), eval_cap=3,
-                        evaluator=ev)
+        gb_coefficients(gs, 2, ring, random.Random(4), evaluator=ev)
     assert ev.n_evals == 1 + 3          # the learn and three replays

@@ -232,6 +232,28 @@ def test_gcd_sequence_fallback_gives_the_same_triple(case):
     assert calls or f.num_terms() == 1 or g.num_terms() == 1
 
 
+@pytest.mark.parametrize("digits, fallback", [(300, False), (400, True)])
+def test_dense_gcd_past_the_size_guard_takes_the_sequence(digits, fallback,
+                                                          monkeypatch):
+    # with 400-digit coefficients an integer image of the cubed linear
+    # factor would pass HEU_MAX_BITS, so the heuristic gives up on its own
+    # and the pseudo-remainder sequence answers (0.025 s on a 2-core host);
+    # with 300 digits the heuristic alone answers
+    rng = random.Random(0)
+    lin = "(%d*x + %d*y + %d*z + %d)" % tuple(
+        rng.randrange(10 ** (digits - 1), 10 ** digits) for _ in range(4))
+    prs, calls = poly_module._gcd_prs, []
+    monkeypatch.setattr(poly_module, "_gcd_prs",
+                        lambda a, b: calls.append(1) or prs(a, b))
+    ring = Ring(("x", "y", "z"), QQ)
+    start = time.perf_counter()
+    f = parse_expression("(%s^3*(x + y + 1))/(%s^3*(x - y + 2))"
+                         % (lin, lin), ring)
+    assert time.perf_counter() - start < 5
+    assert bool(calls) == fallback
+    assert f == parse_expression("(x + y + 1)/(x - y + 2)", ring)
+
+
 @pytest.mark.parametrize("expr", ["(x^60000*y - 3)/(x^40000*y^2 - 9)",
                                   "(x^60000 - 1)/(x^40000 - 1)"])
 def test_sparse_high_degree_gcd_takes_the_size_guard(expr, monkeypatch):

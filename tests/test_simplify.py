@@ -18,8 +18,9 @@ from fieldsimp.simplify import (SimplifyConfig, VerificationFailed,
                                 reconstruct_candidates, simplicity_key,
                                 simplify)
 
-from conftest import (CHECK_PRIME_INDICES, CHECK_PRIMES, fields_equal_2p,
-                      genset_of, load_fixture, parse_many, simplify_fixture)
+from conftest import (ALL_FIXTURES, CHECK_PRIME_INDICES, CHECK_PRIMES,
+                      fields_equal_2p, genset_of, load_fixture, parse_many,
+                      simplify_fixture)
 
 
 def rf(ring, text):
@@ -148,10 +149,10 @@ def test_one_evaluator_per_harvest_prime(monkeypatch):
     built = Counter()
     init = EomsEvaluator.__init__
 
-    def counting_init(self, source, ring, rng):
+    def counting_init(self, source, ring, *args):
         assert source is genset
         built[ring.field.p] += 1
-        init(self, source, ring, rng)
+        init(self, source, ring, *args)
 
     monkeypatch.setattr(EomsEvaluator, "__init__", counting_init)
     _output, report = simplify(genset, SimplifyConfig(seed=0))
@@ -299,13 +300,14 @@ def test_interpolation_failure_names_every_attempt(monkeypatch):
 
 
 def test_eval_cap_bounds_gb_evaluations(monkeypatch):
-    # one entry per GB evaluation: each learn and each replay, the search's
-    # included; the search spends 34, so 40 runs out in the harvest
+    # one entry per GB evaluation that ran: each learn and each replay, the
+    # search's included; the search spends 34, so 40 runs out in the harvest
     spent = []
     for name in ("_learn", "gb"):
         def counting(self, *args, method=getattr(EomsEvaluator, name)):
+            out = method(self, *args)
             spent.append(method.__name__)
-            return method(self, *args)
+            return out
         monkeypatch.setattr(EomsEvaluator, name, counting)
     with pytest.raises(EvaluationBudgetExceeded, match=r"at d=\d+$"):
         simplify(load_fixture("seir34"), SimplifyConfig(eval_cap=40))
@@ -316,9 +318,9 @@ def test_eval_cap_covers_second_prime_learn(monkeypatch):
     built = []
     init = EomsEvaluator.__init__
 
-    def recording_init(self, genset, ring, rng):
+    def recording_init(self, *args):
         built.append(self)
-        init(self, genset, ring, rng)
+        init(self, *args)
 
     monkeypatch.setattr(EomsEvaluator, "__init__", recording_init)
     # nothing lifts, so the attempt adds every harvest prime at d=1
@@ -330,11 +332,39 @@ def test_eval_cap_covers_second_prime_learn(monkeypatch):
         simplify(genset, SimplifyConfig())
     assert len(built) == len(simplify_module.HARVEST_OFFSETS)
     cap = built[0].n_evals
-    # a budget the first prime's harvest spends exactly leaves no learn
+    # a budget the first prime's harvest spends exactly refuses the second
+    # prime's learn before it runs
     del built[:]
     with pytest.raises(EvaluationBudgetExceeded, match="at d=1$"):
         simplify(genset, SimplifyConfig(eval_cap=cap))
-    assert len(built) == 1 and built[0].n_evals == cap
+    assert len(built) == 2 and built[0].n_evals == cap
+    assert built[1].n_evals == 0
+
+
+def test_eval_cap_counts_every_learn_attempt(monkeypatch):
+    # a learn whose check fails spent one GB evaluation, so with a budget
+    # of 1 its redraw is refused before it runs, in the first learn
+    built, failed = [], []
+    init, verify = EomsEvaluator.__init__, oms.gb_verify
+
+    def recording_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def failing_once(*args):
+        if failed:
+            return verify(*args)
+        failed.append(args)
+        return FAIL
+
+    monkeypatch.setattr(EomsEvaluator, "__init__", recording_init)
+    monkeypatch.setattr(oms, "gb_verify", failing_once)
+    monkeypatch.setattr(simplify_module, "MAX_RESTARTS", 0)
+    with pytest.raises(EvaluationBudgetExceeded,
+                       match="ran out in the first learn$"):
+        simplify(load_fixture("heron"), SimplifyConfig(eval_cap=1))
+    assert failed and built
+    assert all(ev.n_evals <= 1 for ev in built)
 
 
 def test_polynomial_search_replays_first_harvest_evaluator(monkeypatch):
@@ -529,6 +559,19 @@ def test_config_validation():
         except ValueError:
             pass
     SimplifyConfig().validate()
+
+
+def test_search_size_bound_accepts_every_fixture_up_to_delta_4():
+    for name in ALL_FIXTURES + ("obscured4",):
+        arity = load_fixture(name).ring.arity
+        for delta in range(1, 5):
+            SimplifyConfig(delta=delta).validate(arity)
+    # seir34's seven variables take 1716 candidates at delta 6, 3432 at 7
+    seir34 = load_fixture("seir34")
+    SimplifyConfig(delta=6).validate(seir34.ring.arity)
+    with pytest.raises(ValueError, match="^delta 7 gives 3432 candidate "
+                                         "monomials, over the bound 2000$"):
+        simplify(seir34, SimplifyConfig(delta=7))
 
 
 def test_power_sums_retains_original_power_sums():
