@@ -26,7 +26,9 @@ denominator is never folded into Q, because at a random point that cannot
 change a correct verdict (the argument is in MembershipContext's
 docstring).  A point where a candidate has a pole is a lost sample, not a
 lost test: MembershipContext is the one place that redraws such a point,
-and it raises UnluckyPoint only when its draws run out.
+and it raises UnluckyPoint only when its draws run out.  Everywhere else a
+lost sample ends the attempt: a failed replay in the polynomial search
+raises UnluckyPoint at once.
 """
 
 import bisect
@@ -34,10 +36,12 @@ import random
 
 from .arith import FAIL
 from .groebner import groebner
-from .oms import (POINT_ATTEMPTS, EomsEvaluator, GeneratorSet, UnluckyPoint,
-                  gb_ring, specialize_eoms)
+from .oms import (EomsEvaluator, GeneratorSet, UnluckyPoint, gb_ring,
+                  specialize_eoms)
 from .poly import MultiPoly, RationalFunction, Ring, values_at
 
+# points a MembershipContext draws for a context or a test before giving up
+POINT_ATTEMPTS = 16
 
 # points beyond one per candidate monomial for `polynomial_generators`
 # (the dimension can drop by as little as one per point)
@@ -212,14 +216,15 @@ def polynomial_generators(genset, delta, field, rng, evaluator=None):
     planned once, as one table, from the supports of the EomsEvaluator's
     learned GB; each point fills it on its GB (a replay of the learned
     trace) and reads its live conditions as sparse rows (row r: the
-    coefficients of its monomial in the NF_b(m_i)).  From the learn point
-    on (a failed replay is skipped), each live row is reduced once against
-    E, the semi-echelon basis of earlier points' rows, drawn independently
-    of b.  A zero residue, a rational function of b, is zero at every b and
-    against any larger E but with probability deg/p (Schwartz-Zippel): the
-    row retires; no live row left ends the search.  Survivors extend the
-    point's own rows, ascending, then join E.  A wrong retirement only
-    enlarges the result, and `simplify._run_once` checks each member.
+    coefficients of its monomial in the NF_b(m_i)).  A failed replay raises
+    UnluckyPoint.  From the learn point on, each live row is reduced once
+    against E, the semi-echelon basis of earlier points' rows, drawn
+    independently of b.  A zero residue, a rational function of b, is zero
+    at every b and against any larger E but with probability deg/p
+    (Schwartz-Zippel): the row retires; no live row left ends the search.
+    Survivors extend the point's own rows, ascending, then join E.  A wrong
+    retirement only enlarges the result, and `simplify._run_once` checks
+    each member.
     E's columns ascend, so each free column f > 0 of its reduced form gives
     v_f = m_f - sum row_c[f] m_c, monic in m_f, 0 at the other free columns:
     the nullspace's reduced echelon basis, leading monomials descending.
@@ -238,7 +243,8 @@ def polynomial_generators(genset, delta, field, rng, evaluator=None):
         if k:
             gb = ev.gb(tuple(rng.randrange(1, p) for _ in range(n)))
             if gb is FAIL:
-                continue
+                raise UnluckyPoint("trace replay failed in the polynomial "
+                                   "search mod %d" % p)
         added, kept = [], []
         for r, row in gb.condition_rows(plan, live).items():
             row = _reduce(echelon, row, p)

@@ -6,6 +6,10 @@ ratio, blackbox multivariate recovery (a polynomial straight from such a
 sequence; a rational function by homogenizing, shifting, interpolating along
 lines and recovering each side from its top coefficients), and blackbox
 total-degree estimation along a random line.
+
+A lost sample (the blackbox's FAIL: a pole or a diverged replay) is never
+redrawn here: degree estimation and interpolation return FAIL on the first
+one, and the caller's attempt ends there.
 """
 
 import itertools
@@ -14,11 +18,6 @@ import random
 
 from .arith import FAIL
 from .poly import Ring
-
-# random lines tried by estimate_degrees before it reports FAIL
-DEGREE_ATTEMPTS = 8
-# shift/scale draws tried by interpolate_rational before it reports FAIL
-INTERPOLATION_ATTEMPTS = 4
 
 
 def admissible_ratio(n):
@@ -343,39 +342,38 @@ def ben_or_tiwari(evals, ratio, degree_bound, ring, roots_of=None):
 
 
 def estimate_degrees(bb, cutoff, field, rng):
-    """Total degrees (deg num, deg den) of the blackbox function.
+    """Total degrees (deg num, deg den) of the blackbox function, read off
+    one random line.
 
     Returns (d_num, d_den), or "STOPPED" when their sum exceeds the cutoff,
-    or FAIL on persistently unlucky evaluations.
+    or FAIL on a lost sample.
     """
     p = field.p
-    for _ in range(DEGREE_ATTEMPTS):
-        base = [rng.randrange(p) for _ in range(bb.arity)]
-        direction = [rng.randrange(1, p) for _ in range(bb.arity)]
-        u0 = rng.randrange(p)
-        # (u, value) along the line: the check at u0 first, then the fit
-        # samples at u = 1, 2, ...; a lost sample drops the line
-        samples = []
-        for u in itertools.chain((u0,), (u for u in itertools.count(1)
-                                         if u != u0)):
-            v = bb(tuple((a + u * b) % p for a, b in zip(base, direction)))
-            if v is FAIL:
-                break
-            samples.append((u, v))
-            t, odd = divmod(len(samples) - 3, 2)
-            if t < 0 or odd:
-                continue
-            got = cauchy_interpolate(*zip(*samples[1:]), t, t, field)
-            if got is not FAIL:
-                num, den = got
-                dv = _ueval(den, u0, p)
-                if dv and _ueval(num, u0, p) == dv * samples[0][1] % p:
-                    dn = _udeg(num) if num else 0
-                    dd = _udeg(den)
-                    return "STOPPED" if dn + dd > cutoff else (dn, dd)
-            if t == cutoff:
-                return "STOPPED"
-    return FAIL
+    base = [rng.randrange(p) for _ in range(bb.arity)]
+    direction = [rng.randrange(1, p) for _ in range(bb.arity)]
+    u0 = rng.randrange(p)
+    # (u, value) along the line: the check at u0 first, then the fit
+    # samples at u = 1, 2, ...
+    samples = []
+    for u in itertools.chain((u0,), (u for u in itertools.count(1)
+                                     if u != u0)):
+        v = bb(tuple((a + u * b) % p for a, b in zip(base, direction)))
+        if v is FAIL:
+            return FAIL
+        samples.append((u, v))
+        t, odd = divmod(len(samples) - 3, 2)
+        if t < 0 or odd:
+            continue
+        got = cauchy_interpolate(*zip(*samples[1:]), t, t, field)
+        if got is not FAIL:
+            num, den = got
+            dv = _ueval(den, u0, p)
+            if dv and _ueval(num, u0, p) == dv * samples[0][1] % p:
+                dn = _udeg(num) if num else 0
+                dd = _udeg(den)
+                return "STOPPED" if dn + dd > cutoff else (dn, dd)
+        if t == cutoff:
+            return "STOPPED"
 
 
 # ----------------------------------------------------------------------
@@ -389,10 +387,12 @@ def interpolate_rational(bb, deg_num, deg_den, ring, rng, solved=None):
     f(gamma*omega^i), omega the first n primes (Ben-Or & Tiwari).  A
     rational function is homogenized with an extra coordinate and shifted by
     a random vector; univariate rational interpolation along the lines
-    u -> gamma*omega^i*u + sigma gives each side's top u-coefficient.  Each
-    side is then sparse-interpolated with a doubling term-count guess, and a
-    candidate is accepted only after a fresh-point consistency check;
-    returns FAIL otherwise.  `solved` maps a sequence (values, degree bound,
+    u -> gamma*omega^i*u + sigma, at u = 1..deg_num + deg_den + 2, gives each
+    side's top u-coefficient.  Each side is then sparse-interpolated with a
+    doubling term-count guess, and a candidate is accepted only after a
+    fresh-point consistency check.  gamma and sigma are drawn once: returns
+    FAIL on a lost row, or when the guess reaches its bound without a
+    verified candidate.  `solved` maps a sequence (values, degree bound,
     ring) to its ben_or_tiwari result and a Prony polynomial to its roots,
     so functions sampled at the same points solve each distinct sequence,
     and find the roots of each distinct polynomial, once.
@@ -406,8 +406,11 @@ def interpolate_rational(bb, deg_num, deg_den, ring, rng, solved=None):
     seq_ring = Ring(("h'",) + ring.vars, field, ring.order) if deg_den \
         else ring
     ratio = admissible_ratio(seq_ring.arity)
-    num_points = deg_num + deg_den + 2
+    line = range(1, deg_num + deg_den + 3)
     guard = math.comb(n + deg_num + deg_den, n)
+    gamma = [rng.randrange(1, p) for _ in range(seq_ring.arity)]
+    if deg_den:
+        sigma = [rng.randrange(1, p) for _ in range(n + 1)]
 
     def hat_eval(xi):
         # F_hat(xi) = xi_0^(deg_num - deg_den) * F(xi_1/xi_0, ..., xi_n/xi_0)
@@ -420,67 +423,53 @@ def interpolate_rational(bb, deg_num, deg_den, ring, rng, solved=None):
             return FAIL
         return v * pow(x0, deg_num - deg_den, p) % p
 
-    for _ in range(INTERPOLATION_ATTEMPTS):
-        gamma = [rng.randrange(1, p) for _ in range(seq_ring.arity)]
-        if deg_den:
-            sigma = [rng.randrange(1, p) for _ in range(n + 1)]
-
-        def row(i):
-            # each side's value at gamma*omega^i, or FAIL
-            scale = tuple(g * pow(w, i, p) % p for g, w in zip(gamma, ratio))
-            if not deg_den:
-                v = bb(scale)
-                return FAIL if v is FAIL else (v,)
-            points, values = [], []
-            u = 1
-            while len(points) < num_points:
-                xi = tuple((s * u + o) % p for s, o in zip(scale, sigma))
-                v = hat_eval(xi)
-                if v is not FAIL:
-                    points.append(u)
-                    values.append(v)
-                u += 1
-                if u > num_points + 32:
-                    return FAIL
-            got = cauchy_interpolate(points, values, deg_num, deg_den, field)
-            if got is FAIL:
+    def row(i):
+        # each side's value at gamma*omega^i, or FAIL on a lost sample
+        scale = tuple(g * pow(w, i, p) % p for g, w in zip(gamma, ratio))
+        if not deg_den:
+            v = bb(scale)
+            return FAIL if v is FAIL else (v,)
+        values = []
+        for u in line:
+            v = hat_eval(tuple((s * u + o) % p for s, o in zip(scale, sigma)))
+            if v is FAIL:
                 return FAIL
-            unum, uden = got
-            c0 = _ueval(uden, 0, p)
-            if c0 == 0:
-                return FAIL
-            ic0 = pow(c0, -1, p)     # normalize den(0) = B_hat(sigma) to 1
-            a_top = unum[deg_num] * ic0 % p if _udeg(unum) == deg_num else 0
-            b_top = uden[deg_den] * ic0 % p if _udeg(uden) == deg_den else 0
-            return (a_top, b_top)
+            values.append(v)
+        got = cauchy_interpolate(line, values, deg_num, deg_den, field)
+        if got is FAIL:
+            return FAIL
+        unum, uden = got
+        c0 = _ueval(uden, 0, p)
+        if c0 == 0:
+            return FAIL
+        ic0 = pow(c0, -1, p)     # normalize den(0) = B_hat(sigma) to 1
+        a_top = unum[deg_num] * ic0 % p if _udeg(unum) == deg_num else 0
+        b_top = uden[deg_den] * ic0 % p if _udeg(uden) == deg_den else 0
+        return (a_top, b_top)
 
-        rows = []
-        t_guess = 1
-        while True:
-            for i in range(len(rows), 2 * t_guess):
-                r = row(i)
-                if r is FAIL:
-                    break
-                rows.append(r)
-            if len(rows) < 2 * t_guess:
-                break                   # a lost row ends this attempt
-            polys = []
-            for seq, deg in zip(zip(*rows), degrees):
-                key = (seq, deg, seq_ring)
-                if key not in solved:
-                    solved[key] = ben_or_tiwari(seq, ratio, deg, seq_ring,
-                                                solved)
-                if solved[key] is FAIL:
-                    break
-                polys.append(solved[key])
-            if len(polys) == len(degrees):
-                cand = _descale(polys, degrees, gamma, ring)
-                if cand is not FAIL and _verify(bb, cand, field, rng):
-                    return cand
-            if t_guess >= guard:
+    rows = []
+    t_guess = 1
+    while True:
+        for i in range(len(rows), 2 * t_guess):
+            r = row(i)
+            if r is FAIL:
+                return FAIL
+            rows.append(r)
+        polys = []
+        for seq, deg in zip(zip(*rows), degrees):
+            key = (seq, deg, seq_ring)
+            if key not in solved:
+                solved[key] = ben_or_tiwari(seq, ratio, deg, seq_ring, solved)
+            if solved[key] is FAIL:
                 break
-            t_guess = min(2 * t_guess, guard)
-    return FAIL
+            polys.append(solved[key])
+        if len(polys) == len(degrees):
+            cand = _descale(polys, degrees, gamma, ring)
+            if cand is not FAIL and _verify(bb, cand, field, rng):
+                return cand
+        if t_guess >= guard:
+            return FAIL
+        t_guess = min(2 * t_guess, guard)
 
 
 def _descale(polys, degrees, gamma, ring):
@@ -512,20 +501,13 @@ def _descale(polys, degrees, gamma, ring):
 
 
 def _verify(bb, cand, field, rng):
-    """True when the candidate matches the blackbox at two random points
-    (lost samples are skipped, 16 draws at most)."""
+    """True when num(x) = v*den(x) at two random points x, v the blackbox's
+    value there; a lost sample is a mismatch."""
     num, den = cand
     p = field.p
-    checked = 0
-    attempts = 0
-    while checked < 2 and attempts < 16:
-        attempts += 1
+    for _ in range(2):
         point = tuple(rng.randrange(p) for _ in range(bb.arity))
         v = bb(point)
-        dv = den.evaluate(point)
-        if v is FAIL or dv == 0:
-            continue
-        if num.evaluate(point) != v * dv % p:
+        if v is FAIL or num.evaluate(point) != v * den.evaluate(point) % p:
             return False
-        checked += 1
-    return checked == 2
+    return True

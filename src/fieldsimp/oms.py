@@ -17,14 +17,17 @@ with Q the lcm of the q_i and t a fresh variable ordered greatest.  The
 reduced GB of this ideal, viewed as a function of a, has coefficients that
 are rational functions of a generating the same subfield.  An evaluator
 learns one trace and checks it once at an independent point before any
-replay.  One traced GB evaluation at a point yields every coefficient at
-once, so an evaluator gives all coefficient keys, at every cutoff, one
-shared random line and interpolation schedule: a distinct point costs one
-GB evaluation whichever keys and rounds read it, and a sequence is solved
-once.  A key is interpolated when its degree sum is within the requested
-cutoff, and a key found at one cutoff is not interpolated again at a
-higher one.  Each GB evaluation, a learn attempt or a replay, is charged
-first to the evaluator's `spend`, the one place a budget refuses it.
+replay; a pole at either point or a failed check raises UnluckyPoint, and
+a replay that diverges is a lost sample (FAIL).  Neither is redrawn: it
+ends the caller's attempt.  One traced GB evaluation at a point yields
+every coefficient at once, so an evaluator gives all coefficient keys, at
+every cutoff, one shared random line and interpolation schedule: a
+distinct point costs one GB evaluation whichever keys and rounds read it,
+and a sequence is solved once.  A key is interpolated when its degree sum
+is within the requested cutoff, and a key found at one cutoff is not
+interpolated again at a higher one.  Each GB evaluation, the learn or a
+replay, is charged first to the evaluator's `spend`, the one place a
+budget refuses it.
 """
 
 import random
@@ -35,12 +38,9 @@ from .interp import Blackbox, estimate_degrees, interpolate_rational
 from .poly import (QQ, DEGREVLEX, MultiPoly, RationalFunction, Ring, lcm_q,
                    values_at)
 
-# random points drawn for one learn or one membership test before giving up
-POINT_ATTEMPTS = 16
-
 
 class UnluckyPoint(RuntimeError):
-    """Surfaced after repeated degenerate random specializations."""
+    """A degenerate random specialization ended the attempt."""
 
 
 class EvaluationBudgetExceeded(RuntimeError):
@@ -137,18 +137,20 @@ def specialize_eoms(genset, point, ring):
 class EomsEvaluator:
     """Shared traced-GB evaluation of the specialized ideal.
 
-    The constructor learns one trace, checked by gb_verify; a learn and its
-    check count as one GB evaluation.  gb(a) replays it at a and returns the
-    reduced GB, or FAIL; gb_apply enforces the support found at the learn
-    point at every later point, and `learned` keeps the GB computed there.
-    Each learn attempt and replay calls `spend()`, which may raise to
-    refuse it, then counts in n_evals.  eval(a) returns the tuple of the
-    non-leading coefficients of gb(a), in the order of coefficient_keys():
-    (element index, monomial) per coefficient.  The trace and support never
-    change, so the harvest keeps its sample table here for the evaluator's
-    life: `seeds` (two 64-bit seeds drawn from `rng` after the learn),
-    `values` (point -> eval(point)), `solved` (sequences and Prony roots)
-    and `finished` (the "ok" report entries).
+    The constructor learns one trace at one random point, checked by
+    gb_verify at a second; the learn and its check count as one GB
+    evaluation.  A pole at either point or a failed check raises
+    UnluckyPoint: nothing is redrawn.  gb(a) replays the trace at a and
+    returns the reduced GB, or FAIL; gb_apply enforces the support found at
+    the learn point at every later point, and `learned` keeps the GB
+    computed there.  The learn and each replay call `spend()`, which may
+    raise to refuse it, then count in n_evals.  eval(a) returns the tuple of
+    the non-leading coefficients of gb(a), in the order of
+    coefficient_keys(): (element index, monomial) per coefficient.  The
+    trace and support never change, so the harvest keeps its sample table
+    here for the evaluator's life: `seeds` (two 64-bit seeds drawn from
+    `rng` after the learn), `values` (point -> eval(point)), `solved`
+    (sequences and Prony roots) and `finished` (the "ok" report entries).
     """
 
     def __init__(self, genset, ring, rng, spend=lambda: None):
@@ -167,28 +169,22 @@ class EomsEvaluator:
         return tuple(rng.randrange(1, p) for _ in self.genset.ring.vars)
 
     def _learn(self, rng):
-        # a pole or a failed check redraws both points
-        for _ in range(POINT_ATTEMPTS):
-            gens = specialize_eoms(self.genset, self._random_point(rng),
-                                   self.ring)
-            check = specialize_eoms(self.genset, self._random_point(rng),
-                                    self.ring)
-            if gens is FAIL or check is FAIL:
-                continue
+        gens, check = (specialize_eoms(self.genset, self._random_point(rng),
+                                       self.ring) for _ in range(2))
+        trace = FAIL
+        if gens is not FAIL and check is not FAIL:
             self.spend()
             self.n_evals += 1
             gb, trace = gb_learn(self.ring, gens)
             trace = gb_verify(self.ring, check, trace)
-            if trace is FAIL:
-                continue
-            self.trace, self.learned = trace, gb
-            self.support = tuple(g.support() for g in gb)
-            self._keys = tuple((i, m) for i, supp in enumerate(self.support)
-                               for m in supp[1:])
-            self._index = {key: k for k, key in enumerate(self._keys)}
-            return
-        raise UnluckyPoint("no regular specialization point mod %d"
-                           % self.ring.field.p)
+        if trace is FAIL:
+            raise UnluckyPoint("no regular specialization point mod %d"
+                               % self.ring.field.p)
+        self.trace, self.learned = trace, gb
+        self.support = tuple(g.support() for g in gb)
+        self._keys = tuple((i, m) for i, supp in enumerate(self.support)
+                           for m in supp[1:])
+        self._index = {key: k for k, key in enumerate(self._keys)}
 
     def gb(self, point):
         self.spend()
@@ -228,14 +224,12 @@ class CoefficientReport:
     def interpolated(self):
         return [val[1] for val in self.entries.values() if val[0] == "ok"]
 
-    def has_high_degree(self):
-        return any(val[0] == "high_degree" for val in self.entries.values())
-
 
 def gb_coefficients(genset, degree_cutoff, ring, rng, evaluator=None):
     """Interpolate every reduced-GB coefficient with degree sum <= cutoff.
 
-    Returns a CoefficientReport, or FAIL when interpolation keeps failing.
+    Returns a CoefficientReport, or FAIL on the first key whose degree
+    estimate or interpolation lost a sample or found no verified candidate.
     Coefficients are returned mod p (reconstruction to Q is the caller's
     job).  A shared evaluator may be passed in to keep its learned trace
     and its sample table: every cutoff reads the line, schedule and points

@@ -219,8 +219,9 @@ def _run_once(genset, cfg, restart):
                                   seed=cfg.seed)
     q_ring = genset.ring
 
-    # the attempt's GB evaluations, learn attempts included, and its budget
-    spent, stage = 0, "in the first learn"
+    # the attempt's GB evaluations, one learn per evaluator included, and
+    # its budget; the first learn fits any budget, as eval_cap >= 1
+    spent, stage = 0, "in the polynomial search"
 
     def spend():
         nonlocal spent
@@ -256,7 +257,7 @@ def _run_once(genset, cfg, restart):
     # the first harvest evaluator's trace; a member lifted from one prime
     # may be wrong, so it too is checked
     harvest_field = evaluators[0].ring.field
-    polys, stage = [], "in the polynomial search"
+    polys = []
     for poly in polynomial_generators(genset, cfg.delta, harvest_field, rng,
                                       evaluators[0]):
         rf = _reconstruct_rf(poly.terms, ((q_ring._zero_mon, 1),),

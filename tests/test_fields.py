@@ -276,7 +276,7 @@ def test_candidate_pole_at_every_draw():
     a = parse_many(gs.ring, ["a"])[0]
     with pytest.raises(UnluckyPoint, match="pole at every point drawn"):
         ctx.contains(1 / (a - 5))
-    assert len(drawn) == 3 * (oms.POINT_ATTEMPTS + 1)
+    assert len(drawn) == 3 * (fields_module.POINT_ATTEMPTS + 1)
     assert oms.specialize_eoms(gs, ctx.point, ctx.gb_ring) is not FAIL
 
 
@@ -546,11 +546,20 @@ def test_polynomial_generators_without_regular_point(monkeypatch):
 
 
 def test_polynomial_generators_every_replay_lost(monkeypatch):
-    # the learn succeeds, then every point is a lost sample
-    monkeypatch.setattr(EomsEvaluator, "gb", lambda self, point: FAIL)
-    with pytest.raises(UnluckyPoint, match="did not stabilize"):
+    # the learn succeeds, then every point is a lost sample: the first one
+    # ends the search, and no second point is drawn
+    replays = []
+
+    def lost(self, point):
+        replays.append(point)
+        return FAIL
+
+    monkeypatch.setattr(EomsEvaluator, "gb", lost)
+    with pytest.raises(UnluckyPoint,
+                       match="^trace replay failed in the polynomial search"):
         polynomial_generators(load_fixture("heron"), 1, FIELDS[0],
                               random.Random(0))
+    assert len(replays) == 1
 
 
 def test_polynomial_generators_replays_one_trace(monkeypatch):
@@ -617,12 +626,10 @@ def test_polynomial_generators_replays_compiled_normal_forms(monkeypatch):
     assert compiled[0][1] == len(reduced)
 
 
-def test_polynomial_generators_skips_only_a_failed_replay(monkeypatch):
-    # the second replay is forced to fail: that point alone is skipped,
-    # every other point's GB is read, and the search ends on the same basis
+def test_polynomial_generators_a_failed_replay_ends_the_search(monkeypatch):
+    # the second replay is forced to fail: the learned GB and the first
+    # replay's are read, and the lost sample raises before another point
     gs = load_fixture("lotka_volterra")
-    field = FIELDS[0]
-    want = polynomial_generators(gs, 2, field, random.Random(1))
     gb, rows = EomsEvaluator.gb, ReducedGB.condition_rows
     served, read = [], []
 
@@ -636,17 +643,11 @@ def test_polynomial_generators_skips_only_a_failed_replay(monkeypatch):
 
     monkeypatch.setattr(EomsEvaluator, "gb", failing_second)
     monkeypatch.setattr(ReducedGB, "condition_rows", recording_rows)
-    got = polynomial_generators(gs, 2, field, random.Random(1))
-    assert len(served) > 2 and served.count(FAIL) == 1 and served[1] is FAIL
-    assert read[1:] == [g for g in served if g is not FAIL]
-    assert [b.terms for b in got] == [b.terms for b in want]
-    monomials, kernel = symbolic_membership_space(gs, 2)
-    p = field.p
-    rows_got = [[b.coefficient(m) for m in monomials]
-                for b in got + [got[0].ring.one()]]
-    rows_want = [[c.numerator * pow(c.denominator, -1, p) % p for c in row]
-                 for row in kernel]
-    assert fp_echelon(rows_got, p) == fp_echelon(rows_want, p)
+    with pytest.raises(UnluckyPoint,
+                       match="^trace replay failed in the polynomial search"):
+        polynomial_generators(gs, 2, FIELDS[0], random.Random(1))
+    assert len(served) == 2 and served[0] is not FAIL and served[1] is FAIL
+    assert len(read) == 2 and read[1] is served[0]
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -264,6 +264,18 @@ def test_interpolate_wrong_degree_guess_fails():
     assert interpolate_rational(bb, 1, 0, ring, random.Random(2)) is FAIL
 
 
+def test_failing_interpolation_runs_one_schedule():
+    # x^3 + y + 2xy is over its degree bound 2: the doubling guess reaches
+    # the term bound C(2 + 2, 2) once, reading 2 * guard sequence points
+    # and at most two check points per guess, with no second gamma drawn
+    ring = _ring(2)
+    f = ring.from_dict({(3, 0): 1, (0, 1): 1, (1, 1): 2})
+    bb = bb_of(f, ring.one())
+    assert interpolate_rational(bb, 2, 0, ring, random.Random(0)) is FAIL
+    guard, guesses = 6, (1, 2, 4, 6)
+    assert bb.count <= 2 * guard + 2 * len(guesses)
+
+
 def test_interpolate_diversification_invariance():
     ring = _ring(3)
     num = ring.from_dict({(2, 0, 0): 3, (0, 1, 1): 1})
@@ -378,10 +390,8 @@ def test_estimate_degrees_cutoff():
     assert bb.count == 11
 
 
-def test_estimate_degrees_lost_sample_moves_to_next_line():
-    # a FAIL at u = 3 of the first line drops that line; the degrees are
-    # read off the second, which is sampled at u0 and then u = 1, 2, ...
-    # until 2t + 2 samples fit degrees (t, t)
+def test_estimate_degrees_lost_sample_fails():
+    # a FAIL at u = 3 of the line ends the estimate: no second line is drawn
     f101 = PrimeField(101)
     ring = Ring(("x1", "x2"), f101)
     num = ring.from_dict({(2, 0): 1, (0, 1): 3})
@@ -394,12 +404,14 @@ def test_estimate_degrees_lost_sample_moves_to_next_line():
             return FAIL
         return num.evaluate(point) * pow(den.evaluate(point), -1, 101) % 101
 
-    got = estimate_degrees(Blackbox(2, fn), 10, f101, random.Random(3))
-    assert got == (2, 1)
-    first = [(88, 66), (100, 92), (69, 8), (38, 25)]        # u0, 1, 2, 3
-    second = [(18, 54), (57, 34), (37, 8), (17, 83), (98, 57), (78, 31),
-              (58, 5)]                                   # u0, 1, ..., 6
-    assert calls == first + second
+    rng = random.Random(3)
+    assert estimate_degrees(Blackbox(2, fn), 10, f101, rng) is FAIL
+    assert calls == [(88, 66), (100, 92), (69, 8), (38, 25)]  # u0, 1, 2, 3
+    # the line's base, direction and u0, and nothing after them
+    expected = random.Random(3)
+    for bound in (0, 0, 1, 1, 0):
+        expected.randrange(bound, 101)
+    assert rng.getstate() == expected.getstate()
 
 
 @st.composite

@@ -12,8 +12,8 @@ from fieldsimp.arith import ZeroInverse, production_prime
 from fieldsimp.groebner import gb_apply, gb_learn, groebner
 from fieldsimp.interp import FAIL, Blackbox
 from fieldsimp.oms import (EomsEvaluator, EvaluationBudgetExceeded,
-                           GeneratorSet, gb_coefficients, gb_ring,
-                           specialize_eoms)
+                           GeneratorSet, UnluckyPoint, gb_coefficients,
+                           gb_ring, specialize_eoms)
 from fieldsimp.poly import (DEGREVLEX, LEX, MultiPoly, PrimeField, QQ,
                             RationalFunction, Ring)
 from fieldsimp.simplify import _normalize_monic_num, reconstruct_candidates
@@ -236,8 +236,8 @@ def test_early_stop_economy():
     _, rep1 = lifted_coefficients(gs, 1, seed=5)
     _, rep4 = lifted_coefficients(gs, 4, seed=5)
     assert rep1.n_evals < rep4.n_evals
-    assert rep1.has_high_degree()
-    assert not rep4.has_high_degree()
+    assert any(val[0] == "high_degree" for val in rep1.entries.values())
+    assert not any(val[0] == "high_degree" for val in rep4.entries.values())
 
 
 def test_shared_evaluator_keeps_trace():
@@ -356,7 +356,7 @@ def test_harvest_evaluates_each_point_once(monkeypatch):
         # the evaluator drew its seeds when it was made: given one, a call
         # reads nothing from the caller's stream
         assert rng.getstate() == expected.getstate()
-    assert not rep.has_high_degree()
+    assert not any(val[0] == "high_degree" for val in rep.entries.values())
     assert points and len(set(points)) == len(points)
     assert total == len(points)
     # and they are the points of one harvest straight at cutoff 4
@@ -457,12 +457,12 @@ def test_learn_at_a_special_point_is_rejected_by_its_check(monkeypatch):
         return drawn[-1]
 
     monkeypatch.setattr(EomsEvaluator, "_random_point", special_first)
-    ev = EomsEvaluator(gs, ring, random.Random(3))
-    # learn at the special point, its check, then a learn and check anew
-    assert len(drawn) == 4 and drawn[0] == special
-    assert ev.support == generic and ev.n_evals == 2
-    assert gb_coefficients(gs, 2, ring, random.Random(4), evaluator=ev) \
-        is not FAIL
+    spent = []
+    # the learn at the special point fails its check, and that ends it
+    with pytest.raises(UnluckyPoint, match="no regular specialization point"):
+        EomsEvaluator(gs, ring, random.Random(3), lambda: spent.append(1))
+    assert len(drawn) == 2 and drawn[0] == special
+    assert len(spent) == 1          # one learn and its check, no redraw
 
 
 def test_learn_draws_its_points_and_seeds_from_the_callers_rng():
@@ -519,9 +519,15 @@ def test_budget_stops_before_the_evaluation_past_the_cap(monkeypatch):
         spent.append(1)
 
     ev = EomsEvaluator(gs, ring, random.Random(3), spend)
-    monkeypatch.setattr(oms, "gb_apply", lambda *args: FAIL)
-    # the learn and three diverged replays spend the budget of 4; the
-    # evaluator asks for a fifth before it runs it
+    apply, replays = oms.gb_apply, []
+
+    def recording_apply(*args):
+        replays.append(1)
+        return apply(*args)
+
+    monkeypatch.setattr(oms, "gb_apply", recording_apply)
+    # the learn and three replays spend the budget of 4; the evaluator asks
+    # for a fifth before it runs it
     with pytest.raises(EvaluationBudgetExceeded, match="at d=2$"):
         gb_coefficients(gs, 2, ring, random.Random(4), evaluator=ev)
-    assert ev.n_evals == 1 + 3          # the learn and three replays
+    assert ev.n_evals == 1 + 3 and len(replays) == 3

@@ -342,8 +342,8 @@ def test_eval_cap_covers_second_prime_learn(monkeypatch):
 
 
 def test_eval_cap_counts_every_learn_attempt(monkeypatch):
-    # a learn whose check fails spent one GB evaluation, so with a budget
-    # of 1 its redraw is refused before it runs, in the first learn
+    # a learn whose check fails spent one GB evaluation, and it ends the
+    # attempt: nothing is redrawn, so a budget of 1 is never reached
     built, failed = [], []
     init, verify = EomsEvaluator.__init__, oms.gb_verify
 
@@ -360,11 +360,36 @@ def test_eval_cap_counts_every_learn_attempt(monkeypatch):
     monkeypatch.setattr(EomsEvaluator, "__init__", recording_init)
     monkeypatch.setattr(oms, "gb_verify", failing_once)
     monkeypatch.setattr(simplify_module, "MAX_RESTARTS", 0)
-    with pytest.raises(EvaluationBudgetExceeded,
-                       match="ran out in the first learn$"):
+    with pytest.raises(VerificationFailed,
+                       match=r"^attempt 0: no regular specialization point "
+                             r"mod %d$" % production_prime(0)):
         simplify(load_fixture("heron"), SimplifyConfig(eval_cap=1))
-    assert failed and built
-    assert all(ev.n_evals <= 1 for ev in built)
+    assert len(failed) == 1 and len(built) == 1
+    assert built[0].n_evals == 1
+
+
+def test_a_lost_harvest_sample_ends_its_attempt(monkeypatch):
+    # the learn and the search replay through gb(), not eval(), so the
+    # first eval() of attempt 0 is its harvest's first sample; losing it
+    # ends the attempt, and the restart at a fresh block of primes is the
+    # one retry
+    evaluate, calls = EomsEvaluator.eval, []
+
+    def first_lost(self, point):
+        calls.append(point)
+        return FAIL if len(calls) == 1 else evaluate(self, point)
+
+    monkeypatch.setattr(EomsEvaluator, "eval", first_lost)
+    monkeypatch.setattr(simplify_module, "MAX_RESTARTS", 0)
+    with pytest.raises(VerificationFailed,
+                       match="^attempt 0: coefficient interpolation failed "
+                             "at d=1$"):
+        simplify(load_fixture("heron"))
+    monkeypatch.undo()
+    monkeypatch.setattr(EomsEvaluator, "eval", first_lost)
+    del calls[:]
+    _, report = simplify(load_fixture("heron"))
+    assert report.verified and report.primes[0] == production_prime(8)
 
 
 def test_polynomial_search_replays_first_harvest_evaluator(monkeypatch):
