@@ -2,8 +2,10 @@
 
 FAIL is the one value every layer returns for a lost sample: a pole, a
 diverged trace replay, a root that does not factor, a coefficient that
-does not lift.  The caller drops the sample and draws again; an attempt
-that cannot go on raises instead.
+does not lift.  No sample is drawn again: a lost sample ends its attempt,
+and `simplify`'s restart at a fresh block of primes is the one retry.  A
+coefficient that does not lift is the one exception: the harvest adds a
+prime, and a polynomial member that does not lift is left out.
 """
 
 import math

@@ -20,15 +20,14 @@ zero but with probability deg/p) and reads the kernel off its reduced form.
 The specialized ideal comes from `oms`, and the harvest, the polynomial
 search and membership all read the one ideal `specialize_eoms` builds.  The
 search replays the trace of an `oms.EomsEvaluator` (the pipeline passes the
-first evaluator of its harvest).  MembershipContext draws its own point and
-runs Buchberger there in degrevlex, once per point: a candidate's
-denominator is never folded into Q, because at a random point that cannot
-change a correct verdict (the argument is in MembershipContext's
-docstring).  A point where a candidate has a pole is a lost sample, not a
-lost test: MembershipContext is the one place that redraws such a point,
-and it raises UnluckyPoint only when its draws run out.  Everywhere else a
-lost sample ends the attempt: a failed replay in the polynomial search
-raises UnluckyPoint at once.
+first evaluator of its harvest).  MembershipContext draws one point and
+runs Buchberger there in degrevlex, once: a candidate's denominator is
+never folded into Q, because at a random point that cannot change a
+correct verdict (the argument is in MembershipContext's docstring).
+Nothing here draws again after a lost sample: a pole of Q or of a
+candidate at the context's point, or a failed replay in the polynomial
+search, raises UnluckyPoint at once and ends the attempt, and
+`simplify`'s restart at a fresh block of primes is the one retry.
 """
 
 import bisect
@@ -39,13 +38,6 @@ from .groebner import groebner
 from .oms import (EomsEvaluator, GeneratorSet, UnluckyPoint, gb_ring,
                   specialize_eoms)
 from .poly import MultiPoly, RationalFunction, Ring, values_at
-
-# points a MembershipContext draws for a context or a test before giving up
-POINT_ATTEMPTS = 16
-
-# points beyond one per candidate monomial for `polynomial_generators`
-# (the dimension can drop by as little as one per point)
-EXTRA_POINTS = 8
 
 
 def _reduce(echelon, v, p):
@@ -86,19 +78,21 @@ def _back_substitute(echelon, p):
 class MembershipContext:
     """Cached point, power tables and specialized GB for repeated tests.
 
-    The point b is drawn regular for every generator and for Q, that is
-    where `specialize_eoms` succeeds.  The reduced GB of its output, the
-    harvest's ideal I_b with nothing appended, is computed with the draw
-    (every context is queried) and kept until the next.  Every candidate
-    p/q, whatever its denominator, is tested by l(NF(h)) = 0 for
-    h = p(y) q(b) - q(y) p(b), NF its normal form against that GB and l a
-    linear form on k[t, y]/I_b with weights from a stream seeded by b
-    (ReducedGB.normal_form); p(b) and q(b) come from `values_at` on the
-    candidate's F_p image and the point's power tables, kept until the next
-    draw, and each monomial of h is packed once per context.  At a generic
-    b, h lies in I_b exactly for a member (Mueller-Quade and Steinwandt).  A
-    member always gives 0; a non-member has NF(h) != 0 and gives 0 with
-    probability 1/p, on top of the point's own error.
+    The point b is drawn once, and must be regular for every generator and
+    for Q, that is where `specialize_eoms` succeeds; otherwise the context
+    raises UnluckyPoint.  The reduced GB of its output, the harvest's ideal
+    I_b with nothing appended, is computed with the draw (every context is
+    queried) and kept with the context.  Every candidate p/q, whatever its
+    denominator, is tested by l(NF(h)) = 0 for h = p(y) q(b) - q(y) p(b),
+    NF its normal form against that GB and l a linear form on k[t, y]/I_b
+    with weights from a stream seeded by b (ReducedGB.normal_form); p(b)
+    and q(b) come from `values_at` on the candidate's F_p image and the
+    point's power tables, and each monomial of h is packed once per
+    context.  A candidate with a pole at b (q(b) = 0) is a lost sample: the
+    query raises UnluckyPoint.  At a generic b, h lies in I_b exactly for a
+    member (Mueller-Quade and Steinwandt).  A member always gives 0; a
+    non-member has NF(h) != 0 and gives 0 with probability 1/p, on top of
+    the point's own error.
 
     The GB is taken in degrevlex whatever the generators' order: neither
     membership in I_b nor its dimension depends on the monomial order, and
@@ -121,50 +115,33 @@ class MembershipContext:
     def __init__(self, genset, field, rng):
         self.genset = genset
         self.field = field
-        self.rng = rng
         self.x_ring = Ring(genset.ring.vars, field, genset.ring.order)
         self.gb_ring = gb_ring(genset, field)
         self._packed = {}
-        self._draw_point()
-
-    def _draw_point(self):
-        """Move to a fresh point regular for every generator and for Q."""
-        p = self.field.p
-        for _ in range(POINT_ATTEMPTS):
-            b = tuple(self.rng.randrange(1, p)
-                      for _ in range(self.genset.ring.arity))
-            gens = specialize_eoms(self.genset, b, self.gb_ring)
-            if gens is FAIL:
-                continue
-            self.point, self._gb = b, groebner(self.gb_ring, gens)
-            self._powers = [{1: x} for x in b]
-            self._weights = random.Random(str(b))
-            return
-        raise UnluckyPoint("no regular evaluation point mod %d" % p)
+        p = field.p
+        self.point = tuple(rng.randrange(1, p)
+                           for _ in range(genset.ring.arity))
+        gens = specialize_eoms(genset, self.point, self.gb_ring)
+        if gens is FAIL:
+            raise UnluckyPoint("no regular evaluation point mod %d" % p)
+        self._gb = groebner(self.gb_ring, gens)
+        self._powers = [{1: x} for x in self.point]
+        self._weights = random.Random(str(self.point))
 
     def contains(self, candidate):
         """True iff the candidate lies in the generated subfield (with
-        probability controlled by the prime size)."""
+        probability controlled by the prime size); UnluckyPoint if it has
+        a pole at the context's point."""
         if isinstance(candidate, MultiPoly):
             candidate = RationalFunction(candidate)
         if candidate.ring != self.genset.ring:
             raise ValueError("candidate from a different ring")
         image = candidate.modp(self.x_ring)
-        for _ in range(POINT_ATTEMPTS):
-            verdict = self._contains_at_point(image)
-            if verdict is not FAIL:
-                return verdict
-            self._draw_point()
-        raise UnluckyPoint("candidate has a pole at every point drawn mod %d"
-                           % self.field.p)
-
-    def _contains_at_point(self, image):
-        """Membership verdict at the current point for a candidate's F_p
-        image (num, den), or FAIL on a pole of the candidate."""
         p = self.field.p
         pv, qv = values_at(image, self._powers, p)
         if qv == 0:
-            return FAIL
+            raise UnluckyPoint("candidate has a pole at the membership point "
+                               "mod %d" % p)
         packed, h = self._packed, {}        # h = p(y) q(b) - q(y) p(b)
         for poly, scale in zip(image, (qv, -pv)):
             for m, c in poly.terms:
@@ -228,6 +205,9 @@ def polynomial_generators(genset, delta, field, rng, evaluator=None):
     E's columns ascend, so each free column f > 0 of its reduced form gives
     v_f = m_f - sum row_c[f] m_c, monic in m_f, 0 at the other free columns:
     the nullspace's reduced echelon basis, leading monomials descending.
+    The search ends: each point that does not end it adds at least one row
+    to E, column 0 is in no row, so rank(E) <= C(n + delta, n) - 1, and the
+    points drawn plus the basis's length are at most C(n + delta, n).
     An evaluator of `genset` at `field` may be passed in to replay its
     trace instead of learning one; each replay is charged to its `spend`,
     which may raise, and counts in its n_evals.
@@ -239,12 +219,7 @@ def polynomial_generators(genset, delta, field, rng, evaluator=None):
     monomials = sorted(_monomials_up_to(n, delta), key=x_ring.order.key)
     plan = ev.learned.compile_normal_forms([(0,) + mon for mon in monomials])
     echelon, live, gb = [], range(plan[0]), ev.learned
-    for k in range(len(monomials) + EXTRA_POINTS):
-        if k:
-            gb = ev.gb(tuple(rng.randrange(1, p) for _ in range(n)))
-            if gb is FAIL:
-                raise UnluckyPoint("trace replay failed in the polynomial "
-                                   "search mod %d" % p)
+    while True:
         added, kept = [], []
         for r, row in gb.condition_rows(plan, live).items():
             row = _reduce(echelon, row, p)
@@ -254,8 +229,10 @@ def polynomial_generators(genset, delta, field, rng, evaluator=None):
         if not kept:
             break
         echelon, live = sorted(echelon + added), kept
-    else:
-        raise UnluckyPoint("kernel iteration did not stabilize")
+        gb = ev.gb(tuple(rng.randrange(1, p) for _ in range(n)))
+        if gb is FAIL:
+            raise UnluckyPoint("trace replay failed in the polynomial "
+                               "search mod %d" % p)
     reduced = _back_substitute(echelon, p)
     pivots = {c for c, _ in reduced}
     polys = []        # column 0, the constant, is in no row: it is left out

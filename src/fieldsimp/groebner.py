@@ -542,9 +542,10 @@ def gb_apply(ring, generators, trace):
     learned term vanished), a nonzero slot that cancelled at the learn (any
     slot a fresh trace's zero reduction leaves), a vanished remainder lead
     or output term, or a quick check whose first nonzero slot the learn did
-    not go on to reduce (the caller discards the point).  So a fresh trace
-    replays to exactly FAIL or groebner()'s basis.  Slots accumulate
-    c * rc without a modulus and are reduced mod p only when read.
+    not go on to reduce (a lost sample, which ends the caller's attempt).
+    So a fresh trace replays to exactly FAIL or groebner()'s basis.  Slots
+    accumulate c * rc without a modulus and are reduced mod p only when
+    read.
     """
     p = ring.field.p
     codec, inputs = _prepare(ring, generators)

@@ -17,9 +17,14 @@ from sympy import QQ as SQQ
 from sympy.polys.matrices import DomainMatrix
 
 from fieldsimp.arith import FAIL
-from fieldsimp.fields import EXTRA_POINTS
 from fieldsimp.oms import UnluckyPoint
 from fieldsimp.poly import RationalFunction, Ring
+
+
+# points beyond one per candidate monomial for `every_row_search`, which
+# skips a failed replay (each point it does not skip and that does not end
+# it adds rank)
+SEARCH_EXTRA_POINTS = 8
 
 
 class OracleTooHard(Exception):
@@ -265,7 +270,7 @@ def every_row_search(genset, delta, field, rng, evaluator):
     n, p = genset.ring.arity, field.p
     monomials = sorted(monomials_up_to(n, delta), key=x_ring.order.key)
     echelon, gb = {}, evaluator.learned     # pivot column -> row
-    for k in range(len(monomials) + EXTRA_POINTS):
+    for k in range(len(monomials) + SEARCH_EXTRA_POINTS):
         if k:
             gb = evaluator.gb(tuple(rng.randrange(1, p) for _ in range(n)))
             if gb is FAIL:

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -198,32 +197,50 @@ def test_den_value_zero_at_pole():
     assert _den_value(pole.modp(ctx.x_ring), ctx.point) == 0
 
 
-def test_candidate_pole_at_context_point_redraws():
+def test_candidate_pole_at_context_point_raises():
+    # a candidate with a pole at the context's point is a lost sample: the
+    # query raises, the context keeps its point and answers the next query,
+    # and contexts at other points still decide the candidate
     gs = load_fixture("heron")
     field = FIELDS[0]
     ctx = MembershipContext(gs, field, random.Random(9))
     a = parse_many(gs.ring, ["a"])[0]
     g = gs.generators[0]
     num, den = g.modp(ctx.x_ring)
-    for expected in (True, False):
-        point = ctx.point
-        if expected:
-            # a function of g, with a pole where g takes its value at b
-            value = num.evaluate(point) * pow(den.evaluate(point), -1,
-                                              field.p) % field.p
-            cand = 1 / (g - Fraction(value))
-        else:
-            cand = 1 / (a - Fraction(point[0]))
+    point = ctx.point
+    # a function of g, with a pole where g takes its value at b
+    value = num.evaluate(point) * pow(den.evaluate(point), -1,
+                                      field.p) % field.p
+    message = "^candidate has a pole at the membership point mod %d$" \
+        % field.p
+    for cand, expected in ((1 / (g - Fraction(value)), True),
+                           (1 / (a - Fraction(point[0])), False)):
         assert _den_value(cand.modp(ctx.x_ring), ctx.point) == 0
-        assert ctx.contains(cand) is expected
-        assert ctx.point != point
+        with pytest.raises(UnluckyPoint, match=message):
+            ctx.contains(cand)
+        assert ctx.point == point
+        assert ctx.contains(g) is True
         assert contains_2p(gs, cand) is expected
+    # a point with a = 5: the generators specialize there, the context
+    # takes one draw per coordinate and the query that loses it takes none
+    draws = iter([5, 6, 7])
+
+    class Scripted(random.Random):
+        def randrange(self, *args):
+            return next(draws)
+
+    ctx = MembershipContext(gs, field, Scripted())
+    with pytest.raises(UnluckyPoint, match=message):
+        ctx.contains(1 / (a - 5))
+    assert ctx.point == (5, 6, 7)
+    assert next(draws, None) is None
+    assert oms.specialize_eoms(gs, ctx.point, ctx.gb_ring) is not FAIL
 
 
-def test_ideal_pole_at_context_point_redraws():
-    # the first point drawn is a pole of x/(x + y), so of Q; the context
-    # moves past it before any query, so the ideal never has a pole at its
-    # point
+def test_ideal_pole_at_context_point_raises():
+    # the first point drawn is a pole of x/(x + y), so of Q: the context
+    # raises after that one draw, and the point drawn next from the same
+    # stream gives a context whose ideal has no pole there
     gs = genset_of(Ring(("x", "y"), QQ), ["x/(x + y)", "y"])
     field = FIELDS[0]
     draws = iter([1, field.p - 1, 2, 3])
@@ -232,6 +249,9 @@ def test_ideal_pole_at_context_point_redraws():
         def randrange(self, *args):
             return next(draws)
 
+    with pytest.raises(UnluckyPoint,
+                       match="^no regular evaluation point mod %d$" % field.p):
+        MembershipContext(gs, field, Scripted())
     ctx = MembershipContext(gs, field, Scripted())
     assert ctx.point == (2, 3)
     assert oms.specialize_eoms(gs, ctx.point, ctx.gb_ring) is not FAIL
@@ -255,29 +275,6 @@ def test_candidate_mapped_to_fp_once(monkeypatch):
     assert ctx.contains(cand) is True
     # one image (num, den) gives p(b), q(b) and the terms of h
     assert len(calls) == 2
-
-
-def test_candidate_pole_at_every_draw():
-    # every point drawn has a = 5: the generators stay regular there and
-    # specialize, and only the candidate 1/(a - 5) loses each point
-    gs = load_fixture("heron")
-    draws = itertools.count(6)
-    drawn = []
-
-    class Scripted(random.Random):
-        def randrange(self, *args):
-            if len(drawn) % 3 == 0:
-                drawn.append(5)
-            else:
-                drawn.append(next(draws))
-            return drawn[-1]
-
-    ctx = MembershipContext(gs, FIELDS[0], Scripted())
-    a = parse_many(gs.ring, ["a"])[0]
-    with pytest.raises(UnluckyPoint, match="pole at every point drawn"):
-        ctx.contains(1 / (a - 5))
-    assert len(drawn) == 3 * (fields_module.POINT_ATTEMPTS + 1)
-    assert oms.specialize_eoms(gs, ctx.point, ctx.gb_ring) is not FAIL
 
 
 @st.composite
@@ -714,6 +711,12 @@ def test_polynomial_generators_match_every_row_oracle(name):
                     runs.append(([b.terms for b in basis], rng.getstate(),
                                  ev.n_evals - start))
                 assert runs[0] == runs[1], (order, k, delta)
+                # the learn point and one per replay: each point that does
+                # not end the search adds rank, so points + len(basis) is
+                # at most the number of candidate monomials
+                points = 1 + runs[0][2]
+                assert points + len(runs[0][0]) <= len(
+                    monomials_up_to(gs.ring.arity, delta)), (order, k, delta)
 
 
 @pytest.mark.parametrize("name, replays, rank", [("seir34", 33, 91),
@@ -860,18 +863,20 @@ def test_one_groebner_run_per_point(monkeypatch):
     monkeypatch.setattr(fields_module, "groebner", counting_groebner)
     monkeypatch.setattr(poly_module, "gcd_q", counting_gcd)
     # the run is made where the point is drawn, so the patch comes first
-    ctx = MembershipContext(gs, FIELDS[0], random.Random(3))
+    rng = random.Random(3)
+    ctx = MembershipContext(gs, FIELDS[0], rng)
     point = ctx.point
     for _ in range(3):
         assert all(ctx.contains(c) for c in candidates)
     assert runs == [oms.specialize_eoms(gs, point, ctx.gb_ring)]
     assert ctx.point == point
     assert gcds == []
-    # a fresh point gets one fresh run
-    ctx._draw_point()
-    assert ctx.contains(candidates[0]) is True
-    assert runs[1:] == [oms.specialize_eoms(gs, ctx.point, ctx.gb_ring)]
-    assert ctx.point != point
+    # a fresh point, a second context from the same stream, gets one
+    # fresh run
+    other = MembershipContext(gs, FIELDS[0], rng)
+    assert other.contains(candidates[0]) is True
+    assert runs[1:] == [oms.specialize_eoms(gs, other.point, other.gb_ring)]
+    assert other.point != point
 
 
 def _denominators_outside_q(name, gs, rng):

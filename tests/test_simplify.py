@@ -392,6 +392,30 @@ def test_a_lost_harvest_sample_ends_its_attempt(monkeypatch):
     assert report.verified and report.primes[0] == production_prime(8)
 
 
+def test_a_lost_membership_sample_ends_its_attempt(monkeypatch):
+    # the first membership query of attempt 0 sees a pole at its context's
+    # point: the context draws no second point, the attempt ends, and the
+    # restart at a fresh block of primes is the one retry
+    values, calls = fields.values_at, []
+
+    def first_lost(polys, powers, p):
+        calls.append(p)
+        pv, qv = values(polys, powers, p)
+        return (pv, 0) if len(calls) == 1 else (pv, qv)
+
+    monkeypatch.setattr(fields, "values_at", first_lost)
+    monkeypatch.setattr(simplify_module, "MAX_RESTARTS", 0)
+    with pytest.raises(VerificationFailed,
+                       match="^attempt 0: candidate has a pole at the "
+                             "membership point mod %d$" % production_prime(1)):
+        simplify(load_fixture("heron"))
+    monkeypatch.undo()
+    monkeypatch.setattr(fields, "values_at", first_lost)
+    del calls[:]
+    _, report = simplify(load_fixture("heron"))
+    assert report.verified and report.primes[0] == production_prime(8)
+
+
 def test_polynomial_search_replays_first_harvest_evaluator(monkeypatch):
     # the search runs on the input before the harvest and replays the
     # trace of the first harvest prime's evaluator instead of learning one
