@@ -197,10 +197,16 @@ def test_den_value_zero_at_pole():
     assert _den_value(pole.modp(ctx.x_ring), ctx.point) == 0
 
 
-def test_candidate_pole_at_context_point_raises():
-    # a candidate with a pole at the context's point is a lost sample: the
-    # query raises, the context keeps its point and answers the next query,
-    # and contexts at other points still decide the candidate
+def _candidate_pole(field):
+    """The message of a query whose candidate has a pole at the point."""
+    return "^candidate has a pole at the membership point mod %d$" % field.p
+
+
+def test_candidate_pole_at_context_point_redraws():
+    # a candidate with a pole at the context's point is a lost sample: no
+    # point is redrawn, the query raises, the context keeps its point and
+    # answers the next query, and contexts at other points still decide the
+    # candidate
     gs = load_fixture("heron")
     field = FIELDS[0]
     ctx = MembershipContext(gs, field, random.Random(9))
@@ -211,18 +217,23 @@ def test_candidate_pole_at_context_point_raises():
     # a function of g, with a pole where g takes its value at b
     value = num.evaluate(point) * pow(den.evaluate(point), -1,
                                       field.p) % field.p
-    message = "^candidate has a pole at the membership point mod %d$" \
-        % field.p
     for cand, expected in ((1 / (g - Fraction(value)), True),
                            (1 / (a - Fraction(point[0])), False)):
         assert _den_value(cand.modp(ctx.x_ring), ctx.point) == 0
-        with pytest.raises(UnluckyPoint, match=message):
+        with pytest.raises(UnluckyPoint, match=_candidate_pole(field)):
             ctx.contains(cand)
         assert ctx.point == point
         assert ctx.contains(g) is True
         assert contains_2p(gs, cand) is expected
-    # a point with a = 5: the generators specialize there, the context
-    # takes one draw per coordinate and the query that loses it takes none
+
+
+def test_candidate_pole_at_every_draw():
+    # the one point drawn has a = 5: the generators specialize there, the
+    # context takes one draw per coordinate and the query that loses the
+    # point takes none
+    gs = load_fixture("heron")
+    field = FIELDS[0]
+    a = parse_many(gs.ring, ["a"])[0]
     draws = iter([5, 6, 7])
 
     class Scripted(random.Random):
@@ -230,7 +241,7 @@ def test_candidate_pole_at_context_point_raises():
             return next(draws)
 
     ctx = MembershipContext(gs, field, Scripted())
-    with pytest.raises(UnluckyPoint, match=message):
+    with pytest.raises(UnluckyPoint, match=_candidate_pole(field)):
         ctx.contains(1 / (a - 5))
     assert ctx.point == (5, 6, 7)
     assert next(draws, None) is None
