@@ -51,6 +51,9 @@ def is_probable_prime(n):
     return True
 
 
+_PROVEN = set()     # the primes prev_prime found, which PrimeField trusts
+
+
 def prev_prime(n):
     """Largest prime strictly below n."""
     k = n - 1
@@ -60,6 +63,7 @@ def prev_prime(n):
         k -= 1
     while not is_probable_prime(k):
         k -= 2
+    _PROVEN.add(k)
     return k
 
 
@@ -87,7 +91,7 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p):
-        if not is_probable_prime(p):
+        if p not in _PROVEN and not is_probable_prime(p):
             raise ValueError("modulus %d is not prime" % p)
         self.p = p
 

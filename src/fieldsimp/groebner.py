@@ -2,15 +2,16 @@
 
 Buchberger with the sugar strategy (Giovini, Mora, Niesi, Robbiano and
 Traverso 1991), pairs taken by (sugar, packed lcm), and Gebauer-Moller pair
-elimination.  A learn run compiles each reduction into a slot program
-(Traverso's Groebner trace, rows fixed in advance as in F4's symbolic
-preprocessing): one integer slot per monomial the reduction touched, the
-first operand's slots, each step as (source slot, reducer, slots of the
-shifted reducer), the remainder's slots and the slots that cancelled.  An
-apply run takes each input's coefficients in term order once its support is
-the learned one, and runs the programs as straight-line multiply-subtract
-on lists of ints, with no heap and no divisor search.  groebner() records
-and compiles nothing.  A fresh trace runs its zero reductions in full;
+elimination.  A learn run compiles each reduction, as it runs, into one
+slot plan over a single list of ints (Traverso's Groebner trace, rows fixed
+in advance as in F4's symbolic preprocessing): the inputs' coefficients
+first, then a region per reduction, a position per monomial it touched,
+each step (source, reducer's tail, positions of the shifted tail).  A
+replay (gb_replay on a coefficient row, gb_apply on MultiPolys on the
+learned supports) runs the programs level by level as straight-line
+multiply-subtract, with no heap and no divisor search, and makes each
+level's new elements monic with one inversion.  groebner() records and
+compiles nothing.  A fresh trace runs its zero reductions in full;
 gb_verify checks it by one such replay at a second point, then cuts them to
 quick checks.  A table of normal forms of given monomials, planned from one
 GB's supports, fills on any GB of that support (the polynomial search).
@@ -248,43 +249,64 @@ def _monic_terms(d, p):
     return items
 
 
-def _compile(first, steps, rem, basis):
-    """Slot program (size, first operand, steps, output slots, cancelled
-    slots) of one learned reduction, slots in descending monomial order.
-    `first` is (basis index, packed shift); `steps` are _reduce_full's records
-    with basis indices; the S-polynomial's second operand is its first step."""
-    rows = [first] + [(i, q) for _, i, q in steps]
-    order = sorted({m + q for i, q in rows for m, _ in basis[i]}, reverse=True)
-    slot = {m: k for k, m in enumerate(order)}
+class _Plan:
+    """A trace's slot plan, filled as the learn compiles: one list of ints,
+    the inputs' coefficients in turn, then a region per reduction.  An
+    element (an input, a remainder or one it copies) is (slice, tail slice,
+    level): inputs are 0, a reduction and its remainder one above what it
+    reads.  A level holds programs and new elements."""
 
-    def row(i, q):
-        return tuple(slot[m + q] for m, _ in basis[i])
+    def __init__(self, supports):
+        self.supports, self.programs, self.elements = supports, [], []
+        self.size, self.levels = 0, {}
+        for support in supports:
+            self.add(len(support), 0, len(support))
 
-    steps = tuple((slot[m], i, row(i, q)) for m, i, q in steps)
-    out = tuple(sorted(slot[m] for m in rem))
-    done = set(out).union(src for src, _, _ in steps)
-    cancelled = tuple(k for k in range(len(order)) if k not in done)
-    return len(order), (first[0], row(*first)), steps, out, cancelled
-
-
-def _slots(program, basis, p):
-    """Slot values, unreduced, after a program's first operand and steps;
-    a step also clears its source slot, which is not read again."""
-    size, (i, first), steps = program[:3]
-    v = [0] * size
-    for s, c in zip(first, basis[i]):
-        v[s] = c
-    for src, r, row in steps:
-        c = v[src] % p
-        if c:
-            for s, rc in zip(row, basis[r]):
-                v[s] -= c * rc
-    return v
+    def add(self, n, level, size, program=None):
+        """Take `size` positions for `program`, the first n a new element."""
+        programs, news = self.levels.setdefault(level, ([], []))
+        if n:
+            news.append(slice(self.size, self.size + n))
+            self.elements.append(
+                (news[-1], slice(self.size + 1, self.size + n), level))
+        if program:
+            programs.append(program)
+            self.programs.append(program)
+        self.size += size
 
 
-def _interreduce(basis, codec, p, programs=None):
+def _compile(plan, first, steps, rem, basis):
+    """Plan a learned reduction as (first operand, its positions, steps,
+    remainder or None, cancelled positions), its region the remainder's
+    monomials then the rest, each descending.  `first` is (basis index,
+    packed shift), `steps` _reduce_full's records with basis indices; a step
+    is (source, reducer's tail, shifted tail's positions), as the lead only
+    clears the source.  An element left as it is keeps its positions."""
+    elements = plan.elements
+    i, shift = first
+    if not steps:
+        elements.append(elements[i])
+        plan.programs.append((elements[i][0], (), (), elements[i][0], ()))
+        return
+    rows = [first] + [(r, q) for _, r, q in steps]
+    touched = {m + q for r, q in rows for m, _ in basis[r]}
+    order = sorted(rem, reverse=True)
+    order += sorted(touched.difference(rem), reverse=True)
+    slot = dict(zip(order, range(plan.size, plan.size + len(order))))
+    program = (elements[i][0], tuple([slot[m + shift] for m, _ in basis[i]]),
+               tuple([(slot[m], elements[r][1],
+                       tuple([slot[t + q] for t, _ in basis[r][1:]]))
+                      for m, r, q in steps]),
+               slice(plan.size, plan.size + len(rem)) if rem else None,
+               tuple([slot[m] for m in touched.difference(
+                   rem, [m for m, _, _ in steps])]))
+    plan.add(len(rem), 1 + max([elements[r][2] for r, _ in rows]),
+             len(order), program)
+
+
+def _interreduce(basis, codec, p, plan=None):
     """Minimalize and tail-reduce a basis whose S-pairs all reduce to zero;
-    append the program of each reduction to `programs` when it is given."""
+    compile each reduction into `plan` when it is given."""
     lms = [g[0][0] for g in basis]
     minimal = []
     for k in sorted(range(len(basis)), key=lms.__getitem__):
@@ -293,30 +315,31 @@ def _interreduce(basis, codec, p, programs=None):
     reduced = []
     for k in minimal:
         others = [h for h in minimal if h != k]
-        steps = None if programs is None else []
+        steps = None if plan is None else []
         d = _reduce_full(dict(basis[k]), [lms[h] for h in others],
                          [basis[h][1:] for h in others], codec, p, steps)
         reduced.append(_monic_terms(d, p))
-        if programs is not None:
+        if plan is not None:
             steps = [(m, others[r], q) for m, r, q in steps]
-            programs.append(_compile((k, 0), steps, d, basis))
+            _compile(plan, (k, 0), steps, d, basis)
     return reduced
 
 
 GroebnerTrace = namedtuple("GroebnerTrace", (
     "supports",     # support of each nonzero input, exponent tuples in
                     # term order (the first is its leading monomial)
-    "programs",     # slot programs: new basis elements and (when fresh)
-                    # zero reductions, with no output slots; then the GB's
-    "checks",       # gb_verify's per zero reduction: S-polynomial program
-                    # (size, first, steps), slots the learn went on to reduce
-    "outputs"))     # packed support of the reduced GB
+    "programs",     # _compile's, in order: new basis elements and (when
+                    # fresh) zero reductions, with no remainder; then the GB's
+    "checks",       # gb_verify's quick check per zero reduction
+    "outputs",      # packed support of the reduced GB
+    "plan"))        # codec, positions, per level (programs, new elements),
+                    # the GB's elements (see _Plan)
 
 
 class ReducedGB:
     """Reduced Groebner basis: monic packed term lists (each sorted
     descending) and their codec, ascending by leading monomial as handed
-    over (`_interreduce` builds them in that order and `gb_apply` replays
+    over (`_interreduce` builds them in that order and a replay follows
     it); the MultiPoly view `polys` is built on first use."""
 
     __slots__ = ("ring", "packed", "_codec", "_plms", "_ptails", "_polys",
@@ -451,7 +474,7 @@ class ReducedGB:
         the distinct rows in `live` alone (a retired row stays 0 but with
         probability deg/p, Schwartz-Zippel), skipping steps that reach none,
         read as {row: {monomial index: coefficient}} for its nonzero rows in
-        order.  A `gb_apply` GB has the learned support: the plan holds."""
+        order.  A replayed GB has the learned support: the plan holds."""
         rows, steps, positions = plan
         p, tails = self.ring.field.p, self._ptails
         mask = sum(1 << r for r in live)
@@ -471,20 +494,14 @@ class ReducedGB:
         return {r: row for r, row in out.items() if row}
 
 
-def _prepare(ring, generators):
-    """Codec and the nonzero inputs (constants and copies equal up to a
-    scalar included: Buchberger and _interreduce handle them)."""
+def _run_buchberger(ring, generators, learn):
+    """The reduced GB; with `learn`, also the compiled trace of the run.  The
+    inputs are the nonzero generators, constants and scalar copies included."""
+    p = ring.field.p
     codec = _Codec(len(ring.vars), ring.order.kind)
     inputs = [g for g in generators if not g.is_zero()]
     if not inputs:
         raise ValueError("no nonzero generators")
-    return codec, inputs
-
-
-def _run_buchberger(ring, generators, learn):
-    """The reduced GB; with `learn`, also the compiled trace of the run."""
-    p = ring.field.p
-    codec, inputs = _prepare(ring, generators)
     basis = [_monic_terms(_pack_terms(codec, g), p) for g in inputs]
     lms = [g[0][0] for g in basis]
     exps = [codec.unpack(lm) for lm in lms]
@@ -495,14 +512,15 @@ def _run_buchberger(ring, generators, learn):
         pairs, active = _gm_update(pairs, lms, exps, ecart, active, idx,
                                    codec)
 
-    programs, memo = [], {}
+    plan = _Plan(tuple(g.support() for g in inputs)) if learn else None
+    memo = {}
     while pairs:
         sugar, lcm, i, j = pairs.pop(0)
         s = _spoly_dict(basis[i], basis[j], lcm, codec, p)
         steps = [(lcm, j, lcm - lms[j])] if learn else None
         rem = _reduce_full(s, lms, tails, codec, p, steps, memo)
         if learn:
-            programs.append(_compile((i, lcm - lms[i]), steps, rem, basis))
+            _compile(plan, (i, lcm - lms[i]), steps, rem, basis)
         if not rem:
             continue
         h = _monic_terms(rem, p)
@@ -514,13 +532,15 @@ def _run_buchberger(ring, generators, learn):
         pairs, active = _gm_update(pairs, lms, exps, ecart, active,
                                    len(basis) - 1, codec)
 
-    gb = ReducedGB(ring, _interreduce(basis, codec, p,
-                                      programs if learn else None), codec)
+    gb = ReducedGB(ring, _interreduce(basis, codec, p, plan), codec)
     if not learn:
         return gb
-    supports = tuple(g.support() for g in inputs)
-    return gb, GroebnerTrace(supports, tuple(programs), (),
-                             gb.packed_support())
+    levels = tuple((tuple(plan.levels[k][0]), tuple(plan.levels[k][1]))
+                   for k in sorted(plan.levels))
+    final = tuple(e[0] for e in plan.elements[-len(gb):])
+    return gb, GroebnerTrace(plan.supports, tuple(plan.programs), (),
+                             gb.packed_support(),
+                             (codec, plan.size, levels, final))
 
 
 def groebner(ring, generators):
@@ -534,62 +554,92 @@ def gb_learn(ring, generators):
 
 
 def gb_apply(ring, generators, trace):
-    """Replay a trace on a structurally identical input.
-
-    Returns the reduced GB, of support exactly `trace.outputs`, or FAIL when
-    the replay stops matching the learn: another number of nonzero inputs,
-    an input whose support is not its learned support (a term added or a
-    learned term vanished), a nonzero slot that cancelled at the learn (any
-    slot a fresh trace's zero reduction leaves), a vanished remainder lead
-    or output term, or a quick check whose first nonzero slot the learn did
-    not go on to reduce (a lost sample, which ends the caller's attempt).
-    So a fresh trace replays to exactly FAIL or groebner()'s basis.  Slots
-    accumulate c * rc without a modulus and are reduced mod p only when
-    read.
-    """
-    p = ring.field.p
-    codec, inputs = _prepare(ring, generators)
-    if len(inputs) != len(trace.supports):
+    """Replay a trace on a structurally identical input: gb_replay on the
+    nonzero inputs' coefficients, or FAIL on another number of them or one
+    off its learned support (a term added or a learned term vanished)."""
+    inputs = [g for g in generators if not g.is_zero()]
+    if [g.support() for g in inputs] != list(trace.supports):
         return FAIL
-    basis = []
-    for g, support in zip(inputs, trace.supports):
-        if g.support() != support:
+    return gb_replay(ring, [c for g in inputs for _, c in g.terms], trace)
+
+
+def gb_replay(ring, row, trace, zeros=()):
+    """Replay a trace's slot plan on `row`, its inputs' coefficients in
+    turn, each in term order, zero exactly at the positions `zeros`: the
+    reduced GB, of support exactly `trace.outputs`, or FAIL on another zero
+    pattern (a term added or a learned term vanished), a nonzero slot that
+    cancelled at the learn (any a fresh trace's zero reduction leaves), a
+    vanished remainder lead or output term, or a quick check whose first
+    nonzero slot the learn did not go on to reduce (a lost sample, which
+    ends the caller's attempt).  So a fresh trace replays to exactly FAIL or
+    groebner()'s basis.  Slots are reduced mod p only when read; one pow per
+    level makes its new elements monic in place (Montgomery's trick)."""
+    if row.count(0) != len(zeros) or any(row[k] for k in zeros):
+        return FAIL
+    p = ring.field.p
+    codec, size, levels, final = trace.plan
+    v = [c for c in row if c] if zeros else list(row)
+    v += [0] * (size - len(v))
+    for programs, news in levels:
+        for first, positions, steps, _, cancelled in programs:
+            for s, c in zip(positions, v[first]):
+                v[s] = c
+            for src, tail, shifted in steps:
+                c = v[src] % p
+                for s, rc in zip(shifted, v[tail]):
+                    v[s] -= c * rc
+            for s in cancelled:
+                if v[s] % p:
+                    return FAIL
+        prefix, acc = [], 1
+        for new in reversed(news):
+            prefix.append(acc)
+            acc = acc * v[new.start] % p
+        if not acc:             # a lead vanished
             return FAIL
-        inv = pow(g.leading_coefficient(), -1, p)
-        basis.append([c * inv % p for _, c in g.terms])
-    for program in trace.programs:
-        if not program[2]:          # an element interreduction left as it is
-            basis.append(basis[program[1][0]])
-            continue
-        v = _slots(program, basis, p)
-        if any(v[s] % p for s in program[4]):
-            return FAIL
-        if not program[3]:          # a zero reduction
-            continue
-        h = [v[s] % p for s in program[3]]
-        if not h[0]:
-            return FAIL
-        inv = pow(h[0], -1, p)
-        basis.append([c * inv % p for c in h])
-    for program, reduced in trace.checks:
-        v = _slots(program, basis, p)
-        if next((k not in reduced for k, c in enumerate(v) if c % p), False):
-            return FAIL
-    final = basis[-len(trace.outputs):]
-    if any(0 in h for h in final):
+        acc = pow(acc, -1, p)
+        for new, before in zip(news, reversed(prefix)):
+            a = new.start
+            inv, acc, v[a] = acc * before % p, acc * v[a] % p, 1
+            for s in range(a + 1, new.stop):
+                v[s] = v[s] * inv % p
+    for ((lo, hi), (first, positions), ((_, tail, shifted),)), reduced \
+            in trace.checks:
+        for s, c in zip(positions, v[first]):
+            v[s] = c
+        for s, c in zip(shifted, v[tail]):
+            v[s] -= c
+        for s in range(lo, hi):
+            if v[s] % p:
+                if s not in reduced:
+                    return FAIL
+                break
+    basis = [v[element] for element in final]
+    if any(0 in h for h in basis):
         return FAIL
     return ReducedGB(ring, [list(zip(monos, h))
-                            for monos, h in zip(trace.outputs, final)], codec)
+                            for monos, h in zip(trace.outputs, basis)], codec)
 
 
 def gb_verify(ring, generators, trace):
     """Check a fresh trace by its full replay on `generators`, taken at a
     second, independent point: FAIL unless that gives the learned support.
-    Otherwise the trace cut for later replays: each zero reduction runs only
-    its S-polynomial step, as a quick check."""
+    Otherwise the trace cut for later replays: a zero reduction runs only
+    its S-polynomial step below the lcm, in its own positions (the rest of
+    its region stays 0), as a quick check of the first nonzero one."""
     if gb_apply(ring, generators, trace) is FAIL:
         return FAIL
-    checks = tuple(((n, first, steps[:1]), {src for src, _, _ in steps[1:]})
-                   for n, first, steps, out, _ in trace.programs if not out)
-    return trace._replace(programs=tuple(pr for pr in trace.programs if pr[3]),
-                          checks=checks)
+    codec, size, levels, final = trace.plan
+    checks = []
+    for first, positions, steps, out, _ in trace.programs:
+        if out is None:         # a zero reduction
+            below = positions[1:] + steps[0][2]
+            checks.append(((
+                (min(below, default=0), max(below, default=-1) + 1),
+                (slice(first.start + 1, first.stop), positions[1:]),
+                steps[:1]), frozenset(src for src, _, _ in steps[1:])))
+    return trace._replace(
+        programs=tuple(pr for pr in trace.programs if pr[3]),
+        checks=tuple(checks), plan=(codec, size, tuple(
+            (tuple(pr for pr in programs if pr[3]), news)
+            for programs, news in levels if news), final))

@@ -3,10 +3,11 @@ coefficients of their specialized reduced Groebner bases.
 
 This module owns the specialized ideal: `GeneratorSet.shape` owns its F_p
 form less the point, the set's one F_p image per gb ring, and
-`specialize_eoms` builds its generators on it, reading every value at the
-point with `poly.values_at` through one set of power tables.
-EomsEvaluator's traced GBs at random points serve both the coefficient
-harvest and the polynomial-generator search in `fields`.
+`coefficient_row` reads its generators' coefficients on it, every value
+at the point read with `poly.values_at` through one set of power tables;
+`specialize_eoms` builds the generators from that row.  EomsEvaluator's
+traced GBs at random points, replays of the row, serve both the
+coefficient harvest and the polynomial-generator search in `fields`.
 
 For generators g_i = p_i/q_i of a subfield of k(x_1..x_n), the specialized
 ideal at a point a is
@@ -33,7 +34,7 @@ budget refuses it.
 import random
 
 from .arith import FAIL
-from .groebner import MAX_EXPONENT, gb_apply, gb_learn, gb_verify
+from .groebner import MAX_EXPONENT, gb_learn, gb_replay, gb_verify
 from .interp import Blackbox, estimate_degrees, interpolate_rational
 from .poly import (QQ, DEGREVLEX, MultiPoly, RationalFunction, Ring, lcm_q,
                    values_at)
@@ -112,26 +113,36 @@ def gb_ring(genset, field, order=DEGREVLEX):
     return Ring(names, field, order)
 
 
-def specialize_eoms(genset, point, ring):
-    """Generators of the specialized ideal at `point`: A q_i(a) - B p_i(a)
-    over each generator's shape terms (m, A, B), zero terms and generators
-    dropped, then t Q(y) - 1; or FAIL on a pole of a generator or of Q.
-    Every p_i(a), q_i(a) and Q(a) is read through one set of power tables
-    of the point.  Only Q is tested for a pole: monic q_i divides the monic
-    lcm Q over Z_(p), as `shape` would raise ZeroInverse on a coefficient
-    with p in its denominator, so q_i(a) = 0 gives Q(a) = 0 mod p."""
+def coefficient_row(genset, point, ring):
+    """The coefficients of the specialized ideal's generators at `point`:
+    A q_i(a) - B p_i(a) over each generator's shape terms (m, A, B) in turn,
+    zeros kept, then those of t Q(y) - 1; or FAIL on a pole of a generator
+    or of Q.  Every p_i(a), q_i(a) and Q(a) is read through one set of power
+    tables of the point.  Only Q is tested for a pole: monic q_i divides the
+    monic lcm Q over Z_(p), as `shape` would raise ZeroInverse on a
+    coefficient with p in its denominator, so q_i(a) = 0 gives Q(a) = 0."""
     images, shapes, tq = genset.shape(ring)
     p = ring.field.p
     *values, qv = values_at(images, [{1: x} for x in point], p)
     if qv == 0:
         return FAIL
-    out = []
-    for pv, dv, shape in zip(values[::2], values[1::2], shapes):
-        terms = tuple((m, c) for m, a, b in shape
-                      if (c := (a * dv - b * pv) % p))
-        if terms:
-            out.append(MultiPoly(ring, terms))
-    return out + [tq]
+    return [(a * dv - b * pv) % p for pv, dv, shape in zip(
+        values[::2], values[1::2], shapes) for _, a, b in shape] + [
+            c for _, c in tq.terms]
+
+
+def specialize_eoms(genset, point, ring):
+    """Generators of the specialized ideal at `point`, its coefficient row
+    on the shape terms with zero terms and generators dropped, then
+    t Q(y) - 1; or FAIL on a pole."""
+    row = coefficient_row(genset, point, ring)
+    if row is FAIL:
+        return FAIL
+    _, shapes, tq = genset.shape(ring)
+    row = iter(row)
+    terms = [tuple((m, c) for (m, _, _), c in zip(sh, row) if c)
+             for sh in shapes]
+    return [MultiPoly(ring, t) for t in terms if t] + [tq]
 
 
 class EomsEvaluator:
@@ -140,17 +151,18 @@ class EomsEvaluator:
     The constructor learns one trace at one random point, checked by
     gb_verify at a second; the learn and its check count as one GB
     evaluation.  A pole at either point or a failed check raises
-    UnluckyPoint: nothing is redrawn.  gb(a) replays the trace at a and
-    returns the reduced GB, or FAIL; gb_apply enforces the support found at
-    the learn point at every later point, and `learned` keeps the GB
-    computed there.  The learn and each replay call `spend()`, which may
-    raise to refuse it, then count in n_evals.  eval(a) returns the tuple of
-    the non-leading coefficients of gb(a), in the order of
-    coefficient_keys(): (element index, monomial) per coefficient.  The
-    trace and support never change, so the harvest keeps its sample table
-    here for the evaluator's life: `seeds` (two 64-bit seeds drawn from
-    `rng` after the learn), `values` (point -> eval(point)), `solved`
-    (sequences and Prony roots) and `finished` (the "ok" report entries).
+    UnluckyPoint: nothing is redrawn.  gb(a) replays the trace on the
+    coefficient row at a and returns the reduced GB, or FAIL; gb_replay
+    enforces the row's zero pattern at the learn point at every later point,
+    and `learned` keeps the GB computed there.  The learn and each replay
+    call `spend()`, which may raise to refuse it, then count in n_evals.
+    eval(a) returns the tuple of the non-leading coefficients of gb(a), in
+    the order of coefficient_keys(): (element index, monomial) per
+    coefficient.  The trace and support never change, so the harvest keeps
+    its sample table here for the evaluator's life: `seeds` (two 64-bit
+    seeds drawn from `rng` after the learn), `values` (point ->
+    eval(point)), `solved` (sequences and Prony roots) and `finished` (the
+    "ok" report entries).
     """
 
     def __init__(self, genset, ring, rng, spend=lambda: None):
@@ -169,8 +181,9 @@ class EomsEvaluator:
         return tuple(rng.randrange(1, p) for _ in self.genset.ring.vars)
 
     def _learn(self, rng):
-        gens, check = (specialize_eoms(self.genset, self._random_point(rng),
-                                       self.ring) for _ in range(2))
+        points = [self._random_point(rng) for _ in range(2)]
+        gens, check = (specialize_eoms(self.genset, a, self.ring)
+                       for a in points)
         trace = FAIL
         if gens is not FAIL and check is not FAIL:
             self.spend()
@@ -181,6 +194,11 @@ class EomsEvaluator:
             raise UnluckyPoint("no regular specialization point mod %d"
                                % self.ring.field.p)
         self.trace, self.learned = trace, gb
+        # the learn point's zeros: none, unless a shape term dropped there
+        row = () if sum(map(len, self.genset.shape(self.ring)[1])) == sum(
+            len(g.terms) for g in gens[:-1]) else coefficient_row(
+                self.genset, points[0], self.ring)
+        self._zeros = tuple(k for k, c in enumerate(row) if not c)
         self.support = tuple(g.support() for g in gb)
         self._keys = tuple((i, m) for i, supp in enumerate(self.support)
                            for m in supp[1:])
@@ -189,8 +207,9 @@ class EomsEvaluator:
     def gb(self, point):
         self.spend()
         self.n_evals += 1
-        gens = specialize_eoms(self.genset, point, self.ring)
-        return FAIL if gens is FAIL else gb_apply(self.ring, gens, self.trace)
+        row = coefficient_row(self.genset, point, self.ring)
+        return FAIL if row is FAIL else gb_replay(self.ring, row, self.trace,
+                                                  self._zeros)
 
     def eval(self, point):
         gb = self.gb(point)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fieldsimp import arith
 from fieldsimp.arith import (FAIL, NonCoprimeModuli, PrimeField, ZeroInverse,
                              crt_pair, inv, is_probable_prime, prev_prime,
                              production_prime, rational_reconstruct)
@@ -40,6 +41,25 @@ def test_production_primes_descending_below_2_62():
     assert all(p < 2 ** 62 for p in ps)
     assert all(a > b for a, b in zip(ps, ps[1:]))
     assert ps[0] == prev_prime(2 ** 62)
+
+
+def test_prime_field_tests_only_primes_prev_prime_did_not_find(monkeypatch):
+    p, q = production_prime(3), production_prime(4)
+    calls = []
+    test = arith.is_probable_prime
+
+    def counting(n):
+        calls.append(n)
+        return test(n)
+
+    monkeypatch.setattr(arith, "is_probable_prime", counting)
+    assert PrimeField(p).p == p and calls == []
+    assert PrimeField(2 ** 31 - 1).p == 2 ** 31 - 1
+    assert calls == [2 ** 31 - 1]
+    for composite in (3 * p, p * q, 2 ** 31 + 1):
+        with pytest.raises(ValueError, match="is not prime"):
+            PrimeField(composite)
+    assert calls == [2 ** 31 - 1, 3 * p, p * q, 2 ** 31 + 1]
 
 
 def test_prev_prime_small():

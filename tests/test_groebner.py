@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldsimp import groebner as groebner_module
+from fieldsimp import oms as oms_module
 from fieldsimp.arith import FAIL, PrimeField, production_prime
 from fieldsimp.groebner import (TRACE_DIVERGED, ExponentOverflow, gb_apply,
-                                gb_learn, gb_verify, groebner)
+                                gb_learn, gb_replay, gb_verify, groebner)
 from fieldsimp.oms import EomsEvaluator, gb_ring, specialize_eoms
 from fieldsimp.poly import LEX, MonomialOrder, Ring
 
@@ -326,25 +327,52 @@ def test_sugar_strategy_keeps_replays_small(name, order, bound):
 @pytest.mark.parametrize("name", ["sir6", "lotka_volterra", "bruno2016"])
 def test_replay_fills_slots_only_for_programs_with_steps(name, monkeypatch):
     # most minimal elements come out of interreduction unchanged; their
-    # programs have no steps, and a replay appends the element as it is
+    # programs have no steps, and the slot plan gives them no region: the
+    # element keeps the positions of the one it copies
     genset = load_fixture(name)
     ring = gb_ring(genset, FP)
-    trace = EomsEvaluator(genset, ring, random.Random(0)).trace
+    ev = EomsEvaluator(genset, ring, random.Random(0))
+    trace = ev.trace
     copies = sum(not program[2] for program in trace.programs)
     assert copies
     calls = []
-    slots = groebner_module._slots
+    replay = oms_module.gb_replay
 
-    def counting(program, basis, p):
-        calls.append(program)
-        return slots(program, basis, p)
+    def counting(ring, row, trace, zeros=()):
+        calls.extend(program for programs, _ in trace.plan[2]
+                     for program in programs)
+        calls.extend(trace.checks)
+        return replay(ring, row, trace, zeros)
 
-    monkeypatch.setattr(groebner_module, "_slots", counting)
+    monkeypatch.setattr(oms_module, "gb_replay", counting)
     rng = random.Random(1)
-    gens = specialize_eoms(genset, tuple(rng.randrange(1, P) for _ in
-                                         range(genset.ring.arity)), ring)
-    assert gb_apply(ring, gens, trace).polys == groebner(ring, gens).polys
+    point = tuple(rng.randrange(1, P) for _ in range(genset.ring.arity))
+    gens = specialize_eoms(genset, point, ring)
+    assert ev.gb(point).polys == groebner(ring, gens).polys
     assert len(calls) == len(trace.programs) - copies + len(trace.checks)
+
+
+def test_replay_inverts_once_per_dependency_level(monkeypatch):
+    # seir34's trace holds 10 inputs and 10 new elements; a replay makes
+    # one modular inverse per dependency level, not one per element
+    genset = load_fixture("seir34")
+    ring = gb_ring(genset, FP)
+    ev = EomsEvaluator(genset, ring, random.Random(0))
+    levels = ev.trace.plan[2]
+    elements = sum(len(news) for _, news in levels)
+    rng = random.Random(1)
+    point = tuple(rng.randrange(1, P) for _ in range(genset.ring.arity))
+    want = groebner(ring, specialize_eoms(genset, point, ring)).polys
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(groebner_module, "pow", counting, raising=False)
+    assert ev.gb(point).polys == want
+    assert len(calls) == len(levels) < elements
+    assert all(args[1:] == (-1, P) for args in calls)
 
 
 def test_learn_apply_identity():
@@ -530,6 +558,25 @@ def test_replay_fails_on_a_vanished_tail_coefficient():
     assert gb_apply(R2, again, trace).polys == groebner(R2, again).polys
 
 
+def test_replay_fails_on_a_vanished_output_term():
+    x, y = R2.gens()
+
+    def gens(a, b, c):
+        return [x + R2.from_int(a), y + x.scale(b) + R2.from_int(c)]
+
+    # the GB of [x + a, y + b x + c] is [y + c - a b, x + a]: at c = a b its
+    # learned constant vanishes, while every input keeps its support and
+    # the programs run as learned
+    gb, fresh = gb_learn(R2, gens(1, 1, 2))
+    assert [g.render() for g in gb] == ["y + 1", "x + 1"]
+    trace = gb_verify(R2, gens(3, 5, 4), fresh)
+    assert [g.render() for g in groebner(R2, gens(1, 1, 1))] == ["y", "x + 1"]
+    for learned in (fresh, trace):
+        assert gb_apply(R2, gens(1, 1, 1), learned) is FAIL
+        again = gens(2, 3, 7)
+        assert gb_apply(R2, again, learned).polys == groebner(R2, again).polys
+
+
 def test_replay_fails_on_a_slot_cancelled_only_at_the_learn():
     x, y = R2.gens()
     # S(f, g) reduces to (a + b^2) y^3 + y^2 for f = x^2 + a y^2 + y and
@@ -612,27 +659,39 @@ def _at(ring, gens, a):
             for g in gens]
 
 
+def _row(ring, gens, a):
+    p = ring.field.p
+    return [(c0 + c1 * a) % p for g in gens for _, (c0, c1) in sorted(
+        g.items(), key=lambda t: ring.order.key(t[0]), reverse=True)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(parametric_cases())
 def test_replay_is_groebner_or_fail_on_parametric_ideals(case):
     ring, gens, rng = case
     p = ring.field.p
-    learn_at = _at(ring, gens, rng.randrange(p))
+    a = rng.randrange(p)
+    learn_at = _at(ring, gens, a)
     if all(g.is_zero() for g in learn_at):
         return
     _, trace = gb_learn(ring, learn_at)
+    zeros = tuple(k for k, c in enumerate(_row(ring, gens, a)) if not c)
     for _ in range(4):
-        spec = _at(ring, gens, rng.randrange(p))
+        a = rng.randrange(p)
+        spec = _at(ring, gens, a)
         if all(g.is_zero() for g in spec):
             continue
-        replay = gb_apply(ring, spec, trace)
-        if replay is FAIL:
-            assert p != P       # a random point of a 62-bit field is regular
-            continue
-        # a fresh trace runs its zero reductions in full, so even a learn
-        # at a special point replays to FAIL or the GB
-        assert [g.terms for g in replay] \
-            == [g.terms for g in groebner(ring, spec)]
+        # the MultiPoly entry, and the row of every generator's coefficients
+        # on its monomials, zeros kept, with the learn point's zeros
+        for replay in (gb_apply(ring, spec, trace),
+                       gb_replay(ring, _row(ring, gens, a), trace, zeros)):
+            if replay is FAIL:
+                assert p != P   # a random point of a 62-bit field is regular
+                continue
+            # a fresh trace runs its zero reductions in full, so even a
+            # learn at a special point replays to FAIL or the GB
+            assert [g.terms for g in replay] \
+                == [g.terms for g in groebner(ring, spec)]
 
 
 @settings(max_examples=100, deadline=None)

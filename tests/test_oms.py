@@ -9,11 +9,11 @@ from fieldsimp import groebner as groebner_module
 from fieldsimp import oms
 from fieldsimp import poly as poly_module
 from fieldsimp.arith import ZeroInverse, production_prime
-from fieldsimp.groebner import gb_apply, gb_learn, groebner
+from fieldsimp.groebner import gb_apply, gb_learn, gb_replay, groebner
 from fieldsimp.interp import FAIL, Blackbox
 from fieldsimp.oms import (EomsEvaluator, EvaluationBudgetExceeded,
-                           GeneratorSet, UnluckyPoint, gb_coefficients,
-                           gb_ring, specialize_eoms)
+                           GeneratorSet, UnluckyPoint, coefficient_row,
+                           gb_coefficients, gb_ring, specialize_eoms)
 from fieldsimp.poly import (DEGREVLEX, LEX, MultiPoly, PrimeField, QQ,
                             RationalFunction, Ring)
 from fieldsimp.simplify import _normalize_monic_num, reconstruct_candidates
@@ -487,7 +487,7 @@ def test_diverged_replays_keep_the_trace(monkeypatch):
     gs = load_fixture("example_sym")
     ev = EomsEvaluator(gs, gb_ring(gs, FP), random.Random(3))
     learned = ev.trace
-    monkeypatch.setattr(oms, "gb_apply", lambda *args: FAIL)
+    monkeypatch.setattr(oms, "gb_replay", lambda *args: FAIL)
     for _ in range(3):
         assert ev.eval((1, 2)) is FAIL
     # the learn and three replays, one GB evaluation each
@@ -508,6 +508,33 @@ def test_support_mismatch_is_fail():
     assert ev.trace is learned and ev.n_evals == 2
 
 
+def test_a_vanished_shape_coefficient_fails_the_row_replay():
+    gs = load_fixture("example_sym")
+    ring = gb_ring(gs, FP)
+    ev = EomsEvaluator(gs, ring, random.Random(3))
+    # at x2 = -x1 the constant term of x1^3 + x2^3 - (a1^3 + a2^3) vanishes
+    special, again, generic = (5, FP.p - 5), (7, FP.p - 7), (2, 3)
+    row = coefficient_row(gs, special, ring)
+    zeros = tuple(k for k, c in enumerate(row) if not c)
+    assert len(zeros) == 1 and 0 not in coefficient_row(gs, generic, ring)
+    # it vanishes at a replay point
+    assert gb_replay(ring, row, ev.trace) is FAIL
+    assert gb_apply(ring, specialize_eoms(gs, special, ring), ev.trace) \
+        is FAIL
+    assert ev.gb(special) is FAIL
+    # it vanished at the learn point, and a generic point has the term
+    _, trace = gb_learn(ring, specialize_eoms(gs, special, ring))
+    assert gb_replay(ring, coefficient_row(gs, generic, ring), trace,
+                     zeros) is FAIL
+    assert gb_apply(ring, specialize_eoms(gs, generic, ring), trace) is FAIL
+    # where it vanishes again, both entries replay to the GB
+    want = groebner(ring, specialize_eoms(gs, again, ring)).polys
+    assert gb_replay(ring, coefficient_row(gs, again, ring), trace,
+                     zeros).polys == want
+    assert gb_apply(ring, specialize_eoms(gs, again, ring), trace).polys \
+        == want
+
+
 def test_budget_stops_before_the_evaluation_past_the_cap(monkeypatch):
     gs = load_fixture("example_sym")
     ring = gb_ring(gs, FP)
@@ -519,13 +546,13 @@ def test_budget_stops_before_the_evaluation_past_the_cap(monkeypatch):
         spent.append(1)
 
     ev = EomsEvaluator(gs, ring, random.Random(3), spend)
-    apply, replays = oms.gb_apply, []
+    replay, replays = oms.gb_replay, []
 
-    def recording_apply(*args):
+    def recording_replay(*args):
         replays.append(1)
-        return apply(*args)
+        return replay(*args)
 
-    monkeypatch.setattr(oms, "gb_apply", recording_apply)
+    monkeypatch.setattr(oms, "gb_replay", recording_replay)
     # the learn and three replays spend the budget of 4; the evaluator asks
     # for a fifth before it runs it
     with pytest.raises(EvaluationBudgetExceeded, match="at d=2$"):
