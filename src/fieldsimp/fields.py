@@ -9,13 +9,13 @@ normal form against I_b and l a random linear form on its quotient, drawn
 per point (a non-member passes with probability 1/p per query).  All
 computations run over a word-sized prime field, which stands in for the
 sampling-range bounds of the underlying analysis (any fixed error budget is
-met by a large enough prime).  A query reads p(b) and q(b) off the
-candidate's F_p image with `poly.values_at`, the point evaluator
-`specialize_eoms` uses too, through the power tables of the context's
-point, and builds h from them as packed terms.  The polynomial search
-reduces its condition rows against one semi-echelon basis (`_reduce`,
-`_extend`), retires a row that reduces to zero (Schwartz-Zippel: it stays
-zero but with probability deg/p) and reads the kernel off its reduced form.
+met by a large enough prime).  A query reduces the candidate's coefficients
+mod p, sums p(b) and q(b) from a per-context memo of each monomial's value
+(read once by `poly.values_at`, as `specialize_eoms` reads its point) and
+packed key, then builds h from the keys.  The polynomial search reduces its
+condition rows against one semi-echelon basis (`_reduce`, `_extend`),
+retires a row that reduces to zero (Schwartz-Zippel: it stays zero but with
+probability deg/p) and reads the kernel off its reduced form.
 
 The specialized ideal comes from `oms`, and the harvest, the polynomial
 search and membership all read the one ideal `specialize_eoms` builds.  The
@@ -85,14 +85,13 @@ class MembershipContext:
     queried) and kept with the context.  Every candidate p/q, whatever its
     denominator, is tested by l(NF(h)) = 0 for h = p(y) q(b) - q(y) p(b),
     NF its normal form against that GB and l a linear form on k[t, y]/I_b
-    with weights from a stream seeded by b (ReducedGB.normal_form); p(b)
-    and q(b) come from `values_at` on the candidate's F_p image and the
-    point's power tables, and each monomial of h is packed once per
-    context.  A candidate with a pole at b (q(b) = 0) is a lost sample: the
-    query raises UnluckyPoint.  At a generic b, h lies in I_b exactly for a
-    member (Mueller-Quade and Steinwandt).  A member always gives 0; a
-    non-member has NF(h) != 0 and gives 0 with probability 1/p, on top of
-    the point's own error.
+    with weights from a stream seeded by b (ReducedGB.normal_form); p(b) and
+    q(b) are summed from a memo of each monomial's value at b and packed
+    key, filled at its first query.  A candidate with a pole at b (q(b) = 0)
+    is a lost sample: the query raises UnluckyPoint.  At a generic b, h lies
+    in I_b exactly for a member (Mueller-Quade and Steinwandt).  A member
+    always gives 0; a non-member has NF(h) != 0 and gives 0 with probability
+    1/p, on top of the point's own error.
 
     The GB is taken in degrevlex whatever the generators' order: neither
     membership in I_b nor its dimension depends on the monomial order, and
@@ -117,7 +116,7 @@ class MembershipContext:
         self.field = field
         self.x_ring = Ring(genset.ring.vars, field, genset.ring.order)
         self.gb_ring = gb_ring(genset, field)
-        self._packed = {}
+        self._memo = {}
         p = field.p
         self.point = tuple(rng.randrange(1, p)
                            for _ in range(genset.ring.arity))
@@ -126,6 +125,7 @@ class MembershipContext:
             raise UnluckyPoint("no regular evaluation point mod %d" % p)
         self._gb = groebner(self.gb_ring, gens)
         self._powers = [{1: x} for x in self.point]
+        self._coords = tuple(range(len(self.point)))
         self._weights = random.Random(str(self.point))
 
     def contains(self, candidate):
@@ -136,18 +136,26 @@ class MembershipContext:
             candidate = RationalFunction(candidate)
         if candidate.ring != self.genset.ring:
             raise ValueError("candidate from a different ring")
-        image = candidate.modp(self.x_ring)
-        p = self.field.p
-        pv, qv = values_at(image, self._powers, p)
+        p, memo, reduce = self.field.p, self._memo, self.field.from_fraction
+        sides = []
+        for poly in (candidate.num, candidate.den):
+            total, terms = 0, []
+            for m, c in poly.terms:
+                c = c % p if c.__class__ is int else reduce(c)
+                if c:               # m's value at b and its packed key
+                    v, k = memo.get(m) or memo.setdefault(m, (values_at(
+                        [[(1, m, self._coords)]], self._powers, p)[0],
+                        self._gb.pack((0,) + m)))
+                    total += c * v
+                    terms.append((k, c))
+            sides.append((terms, total % p))
+        (num, pv), (den, qv) = sides
         if qv == 0:
             raise UnluckyPoint("candidate has a pole at the membership point "
                                "mod %d" % p)
-        packed, h = self._packed, {}        # h = p(y) q(b) - q(y) p(b)
-        for poly, scale in zip(image, (qv, -pv)):
-            for m, c in poly.terms:
-                k = packed.get(m)
-                if k is None:
-                    k = packed[m] = self._gb.pack((0,) + m)
+        h = {}                              # h = p(y) q(b) - q(y) p(b)
+        for terms, scale in ((num, qv), (den, -pv)):
+            for k, c in terms:
                 h[k] = (h.get(k, 0) + c * scale) % p
         return self._gb.normal_form(h, self._weights) == 0
 

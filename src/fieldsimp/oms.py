@@ -37,7 +37,7 @@ from .arith import FAIL
 from .groebner import MAX_EXPONENT, gb_learn, gb_replay, gb_verify
 from .interp import Blackbox, estimate_degrees, interpolate_rational
 from .poly import (QQ, DEGREVLEX, MultiPoly, RationalFunction, Ring, lcm_q,
-                   values_at)
+                   sparse_terms, values_at)
 
 
 class UnluckyPoint(RuntimeError):
@@ -78,7 +78,7 @@ class GeneratorSet:
             if not g.den.is_constant():
                 q = lcm_q(q, g.den)
         self.common_denominator = q
-        self._shapes = {}
+        self._shapes, self._lifted = {}, {}
 
     def __len__(self):
         return len(self.generators)
@@ -86,9 +86,9 @@ class GeneratorSet:
     def shape(self, ring):
         """The specialized ideal less the point, once per gb ring: the F_p
         images of the generators' numerators and denominators in turn, then
-        of Q; per generator the joint support of its num and den as (0, m)
-        monomials in descending `ring` order, each with its num and den
-        coefficients; and t Q(y) - 1."""
+        of Q, as `sparse_terms`; per generator the joint support of its num
+        and den as (0, m) monomials in descending `ring` order, each with
+        its num and den coefficients; and t Q(y) - 1."""
         if ring not in self._shapes:
             x_ring = Ring(self.ring.vars, ring.field, self.ring.order)
             images = [side for g in self.generators
@@ -100,10 +100,11 @@ class GeneratorSet:
                 a, b = dict(num.terms), dict(den.terms)
                 mons = sorted(a.keys() | b.keys(), reverse=True,
                               key=lambda m: ring.order.key((0,) + m))
-                shapes.append([((0,) + m, a.get(m, 0), b.get(m, 0))
-                               for m in mons])
+                shapes.append([(self._lifted.setdefault(m, (0,) + m),
+                                a.get(m, 0), b.get(m, 0)) for m in mons])
             tq = ring.from_dict({(1,) + m: c for m, c in images[-1].terms})
-            self._shapes[ring] = images, shapes, tq - ring.one()
+            self._shapes[ring] = (sparse_terms(*(f.terms for f in images)),
+                                  shapes, tq - ring.one())
         return self._shapes[ring]
 
 

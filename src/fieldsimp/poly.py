@@ -107,7 +107,7 @@ class Ring:
     """Ring descriptor: variable names (greatest first), field, order;
     p is the field's modulus over F_p and None over Q."""
 
-    __slots__ = ("vars", "field", "order", "p", "_zero_mon")
+    __slots__ = ("vars", "field", "order", "p", "_zero_mon", "_hash")
 
     def __init__(self, variables, field, order=DEGREVLEX):
         self.vars = tuple(variables)
@@ -117,6 +117,7 @@ class Ring:
         self.order = order
         self.p = field.p if isinstance(field, PrimeField) else None
         self._zero_mon = (0,) * len(self.vars)
+        self._hash = hash((self.vars, field, order))
 
     @property
     def arity(self):
@@ -129,7 +130,7 @@ class Ring:
                 and other.field == self.field and other.order == self.order)
 
     def __hash__(self):
-        return hash((self.vars, self.field, self.order))
+        return self._hash
 
     def __repr__(self):
         return "Ring(%r, %r, %r)" % (self.vars, self.field, self.order)
@@ -289,7 +290,8 @@ class MultiPoly:
     def evaluate(self, point):
         if len(point) != len(self.ring.vars):
             raise ValueError("point arity mismatch")
-        return values_at((self,), [{1: x} for x in point], self.ring.p)[0]
+        return values_at(sparse_terms(self.terms), [{1: x} for x in point],
+                         self.ring.p)[0]
 
     def map_coefficients(self, ring, fn):
         """Rebuild in `ring`, mapping coefficients by fn.  `ring` must have
@@ -346,21 +348,30 @@ def _from_sums(ring, d):
     return ring.from_dict(d)
 
 
+def sparse_terms(*polys):
+    """Each of `polys`, a sequence of terms (m, c), as `values_at` reads it:
+    per term (c, m, the coordinates where m is nonzero; equal ones shared)."""
+    seen = {}
+    return [tuple([(c, m, seen.setdefault(s, s)) for m, c in terms
+                   for s in [tuple([i for i, e in enumerate(m) if e])]])
+            for terms in polys]
+
+
 def values_at(polys, powers, p):
-    """The values of `polys` at one point, read through `powers`: per
-    coordinate x a table {e: x^e} that starts as {1: x} and gets each
-    entry at its first use, so one point's tables serve many polynomials.
-    Over F_p the values are reduced mod p; over Q (p None) they are exact."""
+    """The values at one point of `polys`, each as its `sparse_terms` (a
+    term may name more coordinates: x^0 = 1), read through `powers`: per
+    coordinate x a table {e: x^e}, {1: x} at first and filled at first use,
+    so one point's tables serve many.  Mod p over F_p, exact over Q."""
     values = []
-    for poly in polys:
+    for terms in polys:
         total = 0
-        for m, c in poly.terms:
-            for table, e in zip(powers, m):
-                if e:
-                    x = table.get(e)
-                    if x is None:
-                        x = table[e] = pow(table[1], e, p)
-                    c *= x
+        for c, m, support in terms:
+            for i in support:
+                table, e = powers[i], m[i]
+                x = table.get(e)
+                if x is None:
+                    x = table[e] = pow(table[1], e, p)
+                c *= x
             total += c
         values.append(total if p is None else total % p)
     return values

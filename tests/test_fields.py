@@ -11,14 +11,16 @@ from fieldsimp import groebner as groebner_module
 from fieldsimp import oms
 from fieldsimp import poly as poly_module
 from fieldsimp import simplify as simplify_module
-from fieldsimp.arith import FAIL, production_prime, rational_reconstruct
+from fieldsimp.arith import (FAIL, ZeroInverse, production_prime,
+                            rational_reconstruct)
 from fieldsimp.fields import (MembershipContext, _back_substitute, _extend,
                               _reduce, fields_equal, minimize,
                               polynomial_generators)
 from fieldsimp.groebner import ExponentOverflow, ReducedGB
 from fieldsimp.oms import EomsEvaluator, GeneratorSet, UnluckyPoint
 from fieldsimp.poly import (DEGREVLEX, MultiPoly, PrimeField, QQ,
-                            RationalFunction, Ring, lcm_q, values_at)
+                            RationalFunction, Ring, lcm_q, sparse_terms,
+                            values_at)
 from fieldsimp.simplify import SimplifyConfig, simplify
 
 from conftest import (ALL_FIXTURES, CHECK_PRIMES, apply_map, fields_equal_2p,
@@ -145,7 +147,8 @@ def test_values_match_evaluate_over_fp(case):
     powers = [{1: x} for x in point]
     for num, den in (first, second, first):
         want = [_reference_value(num, point), _reference_value(den, point)]
-        assert values_at((num, den), powers, p) == want
+        assert values_at(sparse_terms(num.terms, den.terms), powers,
+                         p) == want
         assert [num.evaluate(point), den.evaluate(point)] == want
     for x, table in zip(point, powers):
         assert table == {e: pow(x, e, p) for e in table}
@@ -176,8 +179,9 @@ def test_values_exact_over_q(case):
     polys, point = case
     powers = [{1: x} for x in point]
     want = [_reference_value(f, point) for f in polys]
-    assert values_at(polys, powers, None) == want
-    assert values_at(polys[::-1], powers, None) == want[::-1]
+    sparse = sparse_terms(*(f.terms for f in polys))
+    assert values_at(sparse, powers, None) == want
+    assert values_at(sparse[::-1], powers, None) == want[::-1]
     assert [f.evaluate(point) for f in polys] == want
     for x, table in zip(point, powers):
         assert table == {e: x ** e for e in table}
@@ -185,8 +189,8 @@ def test_values_exact_over_q(case):
 
 def _den_value(image, point):
     """q(b) for an F_p image (p, q) at a bare point b."""
-    return values_at(image, [{1: x} for x in point],
-                     image[0].ring.field.p)[1]
+    return values_at(sparse_terms(*(f.terms for f in image)),
+                     [{1: x} for x in point], image[0].ring.field.p)[1]
 
 
 def test_den_value_zero_at_pole():
@@ -270,22 +274,47 @@ def test_ideal_pole_at_context_point_raises():
 
 
 def test_candidate_mapped_to_fp_once(monkeypatch):
+    # a repeated query on one context reduces each coefficient mod p once
+    # and reads every monomial from the context's memo: none is packed or
+    # evaluated at the point again
     gs = load_fixture("heron")
     ctx = MembershipContext(gs, FIELDS[0], random.Random(9))
     g = gs.generators[0]
     cand = g * g
     assert ctx.contains(cand) is True
-    calls = []
-    map_coefficients = MultiPoly.map_coefficients
+    fractions = [c for f in (cand.num, cand.den) for _, c in f.terms
+                 if isinstance(c, Fraction)]
+    assert fractions
+    calls = {"from_fraction": 0, "pack": 0, "values_at": 0}
 
-    def counting(self, *args):
-        calls.append(self)
-        return map_coefficients(self, *args)
+    def counting(owner, name):
+        fn = getattr(owner, name)
 
-    monkeypatch.setattr(MultiPoly, "map_coefficients", counting)
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(PrimeField, "from_fraction")
+    counting(ReducedGB, "pack")
+    counting(fields_module, "values_at")
     assert ctx.contains(cand) is True
-    # one image (num, den) gives p(b), q(b) and the terms of h
-    assert len(calls) == 2
+    assert calls == {"from_fraction": len(fractions), "pack": 0,
+                     "values_at": 0}
+
+
+def test_coefficient_with_the_prime_in_its_denominator():
+    # a candidate coefficient with p in its denominator has no F_p image:
+    # the query raises ZeroInverse, as PrimeField.from_fraction does
+    gs = load_fixture("heron")
+    field = FIELDS[0]
+    ctx = MembershipContext(gs, field, random.Random(9))
+    g = gs.generators[0]
+    for cand in (g + Fraction(1, field.p), g / Fraction(field.p, 3)):
+        with pytest.raises(ZeroInverse, match="^prime %d divides the "
+                                              "denominator of " % field.p):
+            ctx.contains(cand)
+    assert ctx.contains(g) is True
 
 
 @st.composite

@@ -15,10 +15,10 @@ from fieldsimp.oms import (EomsEvaluator, EvaluationBudgetExceeded,
                            GeneratorSet, UnluckyPoint, coefficient_row,
                            gb_coefficients, gb_ring, specialize_eoms)
 from fieldsimp.poly import (DEGREVLEX, LEX, MultiPoly, PrimeField, QQ,
-                            RationalFunction, Ring)
+                            RationalFunction, Ring, values_at)
 from fieldsimp.simplify import _normalize_monic_num, reconstruct_candidates
 
-from conftest import CHECK_PRIMES, genset_of, load_fixture
+from conftest import ALL_FIXTURES, CHECK_PRIMES, genset_of, load_fixture
 from oracle import proportional, specialize
 
 FP = PrimeField(CHECK_PRIMES[0])
@@ -190,6 +190,50 @@ def test_specialize_computes_each_power_once(monkeypatch):
     expected.append(ring.from_dict({(1,) + m: c for m, c in q.terms})
                     - ring.one())
     assert got == expected
+
+
+def _dense_values_at(polys, point, p):
+    """The values of MultiPolys at `point` read term by term over every
+    coordinate, skipping the zero exponents: the form the shapes read
+    before they kept only each term's nonzero exponents."""
+    powers, values = [{1: x} for x in point], []
+    for poly in polys:
+        total = 0
+        for m, c in poly.terms:
+            for table, e in zip(powers, m):
+                if e:
+                    x = table.get(e)
+                    if x is None:
+                        x = table[e] = pow(table[1], e, p)
+                    c *= x
+            total += c
+        values.append(total % p)
+    return values
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES + ("obscured4",))
+def test_shape_reads_the_point_as_the_dense_images(name):
+    # the shape keeps each image term's nonzero (coordinate, exponent)
+    # factors; reading a point through them gives what the dense images
+    # give, and coefficient_row fails exactly at a pole of Q (reached on
+    # every fixture with a nonconstant Q)
+    gs = load_fixture(name)
+    ring = gb_ring(gs, FP)
+    x_ring = Ring(gs.ring.vars, FP, gs.ring.order)
+    images = [side for g in gs.generators for side in g.modp(x_ring)]
+    images.append(gs.common_denominator.map_coefficients(
+        x_ring, FP.from_fraction))
+    sparse = gs.shape(ring)[0]
+    rng, poles = random.Random(name), 0
+    for k in range(40):
+        top = 2 if k % 2 else FP.p - 1
+        point = tuple(rng.randint(0, top) for _ in gs.ring.vars)
+        want = _dense_values_at(images, point, FP.p)
+        assert values_at(sparse, [{1: x} for x in point], FP.p) == want
+        row = coefficient_row(gs, point, ring)
+        assert (row is FAIL) == (want[-1] == 0)
+        poles += row is FAIL
+    assert poles or gs.common_denominator.is_constant()
 
 
 def test_gb_coefficients_power_sums_lex():

@@ -115,6 +115,24 @@ def test_ring_mismatch():
         qp("x1") + other.variable(0)
 
 
+def test_equal_rings_hash_equal():
+    # a ring's hash is computed once, at construction, from what equality
+    # compares: rings built separately hash equal and find each other as
+    # dict keys, and a ring differing in any part is another key
+    pairs = [(Ring(("x1", "x2", "x3"), QQ), RQ),
+             (Ring(["x1", "x2", "x3"], PrimeField(P), MonomialOrder()), RP),
+             (Ring(("a", "b"), FP, LEX), Ring(("a", "b"), FP, LEX))]
+    for built, other in pairs:
+        assert built is not other and built == other
+        assert hash(built) == hash(other)
+        assert {other: 1}[built] == 1
+        assert {(built, 1): 2}[(other, 1)] == 2
+    table = {RQ: 0, RP: 1, Ring(("x1", "x2", "x3"), QQ, LEX): 2,
+             Ring(("x1", "x2"), QQ): 3}
+    assert len(table) == 4
+    assert table[Ring(("x1", "x2", "x3"), FP)] == 1
+
+
 def test_evaluate_examples():
     assert qp("x1*x2 + 1").evaluate((2, 3, 0)) == 7
     assert RQ.zero().evaluate((1, 2, 3)) == 0

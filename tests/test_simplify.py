@@ -394,14 +394,15 @@ def test_a_lost_harvest_sample_ends_its_attempt(monkeypatch):
 
 def test_a_lost_membership_sample_ends_its_attempt(monkeypatch):
     # the first membership query of attempt 0 sees a pole at its context's
-    # point: the context draws no second point, the attempt ends, and the
-    # restart at a fresh block of primes is the one retry
+    # point (the context reads every monomial as 0 there, so q(b) = 0): the
+    # context draws no second point, the attempt ends, and the restart at a
+    # fresh block of primes is the one retry
     values, calls = fields.values_at, []
 
     def first_lost(polys, powers, p):
-        calls.append(p)
-        pv, qv = values(polys, powers, p)
-        return (pv, 0) if len(calls) == 1 else (pv, qv)
+        calls[:] = calls or [powers]     # the first query's power tables
+        lost = powers is calls[0]
+        return [0] * len(polys) if lost else values(polys, powers, p)
 
     monkeypatch.setattr(fields, "values_at", first_lost)
     monkeypatch.setattr(simplify_module, "MAX_RESTARTS", 0)
