@@ -2,10 +2,10 @@
 
 Univariate rational interpolation via the extended Euclidean algorithm,
 sparse polynomial interpolation from evaluations at powers of a prime-vector
-ratio, blackbox multivariate recovery (a polynomial straight from such a
-sequence; a rational function by homogenizing, shifting, interpolating along
-lines and recovering each side from its top coefficients), and blackbox
-total-degree estimation along a random line.
+ratio (Prony roots read among its monomials), blackbox multivariate recovery
+(a polynomial straight from such a sequence; a rational function by
+homogenizing, shifting, interpolating along lines and recovering each side
+from its top coefficients), and total-degree estimation along a random line.
 
 A lost sample (the blackbox's FAIL: a pole or a diverged replay) is never
 redrawn here: degree estimation and interpolation return FAIL on the first
@@ -171,11 +171,41 @@ def cauchy_interpolate(points, values, deg_num, deg_den, field):
 
 
 # ----------------------------------------------------------------------
-# root finding over F_p (probabilistic equal-degree splitting)
+# root finding over F_p
+
+# Past this many candidate roots a key's Prony roots are split by _uroots
+# (probabilistic equal-degree splitting) and decoded by trial division.
+MAX_ROOT_CANDIDATES = 1000
+
+
+def _root_candidates(ratio, degree_bound, p):
+    """{q^e: e} over the ratio primes q, for total degree |e| <= degree_bound
+    and q^e < p: the roots ben_or_tiwari decodes.  None past
+    MAX_ROOT_CANDIDATES of them (the count only grows prime by prime)."""
+    table = {1: ()}
+    for q in ratio:
+        table = {v * q ** k: e + (k,) for v, e in table.items()
+                 for k in range(degree_bound - sum(e) + 1) if v * q ** k < p}
+        if len(table) > MAX_ROOT_CANDIDATES:
+            return None
+    return table
+
+
+def _roots(mono, table, p):
+    """Sorted distinct roots of the monic `mono`: those among the values of
+    `table`, or all in F_p by _uroots when table is None."""
+    if table is None:
+        return _uroots(mono, p)
+    values = list(table)        # Horner: (..(x + c_(t-1))*x ..)*x = -c_0
+    for c in mono[-2:0:-1]:
+        values = [(v + c) * x % p for v, x in zip(values, table)]
+    last = -mono[0] % p
+    return sorted(x for x, v in zip(table, values) if v == last)
 
 
 def _uroots(a, p):
-    """Distinct roots in F_p of a squarefree-ish univariate polynomial.
+    """Distinct roots in F_p of a squarefree-ish univariate polynomial (a
+    Prony polynomial past MAX_ROOT_CANDIDATES candidate roots).
 
     Las Vegas splitting on a local stream; the root set does not depend on
     its draws.  Every split factor is monic: a gcd or a quotient of monics."""
@@ -254,17 +284,19 @@ def _upowmod(b, e, mod, p):
 # sparse interpolation from a geometric evaluation sequence
 
 
-def _prony(evals, field, roots_of):
+def _prony(evals, field, roots_of, table=None):
     """Recover {(root, coefficient)} with the sequence e_i = sum c_k root_k^i.
 
     Returns FAIL when the sequence is not explained by <= len(evals)/2
-    distinct nonzero roots (caller enlarges the sequence).  `roots_of`
-    keeps the roots of each Prony polynomial found so far.  For even
-    len(evals) = 2T the EEA cofactor lam is nonzero of degree <= T, 0 is no
-    root (lam's lead is nonzero) and t distinct roots give L_k(m_k) != 0;
-    each root m of mono, from _uroots, makes mono / (z - m) exact.
-    As lam E = r mod z^(2T), the roots reproduce all 2T values iff deg r < t
-    (r/lam in partial fractions); r != 0, so this rejects t = 0 too.
+    distinct nonzero roots (caller enlarges the sequence), among the values
+    of `table` if given (_roots).  `roots_of` keeps a Prony polynomial's
+    roots once they are all it has in F_p, so no table's partial answer
+    reaches another.  For even len(evals) = 2T the EEA cofactor lam is
+    nonzero of degree <= T, 0 is no root (lam's lead is nonzero) and t
+    distinct roots give L_k(m_k) != 0; each root m of mono makes
+    mono / (z - m) exact.  As lam E = r mod z^(2T), the roots reproduce all
+    2T values iff deg r < t (r/lam in partial fractions); r != 0, so this
+    rejects t = 0 too.
     """
     p = field.p
     two_t = len(evals)
@@ -281,9 +313,11 @@ def _prony(evals, field, roots_of):
     if _udeg(r) >= t:
         return FAIL
     mono = tuple(reversed(lam))                 # prod(z - root), monic
-    if mono not in roots_of:
-        roots_of[mono] = _uroots(mono, p)
-    roots = roots_of[mono]
+    roots = roots_of.get(mono)
+    if roots is None:
+        roots = _roots(mono, table, p)
+        if table is None or len(roots) == t:
+            roots_of[mono] = roots
     if len(roots) != t:
         return FAIL
     # transposed Vandermonde solve, O(t^2): c_k = (sum_i L_k[i] e_i) / L_k(m_k)
@@ -299,8 +333,8 @@ def _prony(evals, field, roots_of):
 
 
 def _exponent_from_root(root, ratio, degree_bound):
-    """Exponent vector of an integer root over the ratio primes by trial
-    division, or FAIL when the root does not factor within the bound."""
+    """Exponent vector of a root over the ratio primes by trial division,
+    or FAIL when it does not factor within the total degree bound."""
     e = []
     r = root
     for q in ratio:
@@ -308,10 +342,8 @@ def _exponent_from_root(root, ratio, degree_bound):
         while r % q == 0 and k < degree_bound + 1:
             r //= q
             k += 1
-        if k > degree_bound:
-            return FAIL
         e.append(k)
-    if r != 1:
+    if r != 1 or sum(e) > degree_bound:
         return FAIL
     return tuple(e)
 
@@ -321,16 +353,24 @@ def ben_or_tiwari(evals, ratio, degree_bound, ring, roots_of=None):
 
     Exact when T is at least the number of terms of f; with smaller T the
     result is wrong and the caller must verify.  Returns FAIL when the
-    sequence has no sparse explanation at this T or a recovered root does
-    not factor over the ratio primes.  A dict passed as `roots_of` keeps
-    each Prony polynomial's roots across calls.
+    sequence has no sparse explanation at this T or a root is no q^e < p
+    within the total degree bound: found among those (_root_candidates), or
+    past MAX_ROOT_CANDIDATES of them split and decoded by trial division.  A
+    dict passed as `roots_of` (one prime's) keeps each (ratio, bound)'s
+    candidates and each Prony polynomial's roots across calls.
     """
-    sol = _prony(list(evals), ring.field, {} if roots_of is None else roots_of)
+    roots_of = {} if roots_of is None else roots_of
+    key = (ratio, degree_bound)
+    if key not in roots_of:
+        roots_of[key] = _root_candidates(ratio, degree_bound, ring.field.p)
+    table = roots_of[key]
+    sol = _prony(list(evals), ring.field, roots_of, table)
     if sol is FAIL:
         return FAIL
     d = {}
     for root, coeff in sol:
-        e = _exponent_from_root(root, ratio, degree_bound)
+        e = _exponent_from_root(root, ratio, degree_bound) if table is None \
+            else table.get(root, FAIL)
         if e is FAIL:
             return FAIL
         d[e] = coeff
@@ -393,9 +433,9 @@ def interpolate_rational(bb, deg_num, deg_den, ring, rng, solved=None):
     fresh-point consistency check.  gamma and sigma are drawn once: returns
     FAIL on a lost row, or when the guess reaches its bound without a
     verified candidate.  `solved` maps a sequence (values, degree bound,
-    ring) to its ben_or_tiwari result and a Prony polynomial to its roots,
-    so functions sampled at the same points solve each distinct sequence,
-    and find the roots of each distinct polynomial, once.
+    ring) to its ben_or_tiwari result, a (ratio, bound) to its candidate
+    roots and a Prony polynomial to its roots: functions sampled at the same
+    points solve each sequence, and find each polynomial's roots, once.
     """
     field = ring.field
     p = field.p
@@ -477,15 +517,15 @@ def _descale(polys, degrees, gamma, ring):
     interpolated at gamma*omega^i: a term c*m becomes c/gamma^m.  One side
     is a polynomial (den 1) of degree at most its bound; two sides are
     homogenized, so each term has exactly its side's degree and loses its
-    first coordinate.  FAIL on a term of the wrong degree (a wrong sparsity
-    guess) or a zero den."""
+    first coordinate.  FAIL on a term below that degree (a wrong sparsity
+    guess; ben_or_tiwari keeps every term within it) or a zero den."""
     p = ring.field.p
     hom = len(polys) - 1
     out = []
     for poly, deg in zip(polys, degrees):
         d = {}
         for m, c in poly.terms:
-            if sum(m) > deg or hom and sum(m) < deg:
+            if hom and sum(m) < deg:
                 return FAIL
             scale = 1
             for g, e in zip(gamma, m):

@@ -1034,7 +1034,7 @@ def test_functional_draws_are_deterministic():
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_functional_query_matches_specialized_normal_form(name, monkeypatch):
-    # the query packs h from the candidate's F_p image; phi of that h
+    # the query packs h from the context's monomial memo; phi of that h
     # equals phi of oracle.specialize's h on a twin context of the same
     # seed, query for query from an empty memo, so the weights are drawn in
     # the same order

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -232,6 +233,119 @@ def test_ben_or_tiwari_random_roundtrip():
                  for i in range(2 * t)]
         got = ben_or_tiwari(evals, ratio, 4 * n, ring)
         assert got == f
+
+
+def _geometric(terms, length, p):
+    """e_i = sum c * root^i mod p for i < length, over (root, c) terms."""
+    return [sum(c * pow(r, i, p) for r, c in terms) % p for i in range(length)]
+
+
+def _both_root_paths(monkeypatch, evals, ratio, degree_bound, ring):
+    """ben_or_tiwari's result with the candidate path forced, then with the
+    _uroots path (trial division) forced."""
+    out = []
+    for bound in (10 ** 6, -1):
+        monkeypatch.setattr(interp, "MAX_ROOT_CANDIDATES", bound)
+        out.append(ben_or_tiwari(evals, ratio, degree_bound, ring))
+    return out
+
+
+@pytest.mark.parametrize("p", [P, 10007])
+def test_candidate_roots_agree_with_splitting(monkeypatch, p):
+    # n = 1..6 ratio primes and degree bounds 0..8: sparse sequences within
+    # the bound, the same with one root outside the candidates (not smooth,
+    # total degree above the bound, q^e >= p), and random sequences; at
+    # 10007 many monomials pass p, so their residues stand in for roots
+    rng = random.Random(47)
+    field = PrimeField(p)
+    for n in range(1, 7):
+        ratio = admissible_ratio(n)
+        ring = Ring(tuple("x%d" % (i + 1) for i in range(n)), field)
+
+        def value(e):
+            return math.prod(q ** k for q, k in zip(ratio, e))
+
+        for bound in range(9):
+            coeffs = {}
+            for _ in range(rng.randint(1, 4)):
+                e = [0] * n
+                for _ in range(rng.randint(0, bound)):
+                    e[rng.randrange(n)] += 1
+                coeffs[tuple(e)] = rng.randrange(1, p)
+            terms = {value(e) % p: c for e, c in coeffs.items()}
+            # total degree bound + 1, each exponent within the bound if n > 1
+            above = [bound] + [0] * (n - 1)
+            above[-1] += 1
+            outside = {"not smooth": admissible_ratio(n + 1)[-1],
+                       "above the bound": value(above) % p}
+            big = next((k for k in range(bound + 1)
+                        if ratio[-1] ** k >= p), None)
+            if big is not None:
+                outside["q^e >= p"] = ratio[-1] ** big % p
+            cases = {"within": terms}
+            for name, root in outside.items():
+                if root and root not in terms:
+                    cases[name] = {**terms, root: rng.randrange(1, p)}
+            for name, case in cases.items():
+                evals = _geometric(case.items(), 2 * len(case), p)
+                got, want = _both_root_paths(monkeypatch, evals, ratio,
+                                             bound, ring)
+                assert got == want, (n, bound, name)
+                if p == P:
+                    assert got == (ring.from_dict(coeffs) if name == "within"
+                                   else FAIL), (n, bound, name)
+            for length in (2, 4, 6):
+                evals = [rng.randrange(p) for _ in range(length)]
+                got, want = _both_root_paths(monkeypatch, evals, ratio,
+                                             bound, ring)
+                assert got == want, (n, bound, evals)
+
+
+def test_uroots_runs_only_past_the_candidate_bound(monkeypatch):
+    ring = _ring(3)
+    ratio, bound = (2, 3, 5), 6
+    table = interp._root_candidates(ratio, bound, P)
+    assert len(table) == math.comb(3 + bound, 3)
+    f = ring.from_dict({(1, 2, 3): 4, (0, 0, 1): 5, (2, 0, 0): 6})
+    evals = [f.evaluate(tuple(pow(w, i, P) for w in ratio))
+             for i in range(6)]
+    calls = []
+    uroots = interp._uroots
+
+    def counting(a, p):
+        calls.append(tuple(a))
+        return uroots(a, p)
+
+    monkeypatch.setattr(interp, "_uroots", counting)
+    monkeypatch.setattr(interp, "MAX_ROOT_CANDIDATES", len(table))
+    assert ben_or_tiwari(evals, ratio, bound, ring) == f
+    assert calls == []
+    monkeypatch.setattr(interp, "MAX_ROOT_CANDIDATES", len(table) - 1)
+    assert interp._root_candidates(ratio, bound, P) is None
+    assert ben_or_tiwari(evals, ratio, bound, ring) == f
+    assert len(calls) == 1
+
+
+def test_root_candidates_at_the_default_bound():
+    # x^40 + y's key reads its roots among 858 candidates (3 of the
+    # C(42, 2) = 861 monomials pass p), x^64 + y's splits with _uroots
+    assert len(interp._root_candidates((2, 3), 40, P)) == 858
+    assert interp._root_candidates((2, 3), 64, P) is None
+
+
+def test_root_memo_answers_each_degree_bound_alone():
+    # the roots 32 and 3 of x1^5 + x2: under bound 4 only 3 is a candidate,
+    # and that partial answer must not stand in for bound 5's; bound 5's
+    # full root set, kept, still decodes only within bound 4 after it
+    ring = _ring(2)
+    ratio = (2, 3)
+    f = ring.from_dict({(5, 0): 2, (0, 1): 7})
+    evals = [f.evaluate((pow(2, i, P), pow(3, i, P))) for i in range(4)]
+    solved = {}
+    assert ben_or_tiwari(evals, ratio, 4, ring, solved) is FAIL
+    assert ben_or_tiwari(evals, ratio, 5, ring, solved) == f
+    assert ben_or_tiwari(evals, ratio, 4, ring, solved) is FAIL
+    assert ben_or_tiwari(evals, ratio, 5, ring, {}) == f
 
 
 def test_interpolate_constant():

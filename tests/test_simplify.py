@@ -555,23 +555,23 @@ def test_power_sums_harvest_shares_points():
     assert sum(r["n_evals"] for r in report.rounds) < 1000
 
 
-def uroots_per_attempt(monkeypatch, name):
+def roots_per_attempt(monkeypatch, name):
     """The report of simplify() at seed 0 and, per attempt, the Prony
-    polynomials whose roots were found."""
+    polynomials whose roots were found, by either root path."""
     attempts = []
     run_once = simplify_module._run_once
-    uroots = interp._uroots
+    roots = interp._roots
 
     def recording_run_once(*args):
         attempts.append([])
         return run_once(*args)
 
-    def recording_uroots(a, p):
-        attempts[-1].append(tuple(a))
-        return uroots(a, p)
+    def recording_roots(mono, table, p):
+        attempts[-1].append(tuple(mono))
+        return roots(mono, table, p)
 
     monkeypatch.setattr(simplify_module, "_run_once", recording_run_once)
-    monkeypatch.setattr(interp, "_uroots", recording_uroots)
+    monkeypatch.setattr(interp, "_roots", recording_roots)
     output, report = simplify(load_fixture(name), SimplifyConfig(seed=0))
     assert report.verified is True
     assert attempts and all(attempts)
@@ -582,7 +582,7 @@ def test_power_sums_harvest_solves_each_polynomial_once(monkeypatch):
     # every key of power_sums is a polynomial, read off one shared sequence,
     # and an attempt finds the roots of a Prony polynomial once over all
     # of its rounds
-    report, attempts = uroots_per_attempt(monkeypatch, "power_sums")
+    report, attempts = roots_per_attempt(monkeypatch, "power_sums")
     assert sum(r["n_evals"] for r in report.rounds) <= 47
     for polys in attempts:
         assert len(polys) == len(set(polys))
@@ -591,7 +591,7 @@ def test_power_sums_harvest_solves_each_polynomial_once(monkeypatch):
 def test_rational_keys_solve_each_polynomial_once_per_attempt(monkeypatch):
     # seir34 has rational keys; a round reads the rows of the rounds
     # before it, so no Prony polynomial is solved again
-    report, attempts = uroots_per_attempt(monkeypatch, "seir34")
+    report, attempts = roots_per_attempt(monkeypatch, "seir34")
     assert len(report.rounds) > 1
     for polys in attempts:
         assert len(polys) == len(set(polys))
