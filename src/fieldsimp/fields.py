@@ -19,15 +19,16 @@ probability deg/p) and reads the kernel off its reduced form.
 
 The specialized ideal comes from `oms`, and the harvest, the polynomial
 search and membership all read the one ideal `specialize_eoms` builds.  The
-search replays the trace of an `oms.EomsEvaluator` (the pipeline passes the
-first evaluator of its harvest).  MembershipContext draws one point and
-runs Buchberger there in degrevlex, once: a candidate's denominator is
-never folded into Q, because at a random point that cannot change a
-correct verdict (the argument is in MembershipContext's docstring).
-Nothing here draws again after a lost sample: a pole of Q or of a
-candidate at the context's point, or a failed replay in the polynomial
-search, raises UnluckyPoint at once and ends the attempt, and
-`simplify`'s restart at a fresh block of primes is the one retry.
+search replays the trace of the `oms.EomsEvaluator` it is given (the
+pipeline, the one place that builds evaluators, passes the first of its
+harvest).  MembershipContext draws one point and runs Buchberger there in
+degrevlex, once: a candidate's denominator is never folded into Q, because
+at a random point that cannot change a correct verdict (the argument is in
+MembershipContext's docstring).  Nothing here draws again after a lost
+sample: a pole of Q or of a candidate at the context's point, or a failed
+replay in the polynomial search, raises UnluckyPoint at once and ends the
+attempt, and `simplify`'s restart at a fresh block of primes is the one
+retry.
 """
 
 import bisect
@@ -35,8 +36,7 @@ import random
 
 from .arith import FAIL
 from .groebner import groebner
-from .oms import (EomsEvaluator, GeneratorSet, UnluckyPoint, gb_ring,
-                  specialize_eoms)
+from .oms import GeneratorSet, UnluckyPoint, gb_ring, specialize_eoms
 from .poly import MultiPoly, RationalFunction, Ring, values_at
 
 
@@ -190,7 +190,7 @@ def minimize(generators, ring, field, rng):
     return kept
 
 
-def polynomial_generators(genset, delta, field, rng, evaluator=None):
+def polynomial_generators(evaluator, delta, rng):
     """Basis of { p in F_p[x] : deg p <= delta, p(x) in the subfield },
     constants left out.
 
@@ -216,17 +216,15 @@ def polynomial_generators(genset, delta, field, rng, evaluator=None):
     The search ends: each point that does not end it adds at least one row
     to E, column 0 is in no row, so rank(E) <= C(n + delta, n) - 1, and the
     points drawn plus the basis's length are at most C(n + delta, n).
-    An evaluator of `genset` at `field` may be passed in to replay its
-    trace instead of learning one; each replay is charged to its `spend`,
-    which may raise, and counts in its n_evals.
+    The members lie in the evaluator's `x_ring`, and `rng` draws the
+    points.  Each replay is charged to the evaluator's `spend`, which may
+    raise, and counts in its n_evals.
     """
-    ev = evaluator or EomsEvaluator(
-        genset, gb_ring(genset, field, genset.ring.order), rng)
-    x_ring = Ring(genset.ring.vars, field, genset.ring.order)
-    n, p = genset.ring.arity, field.p
+    x_ring, gb = evaluator.x_ring, evaluator.learned
+    n, p = x_ring.arity, x_ring.field.p
     monomials = sorted(_monomials_up_to(n, delta), key=x_ring.order.key)
-    plan = ev.learned.compile_normal_forms([(0,) + mon for mon in monomials])
-    echelon, live, gb = [], range(plan[0]), ev.learned
+    plan = gb.compile_normal_forms([(0,) + mon for mon in monomials])
+    echelon, live = [], range(plan[0])
     while True:
         added, kept = [], []
         for r, row in gb.condition_rows(plan, live).items():
@@ -237,7 +235,7 @@ def polynomial_generators(genset, delta, field, rng, evaluator=None):
         if not kept:
             break
         echelon, live = sorted(echelon + added), kept
-        gb = ev.gb(tuple(rng.randrange(1, p) for _ in range(n)))
+        gb = evaluator.gb(tuple(rng.randrange(1, p) for _ in range(n)))
         if gb is FAIL:
             raise UnluckyPoint("trace replay failed in the polynomial "
                                "search mod %d" % p)

@@ -6,15 +6,16 @@ elimination.  A learn run compiles each reduction, as it runs, into one
 slot plan over a single list of ints (Traverso's Groebner trace, rows fixed
 in advance as in F4's symbolic preprocessing): the inputs' coefficients
 first, then a region per reduction, a position per monomial it touched,
-each step (source, reducer's tail, positions of the shifted tail).  A
-replay (gb_replay on a coefficient row, gb_apply on MultiPolys on the
-learned supports) runs the programs level by level as straight-line
-multiply-subtract, with no heap and no divisor search, and makes each
-level's new elements monic with one inversion.  groebner() records and
-compiles nothing.  A fresh trace runs its zero reductions in full;
-gb_verify checks it by one such replay at a second point, then cuts them to
-quick checks.  A table of normal forms of given monomials, planned from one
-GB's supports, fills on any GB of that support (the polynomial search).
+each step (source, reducer's tail, positions of the shifted tail); the
+plan keeps only each input's size.  The one replay, gb_apply, reads a
+coefficient row whose zero pattern is the learn's (the learned supports),
+runs the programs level by level as straight-line multiply-subtract, with
+no heap and no divisor search, and makes each level's new elements monic
+with one inversion.  groebner() records and compiles nothing.  A fresh
+trace runs its zero reductions in full; gb_verify checks it by one such
+replay at a second point, then cuts them to quick checks.  A table of
+normal forms of given monomials, planned from one GB's supports, fills on
+any GB of that support (the polynomial search).
 
 The reduction kernel, like the replay, leaves coefficients unreduced until
 they are read; a Buchberger run shares one memo of each monomial's first
@@ -256,11 +257,10 @@ class _Plan:
     level): inputs are 0, a reduction and its remainder one above what it
     reads.  A level holds programs and new elements."""
 
-    def __init__(self, supports):
-        self.supports, self.programs, self.elements = supports, [], []
-        self.size, self.levels = 0, {}
-        for support in supports:
-            self.add(len(support), 0, len(support))
+    def __init__(self, sizes):
+        self.programs, self.elements, self.size, self.levels = [], [], 0, {}
+        for n in sizes:
+            self.add(n, 0, n)
 
     def add(self, n, level, size, program=None):
         """Take `size` positions for `program`, the first n a new element."""
@@ -326,8 +326,6 @@ def _interreduce(basis, codec, p, plan=None):
 
 
 GroebnerTrace = namedtuple("GroebnerTrace", (
-    "supports",     # support of each nonzero input, exponent tuples in
-                    # term order (the first is its leading monomial)
     "programs",     # _compile's, in order: new basis elements and (when
                     # fresh) zero reductions, with no remainder; then the GB's
     "checks",       # gb_verify's quick check per zero reduction
@@ -512,7 +510,7 @@ def _run_buchberger(ring, generators, learn):
         pairs, active = _gm_update(pairs, lms, exps, ecart, active, idx,
                                    codec)
 
-    plan = _Plan(tuple(g.support() for g in inputs)) if learn else None
+    plan = _Plan([len(g.terms) for g in inputs]) if learn else None
     memo = {}
     while pairs:
         sugar, lcm, i, j = pairs.pop(0)
@@ -538,7 +536,7 @@ def _run_buchberger(ring, generators, learn):
     levels = tuple((tuple(plan.levels[k][0]), tuple(plan.levels[k][1]))
                    for k in sorted(plan.levels))
     final = tuple(e[0] for e in plan.elements[-len(gb):])
-    return gb, GroebnerTrace(plan.supports, tuple(plan.programs), (),
+    return gb, GroebnerTrace(tuple(plan.programs), (),
                              gb.packed_support(),
                              (codec, plan.size, levels, final))
 
@@ -553,27 +551,18 @@ def gb_learn(ring, generators):
     return _run_buchberger(ring, generators, learn=True)
 
 
-def gb_apply(ring, generators, trace):
-    """Replay a trace on a structurally identical input: gb_replay on the
-    nonzero inputs' coefficients, or FAIL on another number of them or one
-    off its learned support (a term added or a learned term vanished)."""
-    inputs = [g for g in generators if not g.is_zero()]
-    if [g.support() for g in inputs] != list(trace.supports):
-        return FAIL
-    return gb_replay(ring, [c for g in inputs for _, c in g.terms], trace)
-
-
-def gb_replay(ring, row, trace, zeros=()):
-    """Replay a trace's slot plan on `row`, its inputs' coefficients in
-    turn, each in term order, zero exactly at the positions `zeros`: the
-    reduced GB, of support exactly `trace.outputs`, or FAIL on another zero
-    pattern (a term added or a learned term vanished), a nonzero slot that
-    cancelled at the learn (any a fresh trace's zero reduction leaves), a
-    vanished remainder lead or output term, or a quick check whose first
-    nonzero slot the learn did not go on to reduce (a lost sample, which
-    ends the caller's attempt).  So a fresh trace replays to exactly FAIL or
-    groebner()'s basis.  Slots are reduced mod p only when read; one pow per
-    level makes its new elements monic in place (Montgomery's trick)."""
+def gb_apply(ring, row, trace, zeros=()):
+    """The one replay: a trace's slot plan on `row`, laid out as the learn's
+    coefficient row, whose nonzero entries were the learned inputs' terms in
+    turn and `zeros` its zero positions.  The reduced GB, of support exactly
+    `trace.outputs`, or FAIL on another zero pattern (a term added or a
+    learned term vanished), a nonzero slot that cancelled at the learn (any
+    a fresh trace's zero reduction leaves), a vanished remainder lead or
+    output term, or a quick check whose first nonzero slot the learn did not
+    go on to reduce (a lost sample, which ends the caller's attempt).  So a
+    fresh trace replays to exactly FAIL or groebner()'s basis.  Slots are
+    reduced mod p only when read; one pow per level makes its new elements
+    monic in place (Montgomery's trick)."""
     if row.count(0) != len(zeros) or any(row[k] for k in zeros):
         return FAIL
     p = ring.field.p
@@ -621,13 +610,14 @@ def gb_replay(ring, row, trace, zeros=()):
                             for monos, h in zip(trace.outputs, basis)], codec)
 
 
-def gb_verify(ring, generators, trace):
-    """Check a fresh trace by its full replay on `generators`, taken at a
-    second, independent point: FAIL unless that gives the learned support.
-    Otherwise the trace cut for later replays: a zero reduction runs only
-    its S-polynomial step below the lcm, in its own positions (the rest of
-    its region stays 0), as a quick check of the first nonzero one."""
-    if gb_apply(ring, generators, trace) is FAIL:
+def gb_verify(ring, row, trace, zeros):
+    """Check a fresh trace by its full replay, gb_apply on `row` with the
+    learn's `zeros`, taken at a second, independent point: FAIL unless that
+    gives the learned support.  Otherwise the trace cut for later replays: a
+    zero reduction runs only its S-polynomial step below the lcm, in its own
+    positions (the rest of its region stays 0), as a quick check of the
+    first nonzero one."""
+    if gb_apply(ring, row, trace, zeros) is FAIL:
         return FAIL
     codec, size, levels, final = trace.plan
     checks = []

@@ -12,6 +12,7 @@ redrawn here: degree estimation and interpolation return FAIL on the first
 one, and the caller's attempt ends there.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -20,9 +21,10 @@ from .arith import FAIL
 from .poly import Ring
 
 
+@functools.cache
 def admissible_ratio(n):
     """Evaluation base: the first n primes (exponents recoverable by
-    trial division)."""
+    trial division), found once per arity."""
     out = []
     k = 2
     while len(out) < n:

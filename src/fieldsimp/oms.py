@@ -5,9 +5,10 @@ This module owns the specialized ideal: `GeneratorSet.shape` owns its F_p
 form less the point, the set's one F_p image per gb ring, and
 `coefficient_row` reads its generators' coefficients on it, every value
 at the point read with `poly.values_at` through one set of power tables;
-`specialize_eoms` builds the generators from that row.  EomsEvaluator's
-traced GBs at random points, replays of the row, serve both the
-coefficient harvest and the polynomial-generator search in `fields`.
+`specialize_eoms` builds the generators from that row.  An EomsEvaluator,
+which only `simplify` builds, learns on one row's generators and replays by
+`groebner.gb_apply` on the row at each later point; the coefficient harvest
+and the polynomial search in `fields` take only an evaluator.
 
 For generators g_i = p_i/q_i of a subfield of k(x_1..x_n), the specialized
 ideal at a point a is
@@ -34,7 +35,7 @@ budget refuses it.
 import random
 
 from .arith import FAIL
-from .groebner import MAX_EXPONENT, gb_learn, gb_replay, gb_verify
+from .groebner import MAX_EXPONENT, gb_apply, gb_learn, gb_verify
 from .interp import Blackbox, estimate_degrees, interpolate_rational
 from .poly import (QQ, DEGREVLEX, MultiPoly, RationalFunction, Ring, lcm_q,
                    sparse_terms, values_at)
@@ -132,13 +133,9 @@ def coefficient_row(genset, point, ring):
             c for _, c in tq.terms]
 
 
-def specialize_eoms(genset, point, ring):
-    """Generators of the specialized ideal at `point`, its coefficient row
-    on the shape terms with zero terms and generators dropped, then
-    t Q(y) - 1; or FAIL on a pole."""
-    row = coefficient_row(genset, point, ring)
-    if row is FAIL:
-        return FAIL
+def _generators(genset, row, ring):
+    """The specialized ideal's generators from its coefficient row: the
+    shape terms with zero terms and generators dropped, then t Q(y) - 1."""
     _, shapes, tq = genset.shape(ring)
     row = iter(row)
     terms = [tuple((m, c) for (m, _, _), c in zip(sh, row) if c)
@@ -146,29 +143,35 @@ def specialize_eoms(genset, point, ring):
     return [MultiPoly(ring, t) for t in terms if t] + [tq]
 
 
+def specialize_eoms(genset, point, ring):
+    """Generators of the specialized ideal at `point`, or FAIL on a pole."""
+    row = coefficient_row(genset, point, ring)
+    return row if row is FAIL else _generators(genset, row, ring)
+
+
 class EomsEvaluator:
     """Shared traced-GB evaluation of the specialized ideal.
 
-    The constructor learns one trace at one random point, checked by
-    gb_verify at a second; the learn and its check count as one GB
-    evaluation.  A pole at either point or a failed check raises
-    UnluckyPoint: nothing is redrawn.  gb(a) replays the trace on the
-    coefficient row at a and returns the reduced GB, or FAIL; gb_replay
-    enforces the row's zero pattern at the learn point at every later point,
-    and `learned` keeps the GB computed there.  The learn and each replay
-    call `spend()`, which may raise to refuse it, then count in n_evals.
-    eval(a) returns the tuple of the non-leading coefficients of gb(a), in
-    the order of coefficient_keys(): (element index, monomial) per
-    coefficient.  The trace and support never change, so the harvest keeps
-    its sample table here for the evaluator's life: `seeds` (two 64-bit
-    seeds drawn from `rng` after the learn), `values` (point ->
-    eval(point)), `solved` (sequences and Prony roots) and `finished` (the
-    "ok" report entries).
+    The constructor reads the coefficient rows at two random points, learns
+    one trace on the first row's generators and checks it by gb_verify on
+    the second with the first's zeros; the learn and its check count as one
+    GB evaluation.  A pole at either point or a failed check raises
+    UnluckyPoint: nothing is redrawn.  gb(a) is gb_apply on the row at a,
+    the reduced GB or FAIL, and `learned` keeps the learn point's GB.  The
+    learn and each replay call `spend()`, which may raise to refuse it,
+    then count in n_evals.  eval(a) returns the tuple of the non-leading
+    coefficients of gb(a), in the order of coefficient_keys(): (element
+    index, monomial) per coefficient.  The trace and support never change,
+    so the harvest keeps its sample table here for the evaluator's life:
+    `x_ring` (F_p[x]), `seeds` (two 64-bit seeds drawn from `rng` after the
+    learn), `values` (point -> eval(point)), `solved` (sequences and Prony
+    roots) and `finished` (the "ok" report entries).
     """
 
     def __init__(self, genset, ring, rng, spend=lambda: None):
         self.genset = genset
         self.ring = ring
+        self.x_ring = Ring(genset.ring.vars, ring.field, genset.ring.order)
         self.spend = spend
         self.n_evals = 0
         self.values = {}
@@ -183,23 +186,20 @@ class EomsEvaluator:
 
     def _learn(self, rng):
         points = [self._random_point(rng) for _ in range(2)]
-        gens, check = (specialize_eoms(self.genset, a, self.ring)
-                       for a in points)
+        row, check = (coefficient_row(self.genset, a, self.ring)
+                      for a in points)
         trace = FAIL
-        if gens is not FAIL and check is not FAIL:
+        if row is not FAIL and check is not FAIL:
             self.spend()
             self.n_evals += 1
-            gb, trace = gb_learn(self.ring, gens)
-            trace = gb_verify(self.ring, check, trace)
+            self._zeros = tuple(k for k, c in enumerate(row) if not c)
+            gb, trace = gb_learn(self.ring,
+                                 _generators(self.genset, row, self.ring))
+            trace = gb_verify(self.ring, check, trace, self._zeros)
         if trace is FAIL:
             raise UnluckyPoint("no regular specialization point mod %d"
                                % self.ring.field.p)
         self.trace, self.learned = trace, gb
-        # the learn point's zeros: none, unless a shape term dropped there
-        row = () if sum(map(len, self.genset.shape(self.ring)[1])) == sum(
-            len(g.terms) for g in gens[:-1]) else coefficient_row(
-                self.genset, points[0], self.ring)
-        self._zeros = tuple(k for k, c in enumerate(row) if not c)
         self.support = tuple(g.support() for g in gb)
         self._keys = tuple((i, m) for i, supp in enumerate(self.support)
                            for m in supp[1:])
@@ -209,8 +209,8 @@ class EomsEvaluator:
         self.spend()
         self.n_evals += 1
         row = coefficient_row(self.genset, point, self.ring)
-        return FAIL if row is FAIL else gb_replay(self.ring, row, self.trace,
-                                                  self._zeros)
+        return FAIL if row is FAIL else gb_apply(self.ring, row, self.trace,
+                                                 self._zeros)
 
     def eval(self, point):
         gb = self.gb(point)
@@ -245,20 +245,18 @@ class CoefficientReport:
         return [val[1] for val in self.entries.values() if val[0] == "ok"]
 
 
-def gb_coefficients(genset, degree_cutoff, ring, rng, evaluator=None):
+def gb_coefficients(evaluator, degree_cutoff):
     """Interpolate every reduced-GB coefficient with degree sum <= cutoff.
 
     Returns a CoefficientReport, or FAIL on the first key whose degree
     estimate or interpolation lost a sample or found no verified candidate.
-    Coefficients are returned mod p (reconstruction to Q is the caller's
-    job).  A shared evaluator may be passed in to keep its learned trace
-    and its sample table: every cutoff reads the line, schedule and points
-    of its seeds, and `rng` is read only to make an evaluator.  Each key
-    reads the evaluator's coefficient_blackbox, and each GB evaluation is
-    charged to its `spend`, which may raise.
+    Coefficients are returned in the evaluator's `x_ring` (reconstruction
+    to Q is the caller's job).  Every cutoff reads the line, schedule and
+    points of the evaluator's seeds, through its sample table and
+    coefficient_blackbox; each GB evaluation is charged to its `spend`,
+    which may raise.
     """
-    evaluator = evaluator or EomsEvaluator(genset, ring, rng)
-    x_ring = Ring(genset.ring.vars, ring.field, genset.ring.order)
+    field = evaluator.ring.field
     # common random numbers: every key of every call samples the same line
     # and gamma/sigma/row points, so one GB evaluation per point serves all
     est_seed, int_seed = evaluator.seeds
@@ -270,7 +268,7 @@ def gb_coefficients(genset, degree_cutoff, ring, rng, evaluator=None):
             entries[key] = done
             continue
         bb = evaluator.coefficient_blackbox(key)
-        est = estimate_degrees(bb, degree_cutoff, ring.field,
+        est = estimate_degrees(bb, degree_cutoff, field,
                                random.Random(est_seed))
         if est is FAIL:
             return FAIL
@@ -278,8 +276,8 @@ def gb_coefficients(genset, degree_cutoff, ring, rng, evaluator=None):
             entries[key] = ("high_degree", None)
             continue
         dn, dd = est
-        got = interpolate_rational(bb, dn, dd, x_ring, random.Random(int_seed),
-                                   evaluator.solved)
+        got = interpolate_rational(bb, dn, dd, evaluator.x_ring,
+                                   random.Random(int_seed), evaluator.solved)
         if got is FAIL:
             return FAIL
         entries[key] = finished[key] = ("ok", got, (dn, dd))

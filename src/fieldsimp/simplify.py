@@ -119,16 +119,17 @@ def reconstruct_candidates(candidates_mod, q_ring, modulus):
     return FAIL if any(rf is FAIL for rf in out) else out
 
 
-def _crt_pairs(reports):
-    """(num terms, den terms) of every interpolated coefficient of harvests
-    at distinct primes, CRT-combined key by key (the identity for one
-    harvest), or FAIL (more primes are needed) when the harvests disagree
-    on which keys were interpolated or on a coefficient's support."""
+def _crt_pairs(reports, d):
+    """(num terms, den terms) of every interpolated coefficient of round-d
+    harvests at distinct primes, CRT-combined key by key (the identity for
+    one harvest); VerificationFailed when they disagree on which keys were
+    interpolated or on a coefficient's support, which no prime can mend."""
     harvests = [{key: val[1] for key, val in rep.entries.items()
                  if val[0] == "ok"} for rep in reports]
     first = harvests[0]
     if any(h.keys() != first.keys() for h in harvests):
-        return FAIL
+        raise VerificationFailed("harvests at d=%d disagree on which "
+                                 "coefficients interpolate" % d)
     pairs = []
     for key, pair in first.items():
         combined = []
@@ -137,7 +138,9 @@ def _crt_pairs(reports):
             for h in harvests[1:]:
                 other = h[key][k]
                 if other.support() != poly.support():
-                    return FAIL
+                    raise VerificationFailed(
+                        "harvests at d=%d disagree on the support of "
+                        "coefficient %s" % (d, key))
                 p = other.ring.field.p
                 terms = tuple((m, crt_pair(c, modulus, c2, p)[0])
                               for (m, c), (_, c2) in zip(terms, other.terms))
@@ -239,13 +242,6 @@ def _run_once(genset, cfg, restart):
         ring = gb_ring(genset, PrimeField(prime), q_ring.order)
         evaluators.append(EomsEvaluator(genset, ring, rng, spend))
 
-    def harvest(ev, d):
-        rep = gb_coefficients(genset, d, ev.ring, rng, evaluator=ev)
-        if rep is FAIL:
-            raise VerificationFailed(
-                "coefficient interpolation failed at d=%d" % d)
-        return rep
-
     add_evaluator()
     check_field = PrimeField(production_prime(base + 1))
     # the attempt's one context on the input checks every lifted pool
@@ -256,12 +252,10 @@ def _run_once(genset, cfg, restart):
     # polynomial augmentation (degree cap delta) on the input, replaying
     # the first harvest evaluator's trace; a member lifted from one prime
     # may be wrong, so it too is checked
-    harvest_field = evaluators[0].ring.field
     polys = []
-    for poly in polynomial_generators(genset, cfg.delta, harvest_field, rng,
-                                      evaluators[0]):
+    for poly in polynomial_generators(evaluators[0], cfg.delta, rng):
         rf = _reconstruct_rf(poly.terms, ((q_ring._zero_mon, 1),),
-                             q_ring, harvest_field.p)
+                             q_ring, poly.ring.field.p)
         if rf is not FAIL and is_member(rf):   # else skip a failed lift
             polys.append((rf, "polynomial"))
     originals = _dedup_pool([(g, "original") for g in genset.generators])
@@ -279,18 +273,21 @@ def _run_once(genset, cfg, restart):
                                     rng)
         return bool(kept) and ctx.contains(rf)
 
-    d, before = 1, spent
+    d, before, reports = 1, spent, []
     while True:
         stage = "at d=%d" % d
-        pairs = _crt_pairs([harvest(ev, d) for ev in evaluators])
+        for ev in evaluators[len(reports):]:    # a joining prime alone
+            reports.append(gb_coefficients(ev, d))
+            if reports[-1] is FAIL:
+                raise VerificationFailed(
+                    "coefficient interpolation failed at d=%d" % d)
         modulus = math.prod(ev.ring.field.p for ev in evaluators)
-        lifted = FAIL if pairs is FAIL else \
-            reconstruct_candidates(pairs, q_ring, modulus)
+        lifted = reconstruct_candidates(_crt_pairs(reports, d), q_ring,
+                                        modulus)
         if lifted is not FAIL:
             cands = _dedup_pool([(rf, "gb-coefficient") for rf in lifted])
         if lifted is FAIL or not all(is_member(rf) for rf, _ in cands):
-            # a lift may be wrong: the next prime joins and the round is
-            # harvested again (the earlier primes re-read their memo)
+            # a lift may be wrong: the next prime joins the round
             if len(evaluators) == len(HARVEST_OFFSETS):
                 raise VerificationFailed(
                     "coefficients need more than %d harvest primes at d=%d"
@@ -317,7 +314,7 @@ def _run_once(genset, cfg, restart):
         if at_cap:
             raise VerificationFailed(
                 "harvest reached the degree cap at d=%d" % d)
-        d *= 2
+        d, reports = 2 * d, []
     report.pool = [(rf.render(), tag) for rf, tag in pool]
 
     if cfg.minimize and len(kept) > 1:

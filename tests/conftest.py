@@ -8,8 +8,8 @@ from pathlib import Path
 
 from fieldsimp.arith import PrimeField, production_prime
 from fieldsimp.cli import parse_expression, parse_problem_file
-from fieldsimp.fields import fields_equal
-from fieldsimp.oms import GeneratorSet
+from fieldsimp.fields import fields_equal, polynomial_generators
+from fieldsimp.oms import EomsEvaluator, GeneratorSet, gb_ring
 from fieldsimp.poly import RationalFunction
 from fieldsimp.simplify import SimplifyConfig, simplify
 
@@ -49,6 +49,14 @@ def fields_equal_2p(gs_a, gs_b, seed=1234):
         verdicts.append(fields_equal(gs_a, gs_b, PrimeField(p), rng))
     assert verdicts[0] == verdicts[1], "primes disagree on field equality"
     return verdicts[0]
+
+
+def fresh_search(genset, delta, field, rng):
+    """The polynomial search on a new evaluator of `genset` at `field`, in
+    the generators' order, learned from `rng` before the search draws its
+    points from it."""
+    ring = gb_ring(genset, field, genset.ring.order)
+    return polynomial_generators(EomsEvaluator(genset, ring, rng), delta, rng)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from fieldsimp.arith import FAIL
 from fieldsimp.oms import UnluckyPoint
-from fieldsimp.poly import RationalFunction, Ring
+from fieldsimp.poly import RationalFunction
 
 
 # points beyond one per candidate monomial for `every_row_search`, which
@@ -258,7 +258,7 @@ def _q_echelon(vectors):
     return m[:r]
 
 
-def every_row_search(genset, delta, field, rng, evaluator):
+def every_row_search(evaluator, delta, rng):
     """`fields.polynomial_generators` as it reads every condition row at
     every point: the same points, drawn from `rng` and replayed by
     `evaluator`, the rows read off `ReducedGB.normal_form` (one per
@@ -266,8 +266,8 @@ def every_row_search(genset, delta, field, rng, evaluator):
     reduced echelon over F_p until a point adds no rank.  Returns the
     kernel's reduced echelon basis, constants left out, leading monomials
     descending."""
-    x_ring = Ring(genset.ring.vars, field, genset.ring.order)
-    n, p = genset.ring.arity, field.p
+    x_ring = evaluator.x_ring
+    n, p = x_ring.arity, x_ring.field.p
     monomials = sorted(monomials_up_to(n, delta), key=x_ring.order.key)
     echelon, gb = {}, evaluator.learned     # pivot column -> row
     for k in range(len(monomials) + SEARCH_EXTRA_POINTS):

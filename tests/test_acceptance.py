@@ -16,8 +16,8 @@ from fieldsimp.fields import MembershipContext, polynomial_generators
 from fieldsimp.groebner import TRACE_DIVERGED, gb_apply, gb_learn, groebner
 from fieldsimp.interp import (FAIL, Blackbox, estimate_degrees,
                               interpolate_rational)
-from fieldsimp.oms import (EomsEvaluator, GeneratorSet, gb_coefficients,
-                           gb_ring, specialize_eoms)
+from fieldsimp.oms import (EomsEvaluator, GeneratorSet, coefficient_row,
+                           gb_coefficients, gb_ring, specialize_eoms)
 from fieldsimp.poly import PrimeField, QQ, RationalFunction, Ring
 from fieldsimp.simplify import (_normalize_monic_num, reconstruct_candidates,
                                 simplicity_key)
@@ -41,7 +41,8 @@ def lifted_coefficients(genset, cutoff, field, seed, evaluator=None):
     drop constants, dedup up to proportionality."""
     ring = gb_ring(genset, field, genset.ring.order)
     rng = random.Random(seed)
-    report = gb_coefficients(genset, cutoff, ring, rng, evaluator=evaluator)
+    report = gb_coefficients(evaluator or EomsEvaluator(genset, ring, rng),
+                             cutoff)
     assert report is not FAIL
     pairs = [(num.terms, den.terms) for num, den in report.interpolated()]
     lifted = reconstruct_candidates(pairs, genset.ring, field.p)
@@ -256,16 +257,17 @@ def test_criterion_7_tracing_equivalence():
     def draw():
         while True:
             point = tuple(rng.randrange(1, field.p) for _ in range(n))
-            gens = specialize_eoms(genset, point, ring)
-            if gens is not FAIL:
-                return gens
+            row = coefficient_row(genset, point, ring)
+            if row is not FAIL:
+                return row, specialize_eoms(genset, point, ring)
 
-    base = draw()
-    _gb0, trace = gb_learn(ring, base)
+    base, base_gens = draw()
+    zeros = tuple(k for k, c in enumerate(base) if not c)
+    _gb0, trace = gb_learn(ring, base_gens)
     diverged = 0
     for _ in range(100):
-        gens = draw()
-        applied = gb_apply(ring, gens, trace)
+        row, gens = draw()
+        applied = gb_apply(ring, row, trace, zeros)
         if applied is TRACE_DIVERGED:
             diverged += 1
             continue
@@ -345,7 +347,7 @@ def test_criterion_8_gb_coefficient_oracle():
         except OracleTooHard:
             continue
         accepted += 1
-        report = gb_coefficients(genset, 16, ring, rng, evaluator=evaluator)
+        report = gb_coefficients(evaluator, 16)
         assert report is not FAIL
         assert not any(val[0] == "high_degree"
                        for val in report.entries.values())
@@ -368,7 +370,9 @@ def test_criterion_8_gb_coefficient_oracle():
 def test_criterion_9_polynomial_generator_oracle():
     genset = load_fixture("example_sym")
     field = FIELDS[0]
-    basis = polynomial_generators(genset, 2, field, random.Random(909))
+    rng = random.Random(909)
+    basis = polynomial_generators(EomsEvaluator(
+        genset, gb_ring(genset, field, genset.ring.order), rng), 2, rng)
     mons, kernel = symbolic_membership_space(genset, 2)
     assert len(kernel) == 4
     # the oracle's space holds the constants too
@@ -390,7 +394,9 @@ def test_criterion_9_polynomial_generator_oracle():
 def test_criterion_9_seir_polynomial_space():
     genset = load_fixture("seir34", var_order=SEIR_ORDER)
     field = FIELDS[0]
-    basis = polynomial_generators(genset, 2, field, random.Random(919))
+    rng = random.Random(919)
+    basis = polynomial_generators(EomsEvaluator(
+        genset, gb_ring(genset, field, genset.ring.order), rng), 2, rng)
     expected = parse_many(genset.ring,
                           ["mu", "N", "eps + gamma", "k*eps", "eps*gamma"])
     mons = sorted({m for b in basis for m in b.support()}

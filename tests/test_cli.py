@@ -11,16 +11,17 @@ from pathlib import Path
 import pytest
 
 import fieldsimp
+from fieldsimp import simplify as simplify_module
 from fieldsimp.arith import PrimeField, production_prime
 from fieldsimp.cli import (ParseError, UnknownIdentifier, ZeroDenominator,
                            _build_arg_parser, parse_expression,
                            parse_problem_file, run)
-from fieldsimp.fields import polynomial_generators
 from fieldsimp.groebner import ExponentOverflow
 from fieldsimp.poly import LEX, QQ, RationalFunction, Ring
 from fieldsimp.simplify import MAX_SEARCH_MONOMIALS
 
-from conftest import ALL_FIXTURES, FIXTURE_DIR, load_fixture, parse_many
+from conftest import (ALL_FIXTURES, FIXTURE_DIR, fresh_search, load_fixture,
+                      parse_many)
 
 
 RING = Ring(("x1", "x2", "x3"), QQ)
@@ -414,8 +415,8 @@ def test_search_degree_past_the_packed_exponent(tmp_path):
     with pytest.raises(ExponentOverflow,
                        match="^a Groebner basis exponent exceeds 65535, "
                              "the largest a packed monomial holds$"):
-        polynomial_generators(genset, 70000, PrimeField(production_prime(0)),
-                              random.Random(0))
+        fresh_search(genset, 70000, PrimeField(production_prime(0)),
+                     random.Random(0))
 
 
 @pytest.mark.parametrize("name, text, delta, count", [
@@ -445,6 +446,30 @@ def test_polynomial_member_beyond_one_prime(tmp_path, capsys):
     assert run(["--input", str(problem)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "x + 1048571/1048573*y", "x*y"]
+
+
+def test_thirty_digit_round_harvested_once_per_prime(tmp_path, capsys,
+                                                    monkeypatch):
+    # the coefficient lifts over four harvest primes at d=1: a prime that
+    # joins the round harvests it alone, and the earlier primes keep their
+    # reports, so no (prime, d) pair is harvested twice; the golden report
+    # pins the answer, primes and evaluation counts
+    problem = tmp_path / "thirty_digits.txt"
+    problem.write_text(
+        "vars: x, y\n123456789012345678901234567890*x + y\nx*y\n")
+    harvested, harvest = [], simplify_module.gb_coefficients
+
+    def recording(evaluator, d):
+        harvested.append((evaluator.ring.field.p, d))
+        return harvest(evaluator, d)
+
+    monkeypatch.setattr(simplify_module, "gb_coefficients", recording)
+    assert run(["--input", str(problem), "--format", "json",
+                "--delta", "1"]) == 0
+    assert len(harvested) == len(set(harvested)) == 8
+    golden = (GOLDEN_DIR / "thirty_digits.delta1.seed0.json").read_text(
+        encoding="utf-8")
+    assert capsys.readouterr().out == golden
 
 
 @pytest.mark.parametrize("flags", [[], ["--no-retain-originals"]])

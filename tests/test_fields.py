@@ -24,8 +24,8 @@ from fieldsimp.poly import (DEGREVLEX, MultiPoly, PrimeField, QQ,
 from fieldsimp.simplify import SimplifyConfig, simplify
 
 from conftest import (ALL_FIXTURES, CHECK_PRIMES, apply_map, fields_equal_2p,
-                      fixture_automorphisms, genset_of, load_fixture,
-                      parse_many)
+                      fixture_automorphisms, fresh_search, genset_of,
+                      load_fixture, parse_many)
 from oracle import (every_row_search, fp_echelon, in_fp_span, jacobian_rank,
                     monomials_up_to, specialize, symbolic_membership_space)
 
@@ -506,14 +506,14 @@ def test_minimize_singleton():
 def test_polynomial_generators_single_variable():
     gs = genset_of(Ring(("x1", "x2"), QQ), ["x1"])
     field = FIELDS[0]
-    basis = polynomial_generators(gs, 1, field, random.Random(3))
+    basis = fresh_search(gs, 1, field, random.Random(3))
     assert [b.support() for b in basis] == [((1, 0),)]
 
 
 def test_polynomial_generators_symmetric():
     gs = load_fixture("example_sym")
     field = FIELDS[0]
-    basis = polynomial_generators(gs, 2, field, random.Random(4))
+    basis = fresh_search(gs, 2, field, random.Random(4))
     assert len(basis) == 3
     # every basis element lifts to a Q polynomial inside the field
     for b in basis:
@@ -547,7 +547,7 @@ def test_polynomial_generators_reduced_in_leading_monomials():
     gs = genset_of(Ring(("x", "y"), QQ), ["x^2 + x", "y + x"])
     for field in FIELDS:
         for seed in range(3):
-            basis = polynomial_generators(gs, 2, field, random.Random(seed))
+            basis = fresh_search(gs, 2, field, random.Random(seed))
             _assert_reduced_basis_of_oracle_space(gs, basis, field.p)
 
 
@@ -557,7 +557,7 @@ def test_polynomial_generators_match_oracle():
              load_fixture("example_sym", order="lex")]
     for k, gs in enumerate(cases):
         for field in FIELDS:
-            basis = polynomial_generators(gs, 2, field, random.Random(k))
+            basis = fresh_search(gs, 2, field, random.Random(k))
             _assert_reduced_basis_of_oracle_space(gs, basis, field.p)
 
 
@@ -567,7 +567,7 @@ def test_polynomial_generators_reduced_basis_on_fixtures(name):
     # its basis is checked for the echelon shape alone
     gs = load_fixture(name)
     field = FIELDS[0]
-    basis = polynomial_generators(gs, 2, field, random.Random(0))
+    basis = fresh_search(gs, 2, field, random.Random(0))
     _assert_reduced_basis_of_oracle_space(gs, basis, field.p,
                                           oracle=name != "bilirubin")
 
@@ -576,10 +576,10 @@ SEIR_ORDER = ["k", "N", "beta", "eps", "gamma", "mu", "r"]
 
 
 def test_polynomial_generators_without_regular_point(monkeypatch):
-    monkeypatch.setattr(oms, "specialize_eoms", lambda *args: FAIL)
+    monkeypatch.setattr(oms, "coefficient_row", lambda *args: FAIL)
     with pytest.raises(UnluckyPoint, match="no regular specialization point"):
-        polynomial_generators(load_fixture("heron"), 1, FIELDS[0],
-                              random.Random(0))
+        fresh_search(load_fixture("heron"), 1, FIELDS[0],
+                     random.Random(0))
 
 
 def test_polynomial_generators_every_replay_lost(monkeypatch):
@@ -594,8 +594,8 @@ def test_polynomial_generators_every_replay_lost(monkeypatch):
     monkeypatch.setattr(EomsEvaluator, "gb", lost)
     with pytest.raises(UnluckyPoint,
                        match="^trace replay failed in the polynomial search"):
-        polynomial_generators(load_fixture("heron"), 1, FIELDS[0],
-                              random.Random(0))
+        fresh_search(load_fixture("heron"), 1, FIELDS[0],
+                     random.Random(0))
     assert len(replays) == 1
 
 
@@ -612,7 +612,7 @@ def test_polynomial_generators_replays_one_trace(monkeypatch):
                         counting("groebner", fields_module.groebner))
     monkeypatch.setattr(oms, "gb_learn", counting("gb_learn", oms.gb_learn))
     gs = load_fixture("seir34", var_order=SEIR_ORDER)
-    assert polynomial_generators(gs, 2, FIELDS[0], random.Random(6))
+    assert fresh_search(gs, 2, FIELDS[0], random.Random(6))
     # one Buchberger run per point would make 11 groebner calls here
     assert calls == {"groebner": 0, "gb_learn": 1}
 
@@ -653,7 +653,7 @@ def test_polynomial_generators_replays_compiled_normal_forms(monkeypatch):
     monkeypatch.setattr(ReducedGB, "condition_rows", recording_rows)
     monkeypatch.setattr(groebner_module, "_reduce_full", counting)
     gs = load_fixture("seir34", var_order=SEIR_ORDER)
-    assert polynomial_generators(gs, 2, FIELDS[0], random.Random(6))
+    assert fresh_search(gs, 2, FIELDS[0], random.Random(6))
     # planned once, at the learn; each GB read once, the learned one too;
     # no reduction after the plan
     ev, = evaluators
@@ -682,7 +682,7 @@ def test_polynomial_generators_a_failed_replay_ends_the_search(monkeypatch):
     monkeypatch.setattr(ReducedGB, "condition_rows", recording_rows)
     with pytest.raises(UnluckyPoint,
                        match="^trace replay failed in the polynomial search"):
-        polynomial_generators(gs, 2, FIELDS[0], random.Random(1))
+        fresh_search(gs, 2, FIELDS[0], random.Random(1))
     assert len(served) == 2 and served[0] is not FAIL and served[1] is FAIL
     assert len(read) == 2 and read[1] is served[0]
 
@@ -720,12 +720,12 @@ def test_polynomial_generators_match_reference_normal_forms(monkeypatch,
             continue
         gs = load_fixture(name)
         rng = random.Random(seed)
-        basis = polynomial_generators(gs, 3, field, rng)
+        basis = fresh_search(gs, 3, field, rng)
         with monkeypatch.context() as patch:
             patch.setattr(ReducedGB, "compile_normal_forms", recording_compile)
             patch.setattr(ReducedGB, "condition_rows", reference_rows)
             ref_rng = random.Random(seed)
-            reference = polynomial_generators(gs, 3, field, ref_rng)
+            reference = fresh_search(gs, 3, field, ref_rng)
         assert [b.terms for b in basis] == [b.terms for b in reference], name
         assert rng.getstate() == ref_rng.getstate(), name
 
@@ -747,7 +747,7 @@ def test_polynomial_generators_match_every_row_oracle(name):
                 for search in (polynomial_generators, every_row_search):
                     rng.setstate(state)
                     start = ev.n_evals
-                    basis = search(gs, delta, field, rng, ev)
+                    basis = search(ev, delta, rng)
                     runs.append(([b.terms for b in basis], rng.getstate(),
                                  ev.n_evals - start))
                 assert runs[0] == runs[1], (order, k, delta)
@@ -795,7 +795,7 @@ def test_polynomial_generators_point_count(monkeypatch, name, replays, rank):
     monkeypatch.setattr(ReducedGB, "condition_rows", recording_rows)
     monkeypatch.setattr(fields_module, "_reduce", counting_reduce)
     gs = load_fixture(name)
-    basis = polynomial_generators(gs, 3, FIELDS[0], random.Random(0))
+    basis = fresh_search(gs, 3, FIELDS[0], random.Random(0))
     dim = len(monomials_up_to(gs.ring.arity, 3))
     assert len(replayed) == replays
     # the kernel leaves out the constant
@@ -825,11 +825,11 @@ def test_polynomial_generators_wrong_retirement_cannot_reach_the_output(
         bases.append(search(*args, **kwargs))
         return bases[-1]
 
-    want = polynomial_generators(gs, 3, FIELDS[0], random.Random(seed))
+    want = fresh_search(gs, 3, FIELDS[0], random.Random(seed))
     monkeypatch.setattr(ReducedGB, "condition_rows", retiring_rows)
     monkeypatch.setattr(simplify_module, "polynomial_generators",
                         recording_search)
-    wrong = polynomial_generators(gs, 3, FIELDS[0], random.Random(seed))
+    wrong = fresh_search(gs, 3, FIELDS[0], random.Random(seed))
     assert len(wrong) > len(want)
     output, report = simplify(gs, SimplifyConfig(seed=seed))
     assert report.verified and bases and all(len(b) > len(want) for b in bases)
@@ -847,7 +847,7 @@ def test_polynomial_generators_reads_packed_normal_forms(monkeypatch):
 
     monkeypatch.setattr(ReducedGB, "normal_form", refuse)
     gs = load_fixture("seir34", var_order=SEIR_ORDER)
-    assert polynomial_generators(gs, 2, FIELDS[0], random.Random(6))
+    assert fresh_search(gs, 2, FIELDS[0], random.Random(6))
 
 
 def test_denominator_dividing_a_power_of_q():
@@ -1096,7 +1096,7 @@ def test_contains_reads_the_normal_form_span(monkeypatch):
 def test_polynomial_generators_seir():
     gs = load_fixture("seir34", var_order=SEIR_ORDER)
     field = FIELDS[0]
-    basis = polynomial_generators(gs, 2, field, random.Random(6))
+    basis = fresh_search(gs, 2, field, random.Random(6))
     expected = parse_many(gs.ring,
                           ["mu", "N", "eps + gamma", "k*eps", "eps*gamma"])
     # vectorize over the union of supports and check span membership

@@ -9,7 +9,7 @@ from fieldsimp import groebner as groebner_module
 from fieldsimp import oms
 from fieldsimp import poly as poly_module
 from fieldsimp.arith import ZeroInverse, production_prime
-from fieldsimp.groebner import gb_apply, gb_learn, gb_replay, groebner
+from fieldsimp.groebner import gb_apply, gb_learn, groebner
 from fieldsimp.interp import FAIL, Blackbox
 from fieldsimp.oms import (EomsEvaluator, EvaluationBudgetExceeded,
                            GeneratorSet, UnluckyPoint, coefficient_row,
@@ -29,7 +29,8 @@ def lifted_coefficients(genset, cutoff, order=None, seed=7, evaluator=None):
     scaling, and drop constants."""
     ring = gb_ring(genset, FP, order or genset.ring.order)
     rng = random.Random(seed)
-    report = gb_coefficients(genset, cutoff, ring, rng, evaluator=evaluator)
+    report = gb_coefficients(evaluator or EomsEvaluator(genset, ring, rng),
+                             cutoff)
     assert report is not FAIL
     pairs = [(num.terms, den.terms) for num, den in report.interpolated()]
     lifted = reconstruct_candidates(pairs, genset.ring, FP.p)
@@ -290,8 +291,8 @@ def test_shared_evaluator_keeps_trace():
     rng = random.Random(3)
     shared = EomsEvaluator(gs, ring, rng)
     trace, learned = shared.trace, shared.n_evals
-    rep1 = gb_coefficients(gs, 1, ring, rng, evaluator=shared)
-    rep2 = gb_coefficients(gs, 2, ring, rng, evaluator=shared)
+    rep1 = gb_coefficients(shared, 1)
+    rep2 = gb_coefficients(shared, 2)
     assert rep1 is not FAIL and rep2 is not FAIL
     # both cutoffs replay the trace learned at construction, and each pass
     # counts its own evaluations on the shared evaluator
@@ -391,15 +392,12 @@ def test_harvest_evaluates_each_point_once(monkeypatch):
         return evaluate(self, point)
 
     monkeypatch.setattr(EomsEvaluator, "eval", recording_eval)
-    rng, expected = random.Random(6), random.Random(6)
     total = 0
     for cutoff in (2, 4):
-        rep = gb_coefficients(gs, cutoff, ring, rng, evaluator=ev)
+        # the evaluator drew its seeds when it was made; a call takes no rng
+        rep = gb_coefficients(ev, cutoff)
         assert rep is not FAIL and rep.n_evals > 0
         total += rep.n_evals
-        # the evaluator drew its seeds when it was made: given one, a call
-        # reads nothing from the caller's stream
-        assert rng.getstate() == expected.getstate()
     assert not any(val[0] == "high_degree" for val in rep.entries.values())
     assert points and len(set(points)) == len(points)
     assert total == len(points)
@@ -407,8 +405,7 @@ def test_harvest_evaluates_each_point_once(monkeypatch):
     two_rounds = set(points)
     del points[:]
     ev = EomsEvaluator(gs, ring, random.Random(5))
-    assert gb_coefficients(gs, 4, ring, random.Random(6), evaluator=ev) \
-        is not FAIL
+    assert gb_coefficients(ev, 4) is not FAIL
     assert set(points) == two_rounds
 
 
@@ -426,7 +423,7 @@ def test_harvest_maps_nothing_to_fp(monkeypatch):
         return map_coefficients(self, ring, fn)
 
     monkeypatch.setattr(MultiPoly, "map_coefficients", counted)
-    rep = gb_coefficients(gs, 4, ring, random.Random(6), evaluator=ev)
+    rep = gb_coefficients(ev, 4)
     assert rep is not FAIL and rep.n_evals > 0
     assert mapped == []
 
@@ -470,7 +467,7 @@ def test_finished_keys_kept_across_cutoffs(monkeypatch):
     rng = random.Random(11)
     ev = EomsEvaluator(gs, ring, rng)
     estimated = counting_estimates(monkeypatch)
-    rep1 = gb_coefficients(gs, 1, ring, rng, evaluator=ev)
+    rep1 = gb_coefficients(ev, 1)
     assert rep1 is not FAIL
     assert len(estimated) == len(rep1.entries)
     high = [key for key, val in rep1.entries.items()
@@ -478,7 +475,7 @@ def test_finished_keys_kept_across_cutoffs(monkeypatch):
     ok = [key for key, val in rep1.entries.items() if val[0] == "ok"]
     assert high and ok
     del estimated[:]
-    rep2 = gb_coefficients(gs, 2, ring, rng, evaluator=ev)
+    rep2 = gb_coefficients(ev, 2)
     assert rep2 is not FAIL
     assert estimated == [2] * len(high)
     for key in ok:
@@ -531,7 +528,7 @@ def test_diverged_replays_keep_the_trace(monkeypatch):
     gs = load_fixture("example_sym")
     ev = EomsEvaluator(gs, gb_ring(gs, FP), random.Random(3))
     learned = ev.trace
-    monkeypatch.setattr(oms, "gb_replay", lambda *args: FAIL)
+    monkeypatch.setattr(oms, "gb_apply", lambda *args: FAIL)
     for _ in range(3):
         assert ev.eval((1, 2)) is FAIL
     # the learn and three replays, one GB evaluation each
@@ -547,7 +544,7 @@ def test_support_mismatch_is_fail():
     learned = ev.trace
     # at x2 = -x1 the replay follows the trace but the GB loses a term
     point = (5, FP.p - 5)
-    assert gb_apply(ring, specialize_eoms(gs, point, ring), learned) is FAIL
+    assert gb_apply(ring, coefficient_row(gs, point, ring), learned) is FAIL
     assert ev.eval(point) is FAIL
     assert ev.trace is learned and ev.n_evals == 2
 
@@ -562,21 +559,16 @@ def test_a_vanished_shape_coefficient_fails_the_row_replay():
     zeros = tuple(k for k, c in enumerate(row) if not c)
     assert len(zeros) == 1 and 0 not in coefficient_row(gs, generic, ring)
     # it vanishes at a replay point
-    assert gb_replay(ring, row, ev.trace) is FAIL
-    assert gb_apply(ring, specialize_eoms(gs, special, ring), ev.trace) \
-        is FAIL
+    assert gb_apply(ring, row, ev.trace) is FAIL
     assert ev.gb(special) is FAIL
     # it vanished at the learn point, and a generic point has the term
     _, trace = gb_learn(ring, specialize_eoms(gs, special, ring))
-    assert gb_replay(ring, coefficient_row(gs, generic, ring), trace,
-                     zeros) is FAIL
-    assert gb_apply(ring, specialize_eoms(gs, generic, ring), trace) is FAIL
-    # where it vanishes again, both entries replay to the GB
+    assert gb_apply(ring, coefficient_row(gs, generic, ring), trace,
+                    zeros) is FAIL
+    # where it vanishes again, the replay is the GB
     want = groebner(ring, specialize_eoms(gs, again, ring)).polys
-    assert gb_replay(ring, coefficient_row(gs, again, ring), trace,
-                     zeros).polys == want
-    assert gb_apply(ring, specialize_eoms(gs, again, ring), trace).polys \
-        == want
+    assert gb_apply(ring, coefficient_row(gs, again, ring), trace,
+                    zeros).polys == want
 
 
 def test_budget_stops_before_the_evaluation_past_the_cap(monkeypatch):
@@ -590,15 +582,15 @@ def test_budget_stops_before_the_evaluation_past_the_cap(monkeypatch):
         spent.append(1)
 
     ev = EomsEvaluator(gs, ring, random.Random(3), spend)
-    replay, replays = oms.gb_replay, []
+    replay, replays = oms.gb_apply, []
 
     def recording_replay(*args):
         replays.append(1)
         return replay(*args)
 
-    monkeypatch.setattr(oms, "gb_replay", recording_replay)
+    monkeypatch.setattr(oms, "gb_apply", recording_replay)
     # the learn and three replays spend the budget of 4; the evaluator asks
     # for a fifth before it runs it
     with pytest.raises(EvaluationBudgetExceeded, match="at d=2$"):
-        gb_coefficients(gs, 2, ring, random.Random(4), evaluator=ev)
+        gb_coefficients(ev, 2)
     assert ev.n_evals == 1 + 3 and len(replays) == 3

@@ -111,23 +111,30 @@ def test_crt_pairs_lift_over_two_primes():
     value = Fraction(10 ** 12, 10 ** 11 + 7)
     reports = [_harvest_report(p, value) for p in CHECK_PRIMES]
     # one prime is too small for this coefficient, their product is not
-    one = _crt_pairs(reports[:1])
+    one = _crt_pairs(reports[:1], 1)
     assert reconstruct_candidates(one, ring, CHECK_PRIMES[0]) \
         is FAIL
-    pairs = _crt_pairs(reports)
+    pairs = _crt_pairs(reports, 1)
     got = reconstruct_candidates(pairs, ring,
                                  CHECK_PRIMES[0] * CHECK_PRIMES[1])
     assert got == [rf(ring, "1000000000000/100000000007 * x")]
 
 
-def test_crt_pairs_mismatch_needs_more_primes():
+def test_crt_pairs_mismatch_ends_the_attempt():
+    # every report is compared with the first, so no later prime can clear
+    # a disagreement: it raises, naming the round and what differs
     value = Fraction(10 ** 12, 10 ** 11 + 7)
     p, q = CHECK_PRIMES
     moved = _harvest_report(q, value, mon=(2,))
-    assert _crt_pairs([_harvest_report(p, value), moved]) \
-        is FAIL
+    with pytest.raises(VerificationFailed,
+                       match=r"^harvests at d=2 disagree on the support of "
+                             r"coefficient \(0, \(0, 1\)\)$"):
+        _crt_pairs([_harvest_report(p, value), moved], 2)
     high = CoefficientReport({(0, (0, 1)): ("high_degree", None)}, 0)
-    assert _crt_pairs([_harvest_report(p, value), high]) is FAIL
+    with pytest.raises(VerificationFailed,
+                       match="^harvests at d=2 disagree on which "
+                             "coefficients interpolate$"):
+        _crt_pairs([_harvest_report(p, value), high], 2)
 
 
 THIRTY_DIGITS = "vars: x, y\n123456789012345678901234567890*x + y\nx*y\n"
@@ -171,6 +178,44 @@ def test_thirty_digit_coefficient_verifies_at_attempt_0():
         "x + 1/123456789012345678901234567890*y", "x*y"]
     assert report.primes == [production_prime(i)
                              for i in (0, 6, 7, 64, 2, 3)]
+
+
+def test_disagreeing_harvests_end_the_attempt(monkeypatch):
+    # the second harvest prime's report lacks one interpolated key; each
+    # report is compared with the first, so no later prime can clear that:
+    # the attempt ends at once, with two evaluators, and names the round
+    genset, _ = parse_problem_file(THIRTY_DIGITS)
+    built = []
+    init, harvest = EomsEvaluator.__init__, simplify_module.gb_coefficients
+    offsets = simplify_module.HARVEST_OFFSETS
+    second = {production_prime(8 * restart + offsets[1])
+              for restart in range(simplify_module.MAX_RESTARTS + 1)}
+
+    def recording_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def dropping(evaluator, d):
+        rep = harvest(evaluator, d)
+        if evaluator.ring.field.p in second:
+            entries = dict(rep.entries)
+            del entries[next(key for key, val in entries.items()
+                             if val[0] == "ok")]
+            rep = CoefficientReport(entries, rep.n_evals)
+        return rep
+
+    monkeypatch.setattr(EomsEvaluator, "__init__", recording_init)
+    monkeypatch.setattr(simplify_module, "gb_coefficients", dropping)
+    with pytest.raises(VerificationFailed) as info:
+        simplify(genset, SimplifyConfig(seed=0, delta=1))
+    assert str(info.value).split("; ") == [
+        "attempt %d: harvests at d=1 disagree on which coefficients "
+        "interpolate" % restart
+        for restart in range(simplify_module.MAX_RESTARTS + 1)]
+    assert [ev.ring.field.p for ev in built] == [
+        production_prime(8 * restart + offset)
+        for restart in range(simplify_module.MAX_RESTARTS + 1)
+        for offset in offsets[:2]]
 
 
 def test_prime_cap_names_every_attempt(monkeypatch):
@@ -267,7 +312,7 @@ def test_verification_failed_names_every_attempt(monkeypatch):
 
 
 def test_no_regular_point_names_every_attempt(monkeypatch):
-    monkeypatch.setattr(oms, "specialize_eoms", lambda *args: FAIL)
+    monkeypatch.setattr(oms, "coefficient_row", lambda *args: FAIL)
     cfg = SimplifyConfig()
     with pytest.raises(VerificationFailed) as info:
         simplify(load_fixture("example_sym"), cfg)
@@ -428,9 +473,10 @@ def test_polynomial_search_replays_first_harvest_evaluator(monkeypatch):
         built.append(self)
         init(self, *args)
 
-    def recording_search(genset, delta, field, rng, evaluator, **kwargs):
-        searched.append((genset, evaluator, evaluator.values.copy()))
-        return search(genset, delta, field, rng, evaluator, **kwargs)
+    def recording_search(evaluator, delta, rng):
+        searched.append((evaluator.genset, evaluator,
+                         evaluator.values.copy()))
+        return search(evaluator, delta, rng)
 
     monkeypatch.setattr(EomsEvaluator, "__init__", recording_init)
     monkeypatch.setattr(simplify_module, "polynomial_generators",
@@ -469,8 +515,8 @@ def test_search_replays_count_against_eval_cap(monkeypatch):
     spent = []
     search = simplify_module.polynomial_generators
 
-    def recording_search(genset, delta, field, rng, evaluator, **kwargs):
-        basis = search(genset, delta, field, rng, evaluator, **kwargs)
+    def recording_search(evaluator, delta, rng):
+        basis = search(evaluator, delta, rng)
         spent.append((evaluator, evaluator.n_evals))
         return basis
 
@@ -501,9 +547,9 @@ def test_search_stops_at_eval_cap(monkeypatch):
     evaluators = []
     search = simplify_module.polynomial_generators
 
-    def recording_search(genset, delta, field, rng, evaluator, **kwargs):
+    def recording_search(evaluator, delta, rng):
         evaluators.append(evaluator)
-        return search(genset, delta, field, rng, evaluator, **kwargs)
+        return search(evaluator, delta, rng)
 
     monkeypatch.setattr(simplify_module, "polynomial_generators",
                         recording_search)
