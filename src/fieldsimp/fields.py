@@ -17,18 +17,18 @@ condition rows against one semi-echelon basis (`_reduce`, `_extend`),
 retires a row that reduces to zero (Schwartz-Zippel: it stays zero but with
 probability deg/p) and reads the kernel off its reduced form.
 
-The specialized ideal comes from `oms`, and the harvest, the polynomial
-search and membership all read the one ideal `specialize_eoms` builds.  The
-search replays the trace of the `oms.EomsEvaluator` it is given (the
-pipeline, the one place that builds evaluators, passes the first of its
-harvest).  MembershipContext draws one point and runs Buchberger there in
-degrevlex, once: a candidate's denominator is never folded into Q, because
-at a random point that cannot change a correct verdict (the argument is in
-MembershipContext's docstring).  Nothing here draws again after a lost
-sample: a pole of Q or of a candidate at the context's point, or a failed
-replay in the polynomial search, raises UnluckyPoint at once and ends the
-attempt, and `simplify`'s restart at a fresh block of primes is the one
-retry.
+The specialized ideal comes from `oms`.  The harvest and the polynomial
+search read it off an `oms.EomsEvaluator`'s shape: the search replays the
+trace of the evaluator it is given (the pipeline, the one place that builds
+evaluators, passes the first of its harvest).  MembershipContext,
+`specialize_eoms`'s one caller, draws one point and runs Buchberger there
+in degrevlex, once: a candidate's denominator is never folded into Q,
+because at a random point that cannot change a correct verdict (the
+argument is in MembershipContext's docstring).  Nothing here draws again
+after a lost sample: a pole of Q or of a candidate at the context's point,
+or a failed replay in the polynomial search, raises UnluckyPoint at once
+and ends the attempt, and `simplify`'s restart at a fresh block of primes
+is the one retry.
 """
 
 import bisect
@@ -37,7 +37,7 @@ import random
 from .arith import FAIL
 from .groebner import groebner
 from .oms import GeneratorSet, UnluckyPoint, gb_ring, specialize_eoms
-from .poly import MultiPoly, RationalFunction, Ring, values_at
+from .poly import MultiPoly, RationalFunction, values_at
 
 
 def _reduce(echelon, v, p):
@@ -114,7 +114,6 @@ class MembershipContext:
     def __init__(self, genset, field, rng):
         self.genset = genset
         self.field = field
-        self.x_ring = Ring(genset.ring.vars, field, genset.ring.order)
         self.gb_ring = gb_ring(genset, field)
         self._memo = {}
         p = field.p

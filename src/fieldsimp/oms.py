@@ -1,14 +1,14 @@
 """Ideals attached to a generating set and interpolation of the low-degree
 coefficients of their specialized reduced Groebner bases.
 
-This module owns the specialized ideal: `GeneratorSet.shape` owns its F_p
-form less the point, the set's one F_p image per gb ring, and
-`coefficient_row` reads its generators' coefficients on it, every value
-at the point read with `poly.values_at` through one set of power tables;
-`specialize_eoms` builds the generators from that row.  An EomsEvaluator,
-which only `simplify` builds, learns on one row's generators and replays by
-`groebner.gb_apply` on the row at each later point; the coefficient harvest
-and the polynomial search in `fields` take only an evaluator.
+This module owns the specialized ideal: `GeneratorSet.shape` builds its
+F_p form less the point in one gb ring, kept by its one reader only, and
+`coefficient_row` reads the generators' coefficients off it, every value
+at the point read with `poly.values_at` through one set of power tables.
+An EomsEvaluator, which only `simplify` builds, builds one shape, learns on
+one row's generators and replays by `groebner.gb_apply` on the row at each
+later point; the harvest and the polynomial search in `fields` take only
+an evaluator.  `specialize_eoms` builds a shape for its one point.
 
 For generators g_i = p_i/q_i of a subfield of k(x_1..x_n), the specialized
 ideal at a point a is
@@ -79,34 +79,30 @@ class GeneratorSet:
             if not g.den.is_constant():
                 q = lcm_q(q, g.den)
         self.common_denominator = q
-        self._shapes, self._lifted = {}, {}
 
     def __len__(self):
         return len(self.generators)
 
     def shape(self, ring):
-        """The specialized ideal less the point, once per gb ring: the F_p
-        images of the generators' numerators and denominators in turn, then
-        of Q, as `sparse_terms`; per generator the joint support of its num
-        and den as (0, m) monomials in descending `ring` order, each with
-        its num and den coefficients; and t Q(y) - 1."""
-        if ring not in self._shapes:
-            x_ring = Ring(self.ring.vars, ring.field, self.ring.order)
-            images = [side for g in self.generators
-                      for side in g.modp(x_ring)]
-            images.append(self.common_denominator.map_coefficients(
-                x_ring, ring.field.from_fraction))
-            shapes = []
-            for num, den in zip(images[:-1:2], images[1::2]):
-                a, b = dict(num.terms), dict(den.terms)
-                mons = sorted(a.keys() | b.keys(), reverse=True,
-                              key=lambda m: ring.order.key((0,) + m))
-                shapes.append([(self._lifted.setdefault(m, (0,) + m),
-                                a.get(m, 0), b.get(m, 0)) for m in mons])
-            tq = ring.from_dict({(1,) + m: c for m, c in images[-1].terms})
-            self._shapes[ring] = (sparse_terms(*(f.terms for f in images)),
-                                  shapes, tq - ring.one())
-        return self._shapes[ring]
+        """The specialized ideal less the point, built on each call:
+        the F_p images of the generators' numerators and denominators in
+        turn, then of Q, as `sparse_terms`; per generator the joint support
+        of its num and den as (0, m) monomials in descending `ring` order,
+        each with its num and den coefficients; and t Q(y) - 1."""
+        x_ring = Ring(self.ring.vars, ring.field, self.ring.order)
+        images = [side for g in self.generators for side in g.modp(x_ring)]
+        images.append(self.common_denominator.map_coefficients(
+            x_ring, ring.field.from_fraction))
+        shapes = []
+        for num, den in zip(images[:-1:2], images[1::2]):
+            a, b = dict(num.terms), dict(den.terms)
+            mons = sorted(((0,) + m for m in a.keys() | b.keys()),
+                          reverse=True, key=ring.order.key)
+            shapes.append([(m, a.get(m[1:], 0), b.get(m[1:], 0))
+                           for m in mons])
+        tq = ring.from_dict({(1,) + m: c for m, c in images[-1].terms})
+        return (sparse_terms(*(f.terms for f in images)), shapes,
+                tq - ring.one())
 
 
 def gb_ring(genset, field, order=DEGREVLEX):
@@ -115,28 +111,29 @@ def gb_ring(genset, field, order=DEGREVLEX):
     return Ring(names, field, order)
 
 
-def coefficient_row(genset, point, ring):
-    """The coefficients of the specialized ideal's generators at `point`:
-    A q_i(a) - B p_i(a) over each generator's shape terms (m, A, B) in turn,
-    zeros kept, then those of t Q(y) - 1; or FAIL on a pole of a generator
-    or of Q.  Every p_i(a), q_i(a) and Q(a) is read through one set of power
-    tables of the point.  Only Q is tested for a pole: monic q_i divides the
-    monic lcm Q over Z_(p), as `shape` would raise ZeroInverse on a
-    coefficient with p in its denominator, so q_i(a) = 0 gives Q(a) = 0."""
-    images, shapes, tq = genset.shape(ring)
+def coefficient_row(shape, point, ring):
+    """The coefficients of the specialized ideal's generators at `point`
+    off `shape`, a `GeneratorSet.shape` in `ring`: A q_i(a) - B p_i(a) over
+    each generator's shape terms (m, A, B) in turn, zeros kept, then those
+    of t Q(y) - 1; or FAIL on a pole of a generator or of Q.  Every p_i(a),
+    q_i(a) and Q(a) is read through one set of power tables of the point.
+    Only Q is tested for a pole: monic q_i divides the monic lcm Q over
+    Z_(p), as `shape` would raise ZeroInverse on a coefficient with p in
+    its denominator, so q_i(a) = 0 gives Q(a) = 0."""
+    images, shapes, tq = shape
     p = ring.field.p
     *values, qv = values_at(images, [{1: x} for x in point], p)
     if qv == 0:
         return FAIL
-    return [(a * dv - b * pv) % p for pv, dv, shape in zip(
-        values[::2], values[1::2], shapes) for _, a, b in shape] + [
+    return [(a * dv - b * pv) % p for pv, dv, terms in zip(
+        values[::2], values[1::2], shapes) for _, a, b in terms] + [
             c for _, c in tq.terms]
 
 
-def _generators(genset, row, ring):
+def _generators(shape, row, ring):
     """The specialized ideal's generators from its coefficient row: the
     shape terms with zero terms and generators dropped, then t Q(y) - 1."""
-    _, shapes, tq = genset.shape(ring)
+    _, shapes, tq = shape
     row = iter(row)
     terms = [tuple((m, c) for (m, _, _), c in zip(sh, row) if c)
              for sh in shapes]
@@ -145,23 +142,25 @@ def _generators(genset, row, ring):
 
 def specialize_eoms(genset, point, ring):
     """Generators of the specialized ideal at `point`, or FAIL on a pole."""
-    row = coefficient_row(genset, point, ring)
-    return row if row is FAIL else _generators(genset, row, ring)
+    shape = genset.shape(ring)
+    row = coefficient_row(shape, point, ring)
+    return row if row is FAIL else _generators(shape, row, ring)
 
 
 class EomsEvaluator:
     """Shared traced-GB evaluation of the specialized ideal.
 
-    The constructor reads the coefficient rows at two random points, learns
-    one trace on the first row's generators and checks it by gb_verify on
-    the second with the first's zeros; the learn and its check count as one
-    GB evaluation.  A pole at either point or a failed check raises
-    UnluckyPoint: nothing is redrawn.  gb(a) is gb_apply on the row at a,
-    the reduced GB or FAIL, and `learned` keeps the learn point's GB.  The
-    learn and each replay call `spend()`, which may raise to refuse it,
-    then count in n_evals.  eval(a) returns the tuple of the non-leading
-    coefficients of gb(a), in the order of coefficient_keys(): (element
-    index, monomial) per coefficient.  The trace and support never change,
+    The constructor builds `shape` once, reads coefficient rows off it at
+    two random points, learns one trace on the first row's generators and
+    checks it by gb_verify on the second with the first's zeros; the learn
+    and its check count as one GB evaluation.  A pole at either point or a
+    failed check raises UnluckyPoint: nothing is redrawn.  gb(a) is
+    gb_apply on the row at a off the same shape, the reduced GB or FAIL,
+    and `learned` keeps the learn point's GB.  The learn and each replay
+    call `spend()`, which may raise to refuse it, then count in n_evals.
+    eval(a) returns the tuple of the non-leading coefficients of gb(a), in
+    the order of coefficient_keys(): (element index, monomial) per
+    coefficient.  The trace and support never change,
     so the harvest keeps its sample table here for the evaluator's life:
     `x_ring` (F_p[x]), `seeds` (two 64-bit seeds drawn from `rng` after the
     learn), `values` (point -> eval(point)), `solved` (sequences and Prony
@@ -172,6 +171,7 @@ class EomsEvaluator:
         self.genset = genset
         self.ring = ring
         self.x_ring = Ring(genset.ring.vars, ring.field, genset.ring.order)
+        self.shape = genset.shape(ring)
         self.spend = spend
         self.n_evals = 0
         self.values = {}
@@ -186,7 +186,7 @@ class EomsEvaluator:
 
     def _learn(self, rng):
         points = [self._random_point(rng) for _ in range(2)]
-        row, check = (coefficient_row(self.genset, a, self.ring)
+        row, check = (coefficient_row(self.shape, a, self.ring)
                       for a in points)
         trace = FAIL
         if row is not FAIL and check is not FAIL:
@@ -194,7 +194,7 @@ class EomsEvaluator:
             self.n_evals += 1
             self._zeros = tuple(k for k, c in enumerate(row) if not c)
             gb, trace = gb_learn(self.ring,
-                                 _generators(self.genset, row, self.ring))
+                                 _generators(self.shape, row, self.ring))
             trace = gb_verify(self.ring, check, trace, self._zeros)
         if trace is FAIL:
             raise UnluckyPoint("no regular specialization point mod %d"
@@ -208,7 +208,7 @@ class EomsEvaluator:
     def gb(self, point):
         self.spend()
         self.n_evals += 1
-        row = coefficient_row(self.genset, point, self.ring)
+        row = coefficient_row(self.shape, point, self.ring)
         return FAIL if row is FAIL else gb_apply(self.ring, row, self.trace,
                                                  self._zeros)
 

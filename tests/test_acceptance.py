@@ -253,11 +253,12 @@ def test_criterion_7_tracing_equivalence():
     ring = gb_ring(genset, field, genset.ring.order)
     rng = random.Random(707)
     n = genset.ring.arity
+    shape = genset.shape(ring)
 
     def draw():
         while True:
             point = tuple(rng.randrange(1, field.p) for _ in range(n))
-            row = coefficient_row(genset, point, ring)
+            row = coefficient_row(shape, point, ring)
             if row is not FAIL:
                 return row, specialize_eoms(genset, point, ring)
 

@@ -193,12 +193,18 @@ def _den_value(image, point):
                      [{1: x} for x in point], image[0].ring.field.p)[1]
 
 
+def _x_ring(ctx):
+    """F_p[x] at a membership context's prime, where candidates' images
+    live."""
+    return Ring(ctx.genset.ring.vars, ctx.field, ctx.genset.ring.order)
+
+
 def test_den_value_zero_at_pole():
     gs = load_fixture("heron")
     ctx = MembershipContext(gs, FIELDS[0], random.Random(9))
     a = parse_many(gs.ring, ["a"])[0]
     pole = 1 / (a - Fraction(ctx.point[0]))
-    assert _den_value(pole.modp(ctx.x_ring), ctx.point) == 0
+    assert _den_value(pole.modp(_x_ring(ctx)), ctx.point) == 0
 
 
 def _candidate_pole(field):
@@ -216,14 +222,14 @@ def test_candidate_pole_at_context_point_redraws():
     ctx = MembershipContext(gs, field, random.Random(9))
     a = parse_many(gs.ring, ["a"])[0]
     g = gs.generators[0]
-    num, den = g.modp(ctx.x_ring)
+    num, den = g.modp(_x_ring(ctx))
     point = ctx.point
     # a function of g, with a pole where g takes its value at b
     value = num.evaluate(point) * pow(den.evaluate(point), -1,
                                       field.p) % field.p
     for cand, expected in ((1 / (g - Fraction(value)), True),
                            (1 / (a - Fraction(point[0])), False)):
-        assert _den_value(cand.modp(ctx.x_ring), ctx.point) == 0
+        assert _den_value(cand.modp(_x_ring(ctx)), ctx.point) == 0
         with pytest.raises(UnluckyPoint, match=_candidate_pole(field)):
             ctx.contains(cand)
         assert ctx.point == point
@@ -952,12 +958,12 @@ def _folded_verdict(ctx, cand):
     into Q: the normal form against the ideal with t lcm(Q, den)(y) - 1 in
     place of t Q(y) - 1."""
     ring, b, field = ctx.gb_ring, ctx.point, ctx.field
-    image = cand.modp(ctx.x_ring)
+    image = cand.modp(_x_ring(ctx))
     assert _den_value(image, b) != 0
-    gens = [specialize(*g.modp(ctx.x_ring), b, ring)
+    gens = [specialize(*g.modp(_x_ring(ctx)), b, ring)
             for g in ctx.genset.generators]
     q = lcm_q(ctx.genset.common_denominator, cand.den) \
-        .map_coefficients(ctx.x_ring, field.from_fraction)
+        .map_coefficients(_x_ring(ctx), field.from_fraction)
     gens.append(ring.from_dict({(1,) + m: c for m, c in q.terms})
                 - ring.one())
     gb = groebner_module.groebner(ring, [g for g in gens if not g.is_zero()])
@@ -982,13 +988,13 @@ def _verdict_candidates(name, ctx, rng):
     candidates, products and sums of two generators (member True), and of
     generators moved by an automorphism of the field, then random
     polynomials in (t, y) (member None: h is in the ideal or not)."""
-    images = [g.modp(ctx.x_ring) for g in ctx.genset.generators]
+    images = [g.modp(_x_ring(ctx)) for g in ctx.genset.generators]
     ring, p = ctx.gb_ring, ctx.field.p
     members = []
     for _ in range(4):
         (n1, d1), (n2, d2) = rng.choice(images), rng.choice(images)
         members += [(n1 * n2, d1 * d2), (n1 * d2 + n2 * d1, d1 * d2)]
-    moved = [apply_map(sigma, g).modp(ctx.x_ring)
+    moved = [apply_map(sigma, g).modp(_x_ring(ctx))
              for sigma in fixture_automorphisms(name, ctx.genset.ring)
              for g in ctx.genset.generators if apply_map(sigma, g) != g]
     out = [(specialize(num, den, ctx.point, ring), member)
@@ -1072,7 +1078,7 @@ def test_functional_query_matches_specialized_normal_form(name, monkeypatch):
                 verdict = ctx.contains(cand)
             assert verdict is member, (name, cand)
             assert ctx.point == twin.point
-            h = specialize(*cand.modp(twin.x_ring), twin.point, twin.gb_ring)
+            h = specialize(*cand.modp(_x_ring(twin)), twin.point, twin.gb_ring)
             assert values == [twin._gb.normal_form(h, twin._weights)]
 
 

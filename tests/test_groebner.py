@@ -431,7 +431,8 @@ def test_apply_equals_untraced_on_specializations():
                 return pt, gens
 
     base, gens = spec()
-    zeros = _zeros(coefficient_row(genset, base, ring))
+    shape = genset.shape(ring)
+    zeros = _zeros(coefficient_row(shape, base, ring))
     gb, trace = gb_learn(ring, gens)
     agree = 0
     for _ in range(30):
@@ -439,7 +440,7 @@ def test_apply_equals_untraced_on_specializations():
         gens = specialize_eoms(genset, pt, ring)
         if gens is None:
             continue
-        replay = gb_apply(ring, coefficient_row(genset, pt, ring), trace,
+        replay = gb_apply(ring, coefficient_row(shape, pt, ring), trace,
                           zeros)
         fresh = groebner(ring, gens)
         if replay is TRACE_DIVERGED:

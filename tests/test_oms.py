@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from fieldsimp import groebner as groebner_module
 from fieldsimp import oms
 from fieldsimp import poly as poly_module
 from fieldsimp.arith import ZeroInverse, production_prime
+from fieldsimp.fields import MembershipContext
 from fieldsimp.groebner import gb_apply, gb_learn, groebner
 from fieldsimp.interp import FAIL, Blackbox
 from fieldsimp.oms import (EomsEvaluator, EvaluationBudgetExceeded,
@@ -138,13 +140,13 @@ def test_specialize_matches_two_products(case):
     assert [h.terms for h in got] == [h.terms for h in expected]
 
 
-def test_specialize_reads_its_shape_without_sorting(monkeypatch):
-    # the shape is built once per (generator set, gb ring); later points
-    # only evaluate and scale it
+def test_evaluator_replays_read_its_shape_without_sorting(monkeypatch):
+    # the evaluator builds its shape once; later points only evaluate and
+    # scale it
     gs = load_fixture("power_sums")
     ring = gb_ring(gs, FP)
     rng = random.Random(5)
-    assert specialize_eoms(gs, (2,) * gs.ring.arity, ring) is not FAIL
+    ev = EomsEvaluator(gs, ring, random.Random(3))
     calls = []
     from_dict = Ring.from_dict
 
@@ -155,8 +157,20 @@ def test_specialize_reads_its_shape_without_sorting(monkeypatch):
     monkeypatch.setattr(Ring, "from_dict", counting)
     for _ in range(5):
         point = tuple(rng.randrange(1, FP.p) for _ in gs.ring.vars)
-        assert specialize_eoms(gs, point, ring) is not FAIL
+        assert ev.gb(point) is not FAIL
     assert calls == []
+
+
+def test_shapes_leave_the_generator_set_unchanged():
+    # an evaluator and membership contexts at two primes build their own
+    # shapes: the generator set keeps no F_p state
+    gs = load_fixture("heron")
+    before = copy.deepcopy(vars(gs))
+    for k, field in enumerate(map(PrimeField, CHECK_PRIMES)):
+        EomsEvaluator(gs, gb_ring(gs, field), random.Random(k))
+        for seed in range(2):
+            MembershipContext(gs, field, random.Random(seed))
+    assert vars(gs) == before
 
 
 def test_specialize_computes_each_power_once(monkeypatch):
@@ -167,7 +181,6 @@ def test_specialize_computes_each_power_once(monkeypatch):
                    ["(x^3 + y^2*z)/(x^2 + z^3)", "x^2*y^3/(y + 2*z^2)",
                     "z^3 + x*y"])
     ring = gb_ring(gs, FP)
-    specialize_eoms(gs, (2, 3, 5), ring)         # the shape, built once
     point = (7, 11, 13)
     calls, builtin_pow = [], pow
 
@@ -231,7 +244,7 @@ def test_shape_reads_the_point_as_the_dense_images(name):
         point = tuple(rng.randint(0, top) for _ in gs.ring.vars)
         want = _dense_values_at(images, point, FP.p)
         assert values_at(sparse, [{1: x} for x in point], FP.p) == want
-        row = coefficient_row(gs, point, ring)
+        row = coefficient_row(gs.shape(ring), point, ring)
         assert (row is FAIL) == (want[-1] == 0)
         poles += row is FAIL
     assert poles or gs.common_denominator.is_constant()
@@ -544,7 +557,8 @@ def test_support_mismatch_is_fail():
     learned = ev.trace
     # at x2 = -x1 the replay follows the trace but the GB loses a term
     point = (5, FP.p - 5)
-    assert gb_apply(ring, coefficient_row(gs, point, ring), learned) is FAIL
+    assert gb_apply(ring, coefficient_row(gs.shape(ring), point, ring),
+                    learned) is FAIL
     assert ev.eval(point) is FAIL
     assert ev.trace is learned and ev.n_evals == 2
 
@@ -555,19 +569,20 @@ def test_a_vanished_shape_coefficient_fails_the_row_replay():
     ev = EomsEvaluator(gs, ring, random.Random(3))
     # at x2 = -x1 the constant term of x1^3 + x2^3 - (a1^3 + a2^3) vanishes
     special, again, generic = (5, FP.p - 5), (7, FP.p - 7), (2, 3)
-    row = coefficient_row(gs, special, ring)
+    shape = gs.shape(ring)
+    row = coefficient_row(shape, special, ring)
     zeros = tuple(k for k, c in enumerate(row) if not c)
-    assert len(zeros) == 1 and 0 not in coefficient_row(gs, generic, ring)
+    assert len(zeros) == 1 and 0 not in coefficient_row(shape, generic, ring)
     # it vanishes at a replay point
     assert gb_apply(ring, row, ev.trace) is FAIL
     assert ev.gb(special) is FAIL
     # it vanished at the learn point, and a generic point has the term
     _, trace = gb_learn(ring, specialize_eoms(gs, special, ring))
-    assert gb_apply(ring, coefficient_row(gs, generic, ring), trace,
+    assert gb_apply(ring, coefficient_row(shape, generic, ring), trace,
                     zeros) is FAIL
     # where it vanishes again, the replay is the GB
     want = groebner(ring, specialize_eoms(gs, again, ring)).polys
-    assert gb_apply(ring, coefficient_row(gs, again, ring), trace,
+    assert gb_apply(ring, coefficient_row(shape, again, ring), trace,
                     zeros).polys == want
 
 
