@@ -9,10 +9,10 @@ normal form against I_b and l a random linear form on its quotient, drawn
 per point (a non-member passes with probability 1/p per query).  All
 computations run over a word-sized prime field, which stands in for the
 sampling-range bounds of the underlying analysis (any fixed error budget is
-met by a large enough prime).  A query reduces the candidate's coefficients
-mod p, sums p(b) and q(b) from a per-context memo of each monomial's value
-(read once by `poly.values_at`, as `specialize_eoms` reads its point) and
-packed key, then builds h from the keys.  The polynomial search reduces its
+met by a large enough prime).  l is linear, so a query sums l(NF(h)) =
+q(b) l(NF(p)) - p(b) l(NF(q)) from a per-context memo of each monomial's
+value (read once by `poly.values_at`, as `specialize_eoms` reads its point)
+and l(NF(m)), with no h built.  The polynomial search reduces its
 condition rows against one semi-echelon basis (`_reduce`, `_extend`),
 retires a row that reduces to zero (Schwartz-Zippel: it stays zero but with
 probability deg/p) and reads the kernel off its reduced form.
@@ -85,13 +85,14 @@ class MembershipContext:
     queried) and kept with the context.  Every candidate p/q, whatever its
     denominator, is tested by l(NF(h)) = 0 for h = p(y) q(b) - q(y) p(b),
     NF its normal form against that GB and l a linear form on k[t, y]/I_b
-    with weights from a stream seeded by b (ReducedGB.normal_form); p(b) and
-    q(b) are summed from a memo of each monomial's value at b and packed
-    key, filled at its first query.  A candidate with a pole at b (q(b) = 0)
-    is a lost sample: the query raises UnluckyPoint.  At a generic b, h lies
-    in I_b exactly for a member (Mueller-Quade and Steinwandt).  A member
-    always gives 0; a non-member has NF(h) != 0 and gives 0 with probability
-    1/p, on top of the point's own error.
+    with weights from a stream seeded by b (ReducedGB.normal_form), read as
+    q(b) l(NF(p)) - p(b) l(NF(q)) from a memo of each monomial's value at b
+    and l(NF(m)), filled at its first query by one normal form of all the
+    new ones.  A candidate with a pole at b (q(b) = 0) is a lost sample:
+    the query raises UnluckyPoint.  At a generic b, h lies in I_b exactly
+    for a member (Mueller-Quade and Steinwandt).  A member always gives 0;
+    a non-member has NF(h) != 0 and gives 0 with probability 1/p, on top of
+    the point's own error.
 
     The GB is taken in degrevlex whatever the generators' order: neither
     membership in I_b nor its dimension depends on the monomial order, and
@@ -115,7 +116,7 @@ class MembershipContext:
         self.genset = genset
         self.field = field
         self.gb_ring = gb_ring(genset, field)
-        self._memo = {}
+        self._memo, self._inverses = {}, {1: 1}
         p = field.p
         self.point = tuple(rng.randrange(1, p)
                            for _ in range(genset.ring.arity))
@@ -135,28 +136,37 @@ class MembershipContext:
             candidate = RationalFunction(candidate)
         if candidate.ring != self.genset.ring:
             raise ValueError("candidate from a different ring")
-        p, memo, reduce = self.field.p, self._memo, self.field.from_fraction
-        sides = []
-        for poly in (candidate.num, candidate.den):
-            total, terms = 0, []
-            for m, c in poly.terms:
-                c = c % p if c.__class__ is int else reduce(c)
-                if c:               # m's value at b and its packed key
-                    v, k = memo.get(m) or memo.setdefault(m, (values_at(
-                        [[(1, m, self._coords)]], self._powers, p)[0],
-                        self._gb.pack((0,) + m)))
-                    total += c * v
-                    terms.append((k, c))
-            sides.append((terms, total % p))
-        (num, pv), (den, qv) = sides
+        sides, p = (candidate.num, candidate.den), self.field.p
+        try:
+            (pv, pf), (qv, qf) = map(self._sums, sides)
+        except KeyError:    # fill every new m by one weighted normal form
+            new = [m for f in sides for m, _ in f.terms if m not in self._memo]
+            keys = [self._gb.pack((0,) + m) for m in new]
+            self._gb.normal_form(dict.fromkeys(keys, 1), self._weights)
+            self._memo.update(zip(new, zip(values_at(
+                [[(1, m, self._coords)] for m in new], self._powers, p),
+                map(self._gb.phi, keys))))
+            (pv, pf), (qv, qf) = map(self._sums, sides)
         if qv == 0:
             raise UnluckyPoint("candidate has a pole at the membership point "
                                "mod %d" % p)
-        h = {}                              # h = p(y) q(b) - q(y) p(b)
-        for terms, scale in ((num, qv), (den, -pv)):
-            for k, c in terms:
-                h[k] = (h.get(k, 0) + c * scale) % p
-        return self._gb.normal_form(h, self._weights) == 0
+        return (pf * qv - qf * pv) % p == 0     # l(NF(h)) = 0
+
+    def _sums(self, poly):
+        """(poly(b), l(NF(poly))) mod p from the memo, KeyError at a new m;
+        each denominator is inverted once, past from_fraction's check."""
+        memo, inverses, v, f = self._memo, self._inverses, 0, 0
+        for m, c in poly.terms:
+            if c.__class__ is not int:
+                n, d = c.as_integer_ratio()
+                if d not in inverses:
+                    self.field.from_fraction(c)
+                    inverses[d] = pow(d, -1, self.field.p)
+                c = n * inverses[d]
+            mv, mf = memo[m]
+            v += c * mv
+            f += c * mf
+        return v % self.field.p, f % self.field.p
 
     def transcendence_rank(self):
         return self.genset.ring.arity - self._gb.dimension()

@@ -424,7 +424,8 @@ class ReducedGB:
         g, as m = -u tail(g) mod the ideal.  So phi(poly) is 0 for a member
         and, for a non-member, with probability 1/p.  Every call on one GB
         must pass the same stream; the new monomials are filled in the
-        post-order of `_walk`, in any order of the terms."""
+        post-order of `_walk`, in any order of the terms.  A membership
+        context fills its new monomials by one call, then reads `phi`."""
         codec, p = self._codec, self.ring.field.p
         terms = poly if isinstance(poly, dict) else _pack_terms(codec, poly)
         if weights is None:
@@ -439,6 +440,10 @@ class ReducedGB:
                 q = m - lms[idx]
                 phi[m] = -sum(tc * phi[q + tm] for tm, tc in tails[idx]) % p
         return sum(c * phi[m] for m, c in terms.items() if c) % p
+
+    def phi(self, m):
+        """phi(m) of a packed m that a weighted `normal_form` has met."""
+        return self._phi[m]
 
     def compile_normal_forms(self, monomials):
         """The normal-form table of `monomials` (exponent tuples), planned

@@ -280,18 +280,19 @@ def test_ideal_pole_at_context_point_raises():
 
 
 def test_candidate_mapped_to_fp_once(monkeypatch):
-    # a repeated query on one context reduces each coefficient mod p once
-    # and reads every monomial from the context's memo: none is packed or
-    # evaluated at the point again
+    # a query that meets new monomials memoizes them all through one
+    # weighted normal form; a repeated query, and another candidate over
+    # the same monomials, read everything from the context's memo: nothing
+    # is packed, evaluated at the point or normalized again, and a
+    # repeated query reduces no coefficient through from_fraction
     gs = load_fixture("heron")
     ctx = MembershipContext(gs, FIELDS[0], random.Random(9))
     g = gs.generators[0]
     cand = g * g
-    assert ctx.contains(cand) is True
-    fractions = [c for f in (cand.num, cand.den) for _, c in f.terms
-                 if isinstance(c, Fraction)]
-    assert fractions
-    calls = {"from_fraction": 0, "pack": 0, "values_at": 0}
+    assert any(isinstance(c, Fraction)
+               for f in (cand.num, cand.den) for _, c in f.terms)
+    calls = dict.fromkeys(("from_fraction", "pack", "values_at",
+                           "normal_form"), 0)
 
     def counting(owner, name):
         fn = getattr(owner, name)
@@ -304,9 +305,17 @@ def test_candidate_mapped_to_fp_once(monkeypatch):
     counting(PrimeField, "from_fraction")
     counting(ReducedGB, "pack")
     counting(fields_module, "values_at")
+    counting(ReducedGB, "normal_form")
     assert ctx.contains(cand) is True
-    assert calls == {"from_fraction": len(fractions), "pack": 0,
-                     "values_at": 0}
+    assert calls["normal_form"] == 1
+    for query in (cand, 1 / cand, cand * 2):
+        calls.update(dict.fromkeys(calls, 0))
+        assert ctx.contains(query) is True
+        assert (calls["pack"], calls["values_at"], calls["normal_form"]) \
+            == (0, 0, 0)
+    calls["from_fraction"] = 0
+    assert ctx.contains(cand) is True
+    assert calls["from_fraction"] == 0
 
 
 def test_coefficient_with_the_prime_in_its_denominator():
@@ -1039,25 +1048,19 @@ def test_functional_draws_are_deterministic():
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
-def test_functional_query_matches_specialized_normal_form(name, monkeypatch):
-    # the query packs h from the context's monomial memo; phi of that h
-    # equals phi of oracle.specialize's h on a twin context of the same
-    # seed, query for query from an empty memo, so the weights are drawn in
-    # the same order
+def test_functional_query_matches_specialized_normal_form(name):
+    # a query sums l(NF(m)) over its monomials from the context's memo; the
+    # verdict is that of l(NF(h)) = 0 for oracle.specialize's h at the same
+    # GB, and that normal form draws no weight: the query filled every
+    # monomial of h, so it read the same l
     gs = load_fixture(name)
-    values = []
-    normal_form = ReducedGB.normal_form
-
-    def recording(self, poly, weights=None):
-        values.append(normal_form(self, poly, weights))
-        return values[-1]
-
     gens = sorted(gs.generators,
                   key=lambda g: g.num.degree() + g.den.degree())[:3]
-    # 1/(g + c), asked first, packs h's terms out of order: num's 1 before
-    # den's g, while 1 is not yet in the memo
     members = [1 / (g + Fraction(k + 2)) for k, g in enumerate(gens)]
     members += [gi * gj for gi in gens[:2] for gj in gens[1:]]
+    # coefficients whose denominators mix within a term
+    members += [gi * gj / 2 + gi / 7 + Fraction(1, 5)
+                for gi in gens[:2] for gj in gens[1:] if gi != gj]
     moved = [apply_map(sigma, g)
              for sigma in fixture_automorphisms(name, gs.ring)
              for g in gs.generators if apply_map(sigma, g) != g]
@@ -1066,20 +1069,14 @@ def test_functional_query_matches_specialized_normal_form(name, monkeypatch):
                   + _denominators_outside_q(name, gs, random.Random(0)))
     assert any(not f.den.is_constant() for f, _ in candidates)
     for k, field in enumerate(FIELDS):
-        ctx, twin = (MembershipContext(gs, field, random.Random(k))
-                     for _ in range(2))
-        with monkeypatch.context() as patch:    # the twin's GB, no weights
-            patch.setattr(ReducedGB, "normal_form", lambda *args: 0)
-            assert twin.contains(gs.generators[0]) is True
+        ctx = MembershipContext(gs, field, random.Random(k))
         for cand, member in candidates:
-            values.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(ReducedGB, "normal_form", recording)
-                verdict = ctx.contains(cand)
+            verdict = ctx.contains(cand)
             assert verdict is member, (name, cand)
-            assert ctx.point == twin.point
-            h = specialize(*cand.modp(_x_ring(twin)), twin.point, twin.gb_ring)
-            assert values == [twin._gb.normal_form(h, twin._weights)]
+            h = specialize(*cand.modp(_x_ring(ctx)), ctx.point, ctx.gb_ring)
+            state = ctx._weights.getstate()
+            assert (ctx._gb.normal_form(h, ctx._weights) == 0) is verdict
+            assert ctx._weights.getstate() == state, (name, cand)
 
 
 def test_contains_reads_the_normal_form_span(monkeypatch):
